@@ -479,7 +479,7 @@ def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
                        "kind": kind, "level": level, "p": p}
         else:
             raise QShiftError(f"unknown command {cmd!r}")
-    except (QShiftError, KeyError, ValueError) as exc:
+    except (QShiftError, KeyError, ValueError, ArithmeticError) as exc:
         status = "error"
         payload = {"reason": str(exc) or repr(exc),
                    "error_type": type(exc).__name__}

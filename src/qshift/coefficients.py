@@ -188,95 +188,81 @@ def hbar_derivative_scaled(a: HSeries) -> HSeries:
 # Exact linear algebra over Q and over Q(hbar)
 # ---------------------------------------------------------------------------
 
-def rank_rational(rows):
-    """Rank of a matrix of Fractions by Gaussian elimination (destructive copy)."""
-    if not rows:
-        return 0
-    m = [list(map(Fraction, r)) for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col] != 0:
-                piv = r
+def _eliminate(rows):
+    """Sparse Gaussian elimination over Q on rows ``{col: Fraction}``.
+
+    Each row is reduced against the pivot rows found so far, keyed by their
+    leading (smallest) column, until its leading column is new; it is then
+    scaled to a unit pivot and kept.  Rows that reduce to zero vanish, so the
+    rank is the number of pivots, and the set of pivot columns depends only
+    on the row space.  Zero entries are never stored.
+    """
+    pivots = {}
+    for row in rows:
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                inv = 1 / row[lead]
+                pivots[lead] = {c: v * inv for c, v in row.items()}
                 break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        prow = m[rank]
-        inv = 1 / prow[col]
-        for r in range(rank + 1, nrows):
-            f = m[r][col]
-            if f == 0:
-                continue
-            f *= inv
-            row = m[r]
-            for c in range(col, ncols):
-                row[c] -= prow[c] * f
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+            f = row[lead]
+            for c, v in prow.items():
+                s = row.get(c, 0) - f * v
+                if s:
+                    row[c] = s
+                else:
+                    del row[c]
+    return pivots
+
+
+def _sparse(rows):
+    """Dense rows of rationals as sparse rows holding only the nonzeros."""
+    return [{c: Fraction(v) for c, v in enumerate(row) if v} for row in rows]
+
+
+def rank_rational(rows):
+    """Rank of a matrix of rationals (dense list of rows) by sparse elimination."""
+    return len(_eliminate(_sparse(rows)))
 
 
 def solve_rational(rows, rhs):
-    """Solve A x = b over Q; returns one solution (free vars = 0) or None."""
-    if not rows:
-        return [] if all(v == 0 for v in rhs) else ([] if not rhs else None)
-    nrows, ncols = len(rows), len(rows[0])
-    aug = [list(map(Fraction, rows[r])) + [Fraction(rhs[r])] for r in range(nrows)]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        prow = aug[rank]
-        inv = 1 / prow[col]
-        for c in range(col, ncols + 1):
-            prow[c] *= inv
-        for r in range(nrows):
-            if r != rank and aug[r][col] != 0:
-                f = aug[r][col]
-                row = aug[r]
-                for c in range(col, ncols + 1):
-                    row[c] -= prow[c] * f
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    for r in range(rank, nrows):
-        if aug[r][ncols] != 0:
-            return None
+    """Solve A x = b over Q by sparse elimination of the augmented system.
+
+    Returns None when the right-hand-side column becomes a pivot (b is not in
+    the column space); otherwise back-substitutes with every free variable 0.
+    """
+    ncols = len(rows[0]) if rows else 0
+    aug = _sparse(rows)
+    for row, b in zip(aug, rhs):
+        if b:
+            row[ncols] = Fraction(b)
+    pivots = _eliminate(aug)
+    if ncols in pivots:
+        return None
     sol = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][ncols]
+    for lead in sorted(pivots, reverse=True):
+        prow = pivots[lead]
+        sol[lead] = prow.get(ncols, Fraction(0)) - sum(
+            v * sol[c] for c, v in prow.items() if lead < c < ncols)
     return sol
 
 
 def _specialised_rank(matrix, point):
-    rows = [[e.evaluate(point) for e in row] for row in matrix]
-    return rank_rational(rows)
+    """Rank at hbar = point; only the nonzero entries are evaluated."""
+    return rank_rational([[e.evaluate(point) if e else 0 for e in row]
+                          for row in matrix])
 
 
 def _laurent_to_poly_rows(matrix):
-    """Clear hbar denominators row-wise; returns rows of coefficient dicts."""
+    """Clear hbar denominators row-wise; returns rows of coefficient dicts.
+    Zero entries may be plain ``0`` or a zero HSeries."""
     rows = []
     for row in matrix:
-        shift = min((e.min_exp for e in row if e.coeffs), default=0)
-        shift = min(shift, 0)
-        rows.append([{k - shift: v for k, v in e.coeffs.items()} for e in row])
+        shift = min(min((e.min_exp for e in row if e), default=0), 0)
+        rows.append([{k - shift: v for k, v in e.coeffs.items()} if e else {}
+                     for e in row])
     return rows
-
-
-def _poly_is_zero(p):
-    return not p
 
 
 def _poly_mul(p, q):
@@ -333,7 +319,7 @@ def rank_exact_fraction_field(matrix):
     for col in range(ncols):
         piv = None
         for r in range(rank, nrows):
-            if not _poly_is_zero(m[r][col]):
+            if m[r][col]:
                 piv = r
                 break
         if piv is None:
@@ -363,7 +349,8 @@ def specialisation_points(seed, n=2):
 
 
 def rank_over_hbar_field(matrix, seed=0):
-    """Rank over Q(hbar) of a matrix of HSeries Laurent polynomials.
+    """Rank over Q(hbar) of a matrix of HSeries Laurent polynomials (zero
+    entries may be a plain ``0``).
 
     Specialises hbar at two seed-determined primes; on agreement that rank is
     returned, otherwise the exact fraction-free elimination decides.

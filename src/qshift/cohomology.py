@@ -145,60 +145,52 @@ def _twisted_image(X, key):
 
 
 def _koszul_image(X, key):
+    """delta applied to a single monomial, as its hbar^0 coefficients
+    {key: Fraction} (f is hbar-free, so nothing else is nonzero)."""
     mono = Element(X.m, {key: HSeries.const(1)})
-    return apply_koszul_delta(X, mono).terms
+    return {k: c[0] for k, c in apply_koszul_delta(X, mono).terms.items()}
 
 
 # ---------------------------------------------------------------------------
 # Slice-wise cohomology dimensions
 # ---------------------------------------------------------------------------
 
-def _dims_at_cutoff(X, cutoff, mode, image_fn, rank_fn):
+def _image_rank(images, rank_fn):
+    """Rank of the matrix whose rows are the given images, over the columns
+    they touch.  Zero cells are a shared plain 0."""
+    col_index = {}
+    for img in images:
+        for key in img:
+            col_index.setdefault(key, len(col_index))
+    if not col_index:
+        return 0
+    rows = []
+    for img in images:
+        row = [0] * len(col_index)
+        for key, c in img.items():
+            row[col_index[key]] = c
+        rows.append(row)
+    return rank_fn(rows)
+
+
+def _dims_at_cutoff(X, cutoff, mode, image, rank_fn):
     """Cohomology dims of the truncated complex at one cutoff.
 
     Per degree d the quotient is ker(D on an enlarged domain containing all
     image supports) by im(D from the truncated (d-1)-slice); both matrices
-    are exact and only ranks are needed since D o D = 0.
+    are exact and only ranks are needed since D o D = 0.  ``image`` maps a
+    monomial key to its image {key: coefficient}.
     """
     by_degree = element_keys_in_window(X, cutoff, mode)
-    images = {d: [(key, image_fn(X, key)) for key in basis]
-              for d, basis in by_degree.items()}
     dims = {}
-    degrees = sorted(by_degree)
-    for d in degrees:
-        basis = by_degree[d]
-        extra = []
-        seen = set(basis)
-        for _, img in images.get(d - 1, []):
+    for d, basis in sorted(by_degree.items()):
+        prev_images = [image(key) for key in by_degree.get(d - 1, [])]
+        domain = dict.fromkeys(basis)
+        for img in prev_images:
             for key in img:
-                if key not in seen:
-                    seen.add(key)
-                    extra.append(key)
-        domain = basis + extra
-        dom_images = images[d] + [(key, image_fn(X, key)) for key in extra]
-        col_index = {}
-        for _, img in dom_images:
-            for key in img:
-                col_index.setdefault(key, len(col_index))
-        rows_d = []
-        for _, img in dom_images:
-            row = [HSeries.zero()] * len(col_index)
-            for key, c in img.items():
-                row[col_index[key]] = c
-            rows_d.append(row)
-        rank_d = rank_fn(rows_d) if col_index else 0
-        col_index = {}
-        prev_images = images.get(d - 1, [])
-        for _, img in prev_images:
-            for key in img:
-                col_index.setdefault(key, len(col_index))
-        rows_prev = []
-        for _, img in prev_images:
-            row = [HSeries.zero()] * len(col_index)
-            for key, c in img.items():
-                row[col_index[key]] = c
-            rows_prev.append(row)
-        rank_prev = rank_fn(rows_prev) if col_index else 0
+                domain.setdefault(key)
+        rank_d = _image_rank([image(key) for key in domain], rank_fn)
+        rank_prev = _image_rank(prev_images, rank_fn)
         h = len(domain) - rank_d - rank_prev
         if h:
             dims[d] = h
@@ -206,9 +198,18 @@ def _dims_at_cutoff(X, cutoff, mode, image_fn, rank_fn):
 
 
 def _stabilised_dims(X, trunc, image_fn, rank_fn):
+    images = {}
+
+    def image(key):
+        # each monomial's image is computed once per command, across cutoffs
+        img = images.get(key)
+        if img is None:
+            img = images[key] = image_fn(X, key)
+        return img
+
     history = []
     for cutoff in range(1, trunc.bound + 1):
-        dims = _dims_at_cutoff(X, cutoff, trunc.mode, image_fn, rank_fn)
+        dims = _dims_at_cutoff(X, cutoff, trunc.mode, image, rank_fn)
         history.append(dims)
         if len(history) > trunc.stabilisation_window and all(
                 h == dims for h in history[-(trunc.stabilisation_window + 1):-1]):
@@ -238,10 +239,7 @@ def koszul_dims_at_hbar_zero(X: CritLocus, trunc: TruncationSpec) -> CohomologyR
         raise TruncationRequired(
             "f is not quasi-homogeneous; use DegreeTruncated mode")
 
-    def rank_fn(rows):
-        return rank_rational([[e[0] for e in row] for row in rows])
-
-    dims, stab = _stabilised_dims(X, trunc, _koszul_image, rank_fn)
+    dims, stab = _stabilised_dims(X, trunc, _koszul_image, rank_rational)
     return CohomologyReport(dims, "Q", trunc, stab)
 
 
@@ -279,7 +277,7 @@ def milnor_number(f: Element, m: int, cap: int = 30,
         for pk in partial_keys:
             pdeg = max(sum(a) for a in pk)
             for b in iter_y_exponents(m, big - pdeg):
-                row = [Fraction(0)] * len(monomials)
+                row = [0] * len(monomials)
                 for a, c in pk.items():
                     shifted = tuple(x + z for x, z in zip(a, b))
                     row[index[shifted]] = c
@@ -296,7 +294,7 @@ def milnor_number(f: Element, m: int, cap: int = 30,
         stacked = list(proj)
         for i, a in enumerate(monomials):
             if sum(a) == d:
-                row = [Fraction(0)] * (len(monomials) - n_lower)
+                row = [0] * (len(monomials) - n_lower)
                 row[i - n_lower] = Fraction(1)
                 stacked.append(row)
         top_reduces = rank_rational(stacked) == rank_proj

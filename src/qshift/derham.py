@@ -355,7 +355,7 @@ def check_compatibility(omega: DRWord, delta: Quantisation, X: CritLocus,
     nrows = len(row_index)
     if nrows == 0:
         return CompatVerdict(CompatVerdict.FAILS, residual=r, window=window)
-    rows = [[Fraction(0)] * len(unknowns) for _ in range(nrows)]
+    rows = [[0] * len(unknowns) for _ in range(nrows)]
     for cidx, col in enumerate(columns):
         for ridx, q in col.items():
             rows[ridx][cidx] = q

@@ -146,6 +146,29 @@ def test_main_ok_and_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("target, cmd, flags, exc", [
+    ("qshift.cohomology.rank_over_hbar_field", "vc-dims", ["--mode", "weight"],
+     ArithmeticError("inexact polynomial division")),
+    ("qshift.gca.solve_rational", "koszul-dims", ["--mode", "weight"],
+     ZeroDivisionError("division by zero")),
+])
+def test_kernel_arithmetic_errors_exit_2(monkeypatch, tmp_path, capsys,
+                                         target, cmd, flags, exc):
+    def raise_exc(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(target, raise_exc)
+    path = tmp_path / "p.qs"
+    path.write_text("vars x y; f = x^3 + y^3;\n")
+    code = main([cmd, str(path)] + flags)
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out["status"] == "error"
+    assert out["payload"]["error_type"] == type(exc).__name__
+    assert out["payload"]["reason"] == str(exc)
+    jsonschema.validate(out, SCHEMA)
+
+
 def test_seed_precedence(monkeypatch):
     problem = parse_problem("vars x; f = x^2; seed = 5;")
     assert _seed(problem, {}) == 5

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from qshift.coefficients import (HSeries, hbar_derivative_scaled, hseries_mul,
                                  rank_exact_fraction_field, rank_over_hbar_field,
                                  rank_rational, solve_rational,
@@ -134,3 +137,101 @@ def test_evaluate_and_substitute():
     assert s.evaluate(2) == Fraction(1, 2) + 12
     flipped = s.substitute_neg_hbar()
     assert flipped == H({-1: -1, 2: 3})
+
+
+# ---------------------------------------------------------------------------
+# The sparse kernel against a dense reference elimination
+# ---------------------------------------------------------------------------
+
+def _reference_rref(rows, ncols):
+    """Dense Gauss-Jordan elimination: (pivot columns, reduced rows)."""
+    m = [list(r) for r in rows]
+    pivots = []
+    for col in range(ncols):
+        k = len(pivots)
+        piv = next((r for r in range(k, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[k], m[piv] = m[piv], m[k]
+        inv = 1 / m[k][col]
+        m[k] = [v * inv for v in m[k]]
+        for r in range(len(m)):
+            if r != k and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[k])]
+        pivots.append(col)
+    return pivots, m
+
+
+_entries = st.one_of(st.just(Fraction(0)),
+                     st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+
+
+@st.composite
+def _systems(draw):
+    """(rows, rhs): tall or wide, with zero rows and columns, and a
+    right-hand side that is zero, arbitrary, or in the column space."""
+    nrows = draw(st.integers(0, 7))
+    ncols = draw(st.integers(0, 7)) if nrows else 0
+    rows = [[draw(_entries) for _ in range(ncols)] for _ in range(nrows)]
+    kind = draw(st.sampled_from(["zero", "arbitrary", "consistent"]))
+    if kind == "zero":
+        rhs = [Fraction(0)] * nrows
+    elif kind == "arbitrary":
+        rhs = [draw(_entries) for _ in range(nrows)]
+    else:
+        x = [draw(_entries) for _ in range(ncols)]
+        rhs = [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in rows]
+    return rows, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+def test_sparse_kernel_matches_dense_reference(system):
+    rows, rhs = system
+    ncols = len(rows[0]) if rows else 0
+    before = [list(r) for r in rows], list(rhs)
+    pivots, _ = _reference_rref(rows, ncols)
+    assert rank_rational(rows) == len(pivots)
+    aug_pivots, reduced = _reference_rref(
+        [row + [b] for row, b in zip(rows, rhs)], ncols + 1)
+    sol = solve_rational(rows, rhs)
+    assert (sol is None) == (ncols in aug_pivots)
+    if sol is not None:
+        assert all(sum((a * x for a, x in zip(row, sol)), Fraction(0)) == b
+                   for row, b in zip(rows, rhs))
+        expected = [Fraction(0)] * ncols
+        for k, col in enumerate(aug_pivots):
+            expected[col] = reduced[k][ncols]
+        assert sol == expected
+    assert ([list(r) for r in rows], list(rhs)) == before
+
+
+def test_fallback_on_rows_with_plain_zero_cells(monkeypatch):
+    """Rows as ``_dims_at_cutoff`` assembles them (plain 0 beside HSeries);
+    the two specialisations disagree, so the exact elimination decides."""
+    from qshift import coefficients
+    from qshift.cohomology import _image_rank
+    p1, p2 = specialisation_points(0, 2)
+    vanishes_at_p1 = HSeries({0: -p1, 1: 1})
+    images = [{"a": vanishes_at_p1},
+              {"b": HSeries.const(1)},
+              {"a": vanishes_at_p1, "b": HSeries.const(2)}]
+    seen, fallbacks = [], []
+    exact = coefficients.rank_exact_fraction_field
+
+    def spy(matrix):
+        fallbacks.append(matrix)
+        return exact(matrix)
+
+    def rank_fn(rows):
+        seen.append(rows)
+        return rank_over_hbar_field(rows, seed=0)
+
+    monkeypatch.setattr(coefficients, "rank_exact_fraction_field", spy)
+    assert _image_rank(images, rank_fn) == 2
+    rows, = seen
+    assert any(type(e) is int and e == 0 for row in rows for e in row)
+    assert coefficients._specialised_rank(rows, p1) == 1
+    assert coefficients._specialised_rank(rows, p2) == 2
+    assert fallbacks == [rows]
