@@ -33,9 +33,11 @@ from .diffops import format_op_monomial
 from .errors import ParseError, QShiftError, UnknownVariable
 from .gca import Element, make_crit_locus
 from .quantise import (FiltrationLabel, bv_quantisation, filtration_dims,
-                       mc_residual, nu_eigen_analysis, truncate_quantisation)
+                       mc_residual, nu_eigen_analysis)
 
 SCHEMA_VERSION = 1
+
+OPTION_NAMES = ("seed", "mode", "max_degree", "stab_window", "window")
 
 _KIND_MAP = {"g": FiltrationLabel.G, "ftilde": FiltrationLabel.FTILDE,
              "conv": FiltrationLabel.CONV}
@@ -255,7 +257,11 @@ def parse_problem(text: str) -> ProblemFile:
     advance()
     options = {}
     while peek().kind == "ident":
-        key = advance().value
+        tok = advance()
+        key = tok.value
+        if key not in OPTION_NAMES:
+            raise ParseError(f"unknown option {key!r}; options are "
+                             f"{', '.join(OPTION_NAMES)}", tok.line, tok.col)
         tok = peek()
         if tok.kind != "=":
             raise ParseError("expected '=' in option", tok.line, tok.col)
@@ -357,30 +363,24 @@ def _residual_terms(op):
     return out
 
 
+def _setting(name, problem, flags, default):
+    """The flag, else the problem-file option, else the default: the first
+    that is set, so an explicit 0 is kept."""
+    for value in (flags.get(name), problem.options.get(name)):
+        if value is not None:
+            return value
+    return default
+
+
 def _seed(problem, flags):
     env = os.environ.get("QSHIFT_SEED")
     if env is not None:
         return int(env)
-    if flags.get("seed") is not None:
-        return int(flags["seed"])
-    if "seed" in problem.options:
-        return int(problem.options["seed"])
-    return 0
-
-
-DEFAULT_HBAR_TRUNC = 8
-
-
-def _canonical_quantisation(X, problem, flags):
-    """The BV quantisation, G-truncated at the configured hbar order."""
-    order = int(flags.get("hbar_trunc")
-                or problem.options.get("hbar_trunc")
-                or DEFAULT_HBAR_TRUNC)
-    return truncate_quantisation(bv_quantisation(X), order)
+    return int(_setting("seed", problem, flags, 0))
 
 
 def _trunc_spec(problem, flags, default_mode=None):
-    mode_opt = flags.get("mode") or problem.options.get("mode")
+    mode_opt = _setting("mode", problem, flags, None)
     if mode_opt in ("weight", WEIGHT_GRADED):
         mode = WEIGHT_GRADED
     elif mode_opt in ("truncate", "degree", DEGREE_TRUNCATED):
@@ -389,8 +389,8 @@ def _trunc_spec(problem, flags, default_mode=None):
         mode = default_mode
     else:
         raise QShiftError(f"unknown truncation mode {mode_opt!r}")
-    bound = flags.get("max_degree") or problem.options.get("max_degree") or 30
-    window = problem.options.get("stab_window", 2)
+    bound = _setting("max_degree", problem, flags, 30)
+    window = _setting("stab_window", problem, flags, 2)
     return mode, TruncationSpec(mode or DEGREE_TRUNCATED, int(bound), int(window))
 
 
@@ -422,7 +422,7 @@ def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
                 payload = report.as_dict()
         elif cmd == "check-mc":
             X = problem.crit_locus()
-            residual = mc_residual(X, _canonical_quantisation(X, problem, flags))
+            residual = mc_residual(X, bv_quantisation(X))
             residual_terms = _residual_terms(residual)
             payload = {"residual_zero": residual.is_zero()}
             if not residual.is_zero():
@@ -430,12 +430,11 @@ def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
                 payload["reason"] = "master-equation residual is nonzero"
         elif cmd == "check-compat":
             X = problem.crit_locus()
-            size = int(flags.get("window") or problem.options.get("window") or 3)
+            size = int(_setting("window", problem, flags, 3))
             window = SearchWindow(order_cap=size, ydeg_cap=size,
                                   hbar_max=size + 2)
             verdict = check_compatibility(canonical_symplectic(X),
-                                          _canonical_quantisation(X, problem, flags),
-                                          X, window)
+                                          bv_quantisation(X), X, window)
             payload = {"verdict": verdict.kind, "window": window.as_dict()}
             if verdict.kind == "CoboundaryWitness":
                 payload["witness_terms"] = _residual_terms(verdict.witness)
@@ -446,7 +445,7 @@ def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
         elif cmd == "check-selfdual":
             X = problem.crit_locus()
             profile = solve_sign_profile(X)
-            verdict = is_self_dual(_canonical_quantisation(X, problem, flags), profile)
+            verdict = is_self_dual(bv_quantisation(X), profile)
             payload = {"verdict": verdict.kind,
                        "profile": dict(profile.gen_signs)}
             if not verdict.ok():
@@ -457,21 +456,19 @@ def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
             X = problem.crit_locus()
             p = int(flags["p"])
             k = int(flags["k"])
-            bound = int(flags.get("max_degree")
-                        or problem.options.get("max_degree") or 2)
+            bound = int(_setting("max_degree", problem, flags, 2))
             trunc = TruncationSpec(DEGREE_TRUNCATED, bound)
             report = nu_eigen_analysis(X, p, k, trunc)
             payload = report.as_dict()
         elif cmd == "filtration":
             X = problem.crit_locus()
-            kind = _KIND_MAP[flags.get("kind") or "ftilde"]
-            level = int(flags.get("level") or 0)
-            p = int(flags.get("p") or 2)
-            bound = int(flags.get("max_degree")
-                        or problem.options.get("max_degree") or 2)
+            kind = _KIND_MAP[_setting("kind", problem, flags, "ftilde")]
+            level = int(_setting("level", problem, flags, 0))
+            p = int(_setting("p", problem, flags, 2))
+            bound = int(_setting("max_degree", problem, flags, 2))
             trunc = TruncationSpec(DEGREE_TRUNCATED, bound)
             degrees = range(-X.m, X.m + 1)
-            hbar_exps = range(-1, int(flags.get("hbar_max") or 4) + 1)
+            hbar_exps = range(-1, int(_setting("hbar_max", problem, flags, 4)) + 1)
             table = filtration_dims(FiltrationLabel(kind, level), p, degrees,
                                     hbar_exps, X, trunc)
             payload = {"dims": [{"degree": d, "hbar_exp": e, "dim": n}
@@ -538,20 +535,21 @@ def main(argv=None) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
-        problem = parse_problem(text)
     except OSError as exc:
-        print(f"qshift: cannot read {args.file}: {exc}", file=sys.stderr)
         report = Report(args.command, "error",
                         {"reason": str(exc), "error_type": "IOError"})
-        print(json.dumps(report.as_dict(), indent=2))
-        return 2
-    except QShiftError as exc:
-        print(f"qshift: {exc}", file=sys.stderr)
-        report = Report(args.command, "error",
-                        {"reason": str(exc), "error_type": type(exc).__name__})
-        print(json.dumps(report.as_dict(), indent=2))
-        return 2
-    report = run_command(args.command, problem, flags)
+    else:
+        try:
+            report = run_command(args.command, parse_problem(text), flags)
+        except Exception as exc:
+            # last resort (e.g. RecursionError on deep nesting): an escaping
+            # exception would exit 1, which means "identity violated"
+            if not isinstance(exc, QShiftError):
+                import traceback  # only on this path: it slows start-up
+                traceback.print_exc(limit=-10)  # the innermost frames
+            report = Report(args.command, "error",
+                            {"reason": str(exc) or repr(exc),
+                             "error_type": type(exc).__name__})
     if report.status != "ok":
         print(f"qshift: {report.status}: "
               f"{report.payload.get('reason', '')}", file=sys.stderr)

@@ -1,11 +1,11 @@
-"""Exact scalar arithmetic: rationals, truncated hbar-Laurent series, and
-rank computation over the rational-function field in hbar.
+"""Exact scalar arithmetic: rationals, hbar-Laurent polynomials, and rank
+computation over the rational-function field in hbar.
 
 Rationals are ``fractions.Fraction`` (always reduced, positive denominator).
 An :class:`HSeries` is a finite Laurent polynomial in the degree-0 dummy
-variable hbar with Fraction coefficients, an optional truncation order
-(exponents >= ``trunc_order`` are discarded and flagged), and a sticky
-``truncated`` flag recording that a drop happened somewhere upstream.
+variable hbar with Fraction coefficients; it is exact, never truncated.
+``_accumulate`` is the one add-and-drop-zero step behind every sparse sum
+of the package, whether its values are ``int``, ``Fraction`` or ``HSeries``.
 """
 
 from __future__ import annotations
@@ -13,58 +13,48 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-Rational = Fraction
-
 # Primes used for hbar specialisation when certifying ranks.
 _SPEC_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
 
 
-def _min_trunc(t1, t2):
-    if t1 is None:
-        return t2
-    if t2 is None:
-        return t1
-    return min(t1, t2)
+def _accumulate(store, key, c):
+    """Add c into store[key]; a key whose sum is zero is removed."""
+    prev = store.get(key)
+    s = prev + c if prev is not None else c
+    if s:
+        store[key] = s
+    else:
+        store.pop(key, None)
 
 
 class HSeries:
-    """Truncated Laurent polynomial in hbar with exact rational coefficients.
+    """Laurent polynomial in hbar with exact rational coefficients; stored
+    coefficients are never zero."""
 
-    ``trunc_order=None`` means untruncated (exact).  Stored coefficients are
-    never zero and always satisfy exponent < trunc_order.
-    """
+    __slots__ = ("coeffs",)
 
-    __slots__ = ("coeffs", "trunc_order", "truncated")
-
-    def __init__(self, coeffs=None, trunc_order=None, truncated=False):
+    def __init__(self, coeffs=None):
         clean = {}
-        dropped = False
         if coeffs:
             for k, v in coeffs.items():
                 v = Fraction(v)
-                if v == 0:
-                    continue
-                if trunc_order is not None and k >= trunc_order:
-                    dropped = True
-                    continue
-                clean[int(k)] = v
+                if v:
+                    clean[int(k)] = v
         self.coeffs = clean
-        self.trunc_order = trunc_order
-        self.truncated = bool(truncated or dropped)
 
     # -- constructors -----------------------------------------------------
     @staticmethod
-    def zero(trunc_order=None):
-        return HSeries({}, trunc_order)
+    def zero():
+        return HSeries({})
 
     @staticmethod
-    def const(c, trunc_order=None):
-        return HSeries({0: Fraction(c)}, trunc_order)
+    def const(c):
+        return HSeries({0: Fraction(c)})
 
     @staticmethod
-    def monomial(exp, c=1, trunc_order=None):
-        return HSeries({exp: Fraction(c)}, trunc_order)
+    def monomial(exp, c=1):
+        return HSeries({exp: Fraction(c)})
 
     # -- queries -----------------------------------------------------------
     @property
@@ -100,15 +90,13 @@ class HSeries:
             other = HSeries.const(other)
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return HSeries(out, _min_trunc(self.trunc_order, other.trunc_order),
-                       self.truncated or other.truncated)
+            _accumulate(out, k, v)
+        return HSeries(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return HSeries({k: -v for k, v in self.coeffs.items()},
-                       self.trunc_order, self.truncated)
+        return HSeries({k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -128,20 +116,17 @@ class HSeries:
     def scale(self, c):
         c = Fraction(c)
         if c == 0:
-            return HSeries({}, self.trunc_order, self.truncated)
-        return HSeries({k: v * c for k, v in self.coeffs.items()},
-                       self.trunc_order, self.truncated)
+            return HSeries({})
+        return HSeries({k: v * c for k, v in self.coeffs.items()})
 
     def shift(self, n):
         """Multiply by hbar**n."""
-        return HSeries({k + n: v for k, v in self.coeffs.items()},
-                       self.trunc_order, self.truncated)
+        return HSeries({k + n: v for k, v in self.coeffs.items()})
 
     def substitute_neg_hbar(self):
         """hbar -> -hbar."""
         return HSeries({k: (v if k % 2 == 0 else -v)
-                        for k, v in self.coeffs.items()},
-                       self.trunc_order, self.truncated)
+                        for k, v in self.coeffs.items()})
 
     def evaluate(self, point):
         """Specialise hbar to a nonzero rational."""
@@ -168,20 +153,17 @@ class HSeries:
 
 
 def hseries_mul(a: HSeries, b: HSeries) -> HSeries:
-    """Exact Cauchy product; result truncated at the finer of the two orders."""
-    trunc = _min_trunc(a.trunc_order, b.trunc_order)
+    """Exact Cauchy product."""
     out = {}
     for ka, va in a.coeffs.items():
         for kb, vb in b.coeffs.items():
-            k = ka + kb
-            out[k] = out.get(k, Fraction(0)) + va * vb
-    return HSeries(out, trunc, a.truncated or b.truncated)
+            _accumulate(out, ka + kb, va * vb)
+    return HSeries(out)
 
 
 def hbar_derivative_scaled(a: HSeries) -> HSeries:
     """hbar**2 * d/dhbar: the monomial c*hbar**k maps to k*c*hbar**(k+1)."""
-    return HSeries({k + 1: k * v for k, v in a.coeffs.items() if k != 0},
-                   a.trunc_order, a.truncated)
+    return HSeries({k + 1: k * v for k, v in a.coeffs.items() if k != 0})
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +188,9 @@ def _eliminate(rows):
                 inv = 1 / row[lead]
                 pivots[lead] = {c: v * inv for c, v in row.items()}
                 break
-            f = row[lead]
+            f = -row[lead]
             for c, v in prow.items():
-                s = row.get(c, 0) - f * v
-                if s:
-                    row[c] = s
-                else:
-                    del row[c]
+                _accumulate(row, c, f * v)
     return pivots
 
 
@@ -254,68 +232,34 @@ def _specialised_rank(matrix, point):
                           for row in matrix])
 
 
-def _laurent_to_poly_rows(matrix):
-    """Clear hbar denominators row-wise; returns rows of coefficient dicts.
-    Zero entries may be plain ``0`` or a zero HSeries."""
-    rows = []
-    for row in matrix:
-        shift = min(min((e.min_exp for e in row if e), default=0), 0)
-        rows.append([{k - shift: v for k, v in e.coeffs.items()} if e else {}
-                     for e in row])
-    return rows
+def _divexact(p, q):
+    """Exact quotient p / q of hbar-Laurent polynomials (q nonzero).
 
-
-def _poly_mul(p, q):
+    Long division from the top exponent.  When q divides p, every quotient
+    exponent is at least min(p) - min(q); passing below that bound proves
+    that q does not divide p.
+    """
+    top = q.max_exp
+    floor = p.min_exp - q.min_exp
     out = {}
-    for ka, va in p.items():
-        for kb, vb in q.items():
-            k = ka + kb
-            s = out.get(k, Fraction(0)) + va * vb
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-    return out
-
-
-def _poly_sub(p, q):
-    out = dict(p)
-    for k, v in q.items():
-        s = out.get(k, Fraction(0)) - v
-        if s:
-            out[k] = s
-        elif k in out:
-            del out[k]
-    return out
-
-
-def _poly_divexact(p, q):
-    """Exact division in Q[hbar]; caller guarantees divisibility."""
-    if not p:
-        return {}
-    rem = dict(p)
-    dq = max(q)
-    lq = q[dq]
-    out = {}
-    while rem:
-        dr = max(rem)
-        if dr < dq:
+    while p:
+        k = p.max_exp - top
+        if k < floor:
             raise ArithmeticError("inexact polynomial division")
-        k = dr - dq
-        c = rem[dr] / lq
-        out[k] = c
-        rem = _poly_sub(rem, _poly_mul({k: c}, q))
-    return out
+        out[k] = p.coeffs[p.max_exp] / q.coeffs[top]
+        p = p - q.shift(k).scale(out[k])
+    return HSeries(out)
 
 
 def rank_exact_fraction_field(matrix):
-    """Rank over Q(hbar) by fraction-free Bareiss elimination in Q[hbar]."""
+    """Rank over Q(hbar) by fraction-free Bareiss elimination in
+    Q[hbar, 1/hbar]; zero entries may be plain ``0``."""
     if not matrix or not matrix[0]:
         return 0
-    m = _laurent_to_poly_rows(matrix)
+    m = [list(row) for row in matrix]
     nrows, ncols = len(m), len(m[0])
     rank = 0
-    prev = {0: Fraction(1)}
+    prev = HSeries.const(1)
     for col in range(ncols):
         piv = None
         for r in range(rank, nrows):
@@ -329,12 +273,10 @@ def rank_exact_fraction_field(matrix):
         for r in range(rank + 1, nrows):
             row = m[r]
             for c in range(ncols):
-                if c == col:
-                    continue
-                num = _poly_sub(_poly_mul(prow[col], row[c]),
-                                _poly_mul(row[col], prow[c]))
-                row[c] = _poly_divexact(num, prev) if num else {}
-            row[col] = {}
+                if c != col:
+                    row[c] = _divexact(prow[col] * row[c] - row[col] * prow[c],
+                                       prev)
+            row[col] = 0
         prev = prow[col]
         rank += 1
         if rank == nrows:

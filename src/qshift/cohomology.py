@@ -15,7 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coefficients import (HSeries, rank_over_hbar_field, rank_rational)
-from .errors import NonIsolated, NotStabilised, TruncationRequired, ZeroPolynomial
+from .errors import (NonIsolated, NotPolynomial, NotStabilised,
+                     TruncationRequired, ZeroPolynomial)
 from .gca import CritLocus, Element, apply_koszul_delta
 
 WEIGHT_GRADED = "WeightGraded"
@@ -262,7 +263,7 @@ def milnor_number(f: Element, m: int, cap: int = 30,
     if f.is_zero():
         raise ZeroPolynomial("f = 0")
     if not f.is_polynomial():
-        raise ZeroPolynomial("f must be a polynomial in y only")
+        raise NotPolynomial("f must be a polynomial in y only")
     partials = [f.partial_y(i) for i in range(1, m + 1)]
     if any(p.is_zero() for p in partials):
         raise NonIsolated("a partial derivative vanishes identically")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coefficients import HSeries, solve_rational
+from .coefficients import HSeries, _accumulate, solve_rational
 from .diffops import Operator, key_degree, op_compose
 from .errors import NotMaurerCartan
 from .gca import CritLocus, Element, apply_koszul_delta, merge_ascending, unit_key
@@ -47,15 +47,7 @@ class DRWord:
         clean = {}
         if terms:
             for key, c in terms.items():
-                c = Fraction(c)
-                if c == 0:
-                    continue
-                prev = clean.get(key)
-                s = prev + c if prev is not None else c
-                if s:
-                    clean[key] = s
-                else:
-                    clean.pop(key, None)
+                _accumulate(clean, key, Fraction(c))
         self.terms = clean
         self.hodge_weight = int(hodge_weight)
 
@@ -77,11 +69,7 @@ class DRWord:
     def __add__(self, other):
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            _accumulate(out, k, c)
         weight = min(self.hodge_weight, other.hodge_weight) \
             if self.terms and other.terms else \
             (self.hodge_weight if self.terms else other.hodge_weight)
@@ -113,11 +101,8 @@ class DRWord:
 
 def dr_of(a: Element) -> DRWord:
     """Length-1 word (a)."""
-    out = {}
-    for key, c in a.terms.items():
-        for e, q in c.coeffs.items():
-            out[(e, (key,))] = out.get((e, (key,)), Fraction(0)) + q
-    return DRWord(a.m, out, 0)
+    return DRWord(a.m, {(e, (key,)): q for key, c in a.terms.items()
+                        for e, q in c.coeffs.items()}, 0)
 
 
 def dr_d(a: Element) -> DRWord:
@@ -128,10 +113,8 @@ def dr_d(a: Element) -> DRWord:
     for key, c in a.terms.items():
         sign = -1 if _mono_degree(key) % 2 else 1
         for e, q in c.coeffs.items():
-            k1 = (e, (unit, key))
-            out[k1] = out.get(k1, Fraction(0)) + q
-            k2 = (e, (key, unit))
-            out[k2] = out.get(k2, Fraction(0)) - sign * q
+            _accumulate(out, (e, (unit, key)), q)
+            _accumulate(out, (e, (key, unit)), -sign * q)
     return DRWord(m, out, 1)
 
 
@@ -145,12 +128,8 @@ def cup(w1: DRWord, w2: DRWord) -> DRWord:
             mid, sign = _mono_mul(ws1[-1], ws2[0])
             if mid is None:
                 continue
-            key = (e1 + e2, ws1[:-1] + (mid,) + ws2[1:])
-            s = out.get(key, Fraction(0)) + sign * c1 * c2
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            _accumulate(out, (e1 + e2, ws1[:-1] + (mid,) + ws2[1:]),
+                        sign * c1 * c2)
     return DRWord(w1.m, out, w1.hodge_weight + w2.hodge_weight)
 
 
@@ -168,12 +147,7 @@ def apply_codegeneracy(w: DRWord, j: int) -> DRWord:
         mid, sign = _mono_mul(ws[j], ws[j + 1])
         if mid is None:
             continue
-        key = (e, ws[:j] + (mid,) + ws[j + 2:])
-        s = out.get(key, Fraction(0)) + psign * sign * c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
+        _accumulate(out, (e, ws[:j] + (mid,) + ws[j + 2:]), psign * sign * c)
     return DRWord(w.m, out, w.hodge_weight)
 
 
@@ -184,16 +158,6 @@ def dr_total_d(X: CritLocus, w: DRWord) -> DRWord:
     m = w.m
     unit = unit_key(m)
     out = {}
-
-    def emit(e, ws, c):
-        if c:
-            key = (e, ws)
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-
     for (e, ws), c in w.terms.items():
         r = len(ws) - 1
         prefix = 0  # total degree of factors strictly to the left
@@ -203,16 +167,19 @@ def dr_total_d(X: CritLocus, w: DRWord) -> DRWord:
             image = apply_koszul_delta(
                 X, Element(m, {mono: HSeries.const(1)}))
             for ikey, ic in image.terms.items():
-                emit(e, ws[:i] + (ikey,) + ws[i + 1:], psign * c * ic[0])
+                _accumulate(out, (e, ws[:i] + (ikey,) + ws[i + 1:]),
+                            psign * c * ic[0])
             # e.a insertion (unit at slot i) and -(-1)^deg a.e (unit at i+1)
-            emit(e, ws[:i] + (unit,) + ws[i:], psign * c)
+            _accumulate(out, (e, ws[:i] + (unit,) + ws[i:]), psign * c)
             asign = -1 if _mono_degree(mono) % 2 else 1
-            emit(e, ws[:i + 1] + (unit,) + ws[i + 1:], -psign * asign * c)
+            _accumulate(out, (e, ws[:i + 1] + (unit,) + ws[i + 1:]),
+                        -psign * asign * c)
             prefix += _mono_degree(mono)
             if i < r:
                 # the slot symbol between factors i and i+1: e -> e.e
                 esign = -1 if prefix % 2 else 1
-                emit(e, ws[:i + 1] + (unit,) + ws[i + 1:], esign * c)
+                _accumulate(out, (e, ws[:i + 1] + (unit,) + ws[i + 1:]),
+                            esign * c)
                 prefix += 1
     return DRWord(m, out, w.hodge_weight)
 
@@ -344,8 +311,7 @@ def check_compatibility(omega: DRWord, delta: Quantisation, X: CritLocus,
         col = {}
         for ikey, c in image.terms.items():
             for ie, q in c.coeffs.items():
-                ridx = row_index.setdefault((ikey, ie), len(row_index))
-                col[ridx] = col.get(ridx, Fraction(0)) + q
+                col[row_index.setdefault((ikey, ie), len(row_index))] = q
         columns.append(col)
     rhs_entries = {}
     for ikey, c in r.terms.items():
@@ -366,7 +332,6 @@ def check_compatibility(omega: DRWord, delta: Quantisation, X: CritLocus,
     terms = {}
     for (key, e), v in zip(unknowns, sol):
         if v:
-            prev = terms.get(key, HSeries.zero())
-            terms[key] = prev + HSeries.monomial(e, v)
+            _accumulate(terms, key, HSeries.monomial(e, v))
     return CompatVerdict(CompatVerdict.COBOUNDARY,
                          witness=Operator(X.m, terms), window=window)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coefficients import HSeries, hseries_mul
+from .coefficients import HSeries, _accumulate, hseries_mul
 from .errors import ArityMismatch, OrderTooLow, ZeroOperator
 from .gca import Element, _as_hseries, insert_index, merge_ascending
 
@@ -39,19 +39,6 @@ def key_degree(key):
     return -len(key[1]) + len(key[3])
 
 
-def _accumulate(store, key, coeff):
-    prev = store.get(key)
-    s = prev + coeff if prev is not None else coeff
-    if isinstance(s, HSeries):
-        if s.is_zero():
-            store.pop(key, None)
-            return
-    elif s == 0:
-        store.pop(key, None)
-        return
-    store[key] = s
-
-
 class Operator:
     """Sparse normal-ordered differential operator with HSeries coefficients."""
 
@@ -62,9 +49,7 @@ class Operator:
         clean = {}
         if terms:
             for key, c in terms.items():
-                c = _as_hseries(c)
-                if not c.is_zero():
-                    _accumulate(clean, key, c)
+                _accumulate(clean, key, _as_hseries(c))
         self.terms = clean
 
     # -- constructors -------------------------------------------------------
@@ -134,9 +119,6 @@ class Operator:
         for c in self.terms.values():
             exps.update(c.coeffs)
         return exps
-
-    def min_hbar_exp(self):
-        return min(self.hbar_exponents(), default=0)
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other):
@@ -264,10 +246,11 @@ def _compose_gen_key(gen, key, m):
         return
 
 
-def _compose_keys(k1, k2, m):
-    """Normal-ordered expansion of k1 o k2 as {key: integer coefficient}."""
-    state = {k2: 1}
-    for gen in reversed(_gen_sequence(k1, m)):
+def _fold(gens, state, m):
+    """Left-compose the generator word ``gens`` with ``state``, a
+    {normal-ordered key: integer coefficient} combination, one generator at
+    a time from the right."""
+    for gen in reversed(gens):
         nxt = {}
         for key, coeff in state.items():
             for nkey, c in _compose_gen_key(gen, key, m):
@@ -285,9 +268,10 @@ def op_compose(D1: Operator, D2: Operator) -> Operator:
     m = D1.m
     out = {}
     for k1, c1 in D1.terms.items():
+        gens = _gen_sequence(k1, m)
         for k2, c2 in D2.terms.items():
             c = hseries_mul(c1, c2)
-            for key, n in _compose_keys(k1, k2, m).items():
+            for key, n in _fold(gens, {k2: 1}, m).items():
                 _accumulate(out, key, c.scale(n))
     return Operator(m, out)
 

@@ -14,9 +14,9 @@ import itertools
 import random
 from fractions import Fraction
 
-from .coefficients import HSeries
-from .diffops import (Operator, _compose_gen_key, _gen_sequence, key_order,
-                      op_compose, op_order)
+from .coefficients import HSeries, _accumulate
+from .diffops import (Operator, _fold, _gen_sequence, key_order, op_compose,
+                      op_order, op_unit_key)
 from .errors import NoConsistentProfile
 from .gca import CritLocus, Element
 from .quantise import Quantisation
@@ -25,12 +25,11 @@ from .quantise import Quantisation
 class SignProfile:
     """Signs of the transpose on generators; multiplications stay fixed."""
 
-    __slots__ = ("gen_signs", "divergence_term")
+    __slots__ = ("gen_signs",)
 
-    def __init__(self, d_y_sign, d_eta_sign, m):
+    def __init__(self, d_y_sign, d_eta_sign):
         self.gen_signs = {"mult_y": 1, "mult_eta": 1,
                           "d_y": int(d_y_sign), "d_eta": int(d_eta_sign)}
-        self.divergence_term = Element.zero(m)
 
     def __repr__(self):
         return (f"SignProfile(d_y={self.gen_signs['d_y']}, "
@@ -50,28 +49,9 @@ def transpose(D: Operator, profile: SignProfile) -> Operator:
         sign = sy ** (sum(b) % 2) * se ** (len(deta) % 2)
         if (odd * (odd - 1) // 2) % 2:
             sign = -sign
-        gens = list(reversed(_gen_sequence(key, m)))
-        state = {((0,) * m, (), (0,) * m, ()): 1}
-        for gen in reversed(gens):
-            nxt = {}
-            for k, coeff in state.items():
-                for nk, q in _compose_gen_key(gen, k, m):
-                    s = nxt.get(nk, 0) + coeff * q
-                    if s:
-                        nxt[nk] = s
-                    else:
-                        nxt.pop(nk, None)
-            state = nxt
-            if not state:
-                break
+        state = _fold(_gen_sequence(key, m)[::-1], {op_unit_key(m): 1}, m)
         for k, q in state.items():
-            coeff = c.scale(sign * q)
-            prev = out.get(k)
-            s = prev + coeff if prev is not None else coeff
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+            _accumulate(out, k, c.scale(sign * q))
     return Operator(m, out)
 
 
@@ -108,7 +88,7 @@ def solve_sign_profile(X: CritLocus) -> SignProfile:
              Operator.mult(Element.y(m, 1) ** 2 + Element.eta(m, 1))]
     winners = []
     for sy, se in itertools.product((1, -1), repeat=2):
-        profile = SignProfile(sy, se, m)
+        profile = SignProfile(sy, se)
         ok = all(transpose(M, profile) == M for M in mults)
         if ok:
             for D in samples:
@@ -136,7 +116,7 @@ def star(delta: Quantisation, profile: SignProfile) -> Quantisation:
     for j, op in delta.coeffs.items():
         sign = 1 if j % 2 == 0 else -1
         coeffs[j] = transpose(op, profile).scale(sign)
-    return Quantisation(delta.m, coeffs, delta.g_trunc)
+    return Quantisation(delta.m, coeffs)
 
 
 def star_operator_series(op: Operator, profile: SignProfile) -> Operator:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coefficients import HSeries, hseries_mul, solve_rational
+from .coefficients import HSeries, _accumulate, hseries_mul, solve_rational
 from .errors import NotPolynomial, ZeroPolynomial
 
 
@@ -88,15 +88,7 @@ class Element:
         clean = {}
         if terms:
             for key, c in terms.items():
-                c = _as_hseries(c)
-                if c.is_zero():
-                    continue
-                prev = clean.get(key)
-                c = prev + c if prev is not None else c
-                if c.is_zero():
-                    clean.pop(key, None)
-                else:
-                    clean[key] = c
+                _accumulate(clean, key, _as_hseries(c))
         self.terms = clean
 
     # -- constructors -------------------------------------------------------
@@ -170,12 +162,7 @@ class Element:
             other = Element.const(self.m, other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            prev = out.get(k)
-            s = prev + c if prev is not None else c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+            _accumulate(out, k, c)
         return Element(self.m, out)
 
     __radd__ = __add__
@@ -267,15 +254,7 @@ def gmul(a: Element, b: Element) -> Element:
                 continue
             y = tuple(x + z for x, z in zip(ya, yb))
             c = hseries_mul(ca, cb)
-            if sign < 0:
-                c = -c
-            key = (y, eta)
-            prev = out.get(key)
-            s = prev + c if prev is not None else c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            _accumulate(out, (y, eta), -c if sign < 0 else c)
     return Element(a.m, out)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coefficients import HSeries, rank_rational
+from .coefficients import HSeries, _accumulate, rank_rational
 from .cohomology import (DEGREE_TRUNCATED, WEIGHT_GRADED, TruncationSpec,
                          eta_subsets, iter_y_exponents)
 from .diffops import (Operator, op_commutator, op_order, key_degree,
@@ -32,11 +32,11 @@ def koszul_operator(X: CritLocus) -> Operator:
 
 
 class Quantisation:
-    """Finitely supported coefficient map j -> Delta_j with g-truncation."""
+    """Finitely supported coefficient map j -> Delta_j."""
 
-    __slots__ = ("m", "coeffs", "g_trunc")
+    __slots__ = ("m", "coeffs")
 
-    def __init__(self, m, coeffs=None, g_trunc=None):
+    def __init__(self, m, coeffs=None):
         self.m = int(m)
         clean = {}
         if coeffs:
@@ -54,7 +54,6 @@ class Quantisation:
                     raise ValueError("coefficients must be hbar-free")
                 clean[j] = op
         self.coeffs = clean
-        self.g_trunc = g_trunc
 
     @staticmethod
     def zero(m):
@@ -124,13 +123,6 @@ class FiltrationLabel:
         return f"FiltrationLabel({self.kind}, {self.level})"
 
 
-def truncate_quantisation(delta: Quantisation, order: int) -> Quantisation:
-    """Drop coefficients whose hbar exponent j-1 reaches the truncation
-    order; the result records the G-truncation level."""
-    coeffs = {j: op for j, op in delta.coeffs.items() if j - 1 < order}
-    return Quantisation(delta.m, coeffs, g_trunc=order)
-
-
 def bv_quantisation(X: CritLocus) -> Quantisation:
     """The canonical second-order quantisation hbar * Sum_i d_y_i d_eta_i."""
     m = X.m
@@ -139,7 +131,7 @@ def bv_quantisation(X: CritLocus) -> Quantisation:
         e = [0] * m
         e[i - 1] = 1
         terms[((0,) * m, (), tuple(e), (i,))] = HSeries.const(1)
-    return Quantisation(m, {2: Operator(m, terms)}, g_trunc=None)
+    return Quantisation(m, {2: Operator(m, terms)})
 
 
 def mc_residual(X: CritLocus, delta: Quantisation) -> Operator:
@@ -177,25 +169,12 @@ def _symbol_partial(terms, kind, i, m):
             if b[i - 1]:
                 nb = list(b)
                 nb[i - 1] -= 1
-                key = (a, eta, tuple(nb), deta)
-                prev = out.get(key)
-                s = prev + c.scale(b[i - 1]) if prev is not None else c.scale(b[i - 1])
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        else:
-            if i in deta:
-                pos = deta.index(i)
-                nd = deta[:pos] + deta[pos + 1:]
-                sign = -1 if (len(eta) + pos) % 2 else 1
-                key = (a, eta, b, nd)
-                prev = out.get(key)
-                s = prev + c.scale(sign) if prev is not None else c.scale(sign)
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                _accumulate(out, (a, eta, tuple(nb), deta), c.scale(b[i - 1]))
+        elif i in deta:
+            pos = deta.index(i)
+            nd = deta[:pos] + deta[pos + 1:]
+            sign = -1 if (len(eta) + pos) % 2 else 1
+            _accumulate(out, (a, eta, b, nd), c.scale(sign))
     return out
 
 

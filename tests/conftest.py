@@ -120,11 +120,11 @@ def random_polyvector(rng, m, arity, max_ydeg=2, nterms=2):
     return Polyvector(m, arity, terms)
 
 
-def random_hseries(rng, min_exp=-1, max_exp=4, nterms=3, trunc=None):
+def random_hseries(rng, min_exp=-1, max_exp=4, nterms=3):
     coeffs = {}
     for _ in range(nterms):
         e = rng.randint(min_exp, max_exp)
         c = rng.randint(-5, 5)
         if c:
             coeffs[e] = coeffs.get(e, 0) + c
-    return HSeries(coeffs, trunc)
+    return HSeries(coeffs)

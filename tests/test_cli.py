@@ -173,6 +173,7 @@ def test_seed_precedence(monkeypatch):
     problem = parse_problem("vars x; f = x^2; seed = 5;")
     assert _seed(problem, {}) == 5
     assert _seed(problem, {"seed": 7}) == 7
+    assert _seed(problem, {"seed": 0}) == 0
     monkeypatch.setenv("QSHIFT_SEED", "11")
     assert _seed(problem, {"seed": 7}) == 11
 
@@ -183,19 +184,44 @@ def test_format_polynomial_canonical():
     assert text == "x^2 - 3/2*y"
 
 
-def test_hbar_trunc_option_sets_g_truncation():
-    from qshift.quantise import bv_quantisation, truncate_quantisation
-    problem = parse_problem("vars x; f = x^2; hbar_trunc = 4;")
-    X = problem.crit_locus()
-    bv = bv_quantisation(X)
-    truncated = truncate_quantisation(bv, 4)
-    assert truncated.coeffs == bv.coeffs  # the BV operator sits at hbar^1 < 4
-    assert truncated.g_trunc == 4
-    # a coefficient past the order is dropped and the level recorded
-    from qshift.quantise import Quantisation
-    deep = Quantisation(1, {2: bv.coeffs[2], 5: bv.coeffs[2]})
-    cut = truncate_quantisation(deep, 4)
-    assert set(cut.coeffs) == {2}
-    assert cut.g_trunc == 4
-    report = run_command("check-mc", problem, {})
-    assert report.status == "ok"
+@pytest.mark.parametrize("options, cmd, flags, check", [
+    ("", "filtration", {"p": 0}, lambda r: r.payload["p"] == 0),
+    ("", "filtration", {"hbar_max": 0},
+     lambda r: {row["hbar_exp"] for row in r.payload["dims"]} == {-1, 0}),
+    ("window = 3;", "check-compat", {"window": 0},
+     lambda r: r.payload["window"]["order_cap"] == 0),
+    ("window = 0;", "check-compat", {},
+     lambda r: r.payload["window"]["order_cap"] == 0),
+    ("", "eigen", {"p": 1, "k": 2, "max_degree": 0},
+     lambda r: r.payload["block_dim"] == 4),
+    ("max_degree = 0;", "koszul-dims", {},
+     lambda r: r.status == "error" and "cutoff 0" in r.payload["reason"]),
+], ids=["filtration-p", "filtration-hbar_max", "check-compat-window-flag",
+        "check-compat-window-option", "eigen-max_degree",
+        "koszul-dims-max_degree"])
+def test_zero_settings_are_kept(options, cmd, flags, check):
+    problem = parse_problem(f"vars x; f = x^2; {options}")
+    report = run_command(cmd, problem, flags)
+    assert check(report), report.payload
+
+
+@pytest.mark.parametrize("text", [
+    "vars x; f = x^2;\nhbar_trunc = 1;",
+    "vars x; f = x^2;\nmax_degre = 5;",
+], ids=["hbar_trunc", "typo"])
+def test_unknown_options_rejected(text):
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert (err.value.line, err.value.col) == (2, 1)
+    assert "seed, mode, max_degree, stab_window, window" in str(err.value)
+
+
+def test_deep_nesting_exits_2_with_report(tmp_path, capsys):
+    path = tmp_path / "deep.qs"
+    path.write_text("vars x; f = " + "(" * 3000 + "x" + ")" * 3000 + ";\n")
+    code = main(["milnor", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out["status"] == "error"
+    assert out["payload"]["error_type"] == "RecursionError"
+    jsonschema.validate(out, SCHEMA)

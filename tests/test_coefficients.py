@@ -1,19 +1,20 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qshift.coefficients import (HSeries, hbar_derivative_scaled, hseries_mul,
-                                 rank_exact_fraction_field, rank_over_hbar_field,
-                                 rank_rational, solve_rational,
-                                 specialisation_points)
+from qshift.coefficients import (HSeries, _divexact, hbar_derivative_scaled,
+                                 hseries_mul, rank_exact_fraction_field,
+                                 rank_over_hbar_field, rank_rational,
+                                 solve_rational, specialisation_points)
 
 from conftest import random_hseries
 
 
-def H(coeffs, trunc=None):
-    return HSeries(coeffs, trunc)
+def H(coeffs):
+    return HSeries(coeffs)
 
 
 def test_mul_exponent_addition():
@@ -24,14 +25,6 @@ def test_mul_difference_of_squares():
     a = H({0: 1, 1: 1})
     b = H({0: 1, 1: -1})
     assert hseries_mul(a, b) == H({0: 1, 2: -1})
-
-
-def test_mul_truncation_flag():
-    a = H({1: 2})
-    b = H({2: 3}, trunc=3)
-    prod = hseries_mul(a, b)
-    assert prod.is_zero()
-    assert prod.truncated
 
 
 def test_mul_commutative_associative():
@@ -64,11 +57,16 @@ def test_invariants_no_zero_coefficients():
     assert H({2: 0}).coeffs == {}
 
 
-def test_truncation_bound_respected():
-    s = H({0: 1, 7: 2, 9: 4}, trunc=8)
-    assert 9 not in s.coeffs
-    assert s.truncated
-    assert s.max_exp <= 7
+def test_divexact_laurent_quotients():
+    rng = random.Random(3)
+    for _ in range(50):
+        a, b = (random_hseries(rng, min_exp=-2) for _ in range(2))
+        if b:
+            assert _divexact(hseries_mul(a, b), b) == a
+    with pytest.raises(ArithmeticError):
+        _divexact(H({0: 1}), H({0: 1, 1: 1}))
+    with pytest.raises(ArithmeticError):
+        _divexact(H({-1: 1, 1: 1}), H({0: 1, 1: 1}))
 
 
 def test_rank_singular_example():

@@ -6,8 +6,8 @@ from qshift.cohomology import (DEGREE_TRUNCATED, WEIGHT_GRADED,
                                CohomologyReport, TruncationSpec,
                                koszul_dims_at_hbar_zero, milnor_number,
                                twisted_derham_dims)
-from qshift.errors import (NonIsolated, NotStabilised, TruncationRequired,
-                           ZeroPolynomial)
+from qshift.errors import (NonIsolated, NotPolynomial, NotStabilised,
+                           TruncationRequired, ZeroPolynomial)
 from qshift.gca import Element, make_crit_locus
 
 from conftest import CORPUS
@@ -29,6 +29,8 @@ def test_milnor_corpus(corpus_case):
 def test_milnor_errors():
     with pytest.raises(ZeroPolynomial):
         milnor_number(Element.zero(1), 1)
+    with pytest.raises(NotPolynomial):
+        milnor_number(Element.y(1, 1) ** 2 * HSeries.monomial(1), 1)
     # unused variable: a partial vanishes identically
     with pytest.raises(NonIsolated):
         milnor_number(Element.y(2, 1) ** 2, 2)

@@ -27,7 +27,6 @@ def test_profile_is_classical_adjoint(locus_and_profile):
     assert profile.gen_signs["d_eta"] == -1
     assert profile.gen_signs["mult_y"] == 1
     assert profile.gen_signs["mult_eta"] == 1
-    assert profile.divergence_term.is_zero()
 
 
 def test_transpose_euler_operator(locus_and_profile):

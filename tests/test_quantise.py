@@ -22,7 +22,6 @@ def test_bv_quantisation_shape():
     bv = bv_quantisation(X)
     assert set(bv.coeffs) == {2}
     assert bv.coeffs[2] == op_compose(Operator.d_y(1, 1), Operator.d_eta(1, 1))
-    assert bv.g_trunc is None
     X2 = make_crit_locus(Element.y(2, 1) ** 3 + Element.y(2, 2) ** 3, 2)
     bv2 = bv_quantisation(X2)
     expected = (op_compose(Operator.d_y(2, 1), Operator.d_eta(2, 1))
