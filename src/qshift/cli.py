@@ -38,6 +38,7 @@ from .quantise import (FiltrationLabel, bv_quantisation, filtration_dims,
 SCHEMA_VERSION = 1
 
 OPTION_NAMES = ("seed", "mode", "max_degree", "stab_window", "window")
+MAX_NESTING = 100  # parentheses; the parser recurses four frames per level
 
 _KIND_MAP = {"g": FiltrationLabel.G, "ftilde": FiltrationLabel.FTILDE,
              "conv": FiltrationLabel.CONV}
@@ -144,6 +145,7 @@ class _Parser:
         self.pos = 0
         self.var_index = var_index
         self.m = len(var_index)
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -203,9 +205,14 @@ class _Parser:
             self.advance()
             return Element.const(self.m, tok.value)
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
+                                 tok.line, tok.col)
+            self.depth += 1
             self.advance()
             expr = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return expr
         raise ParseError(f"unexpected token {tok.value!r}", tok.line, tok.col)
 
@@ -542,8 +549,8 @@ def main(argv=None) -> int:
         try:
             report = run_command(args.command, parse_problem(text), flags)
         except Exception as exc:
-            # last resort (e.g. RecursionError on deep nesting): an escaping
-            # exception would exit 1, which means "identity violated"
+            # last resort for a fault in the engine: an escaping exception
+            # would exit 1, which means "identity violated"
             if not isinstance(exc, QShiftError):
                 import traceback  # only on this path: it slows start-up
                 traceback.print_exc(limit=-10)  # the innermost frames

@@ -12,6 +12,7 @@ answer.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .coefficients import (HSeries, rank_over_hbar_field, rank_rational)
@@ -77,22 +78,22 @@ class CohomologyReport:
 
 def iter_y_exponents(m, cap, weights=None):
     """Exponent vectors with total degree <= cap, or weight <= cap when
-    weights are given."""
-    vec = [0] * m
+    weights are given, in lexicographic order.  The weights are scaled to
+    integers by the lcm of their denominators, so the walk is int-only."""
+    if weights:
+        den = math.lcm(*(Fraction(w).denominator for w in weights))
+        steps = [int(Fraction(w) * den) for w in weights]
+    else:
+        den, steps = 1, [1] * m
 
-    def rec(i, budget):
+    def rec(i, budget, prefix):
         if i == m:
-            yield tuple(vec)
+            yield prefix
             return
-        w = weights[i] if weights else Fraction(1)
-        k = 0
-        while k * w <= budget:
-            vec[i] = k
-            yield from rec(i + 1, budget - k * w)
-            k += 1
-        vec[i] = 0
+        for k in range(budget // steps[i] + 1):
+            yield from rec(i + 1, budget - k * steps[i], prefix + (k,))
 
-    yield from rec(0, Fraction(cap))
+    yield from rec(0, math.floor(Fraction(cap) * den), ())
 
 
 def _subsets(indices):

@@ -213,28 +213,47 @@ def mu(w: DRWord, delta: Quantisation, X: CritLocus) -> Operator:
     return out
 
 
+def _nu_slots(w: DRWord, delta: Quantisation):
+    """The rho-free factors of nu: per (word, slot), the prefix degree, the
+    word's c hbar^e folded into L = a_0 Delta ... a_slot, and
+    R = a_(slot+1) Delta ... a_r, both built incrementally along the word."""
+    m = w.m
+    D = delta.as_operator_series()
+    slots = []
+    for (e, ws), c in w.terms.items():
+        r = len(ws) - 1
+        lefts = [_mult_operator(m, ws[0]).scale(HSeries.monomial(e, c))]
+        rights = [_mult_operator(m, ws[r])]
+        for i in range(1, r):
+            lefts.append(op_compose(op_compose(lefts[-1], D),
+                                    _mult_operator(m, ws[i])))
+            rights.append(op_compose(_mult_operator(m, ws[r - i]),
+                                     op_compose(D, rights[-1])))
+        prefix = 0
+        for slot in range(r):
+            prefix += _mono_degree(ws[slot])
+            slots.append((prefix + slot, lefts[slot], rights[r - 1 - slot]))
+    return slots
+
+
+def _nu_apply(slots, rho: Operator) -> Operator:
+    """Sum over slots and degree parts rho_d of the signed L o rho_d o R."""
+    out = {}
+    for rd in sorted(rho.degrees()):
+        rpart = rho.degree_part(rd)
+        for prefix, left, right in slots:
+            if left and right:
+                odd = ((rd - 1) * prefix) % 2
+                op = op_compose(op_compose(left, rpart), right)
+                for key, c in op.terms.items():
+                    _accumulate(out, key, -c if odd else c)
+    return Operator(rho.m, out)
+
+
 def nu(w: DRWord, delta: Quantisation, rho: Operator, X: CritLocus) -> Operator:
     """The mu-derivation substituting rho for one Delta slot, with the
     Koszul sign (-1)^((deg rho - 1) * prefix degree) per slot."""
-    m = w.m
-    D = delta.as_operator_series()
-    out = Operator.zero(m)
-    for rd in sorted(rho.degrees()):
-        rpart = rho.degree_part(rd)
-        shift = rd - 1
-        for (e, ws), c in w.terms.items():
-            r = len(ws) - 1
-            for slot in range(r):
-                prefix = sum(_mono_degree(k) for k in ws[:slot + 1]) + slot
-                sign = -1 if (shift * prefix) % 2 else 1
-                op = _mult_operator(m, ws[0])
-                for i, mono in enumerate(ws[1:], start=1):
-                    op = op_compose(op, rpart if i - 1 == slot else D)
-                    if op.is_zero():
-                        break
-                    op = op_compose(op, _mult_operator(m, mono))
-                out = out + op.scale(HSeries.monomial(e, sign * c))
-    return out
+    return _nu_apply(_nu_slots(w, delta), rho)
 
 
 def check_chain_identity(w: DRWord, delta: Quantisation, X: CritLocus) -> Operator:

@@ -263,6 +263,8 @@ def operator_keys_in_window(X: CritLocus, order_cap: int, trunc: TruncationSpec,
                 continue
             for b in iter_y_exponents(m, rem):
                 dparts.append((tuple(b), T))
+    if trunc.mode == DEGREE_TRUNCATED:
+        alist = list(iter_y_exponents(m, trunc.bound))
     for b, T in dparts:
         for S in subsets:
             if trunc.mode == WEIGHT_GRADED:
@@ -273,8 +275,6 @@ def operator_keys_in_window(X: CritLocus, order_cap: int, trunc: TruncationSpec,
                 if budget < 0:
                     continue
                 alist = iter_y_exponents(m, budget, weights)
-            else:
-                alist = iter_y_exponents(m, trunc.bound)
             for a in alist:
                 keys.append((a, S, b, T))
     return keys
@@ -301,19 +301,17 @@ def _order_bound(label: FiltrationLabel, p: int, j: int):
 def filtration_dims(label: FiltrationLabel, p: int, degrees, hbar_exps,
                     X: CritLocus, trunc: TruncationSpec):
     """Q-dimensions of a filtration piece per (cohomological degree,
-    hbar-exponent) within a finite window."""
-    table = {}
-    for e in hbar_exps:
-        j = e + 1
-        bound = _order_bound(label, p, j)
-        if bound is None:
-            for d in degrees:
-                table[(d, e)] = 0
-            continue
-        keys = operator_keys_in_window(X, bound, trunc)
-        for d in degrees:
-            table[(d, e)] = sum(1 for k in keys if key_degree(k) == d)
-    return table
+    hbar-exponent) within a finite window: one enumeration at the largest
+    order bound, counted by (degree, order)."""
+    bounds = {e: _order_bound(label, p, e + 1) for e in hbar_exps}
+    cap = max((b for b in bounds.values() if b is not None), default=-1)
+    counts = {}
+    for k in operator_keys_in_window(X, cap, trunc):
+        dk = (key_degree(k), key_order(k))
+        counts[dk] = counts.get(dk, 0) + 1
+    return {(d, e): sum(counts.get((d, o), 0) for o in range(bound + 1))
+            if bound is not None else 0
+            for e, bound in bounds.items() for d in degrees}
 
 
 # ---------------------------------------------------------------------------
@@ -347,16 +345,16 @@ def nu_eigen_analysis(X: CritLocus, p: int, k: int,
     """Spectrum of the derivation nu(omega, pi) on the arity-p symbol block,
     for the canonical pair, together with the shifted operator's
     invertibility on the block ("+ d/d(hbar^-1)" acts by the scalar 1-p-k).
+    The rho-free factors of nu are built once for the whole block.
     """
-    from .derham import canonical_symplectic, nu
+    from .derham import _nu_apply, _nu_slots, canonical_symplectic
 
     if k < 1 or p < 0:
         raise ValueError("need p >= 0 and k >= 1")
     if trunc is None:
         trunc = TruncationSpec(DEGREE_TRUNCATED, 2)
     m = X.m
-    omega = canonical_symplectic(X)
-    delta = bv_quantisation(X)
+    slots = _nu_slots(canonical_symplectic(X), bv_quantisation(X))
     basis = operator_keys_in_window(X, p, trunc, arity_exact=p)
     if not basis:
         raise TruncationRequired("empty symbol block in the window")
@@ -365,7 +363,7 @@ def nu_eigen_analysis(X: CritLocus, p: int, k: int,
     mat = [[Fraction(0)] * n for _ in range(n)]
     for col, key in enumerate(basis):
         rho = Operator(m, {key: HSeries.const(1)})
-        image = nu(omega, delta, rho, X)
+        image = _nu_apply(slots, rho)
         comp = image.hbar_component(1)
         for ikey, c in comp.terms.items():
             if key_order(ikey) != p:

@@ -6,6 +6,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from qshift import cli
 from qshift.cli import (Report, _seed, format_polynomial, main,
                         parse_problem, print_problem, run_command)
 from qshift.errors import ParseError, UnknownVariable
@@ -223,5 +224,31 @@ def test_deep_nesting_exits_2_with_report(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 2
     assert out["status"] == "error"
-    assert out["payload"]["error_type"] == "RecursionError"
+    assert out["payload"]["error_type"] == "ParseError"
+    assert "nested deeper than 100" in out["payload"]["reason"]
+    jsonschema.validate(out, SCHEMA)
+
+
+def test_nesting_limit_position_and_depth_100_parses():
+    flat = parse_problem("vars x y; f = x^2*y + 3;")
+    deep = parse_problem("vars x y; f = " + "(" * 100 + "x^2*y + 3"
+                         + ")" * 100 + ";")
+    assert deep.f == flat.f
+    with pytest.raises(ParseError) as err:
+        parse_problem("vars x; f = " + "(" * 101 + "x" + ")" * 101 + ";")
+    assert (err.value.line, err.value.col) == (1, 13 + 100)
+
+
+def test_last_resort_handler_exits_2(monkeypatch, tmp_path, capsys):
+    def broken(cmd, problem, flags):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setattr(cli, "run_command", broken)
+    path = tmp_path / "ok.qs"
+    path.write_text("vars x; f = x^3;\n")
+    code = main(["milnor", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out["status"] == "error"
+    assert out["payload"]["error_type"] == "RuntimeError"
     jsonschema.validate(out, SCHEMA)

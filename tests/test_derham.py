@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from qshift import derham
 from qshift.coefficients import HSeries
-from qshift.derham import (CompatVerdict, DRWord, SearchWindow,
+from qshift.cohomology import DEGREE_TRUNCATED, TruncationSpec
+from qshift.derham import (CompatVerdict, DRWord, SearchWindow, _nu_apply,
                            apply_codegeneracy, canonical_symplectic,
                            check_chain_identity, check_compatibility, cup,
                            dr_d, dr_of, dr_total_d, mu, nu)
@@ -12,9 +14,11 @@ from qshift.diffops import Operator, key_order, op_compose
 from qshift.errors import NotMaurerCartan
 from qshift.gca import Element, gmul, make_crit_locus, unit_key
 from qshift.quantise import (Quantisation, bv_quantisation, centre_differential,
-                             mc_residual, sigma_tangent)
+                             mc_residual, nu_eigen_analysis,
+                             operator_keys_in_window, sigma_tangent)
 
-from conftest import corpus_locus, random_element, random_quantisation
+from conftest import (corpus_locus, random_element, random_homogeneous_operator,
+                      random_quantisation)
 
 
 def _word(m, *monos, hexp=0, coeff=1):
@@ -248,6 +252,82 @@ def test_nu_derivation_rule_random():
         rhs = (op_compose(nu(w1, delta, rho, X), mu(w2, delta, X))
                + op_compose(mu(w1, delta, X), nu(w2, delta, rho, X)).scale(sign))
         assert lhs == rhs
+
+
+def _nu_reference(w, delta, rho):
+    """nu composed left to right per degree part, word and slot: the
+    definition that the prefix/suffix factorisation must reproduce."""
+    m = w.m
+    D = delta.as_operator_series()
+    out = Operator.zero(m)
+    for rd in sorted(rho.degrees()):
+        rpart = rho.degree_part(rd)
+        shift = rd - 1
+        for (e, ws), c in w.terms.items():
+            r = len(ws) - 1
+            for slot in range(r):
+                prefix = sum(-len(k[1]) for k in ws[:slot + 1]) + slot
+                sign = -1 if (shift * prefix) % 2 else 1
+                op = Operator(m, {(ws[0][0], ws[0][1], (0,) * m, ()): 1})
+                for i, mono in enumerate(ws[1:], start=1):
+                    op = op_compose(op, rpart if i - 1 == slot else D)
+                    if op.is_zero():
+                        break
+                    op = op_compose(op, Operator(
+                        m, {(mono[0], mono[1], (0,) * m, ()): 1}))
+                out = out + op.scale(HSeries.monomial(e, sign * c))
+    return out
+
+
+def _random_word(rng, m, length):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        ws = tuple((tuple(rng.randint(0, 1) for _ in range(m)),
+                    tuple(sorted(rng.sample(range(1, m + 1), rng.randint(0, m)))))
+                   for _ in range(length))
+        terms[(rng.randint(0, 2), ws)] = Fraction(rng.choice([-3, -1, 1, 2]))
+    return DRWord(m, terms)
+
+
+def test_nu_matches_left_to_right_reference():
+    rng = random.Random(22)
+    for trial in range(24):
+        m = 1 + trial % 2
+        X = corpus_locus(4 if m == 2 else 0)
+        delta = random_quantisation(rng, m)
+        rho = sum((random_homogeneous_operator(rng, m, rng.randint(0, 2), d)
+                   for d in (-1, 0, 1)), Operator.zero(m))
+        rho = rho + mc_residual(X, delta)
+        w = _random_word(rng, m, 1 + trial % 4)
+        assert nu(w, delta, rho, X) == _nu_reference(w, delta, rho)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_eigen_block_matches_reference_nu_columns(monkeypatch, p):
+    """nu_eigen_analysis builds the same block, column by column, as the
+    reference nu applied to each basis monomial."""
+    X = corpus_locus(4)
+    trunc = TruncationSpec(DEGREE_TRUNCATED, 1)
+    omega, delta = canonical_symplectic(X), bv_quantisation(X)
+    applied = []
+
+    def recording(slots, rho):
+        image = _nu_apply(slots, rho)
+        applied.append((rho, image))
+        return image
+
+    monkeypatch.setattr(derham, "_nu_apply", recording)
+    report = nu_eigen_analysis(X, p, 2, trunc)
+    basis = operator_keys_in_window(X, p, trunc, arity_exact=p)
+    assert [next(iter(rho.terms)) for rho, _ in applied] == basis
+
+    def block(images):
+        return [[images[col].hbar_component(1).terms.get(row, HSeries())[0]
+                 for col in range(len(basis))] for row in basis]
+
+    reference = [_nu_reference(omega, delta, rho) for rho, _ in applied]
+    assert block([image for _, image in applied]) == block(reference)
+    assert report.eigenvalues == [p]
 
 
 def test_chain_identity_unit_word_reduces_to_residual_definition():

@@ -8,11 +8,11 @@ from qshift.cohomology import DEGREE_TRUNCATED, WEIGHT_GRADED, TruncationSpec
 from qshift.diffops import (Operator, key_degree, op_compose, op_order)
 from qshift.errors import NotMaurerCartan
 from qshift.gca import Element, make_crit_locus
-from qshift.quantise import (FiltrationLabel, Quantisation, bv_quantisation,
-                             centre_differential, filtration_dims,
-                             is_nondegenerate, koszul_operator, mc_residual,
-                             nu_eigen_analysis, operator_keys_in_window,
-                             sigma_tangent)
+from qshift.quantise import (FiltrationLabel, Quantisation, _order_bound,
+                             bv_quantisation, centre_differential,
+                             filtration_dims, is_nondegenerate,
+                             koszul_operator, mc_residual, nu_eigen_analysis,
+                             operator_keys_in_window, sigma_tangent)
 
 from conftest import corpus_locus, random_operator
 
@@ -225,6 +225,34 @@ def test_filtration_gr_reindexing():
             direct = sum(1 for k in operator_keys_in_window(
                 X, arity, trunc, arity_exact=arity) if key_degree(k) == d)
             assert gr == direct
+
+
+@pytest.mark.parametrize("idx", [1, 4, 7], ids=["x^3", "x^3+y^3", "x^2+y^2+z^2"])
+@pytest.mark.parametrize("mode", [DEGREE_TRUNCATED, WEIGHT_GRADED])
+def test_filtration_dims_match_definition(idx, mode):
+    """Each entry counts the keys of one window enumeration at its own order
+    bound: every kind, levels 0..2, p 0..3, degree and weight mode."""
+    X = corpus_locus(idx)
+    trunc = TruncationSpec(mode, 1)
+    degrees = range(-X.m, X.m + 1)
+    hbar_exps = range(-1, 3)
+    windows = {}
+    for kind in (FiltrationLabel.FTILDE, FiltrationLabel.G, FiltrationLabel.CONV):
+        for level in range(3):
+            label = FiltrationLabel(kind, level)
+            for p in range(4):
+                table = filtration_dims(label, p, degrees, hbar_exps, X, trunc)
+                assert set(table) == {(d, e) for d in degrees for e in hbar_exps}
+                for e in hbar_exps:
+                    bound = _order_bound(label, p, e + 1)
+                    if bound is None:
+                        assert all(table[(d, e)] == 0 for d in degrees)
+                        continue
+                    if bound not in windows:
+                        windows[bound] = [key_degree(k) for k in
+                                          operator_keys_in_window(X, bound, trunc)]
+                    for d in degrees:
+                        assert table[(d, e)] == windows[bound].count(d)
 
 
 # ---------------------------------------------------------------------------
