@@ -38,7 +38,8 @@ class HSeries:
         clean = {}
         if coeffs:
             for k, v in coeffs.items():
-                v = Fraction(v)
+                if type(v) is not Fraction:
+                    v = Fraction(v)
                 if v:
                     clean[int(k)] = v
         self.coeffs = clean

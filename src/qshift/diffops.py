@@ -8,15 +8,20 @@ normal-ordered composite
 
 with multiplications left of all derivative symbols.  Cohomological degrees:
 d_{y_i} is even (0), d_{eta_i} odd (+1), so deg = -|S| + |T|.  All products
-are reduced to this normal form eagerly; composition is implemented by
-folding single generators through normal-ordered monomials, which keeps every
-Koszul sign a consequence of the two generator rules
-``op_apply(d_eta_i, eta_i) = 1`` and the graded Leibniz rule.
+are reduced to this normal form eagerly.  The product of two monomials has a
+closed form: the Leibniz rule for d_y^b o y^c and the Clifford normal
+ordering of d_eta_T o eta_U, whose signs come from folding the d_eta
+generators through eta_U with the generator rules below, so every Koszul
+sign is a consequence of ``op_apply(d_eta_i, eta_i) = 1`` and the graded
+Leibniz rule.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import comb, perm
+from operator import add
 
 from .coefficients import HSeries, _accumulate, hseries_mul
 from .errors import ArityMismatch, OrderTooLow, ZeroOperator
@@ -261,19 +266,100 @@ def _fold(gens, state, m):
     return state
 
 
+@lru_cache(maxsize=None)
+def _odd_table(T, U):
+    """Normal-ordered d_eta_T o eta_U as ``((U', T', sign), ...)``.
+
+    Folds the d_eta generators through eta_U; the y and d_y slots play no
+    part, so one entry serves every m, and there are at most 4^m entries.
+    """
+    state = _fold([(_DETA, t) for t in T], {((), U, (), ()): 1}, 0)
+    return tuple((k[1], k[3], n) for k, n in state.items())
+
+
+def _leibniz(a, b, c, d):
+    """Normal-ordered y^a d_y^b o y^c d_y^d as ``[(y exps, d_y exps, n)]``:
+    the sum over k of prod_i C(b_i, k_i) c_i!/(c_i - k_i)!
+    y^(a+c-k) d_y^(b-k+d)."""
+    if not any(map(min, b, c)):
+        return [(tuple(map(add, a, c)), tuple(map(add, b, d)), 1)]
+    terms = [((), (), 1)]
+    for ai, bi, ci, di in zip(a, b, c, d):
+        terms = [(y + (ai + ci - k,), dy + (bi + di - k,),
+                  n * comb(bi, k) * perm(ci, k))
+                 for y, dy, n in terms for k in range(min(bi, ci) + 1)]
+    return terms
+
+
+def _mono_product(k1, k2):
+    """Normal-ordered y^a eta_S d_y^b d_eta_T o y^c eta_U d_y^d d_eta_V as
+    {key: integer coefficient}.
+
+    d_y^b passes y^c by Leibniz and d_eta_T passes eta_U by Clifford
+    ordering; everything else commutes, so the only further signs are the
+    merges eta_S.eta_U' and d_eta_T'.d_eta_V.  Distinct (k, U') give
+    distinct keys, so no two terms collide.  The keys carry m.
+    """
+    a, S, b, T = k1
+    c, U, d, V = k2
+    odd = []
+    for U2, T2, s in _odd_table(T, U):
+        eta, s1 = merge_ascending(S, U2)
+        if eta is None:
+            continue
+        deta, s2 = merge_ascending(T2, V)
+        if deta is None:
+            continue
+        odd.append((eta, deta, s * s1 * s2))
+    if not odd:
+        return {}
+    return {(y, eta, dy, deta): n * s
+            for y, dy, n in _leibniz(a, b, c, d) for eta, deta, s in odd}
+
+
+def _add_product(acc, k1, h1, k2, h2, sign=1):
+    """Accumulate sign * (h1 k1) o (h2 k2) into ``acc``, a
+    {(key, hbar exponent): Fraction} store; h1 and h2 are the
+    (exponent, Fraction) items of the two coefficients."""
+    prod = _mono_product(k1, k2)
+    if not prod:
+        return
+    for e1, v1 in h1:
+        for e2, v2 in h2:
+            v = v1 * v2 if sign > 0 else -(v1 * v2)
+            e = e1 + e2
+            for key, n in prod.items():
+                _accumulate(acc, (key, e), v if n == 1 else v * n)
+
+
+def _graded_operator(m, acc):
+    """Operator from a {(key, hbar exponent): nonzero Fraction} store: one
+    HSeries per key, no second clean-up pass."""
+    grouped = {}
+    for (key, e), v in acc.items():
+        grouped.setdefault(key, {})[e] = v
+    op = Operator.__new__(Operator)
+    op.m = m
+    op.terms = {key: HSeries(coeffs) for key, coeffs in grouped.items()}
+    return op
+
+
+def _hbar_items(D):
+    """The terms of D as (key, [(hbar exponent, Fraction), ...])."""
+    return [(k, list(c.coeffs.items())) for k, c in D.terms.items()]
+
+
 def op_compose(D1: Operator, D2: Operator) -> Operator:
-    """Normal-ordered product D1 o D2."""
+    """Normal-ordered product D1 o D2, in one pass over monomial pairs."""
     if D1.m != D2.m:
         raise ValueError("signature mismatch")
     m = D1.m
-    out = {}
-    for k1, c1 in D1.terms.items():
-        gens = _gen_sequence(k1, m)
-        for k2, c2 in D2.terms.items():
-            c = hseries_mul(c1, c2)
-            for key, n in _fold(gens, {k2: 1}, m).items():
-                _accumulate(out, key, c.scale(n))
-    return Operator(m, out)
+    right = _hbar_items(D2)
+    acc = {}
+    for k1, h1 in _hbar_items(D1):
+        for k2, h2 in right:
+            _add_product(acc, k1, h1, k2, h2)
+    return _graded_operator(m, acc)
 
 
 def op_apply(D: Operator, a: Element) -> Element:
@@ -315,16 +401,20 @@ def op_apply(D: Operator, a: Element) -> Element:
 
 
 def op_commutator(D1: Operator, D2: Operator) -> Operator:
-    """Graded commutator [D1, D2], extended bilinearly over degree parts."""
-    out = Operator.zero(D1.m)
-    for d1 in D1.degrees():
-        p1 = D1.degree_part(d1)
-        for d2 in D2.degrees():
-            p2 = D2.degree_part(d2)
-            sign = -1 if (d1 % 2) and (d2 % 2) else 1
-            term = op_compose(p1, p2) - op_compose(p2, p1).scale(sign)
-            out = out + term
-    return out
+    """Graded commutator [D1, D2], extended bilinearly over monomials: each
+    pair adds k1 o k2 - (-1)^(|k1||k2|) k2 o k1 to one accumulator."""
+    if D1.m != D2.m:
+        raise ValueError("signature mismatch")
+    m = D1.m
+    right = _hbar_items(D2)
+    acc = {}
+    for k1, h1 in _hbar_items(D1):
+        odd1 = key_degree(k1) % 2
+        for k2, h2 in right:
+            _add_product(acc, k1, h1, k2, h2)
+            swap = -1 if odd1 and key_degree(k2) % 2 else 1
+            _add_product(acc, k2, h2, k1, h1, -swap)
+    return _graded_operator(m, acc)
 
 
 def op_order(D: Operator) -> int:

@@ -10,11 +10,13 @@ membership constraint order(Delta_j) <= j.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .coefficients import HSeries, _accumulate, rank_rational
 from .cohomology import (DEGREE_TRUNCATED, WEIGHT_GRADED, TruncationSpec,
-                         eta_subsets, iter_y_exponents)
+                         _walk_exponents, _weight_steps, eta_subsets,
+                         iter_y_exponents)
 from .diffops import (Operator, op_commutator, op_order, key_degree,
                       key_order, symbol)
 from .errors import NotMaurerCartan, TruncationRequired
@@ -265,16 +267,28 @@ def operator_keys_in_window(X: CritLocus, order_cap: int, trunc: TruncationSpec,
                 dparts.append((tuple(b), T))
     if trunc.mode == DEGREE_TRUNCATED:
         alist = list(iter_y_exponents(m, trunc.bound))
+        for b, T in dparts:
+            for S in subsets:
+                for a in alist:
+                    keys.append((a, S, b, T))
+        return keys
+    # Weight mode in lcm-scaled integer weights: eta_i weighs den - steps_i,
+    # d_eta_i and d_y_i the negatives of their variables' weights; the
+    # a-list of each distinct budget is built once.
+    den, steps = _weight_steps(m, weights)
+    cap = math.floor(Fraction(trunc.bound) * den)
+    odd = [den - w for w in steps]
+    alists = {}
     for b, T in dparts:
+        room = (cap + sum(w * e for w, e in zip(steps, b))
+                + sum(odd[t - 1] for t in T))
         for S in subsets:
-            if trunc.mode == WEIGHT_GRADED:
-                fixed = (sum(1 - weights[s - 1] for s in S)
-                         - sum(weights[i] * b[i] for i in range(m))
-                         - sum(1 - weights[t - 1] for t in T))
-                budget = Fraction(trunc.bound) - fixed
-                if budget < 0:
-                    continue
-                alist = iter_y_exponents(m, budget, weights)
+            budget = room - sum(odd[s - 1] for s in S)
+            if budget < 0:
+                continue
+            alist = alists.get(budget)
+            if alist is None:
+                alist = alists[budget] = list(_walk_exponents(steps, budget))
             for a in alist:
                 keys.append((a, S, b, T))
     return keys

@@ -1,15 +1,20 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qshift.coefficients import HSeries
-from qshift.diffops import (Operator, Polyvector, op_apply, op_commutator,
+from qshift.coefficients import HSeries, _accumulate, hseries_mul
+from qshift.diffops import (Operator, Polyvector, _fold, _gen_sequence,
+                            _mono_product, op_apply, op_commutator,
                             op_compose, op_order, pv_mul, schouten, symbol)
 from qshift.errors import OrderTooLow, ZeroOperator
 from qshift.gca import Element, gmul
 
-from conftest import (random_element, random_homogeneous_operator,
-                      random_operator, random_polyvector)
+from conftest import (random_element, random_hseries,
+                      random_homogeneous_operator, random_operator,
+                      random_polyvector)
 
 
 def test_apply_contract_then_differentiate():
@@ -237,3 +242,108 @@ def test_hbar_components():
     assert D.hbar_component(2) == Operator.d_y(m, 1).scale(3)
     assert D.hbar_component(1).is_zero()
     assert D.hbar_exponents() == {0, 2}
+
+
+# ---------------------------------------------------------------------------
+# The closed-form monomial product against the generator fold
+# ---------------------------------------------------------------------------
+
+def _key_st(m, max_exp=3):
+    vec = st.tuples(*[st.integers(0, max_exp)] * m)
+    odd = st.sets(st.integers(1, m)).map(lambda s: tuple(sorted(s)))
+    return st.tuples(vec, odd, vec, odd)
+
+
+_KEY_PAIRS = st.integers(1, 3).flatmap(
+    lambda m: st.tuples(st.just(m), _key_st(m), _key_st(m)))
+
+
+@settings(max_examples=250, deadline=None)
+@given(_KEY_PAIRS)
+@example((1, ((0,), (1,), (0,), ()), ((0,), (1,), (0,), ())))  # eta1 o eta1
+@example((1, ((0,), (), (0,), (1,)), ((0,), (), (0,), (1,))))  # deta1 o deta1
+@example((2, ((1, 0), (2,), (2, 1), (1, 2)), ((3, 2), (1, 2), (0, 1), (2,))))
+def test_mono_product_matches_fold(case):
+    m, k1, k2 = case
+    assert _mono_product(k1, k2) == _fold(_gen_sequence(k1, m), {k2: 1}, m)
+
+
+# ---------------------------------------------------------------------------
+# Multi-term hbar coefficients against the fold + hseries_mul composition
+# ---------------------------------------------------------------------------
+
+def _reference_compose(D1, D2):
+    m = D1.m
+    out = {}
+    for k1, c1 in D1.terms.items():
+        gens = _gen_sequence(k1, m)
+        for k2, c2 in D2.terms.items():
+            c = hseries_mul(c1, c2)
+            for key, n in _fold(gens, {k2: 1}, m).items():
+                _accumulate(out, key, c.scale(n))
+    return Operator(m, out)
+
+
+def _reference_commutator(D1, D2):
+    out = Operator.zero(D1.m)
+    for d1 in D1.degrees():
+        p1 = D1.degree_part(d1)
+        for d2 in D2.degrees():
+            p2 = D2.degree_part(d2)
+            sign = -1 if (d1 % 2) and (d2 % 2) else 1
+            term = _reference_compose(p1, p2) - _reference_compose(p2, p1).scale(sign)
+            out = out + term
+    return out
+
+
+def _laurent_operator(rng, m, max_order=3, nterms=3):
+    """Random operator whose coefficients have 2-3 hbar terms, with negative
+    exponents and non-integer rationals."""
+    D = random_operator(rng, m, max_order=max_order, nterms=nterms)
+    terms = {}
+    for key in D.terms:
+        c = HSeries()
+        while len(c.coeffs) < 2:
+            c = random_hseries(rng, min_exp=-2, max_exp=2, nterms=3)
+        terms[key] = c.scale(Fraction(rng.choice((1, 1, 2, 3)), rng.choice((1, 2, 5))))
+    return Operator(m, terms)
+
+
+def _assert_clean(D):
+    for c in D.terms.values():
+        assert c.coeffs and all(type(v) is Fraction and v for v in c.coeffs.values())
+
+
+def test_compose_and_commutator_multi_term_hbar():
+    rng = random.Random(12)
+    for _ in range(80):
+        m = rng.randint(1, 3)
+        D1 = _laurent_operator(rng, m)
+        D2 = _laurent_operator(rng, m)
+        got = op_compose(D1, D2)
+        assert got == _reference_compose(D1, D2)
+        _assert_clean(got)
+        got = op_commutator(D1, D2)
+        assert got == _reference_commutator(D1, D2)
+        _assert_clean(got)
+
+
+def _hseries_st():
+    return st.dictionaries(st.integers(-2, 2), st.integers(-3, 3).filter(bool),
+                           min_size=1, max_size=3).map(HSeries)
+
+
+def _operator_st(m):
+    return st.dictionaries(_key_st(m, max_exp=2), _hseries_st(),
+                           max_size=3).map(lambda t: Operator(m, t))
+
+
+_OPERATOR_TRIPLES = st.integers(1, 2).flatmap(
+    lambda m: st.tuples(_operator_st(m), _operator_st(m), _operator_st(m)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_OPERATOR_TRIPLES)
+def test_compose_associative(ops):
+    A, B, C = ops
+    assert op_compose(op_compose(A, B), C) == op_compose(A, op_compose(B, C))

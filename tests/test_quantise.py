@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from qshift.coefficients import HSeries
-from qshift.cohomology import DEGREE_TRUNCATED, WEIGHT_GRADED, TruncationSpec
+from qshift.cohomology import (DEGREE_TRUNCATED, WEIGHT_GRADED, TruncationSpec,
+                               eta_subsets, iter_y_exponents)
 from qshift.diffops import (Operator, key_degree, op_compose, op_order)
 from qshift.errors import NotMaurerCartan
 from qshift.gca import Element, make_crit_locus
@@ -14,7 +15,7 @@ from qshift.quantise import (FiltrationLabel, Quantisation, _order_bound,
                              koszul_operator, mc_residual, nu_eigen_analysis,
                              operator_keys_in_window, sigma_tangent)
 
-from conftest import corpus_locus, random_operator
+from conftest import CORPUS, CORPUS_IDS, corpus_locus, random_operator
 
 
 def test_bv_quantisation_shape():
@@ -56,6 +57,29 @@ def test_master_equation_spurious_term_fails():
     spurious = Operator(1, {((0,), (1,), (2,), ()): HSeries.const(1)})
     delta = Quantisation(1, {2: bv_quantisation(X).coeffs[2] + spurious})
     assert not mc_residual(X, delta).is_zero()
+
+
+# The operators benchmark corpus: the acceptance corpus plus x^3+y^3+z^3.
+_OPERATOR_CORPUS = [(builder, m) for (_, builder, m, _) in CORPUS] + [
+    (lambda: Element.y(3, 1) ** 3 + Element.y(3, 2) ** 3 + Element.y(3, 3) ** 3, 3)]
+
+
+@pytest.mark.parametrize("builder, m", _OPERATOR_CORPUS,
+                         ids=CORPUS_IDS + ["x^3+y^3+z^3"])
+def test_total_operator_squares_to_zero(builder, m):
+    """D = delta_Koszul + Delta is odd, so D o D = (1/2)[D, D], which is the
+    master-equation residual because delta_Koszul o delta_Koszul = 0."""
+    X = make_crit_locus(builder(), m)
+    delta = bv_quantisation(X)
+    D = koszul_operator(X) + delta.as_operator_series()
+    assert op_compose(D, D).is_zero()
+    spurious = Operator(m, {((0,) * m, (1,), (2,) + (0,) * (m - 1), ()):
+                            HSeries.const(1)})
+    bent = Quantisation(m, {2: delta.coeffs[2] + spurious})
+    D = koszul_operator(X) + bent.as_operator_series()
+    residual = mc_residual(X, bent)
+    assert not residual.is_zero()
+    assert op_compose(D, D) == residual
 
 
 def test_master_equation_zero_delta():
@@ -225,6 +249,46 @@ def test_filtration_gr_reindexing():
             direct = sum(1 for k in operator_keys_in_window(
                 X, arity, trunc, arity_exact=arity) if key_degree(k) == d)
             assert gr == direct
+
+
+def _reference_weight_keys(X, order_cap, bound, arity_exact=None):
+    """Weight-mode window with a Fraction budget and a fresh a-list for
+    every (b, T, S)."""
+    m, weights = X.m, X.signature.weights
+    subsets = eta_subsets(m)
+    keys = []
+    for T in subsets:
+        rem = (order_cap if arity_exact is None else arity_exact) - len(T)
+        if rem < 0:
+            continue
+        for b in iter_y_exponents(m, rem):
+            if arity_exact is not None and sum(b) != rem:
+                continue
+            for S in subsets:
+                fixed = (sum(1 - weights[s - 1] for s in S)
+                         - sum(weights[i] * b[i] for i in range(m))
+                         - sum(1 - weights[t - 1] for t in T))
+                budget = Fraction(bound) - fixed
+                if budget < 0:
+                    continue
+                for a in iter_y_exponents(m, budget, weights):
+                    keys.append((a, S, b, T))
+    return keys
+
+
+@pytest.mark.parametrize("idx", [1, 4, 5, 7, 8],
+                         ids=["x^3", "x^3+y^3", "x^3+y^5", "x^2+y^2+z^2", "x^3+x*y"])
+def test_weight_window_keys_match_fraction_reference(idx):
+    """Integer budgets give the same keys, in the same order, as Fraction
+    budgets."""
+    X = corpus_locus(idx)
+    for bound in (0, 1, 2):
+        trunc = TruncationSpec(WEIGHT_GRADED, bound)
+        for cap in range(3):
+            assert (operator_keys_in_window(X, cap, trunc)
+                    == _reference_weight_keys(X, cap, bound))
+            assert (operator_keys_in_window(X, cap, trunc, arity_exact=cap)
+                    == _reference_weight_keys(X, cap, bound, arity_exact=cap))
 
 
 @pytest.mark.parametrize("idx", [1, 4, 7], ids=["x^3", "x^3+y^3", "x^2+y^2+z^2"])
