@@ -379,26 +379,34 @@ def _setting(name, problem, flags, default):
     return default
 
 
+def _int_setting(name, problem, flags, default):
+    """An integer setting; a non-integral value is refused, not truncated."""
+    value = Fraction(_setting(name, problem, flags, default))
+    if value.denominator != 1:
+        raise QShiftError(f"{name} must be an integer, not {value}")
+    return int(value)
+
+
 def _seed(problem, flags):
     env = os.environ.get("QSHIFT_SEED")
     if env is not None:
         return int(env)
-    return int(_setting("seed", problem, flags, 0))
+    return _int_setting("seed", problem, flags, 0)
 
 
-def _trunc_spec(problem, flags, default_mode=None):
+def _trunc_spec(problem, flags, X):
     mode_opt = _setting("mode", problem, flags, None)
     if mode_opt in ("weight", WEIGHT_GRADED):
         mode = WEIGHT_GRADED
     elif mode_opt in ("truncate", "degree", DEGREE_TRUNCATED):
         mode = DEGREE_TRUNCATED
     elif mode_opt is None:
-        mode = default_mode
+        mode = (WEIGHT_GRADED if X.signature.weights is not None
+                else DEGREE_TRUNCATED)
     else:
         raise QShiftError(f"unknown truncation mode {mode_opt!r}")
-    bound = _setting("max_degree", problem, flags, 30)
-    window = _setting("stab_window", problem, flags, 2)
-    return mode, TruncationSpec(mode or DEGREE_TRUNCATED, int(bound), int(window))
+    return TruncationSpec(mode, _int_setting("max_degree", problem, flags, 30),
+                          _int_setting("stab_window", problem, flags, 2))
 
 
 def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
@@ -411,22 +419,14 @@ def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
     try:
         if cmd == "milnor":
             n = milnor_number(problem.f, len(problem.vars))
-            payload = {"milnor": n}
-        elif cmd in ("vc-dims", "koszul-dims"):
+            payload = {"milnor": int(n), **n.certificate}
+        elif cmd == "vc-dims":
             X = problem.crit_locus()
-            mode, trunc = _trunc_spec(problem, flags)
-            if mode is None:
-                mode = (WEIGHT_GRADED if X.signature.weights is not None
-                        else DEGREE_TRUNCATED)
-                trunc = TruncationSpec(mode, trunc.bound,
-                                       trunc.stabilisation_window)
-            if cmd == "vc-dims":
-                report = twisted_derham_dims(X, trunc, seed=_seed(problem, flags))
-                payload = report.as_dict()
-                payload["field"] = "Q(hbar)"
-            else:
-                report = koszul_dims_at_hbar_zero(X, trunc)
-                payload = report.as_dict()
+            report = twisted_derham_dims(X, _trunc_spec(problem, flags, X),
+                                         seed=_seed(problem, flags))
+            payload = report.as_dict()
+        elif cmd == "koszul-dims":
+            payload = koszul_dims_at_hbar_zero(problem.crit_locus()).as_dict()
         elif cmd == "check-mc":
             X = problem.crit_locus()
             residual = mc_residual(X, bv_quantisation(X))
@@ -437,7 +437,7 @@ def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
                 payload["reason"] = "master-equation residual is nonzero"
         elif cmd == "check-compat":
             X = problem.crit_locus()
-            size = int(_setting("window", problem, flags, 3))
+            size = _int_setting("window", problem, flags, 3)
             window = SearchWindow(order_cap=size, ydeg_cap=size,
                                   hbar_max=size + 2)
             verdict = check_compatibility(canonical_symplectic(X),
@@ -463,7 +463,7 @@ def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
             X = problem.crit_locus()
             p = int(flags["p"])
             k = int(flags["k"])
-            bound = int(_setting("max_degree", problem, flags, 2))
+            bound = _int_setting("max_degree", problem, flags, 2)
             trunc = TruncationSpec(DEGREE_TRUNCATED, bound)
             report = nu_eigen_analysis(X, p, k, trunc)
             payload = report.as_dict()
@@ -472,7 +472,7 @@ def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
             kind = _KIND_MAP[_setting("kind", problem, flags, "ftilde")]
             level = int(_setting("level", problem, flags, 0))
             p = int(_setting("p", problem, flags, 2))
-            bound = int(_setting("max_degree", problem, flags, 2))
+            bound = _int_setting("max_degree", problem, flags, 2)
             trunc = TruncationSpec(DEGREE_TRUNCATED, bound)
             degrees = range(-X.m, X.m + 1)
             hbar_exps = range(-1, int(_setting("hbar_max", problem, flags, 4)) + 1)
@@ -506,13 +506,9 @@ def _build_argparser():
         p.add_argument("file", help="problem file (vars ...; f = ...;)")
         p.add_argument("--seed", type=int, default=None)
 
-    for name in ("milnor", "check-mc", "check-selfdual"):
+    for name in ("milnor", "koszul-dims", "check-mc", "check-selfdual"):
         common(sub.add_parser(name))
     p = sub.add_parser("vc-dims")
-    common(p)
-    p.add_argument("--mode", choices=["weight", "truncate"], default=None)
-    p.add_argument("--max-degree", type=int, default=None, dest="max_degree")
-    p = sub.add_parser("koszul-dims")
     common(p)
     p.add_argument("--mode", choices=["weight", "truncate"], default=None)
     p.add_argument("--max-degree", type=int, default=None, dest="max_degree")

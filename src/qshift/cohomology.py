@@ -1,21 +1,22 @@
-"""Finite-dimensional truncations of the critical-locus complexes: exact
-cohomology dimensions for the hbar-twisted de Rham complex, its hbar = 0
-Koszul degeneration, and the independent Milnor-number oracle.
+"""Cohomology dimensions of the critical-locus complexes: the hbar-twisted
+de Rham complex from exact finite truncations, and the Milnor number and
+the hbar = 0 Koszul homology from one Groebner basis of the partials.
 
 The eta-model complex is O_X = Q[y] (x) Lambda[eta] with differential
 delta + hbar * Sum_i d_{y_i} d_{eta_i}; its cohomology over Q(hbar) is
 computed slice-by-slice from exact matrices.  Truncations are either by
 quasi-homogeneity weight (an honest subcomplex) or by total y-degree with a
 stabilisation window; failure to stabilise is an error, never a silent
-answer.
+answer.  The Jacobian ring Q[y]/(df) needs no truncation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
-from .coefficients import (HSeries, rank_over_hbar_field, rank_rational)
+from .coefficients import HSeries, _accumulate, rank_over_hbar_field
 from .errors import (NonIsolated, NotPolynomial, NotStabilised,
                      TruncationRequired, ZeroPolynomial)
 from .gca import CritLocus, Element, apply_koszul_delta
@@ -32,6 +33,8 @@ class TruncationSpec:
     def __init__(self, mode, bound, stabilisation_window=2):
         if mode not in (WEIGHT_GRADED, DEGREE_TRUNCATED):
             raise ValueError(f"unknown truncation mode {mode!r}")
+        if stabilisation_window < 1:
+            raise ValueError("the stabilisation window must be at least 1")
         self.mode = mode
         self.bound = int(bound)
         self.stabilisation_window = int(stabilisation_window)
@@ -46,13 +49,18 @@ class TruncationSpec:
 
 
 class CohomologyReport:
-    __slots__ = ("dims_by_degree", "field", "truncation", "stabilised", "euler")
+    """Dimensions by degree; ``truncation`` is None if none was needed."""
 
-    def __init__(self, dims_by_degree, field, truncation, stabilised):
+    __slots__ = ("dims_by_degree", "field", "truncation", "stabilised", "euler",
+                 "certificate")
+
+    def __init__(self, dims_by_degree, field, truncation, stabilised,
+                 certificate=None):
         self.dims_by_degree = {int(d): int(n) for d, n in dims_by_degree.items() if n}
         self.field = field
         self.truncation = truncation
         self.stabilised = stabilised
+        self.certificate = certificate or {}
         self.euler = sum((-1) ** (d % 2) * n
                          for d, n in self.dims_by_degree.items())
 
@@ -66,7 +74,8 @@ class CohomologyReport:
                 "stabilised": self.stabilised,
                 "euler": self.euler,
                 "total": self.total,
-                "truncation": self.truncation.as_dict()}
+                "truncation": self.truncation and self.truncation.as_dict(),
+                **self.certificate}
 
     def __repr__(self):
         return f"CohomologyReport({self.dims_by_degree}, field={self.field})"
@@ -108,18 +117,9 @@ def iter_y_exponents(m, cap, weights=None):
     yield from _walk_exponents(steps, math.floor(Fraction(cap) * den))
 
 
-def _subsets(indices):
-    if not indices:
-        yield ()
-        return
-    head, rest = indices[0], indices[1:]
-    for s in _subsets(rest):
-        yield s
-        yield (head,) + s
-
-
 def eta_subsets(m):
-    return sorted(_subsets(tuple(range(1, m + 1))))
+    return sorted(S for k in range(m + 1)
+                  for S in itertools.combinations(range(1, m + 1), k))
 
 
 def element_keys_in_window(X, cutoff, mode):
@@ -127,7 +127,8 @@ def element_keys_in_window(X, cutoff, mode):
     m = X.m
     weights = X.signature.weights
     if mode == WEIGHT_GRADED and weights is None:
-        raise TruncationRequired("weight truncation needs quasi-homogeneity weights")
+        raise TruncationRequired(
+            "f is not quasi-homogeneous; use DegreeTruncated mode")
     by_degree = {}
     for S in eta_subsets(m):
         if mode == WEIGHT_GRADED:
@@ -158,20 +159,13 @@ def _twisted_image(X, key):
     return img.terms
 
 
-def _koszul_image(X, key):
-    """delta applied to a single monomial, as its hbar^0 coefficients
-    {key: Fraction} (f is hbar-free, so nothing else is nonzero)."""
-    mono = Element(X.m, {key: HSeries.const(1)})
-    return {k: c[0] for k, c in apply_koszul_delta(X, mono).terms.items()}
-
-
 # ---------------------------------------------------------------------------
 # Slice-wise cohomology dimensions
 # ---------------------------------------------------------------------------
 
-def _image_rank(images, rank_fn):
-    """Rank of the matrix whose rows are the given images, over the columns
-    they touch.  Zero cells are a shared plain 0."""
+def _image_rank(images, seed):
+    """Rank over Q(hbar) of the matrix whose rows are the given images, over
+    the columns they touch.  Zero cells are a shared plain 0."""
     col_index = {}
     for img in images:
         for key in img:
@@ -184,16 +178,16 @@ def _image_rank(images, rank_fn):
         for key, c in img.items():
             row[col_index[key]] = c
         rows.append(row)
-    return rank_fn(rows)
+    return rank_over_hbar_field(rows, seed)
 
 
-def _dims_at_cutoff(X, cutoff, mode, image, rank_fn):
+def _dims_at_cutoff(X, cutoff, mode, image, seed):
     """Cohomology dims of the truncated complex at one cutoff.
 
     Per degree d the quotient is ker(D on an enlarged domain containing all
     image supports) by im(D from the truncated (d-1)-slice); both matrices
     are exact and only ranks are needed since D o D = 0.  ``image`` maps a
-    monomial key to its image {key: coefficient}.
+    monomial key to its image {key: HSeries}.
     """
     by_degree = element_keys_in_window(X, cutoff, mode)
     dims = {}
@@ -203,119 +197,147 @@ def _dims_at_cutoff(X, cutoff, mode, image, rank_fn):
         for img in prev_images:
             for key in img:
                 domain.setdefault(key)
-        rank_d = _image_rank([image(key) for key in domain], rank_fn)
-        rank_prev = _image_rank(prev_images, rank_fn)
+        rank_d = _image_rank([image(key) for key in domain], seed)
+        rank_prev = _image_rank(prev_images, seed)
         h = len(domain) - rank_d - rank_prev
         if h:
             dims[d] = h
     return dims
 
 
-def _stabilised_dims(X, trunc, image_fn, rank_fn):
+def twisted_derham_dims(X: CritLocus, trunc: TruncationSpec,
+                        seed: int = 0) -> CohomologyReport:
+    """Dimensions over Q(hbar) of the hbar-twisted de Rham complex, taken when
+    ``stabilisation_window`` + 1 consecutive cutoffs agree; else NotStabilised."""
     images = {}
 
     def image(key):
         # each monomial's image is computed once per command, across cutoffs
-        img = images.get(key)
-        if img is None:
-            img = images[key] = image_fn(X, key)
-        return img
+        if key not in images:
+            images[key] = _twisted_image(X, key)
+        return images[key]
 
     history = []
     for cutoff in range(1, trunc.bound + 1):
-        dims = _dims_at_cutoff(X, cutoff, trunc.mode, image, rank_fn)
+        dims = _dims_at_cutoff(X, cutoff, trunc.mode, image, seed)
         history.append(dims)
         if len(history) > trunc.stabilisation_window and all(
                 h == dims for h in history[-(trunc.stabilisation_window + 1):-1]):
-            return dims, True
+            return CohomologyReport(dims, "Q(hbar)", trunc, True)
     raise NotStabilised(
         f"dimensions did not stabilise below cutoff {trunc.bound} "
         f"({trunc.mode}); refusing to guess")
 
 
-def twisted_derham_dims(X: CritLocus, trunc: TruncationSpec,
-                        seed: int = 0) -> CohomologyReport:
-    """Dimensions over Q(hbar) of the hbar-twisted de Rham complex."""
-    if trunc.mode == WEIGHT_GRADED and X.signature.weights is None:
-        raise TruncationRequired(
-            "f is not quasi-homogeneous; use DegreeTruncated mode")
-
-    def rank_fn(rows):
-        return rank_over_hbar_field(rows, seed)
-
-    dims, stab = _stabilised_dims(X, trunc, _twisted_image, rank_fn)
-    return CohomologyReport(dims, "Q(hbar)", trunc, stab)
-
-
-def koszul_dims_at_hbar_zero(X: CritLocus, trunc: TruncationSpec) -> CohomologyReport:
-    """Cohomology over Q of the Koszul complex of the partials (hbar = 0)."""
-    if trunc.mode == WEIGHT_GRADED and X.signature.weights is None:
-        raise TruncationRequired(
-            "f is not quasi-homogeneous; use DegreeTruncated mode")
-
-    dims, stab = _stabilised_dims(X, trunc, _koszul_image, rank_rational)
-    return CohomologyReport(dims, "Q", trunc, stab)
-
-
 # ---------------------------------------------------------------------------
-# Milnor number oracle
+# Jacobian ring: a grevlex Groebner basis of the partials
 # ---------------------------------------------------------------------------
 
-def milnor_number(f: Element, m: int, cap: int = 30,
-                  stabilisation_window: int = 2) -> int:
-    """dim_Q Q[y]/(df/dy_1, ..., df/dy_m) by exact linear algebra.
+def _grevlex(a):
+    """Sort key of an exponent vector in graded reverse lexicographic order."""
+    return sum(a), tuple(-x for x in reversed(a))
 
-    At working degree d the ideal is approximated by the span S of all
-    multiples of the partials of degree <= d + window; the candidate count is
-    dim V_d - dim(S /\\ V_d), computed with ranks only (the intersection
-    dimension is dim S minus the rank of S projected to degrees > d).  The
-    loop stops once the count is unchanged for ``stabilisation_window``
-    consecutive degrees and every degree-d monomial reduces into S modulo
-    lower degree, which makes the span a complete reduction system.
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _add_multiple(p, c, q, g):
+    """p += c * y^q * g, in place."""
+    for b, d in g.items():
+        _accumulate(p, tuple(x + y for x, y in zip(b, q)), c * d)
+
+
+def _reduce(p, basis):
+    """Remainder of p on full division by ``basis``, a list of (leading
+    monomial, monic polynomial) pairs."""
+    p, rem = dict(p), {}
+    while p:
+        a = max(p, key=_grevlex)
+        for lead, g in basis:
+            if _divides(lead, a):
+                _add_multiple(p, -p[a], tuple(x - y for x, y in zip(a, lead)), g)
+                break
+        else:
+            rem[a] = p.pop(a)
+    return rem
+
+
+def _groebner(polys):
+    """Minimal grevlex Groebner basis of the ideal of the {exponents: Fraction}
+    polynomials, as (leading monomial, monic polynomial) pairs: Buchberger's
+    algorithm taking the pair with the smallest lcm first, and skipping a pair
+    only when the coprime-leading-monomial criterion or the chain criterion
+    proves that its S-polynomial reduces to 0 (Cox-Little-O'Shea, ch. 2)."""
+    basis, pending = [], {}  # {frozenset({i, j}): lcm of their leads}
+
+    def add(p):
+        lead = max(p, key=_grevlex)
+        for i, (other, _) in enumerate(basis):
+            pending[frozenset((i, len(basis)))] = tuple(map(max, other, lead))
+        basis.append((lead, {a: v / p[lead] for a, v in p.items()}))
+
+    for p in polys:
+        if r := _reduce(p, basis):
+            add(r)
+    while pending:
+        pair = min(pending, key=lambda ij: _grevlex(pending[ij]))
+        lcm = pending.pop(pair)
+        (li, gi), (lj, gj) = (basis[k] for k in pair)
+        if not any(map(min, li, lj)) or any(  # coprime leads, or a chain
+                k not in pair and _divides(lk, lcm)
+                and all(frozenset((i, k)) not in pending for i in pair)
+                for k, (lk, _) in enumerate(basis)):
+            continue
+        s = {}
+        _add_multiple(s, 1, tuple(x - y for x, y in zip(lcm, li)), gi)
+        _add_multiple(s, -1, tuple(x - y for x, y in zip(lcm, lj)), gj)
+        if r := _reduce(s, basis):
+            add(r)
+    return [(lead, g) for lead, g in basis
+            if not any(o != lead and _divides(o, lead) for o, _ in basis)]
+
+
+class _Certified(int):
+    """An int with ``certificate``, the payload fields of its proof."""
+
+
+def milnor_number(f: Element, m: int) -> int:
+    """dim_Q Q[y]/(df/dy_1, ..., df/dy_m) from a grevlex Groebner basis G.
+
+    The standard monomials (divisible by no leading monomial of G) are a
+    Q-basis of the quotient, so mu is their count: 0 for the unit ideal.
+    Each y_i needs a pure power y_i^e among the leading monomials, which
+    bounds a_i < e; without one, all powers of y_i are standard: NonIsolated.
     """
     if f.is_zero():
         raise ZeroPolynomial("f = 0")
     if not f.is_polynomial():
         raise NotPolynomial("f must be a polynomial in y only")
-    partials = [f.partial_y(i) for i in range(1, m + 1)]
-    if any(p.is_zero() for p in partials):
-        raise NonIsolated("a partial derivative vanishes identically")
-    partial_keys = [{a: c[0] for (a, _), c in p.terms.items()} for p in partials]
-    history = []
-    for d in range(1, cap + 1):
-        big = d + stabilisation_window
-        monomials = sorted(iter_y_exponents(m, big), key=lambda a: (sum(a), a))
-        index = {a: i for i, a in enumerate(monomials)}
-        n_low = sum(1 for a in monomials if sum(a) <= d)
-        span = []
-        for pk in partial_keys:
-            pdeg = max(sum(a) for a in pk)
-            for b in iter_y_exponents(m, big - pdeg):
-                row = [0] * len(monomials)
-                for a, c in pk.items():
-                    shifted = tuple(x + z for x, z in zip(a, b))
-                    row[index[shifted]] = c
-                span.append(row)
-        dim_span = rank_rational(span) if span else 0
-        high = [row[n_low:] for row in span]
-        rank_high = rank_rational(high) if span else 0
-        q = n_low - (dim_span - rank_high)
-        # every degree-d monomial must reduce into the span modulo lower
-        # degree: adding its indicator to the >d-1 projection keeps the rank
-        n_lower = sum(1 for a in monomials if sum(a) <= d - 1)
-        proj = [row[n_lower:] for row in span]
-        rank_proj = rank_rational(proj) if span else 0
-        stacked = list(proj)
-        for i, a in enumerate(monomials):
-            if sum(a) == d:
-                row = [0] * (len(monomials) - n_lower)
-                row[i - n_lower] = Fraction(1)
-                stacked.append(row)
-        top_reduces = rank_rational(stacked) == rank_proj
-        history.append(q)
-        window = history[-(stabilisation_window + 1):]
-        if (top_reduces and len(window) == stabilisation_window + 1
-                and all(x == q for x in window)):
-            return q
-    raise NonIsolated(
-        f"Jacobian quotient did not stabilise below degree {cap}")
+    leads = sorted((lead for lead, _ in _groebner(
+        [{a: c[0] for (a, _), c in f.partial_y(i).terms.items()}
+         for i in range(1, m + 1)])), key=_grevlex)
+    box = []
+    for i in range(m):
+        powers = [a[i] for a in leads if not any(a[:i] + a[i + 1:])]
+        if not powers:
+            raise NonIsolated(f"no leading monomial of (df) is a power of "
+                              f"y_{i + 1}: Q[y]/(df) is infinite-dimensional")
+        box.append(range(min(powers)))
+    mu = _Certified(sum(1 for a in itertools.product(*box)
+                        if not any(_divides(lead, a) for lead in leads)))
+    mu.certificate = {"certificate": "groebner-grevlex",
+                      "leading_monomials": [list(a) for a in leads]}
+    return mu
+
+
+def koszul_dims_at_hbar_zero(X: CritLocus) -> CohomologyReport:
+    """Cohomology over Q of the Koszul complex of the partials (hbar = 0).
+
+    ``milnor_number`` proves Q[y]/(df) finite or refuses f.  So at each
+    maximal ideal containing them the m partials generate an ideal of height
+    m in a Cohen-Macaulay ring: a regular sequence.  The Koszul homology,
+    supported at those points, is the Jacobian ring in degree 0: {0: mu}.
+    """
+    mu = milnor_number(X.f, X.m)
+    return CohomologyReport({0: mu}, "Q", None, True, mu.certificate)

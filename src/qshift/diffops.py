@@ -500,12 +500,6 @@ def symbol(D: Operator, k: int) -> Polyvector:
                                if key_order(key) == k})
 
 
-def _odd_sequence(key):
-    """Odd factors of a symbol monomial in written order."""
-    _, eta, _, deta = key
-    return [(0, i) for i in eta] + [(1, i) for i in deta]
-
-
 def pv_mul(P: Polyvector, Q: Polyvector) -> Polyvector:
     """Free graded-commutative product of symbols; arity adds."""
     if P.m != Q.m:

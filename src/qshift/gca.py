@@ -147,15 +147,6 @@ class Element:
         return Element(self.m, {k: c for k, c in self.terms.items()
                                 if -len(k[1]) == d})
 
-    def homogeneous_degree(self):
-        degs = self.degrees()
-        if len(degs) > 1:
-            raise ValueError("inhomogeneous element")
-        return degs.pop() if degs else None
-
-    def y_degree(self):
-        return max((sum(a) for (a, _) in self.terms), default=0)
-
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -236,10 +227,6 @@ def _contract_eta_key(eta, i):
         return None, 0
     pos = eta.index(i)
     return eta[:pos] + eta[pos + 1:], (-1 if pos % 2 else 1)
-
-
-def monomial_degree(key):
-    return -len(key[1])
 
 
 def gmul(a: Element, b: Element) -> Element:

@@ -17,8 +17,8 @@ from .coefficients import HSeries, _accumulate, rank_rational
 from .cohomology import (DEGREE_TRUNCATED, WEIGHT_GRADED, TruncationSpec,
                          _walk_exponents, _weight_steps, eta_subsets,
                          iter_y_exponents)
-from .diffops import (Operator, op_commutator, op_order, key_degree,
-                      key_order, symbol)
+from .diffops import (Operator, op_commutator, op_compose, op_order,
+                      key_degree, key_order, symbol)
 from .errors import NotMaurerCartan, TruncationRequired
 from .gca import CritLocus, Element, gmul
 
@@ -138,10 +138,11 @@ def bv_quantisation(X: CritLocus) -> Quantisation:
 
 def mc_residual(X: CritLocus, delta: Quantisation) -> Operator:
     """[delta_Koszul, Delta] + (1/2)[Delta, Delta]; zero iff Delta is a
-    quantisation (the square-zero condition for delta + Delta)."""
+    quantisation (square-zero for delta + Delta); (1/2)[Delta, Delta] is
+    Delta_odd o Delta_odd, as pairs add (1 - (-1)^(|k1||k2|)) k1 o k2."""
     D = delta.as_operator_series()
-    dk = koszul_operator(X)
-    return op_commutator(dk, D) + op_commutator(D, D).scale(Fraction(1, 2))
+    odd = Operator(D.m, {k: c for k, c in D.terms.items() if key_degree(k) % 2})
+    return op_commutator(koszul_operator(X), D) + op_compose(odd, odd)
 
 
 def sigma_tangent(delta: Quantisation) -> TangentElement:

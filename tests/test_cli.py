@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 from fractions import Fraction
@@ -150,7 +151,7 @@ def test_main_ok_and_error(tmp_path, capsys):
 @pytest.mark.parametrize("target, cmd, flags, exc", [
     ("qshift.cohomology.rank_over_hbar_field", "vc-dims", ["--mode", "weight"],
      ArithmeticError("inexact polynomial division")),
-    ("qshift.gca.solve_rational", "koszul-dims", ["--mode", "weight"],
+    ("qshift.gca.solve_rational", "koszul-dims", [],
      ZeroDivisionError("division by zero")),
 ])
 def test_kernel_arithmetic_errors_exit_2(monkeypatch, tmp_path, capsys,
@@ -195,11 +196,11 @@ def test_format_polynomial_canonical():
      lambda r: r.payload["window"]["order_cap"] == 0),
     ("", "eigen", {"p": 1, "k": 2, "max_degree": 0},
      lambda r: r.payload["block_dim"] == 4),
-    ("max_degree = 0;", "koszul-dims", {},
+    ("max_degree = 0;", "vc-dims", {},
      lambda r: r.status == "error" and "cutoff 0" in r.payload["reason"]),
 ], ids=["filtration-p", "filtration-hbar_max", "check-compat-window-flag",
         "check-compat-window-option", "eigen-max_degree",
-        "koszul-dims-max_degree"])
+        "vc-dims-max_degree"])
 def test_zero_settings_are_kept(options, cmd, flags, check):
     problem = parse_problem(f"vars x; f = x^2; {options}")
     report = run_command(cmd, problem, flags)
@@ -251,4 +252,71 @@ def test_last_resort_handler_exits_2(monkeypatch, tmp_path, capsys):
     assert code == 2
     assert out["status"] == "error"
     assert out["payload"]["error_type"] == "RuntimeError"
+    jsonschema.validate(out, SCHEMA)
+
+
+def _count_standard(leads, m):
+    """mu counted again from the leading monomials of the certificate."""
+    top = max(max(a) for a in leads) if leads else 0
+    return sum(1 for a in itertools.product(range(top + 1), repeat=m)
+               if not any(all(x <= y for x, y in zip(b, a)) for b in leads))
+
+
+@pytest.mark.parametrize("text, mu", [
+    ("vars x y; f = x + x^2*y;", 0),
+    ("vars x y z; f = y*z^2 + 3*y^2*z - 2*x - 2*x^2*y^2;", 5),
+    ("vars x y z; f = 4*y^2*z + x - 4*x*y^3 + x^2*z^2 - 3*x^2*y^2;", 12),
+], ids=["unit-ideal", "mu5", "mu12"])
+def test_groebner_certificate_answers(text, mu):
+    problem = parse_problem(text)
+    m = len(problem.vars)
+    report = run_command("milnor", problem)
+    assert report.status == "ok", report.payload
+    assert report.payload["milnor"] == mu
+    assert report.payload["certificate"] == "groebner-grevlex"
+    assert _count_standard(report.payload["leading_monomials"], m) == mu
+    assert report.timing_ms < 1000
+    _validate(report)
+    report = run_command("koszul-dims", problem)
+    assert report.status == "ok", report.payload
+    assert report.payload["dims"] == ({"0": mu} if mu else {})
+    assert report.payload["total"] == mu
+    assert report.payload["truncation"] is None
+    assert report.payload["certificate"] == "groebner-grevlex"
+    assert report.timing_ms < 1000
+    _validate(report)
+
+
+@pytest.mark.parametrize("text, variable", [
+    ("vars x y; f = x^2*y;", "y_2"),
+    ("vars x y; f = x^2*y^2;", "y_1"),
+], ids=["x2y", "x2y2"])
+def test_non_isolated_refused_with_the_variable(tmp_path, capsys, text,
+                                                variable):
+    path = tmp_path / "p.qs"
+    path.write_text(text + "\n")
+    for cmd in ("milnor", "koszul-dims"):
+        code = main([cmd, str(path)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert out["payload"]["error_type"] == "NonIsolated"
+        assert variable in out["payload"]["reason"]
+        assert out["timing_ms"] < 1000
+        jsonschema.validate(out, SCHEMA)
+
+
+@pytest.mark.parametrize("options, cmd", [
+    ("stab_window = 0;", "vc-dims"),
+    ("stab_window = 1/2;", "vc-dims"),
+    ("window = 3/2;", "check-compat"),
+], ids=["stab_window-0", "stab_window-half", "window-3/2"])
+def test_bad_integer_settings_exit_2(tmp_path, capsys, options, cmd):
+    """Before, a window of 0 (or 1/2, truncated to 0) stopped vc-dims after
+    the first cutoff with a wrong ``ok`` answer on x^5 + y^7."""
+    path = tmp_path / "p.qs"
+    path.write_text(f"vars x y; f = x^5 + y^7; {options}\n")
+    code = main([cmd, str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out["status"] == "error"
     jsonschema.validate(out, SCHEMA)

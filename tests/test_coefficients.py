@@ -208,8 +208,7 @@ def test_sparse_kernel_matches_dense_reference(system):
 def test_fallback_on_rows_with_plain_zero_cells(monkeypatch):
     """Rows as ``_dims_at_cutoff`` assembles them (plain 0 beside HSeries);
     the two specialisations disagree, so the exact elimination decides."""
-    from qshift import coefficients
-    from qshift.cohomology import _image_rank
+    from qshift import coefficients, cohomology
     p1, p2 = specialisation_points(0, 2)
     vanishes_at_p1 = HSeries({0: -p1, 1: 1})
     images = [{"a": vanishes_at_p1},
@@ -222,12 +221,13 @@ def test_fallback_on_rows_with_plain_zero_cells(monkeypatch):
         fallbacks.append(matrix)
         return exact(matrix)
 
-    def rank_fn(rows):
+    def rank_spy(rows, seed):
         seen.append(rows)
-        return rank_over_hbar_field(rows, seed=0)
+        return rank_over_hbar_field(rows, seed)
 
     monkeypatch.setattr(coefficients, "rank_exact_fraction_field", spy)
-    assert _image_rank(images, rank_fn) == 2
+    monkeypatch.setattr(cohomology, "rank_over_hbar_field", rank_spy)
+    assert cohomology._image_rank(images, 0) == 2
     rows, = seen
     assert any(type(e) is int and e == 0 for row in rows for e in row)
     assert coefficients._specialised_rank(rows, p1) == 1

@@ -59,6 +59,35 @@ def test_master_equation_spurious_term_fails():
     assert not mc_residual(X, delta).is_zero()
 
 
+class _Series:
+    """Stands in for a quantisation whose operator series is any operator."""
+
+    def __init__(self, D):
+        self.D = D
+
+    def as_operator_series(self):
+        return self.D
+
+
+def test_mc_residual_matches_commutator_formula():
+    """(1/2)[D, D] computed as D_odd o D_odd equals the commutator formula,
+    copied here, on operators with mixed parities and multi-term hbar
+    coefficients."""
+    from qshift.diffops import op_commutator
+    rng = random.Random(7)
+    seen_odd_square = False
+    for _ in range(60):
+        m = rng.randint(1, 3)
+        A = random_operator(rng, m, nterms=4, with_hbar=True)
+        D = A + A.scale(HSeries({-1: Fraction(1, 2), 2: -3}))
+        X = corpus_locus([0, 3, 7][m - 1])
+        half = op_commutator(D, D).scale(Fraction(1, 2))
+        reference = op_commutator(koszul_operator(X), D) + half
+        assert mc_residual(X, _Series(D)) == reference
+        seen_odd_square |= not half.is_zero()
+    assert seen_odd_square
+
+
 # The operators benchmark corpus: the acceptance corpus plus x^3+y^3+z^3.
 _OPERATOR_CORPUS = [(builder, m) for (_, builder, m, _) in CORPUS] + [
     (lambda: Element.y(3, 1) ** 3 + Element.y(3, 2) ** 3 + Element.y(3, 3) ** 3, 3)]
