@@ -2,8 +2,7 @@
 critical loci, operator-identity verification, and vanishing-cycle
 cohomology dimensions."""
 
-from .coefficients import (HSeries, hbar_derivative_scaled, hseries_mul,
-                           rank_over_hbar_field)
+from .coefficients import HSeries, hbar_derivative_scaled, hseries_mul
 from .cohomology import (CohomologyReport, TruncationSpec,
                          koszul_dims_at_hbar_zero, milnor_number,
                          twisted_derham_dims)

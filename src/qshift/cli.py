@@ -11,15 +11,14 @@ Grammar (a deliberately small, diff-friendly surface):
 
 Rational literals are integers or a/b fractions.  Reports are JSON on
 stdout (schema shipped as ``report_schema.json``), diagnostics on stderr;
-exit code 0 means status ok, 1 a violated identity, 2 bad input or a
-truncation failure.
+exit code 0 means status ok, 1 a violated identity, 2 bad input or an
+answer that cannot be certified.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -37,7 +36,7 @@ from .quantise import (FiltrationLabel, bv_quantisation, filtration_dims,
 
 SCHEMA_VERSION = 1
 
-OPTION_NAMES = ("seed", "mode", "max_degree", "stab_window", "window")
+OPTION_NAMES = ("mode", "max_degree", "window")
 MAX_NESTING = 100  # parentheses; the parser recurses four frames per level
 
 _KIND_MAP = {"g": FiltrationLabel.G, "ftilde": FiltrationLabel.FTILDE,
@@ -136,7 +135,7 @@ class ProblemFile:
                 and self.options == other.options)
 
     def crit_locus(self):
-        return make_crit_locus(self.f, len(self.vars))
+        return make_crit_locus(self.f, len(self.vars), self.vars)
 
 
 class _Parser:
@@ -387,26 +386,16 @@ def _int_setting(name, problem, flags, default):
     return int(value)
 
 
-def _seed(problem, flags):
-    env = os.environ.get("QSHIFT_SEED")
-    if env is not None:
-        return int(env)
-    return _int_setting("seed", problem, flags, 0)
-
-
-def _trunc_spec(problem, flags, X):
-    mode_opt = _setting("mode", problem, flags, None)
-    if mode_opt in ("weight", WEIGHT_GRADED):
-        mode = WEIGHT_GRADED
-    elif mode_opt in ("truncate", "degree", DEGREE_TRUNCATED):
-        mode = DEGREE_TRUNCATED
-    elif mode_opt is None:
-        mode = (WEIGHT_GRADED if X.signature.weights is not None
-                else DEGREE_TRUNCATED)
-    else:
-        raise QShiftError(f"unknown truncation mode {mode_opt!r}")
-    return TruncationSpec(mode, _int_setting("max_degree", problem, flags, 30),
-                          _int_setting("stab_window", problem, flags, 2))
+def _vc_mode(problem, flags):
+    """``vc-dims`` mode; None lets ``twisted_derham_dims`` choose."""
+    mode = _setting("mode", problem, flags, None)
+    if mode in ("weight", WEIGHT_GRADED):
+        return WEIGHT_GRADED
+    if mode in ("truncate", "degree", DEGREE_TRUNCATED):
+        return DEGREE_TRUNCATED
+    if mode is None:
+        return None
+    raise QShiftError(f"unknown truncation mode {mode!r}")
 
 
 def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
@@ -418,13 +407,11 @@ def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
     residual_terms = None
     try:
         if cmd == "milnor":
-            n = milnor_number(problem.f, len(problem.vars))
+            n = milnor_number(problem.f, len(problem.vars), problem.vars)
             payload = {"milnor": int(n), **n.certificate}
         elif cmd == "vc-dims":
-            X = problem.crit_locus()
-            report = twisted_derham_dims(X, _trunc_spec(problem, flags, X),
-                                         seed=_seed(problem, flags))
-            payload = report.as_dict()
+            payload = twisted_derham_dims(problem.crit_locus(),
+                                          _vc_mode(problem, flags)).as_dict()
         elif cmd == "koszul-dims":
             payload = koszul_dims_at_hbar_zero(problem.crit_locus()).as_dict()
         elif cmd == "check-mc":
@@ -504,14 +491,12 @@ def _build_argparser():
 
     def common(p):
         p.add_argument("file", help="problem file (vars ...; f = ...;)")
-        p.add_argument("--seed", type=int, default=None)
 
     for name in ("milnor", "koszul-dims", "check-mc", "check-selfdual"):
         common(sub.add_parser(name))
     p = sub.add_parser("vc-dims")
     common(p)
     p.add_argument("--mode", choices=["weight", "truncate"], default=None)
-    p.add_argument("--max-degree", type=int, default=None, dest="max_degree")
     p = sub.add_parser("check-compat")
     common(p)
     p.add_argument("--window", type=int, default=None)

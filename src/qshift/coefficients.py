@@ -1,5 +1,5 @@
-"""Exact scalar arithmetic: rationals, hbar-Laurent polynomials, and rank
-computation over the rational-function field in hbar.
+"""Exact scalar arithmetic: rationals, hbar-Laurent polynomials, and the
+sparse rank/solve kernel over Q.
 
 Rationals are ``fractions.Fraction`` (always reduced, positive denominator).
 An :class:`HSeries` is a finite Laurent polynomial in the degree-0 dummy
@@ -10,12 +10,7 @@ of the package, whether its values are ``int``, ``Fraction`` or ``HSeries``.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-
-# Primes used for hbar specialisation when certifying ranks.
-_SPEC_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
-                53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
 
 
 def _accumulate(store, key, c):
@@ -168,7 +163,7 @@ def hbar_derivative_scaled(a: HSeries) -> HSeries:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra over Q and over Q(hbar)
+# Exact linear algebra over Q
 # ---------------------------------------------------------------------------
 
 def _eliminate(rows):
@@ -225,84 +220,3 @@ def solve_rational(rows, rhs):
         sol[lead] = prow.get(ncols, Fraction(0)) - sum(
             v * sol[c] for c, v in prow.items() if lead < c < ncols)
     return sol
-
-
-def _specialised_rank(matrix, point):
-    """Rank at hbar = point; only the nonzero entries are evaluated."""
-    return rank_rational([[e.evaluate(point) if e else 0 for e in row]
-                          for row in matrix])
-
-
-def _divexact(p, q):
-    """Exact quotient p / q of hbar-Laurent polynomials (q nonzero).
-
-    Long division from the top exponent.  When q divides p, every quotient
-    exponent is at least min(p) - min(q); passing below that bound proves
-    that q does not divide p.
-    """
-    top = q.max_exp
-    floor = p.min_exp - q.min_exp
-    out = {}
-    while p:
-        k = p.max_exp - top
-        if k < floor:
-            raise ArithmeticError("inexact polynomial division")
-        out[k] = p.coeffs[p.max_exp] / q.coeffs[top]
-        p = p - q.shift(k).scale(out[k])
-    return HSeries(out)
-
-
-def rank_exact_fraction_field(matrix):
-    """Rank over Q(hbar) by fraction-free Bareiss elimination in
-    Q[hbar, 1/hbar]; zero entries may be plain ``0``."""
-    if not matrix or not matrix[0]:
-        return 0
-    m = [list(row) for row in matrix]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = HSeries.const(1)
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        prow = m[rank]
-        for r in range(rank + 1, nrows):
-            row = m[r]
-            for c in range(ncols):
-                if c != col:
-                    row[c] = _divexact(prow[col] * row[c] - row[col] * prow[c],
-                                       prev)
-            row[col] = 0
-        prev = prow[col]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def specialisation_points(seed, n=2):
-    """Deterministically draw n distinct nonzero rationals (small primes)."""
-    rng = random.Random(seed)
-    return [Fraction(p) for p in rng.sample(_SPEC_PRIMES, n)]
-
-
-def rank_over_hbar_field(matrix, seed=0):
-    """Rank over Q(hbar) of a matrix of HSeries Laurent polynomials (zero
-    entries may be a plain ``0``).
-
-    Specialises hbar at two seed-determined primes; on agreement that rank is
-    returned, otherwise the exact fraction-free elimination decides.
-    """
-    if not matrix or not matrix[0]:
-        return 0
-    p1, p2 = specialisation_points(seed, 2)
-    r1 = _specialised_rank(matrix, p1)
-    r2 = _specialised_rank(matrix, p2)
-    if r1 == r2:
-        return r1
-    return rank_exact_fraction_field(matrix)

@@ -1,13 +1,13 @@
 """Cohomology dimensions of the critical-locus complexes: the hbar-twisted
-de Rham complex from exact finite truncations, and the Milnor number and
-the hbar = 0 Koszul homology from one Groebner basis of the partials.
+de Rham complex, and the Milnor number and the hbar = 0 Koszul homology,
+each answered with the proof that makes it exact.
 
 The eta-model complex is O_X = Q[y] (x) Lambda[eta] with differential
-delta + hbar * Sum_i d_{y_i} d_{eta_i}; its cohomology over Q(hbar) is
-computed slice-by-slice from exact matrices.  Truncations are either by
-quasi-homogeneity weight (an honest subcomplex) or by total y-degree with a
-stabilisation window; failure to stabilise is an error, never a silent
-answer.  The Jacobian ring Q[y]/(df) needs no truncation.
+delta + hbar * Sum_i d_{y_i} d_{eta_i}.  Its cohomology over Q(hbar) is
+taken from one exact rank per degree slice when f is quasi-homogeneous
+(weight rescaling), and from the tameness theorem when f is
+semi-quasi-homogeneous; anything else is refused.  The Jacobian ring
+Q[y]/(df) comes from one Groebner basis of the partials.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .coefficients import HSeries, _accumulate, rank_over_hbar_field
-from .errors import (NonIsolated, NotPolynomial, NotStabilised,
+from .coefficients import _accumulate, rank_rational, solve_rational
+from .errors import (NonIsolated, NotCertified, NotPolynomial,
                      TruncationRequired, ZeroPolynomial)
 from .gca import CritLocus, Element, apply_koszul_delta
 
@@ -26,41 +26,30 @@ DEGREE_TRUNCATED = "DegreeTruncated"
 
 
 class TruncationSpec:
-    """How to render the complexes finite-dimensional slice-wise."""
+    """How to render the operator complexes finite-dimensional slice-wise."""
 
-    __slots__ = ("mode", "bound", "stabilisation_window")
+    __slots__ = ("mode", "bound")
 
-    def __init__(self, mode, bound, stabilisation_window=2):
+    def __init__(self, mode, bound):
         if mode not in (WEIGHT_GRADED, DEGREE_TRUNCATED):
             raise ValueError(f"unknown truncation mode {mode!r}")
-        if stabilisation_window < 1:
-            raise ValueError("the stabilisation window must be at least 1")
         self.mode = mode
         self.bound = int(bound)
-        self.stabilisation_window = int(stabilisation_window)
-
-    def as_dict(self):
-        return {"mode": self.mode, "bound": self.bound,
-                "stabilisation_window": self.stabilisation_window}
 
     def __repr__(self):
-        return (f"TruncationSpec({self.mode}, bound={self.bound}, "
-                f"window={self.stabilisation_window})")
+        return f"TruncationSpec({self.mode}, bound={self.bound})"
 
 
 class CohomologyReport:
-    """Dimensions by degree; ``truncation`` is None if none was needed."""
+    """Dimensions by degree, with ``certificate``: the payload fields of the
+    proof that they are exact."""
 
-    __slots__ = ("dims_by_degree", "field", "truncation", "stabilised", "euler",
-                 "certificate")
+    __slots__ = ("dims_by_degree", "field", "euler", "certificate")
 
-    def __init__(self, dims_by_degree, field, truncation, stabilised,
-                 certificate=None):
+    def __init__(self, dims_by_degree, field, certificate):
         self.dims_by_degree = {int(d): int(n) for d, n in dims_by_degree.items() if n}
         self.field = field
-        self.truncation = truncation
-        self.stabilised = stabilised
-        self.certificate = certificate or {}
+        self.certificate = certificate
         self.euler = sum((-1) ** (d % 2) * n
                          for d, n in self.dims_by_degree.items())
 
@@ -71,10 +60,9 @@ class CohomologyReport:
     def as_dict(self):
         return {"dims": {str(d): n for d, n in sorted(self.dims_by_degree.items())},
                 "field": self.field,
-                "stabilised": self.stabilised,
+                "stabilised": True,
                 "euler": self.euler,
                 "total": self.total,
-                "truncation": self.truncation and self.truncation.as_dict(),
                 **self.certificate}
 
     def __repr__(self):
@@ -122,25 +110,16 @@ def eta_subsets(m):
                   for S in itertools.combinations(range(1, m + 1), k))
 
 
-def element_keys_in_window(X, cutoff, mode):
-    """All (y_exps, eta) monomial keys within the cutoff, grouped by degree."""
-    m = X.m
+def element_keys_in_window(X, cutoff):
+    """All (y_exps, eta) monomial keys of weight <= cutoff, grouped by
+    degree; y_i weighs w_i and eta_i weighs 1 - w_i (f quasi-homogeneous)."""
     weights = X.signature.weights
-    if mode == WEIGHT_GRADED and weights is None:
-        raise TruncationRequired(
-            "f is not quasi-homogeneous; use DegreeTruncated mode")
     by_degree = {}
-    for S in eta_subsets(m):
-        if mode == WEIGHT_GRADED:
-            eta_weight = sum(1 - weights[i - 1] for i in S)
-            budget = Fraction(cutoff) - eta_weight
-            if budget < 0:
-                continue
-            alist = iter_y_exponents(m, budget, weights)
-        else:
-            alist = iter_y_exponents(m, cutoff)
-        for a in alist:
-            by_degree.setdefault(-len(S), []).append((a, S))
+    for S in eta_subsets(X.m):
+        budget = Fraction(cutoff) - sum(1 - weights[i - 1] for i in S)
+        if budget >= 0:
+            by_degree.setdefault(-len(S), []).extend(
+                (a, S) for a in iter_y_exponents(X.m, budget, weights))
     return by_degree
 
 
@@ -152,81 +131,117 @@ def bv_apply(X: CritLocus, a: Element) -> Element:
     return out
 
 
-def _twisted_image(X, key):
-    """delta + hbar*BV applied to a single monomial, as {key: HSeries}."""
-    mono = Element(X.m, {key: HSeries.const(1)})
-    img = apply_koszul_delta(X, mono) + bv_apply(X, mono).scale(HSeries.monomial(1))
-    return img.terms
-
-
-# ---------------------------------------------------------------------------
-# Slice-wise cohomology dimensions
-# ---------------------------------------------------------------------------
-
-def _image_rank(images, seed):
-    """Rank over Q(hbar) of the matrix whose rows are the given images, over
-    the columns they touch.  Zero cells are a shared plain 0."""
-    col_index = {}
-    for img in images:
-        for key in img:
-            col_index.setdefault(key, len(col_index))
-    if not col_index:
+def _slice_rank(X, basis):
+    """Rank over Q of delta + Delta, the differential at hbar = 1, on the
+    monomial keys ``basis`` (one degree), over the columns their images
+    touch.  Zero cells are a shared plain 0."""
+    images, cols = [], {}
+    for key in basis:
+        mono = Element(X.m, {key: 1})
+        img = (apply_koszul_delta(X, mono) + bv_apply(X, mono)).terms
+        images.append(img)
+        for k in img:
+            cols.setdefault(k, len(cols))
+    if not cols:
         return 0
     rows = []
     for img in images:
-        row = [0] * len(col_index)
-        for key, c in img.items():
-            row[col_index[key]] = c
+        row = [0] * len(cols)
+        for k, c in img.items():
+            row[cols[k]] = c[0]
         rows.append(row)
-    return rank_over_hbar_field(rows, seed)
+    return rank_rational(rows)
 
 
-def _dims_at_cutoff(X, cutoff, mode, image, seed):
-    """Cohomology dims of the truncated complex at one cutoff.
+# ---------------------------------------------------------------------------
+# The twisted de Rham cohomology, by certificate
+# ---------------------------------------------------------------------------
 
-    Per degree d the quotient is ker(D on an enlarged domain containing all
-    image supports) by im(D from the truncated (d-1)-slice); both matrices
-    are exact and only ranks are needed since D o D = 0.  ``image`` maps a
-    monomial key to its image {key: HSeries}.
+def _weight_rescaling(X):
+    """Weight mode: quasi-homogeneous f with an isolated singularity.
+
+    Give y_i the weight w_i, eta_i the weight 1 - w_i and hbar the weight 1.
+    Then delta keeps the weight and hbar * Delta does too, so every matrix
+    entry from a monomial of weight u to one of weight v is c * hbar^(u - v)
+    with c its value at hbar = 1: the matrix is diag(hbar^-v) M(1)
+    diag(hbar^u), invertible diagonal rescalings over Q(hbar^(1/den)), and
+    its rank over Q(hbar) is the rank of M(1) over Q.
+
+    Over Q(hbar), with hbar of weight 0, D does not raise the weight, so the
+    span F_c of the monomials of weight <= c is a subcomplex and the complex
+    is the union of the F_c (weights lie in (1/den)Z, so each F_c'/F_c has a
+    finite filtration).  gr_c F is the Koszul complex of the partials in
+    weight c.  ``milnor_number`` proves f isolated, so the partials are a
+    regular sequence and that cohomology is the weight-c part of the
+    Jacobian ring J, which lives in weights 0 .. socle = Sum (1 - 2 w_i).
+    So every gr_u with u > socle is acyclic and F_c -> F_c' is a
+    quasi-isomorphism for c' >= c >= socle: the one cutoff c = socle gives
+    the cohomology of the whole complex.
     """
-    by_degree = element_keys_in_window(X, cutoff, mode)
-    dims = {}
-    for d, basis in sorted(by_degree.items()):
-        prev_images = [image(key) for key in by_degree.get(d - 1, [])]
-        domain = dict.fromkeys(basis)
-        for img in prev_images:
-            for key in img:
-                domain.setdefault(key)
-        rank_d = _image_rank([image(key) for key in domain], seed)
-        rank_prev = _image_rank(prev_images, seed)
-        h = len(domain) - rank_d - rank_prev
-        if h:
-            dims[d] = h
-    return dims
+    weights = X.signature.weights
+    if weights is None:
+        raise TruncationRequired(
+            "f is not quasi-homogeneous; use DegreeTruncated mode")
+    milnor_number(X.f, X.m, X.names)
+    cutoff = sum(1 - 2 * w for w in weights)
+    by_degree = element_keys_in_window(X, cutoff)
+    rank = {d: _slice_rank(X, basis) for d, basis in by_degree.items()}
+    dims = {d: len(basis) - rank[d] - rank.get(d - 1, 0)
+            for d, basis in by_degree.items()}
+    return CohomologyReport(dims, "Q(hbar)", {
+        "certificate": "weight-rescaling",
+        "weights": [str(w) for w in weights], "cutoff": str(cutoff)})
 
 
-def twisted_derham_dims(X: CritLocus, trunc: TruncationSpec,
-                        seed: int = 0) -> CohomologyReport:
-    """Dimensions over Q(hbar) of the hbar-twisted de Rham complex, taken when
-    ``stabilisation_window`` + 1 consecutive cutoffs agree; else NotStabilised."""
-    images = {}
+def _tame(X):
+    """Degree mode: f semi-quasi-homogeneous, hence tame.
 
-    def image(key):
-        # each monomial's image is computed once per command, across cutoffs
-        if key not in images:
-            images[key] = _twisted_image(X, key)
-        return images[key]
+    The certificate is positive weights w under which every monomial of f
+    weighs at most 1 and the top part f_w (weight exactly 1) has an
+    isolated singularity.  w is solved from m exponent vectors of weight 1:
+    monomials of f, or y_i^2, which pins w_i = 1/2 where the monomials leave
+    the weights free (x*y).  Then f is tame and
+    mu(f) = mu(f_w) = Prod (1/w_i - 1) (Broughton 1988; Milnor-Orlik 1970),
+    both checked here against Groebner bases, and a tame f has twisted de
+    Rham cohomology in degree 0 only, of dimension mu(f).  Without a
+    certificate f is refused: NotCertified.
+    """
+    mu = milnor_number(X.f, X.m, X.names)
+    monomials = [a for a, _ in X.f.terms]
+    squares = [tuple(2 * (j == i) for j in range(X.m)) for i in range(X.m)]
+    for chosen in itertools.combinations(monomials + squares, X.m):
+        weights = solve_rational([list(a) for a in chosen], [1] * X.m)
+        if weights is None or min(weights) <= 0:
+            continue  # a free weight comes back 0
+        weight = {a: sum(w * e for w, e in zip(weights, a)) for a in monomials}
+        if max(weight.values()) > 1:
+            continue
+        top = Element(X.m, {key: c for key, c in X.f.terms.items()
+                            if weight[key[0]] == 1})
+        try:
+            mu_top = milnor_number(top, X.m, X.names)
+        except NonIsolated:
+            continue
+        if mu_top == mu == math.prod(1 / w - 1 for w in weights):
+            return CohomologyReport({0: mu}, "Q(hbar)", {
+                "certificate": "tame:semi-quasi-homogeneous",
+                "weights": [str(w) for w in weights], "cutoff": None})
+    raise NotCertified("no semi-quasi-homogeneous weights certify f tame; "
+                       "refusing to guess its twisted de Rham cohomology")
 
-    history = []
-    for cutoff in range(1, trunc.bound + 1):
-        dims = _dims_at_cutoff(X, cutoff, trunc.mode, image, seed)
-        history.append(dims)
-        if len(history) > trunc.stabilisation_window and all(
-                h == dims for h in history[-(trunc.stabilisation_window + 1):-1]):
-            return CohomologyReport(dims, "Q(hbar)", trunc, True)
-    raise NotStabilised(
-        f"dimensions did not stabilise below cutoff {trunc.bound} "
-        f"({trunc.mode}); refusing to guess")
+
+def twisted_derham_dims(X: CritLocus, mode: str | None = None) -> CohomologyReport:
+    """Dimensions over Q(hbar) of the hbar-twisted de Rham complex, each
+    with its proof: ``WEIGHT_GRADED`` is the weight-rescaling argument of
+    ``_weight_rescaling``, ``DEGREE_TRUNCATED`` the tameness certificate of
+    ``_tame``.  The default is weight mode when f is quasi-homogeneous."""
+    if mode is None:
+        mode = WEIGHT_GRADED if X.signature.weights is not None else DEGREE_TRUNCATED
+    if mode == WEIGHT_GRADED:
+        return _weight_rescaling(X)
+    if mode == DEGREE_TRUNCATED:
+        return _tame(X)
+    raise ValueError(f"unknown truncation mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +317,14 @@ class _Certified(int):
     """An int with ``certificate``, the payload fields of its proof."""
 
 
-def milnor_number(f: Element, m: int) -> int:
+def milnor_number(f: Element, m: int, names=None) -> int:
     """dim_Q Q[y]/(df/dy_1, ..., df/dy_m) from a grevlex Groebner basis G.
 
     The standard monomials (divisible by no leading monomial of G) are a
     Q-basis of the quotient, so mu is their count: 0 for the unit ideal.
     Each y_i needs a pure power y_i^e among the leading monomials, which
-    bounds a_i < e; without one, all powers of y_i are standard: NonIsolated.
+    bounds a_i < e; without one, all powers of y_i are standard: NonIsolated,
+    naming y_i by ``names`` (the declared variables), else as y_i.
     """
     if f.is_zero():
         raise ZeroPolynomial("f = 0")
@@ -321,8 +337,9 @@ def milnor_number(f: Element, m: int) -> int:
     for i in range(m):
         powers = [a[i] for a in leads if not any(a[:i] + a[i + 1:])]
         if not powers:
+            name = names[i] if names else f"y_{i + 1}"
             raise NonIsolated(f"no leading monomial of (df) is a power of "
-                              f"y_{i + 1}: Q[y]/(df) is infinite-dimensional")
+                              f"{name}: Q[y]/(df) is infinite-dimensional")
         box.append(range(min(powers)))
     mu = _Certified(sum(1 for a in itertools.product(*box)
                         if not any(_divides(lead, a) for lead in leads)))
@@ -339,5 +356,5 @@ def koszul_dims_at_hbar_zero(X: CritLocus) -> CohomologyReport:
     m in a Cohen-Macaulay ring: a regular sequence.  The Koszul homology,
     supported at those points, is the Jacobian ring in degree 0: {0: mu}.
     """
-    mu = milnor_number(X.f, X.m)
-    return CohomologyReport({0: mu}, "Q", None, True, mu.certificate)
+    mu = milnor_number(X.f, X.m, X.names)
+    return CohomologyReport({0: mu}, "Q", mu.certificate)

@@ -33,7 +33,7 @@ class TruncationRequired(QShiftError):
     pass
 
 
-class NotStabilised(QShiftError):
+class NotCertified(QShiftError):
     pass
 
 

@@ -280,12 +280,13 @@ def format_terms(terms, m, names=None):
 class CritLocus:
     """A polynomial f with its cached partials, modelling Crit(f) derived."""
 
-    __slots__ = ("signature", "f", "partials")
+    __slots__ = ("signature", "f", "partials", "names")
 
-    def __init__(self, signature, f, partials):
+    def __init__(self, signature, f, partials, names=None):
         self.signature = signature
         self.f = f
         self.partials = partials
+        self.names = names
 
     @property
     def m(self):
@@ -317,8 +318,9 @@ def detect_weights(f: Element, m: int):
     return tuple(weights)
 
 
-def make_crit_locus(f: Element, m: int) -> CritLocus:
-    """Build the critical-locus data of f, caching partials and weights."""
+def make_crit_locus(f: Element, m: int, names=None) -> CritLocus:
+    """Build the critical-locus data of f, caching partials and weights;
+    ``names`` are the declared variables, for messages."""
     if f.m != m:
         raise ValueError("signature mismatch")
     if f.is_zero():
@@ -327,7 +329,7 @@ def make_crit_locus(f: Element, m: int) -> CritLocus:
         raise NotPolynomial("f must be an hbar-free polynomial in y only")
     partials = [f.partial_y(i) for i in range(1, m + 1)]
     weights = detect_weights(f, m)
-    return CritLocus(AlgebraSignature(m, weights), f, partials)
+    return CritLocus(AlgebraSignature(m, weights), f, partials, names)
 
 
 def apply_koszul_delta(X: CritLocus, a: Element) -> Element:

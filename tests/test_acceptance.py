@@ -15,7 +15,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from qshift.cli import parse_problem, print_problem, run_command, Report
 from qshift.coefficients import HSeries
-from qshift.cohomology import (DEGREE_TRUNCATED, WEIGHT_GRADED, TruncationSpec,
+from qshift.cohomology import (DEGREE_TRUNCATED, TruncationSpec,
                                milnor_number, twisted_derham_dims)
 from qshift.derham import (CompatVerdict, canonical_symplectic,
                            check_chain_identity, check_compatibility, cup,
@@ -94,8 +94,7 @@ def test_acceptance_vanishing_cycles():
     worst = 0.0
     for name, X, mu in cases:
         t0 = time.monotonic()
-        mode = WEIGHT_GRADED if X.signature.weights is not None else DEGREE_TRUNCATED
-        report = twisted_derham_dims(X, TruncationSpec(mode, 25))
+        report = twisted_derham_dims(X)
         oracle = milnor_number(X.f, X.m)
         elapsed = time.monotonic() - t0
         worst = max(worst, elapsed)

@@ -8,8 +8,8 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from qshift import cli
-from qshift.cli import (Report, _seed, format_polynomial, main,
-                        parse_problem, print_problem, run_command)
+from qshift.cli import (Report, format_polynomial, main, parse_problem,
+                        print_problem, run_command)
 from qshift.errors import ParseError, UnknownVariable
 from qshift.gca import Element
 
@@ -50,8 +50,8 @@ def test_parse_errors_carry_position():
 
 
 def test_parse_options_and_parentheses():
-    p = parse_problem("vars x y; f = (x + y)^2 * 3; seed = 9; mode = weight;")
-    assert p.options == {"seed": Fraction(9), "mode": "weight"}
+    p = parse_problem("vars x y; f = (x + y)^2 * 3; window = 9; mode = weight;")
+    assert p.options == {"window": Fraction(9), "mode": "weight"}
     assert p.f == ((Element.y(2, 1) + Element.y(2, 2)) ** 2).scale(3)
 
 
@@ -63,7 +63,7 @@ def test_parse_leading_minus_and_comments():
 def test_round_trip_identity():
     cases = [
         "vars x y; f = x^3 + y^3;",
-        "vars x; f = 1/2 * x^4; seed = 3;",
+        "vars x; f = 1/2 * x^4; window = 3;",
         "vars x y z; f = x^2 + y^2 + z^2; mode = weight; max_degree = 12;",
         "vars u v; f = -u^2 + 2/3 * v^5;",
     ]
@@ -149,8 +149,8 @@ def test_main_ok_and_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("target, cmd, flags, exc", [
-    ("qshift.cohomology.rank_over_hbar_field", "vc-dims", ["--mode", "weight"],
-     ArithmeticError("inexact polynomial division")),
+    ("qshift.cohomology.rank_rational", "vc-dims", ["--mode", "weight"],
+     ArithmeticError("rank kernel fault")),
     ("qshift.gca.solve_rational", "koszul-dims", [],
      ZeroDivisionError("division by zero")),
 ])
@@ -171,13 +171,21 @@ def test_kernel_arithmetic_errors_exit_2(monkeypatch, tmp_path, capsys,
     jsonschema.validate(out, SCHEMA)
 
 
-def test_seed_precedence(monkeypatch):
-    problem = parse_problem("vars x; f = x^2; seed = 5;")
-    assert _seed(problem, {}) == 5
-    assert _seed(problem, {"seed": 7}) == 7
-    assert _seed(problem, {"seed": 0}) == 0
-    monkeypatch.setenv("QSHIFT_SEED", "11")
-    assert _seed(problem, {"seed": 7}) == 11
+def test_removed_flags_are_refused(tmp_path, capsys):
+    """No answer reads a seed or a vc-dims degree bound, so argparse
+    refuses those flags (exit 2).  ``max_degree`` is an option of eigen and
+    filtration; vc-dims ignores it."""
+    path = tmp_path / "p.qs"
+    path.write_text("vars x; f = x^2;\n")
+    for argv in (["vc-dims", "--seed", "7"], ["vc-dims", "--max-degree", "3"],
+                 ["milnor", "--seed", "7"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:1] + [str(path)] + argv[1:])
+        capsys.readouterr()
+        assert exc.value.code == 2
+    report = run_command("vc-dims",
+                         parse_problem("vars x; f = x^2; max_degree = 0;"))
+    assert report.payload["dims"] == {"0": 1}
 
 
 def test_format_polynomial_canonical():
@@ -196,11 +204,8 @@ def test_format_polynomial_canonical():
      lambda r: r.payload["window"]["order_cap"] == 0),
     ("", "eigen", {"p": 1, "k": 2, "max_degree": 0},
      lambda r: r.payload["block_dim"] == 4),
-    ("max_degree = 0;", "vc-dims", {},
-     lambda r: r.status == "error" and "cutoff 0" in r.payload["reason"]),
 ], ids=["filtration-p", "filtration-hbar_max", "check-compat-window-flag",
-        "check-compat-window-option", "eigen-max_degree",
-        "vc-dims-max_degree"])
+        "check-compat-window-option", "eigen-max_degree"])
 def test_zero_settings_are_kept(options, cmd, flags, check):
     problem = parse_problem(f"vars x; f = x^2; {options}")
     report = run_command(cmd, problem, flags)
@@ -210,12 +215,14 @@ def test_zero_settings_are_kept(options, cmd, flags, check):
 @pytest.mark.parametrize("text", [
     "vars x; f = x^2;\nhbar_trunc = 1;",
     "vars x; f = x^2;\nmax_degre = 5;",
-], ids=["hbar_trunc", "typo"])
+    "vars x; f = x^2;\nseed = 5;",
+    "vars x; f = x^2;\nstab_window = 2;",
+], ids=["hbar_trunc", "typo", "seed", "stab_window"])
 def test_unknown_options_rejected(text):
     with pytest.raises(ParseError) as err:
         parse_problem(text)
     assert (err.value.line, err.value.col) == (2, 1)
-    assert "seed, mode, max_degree, stab_window, window" in str(err.value)
+    assert "options are mode, max_degree, window" in str(err.value)
 
 
 def test_deep_nesting_exits_2_with_report(tmp_path, capsys):
@@ -281,28 +288,80 @@ def test_groebner_certificate_answers(text, mu):
     assert report.status == "ok", report.payload
     assert report.payload["dims"] == ({"0": mu} if mu else {})
     assert report.payload["total"] == mu
-    assert report.payload["truncation"] is None
     assert report.payload["certificate"] == "groebner-grevlex"
     assert report.timing_ms < 1000
     _validate(report)
 
 
 @pytest.mark.parametrize("text, variable", [
-    ("vars x y; f = x^2*y;", "y_2"),
-    ("vars x y; f = x^2*y^2;", "y_1"),
-], ids=["x2y", "x2y2"])
+    ("vars x y; f = x^2*y;", "y"),
+    ("vars x y; f = x^2*y^2;", "x"),
+    ("vars u v; f = u^2*v;", "v"),
+], ids=["x2y", "x2y2", "u2v"])
 def test_non_isolated_refused_with_the_variable(tmp_path, capsys, text,
                                                 variable):
+    """The reason names the variable as the problem file declares it."""
     path = tmp_path / "p.qs"
     path.write_text(text + "\n")
-    for cmd in ("milnor", "koszul-dims"):
+    for cmd in ("milnor", "koszul-dims", "vc-dims"):
         code = main([cmd, str(path)])
         out = json.loads(capsys.readouterr().out)
         assert code == 2
         assert out["payload"]["error_type"] == "NonIsolated"
-        assert variable in out["payload"]["reason"]
+        assert f"is a power of {variable}:" in out["payload"]["reason"]
         assert out["timing_ms"] < 1000
         jsonschema.validate(out, SCHEMA)
+
+
+@pytest.mark.parametrize("text", [
+    "vars x y; f = x^2*y;",
+    "vars x y; f = x^2*y^2;",
+    "vars x y; f = x + x^2*y;",
+], ids=["x2y", "x2y2", "x+x2y"])
+def test_vc_dims_refuses_what_it_cannot_certify(tmp_path, capsys, text):
+    """No certificate exists: x^2*y and x^2*y^2 are not isolated, and
+    x + x^2*y has no critical point but is not tame.  Each mode refuses,
+    in well under a second."""
+    path = tmp_path / "p.qs"
+    path.write_text(text + "\n")
+    for flags in ([], ["--mode", "truncate"], ["--mode", "weight"]):
+        code = main(["vc-dims", str(path)] + flags)
+        out = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert out["payload"]["error_type"] in (
+            "NotCertified", "NonIsolated", "TruncationRequired")
+        assert out["timing_ms"] < 1000
+        jsonschema.validate(out, SCHEMA)
+    code = main(["vc-dims", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert out["payload"]["error_type"] in ("NotCertified", "NonIsolated")
+
+
+@pytest.mark.parametrize("text, certificate, dims", [
+    ("vars x; f = x;", "weight-rescaling", {}),
+    ("vars x y; f = x^3 + y^5;", "weight-rescaling", {"0": 8}),
+    ("vars x y; f = x^4 + y^4 + x^2*y;", "tame:semi-quasi-homogeneous",
+     {"0": 9}),
+    ("vars x y; f = x^3 + x^2 + y^2;", "tame:semi-quasi-homogeneous",
+     {"0": 2}),
+    # the monomials leave the weights free; y_i^2 pins them at 1/2
+    ("vars x y; f = x*y;", "tame:semi-quasi-homogeneous", {"0": 1}),
+    ("vars x y z; f = x^2 + y*z;", "tame:semi-quasi-homogeneous", {"0": 1}),
+], ids=["x", "x3y5", "x4y4x2y", "x3x2y2", "xy", "x2yz"])
+def test_vc_dims_certificates(text, certificate, dims):
+    report = run_command("vc-dims", parse_problem(text))
+    assert report.status == "ok", report.payload
+    assert report.payload["dims"] == dims
+    assert report.payload["certificate"] == certificate
+    assert report.payload["stabilised"] is True
+    assert report.payload["field"] == "Q(hbar)"
+    assert len(report.payload["weights"]) == len(parse_problem(text).vars)
+    assert (report.payload["cutoff"] is None) == certificate.startswith("tame")
+    _validate(report)
+    bad = dict(report.as_dict(), payload=dict(report.payload,
+                                              certificate="stabilised"))
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(bad, SCHEMA)
 
 
 @pytest.mark.parametrize("options, cmd", [
@@ -311,8 +370,8 @@ def test_non_isolated_refused_with_the_variable(tmp_path, capsys, text,
     ("window = 3/2;", "check-compat"),
 ], ids=["stab_window-0", "stab_window-half", "window-3/2"])
 def test_bad_integer_settings_exit_2(tmp_path, capsys, options, cmd):
-    """Before, a window of 0 (or 1/2, truncated to 0) stopped vc-dims after
-    the first cutoff with a wrong ``ok`` answer on x^5 + y^7."""
+    """A non-integral window is refused, not truncated; ``stab_window`` is
+    not an option, so any value of it is a parse error."""
     path = tmp_path / "p.qs"
     path.write_text(f"vars x y; f = x^5 + y^7; {options}\n")
     code = main([cmd, str(path)])

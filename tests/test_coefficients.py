@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qshift.coefficients import (HSeries, _divexact, hbar_derivative_scaled,
-                                 hseries_mul, rank_exact_fraction_field,
-                                 rank_over_hbar_field, rank_rational,
-                                 solve_rational, specialisation_points)
+from qshift.coefficients import (HSeries, hbar_derivative_scaled,
+                                 hseries_mul, rank_rational, solve_rational)
 
 from conftest import random_hseries
+from hbar_oracle import _divexact, rank_exact_fraction_field
 
 
 def H(coeffs):
@@ -73,26 +72,29 @@ def test_rank_singular_example():
     h = H({1: 1})
     h2 = H({2: 1})
     one = H({0: 1})
-    assert rank_over_hbar_field([[h, one], [h2, h]], seed=0) == 1
+    assert rank_exact_fraction_field([[h, one], [h2, h]]) == 1
 
 
 def test_rank_identity_and_zero():
     one = H({0: 1})
     zero = HSeries.zero()
     ident = [[one if i == j else zero for j in range(3)] for i in range(3)]
-    assert rank_over_hbar_field(ident, seed=5) == 3
-    assert rank_over_hbar_field([[zero, zero], [zero, zero]], seed=5) == 0
+    assert rank_exact_fraction_field(ident) == 3
+    assert rank_exact_fraction_field([[zero, zero], [zero, zero]]) == 0
 
 
-def test_rank_seed_independent_with_exact_fallback_agreement():
+def test_rank_at_hbar_one_of_rescaled_matrices_matches_oracle():
+    """The weight-rescaling argument on random matrices: entries
+    c * hbar^(u_col - v_row), plain 0 in empty cells, have the rank over
+    Q(hbar) of their values at hbar = 1."""
     rng = random.Random(42)
-    for trial in range(50):
-        mat = [[random_hseries(rng, min_exp=-2, max_exp=3, nterms=2)
-                for _ in range(6)] for _ in range(6)]
-        r0 = rank_over_hbar_field(mat, seed=trial)
-        r1 = rank_over_hbar_field(mat, seed=trial + 1000)
-        rx = rank_exact_fraction_field(mat)
-        assert r0 == r1 == rx
+    for _ in range(50):
+        u = [rng.randint(0, 3) for _ in range(5)]
+        v = [rng.randint(0, 3) for _ in range(6)]
+        values = [[rng.choice((0, 0, 1, -1, 2)) for _ in u] for _ in v]
+        mat = [[HSeries.monomial(uc - vr, c) if c else 0
+                for uc, c in zip(u, row)] for vr, row in zip(v, values)]
+        assert rank_exact_fraction_field(mat) == rank_rational(values)
 
 
 def test_rank_exact_on_structured_matrix():
@@ -102,23 +104,8 @@ def test_rank_exact_on_structured_matrix():
     # rank drops only at hbar = 0, generic rank is 2
     mat = [[h, zero], [zero, h], [one, one]]
     assert rank_exact_fraction_field(mat) == 2
-    assert rank_over_hbar_field(mat, seed=3) == 2
-
-
-def test_rank_disagreeing_specialisations_fall_back_to_exact():
-    p1, p2 = specialisation_points(0, 2)
-    # rank drops at the first specialisation point only; the two sampled
-    # ranks disagree and the exact elimination must decide
-    entry = HSeries({0: -p1, 1: 1})
-    assert rank_over_hbar_field([[entry]], seed=0) == 1
-    assert rank_exact_fraction_field([[entry]]) == 1
-
-
-def test_specialisation_points_deterministic_distinct():
-    pts = specialisation_points(17, 2)
-    assert pts == specialisation_points(17, 2)
-    assert pts[0] != pts[1]
-    assert all(p != 0 for p in pts)
+    # a rank that drops at one value of hbar only
+    assert rank_exact_fraction_field([[HSeries({0: -3, 1: 1})]]) == 1
 
 
 def test_rank_rational_and_solve():
@@ -203,33 +190,3 @@ def test_sparse_kernel_matches_dense_reference(system):
             expected[col] = reduced[k][ncols]
         assert sol == expected
     assert ([list(r) for r in rows], list(rhs)) == before
-
-
-def test_fallback_on_rows_with_plain_zero_cells(monkeypatch):
-    """Rows as ``_dims_at_cutoff`` assembles them (plain 0 beside HSeries);
-    the two specialisations disagree, so the exact elimination decides."""
-    from qshift import coefficients, cohomology
-    p1, p2 = specialisation_points(0, 2)
-    vanishes_at_p1 = HSeries({0: -p1, 1: 1})
-    images = [{"a": vanishes_at_p1},
-              {"b": HSeries.const(1)},
-              {"a": vanishes_at_p1, "b": HSeries.const(2)}]
-    seen, fallbacks = [], []
-    exact = coefficients.rank_exact_fraction_field
-
-    def spy(matrix):
-        fallbacks.append(matrix)
-        return exact(matrix)
-
-    def rank_spy(rows, seed):
-        seen.append(rows)
-        return rank_over_hbar_field(rows, seed)
-
-    monkeypatch.setattr(coefficients, "rank_exact_fraction_field", spy)
-    monkeypatch.setattr(cohomology, "rank_over_hbar_field", rank_spy)
-    assert cohomology._image_rank(images, 0) == 2
-    rows, = seen
-    assert any(type(e) is int and e == 0 for row in rows for e in row)
-    assert coefficients._specialised_rank(rows, p1) == 1
-    assert coefficients._specialised_rank(rows, p2) == 2
-    assert fallbacks == [rows]

@@ -6,17 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qshift.coefficients import (HSeries, rank_exact_fraction_field,
-                                 specialisation_points)
+from qshift.coefficients import HSeries
 from qshift.cohomology import (DEGREE_TRUNCATED, WEIGHT_GRADED,
-                               CohomologyReport, TruncationSpec, _groebner,
-                               iter_y_exponents, koszul_dims_at_hbar_zero, milnor_number,
-                               twisted_derham_dims)
-from qshift.errors import (NonIsolated, NotPolynomial, NotStabilised,
+                               CohomologyReport, _groebner, _slice_rank,
+                               bv_apply, element_keys_in_window,
+                               iter_y_exponents, koszul_dims_at_hbar_zero,
+                               milnor_number, twisted_derham_dims)
+from qshift.errors import (NonIsolated, NotCertified, NotPolynomial,
                            TruncationRequired, ZeroPolynomial)
-from qshift.gca import Element, make_crit_locus
+from qshift.gca import Element, apply_koszul_delta, make_crit_locus
 
 from conftest import CORPUS, CORPUS_IDS
+from hbar_oracle import rank_exact_fraction_field
 
 
 def test_milnor_examples():
@@ -48,20 +49,20 @@ def test_milnor_errors():
 
 def test_twisted_dims_match_milnor(corpus_case):
     name, X, mu = corpus_case
-    mode = WEIGHT_GRADED if X.signature.weights is not None else DEGREE_TRUNCATED
-    report = twisted_derham_dims(X, TruncationSpec(mode, 20))
+    report = twisted_derham_dims(X)
     assert report.total == mu
     assert set(report.dims_by_degree) <= {0}
-    assert report.stabilised
     assert report.field == "Q(hbar)"
     assert report.euler == mu
+    assert report.certificate["certificate"] == "weight-rescaling"
+    assert report.as_dict()["stabilised"] is True
 
 
 def test_twisted_dims_concentrated_quadric_threefold():
     m = 3
     f = Element.y(m, 1) ** 2 + Element.y(m, 2) ** 2 + Element.y(m, 3) ** 2
     X = make_crit_locus(f, m)
-    report = twisted_derham_dims(X, TruncationSpec(WEIGHT_GRADED, 12))
+    report = twisted_derham_dims(X, WEIGHT_GRADED)
     assert report.dims_by_degree == {0: 1}
 
 
@@ -69,17 +70,11 @@ def test_twisted_dims_mode_agreement():
     for idx in (0, 1, 4, 6):
         name, builder, m, mu = CORPUS[idx]
         X = make_crit_locus(builder(), m)
-        rw = twisted_derham_dims(X, TruncationSpec(WEIGHT_GRADED, 20))
-        rd = twisted_derham_dims(X, TruncationSpec(DEGREE_TRUNCATED, 20))
+        rw = twisted_derham_dims(X, WEIGHT_GRADED)
+        rd = twisted_derham_dims(X, DEGREE_TRUNCATED)
         assert rw.dims_by_degree == rd.dims_by_degree
-
-
-def test_twisted_dims_seed_independent():
-    f = Element.y(2, 1) ** 3 + Element.y(2, 2) ** 3
-    X = make_crit_locus(f, 2)
-    r1 = twisted_derham_dims(X, TruncationSpec(WEIGHT_GRADED, 12), seed=1)
-    r2 = twisted_derham_dims(X, TruncationSpec(WEIGHT_GRADED, 12), seed=99)
-    assert r1.dims_by_degree == r2.dims_by_degree
+        assert rd.certificate["certificate"] == "tame:semi-quasi-homogeneous"
+        assert rd.certificate["weights"] == rw.certificate["weights"]
 
 
 def test_koszul_dims_regular_sequence():
@@ -101,53 +96,73 @@ def test_weight_mode_requires_weights():
     X = make_crit_locus(f, 1)
     assert X.signature.weights is None
     with pytest.raises(TruncationRequired):
-        twisted_derham_dims(X, TruncationSpec(WEIGHT_GRADED, 10))
+        twisted_derham_dims(X, WEIGHT_GRADED)
 
 
-def test_not_stabilised_is_an_error_not_a_guess():
-    f = Element.y(2, 1) ** 3 + Element.y(2, 2) ** 5
-    X = make_crit_locus(f, 2)
-    with pytest.raises(NotStabilised):
-        twisted_derham_dims(X, TruncationSpec(DEGREE_TRUNCATED, 2))
+def test_not_certified_is_an_error_not_a_guess():
+    """Degree mode refuses f without a tameness certificate.  x^2 + y^2 +
+    x^3*y^3 has finitely many critical points, but no two of its monomials
+    give weights under which the third weighs at most 1."""
+    for exps, error in [
+            (((2, 1),), NonIsolated),  # x^2*y: a line of critical points
+            (((2, 2),), NonIsolated),  # x^2*y^2
+            (((1, 0), (2, 1)), NotCertified),  # x + x^2*y: no critical point
+            (((2, 0), (0, 2), (3, 3)), NotCertified)]:
+        X = make_crit_locus(Element(2, {(a, ()): 1 for a in exps}), 2)
+        with pytest.raises(error):
+            twisted_derham_dims(X, DEGREE_TRUNCATED)
 
 
-def test_stabilisation_window_below_one_is_refused():
-    for window in (0, Fraction(1, 2), -1):
-        with pytest.raises(ValueError):
-            TruncationSpec(DEGREE_TRUNCATED, 5, window)
+def _y(m, a, c=1):
+    return Element(m, {(tuple(a), ()): c})
+
+
+def _twisted_matrix(X, basis):
+    """delta + hbar*Delta on the keys of one slice, as rows of HSeries over
+    the columns the images touch (plain 0 in empty cells)."""
+    images = []
+    for key in basis:
+        mono = Element(X.m, {key: 1})
+        images.append((apply_koszul_delta(X, mono)
+                       + bv_apply(X, mono).scale(HSeries.monomial(1))).terms)
+    cols = {}
+    for img in images:
+        for key in img:
+            cols.setdefault(key, len(cols))
+    rows = []
+    for img in images:
+        row = [0] * len(cols)
+        for key, c in img.items():
+            row[cols[key]] = c
+        rows.append(row)
+    return rows
+
+
+_WEIGHT_MODE_PROBLEMS = [(builder(), m) for (_, builder, m, _) in CORPUS] + [
+    (Element.y(2, 1) ** 5 + Element.y(2, 2) ** 7, 2),
+    (Element.y(3, 1) ** 3 + Element.y(3, 2) ** 3 + Element.y(3, 3) ** 3, 3),
+    (_y(2, (2, 1)) + _y(2, (0, 4)), 2),  # D5
+    (_y(2, (3, 0)) + _y(2, (1, 3)), 2),  # E7
+    (_y(3, (3, 0, 0)) + _y(3, (0, 3, 0)) + _y(3, (0, 0, 3))
+     + _y(3, (1, 1, 1)), 3)]
 
 
 def test_rank_certificates_on_corpus_slices():
-    """The two specialisation ranks agree with the exact elimination on the
-    twisted-complex matrices of a corpus member."""
-    from qshift.cohomology import element_keys_in_window, _twisted_image
-    f = Element.y(2, 1) ** 3 + Element.y(2, 2) ** 3
-    X = make_crit_locus(f, 2)
-    by_degree = element_keys_in_window(X, 3, WEIGHT_GRADED)
-    for d, basis in sorted(by_degree.items()):
-        cols = {}
-        images = [_twisted_image(X, key) for key in basis]
-        for img in images:
-            for key in img:
-                cols.setdefault(key, len(cols))
-        rows = []
-        for img in images:
-            row = [HSeries.zero()] * len(cols)
-            for key, c in img.items():
-                row[cols[key]] = c
-            rows.append(row)
-        if not rows or not cols:
-            continue
-        p1, p2 = specialisation_points(0, 2)
-        from qshift.coefficients import _specialised_rank
-        r1 = _specialised_rank(rows, p1)
-        r2 = _specialised_rank(rows, p2)
-        rx = rank_exact_fraction_field(rows)
-        assert r1 == r2 == rx
+    """The one rank at hbar = 1 per slice equals the rank over Q(hbar) of
+    the Bareiss oracle, on every slice at the socle cutoff of every
+    weight-mode problem of the corpus and of the benchmark."""
+    for f, m in _WEIGHT_MODE_PROBLEMS:
+        X = make_crit_locus(f, m)
+        socle = sum(1 - 2 * w for w in X.signature.weights)
+        by_degree = element_keys_in_window(X, socle)
+        for d, basis in sorted(by_degree.items()):
+            assert _slice_rank(X, basis) == rank_exact_fraction_field(
+                _twisted_matrix(X, basis)), (f, d)
+        assert twisted_derham_dims(X).dims_by_degree == {0: milnor_number(f, m)}
 
 
 def test_report_euler_characteristic():
-    report = CohomologyReport({0: 3, -1: 1}, "Q", TruncationSpec(DEGREE_TRUNCATED, 5), True)
+    report = CohomologyReport({0: 3, -1: 1}, "Q", {})
     assert report.euler == 3 - 1
     assert report.total == 4
     d = report.as_dict()
@@ -199,9 +214,18 @@ def test_semi_quasi_homogeneous_milnor_orlik(powers, data):
             f = f + Element(m, {(b, ()): c})
     mu = math.prod(a - 1 for a in powers)
     assert milnor_number(f, m) == mu
-    report = koszul_dims_at_hbar_zero(make_crit_locus(f, m))
+    X = make_crit_locus(f, m)
+    report = koszul_dims_at_hbar_zero(X)
     assert report.dims_by_degree == {0: mu}
     assert report.certificate["certificate"] == "groebner-grevlex"
+    # vc-dims: the tame certificate in degree mode, and weight mode on the
+    # quasi-homogeneous top part (on f too when f happens to be one)
+    assert twisted_derham_dims(X, DEGREE_TRUNCATED).dims_by_degree == {0: mu}
+    top = make_crit_locus(sum((Element.y(m, i, a) for i, a in
+                               enumerate(powers, start=1)), Element.zero(m)), m)
+    assert twisted_derham_dims(top, WEIGHT_GRADED).dims_by_degree == {0: mu}
+    if X.signature.weights is not None:
+        assert twisted_derham_dims(X, WEIGHT_GRADED).dims_by_degree == {0: mu}
 
 
 def _grevlex_key(a):
@@ -239,10 +263,6 @@ def _s_polynomial(g, h):
             key = tuple(x + y for x, y in zip(b, q))
             out[key] = out.get(key, 0) + sign * d / poly[lead]
     return {k: v for k, v in out.items() if v}
-
-
-def _y(m, a, c=1):
-    return Element(m, {(tuple(a), ()): c})
 
 
 # y*z^2 + 3y^2*z - 2x - 2x^2*y^2 (mu = 5) and
