@@ -1,9 +1,12 @@
 """Independent rank over Q(hbar), for the tests only: fraction-free
 (Bareiss) elimination in Q[hbar, 1/hbar] on ``HSeries`` entries.  The
 engine never ranks over Q(hbar); the tests use this to check that its one
-rank at hbar = 1 per slice is the rank over Q(hbar)."""
+rank at hbar = 1 per slice is the rank over Q(hbar), on the slices of
+delta + hbar*Delta that ``twisted_matrix`` builds."""
 
 from qshift.coefficients import HSeries
+from qshift.cohomology import bv_apply
+from qshift.gca import Element, apply_koszul_delta
 
 
 def _divexact(p, q):
@@ -56,3 +59,24 @@ def rank_exact_fraction_field(matrix):
         if rank == nrows:
             break
     return rank
+
+
+def twisted_matrix(X, basis):
+    """delta + hbar*Delta on the keys of one slice, as rows of HSeries over
+    the columns the images touch (plain 0 in empty cells)."""
+    images = []
+    for key in basis:
+        mono = Element(X.m, {key: 1})
+        images.append((apply_koszul_delta(X, mono)
+                       + bv_apply(X, mono).scale(HSeries.monomial(1))).terms)
+    cols = {}
+    for img in images:
+        for key in img:
+            cols.setdefault(key, len(cols))
+    rows = []
+    for img in images:
+        row = [0] * len(cols)
+        for key, c in img.items():
+            row[cols[key]] = c
+        rows.append(row)
+    return rows

@@ -171,21 +171,37 @@ def test_kernel_arithmetic_errors_exit_2(monkeypatch, tmp_path, capsys,
     jsonschema.validate(out, SCHEMA)
 
 
-def test_removed_flags_are_refused(tmp_path, capsys):
-    """No answer reads a seed or a vc-dims degree bound, so argparse
-    refuses those flags (exit 2).  ``max_degree`` is an option of eigen and
-    filtration; vc-dims ignores it."""
+def test_seed_precedence(tmp_path, capsys, monkeypatch):
+    """No answer reads a seed, so no seed source takes precedence: a
+    ``seed`` option is refused by the parser, ``--seed`` by argparse (exit
+    2), and QSHIFT_SEED in the environment leaves the report unchanged."""
+    with pytest.raises(ParseError):
+        parse_problem("vars x; f = x^2; seed = 5;")
     path = tmp_path / "p.qs"
-    path.write_text("vars x; f = x^2;\n")
-    for argv in (["vc-dims", "--seed", "7"], ["vc-dims", "--max-degree", "3"],
-                 ["milnor", "--seed", "7"]):
+    path.write_text("vars x y; f = x^3 + y^3;\n")
+    for cmd in ("vc-dims", "milnor"):
         with pytest.raises(SystemExit) as exc:
-            main(argv[:1] + [str(path)] + argv[1:])
+            main([cmd, str(path), "--seed", "7"])
         capsys.readouterr()
         assert exc.value.code == 2
-    report = run_command("vc-dims",
-                         parse_problem("vars x; f = x^2; max_degree = 0;"))
-    assert report.payload["dims"] == {"0": 1}
+        monkeypatch.delenv("QSHIFT_SEED", raising=False)
+        assert main([cmd, str(path)]) == 0
+        plain = json.loads(capsys.readouterr().out)["payload"]
+        monkeypatch.setenv("QSHIFT_SEED", "11")
+        assert main([cmd, str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["payload"] == plain
+
+
+def test_removed_flags_are_refused(tmp_path, capsys):
+    """vc-dims reads no degree bound, so argparse refuses ``--max-degree``
+    there (exit 2).  ``max_degree`` is an option of eigen and filtration;
+    vc-dims ignores it (see ``test_zero_settings_are_kept``)."""
+    path = tmp_path / "p.qs"
+    path.write_text("vars x; f = x^2;\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["vc-dims", str(path), "--max-degree", "3"])
+    capsys.readouterr()
+    assert exc.value.code == 2
 
 
 def test_format_polynomial_canonical():
@@ -204,8 +220,11 @@ def test_format_polynomial_canonical():
      lambda r: r.payload["window"]["order_cap"] == 0),
     ("", "eigen", {"p": 1, "k": 2, "max_degree": 0},
      lambda r: r.payload["block_dim"] == 4),
+    ("max_degree = 0;", "vc-dims", {},
+     lambda r: r.status == "ok" and r.payload["dims"] == {"0": 1}),
 ], ids=["filtration-p", "filtration-hbar_max", "check-compat-window-flag",
-        "check-compat-window-option", "eigen-max_degree"])
+        "check-compat-window-option", "eigen-max_degree",
+        "vc-dims-max_degree"])
 def test_zero_settings_are_kept(options, cmd, flags, check):
     problem = parse_problem(f"vars x; f = x^2; {options}")
     report = run_command(cmd, problem, flags)

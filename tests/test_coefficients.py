@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from qshift.coefficients import (HSeries, hbar_derivative_scaled,
                                  hseries_mul, rank_rational, solve_rational)
 
+from qshift.cohomology import element_keys_in_window
+from qshift.gca import Element, make_crit_locus
+
 from conftest import random_hseries
-from hbar_oracle import _divexact, rank_exact_fraction_field
+from hbar_oracle import _divexact, rank_exact_fraction_field, twisted_matrix
 
 
 def H(coeffs):
@@ -83,18 +86,33 @@ def test_rank_identity_and_zero():
     assert rank_exact_fraction_field([[zero, zero], [zero, zero]]) == 0
 
 
-def test_rank_at_hbar_one_of_rescaled_matrices_matches_oracle():
-    """The weight-rescaling argument on random matrices: entries
-    c * hbar^(u_col - v_row), plain 0 in empty cells, have the rank over
-    Q(hbar) of their values at hbar = 1."""
+def _rescaled(rng, ncols, nrows):
+    """Entries c * hbar^(u_col - v_row), plain 0 in empty cells, and their
+    values at hbar = 1."""
+    u = [rng.randint(0, 3) for _ in range(ncols)]
+    v = [rng.randint(0, 3) for _ in range(nrows)]
+    values = [[rng.choice((0, 0, 1, -1, 2)) for _ in u] for _ in v]
+    mat = [[HSeries.monomial(uc - vr, c) if c else 0
+            for uc, c in zip(u, row)] for vr, row in zip(v, values)]
+    return mat, values
+
+
+def _at(mat, point):
+    return [[e.evaluate(point) if e else Fraction(0) for e in row]
+            for row in mat]
+
+
+def test_rank_seed_independent_with_exact_fallback_agreement():
+    """No seed picks the specialisation: on the diagonally rescaled
+    matrices the engine ranks, every nonzero value of hbar gives the rank
+    over Q(hbar) of the Bareiss oracle, so ranking at hbar = 1 is exact."""
     rng = random.Random(42)
     for _ in range(50):
-        u = [rng.randint(0, 3) for _ in range(5)]
-        v = [rng.randint(0, 3) for _ in range(6)]
-        values = [[rng.choice((0, 0, 1, -1, 2)) for _ in u] for _ in v]
-        mat = [[HSeries.monomial(uc - vr, c) if c else 0
-                for uc, c in zip(u, row)] for vr, row in zip(v, values)]
-        assert rank_exact_fraction_field(mat) == rank_rational(values)
+        mat, values = _rescaled(rng, 5, 6)
+        rx = rank_exact_fraction_field(mat)
+        assert rank_rational(values) == rx
+        for point in (2, -1, Fraction(1, 3)):
+            assert rank_rational(_at(mat, point)) == rx
 
 
 def test_rank_exact_on_structured_matrix():
@@ -104,8 +122,23 @@ def test_rank_exact_on_structured_matrix():
     # rank drops only at hbar = 0, generic rank is 2
     mat = [[h, zero], [zero, h], [one, one]]
     assert rank_exact_fraction_field(mat) == 2
-    # a rank that drops at one value of hbar only
+    assert rank_rational(_at(mat, 1)) == 2
+
+
+def test_rank_disagreeing_specialisations_fall_back_to_exact():
+    """Specialisations of hbar disagree only off the rescaled class: hbar - 1
+    loses its rank at hbar = 1, and only the exact rank over Q(hbar)
+    decides.  A rescaled entry with the same value at hbar = 1 keeps it."""
+    entry = HSeries({0: -1, 1: 1})
+    assert rank_rational(_at([[entry]], 1)) == 0
+    assert rank_rational(_at([[entry]], 2)) == 1
+    assert rank_exact_fraction_field([[entry]]) == 1
     assert rank_exact_fraction_field([[HSeries({0: -3, 1: 1})]]) == 1
+    rescaled = [[HSeries.monomial(1), HSeries.monomial(0)],
+                [HSeries.monomial(2), HSeries.monomial(1)]]
+    assert rank_rational(_at(rescaled, 1)) == 1
+    assert rank_rational(_at(rescaled, 2)) == 1
+    assert rank_exact_fraction_field(rescaled) == 1
 
 
 def test_rank_rational_and_solve():
@@ -190,3 +223,29 @@ def test_sparse_kernel_matches_dense_reference(system):
             expected[col] = reduced[k][ncols]
         assert sol == expected
     assert ([list(r) for r in rows], list(rhs)) == before
+
+
+def test_fallback_on_rows_with_plain_zero_cells(monkeypatch):
+    """Rows as ``_slice_rank`` assembles them (plain 0 beside Fraction
+    cells) reach ``rank_rational`` whole, and it ranks them to the rank over
+    Q(hbar) of the oracle on the same slice of delta + hbar*Delta."""
+    from qshift import cohomology
+    seen = []
+
+    def rank_spy(rows):
+        seen.append(rows)
+        return rank_rational(rows)
+
+    monkeypatch.setattr(cohomology, "rank_rational", rank_spy)
+    X = make_crit_locus(Element.y(2, 1) ** 3 + Element.y(2, 2) ** 3, 2)
+    socle = sum(1 - 2 * w for w in X.signature.weights)
+    plain_zeros = 0
+    for basis in element_keys_in_window(X, socle).values():
+        seen.clear()
+        r = cohomology._slice_rank(X, basis)
+        assert r == rank_exact_fraction_field(twisted_matrix(X, basis))
+        for rows in seen:
+            cells = [e for row in rows for e in row]
+            assert all(type(e) in (int, Fraction) for e in cells)
+            plain_zeros += sum(type(e) is int and e == 0 for e in cells)
+    assert plain_zeros

@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 from qshift.coefficients import HSeries
 from qshift.cohomology import (DEGREE_TRUNCATED, WEIGHT_GRADED,
                                CohomologyReport, _groebner, _slice_rank,
-                               bv_apply, element_keys_in_window,
+                               element_keys_in_window,
                                iter_y_exponents, koszul_dims_at_hbar_zero,
                                milnor_number, twisted_derham_dims)
 from qshift.errors import (NonIsolated, NotCertified, NotPolynomial,
                            TruncationRequired, ZeroPolynomial)
-from qshift.gca import Element, apply_koszul_delta, make_crit_locus
+from qshift.gca import Element, make_crit_locus
 
 from conftest import CORPUS, CORPUS_IDS
-from hbar_oracle import rank_exact_fraction_field
+from hbar_oracle import rank_exact_fraction_field, twisted_matrix
 
 
 def test_milnor_examples():
@@ -117,27 +117,6 @@ def _y(m, a, c=1):
     return Element(m, {(tuple(a), ()): c})
 
 
-def _twisted_matrix(X, basis):
-    """delta + hbar*Delta on the keys of one slice, as rows of HSeries over
-    the columns the images touch (plain 0 in empty cells)."""
-    images = []
-    for key in basis:
-        mono = Element(X.m, {key: 1})
-        images.append((apply_koszul_delta(X, mono)
-                       + bv_apply(X, mono).scale(HSeries.monomial(1))).terms)
-    cols = {}
-    for img in images:
-        for key in img:
-            cols.setdefault(key, len(cols))
-    rows = []
-    for img in images:
-        row = [0] * len(cols)
-        for key, c in img.items():
-            row[cols[key]] = c
-        rows.append(row)
-    return rows
-
-
 _WEIGHT_MODE_PROBLEMS = [(builder(), m) for (_, builder, m, _) in CORPUS] + [
     (Element.y(2, 1) ** 5 + Element.y(2, 2) ** 7, 2),
     (Element.y(3, 1) ** 3 + Element.y(3, 2) ** 3 + Element.y(3, 3) ** 3, 3),
@@ -157,7 +136,7 @@ def test_rank_certificates_on_corpus_slices():
         by_degree = element_keys_in_window(X, socle)
         for d, basis in sorted(by_degree.items()):
             assert _slice_rank(X, basis) == rank_exact_fraction_field(
-                _twisted_matrix(X, basis)), (f, d)
+                twisted_matrix(X, basis)), (f, d)
         assert twisted_derham_dims(X).dims_by_degree == {0: milnor_number(f, m)}
 
 
