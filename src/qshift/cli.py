@@ -299,9 +299,7 @@ def format_polynomial(f: Element, names) -> str:
     if f.is_zero():
         return "0"
     parts = []
-    for key in sorted(f.terms, reverse=True):
-        a, _ = key
-        coeff = f.terms[key][0]
+    for ((a, _), _), coeff in sorted(f.terms.items(), reverse=True):
         mono = []
         for i, e in enumerate(a):
             if e == 1:
@@ -363,10 +361,8 @@ class Report:
 
 
 def _residual_terms(op):
-    out = []
-    for key in sorted(op.terms):
-        out.append([format_op_monomial(key, op.m), str(op.terms[key])])
-    return out
+    view = op.series()
+    return [[format_op_monomial(key, op.m), str(view[key])] for key in sorted(view)]
 
 
 def _setting(name, problem, flags, default):

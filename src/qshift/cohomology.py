@@ -16,7 +16,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .coefficients import _accumulate, rank_rational, solve_rational
+from .coefficients import _accumulate, _div, rank_rational, solve_rational
 from .errors import (NonIsolated, NotCertified, NotPolynomial,
                      TruncationRequired, ZeroPolynomial)
 from .gca import CritLocus, Element, apply_koszul_delta
@@ -148,7 +148,7 @@ def _slice_rank(X, basis):
     for img in images:
         row = [0] * len(cols)
         for k, c in img.items():
-            row[cols[k]] = c[0]
+            row[cols[k]] = c
         rows.append(row)
     return rank_rational(rows)
 
@@ -207,7 +207,7 @@ def _tame(X):
     certificate f is refused: NotCertified.
     """
     mu = milnor_number(X.f, X.m, X.names)
-    monomials = [a for a, _ in X.f.terms]
+    monomials = [a for (a, _), _ in X.f.terms]
     squares = [tuple(2 * (j == i) for j in range(X.m)) for i in range(X.m)]
     for chosen in itertools.combinations(monomials + squares, X.m):
         weights = solve_rational([list(a) for a in chosen], [1] * X.m)
@@ -216,13 +216,13 @@ def _tame(X):
         weight = {a: sum(w * e for w, e in zip(weights, a)) for a in monomials}
         if max(weight.values()) > 1:
             continue
-        top = Element(X.m, {key: c for key, c in X.f.terms.items()
-                            if weight[key[0]] == 1})
+        top = Element._from_store(X.m, {k: c for k, c in X.f.terms.items()
+                                        if weight[k[0][0]] == 1})
         try:
             mu_top = milnor_number(top, X.m, X.names)
         except NonIsolated:
             continue
-        if mu_top == mu == math.prod(1 / w - 1 for w in weights):
+        if mu_top == mu == math.prod(_div(1, w) - 1 for w in weights):
             return CohomologyReport({0: mu}, "Q(hbar)", {
                 "certificate": "tame:semi-quasi-homogeneous",
                 "weights": [str(w) for w in weights], "cutoff": None})
@@ -290,7 +290,7 @@ def _groebner(polys):
         lead = max(p, key=_grevlex)
         for i, (other, _) in enumerate(basis):
             pending[frozenset((i, len(basis)))] = tuple(map(max, other, lead))
-        basis.append((lead, {a: v / p[lead] for a, v in p.items()}))
+        basis.append((lead, {a: _div(v, p[lead]) for a, v in p.items()}))
 
     for p in polys:
         if r := _reduce(p, basis):
@@ -331,7 +331,7 @@ def milnor_number(f: Element, m: int, names=None) -> int:
     if not f.is_polynomial():
         raise NotPolynomial("f must be a polynomial in y only")
     leads = sorted((lead for lead, _ in _groebner(
-        [{a: c[0] for (a, _), c in f.partial_y(i).terms.items()}
+        [{a: c for ((a, _), _), c in f.partial_y(i).terms.items()}
          for i in range(1, m + 1)])), key=_grevlex)
     box = []
     for i in range(m):

@@ -4,7 +4,7 @@ sending a_0 (x) ... (x) a_r to a_0 Delta a_1 Delta ... Delta a_r, its
 derivation nu, and the compatibility checker for pairs (omega, Delta).
 
 A word a_0 (x) ... (x) a_r is stored as a tuple of element-monomial keys
-with a rational coefficient and a separate hbar exponent; the interleaved
+with a canonical coefficient and a separate hbar exponent; the interleaved
 reading a_0 . e . a_1 . e ... e . a_r with an odd degree-1 slot symbol e
 makes the differential a plain graded derivation (element factors map to
 delta(a) + e.a - (-1)^deg(a) a.e, slot symbols map to e.e) and makes mu the
@@ -13,10 +13,8 @@ substitution homomorphism e -> Delta.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .coefficients import HSeries, _accumulate, solve_rational
-from .diffops import Operator, key_degree, op_compose
+from .coefficients import _accumulate, _canon, _scaled, solve_rational
+from .diffops import Operator, _compose_into, key_degree, op_compose
 from .errors import NotMaurerCartan
 from .gca import CritLocus, Element, apply_koszul_delta, merge_ascending, unit_key
 from .quantise import (Quantisation, centre_differential, mc_residual,
@@ -38,18 +36,24 @@ def _mono_mul(k1, k2):
 
 
 class DRWord:
-    """Formal rational combination of (hbar_exp, tensor word) terms."""
+    """Formal rational combination of (hbar_exp, tensor word) terms: a
+    store {(hbar_exp, word): canonical coefficient}."""
 
     __slots__ = ("m", "terms", "hodge_weight")
 
     def __init__(self, m, terms=None, hodge_weight=0):
         self.m = int(m)
-        clean = {}
-        if terms:
-            for key, c in terms.items():
-                _accumulate(clean, key, Fraction(c))
-        self.terms = clean
+        self.terms = {k: _canon(c) for k, c in terms.items() if c} if terms else {}
         self.hodge_weight = int(hodge_weight)
+
+    @classmethod
+    def _from_store(cls, m, store, hodge_weight):
+        """Wrap a store that is already canonical and zero-free."""
+        w = cls.__new__(cls)
+        w.m = m
+        w.terms = store
+        w.hodge_weight = hodge_weight
+        return w
 
     @staticmethod
     def zero(m, hodge_weight=0):
@@ -73,24 +77,23 @@ class DRWord:
         weight = min(self.hodge_weight, other.hodge_weight) \
             if self.terms and other.terms else \
             (self.hodge_weight if self.terms else other.hodge_weight)
-        return DRWord(self.m, out, weight)
+        return DRWord._from_store(self.m, out, weight)
 
     def __neg__(self):
-        return DRWord(self.m, {k: -c for k, c in self.terms.items()},
-                      self.hodge_weight)
+        return DRWord._from_store(self.m, {k: -c for k, c in self.terms.items()},
+                                  self.hodge_weight)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        c = Fraction(c)
-        return DRWord(self.m, {k: v * c for k, v in self.terms.items()},
-                      self.hodge_weight)
+        return DRWord._from_store(self.m, _scaled(self.terms, _canon(c)),
+                                  self.hodge_weight)
 
     def shift_hbar(self, n):
-        return DRWord(self.m, {(e + n, ws): c
-                               for (e, ws), c in self.terms.items()},
-                      self.hodge_weight)
+        return DRWord._from_store(self.m, {(e + n, ws): c
+                                           for (e, ws), c in self.terms.items()},
+                                  self.hodge_weight)
 
     def max_length(self):
         return max((len(ws) for (_, ws) in self.terms), default=0)
@@ -101,8 +104,8 @@ class DRWord:
 
 def dr_of(a: Element) -> DRWord:
     """Length-1 word (a)."""
-    return DRWord(a.m, {(e, (key,)): q for key, c in a.terms.items()
-                        for e, q in c.coeffs.items()}, 0)
+    return DRWord._from_store(a.m, {(e, (key,)): q
+                                    for (key, e), q in a.terms.items()}, 0)
 
 
 def dr_d(a: Element) -> DRWord:
@@ -110,12 +113,11 @@ def dr_d(a: Element) -> DRWord:
     m = a.m
     unit = unit_key(m)
     out = {}
-    for key, c in a.terms.items():
+    for (key, e), q in a.terms.items():
         sign = -1 if _mono_degree(key) % 2 else 1
-        for e, q in c.coeffs.items():
-            _accumulate(out, (e, (unit, key)), q)
-            _accumulate(out, (e, (key, unit)), -sign * q)
-    return DRWord(m, out, 1)
+        _accumulate(out, (e, (unit, key)), q)
+        _accumulate(out, (e, (key, unit)), -sign * q)
+    return DRWord._from_store(m, out, 1)
 
 
 def cup(w1: DRWord, w2: DRWord) -> DRWord:
@@ -130,7 +132,7 @@ def cup(w1: DRWord, w2: DRWord) -> DRWord:
                 continue
             _accumulate(out, (e1 + e2, ws1[:-1] + (mid,) + ws2[1:]),
                         sign * c1 * c2)
-    return DRWord(w1.m, out, w1.hodge_weight + w2.hodge_weight)
+    return DRWord._from_store(w1.m, out, w1.hodge_weight + w2.hodge_weight)
 
 
 def apply_codegeneracy(w: DRWord, j: int) -> DRWord:
@@ -148,7 +150,7 @@ def apply_codegeneracy(w: DRWord, j: int) -> DRWord:
         if mid is None:
             continue
         _accumulate(out, (e, ws[:j] + (mid,) + ws[j + 2:]), psign * sign * c)
-    return DRWord(w.m, out, w.hodge_weight)
+    return DRWord._from_store(w.m, out, w.hodge_weight)
 
 
 def dr_total_d(X: CritLocus, w: DRWord) -> DRWord:
@@ -164,11 +166,10 @@ def dr_total_d(X: CritLocus, w: DRWord) -> DRWord:
         for i, mono in enumerate(ws):
             psign = -1 if prefix % 2 else 1
             # delta part on this factor
-            image = apply_koszul_delta(
-                X, Element(m, {mono: HSeries.const(1)}))
-            for ikey, ic in image.terms.items():
+            image = apply_koszul_delta(X, Element._from_store(m, {(mono, 0): 1}))
+            for (ikey, _), ic in image.terms.items():
                 _accumulate(out, (e, ws[:i] + (ikey,) + ws[i + 1:]),
-                            psign * c * ic[0])
+                            psign * c * ic)
             # e.a insertion (unit at slot i) and -(-1)^deg a.e (unit at i+1)
             _accumulate(out, (e, ws[:i] + (unit,) + ws[i:]), psign * c)
             asign = -1 if _mono_degree(mono) % 2 else 1
@@ -181,7 +182,7 @@ def dr_total_d(X: CritLocus, w: DRWord) -> DRWord:
                 _accumulate(out, (e, ws[:i + 1] + (unit,) + ws[i + 1:]),
                             esign * c)
                 prefix += 1
-    return DRWord(m, out, w.hodge_weight)
+    return DRWord._from_store(m, out, w.hodge_weight)
 
 
 def canonical_symplectic(X: CritLocus) -> DRWord:
@@ -190,27 +191,29 @@ def canonical_symplectic(X: CritLocus) -> DRWord:
     out = DRWord.zero(m, 2)
     for i in range(1, m + 1):
         out = out + cup(dr_d(Element.y(m, i)), dr_d(Element.eta(m, i)))
-    return DRWord(m, out.terms, 2)
+    return DRWord._from_store(m, out.terms, 2)
 
 
-def _mult_operator(m, mono):
-    return Operator(m, {(mono[0], mono[1], (0,) * m, ()): HSeries.const(1)})
+def _mult_operator(m, mono, e=0, c=1):
+    """c hbar^e times the multiplication operator of one monomial."""
+    return Operator._from_store(m, {((mono[0], mono[1], (0,) * m, ()), e): c})
 
 
 def mu(w: DRWord, delta: Quantisation, X: CritLocus) -> Operator:
     """a_0 (x) ... (x) a_r evaluates to a_0 Delta a_1 Delta ... Delta a_r."""
     m = w.m
     D = delta.as_operator_series()
-    out = Operator.zero(m)
+    out = {}
     for (e, ws), c in w.terms.items():
-        op = _mult_operator(m, ws[0])
+        op = _mult_operator(m, ws[0], e, c)
         for mono in ws[1:]:
             op = op_compose(op, D)
             if op.is_zero():
                 break
             op = op_compose(op, _mult_operator(m, mono))
-        out = out + op.scale(HSeries.monomial(e, c))
-    return out
+        for k, v in op.terms.items():
+            _accumulate(out, k, v)
+    return Operator._from_store(m, out)
 
 
 def _nu_slots(w: DRWord, delta: Quantisation):
@@ -222,7 +225,7 @@ def _nu_slots(w: DRWord, delta: Quantisation):
     slots = []
     for (e, ws), c in w.terms.items():
         r = len(ws) - 1
-        lefts = [_mult_operator(m, ws[0]).scale(HSeries.monomial(e, c))]
+        lefts = [_mult_operator(m, ws[0], e, c)]
         rights = [_mult_operator(m, ws[r])]
         for i in range(1, r):
             lefts.append(op_compose(op_compose(lefts[-1], D),
@@ -237,17 +240,17 @@ def _nu_slots(w: DRWord, delta: Quantisation):
 
 
 def _nu_apply(slots, rho: Operator) -> Operator:
-    """Sum over slots and degree parts rho_d of the signed L o rho_d o R."""
+    """Sum over slots and degree parts rho_d of the signed L o rho_d o R,
+    each o R accumulated straight into the result."""
     out = {}
     for rd in sorted(rho.degrees()):
         rpart = rho.degree_part(rd)
         for prefix, left, right in slots:
             if left and right:
                 odd = ((rd - 1) * prefix) % 2
-                op = op_compose(op_compose(left, rpart), right)
-                for key, c in op.terms.items():
-                    _accumulate(out, key, -c if odd else c)
-    return Operator(rho.m, out)
+                _compose_into(out, op_compose(left, rpart), right,
+                              -1 if odd else 1)
+    return Operator._from_store(rho.m, out)
 
 
 def nu(w: DRWord, delta: Quantisation, rho: Operator, X: CritLocus) -> Operator:
@@ -325,18 +328,12 @@ def check_compatibility(omega: DRWord, delta: Quantisation, X: CritLocus,
     columns = []
     for key, e in unknowns:
         image = centre_differential(
-            X, delta, Operator(X.m, {key: HSeries.monomial(e)}),
+            X, delta, Operator._from_store(X.m, {(key, e): 1}),
             allow_non_mc=True)
-        col = {}
-        for ikey, c in image.terms.items():
-            for ie, q in c.coeffs.items():
-                col[row_index.setdefault((ikey, ie), len(row_index))] = q
-        columns.append(col)
-    rhs_entries = {}
-    for ikey, c in r.terms.items():
-        for ie, q in c.coeffs.items():
-            ridx = row_index.setdefault((ikey, ie), len(row_index))
-            rhs_entries[ridx] = q
+        columns.append({row_index.setdefault(ikey, len(row_index)): q
+                        for ikey, q in image.terms.items()})
+    rhs_entries = {row_index.setdefault(ikey, len(row_index)): q
+                   for ikey, q in r.terms.items()}
     nrows = len(row_index)
     if nrows == 0:
         return CompatVerdict(CompatVerdict.FAILS, residual=r, window=window)
@@ -344,13 +341,10 @@ def check_compatibility(omega: DRWord, delta: Quantisation, X: CritLocus,
     for cidx, col in enumerate(columns):
         for ridx, q in col.items():
             rows[ridx][cidx] = q
-    rhs = [rhs_entries.get(ridx, Fraction(0)) for ridx in range(nrows)]
+    rhs = [rhs_entries.get(ridx, 0) for ridx in range(nrows)]
     sol = solve_rational(rows, rhs)
     if sol is None:
         return CompatVerdict(CompatVerdict.FAILS, residual=r, window=window)
-    terms = {}
-    for (key, e), v in zip(unknowns, sol):
-        if v:
-            _accumulate(terms, key, HSeries.monomial(e, v))
+    witness = {u: v for u, v in zip(unknowns, sol) if v}
     return CompatVerdict(CompatVerdict.COBOUNDARY,
-                         witness=Operator(X.m, terms), window=window)
+                         witness=Operator._from_store(X.m, witness), window=window)

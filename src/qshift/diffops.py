@@ -18,14 +18,14 @@ Leibniz rule.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, perm
 from operator import add
 
-from .coefficients import HSeries, _accumulate, hseries_mul
+from .coefficients import (_accumulate, _add_terms, _flatten, _hbar_items,
+                           _scaled, _Store)
 from .errors import ArityMismatch, OrderTooLow, ZeroOperator
-from .gca import Element, _as_hseries, insert_index, merge_ascending
+from .gca import Element, insert_index, merge_ascending
 
 _MY, _META, _DY, _DETA = 0, 1, 2, 3
 
@@ -44,18 +44,14 @@ def key_degree(key):
     return -len(key[1]) + len(key[3])
 
 
-class Operator:
-    """Sparse normal-ordered differential operator with HSeries coefficients."""
+class Operator(_Store):
+    """Sparse normal-ordered differential operator: a store
+    {(key, hbar exponent): canonical coefficient}."""
 
-    __slots__ = ("m", "terms")
+    __slots__ = ()
 
-    def __init__(self, m, terms=None):
-        self.m = int(m)
-        clean = {}
-        if terms:
-            for key, c in terms.items():
-                _accumulate(clean, key, _as_hseries(c))
-        self.terms = clean
+    def _unit(self):
+        return op_unit_key(self.m)
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -64,100 +60,42 @@ class Operator:
 
     @staticmethod
     def identity(m):
-        return Operator(m, {op_unit_key(m): HSeries.const(1)})
+        return Operator(m, {op_unit_key(m): 1})
 
     @staticmethod
     def mult(a: Element):
         """Multiplication operator of an element."""
-        return Operator(a.m, {(ya, ea, (0,) * a.m, ()): c
-                              for (ya, ea), c in a.terms.items()})
+        zero = (0,) * a.m
+        return Operator._from_store(a.m, {((ya, ea, zero, ()), e): c
+                                          for ((ya, ea), e), c in a.terms.items()})
 
     @staticmethod
     def d_y(m, i):
         e = [0] * m
         e[i - 1] = 1
-        return Operator(m, {((0,) * m, (), tuple(e), ()): HSeries.const(1)})
+        return Operator(m, {((0,) * m, (), tuple(e), ()): 1})
 
     @staticmethod
     def d_eta(m, i):
-        return Operator(m, {((0,) * m, (), (0,) * m, (i,)): HSeries.const(1)})
+        return Operator(m, {((0,) * m, (), (0,) * m, (i,)): 1})
 
     # -- queries ------------------------------------------------------------
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Operator.identity(self.m).scale(other) if other else Operator.zero(self.m)
-        if not isinstance(other, Operator):
-            return NotImplemented
-        return self.m == other.m and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.m, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
-
     def degrees(self):
-        return {key_degree(k) for k in self.terms}
+        return {key_degree(k) for k, _ in self.terms}
 
     def degree_part(self, d):
-        return Operator(self.m, {k: c for k, c in self.terms.items()
-                                 if key_degree(k) == d})
+        return self._select(lambda key: key_degree(key) == d)
 
     def order_part(self, k):
-        return Operator(self.m, {key: c for key, c in self.terms.items()
-                                 if key_order(key) == k})
+        return self._select(lambda key: key_order(key) == k)
 
     def hbar_component(self, e):
         """hbar-free Operator collecting the hbar^e coefficient."""
-        out = {}
-        for key, c in self.terms.items():
-            v = c[e]
-            if v:
-                out[key] = HSeries.const(v)
-        return Operator(self.m, out)
+        return Operator._from_store(self.m, {(key, 0): c for (key, f), c
+                                             in self.terms.items() if f == e})
 
     def hbar_exponents(self):
-        exps = set()
-        for c in self.terms.values():
-            exps.update(c.coeffs)
-        return exps
-
-    # -- arithmetic ----------------------------------------------------------
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Operator(self.m, {op_unit_key(self.m): HSeries.const(other)})
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _accumulate(out, k, c)
-        return Operator(self.m, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Operator(self.m, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Operator(self.m, {op_unit_key(self.m): HSeries.const(other)})
-        return self + (-other)
-
-    def scale(self, c):
-        c = _as_hseries(c)
-        return Operator(self.m, {k: hseries_mul(v, c)
-                                 for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, HSeries)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, HSeries)):
-            return self.scale(other)
-        return NotImplemented
+        return {e for _, e in self.terms}
 
     def __repr__(self):
         return f"Operator({self})"
@@ -166,10 +104,10 @@ class Operator:
         if not self.terms:
             return "0"
         parts = []
-        for key in sorted(self.terms):
-            c = self.terms[key]
+        view = self.series()
+        for key in sorted(view):
             mono = format_op_monomial(key, self.m)
-            cs = str(c)
+            cs = str(view[key])
             if cs == "1":
                 parts.append(mono)
             elif mono == "1":
@@ -318,9 +256,8 @@ def _mono_product(k1, k2):
 
 
 def _add_product(acc, k1, h1, k2, h2, sign=1):
-    """Accumulate sign * (h1 k1) o (h2 k2) into ``acc``, a
-    {(key, hbar exponent): Fraction} store; h1 and h2 are the
-    (exponent, Fraction) items of the two coefficients."""
+    """Accumulate sign * (h1 k1) o (h2 k2) into the store ``acc``; h1 and h2
+    are the (hbar exponent, coefficient) items of the two monomials."""
     prod = _mono_product(k1, k2)
     if not prod:
         return
@@ -332,72 +269,60 @@ def _add_product(acc, k1, h1, k2, h2, sign=1):
                 _accumulate(acc, (key, e), v if n == 1 else v * n)
 
 
-def _graded_operator(m, acc):
-    """Operator from a {(key, hbar exponent): nonzero Fraction} store: one
-    HSeries per key, no second clean-up pass."""
-    grouped = {}
-    for (key, e), v in acc.items():
-        grouped.setdefault(key, {})[e] = v
-    op = Operator.__new__(Operator)
-    op.m = m
-    op.terms = {key: HSeries(coeffs) for key, coeffs in grouped.items()}
-    return op
-
-
-def _hbar_items(D):
-    """The terms of D as (key, [(hbar exponent, Fraction), ...])."""
-    return [(k, list(c.coeffs.items())) for k, c in D.terms.items()]
+def _compose_into(acc, D1, D2, sign=1):
+    """Accumulate sign * D1 o D2 into the store ``acc``, in one pass over
+    monomial pairs."""
+    right = _hbar_items(D2.terms)
+    for k1, h1 in _hbar_items(D1.terms):
+        for k2, h2 in right:
+            _add_product(acc, k1, h1, k2, h2, sign)
 
 
 def op_compose(D1: Operator, D2: Operator) -> Operator:
     """Normal-ordered product D1 o D2, in one pass over monomial pairs."""
     if D1.m != D2.m:
         raise ValueError("signature mismatch")
-    m = D1.m
-    right = _hbar_items(D2)
     acc = {}
-    for k1, h1 in _hbar_items(D1):
-        for k2, h2 in right:
-            _add_product(acc, k1, h1, k2, h2)
-    return _graded_operator(m, acc)
+    _compose_into(acc, D1, D2)
+    return Operator._from_store(D1.m, acc)
 
 
 def op_apply(D: Operator, a: Element) -> Element:
-    """Evaluate the operator on an element."""
+    """Evaluate the operator on an element, one generator at a time: the
+    reference that the closed-form product is checked against."""
     if D.m != a.m:
         raise ValueError("signature mismatch")
     m = D.m
     out = {}
-    for key, c in D.terms.items():
-        state = dict(a.terms)
-        for gen in reversed(_gen_sequence(key, m)):
-            kind, i = gen
+    for key, h in _hbar_items(D.terms):
+        state = a.terms
+        for kind, i in reversed(_gen_sequence(key, m)):
             nxt = {}
-            for (ya, ea), ce in state.items():
+            for ((ya, ea), e), ce in state.items():
                 if kind == _MY:
                     na = list(ya)
                     na[i - 1] += 1
-                    _accumulate(nxt, (tuple(na), ea), ce)
+                    _accumulate(nxt, ((tuple(na), ea), e), ce)
                 elif kind == _META:
                     ne, sign = insert_index(i, ea)
                     if ne is not None:
-                        _accumulate(nxt, (ya, ne), ce.scale(sign))
+                        _accumulate(nxt, ((ya, ne), e), sign * ce)
                 elif kind == _DY:
                     if ya[i - 1]:
                         na = list(ya)
                         na[i - 1] -= 1
-                        _accumulate(nxt, (tuple(na), ea), ce.scale(ya[i - 1]))
-                else:  # _DETA
-                    if i in ea:
-                        pos = ea.index(i)
-                        ne = ea[:pos] + ea[pos + 1:]
-                        _accumulate(nxt, (ya, ne), ce.scale(-1 if pos % 2 else 1))
+                        _accumulate(nxt, ((tuple(na), ea), e), ya[i - 1] * ce)
+                elif i in ea:  # _DETA
+                    pos = ea.index(i)
+                    ne = ea[:pos] + ea[pos + 1:]
+                    _accumulate(nxt, ((ya, ne), e), -ce if pos % 2 else ce)
             state = nxt
             if not state:
                 break
-        for k, ce in state.items():
-            _accumulate(out, k, hseries_mul(c, ce))
-    return Element(m, out)
+        for (k, e2), ce in state.items():
+            for e1, c in h:
+                _accumulate(out, (k, e1 + e2), c * ce)
+    return Element._from_store(m, out)
 
 
 def op_commutator(D1: Operator, D2: Operator) -> Operator:
@@ -405,23 +330,22 @@ def op_commutator(D1: Operator, D2: Operator) -> Operator:
     pair adds k1 o k2 - (-1)^(|k1||k2|) k2 o k1 to one accumulator."""
     if D1.m != D2.m:
         raise ValueError("signature mismatch")
-    m = D1.m
-    right = _hbar_items(D2)
+    right = _hbar_items(D2.terms)
     acc = {}
-    for k1, h1 in _hbar_items(D1):
+    for k1, h1 in _hbar_items(D1.terms):
         odd1 = key_degree(k1) % 2
         for k2, h2 in right:
             _add_product(acc, k1, h1, k2, h2)
             swap = -1 if odd1 and key_degree(k2) % 2 else 1
             _add_product(acc, k2, h2, k1, h1, -swap)
-    return _graded_operator(m, acc)
+    return Operator._from_store(D1.m, acc)
 
 
 def op_order(D: Operator) -> int:
     """Maximal total derivative degree; equals the inductive filtration level."""
     if D.is_zero():
         raise ZeroOperator("order of the zero operator is undefined")
-    return max(key_order(k) for k in D.terms)
+    return max(key_order(k) for k, _ in D.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -429,24 +353,28 @@ def op_order(D: Operator) -> int:
 # ---------------------------------------------------------------------------
 
 class Polyvector:
-    """Homogeneous arity-p symbol: derivative symbols commute freely."""
+    """Homogeneous arity-p symbol: derivative symbols commute freely.  The
+    store and the constructor input are those of :class:`Operator`."""
 
     __slots__ = ("m", "arity", "terms")
 
     def __init__(self, m, arity, terms=None):
         self.m = int(m)
         self.arity = int(arity)
-        clean = {}
-        if terms:
-            for key, c in terms.items():
-                c = _as_hseries(c)
-                if c.is_zero():
-                    continue
-                if key_order(key) != self.arity:
-                    raise ArityMismatch(
-                        f"monomial of arity {key_order(key)} in arity-{self.arity} polyvector")
-                _accumulate(clean, key, c)
-        self.terms = clean
+        self.terms = _flatten(terms) if terms else {}
+        for key, _ in self.terms:
+            if key_order(key) != self.arity:
+                raise ArityMismatch(
+                    f"monomial of arity {key_order(key)} in arity-{self.arity} polyvector")
+
+    @classmethod
+    def _from_store(cls, m, arity, store):
+        """Wrap a canonical, zero-free store whose keys all have the arity."""
+        P = cls.__new__(cls)
+        P.m = m
+        P.arity = arity
+        P.terms = store
+        return P
 
     @staticmethod
     def zero(m, arity=0):
@@ -470,34 +398,31 @@ class Polyvector:
         out = dict(self.terms)
         for k, c in other.terms.items():
             _accumulate(out, k, c)
-        return Polyvector(self.m, max(self.arity, other.arity), out)
+        return Polyvector._from_store(self.m, max(self.arity, other.arity), out)
 
     def __neg__(self):
-        return Polyvector(self.m, self.arity,
-                          {k: -c for k, c in self.terms.items()})
+        return Polyvector._from_store(self.m, self.arity,
+                                      {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        c = _as_hseries(c)
-        return Polyvector(self.m, self.arity,
-                          {k: hseries_mul(v, c) for k, v in self.terms.items()})
+        return Polyvector._from_store(self.m, self.arity, _scaled(self.terms, c))
 
     def lift(self) -> Operator:
         """Read the symbol as a normal-ordered operator (same keys)."""
-        return Operator(self.m, dict(self.terms))
+        return Operator._from_store(self.m, dict(self.terms))
 
     def __repr__(self):
-        return f"Polyvector(arity={self.arity}, {Operator(self.m, self.terms)})"
+        return f"Polyvector(arity={self.arity}, {self.lift()})"
 
 
 def symbol(D: Operator, k: int) -> Polyvector:
     """Degree-k part of the operator read as a polyvector."""
     if not D.is_zero() and op_order(D) > k:
         raise OrderTooLow(f"operator has order {op_order(D)} > {k}")
-    return Polyvector(D.m, k, {key: c for key, c in D.terms.items()
-                               if key_order(key) == k})
+    return Polyvector._from_store(D.m, k, D.order_part(k).terms)
 
 
 def pv_mul(P: Polyvector, Q: Polyvector) -> Polyvector:
@@ -505,14 +430,13 @@ def pv_mul(P: Polyvector, Q: Polyvector) -> Polyvector:
     if P.m != Q.m:
         raise ValueError("signature mismatch")
     out = {}
-    for k1, c1 in P.terms.items():
-        for k2, c2 in Q.terms.items():
+    right = _hbar_items(Q.terms)
+    for k1, h1 in _hbar_items(P.terms):
+        for k2, h2 in right:
             key, sign = _merge_symbol_keys(k1, k2)
-            if key is None:
-                continue
-            c = hseries_mul(c1, c2)
-            _accumulate(out, key, c.scale(sign))
-    return Polyvector(P.m, P.arity + Q.arity, out)
+            if key is not None:
+                _add_terms(out, key, h1, h2, sign)
+    return Polyvector._from_store(P.m, P.arity + Q.arity, out)
 
 
 def _merge_symbol_keys(k1, k2):
@@ -626,16 +550,15 @@ def schouten(P1: Polyvector, P2: Polyvector) -> Polyvector:
         raise ValueError("signature mismatch")
     m = P1.m
     out = {}
-    for k1, c1 in P1.terms.items():
+    right = [(k2, _gen_sequence(k2, m), h2) for k2, h2 in _hbar_items(P2.terms)]
+    for k1, h1 in _hbar_items(P1.terms):
         g1 = _gen_sequence(k1, m)
-        for k2, c2 in P2.terms.items():
-            g2 = _gen_sequence(k2, m)
+        for k2, g2, h2 in right:
             if not g1 or not g2:
                 continue
-            c = hseries_mul(c1, c2)
             for word, s in _bracket_words(g1, g2):
                 key, ks = _key_from_gens(word, m)
                 if key is not None:
-                    _accumulate(out, key, c.scale(s * ks))
+                    _add_terms(out, key, h1, h2, s * ks)
     arity = max(P1.arity + P2.arity - 1, 0)
-    return Polyvector(m, arity, out)
+    return Polyvector._from_store(m, arity, out)

@@ -12,8 +12,10 @@ order; every other module inherits that convention.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
-from .coefficients import HSeries, _accumulate, hseries_mul, solve_rational
+from .coefficients import (HSeries, _accumulate, _add_terms, _hbar_items,
+                           _Store, solve_rational)
 from .errors import NotPolynomial, ZeroPolynomial
 
 
@@ -72,24 +74,14 @@ class AlgebraSignature:
         return f"AlgebraSignature(m={self.m}, weights={self.weights})"
 
 
-def _as_hseries(c):
-    if isinstance(c, HSeries):
-        return c
-    return HSeries.const(c)
+class Element(_Store):
+    """Sparse sum of monomials y^a * eta_S * hbar^e: a store
+    {((a, S), e): canonical coefficient}."""
 
+    __slots__ = ()
 
-class Element:
-    """Sparse sum of monomials y^a * eta_S with HSeries coefficients."""
-
-    __slots__ = ("m", "terms")
-
-    def __init__(self, m, terms=None):
-        self.m = int(m)
-        clean = {}
-        if terms:
-            for key, c in terms.items():
-                _accumulate(clean, key, _as_hseries(c))
-        self.terms = clean
+    def _unit(self):
+        return unit_key(self.m)
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -98,86 +90,38 @@ class Element:
 
     @staticmethod
     def one(m):
-        return Element(m, {unit_key(m): HSeries.const(1)})
+        return Element(m, {unit_key(m): 1})
 
     @staticmethod
     def const(m, c):
-        return Element(m, {unit_key(m): _as_hseries(c)})
+        return Element(m, {unit_key(m): c})
 
     @staticmethod
     def y(m, i, power=1):
         e = [0] * m
         e[i - 1] = power
-        return Element(m, {(tuple(e), ()): HSeries.const(1)})
+        return Element(m, {(tuple(e), ()): 1})
 
     @staticmethod
     def eta(m, i):
-        return Element(m, {((0,) * m, (i,)): HSeries.const(1)})
+        return Element(m, {((0,) * m, (i,)): 1})
 
     # -- queries ------------------------------------------------------------
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Element.const(self.m, other)
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.m == other.m and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.m, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
-
     def is_polynomial(self):
         """No eta factors and hbar-free coefficients."""
-        for (_, eta), c in self.terms.items():
-            if eta:
-                return False
-            if any(k != 0 for k in c.coeffs):
-                return False
-        return True
+        return not any(eta or e for (_, eta), e in self.terms)
 
     def degrees(self):
-        return {-len(eta) for (_, eta) in self.terms}
+        return {-len(eta) for (_, eta), _ in self.terms}
 
     def degree_part(self, d):
-        return Element(self.m, {k: c for k, c in self.terms.items()
-                                if -len(k[1]) == d})
+        return self._select(lambda key: -len(key[1]) == d)
 
     # -- arithmetic ----------------------------------------------------------
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Element.const(self.m, other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _accumulate(out, k, c)
-        return Element(self.m, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Element(self.m, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Element.const(self.m, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, HSeries)):
             return self.scale(other)
         return gmul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, HSeries)):
-            return self.scale(other)
-        return NotImplemented
 
     def __pow__(self, n):
         out = Element.one(self.m)
@@ -185,37 +129,30 @@ class Element:
             out = gmul(out, self)
         return out
 
-    def scale(self, c):
-        c = _as_hseries(c)
-        return Element(self.m, {k: hseries_mul(v, c)
-                                for k, v in self.terms.items()})
-
     def partial_y(self, i):
         """Formal partial derivative with respect to y_i (even, no signs)."""
         out = {}
-        for (a, eta), c in self.terms.items():
-            if a[i - 1] == 0:
-                continue
-            na = list(a)
-            na[i - 1] -= 1
-            out[(tuple(na), eta)] = c.scale(a[i - 1])
-        return Element(self.m, out)
+        for ((a, eta), e), c in self.terms.items():
+            if a[i - 1]:
+                na = list(a)
+                na[i - 1] -= 1
+                _accumulate(out, ((tuple(na), eta), e), c * a[i - 1])
+        return Element._from_store(self.m, out)
 
     def contract_eta(self, i):
         """Odd left derivation d/d(eta_i): kills monomials without eta_i."""
         out = {}
-        for (a, eta), c in self.terms.items():
+        for ((a, eta), e), c in self.terms.items():
             key, sign = _contract_eta_key(eta, i)
-            if key is None:
-                continue
-            out[(a, key)] = c.scale(sign)
-        return Element(self.m, out)
+            if key is not None:
+                out[((a, key), e)] = c if sign > 0 else -c
+        return Element._from_store(self.m, out)
 
     def __repr__(self):
         return f"Element({self})"
 
     def __str__(self):
-        return format_terms(self.terms, self.m)
+        return format_terms(self.series(), self.m)
 
 
 def unit_key(m):
@@ -230,19 +167,19 @@ def _contract_eta_key(eta, i):
 
 
 def gmul(a: Element, b: Element) -> Element:
-    """Graded-commutative product with Koszul signs."""
+    """Graded-commutative product with Koszul signs, accumulated straight
+    into the result; each pair of monomials is merged once."""
     if a.m != b.m:
         raise ValueError("signature mismatch")
     out = {}
-    for (ya, ea), ca in a.terms.items():
-        for (yb, eb), cb in b.terms.items():
+    right = _hbar_items(b.terms)
+    for (ya, ea), ha in _hbar_items(a.terms):
+        for (yb, eb), hb in right:
             eta, sign = merge_ascending(ea, eb)
             if eta is None:
                 continue
-            y = tuple(x + z for x, z in zip(ya, yb))
-            c = hseries_mul(ca, cb)
-            _accumulate(out, (y, eta), -c if sign < 0 else c)
-    return Element(a.m, out)
+            _add_terms(out, (tuple(map(add, ya, yb)), eta), ha, hb, sign)
+    return Element._from_store(a.m, out)
 
 
 def format_monomial(key, m, names=None):
@@ -303,16 +240,16 @@ def detect_weights(f: Element, m: int):
     weight 1, or None when no such solution exists.  Variables absent from
     every monomial get weight 1.
     """
-    rows = [list(a) for (a, _) in f.terms]
-    rhs = [Fraction(1)] * len(rows)
+    rows = [list(a) for (a, _), _ in f.terms]
+    rhs = [1] * len(rows)
     sol = solve_rational(rows, rhs)
     if sol is None:
         return None
     used = [any(r[i] != 0 for r in rows) for i in range(m)]
-    weights = [sol[i] if used[i] else Fraction(1) for i in range(m)]
+    weights = [sol[i] if used[i] else 1 for i in range(m)]
     if any(w <= 0 for w in weights):
         return None
-    for a in (key[0] for key in f.terms):
+    for (a, _), _ in f.terms:
         if sum(w * e for w, e in zip(weights, a)) != 1:
             return None
     return tuple(weights)

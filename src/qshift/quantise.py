@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .coefficients import HSeries, _accumulate, rank_rational
+from .coefficients import _accumulate, rank_rational
 from .cohomology import (DEGREE_TRUNCATED, WEIGHT_GRADED, TruncationSpec,
                          _walk_exponents, _weight_steps, eta_subsets,
                          iter_y_exponents)
@@ -26,11 +26,19 @@ from .gca import CritLocus, Element, gmul
 def koszul_operator(X: CritLocus) -> Operator:
     """Contraction with df as a normal-ordered operator."""
     m = X.m
-    terms = {}
-    for i in range(1, m + 1):
-        for (a, eta), c in X.partials[i - 1].terms.items():
-            terms[(a, eta, (0,) * m, (i,))] = c
-    return Operator(m, terms)
+    return Operator._from_store(m, {
+        ((a, eta, (0,) * m, (i,)), e): c
+        for i in range(1, m + 1)
+        for ((a, eta), e), c in X.partials[i - 1].terms.items()})
+
+
+def _hbar_series(m, parts, offset):
+    """Sum_j parts[j] hbar^(j + offset) as a single operator."""
+    out = {}
+    for j, op in parts.items():
+        for (key, e), c in op.terms.items():
+            _accumulate(out, (key, e + j + offset), c)
+    return Operator._from_store(m, out)
 
 
 class Quantisation:
@@ -71,10 +79,7 @@ class Quantisation:
 
     def as_operator_series(self) -> Operator:
         """Sum_j Delta_j hbar^(j-1) as a single operator."""
-        out = Operator.zero(self.m)
-        for j, op in self.coeffs.items():
-            out = out + op.scale(HSeries.monomial(j - 1))
-        return out
+        return _hbar_series(self.m, self.coeffs, -1)
 
     def __repr__(self):
         return f"Quantisation({self.as_operator_series()})"
@@ -97,10 +102,7 @@ class TangentElement:
         self.eps_part = clean
 
     def eps_as_series(self) -> Operator:
-        out = Operator.zero(self.base.m)
-        for j, op in self.eps_part.items():
-            out = out + op.scale(HSeries.monomial(j))
-        return out
+        return _hbar_series(self.base.m, self.eps_part, 0)
 
 
 class FiltrationLabel:
@@ -132,7 +134,7 @@ def bv_quantisation(X: CritLocus) -> Quantisation:
     for i in range(1, m + 1):
         e = [0] * m
         e[i - 1] = 1
-        terms[((0,) * m, (), tuple(e), (i,))] = HSeries.const(1)
+        terms[((0,) * m, (), tuple(e), (i,))] = 1
     return Quantisation(m, {2: Operator(m, terms)})
 
 
@@ -141,7 +143,8 @@ def mc_residual(X: CritLocus, delta: Quantisation) -> Operator:
     quantisation (square-zero for delta + Delta); (1/2)[Delta, Delta] is
     Delta_odd o Delta_odd, as pairs add (1 - (-1)^(|k1||k2|)) k1 o k2."""
     D = delta.as_operator_series()
-    odd = Operator(D.m, {k: c for k, c in D.terms.items() if key_degree(k) % 2})
+    odd = Operator._from_store(D.m, {k: c for k, c in D.terms.items()
+                                     if key_degree(k[0]) % 2})
     return op_commutator(koszul_operator(X), D) + op_compose(odd, odd)
 
 
@@ -167,17 +170,17 @@ def centre_differential(X: CritLocus, delta: Quantisation, u: Operator,
 def _symbol_partial(terms, kind, i, m):
     """Left partial of a symbol-term dict by one derivative symbol."""
     out = {}
-    for (a, eta, b, deta), c in terms.items():
+    for ((a, eta, b, deta), e), c in terms.items():
         if kind == "y":
             if b[i - 1]:
                 nb = list(b)
                 nb[i - 1] -= 1
-                _accumulate(out, (a, eta, tuple(nb), deta), c.scale(b[i - 1]))
+                _accumulate(out, ((a, eta, tuple(nb), deta), e), c * b[i - 1])
         elif i in deta:
             pos = deta.index(i)
             nd = deta[:pos] + deta[pos + 1:]
-            sign = -1 if (len(eta) + pos) % 2 else 1
-            _accumulate(out, (a, eta, b, nd), c.scale(sign))
+            odd = (len(eta) + pos) % 2
+            _accumulate(out, ((a, eta, b, nd), e), -c if odd else c)
     return out
 
 
@@ -225,14 +228,11 @@ def is_nondegenerate(X: CritLocus, delta: Quantisation):
         first = _symbol_partial(sym.terms, k1, i1, m)
         for (k2, i2) in gens:
             second = _symbol_partial(first, k2, i2, m)
-            row.append(Element(m, {(a, eta): c
-                                   for (a, eta, b, deta), c in second.items()}))
+            row.append(Element._from_store(m, {
+                ((a, eta), e): c for ((a, eta, _, _), e), c in second.items()}))
         mat.append(row)
     det = _det_elements(mat, m)
-    unit = ((0,) * m, ())
-    is_const = (len(det.terms) == 1 and unit in det.terms
-                and set(det.terms[unit].coeffs) <= {0})
-    return (bool(is_const and not det.is_zero()), det)
+    return det.terms.keys() == {(((0,) * m, ()), 0)}, det
 
 
 # ---------------------------------------------------------------------------
@@ -375,18 +375,13 @@ def nu_eigen_analysis(X: CritLocus, p: int, k: int,
         raise TruncationRequired("empty symbol block in the window")
     index = {key: i for i, key in enumerate(basis)}
     n = len(basis)
-    mat = [[Fraction(0)] * n for _ in range(n)]
+    mat = [[0] * n for _ in range(n)]
     for col, key in enumerate(basis):
-        rho = Operator(m, {key: HSeries.const(1)})
-        image = _nu_apply(slots, rho)
-        comp = image.hbar_component(1)
-        for ikey, c in comp.terms.items():
-            if key_order(ikey) != p:
-                continue
+        image = _nu_apply(slots, Operator._from_store(m, {(key, 0): 1}))
+        for (ikey, e), c in image.terms.items():
             row = index.get(ikey)
-            if row is None:
-                continue
-            mat[row][col] += c[0]
+            if e == 1 and row is not None and key_order(ikey) == p:
+                mat[row][col] = c
     scalar_shift = 1 - p - k
     lam0 = mat[0][0]
     if all(mat[r][c] == (lam0 if r == c else 0)
@@ -404,8 +399,7 @@ def nu_eigen_analysis(X: CritLocus, p: int, k: int,
             eigenvalues.append(lam)
     # semisimplicity on the window: the product of (M - lam) over found
     # eigenvalues must annihilate the block
-    prod = [[Fraction(1) if r == c else Fraction(0) for c in range(n)]
-            for r in range(n)]
+    prod = [[int(r == c) for c in range(n)] for r in range(n)]
     for lam in eigenvalues:
         shifted = [[mat[r][c] - (lam if r == c else 0) for c in range(n)]
                    for r in range(n)]

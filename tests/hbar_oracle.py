@@ -4,6 +4,8 @@ engine never ranks over Q(hbar); the tests use this to check that its one
 rank at hbar = 1 per slice is the rank over Q(hbar), on the slices of
 delta + hbar*Delta that ``twisted_matrix`` builds."""
 
+from fractions import Fraction
+
 from qshift.coefficients import HSeries
 from qshift.cohomology import bv_apply
 from qshift.gca import Element, apply_koszul_delta
@@ -23,7 +25,7 @@ def _divexact(p, q):
         k = p.max_exp - top
         if k < floor:
             raise ArithmeticError("inexact polynomial division")
-        out[k] = p.coeffs[p.max_exp] / q.coeffs[top]
+        out[k] = Fraction(p.coeffs[p.max_exp], q.coeffs[top])
         p = p - q.shift(k).scale(out[k])
     return HSeries(out)
 
@@ -68,7 +70,7 @@ def twisted_matrix(X, basis):
     for key in basis:
         mono = Element(X.m, {key: 1})
         images.append((apply_koszul_delta(X, mono)
-                       + bv_apply(X, mono).scale(HSeries.monomial(1))).terms)
+                       + bv_apply(X, mono).scale(HSeries.monomial(1))).series())
     cols = {}
     for img in images:
         for key in img:

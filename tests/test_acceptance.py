@@ -164,7 +164,7 @@ def test_acceptance_chain_identity():
 # ---------------------------------------------------------------------------
 
 def _pv_degree(P):
-    degs = {-len(k[1]) + len(k[3]) for k in P.terms}
+    degs = {-len(k[1]) + len(k[3]) for k, _ in P.terms}
     return degs.pop() if len(degs) == 1 else None
 
 

@@ -4,12 +4,14 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
 from qshift import cli
-from qshift.cli import (Report, format_polynomial, main, parse_problem,
-                        print_problem, run_command)
+from qshift.cli import (ProblemFile, Report, format_polynomial, main,
+                        parse_problem, print_problem, run_command)
 from qshift.errors import ParseError, UnknownVariable
 from qshift.gca import Element
 
@@ -73,6 +75,26 @@ def test_round_trip_identity():
         p2 = parse_problem(printed)
         assert p1 == p2
         assert print_problem(p2) == printed
+
+
+_COEFF = st.one_of(st.integers(-30, 30),
+                   st.fractions(-5, 5, max_denominator=9)).filter(bool)
+_POLYNOMIALS = st.integers(1, 3).flatmap(lambda m: st.tuples(
+    st.just(m), st.dictionaries(st.tuples(*[st.integers(0, 4)] * m), _COEFF,
+                                min_size=1, max_size=5)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_POLYNOMIALS)
+def test_round_trip_random_polynomials(case):
+    """parse_problem(print_problem(p)) == p on random polynomials in 1-3
+    variables with mixed int and non-integral coefficients of both signs."""
+    m, coeffs = case
+    names = ["x", "y", "z"][:m]
+    p = ProblemFile(names, Element(m, {(a, ()): c for a, c in coeffs.items()}))
+    printed = print_problem(p)
+    assert parse_problem(printed) == p
+    assert print_problem(parse_problem(printed)) == printed
 
 
 def _validate(report):

@@ -223,7 +223,7 @@ def _remainder(p, basis):
                 q = tuple(x - y for x, y in zip(a, lead))
                 for b, d in g.items():
                     key = tuple(x + y for x, y in zip(b, q))
-                    p[key] = p.get(key, 0) - c / g[lead] * d
+                    p[key] = p.get(key, 0) - Fraction(c, g[lead]) * d
                     if not p[key]:
                         del p[key]
                 break
@@ -240,7 +240,7 @@ def _s_polynomial(g, h):
         q = tuple(x - y for x, y in zip(lcm, lead))
         for b, d in poly.items():
             key = tuple(x + y for x, y in zip(b, q))
-            out[key] = out.get(key, 0) + sign * d / poly[lead]
+            out[key] = out.get(key, 0) + sign * Fraction(d, poly[lead])
     return {k: v for k, v in out.items() if v}
 
 
@@ -262,7 +262,7 @@ def test_groebner_basis_passes_buchberger_test(f, m, mu):
     """Every S-pair of the returned basis and every partial reduce to 0 by
     an independent division, no leading monomial divides another, and the
     standard monomials count mu."""
-    partials = [{a: c[0] for (a, _), c in f.partial_y(i).terms.items()}
+    partials = [{a: c for ((a, _), _), c in f.partial_y(i).terms.items()}
                 for i in range(1, m + 1)]
     basis = [g for _, g in _groebner(partials)]
     leads = [max(g, key=_grevlex_key) for g in basis]
@@ -273,3 +273,50 @@ def test_groebner_basis_passes_buchberger_test(f, m, mu):
     for p in partials:
         assert _remainder(p, basis) == {}
     assert milnor_number(f, m) == mu
+
+
+def _floats(obj):
+    """Every float inside nested dicts, lists, tuples and sets."""
+    if isinstance(obj, float):
+        yield obj
+    elif isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _floats(k)
+            yield from _floats(v)
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        for v in obj:
+            yield from _floats(v)
+
+
+def test_integer_input_stays_exact(monkeypatch):
+    """On integer-only input no float appears in a Groebner basis, a pivot
+    row, a solution or a report payload: every division is exact."""
+    from qshift import cli, coefficients, cohomology
+    from qshift.coefficients import rank_rational, solve_rational
+    seen = []
+
+    def spy(fn):
+        def wrapper(*args):
+            out = fn(*args)
+            seen.append(out)
+            return out
+        return wrapper
+
+    monkeypatch.setattr(cohomology, "_groebner", spy(cohomology._groebner))
+    monkeypatch.setattr(coefficients, "_eliminate", spy(coefficients._eliminate))
+    for text in ("vars x y; f = x^3 + x^2*y^2 + y^5;",
+                 "vars x y; f = 3*x^3 + 2*y^4;",
+                 "vars x y; f = x^4 + y^4 + x^2*y;",
+                 "vars x y z; f = 4*y^2*z + x - 4*x*y^3 + x^2*z^2 - 3*x^2*y^2;"):
+        problem = cli.parse_problem(text)
+        for cmd in ("milnor", "koszul-dims", "vc-dims"):
+            report = cli.run_command(cmd, problem).as_dict()
+            assert report["status"] in ("ok", "error")
+            assert not list(_floats(report))
+    assert rank_rational([[2, 3, 5], [4, 6, 10], [1, 0, 7]]) == 2
+    sol = solve_rational([[2, 0], [0, 3], [2, 3]], [1, 1, 2])
+    assert sol == [Fraction(1, 2), Fraction(1, 3)]
+    assert solve_rational([[2, 4], [1, 2]], [3, 1]) is None
+    assert seen and not list(_floats(seen)) and not list(_floats(sol))
+    for value in sol:
+        assert type(value) is int or value.denominator > 1

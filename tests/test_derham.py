@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qshift import derham
 from qshift.coefficients import HSeries
@@ -10,7 +12,8 @@ from qshift.derham import (CompatVerdict, DRWord, SearchWindow, _nu_apply,
                            apply_codegeneracy, canonical_symplectic,
                            check_chain_identity, check_compatibility, cup,
                            dr_d, dr_of, dr_total_d, mu, nu)
-from qshift.diffops import Operator, key_order, op_compose
+from qshift.diffops import (Operator, key_order, op_apply, op_commutator,
+                            op_compose, schouten, symbol)
 from qshift.errors import NotMaurerCartan
 from qshift.gca import Element, gmul, make_crit_locus, unit_key
 from qshift.quantise import (Quantisation, bv_quantisation, centre_differential,
@@ -18,7 +21,7 @@ from qshift.quantise import (Quantisation, bv_quantisation, centre_differential,
                              operator_keys_in_window, sigma_tangent)
 
 from conftest import (corpus_locus, random_element, random_homogeneous_operator,
-                      random_quantisation)
+                      random_operator, random_polyvector, random_quantisation)
 
 
 def _word(m, *monos, hexp=0, coeff=1):
@@ -70,7 +73,7 @@ def test_cup_four_term_expansion():
     u = unit_key(m)
     y, e = _ykey(m, 1), _ekey(m, 1)
     ye = gmul(Element.y(m, 1), Element.eta(m, 1))
-    ((yekey, _),) = ye.terms.items()
+    (((yekey, _), _),) = ye.terms.items()
     w = cup(dr_d(Element.y(m, 1)), dr_d(Element.eta(m, 1)))
     expected = (_word(m, u, y, e) + _word(m, u, yekey, u)
                 - _word(m, y, u, e) - _word(m, y, e, u))
@@ -319,10 +322,10 @@ def test_eigen_block_matches_reference_nu_columns(monkeypatch, p):
     monkeypatch.setattr(derham, "_nu_apply", recording)
     report = nu_eigen_analysis(X, p, 2, trunc)
     basis = operator_keys_in_window(X, p, trunc, arity_exact=p)
-    assert [next(iter(rho.terms)) for rho, _ in applied] == basis
+    assert [next(iter(rho.terms))[0] for rho, _ in applied] == basis
 
     def block(images):
-        return [[images[col].hbar_component(1).terms.get(row, HSeries())[0]
+        return [[images[col].hbar_component(1).terms.get((row, 0), 0)
                  for col in range(len(basis))] for row in basis]
 
     reference = [_nu_reference(omega, delta, rho) for rho, _ in applied]
@@ -379,7 +382,7 @@ def test_mu_filtration_bound_random():
         for e in image.hbar_exponents():
             comp = image.hbar_component(e)
             bound = e if e >= q else 2 * e - q
-            assert max(key_order(k) for k in comp.terms) <= bound
+            assert max(key_order(k) for k, _ in comp.terms) <= bound
 
 
 def test_compatibility_exact_for_canonical_pair():
@@ -431,3 +434,33 @@ def test_compatibility_requires_maurer_cartan():
     delta = Quantisation(1, {2: bv_quantisation(X).coeffs[2] + spurious})
     with pytest.raises(NotMaurerCartan):
         check_compatibility(canonical_symplectic(X), delta, X)
+
+
+_NON_INTEGRAL = st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(-3, 2),
+                                 Fraction(5, 7)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), q=_NON_INTEGRAL, r=_NON_INTEGRAL)
+def test_identities_on_non_integral_coefficients(seed, q, r):
+    """The benchmark draws integers only; here f, the word, Delta and the
+    operators are scaled by non-integral rationals, and the chain identity,
+    the Schouten bracket against the commutator of lifts, and op_compose
+    against the op_apply reference still hold exactly."""
+    rng = random.Random(seed)
+    m = rng.randint(1, 2)
+    f = (Element.y(m, 1) ** 3 + Element.y(m, m) ** 2).scale(q)
+    X = make_crit_locus(f, m)
+    delta = random_quantisation(rng, m)
+    delta = Quantisation(m, {j: op.scale(r) for j, op in delta.coeffs.items()})
+    pieces = [random_element(rng, m, nterms=1).scale(r) for _ in range(2)]
+    w = cup(dr_d(pieces[0]), dr_of(pieces[1])).scale(q)
+    assert check_chain_identity(w, delta, X).is_zero()
+    p1, p2 = rng.randint(1, 2), rng.randint(1, 2)
+    P = random_polyvector(rng, m, p1).scale(q)
+    Q = random_polyvector(rng, m, p2).scale(r)
+    assert schouten(P, Q) == symbol(op_commutator(P.lift(), Q.lift()), p1 + p2 - 1)
+    D1 = random_operator(rng, m, with_hbar=True).scale(q)
+    D2 = random_operator(rng, m, with_hbar=True).scale(r)
+    a = random_element(rng, m, nterms=3, with_hbar=True).scale(q)
+    assert op_apply(op_compose(D1, D2), a) == op_apply(D1, op_apply(D2, a))

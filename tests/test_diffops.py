@@ -103,9 +103,9 @@ def test_symbol_drops_lower_order():
     m = 1
     D = op_compose(Operator.mult(Element.y(m, 1)), Operator.d_y(m, 1)) + 1
     s = symbol(D, 1)
-    assert s.terms == {((1,), (), (1,), ()): HSeries.const(1)}
+    assert s.terms == {(((1,), (), (1,), ()), 0): 1}
     s2 = symbol(op_compose(Operator.d_y(m, 1), Operator.d_eta(m, 1)), 2)
-    assert s2.terms == {((0,), (), (1,), (1,)): HSeries.const(1)}
+    assert s2.terms == {(((0,), (), (1,), (1,)), 0): 1}
     assert symbol(Operator.mult(Element.y(m, 1) ** 2), 1).is_zero()
     with pytest.raises(OrderTooLow):
         symbol(op_compose(Operator.d_y(m, 1), Operator.d_y(m, 1)), 1)
@@ -158,7 +158,7 @@ def test_schouten_equals_symbol_of_commutator_random():
 
 
 def _pv_degree(P):
-    degs = {-len(k[1]) + len(k[3]) for k in P.terms}
+    degs = {-len(k[1]) + len(k[3]) for k, _ in P.terms}
     assert len(degs) <= 1
     return degs.pop() if degs else 0
 
@@ -275,9 +275,9 @@ def test_mono_product_matches_fold(case):
 def _reference_compose(D1, D2):
     m = D1.m
     out = {}
-    for k1, c1 in D1.terms.items():
+    for k1, c1 in D1.series().items():
         gens = _gen_sequence(k1, m)
-        for k2, c2 in D2.terms.items():
+        for k2, c2 in D2.series().items():
             c = hseries_mul(c1, c2)
             for key, n in _fold(gens, {k2: 1}, m).items():
                 _accumulate(out, key, c.scale(n))
@@ -301,7 +301,7 @@ def _laurent_operator(rng, m, max_order=3, nterms=3):
     exponents and non-integer rationals."""
     D = random_operator(rng, m, max_order=max_order, nterms=nterms)
     terms = {}
-    for key in D.terms:
+    for key in D.series():
         c = HSeries()
         while len(c.coeffs) < 2:
             c = random_hseries(rng, min_exp=-2, max_exp=2, nterms=3)
@@ -309,9 +309,17 @@ def _laurent_operator(rng, m, max_order=3, nterms=3):
     return Operator(m, terms)
 
 
-def _assert_clean(D):
-    for c in D.terms.values():
-        assert c.coeffs and all(type(v) is Fraction and v for v in c.coeffs.values())
+def _assert_clean(X):
+    """The canonical coefficient model: every term is keyed by (monomial
+    key, int hbar exponent), and its coefficient is a nonzero int or a
+    Fraction whose denominator is greater than 1."""
+    for (_, e), c in X.terms.items():
+        assert type(e) is int
+        assert (type(c) is int and c) or (type(c) is Fraction and c.denominator > 1)
+
+
+def _top_symbol(D):
+    return symbol(D.order_part(op_order(D)), op_order(D))
 
 
 def test_compose_and_commutator_multi_term_hbar():
@@ -326,6 +334,13 @@ def test_compose_and_commutator_multi_term_hbar():
         got = op_commutator(D1, D2)
         assert got == _reference_commutator(D1, D2)
         _assert_clean(got)
+        a, b = ({k[:2]: c for k, c in D.series().items()} for D in (D1, D2))
+        a, b = Element(m, a), Element(m, b)
+        _assert_clean(gmul(a, b))
+        _assert_clean(op_apply(D1, a))
+        P, Q = _top_symbol(D1), _top_symbol(D2)
+        _assert_clean(pv_mul(P, Q))
+        _assert_clean(schouten(P, Q))
 
 
 def _hseries_st():

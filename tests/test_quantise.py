@@ -190,8 +190,8 @@ def test_nondegenerate_bv(corpus_case):
     ok, cert = is_nondegenerate(X, bv_quantisation(X))
     assert ok
     unit = ((0,) * X.m, ())
-    assert set(cert.terms) == {unit}
-    assert cert.terms[unit][0] in (Fraction(1), Fraction(-1))
+    assert set(cert.terms) == {(unit, 0)}
+    assert cert.terms[(unit, 0)] in (Fraction(1), Fraction(-1))
 
 
 def test_nondegenerate_failures():
