@@ -421,6 +421,8 @@ def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
         elif cmd == "check-compat":
             X = problem.crit_locus()
             size = _int_setting("window", problem, flags, 3)
+            if size < 0:
+                raise QShiftError(f"window must be >= 0, not {size}")
             window = SearchWindow(order_cap=size, ydeg_cap=size,
                                   hbar_max=size + 2)
             verdict = check_compatibility(canonical_symplectic(X),

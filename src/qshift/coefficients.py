@@ -334,28 +334,30 @@ def _eliminate(rows):
     return pivots
 
 
-def _sparse(rows):
-    """Dense rows of rationals as sparse rows of their canonical nonzeros."""
-    return [{c: _canon(v) for c, v in enumerate(row) if v} for row in rows]
+def _admit(rows):
+    """Copies of sparse rows ``{col: rational}`` with canonical entries; an
+    explicit zero is dropped, so the input rows are never mutated."""
+    return [{c: _canon(v) for c, v in row.items() if v} for row in rows]
 
 
 def rank_rational(rows):
-    """Rank of a matrix of rationals (dense list of rows) by sparse elimination."""
-    return len(_eliminate(_sparse(rows)))
+    """Rank over Q of sparse rows ``{col: rational}``."""
+    return len(_eliminate(_admit(rows)))
 
 
-def solve_rational(rows, rhs):
+def solve_rational(rows, rhs, ncols):
     """Solve A x = b over Q by sparse elimination of the augmented system.
 
-    Returns None when the right-hand-side column becomes a pivot (b is not in
-    the column space); otherwise back-substitutes with every free variable 0.
-    The entries of the solution are canonical.
+    ``rows`` are the sparse rows ``{col: rational}`` of A over the columns
+    ``0 .. ncols - 1`` and ``rhs`` is b as ``{row index: rational}``.
+    Returns None when the right-hand-side column becomes a pivot (b is not
+    in the column space); otherwise back-substitutes with every free
+    variable 0.  The entries of the solution are canonical.
     """
-    ncols = len(rows[0]) if rows else 0
-    aug = _sparse(rows)
-    for row, b in zip(aug, rhs):
+    aug = _admit(rows)
+    for i, b in rhs.items():
         if b:
-            row[ncols] = _canon(b)
+            aug[i][ncols] = _canon(b)
     pivots = _eliminate(aug)
     if ncols in pivots:
         return None

@@ -133,23 +133,14 @@ def bv_apply(X: CritLocus, a: Element) -> Element:
 
 def _slice_rank(X, basis):
     """Rank over Q of delta + Delta, the differential at hbar = 1, on the
-    monomial keys ``basis`` (one degree), over the columns their images
-    touch.  Zero cells are a shared plain 0."""
-    images, cols = [], {}
+    monomial keys ``basis`` (one degree): one sparse row per image, over
+    the columns the images touch."""
+    cols, rows = {}, []
     for key in basis:
         mono = Element(X.m, {key: 1})
-        img = (apply_koszul_delta(X, mono) + bv_apply(X, mono)).terms
-        images.append(img)
-        for k in img:
-            cols.setdefault(k, len(cols))
-    if not cols:
-        return 0
-    rows = []
-    for img in images:
-        row = [0] * len(cols)
-        for k, c in img.items():
-            row[cols[k]] = c
-        rows.append(row)
+        img = apply_koszul_delta(X, mono) + bv_apply(X, mono)
+        rows.append({cols.setdefault(k, len(cols)): c
+                     for k, c in img.terms.items()})
     return rank_rational(rows)
 
 
@@ -210,7 +201,9 @@ def _tame(X):
     monomials = [a for (a, _), _ in X.f.terms]
     squares = [tuple(2 * (j == i) for j in range(X.m)) for i in range(X.m)]
     for chosen in itertools.combinations(monomials + squares, X.m):
-        weights = solve_rational([list(a) for a in chosen], [1] * X.m)
+        weights = solve_rational(
+            [{i: e for i, e in enumerate(a) if e} for a in chosen],
+            dict.fromkeys(range(X.m), 1), X.m)
         if weights is None or min(weights) <= 0:
             continue  # a free weight comes back 0
         weight = {a: sum(w * e for w, e in zip(weights, a)) for a in monomials}

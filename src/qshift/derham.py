@@ -14,11 +14,12 @@ substitution homomorphism e -> Delta.
 from __future__ import annotations
 
 from .coefficients import _accumulate, _canon, _scaled, solve_rational
-from .diffops import Operator, _compose_into, key_degree, op_compose
+from .diffops import (Operator, _compose_into, key_degree, op_commutator,
+                      op_compose)
 from .errors import NotMaurerCartan
 from .gca import CritLocus, Element, apply_koszul_delta, merge_ascending, unit_key
-from .quantise import (Quantisation, centre_differential, mc_residual,
-                       operator_keys_in_window, sigma_tangent)
+from .quantise import (Quantisation, centre_differential, koszul_operator,
+                       mc_residual, operator_keys_in_window, sigma_tangent)
 from .cohomology import DEGREE_TRUNCATED, TruncationSpec
 
 
@@ -307,7 +308,14 @@ class CompatVerdict:
 def check_compatibility(omega: DRWord, delta: Quantisation, X: CritLocus,
                         window: SearchWindow | None = None) -> CompatVerdict:
     """Compare mu(omega, Delta) with the canonical tangent hbar^2 dDelta/dhbar;
-    on strict inequality, search the window for a coboundary witness."""
+    on strict inequality, search the window for a coboundary witness.
+
+    The unknowns are the operator monomials hbar^e u of the window, one
+    degree below the residual's.  hbar is central and of degree 0, so
+    [delta + Delta, hbar^e u] = hbar^e [delta + Delta, u]: the centre
+    differential is taken once per monomial u at hbar^0, and the column of
+    each hbar^e u is that image with every hbar exponent shifted by e.
+    """
     if not mc_residual(X, delta).is_zero():
         raise NotMaurerCartan("compatibility needs a Maurer-Cartan Delta")
     if window is None:
@@ -315,34 +323,25 @@ def check_compatibility(omega: DRWord, delta: Quantisation, X: CritLocus,
     r = mu(omega, delta, X) - sigma_tangent(delta).eps_as_series()
     if r.is_zero():
         return CompatVerdict(CompatVerdict.EXACT, window=window)
-    degrees = sorted(r.degrees())
+    degrees = {d - 1 for d in r.degrees()}
     trunc = TruncationSpec(DEGREE_TRUNCATED, window.ydeg_cap)
-    candidates = []
-    for d in sorted({dd - 1 for dd in degrees}):
-        candidates.extend(
-            k for k in operator_keys_in_window(X, window.order_cap, trunc)
-            if key_degree(k) == d)
-    unknowns = [(key, e) for key in candidates
-                for e in range(window.hbar_min, window.hbar_max + 1)]
-    row_index = {}
-    columns = []
-    for key, e in unknowns:
-        image = centre_differential(
-            X, delta, Operator._from_store(X.m, {(key, e): 1}),
-            allow_non_mc=True)
-        columns.append({row_index.setdefault(ikey, len(row_index)): q
-                        for ikey, q in image.terms.items()})
-    rhs_entries = {row_index.setdefault(ikey, len(row_index)): q
-                   for ikey, q in r.terms.items()}
-    nrows = len(row_index)
-    if nrows == 0:
-        return CompatVerdict(CompatVerdict.FAILS, residual=r, window=window)
-    rows = [[0] * len(unknowns) for _ in range(nrows)]
-    for cidx, col in enumerate(columns):
-        for ridx, q in col.items():
-            rows[ridx][cidx] = q
-    rhs = [rhs_entries.get(ridx, 0) for ridx in range(nrows)]
-    sol = solve_rational(rows, rhs)
+    keys = operator_keys_in_window(X, window.order_cap, trunc)
+    # a stable sort: ascending degree, enumeration order within a degree
+    candidates = sorted((k for k in keys if key_degree(k) in degrees),
+                        key=key_degree)
+    exps = range(window.hbar_min, window.hbar_max + 1)
+    unknowns = [(key, e) for key in candidates for e in exps]
+    total = koszul_operator(X) + delta.as_operator_series()
+    # sparse rows keyed by term; the residual's terms come first, so the
+    # right-hand side sits in rows 0 .. len(r.terms) - 1
+    rows = {k: {} for k in r.terms}
+    for ki, key in enumerate(candidates):
+        image = op_commutator(total, Operator._from_store(X.m, {(key, 0): 1}))
+        for col, e in enumerate(exps, ki * len(exps)):
+            for (ikey, ie), q in image.terms.items():
+                rows.setdefault((ikey, ie + e), {})[col] = q
+    sol = solve_rational(list(rows.values()), dict(enumerate(r.terms.values())),
+                         len(unknowns))
     if sol is None:
         return CompatVerdict(CompatVerdict.FAILS, residual=r, window=window)
     witness = {u: v for u, v in zip(unknowns, sol) if v}

@@ -240,13 +240,12 @@ def detect_weights(f: Element, m: int):
     weight 1, or None when no such solution exists.  Variables absent from
     every monomial get weight 1.
     """
-    rows = [list(a) for (a, _), _ in f.terms]
-    rhs = [1] * len(rows)
-    sol = solve_rational(rows, rhs)
+    rows = [{i: e for i, e in enumerate(a) if e} for (a, _), _ in f.terms]
+    sol = solve_rational(rows, dict.fromkeys(range(len(rows)), 1), m)
     if sol is None:
         return None
-    used = [any(r[i] != 0 for r in rows) for i in range(m)]
-    weights = [sol[i] if used[i] else 1 for i in range(m)]
+    used = {i for row in rows for i in row}
+    weights = [sol[i] if i in used else 1 for i in range(m)]
     if any(w <= 0 for w in weights):
         return None
     for (a, _), _ in f.terms:

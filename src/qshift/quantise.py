@@ -355,6 +355,18 @@ class SpectrumReport:
                 "diagonalisable": self.diagonalisable}
 
 
+def _shifted(mat, lam):
+    """M - lam for a small dense square block M."""
+    return [[v - lam if r == c else v for c, v in enumerate(row)]
+            for r, row in enumerate(mat)]
+
+
+def _rank(block):
+    """Rank over Q of a small dense block, handed over as sparse rows."""
+    return rank_rational([{c: v for c, v in enumerate(row) if v}
+                          for row in block])
+
+
 def nu_eigen_analysis(X: CritLocus, p: int, k: int,
                       trunc: TruncationSpec | None = None) -> SpectrumReport:
     """Spectrum of the derivation nu(omega, pi) on the arity-p symbol block,
@@ -391,25 +403,17 @@ def nu_eigen_analysis(X: CritLocus, p: int, k: int,
         return SpectrumReport(p, k, n, eigenvalues,
                               eigenvalues[0] + scalar_shift,
                               eigenvalues[0] + scalar_shift != 0, True)
-    eigenvalues = []
-    for lam in range(0, p + 1):
-        shifted = [[mat[r][c] - (lam if r == c else 0) for c in range(n)]
-                   for r in range(n)]
-        if rank_rational(shifted) < n:
-            eigenvalues.append(lam)
+    eigenvalues = [lam for lam in range(p + 1) if _rank(_shifted(mat, lam)) < n]
     # semisimplicity on the window: the product of (M - lam) over found
     # eigenvalues must annihilate the block
     prod = [[int(r == c) for c in range(n)] for r in range(n)]
     for lam in eigenvalues:
-        shifted = [[mat[r][c] - (lam if r == c else 0) for c in range(n)]
-                   for r in range(n)]
+        shifted = _shifted(mat, lam)
         prod = [[sum(prod[r][t] * shifted[t][c] for t in range(n))
                  for c in range(n)] for r in range(n)]
     diagonalisable = all(v == 0 for row in prod for v in row)
     combined = sorted({lam + scalar_shift for lam in eigenvalues})
     combined_scalar = combined[0] if len(combined) == 1 else None
-    shifted = [[mat[r][c] + (scalar_shift if r == c else 0) for c in range(n)]
-               for r in range(n)]
-    invertible = rank_rational(shifted) == n
+    invertible = _rank(_shifted(mat, -scalar_shift)) == n
     return SpectrumReport(p, k, n, eigenvalues, combined_scalar,
                           invertible, diagonalisable)

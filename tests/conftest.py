@@ -128,3 +128,9 @@ def random_hseries(rng, min_exp=-1, max_exp=4, nterms=3):
         if c:
             coeffs[e] = coeffs.get(e, 0) + c
     return HSeries(coeffs)
+
+
+def sparse_rows(dense):
+    """Dense rows of rationals as the sparse rows ``{col: value}`` that the
+    rank/solve kernel takes; zero cells are left out."""
+    return [{c: v for c, v in enumerate(row) if v} for row in dense]

@@ -420,3 +420,19 @@ def test_bad_integer_settings_exit_2(tmp_path, capsys, options, cmd):
     assert code == 2
     assert out["status"] == "error"
     jsonschema.validate(out, SCHEMA)
+
+
+def test_negative_window_flag_exits_2(tmp_path, capsys):
+    """``--window -1`` is refused with a schema-valid error report, as the
+    file option ``window = -1;`` is refused by the parser."""
+    path = tmp_path / "p.qs"
+    path.write_text("vars x y; f = x^3 + y^3;\n")
+    code = main(["check-compat", str(path), "--window", "-1"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out["status"] == "error"
+    assert out["payload"]["reason"] == "window must be >= 0, not -1"
+    jsonschema.validate(out, SCHEMA)
+    path.write_text("vars x y; f = x^3 + y^3; window = -1;\n")
+    assert main(["check-compat", str(path)]) == 2
+    capsys.readouterr()

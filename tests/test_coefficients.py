@@ -11,7 +11,7 @@ from qshift.coefficients import (HSeries, hbar_derivative_scaled,
 from qshift.cohomology import element_keys_in_window
 from qshift.gca import Element, make_crit_locus
 
-from conftest import random_hseries
+from conftest import random_hseries, sparse_rows
 from hbar_oracle import _divexact, rank_exact_fraction_field, twisted_matrix
 
 
@@ -98,8 +98,9 @@ def _rescaled(rng, ncols, nrows):
 
 
 def _at(mat, point):
-    return [[e.evaluate(point) if e else Fraction(0) for e in row]
-            for row in mat]
+    """The sparse rows of the matrix's values at hbar = point."""
+    return sparse_rows([[e.evaluate(point) if e else Fraction(0) for e in row]
+                        for row in mat])
 
 
 def test_rank_seed_independent_with_exact_fallback_agreement():
@@ -110,7 +111,7 @@ def test_rank_seed_independent_with_exact_fallback_agreement():
     for _ in range(50):
         mat, values = _rescaled(rng, 5, 6)
         rx = rank_exact_fraction_field(mat)
-        assert rank_rational(values) == rx
+        assert rank_rational(sparse_rows(values)) == rx
         for point in (2, -1, Fraction(1, 3)):
             assert rank_rational(_at(mat, point)) == rx
 
@@ -142,12 +143,30 @@ def test_rank_disagreeing_specialisations_fall_back_to_exact():
 
 
 def test_rank_rational_and_solve():
-    rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
+    rows = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(4)}]
     assert rank_rational(rows) == 1
-    sol = solve_rational([[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]],
-                         [Fraction(3), Fraction(1)])
+    sol = solve_rational([{0: Fraction(1), 1: Fraction(1)}, {1: Fraction(1)}],
+                         {0: Fraction(3), 1: Fraction(1)}, 2)
     assert sol == [Fraction(2), Fraction(1)]
-    assert solve_rational([[Fraction(0)]], [Fraction(1)]) is None
+    assert solve_rational([{}], {0: Fraction(1)}, 1) is None
+    assert solve_rational([], {}, 2) == [0, 0]
+
+
+def test_kernel_admits_explicit_zero_and_integral_fraction():
+    """A stored 0 is dropped, not taken as a lead, an integral Fraction is
+    canonicalised, and the caller's rows are left as they were."""
+    rows = [{0: 0, 1: Fraction(4, 2)}, {0: 1, 1: Fraction(0)}, {0: Fraction(2, 2)}]
+    before = repr(rows)
+    assert rank_rational(rows) == 2
+    assert rank_rational([{0: 0}, {3: Fraction(0, 5)}]) == 0
+    sol = solve_rational(rows, {0: Fraction(4, 2), 1: 3, 2: 3}, 2)
+    assert sol == [3, 1] and [type(v) for v in sol] == [int, int]
+    assert solve_rational(rows, {1: 0, 2: Fraction(6, 2)}, 2) is None
+    assert solve_rational([{0: Fraction(4, 2), 1: 0}], {0: Fraction(1)}, 2) == \
+        [Fraction(1, 2), 0]
+    assert repr(rows) == before
+    with pytest.raises(TypeError):  # a float is refused, even one that cancels
+        rank_rational([{0: 1}, {0: 1.0}])
 
 
 def test_evaluate_and_substitute():
@@ -203,17 +222,28 @@ def _systems(draw):
     return rows, rhs
 
 
-@settings(max_examples=300, deadline=None)
-@given(_systems())
-def test_sparse_kernel_matches_dense_reference(system):
-    rows, rhs = system
+@st.composite
+def _sparse_systems(draw):
+    """A dense system and the same system as sparse rows and a sparse
+    right-hand side, some zero cells kept as explicit zero entries."""
+    rows, rhs = draw(_systems())
     ncols = len(rows[0]) if rows else 0
-    before = [list(r) for r in rows], list(rhs)
+    sparse = [{c: v for c, v in enumerate(row) if v or draw(st.booleans())}
+              for row in rows]
+    sparse_rhs = {i: b for i, b in enumerate(rhs) if b or draw(st.booleans())}
+    return rows, rhs, sparse, sparse_rhs, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_systems())
+def test_sparse_kernel_matches_dense_reference(system):
+    rows, rhs, sparse, sparse_rhs, ncols = system
+    before = repr((sparse, sparse_rhs))
     pivots, _ = _reference_rref(rows, ncols)
-    assert rank_rational(rows) == len(pivots)
+    assert rank_rational(sparse) == len(pivots)
     aug_pivots, reduced = _reference_rref(
         [row + [b] for row, b in zip(rows, rhs)], ncols + 1)
-    sol = solve_rational(rows, rhs)
+    sol = solve_rational(sparse, sparse_rhs, ncols)
     assert (sol is None) == (ncols in aug_pivots)
     if sol is not None:
         assert all(sum((a * x for a, x in zip(row, sol)), Fraction(0)) == b
@@ -222,13 +252,14 @@ def test_sparse_kernel_matches_dense_reference(system):
         for k, col in enumerate(aug_pivots):
             expected[col] = reduced[k][ncols]
         assert sol == expected
-    assert ([list(r) for r in rows], list(rhs)) == before
+    assert repr((sparse, sparse_rhs)) == before
 
 
-def test_fallback_on_rows_with_plain_zero_cells(monkeypatch):
-    """Rows as ``_slice_rank`` assembles them (plain 0 beside Fraction
-    cells) reach ``rank_rational`` whole, and it ranks them to the rank over
-    Q(hbar) of the oracle on the same slice of delta + hbar*Delta."""
+def test_slice_rank_hands_canonical_sparse_rows(monkeypatch):
+    """``_slice_rank`` hands ``rank_rational`` sparse rows whose every entry
+    is a canonical nonzero rational (an ``int``, or a ``Fraction`` with
+    denominator > 1), and it ranks them to the rank over Q(hbar) of the
+    oracle on the same slice of delta + hbar*Delta."""
     from qshift import cohomology
     seen = []
 
@@ -239,13 +270,16 @@ def test_fallback_on_rows_with_plain_zero_cells(monkeypatch):
     monkeypatch.setattr(cohomology, "rank_rational", rank_spy)
     X = make_crit_locus(Element.y(2, 1) ** 3 + Element.y(2, 2) ** 3, 2)
     socle = sum(1 - 2 * w for w in X.signature.weights)
-    plain_zeros = 0
+    cells = 0
     for basis in element_keys_in_window(X, socle).values():
         seen.clear()
         r = cohomology._slice_rank(X, basis)
         assert r == rank_exact_fraction_field(twisted_matrix(X, basis))
         for rows in seen:
-            cells = [e for row in rows for e in row]
-            assert all(type(e) in (int, Fraction) for e in cells)
-            plain_zeros += sum(type(e) is int and e == 0 for e in cells)
-    assert plain_zeros
+            for row in rows:
+                assert isinstance(row, dict)
+                for v in row.values():
+                    assert v and (type(v) is int
+                                  or type(v) is Fraction and v.denominator > 1)
+                    cells += 1
+    assert cells

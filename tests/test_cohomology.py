@@ -16,7 +16,7 @@ from qshift.errors import (NonIsolated, NotCertified, NotPolynomial,
                            TruncationRequired, ZeroPolynomial)
 from qshift.gca import Element, make_crit_locus
 
-from conftest import CORPUS, CORPUS_IDS
+from conftest import CORPUS, CORPUS_IDS, sparse_rows
 from hbar_oracle import rank_exact_fraction_field, twisted_matrix
 
 
@@ -313,10 +313,11 @@ def test_integer_input_stays_exact(monkeypatch):
             report = cli.run_command(cmd, problem).as_dict()
             assert report["status"] in ("ok", "error")
             assert not list(_floats(report))
-    assert rank_rational([[2, 3, 5], [4, 6, 10], [1, 0, 7]]) == 2
-    sol = solve_rational([[2, 0], [0, 3], [2, 3]], [1, 1, 2])
+    assert rank_rational(sparse_rows([[2, 3, 5], [4, 6, 10], [1, 0, 7]])) == 2
+    sol = solve_rational(sparse_rows([[2, 0], [0, 3], [2, 3]]),
+                         {0: 1, 1: 1, 2: 2}, 2)
     assert sol == [Fraction(1, 2), Fraction(1, 3)]
-    assert solve_rational([[2, 4], [1, 2]], [3, 1]) is None
+    assert solve_rational(sparse_rows([[2, 4], [1, 2]]), {0: 3, 1: 1}, 2) is None
     assert seen and not list(_floats(seen)) and not list(_floats(sol))
     for value in sol:
         assert type(value) is int or value.denominator > 1

@@ -12,8 +12,9 @@ from qshift.derham import (CompatVerdict, DRWord, SearchWindow, _nu_apply,
                            apply_codegeneracy, canonical_symplectic,
                            check_chain_identity, check_compatibility, cup,
                            dr_d, dr_of, dr_total_d, mu, nu)
-from qshift.diffops import (Operator, key_order, op_apply, op_commutator,
-                            op_compose, schouten, symbol)
+from qshift.coefficients import solve_rational
+from qshift.diffops import (Operator, key_degree, key_order, op_apply,
+                            op_commutator, op_compose, schouten, symbol)
 from qshift.errors import NotMaurerCartan
 from qshift.gca import Element, gmul, make_crit_locus, unit_key
 from qshift.quantise import (Quantisation, bv_quantisation, centre_differential,
@@ -21,7 +22,8 @@ from qshift.quantise import (Quantisation, bv_quantisation, centre_differential,
                              operator_keys_in_window, sigma_tangent)
 
 from conftest import (corpus_locus, random_element, random_homogeneous_operator,
-                      random_operator, random_polyvector, random_quantisation)
+                      random_operator, random_polyvector, random_quantisation,
+                      sparse_rows)
 
 
 def _word(m, *monos, hexp=0, coeff=1):
@@ -426,6 +428,61 @@ def test_compatibility_fails_in_tiny_window():
     assert verdict.kind == CompatVerdict.FAILS
     assert verdict.residual == -sigma_tangent(bv).eps_as_series()
     assert verdict.window.order_cap == 0
+
+
+def _reference_search(omega, delta, X, window):
+    """The coboundary search assembled as a reference: one centre
+    differential per unknown (key, e), then dense rows; returns the verdict
+    kind and the witness store."""
+    r = mu(omega, delta, X) - sigma_tangent(delta).eps_as_series()
+    trunc = TruncationSpec(DEGREE_TRUNCATED, window.ydeg_cap)
+    candidates = []
+    for d in sorted({dd - 1 for dd in r.degrees()}):
+        candidates.extend(k for k in operator_keys_in_window(
+            X, window.order_cap, trunc) if key_degree(k) == d)
+    unknowns = [(key, e) for key in candidates
+                for e in range(window.hbar_min, window.hbar_max + 1)]
+    images = [centre_differential(X, delta, Operator._from_store(X.m, {u: 1}),
+                                  allow_non_mc=True).terms for u in unknowns]
+    row_keys = list(dict.fromkeys([k for img in images for k in img]
+                                  + list(r.terms)))
+    dense = [[img.get(k, 0) for img in images] for k in row_keys]
+    rhs = {i: r.terms[k] for i, k in enumerate(row_keys) if k in r.terms}
+    sol = solve_rational(sparse_rows(dense), rhs, len(unknowns))
+    if sol is None:
+        return CompatVerdict.FAILS, None
+    return CompatVerdict.COBOUNDARY, {u: v for u, v in zip(unknowns, sol) if v}
+
+
+_HALF_X3_TWO_THIRDS_Y3 = (Element.y(2, 1) ** 3).scale(Fraction(1, 2)) \
+    + (Element.y(2, 2) ** 3).scale(Fraction(2, 3))
+
+
+@pytest.mark.parametrize("f, window, kind", [
+    (Element.y(2, 1) ** 3 + Element.y(2, 2) ** 3,
+     SearchWindow(order_cap=2, ydeg_cap=2, hbar_min=1, hbar_max=4),
+     CompatVerdict.COBOUNDARY),
+    (_HALF_X3_TWO_THIRDS_Y3, SearchWindow(order_cap=2, ydeg_cap=2, hbar_max=4),
+     CompatVerdict.COBOUNDARY),
+    (Element.y(2, 1) ** 3 + Element.y(2, 2) ** 3,
+     SearchWindow(order_cap=2, ydeg_cap=0, hbar_max=4), CompatVerdict.FAILS),
+], ids=["x3y3-hbar1..4", "half-x3-two-thirds-y3", "refusing-window"])
+def test_witness_search_matches_reference_assembly(f, window, kind):
+    """One image per operator key, shifted across the hbar window, gives
+    the verdict and the witness of the per-(key, e) dense assembly, and
+    every witness is checked against the centre differential."""
+    X = make_crit_locus(f, 2)
+    bv = bv_quantisation(X)
+    omega = DRWord.zero(X.m, 2)
+    verdict = check_compatibility(omega, bv, X, window)
+    ref_kind, ref_witness = _reference_search(omega, bv, X, window)
+    assert verdict.kind == ref_kind == kind
+    if kind == CompatVerdict.COBOUNDARY:
+        assert verdict.witness.terms == ref_witness
+        residual = mu(omega, bv, X) - sigma_tangent(bv).eps_as_series()
+        assert centre_differential(X, bv, verdict.witness) == residual
+    else:
+        assert verdict.witness is None
 
 
 def test_compatibility_requires_maurer_cartan():

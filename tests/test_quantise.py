@@ -15,7 +15,8 @@ from qshift.quantise import (FiltrationLabel, Quantisation, _order_bound,
                              koszul_operator, mc_residual, nu_eigen_analysis,
                              operator_keys_in_window, sigma_tangent)
 
-from conftest import CORPUS, CORPUS_IDS, corpus_locus, random_operator
+from conftest import (CORPUS, CORPUS_IDS, corpus_locus, random_operator,
+                      random_quantisation)
 
 
 def test_bv_quantisation_shape():
@@ -155,6 +156,27 @@ def test_centre_differential_square_zero_random():
         u = random_operator(rng, X.m, max_order=2, with_hbar=True)
         once = centre_differential(X, bv, u)
         assert centre_differential(X, bv, once).is_zero()
+
+
+def _shift_hbar(op, e):
+    return Operator._from_store(op.m, {(k, h + e): c
+                                       for (k, h), c in op.terms.items()})
+
+
+def test_centre_differential_commutes_with_hbar():
+    """hbar is central and of degree 0, so d(hbar^e u) is d(u) with every
+    hbar exponent shifted by e, for any Delta, Maurer-Cartan or not: the
+    coboundary search builds each column hbar^e u from the image of u."""
+    rng = random.Random(17)
+    for _ in range(30):
+        X = corpus_locus(rng.choice([1, 4, 6, 8]))
+        delta = random_quantisation(rng, X.m)
+        u = random_operator(rng, X.m, with_hbar=True)
+        image = centre_differential(X, delta, u, allow_non_mc=True)
+        for e in (1, 2, 3):
+            shifted = centre_differential(X, delta, u * HSeries.monomial(e),
+                                          allow_non_mc=True)
+            assert shifted == _shift_hbar(image, e)
 
 
 def test_centre_differential_rejects_non_mc():
@@ -367,6 +389,43 @@ def test_eigen_examples():
         assert rep.eigenvalues == [0]
         assert rep.combined_scalar == 1 - k
         assert rep.invertible == (k != 1)
+
+
+@pytest.mark.parametrize("k, jordan, eigenvalues, diagonalisable, invertible", [
+    (1, False, [0, 1], True, False),
+    (2, True, [1], False, True),
+], ids=["diag-0-1", "jordan-1"])
+def test_eigen_non_scalar_block(monkeypatch, k, jordan, eigenvalues,
+                                diagonalisable, invertible):
+    """A block that is not a scalar (forced here through a stand-in for the
+    nu images) is ranked at each candidate eigenvalue: diag(0, 1, ..., 1)
+    has eigenvalues 0 and 1 and is diagonalisable, 1 + E_01 has the one
+    eigenvalue 1 and is not; M + 1 - p - k decides invertibility."""
+    from qshift import derham
+    X = make_crit_locus(Element.y(1, 1) ** 2, 1)
+    p = 1
+    basis = operator_keys_in_window(X, p, TruncationSpec(DEGREE_TRUNCATED, 2),
+                                    arity_exact=p)
+    n = len(basis)
+    mat = [[int(r == c) for c in range(n)] for r in range(n)]
+    if jordan:
+        mat[0][1] = 1
+    else:
+        mat[0][0] = 0
+
+    def block_column(slots, rho):
+        (key, _), = rho.terms
+        col = basis.index(key)
+        return Operator._from_store(X.m, {(basis[r], 1): mat[r][col]
+                                          for r in range(n) if mat[r][col]})
+
+    monkeypatch.setattr(derham, "_nu_apply", block_column)
+    rep = nu_eigen_analysis(X, p, k)
+    assert rep.block_dim == n > 2
+    assert rep.eigenvalues == eigenvalues
+    assert rep.diagonalisable == diagonalisable
+    assert rep.invertible == invertible
+    assert rep.combined_scalar == (1 - p - k + 1 if jordan else None)
 
 
 def test_eigen_window_independence():
