@@ -125,10 +125,11 @@ def element_keys_in_window(X, cutoff):
 
 def bv_apply(X: CritLocus, a: Element) -> Element:
     """Apply Sum_i d_{y_i} d_{eta_i} (no hbar factor)."""
-    out = Element.zero(X.m)
+    out = {}
     for i in range(1, X.m + 1):
-        out = out + a.contract_eta(i).partial_y(i)
-    return out
+        for k, c in a.contract_eta(i).partial_y(i).terms.items():
+            _accumulate(out, k, c)
+    return Element._from_store(X.m, out)
 
 
 def _slice_rank(X, basis):

@@ -13,9 +13,10 @@ substitution homomorphism e -> Delta.
 
 from __future__ import annotations
 
-from .coefficients import _accumulate, _canon, _scaled, solve_rational
-from .diffops import (Operator, _compose_into, key_degree, op_commutator,
-                      op_compose)
+from .coefficients import (_accumulate, _canon, _hbar_items, _scaled,
+                           solve_rational)
+from .diffops import (Operator, _product_into, key_degree, op_commutator,
+                      op_unit_key)
 from .errors import NotMaurerCartan
 from .gca import CritLocus, Element, apply_koszul_delta, merge_ascending, unit_key
 from .quantise import (Quantisation, centre_differential, koszul_operator,
@@ -195,68 +196,97 @@ def canonical_symplectic(X: CritLocus) -> DRWord:
     return DRWord._from_store(m, out.terms, 2)
 
 
-def _mult_operator(m, mono, e=0, c=1):
-    """c hbar^e times the multiplication operator of one monomial."""
-    return Operator._from_store(m, {((mono[0], mono[1], (0,) * m, ()), e): c})
+def _times(left, right):
+    """L o R for operands grouped by monomial, grouped by monomial."""
+    acc = {}
+    _product_into(acc, left, right)
+    return _hbar_items(acc)
+
+
+def _horner(m, words, D, slots=None, left=None, prefix=0):
+    """The store of Sum c hbar^e a_0 Delta a_1 ... Delta a_r over ``words``,
+    (factors, e, c) triples, by Horner's rule on their prefix trie: per
+    first factor a, a o (Sum of the ended words' c hbar^e + Delta o the
+    tails' sum), so each internal node takes one composition with Delta, a
+    unit factor is skipped and c hbar^e is applied at the leaf.  D is Delta
+    grouped by monomial.
+
+    With a list ``slots`` it also appends the rho-free factors of nu for
+    each proper prefix q: its Koszul exponent (degrees of q's factors plus
+    its length - 1), L_q = a_0 Delta ... a_q, built from the parent's
+    L Delta, and R_q, the sum of the tails after q with the words'
+    c hbar^e; both grouped by monomial.
+    """
+    unit, one, zero = unit_key(m), op_unit_key(m), (0,) * m
+    groups = {}
+    for ws, e, c in words:
+        groups.setdefault(ws[0], []).append((ws[1:], e, c))
+    out, left_d = {}, None
+    for a, tails in groups.items():
+        mult = [((a[0], a[1], zero, ()), [(0, 1)])]
+        inner = {(one, e): c for ws, e, c in tails if not ws}
+        rest = [t for t in tails if t[0]]
+        if rest:
+            if slots is None:
+                right = _hbar_items(_horner(m, rest, D))
+            else:
+                if left is None:
+                    la = mult
+                else:
+                    if left_d is None:
+                        left_d = _times(left, D)
+                    la = left_d if a == unit else _times(left_d, mult)
+                deg = prefix + _mono_degree(a)
+                right = _hbar_items(_horner(m, rest, D, slots, la, deg + 1))
+                if la and right:
+                    slots.append((deg, la, right))
+            _product_into(inner, D, right)
+        if a == unit:
+            for k, v in inner.items():
+                _accumulate(out, k, v)
+        else:
+            _product_into(out, mult, _hbar_items(inner))
+    return out
+
+
+def _words(w: DRWord):
+    return [(ws, e, c) for (e, ws), c in w.terms.items()]
 
 
 def mu(w: DRWord, delta: Quantisation, X: CritLocus) -> Operator:
     """a_0 (x) ... (x) a_r evaluates to a_0 Delta a_1 Delta ... Delta a_r."""
-    m = w.m
-    D = delta.as_operator_series()
-    out = {}
-    for (e, ws), c in w.terms.items():
-        op = _mult_operator(m, ws[0], e, c)
-        for mono in ws[1:]:
-            op = op_compose(op, D)
-            if op.is_zero():
-                break
-            op = op_compose(op, _mult_operator(m, mono))
-        for k, v in op.terms.items():
-            _accumulate(out, k, v)
-    return Operator._from_store(m, out)
+    D = _hbar_items(delta.as_operator_series().terms)
+    return Operator._from_store(w.m, _horner(w.m, _words(w), D))
 
 
 def _nu_slots(w: DRWord, delta: Quantisation):
-    """The rho-free factors of nu: per (word, slot), the prefix degree, the
-    word's c hbar^e folded into L = a_0 Delta ... a_slot, and
-    R = a_(slot+1) Delta ... a_r, both built incrementally along the word."""
-    m = w.m
-    D = delta.as_operator_series()
+    """The rho-free factors of nu, one (Koszul exponent, L, R) slot per
+    distinct proper prefix of the words (see ``_horner``)."""
     slots = []
-    for (e, ws), c in w.terms.items():
-        r = len(ws) - 1
-        lefts = [_mult_operator(m, ws[0], e, c)]
-        rights = [_mult_operator(m, ws[r])]
-        for i in range(1, r):
-            lefts.append(op_compose(op_compose(lefts[-1], D),
-                                    _mult_operator(m, ws[i])))
-            rights.append(op_compose(_mult_operator(m, ws[r - i]),
-                                     op_compose(D, rights[-1])))
-        prefix = 0
-        for slot in range(r):
-            prefix += _mono_degree(ws[slot])
-            slots.append((prefix + slot, lefts[slot], rights[r - 1 - slot]))
+    _horner(w.m, _words(w), _hbar_items(delta.as_operator_series().terms),
+            slots)
     return slots
 
 
 def _nu_apply(slots, rho: Operator) -> Operator:
-    """Sum over slots and degree parts rho_d of the signed L o rho_d o R,
-    each o R accumulated straight into the result."""
+    """Sum over slots and degree parts rho_d of (-1)^((d - 1) * exponent)
+    L o rho_d o R.  An even exponent takes rho itself and an odd one rho
+    with its even-degree part negated, so each slot takes two products."""
+    plain = _hbar_items(rho.terms)
+    twisted = [(k, h if key_degree(k) % 2 else [(e, -c) for e, c in h])
+               for k, h in plain]
     out = {}
-    for rd in sorted(rho.degrees()):
-        rpart = rho.degree_part(rd)
-        for prefix, left, right in slots:
-            if left and right:
-                odd = ((rd - 1) * prefix) % 2
-                _compose_into(out, op_compose(left, rpart), right,
-                              -1 if odd else 1)
+    for prefix, left, right in slots:
+        _product_into(out, _times(left, twisted if prefix % 2 else plain),
+                      right)
     return Operator._from_store(rho.m, out)
 
 
 def nu(w: DRWord, delta: Quantisation, rho: Operator, X: CritLocus) -> Operator:
     """The mu-derivation substituting rho for one Delta slot, with the
     Koszul sign (-1)^((deg rho - 1) * prefix degree) per slot."""
+    if rho.is_zero():
+        return Operator.zero(w.m)
     return _nu_apply(_nu_slots(w, delta), rho)
 
 

@@ -18,6 +18,7 @@ Leibniz rule.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from math import comb, perm
 from operator import add
@@ -205,22 +206,25 @@ def _fold(gens, state, m):
 
 
 @lru_cache(maxsize=None)
-def _odd_table(T, U):
-    """Normal-ordered d_eta_T o eta_U as ``((U', T', sign), ...)``.
-
-    Folds the d_eta generators through eta_U; the y and d_y slots play no
-    part, so one entry serves every m, and there are at most 4^m entries.
-    """
-    state = _fold([(_DETA, t) for t in T], {((), U, (), ()): 1}, 0)
-    return tuple((k[1], k[3], n) for k, n in state.items())
+def _odd_product(S, T, U, V):
+    """The odd part of eta_S d_eta_T o eta_U d_eta_V in normal order, as
+    ``((eta, d_eta, sign), ...)``: the d_eta generators are folded through
+    eta_U with the generator rules, then eta_S.eta_U' and d_eta_T'.d_eta_V
+    are merged.  The y and d_y slots play no part, so one entry serves
+    every m."""
+    out = []
+    for k, s in _fold([(_DETA, t) for t in T], {((), U, (), ()): 1}, 0).items():
+        eta, s1 = merge_ascending(S, k[1])
+        deta, s2 = merge_ascending(k[3], V)
+        if eta is not None and deta is not None:
+            out.append((eta, deta, s * s1 * s2))
+    return tuple(out)
 
 
 def _leibniz(a, b, c, d):
     """Normal-ordered y^a d_y^b o y^c d_y^d as ``[(y exps, d_y exps, n)]``:
     the sum over k of prod_i C(b_i, k_i) c_i!/(c_i - k_i)!
     y^(a+c-k) d_y^(b-k+d)."""
-    if not any(map(min, b, c)):
-        return [(tuple(map(add, a, c)), tuple(map(add, b, d)), 1)]
     terms = [((), (), 1)]
     for ai, bi, ci, di in zip(a, b, c, d):
         terms = [(y + (ai + ci - k,), dy + (bi + di - k,),
@@ -229,53 +233,45 @@ def _leibniz(a, b, c, d):
     return terms
 
 
-def _mono_product(k1, k2):
-    """Normal-ordered y^a eta_S d_y^b d_eta_T o y^c eta_U d_y^d d_eta_V as
-    {key: integer coefficient}.
+def _product_into(acc, left, right, sign=1):
+    """Accumulate sign * L o R into the store ``acc``, where ``left`` and
+    ``right`` are operands grouped by monomial (``_hbar_items``), in one
+    pass over monomial pairs.
 
-    d_y^b passes y^c by Leibniz and d_eta_T passes eta_U by Clifford
-    ordering; everything else commutes, so the only further signs are the
-    merges eta_S.eta_U' and d_eta_T'.d_eta_V.  Distinct (k, U') give
-    distinct keys, so no two terms collide.  The keys carry m.
+    For y^a eta_S d_y^b d_eta_T o y^c eta_U d_y^d d_eta_V, d_y^b passes y^c
+    by Leibniz and d_eta_T passes eta_U by Clifford ordering; everything
+    else commutes, so the only further signs are the merges in
+    ``_odd_product``.  Distinct (k, U') give distinct keys, so the terms of
+    one pair never collide.
     """
-    a, S, b, T = k1
-    c, U, d, V = k2
-    odd = []
-    for U2, T2, s in _odd_table(T, U):
-        eta, s1 = merge_ascending(S, U2)
-        if eta is None:
-            continue
-        deta, s2 = merge_ascending(T2, V)
-        if deta is None:
-            continue
-        odd.append((eta, deta, s * s1 * s2))
-    if not odd:
-        return {}
-    return {(y, eta, dy, deta): n * s
-            for y, dy, n in _leibniz(a, b, c, d) for eta, deta, s in odd}
-
-
-def _add_product(acc, k1, h1, k2, h2, sign=1):
-    """Accumulate sign * (h1 k1) o (h2 k2) into the store ``acc``; h1 and h2
-    are the (hbar exponent, coefficient) items of the two monomials."""
-    prod = _mono_product(k1, k2)
-    if not prod:
-        return
-    for e1, v1 in h1:
-        for e2, v2 in h2:
-            v = v1 * v2 if sign > 0 else -(v1 * v2)
-            e = e1 + e2
-            for key, n in prod.items():
-                _accumulate(acc, (key, e), v if n == 1 else v * n)
-
-
-def _compose_into(acc, D1, D2, sign=1):
-    """Accumulate sign * D1 o D2 into the store ``acc``, in one pass over
-    monomial pairs."""
-    right = _hbar_items(D2.terms)
-    for k1, h1 in _hbar_items(D1.terms):
-        for k2, h2 in right:
-            _add_product(acc, k1, h1, k2, h2, sign)
+    if sign != 1:
+        left = [(k, [(e, v * sign) for e, v in h]) for k, h in left]
+    for (a, S, b, T), h1 in left:
+        for (c, U, d, V), h2 in right:
+            odd = _odd_product(S, T, U, V)
+            if not odd:
+                continue
+            if any(map(min, b, c)):
+                even = _leibniz(a, b, c, d)
+            else:
+                even = ((tuple(map(add, a, c)), tuple(map(add, b, d)), 1),)
+            for y, dy, n in even:
+                for eta, deta, s in odd:
+                    key = (y, eta, dy, deta)
+                    ns = n * s
+                    for e1, v1 in h1:
+                        if ns != 1:
+                            v1 *= ns
+                        for e2, v2 in h2:
+                            # the add-and-drop-zero step of _accumulate
+                            k = (key, e1 + e2)
+                            v = acc.get(k, 0) + v1 * v2
+                            if not v:
+                                acc.pop(k, None)
+                            elif type(v) is Fraction and v.denominator == 1:
+                                acc[k] = v.numerator
+                            else:
+                                acc[k] = v
 
 
 def op_compose(D1: Operator, D2: Operator) -> Operator:
@@ -283,7 +279,7 @@ def op_compose(D1: Operator, D2: Operator) -> Operator:
     if D1.m != D2.m:
         raise ValueError("signature mismatch")
     acc = {}
-    _compose_into(acc, D1, D2)
+    _product_into(acc, _hbar_items(D1.terms), _hbar_items(D2.terms))
     return Operator._from_store(D1.m, acc)
 
 
@@ -326,18 +322,21 @@ def op_apply(D: Operator, a: Element) -> Element:
 
 
 def op_commutator(D1: Operator, D2: Operator) -> Operator:
-    """Graded commutator [D1, D2], extended bilinearly over monomials: each
-    pair adds k1 o k2 - (-1)^(|k1||k2|) k2 o k1 to one accumulator."""
+    """Graded commutator [D1, D2], extended bilinearly over monomials:
+    k1 o k2 - (-1)^(|k1||k2|) k2 o k1 for each pair, added to one store;
+    the sign of k2 o k1 is +1 only for two odd monomials."""
     if D1.m != D2.m:
         raise ValueError("signature mismatch")
-    right = _hbar_items(D2.terms)
+    left, right = _hbar_items(D1.terms), _hbar_items(D2.terms)
+    odd_l = [t for t in left if key_degree(t[0]) % 2]
+    even_l = [t for t in left if not key_degree(t[0]) % 2]
+    odd_r = [t for t in right if key_degree(t[0]) % 2]
+    even_r = [t for t in right if not key_degree(t[0]) % 2]
     acc = {}
-    for k1, h1 in _hbar_items(D1.terms):
-        odd1 = key_degree(k1) % 2
-        for k2, h2 in right:
-            _add_product(acc, k1, h1, k2, h2)
-            swap = -1 if odd1 and key_degree(k2) % 2 else 1
-            _add_product(acc, k2, h2, k1, h1, -swap)
+    _product_into(acc, left, right)
+    _product_into(acc, even_r, left, -1)
+    _product_into(acc, odd_r, even_l, -1)
+    _product_into(acc, odd_r, odd_l)
     return Operator._from_store(D1.m, acc)
 
 

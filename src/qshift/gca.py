@@ -272,9 +272,10 @@ def apply_koszul_delta(X: CritLocus, a: Element) -> Element:
     """Degree +1 derivation with delta(y_i) = 0, delta(eta_i) = df/dy_i."""
     if a.m != X.m:
         raise ValueError("signature mismatch")
-    out = Element.zero(X.m)
+    out = {}
     for i in range(1, X.m + 1):
         contracted = a.contract_eta(i)
         if contracted:
-            out = out + gmul(X.partials[i - 1], contracted)
-    return out
+            for k, c in gmul(X.partials[i - 1], contracted).terms.items():
+                _accumulate(out, k, c)
+    return Element._from_store(X.m, out)

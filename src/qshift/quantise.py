@@ -18,7 +18,7 @@ from .cohomology import (DEGREE_TRUNCATED, WEIGHT_GRADED, TruncationSpec,
                          _walk_exponents, _weight_steps, eta_subsets,
                          iter_y_exponents)
 from .diffops import (Operator, op_commutator, op_compose, op_order,
-                      key_degree, key_order, symbol)
+                      key_degree, symbol)
 from .errors import NotMaurerCartan, TruncationRequired
 from .gca import CritLocus, Element, gmul
 
@@ -239,40 +239,31 @@ def is_nondegenerate(X: CritLocus, delta: Quantisation):
 # Filtration dimension tables
 # ---------------------------------------------------------------------------
 
-def operator_keys_in_window(X: CritLocus, order_cap: int, trunc: TruncationSpec,
-                            arity_exact=None):
-    """Operator monomial keys with derivative degree <= order_cap (or exactly
-    ``arity_exact``) and multiplication part within the truncation window."""
+def _window_blocks(X: CritLocus, order_cap: int, trunc: TruncationSpec,
+                   arity_exact=None):
+    """The operator monomial keys of ``operator_keys_in_window`` as blocks
+    ``(b, T, S, a-list)``: the keys (a, S, b, T) for a in the a-list."""
     m = X.m
     weights = X.signature.weights
     if trunc.mode == WEIGHT_GRADED and weights is None:
         raise TruncationRequired("weight truncation needs quasi-homogeneity weights")
-    keys = []
     if order_cap < 0:
-        return keys
+        return
     subsets = eta_subsets(m)
     dparts = []
     for T in subsets:
-        rem = order_cap - len(T)
-        if arity_exact is not None:
-            rem = arity_exact - len(T)
-            if rem < 0:
-                continue
-            for b in iter_y_exponents(m, rem):
-                if sum(b) == rem:
-                    dparts.append((tuple(b), T))
-        else:
-            if rem < 0:
-                continue
-            for b in iter_y_exponents(m, rem):
+        rem = (order_cap if arity_exact is None else arity_exact) - len(T)
+        if rem < 0:
+            continue
+        for b in iter_y_exponents(m, rem):
+            if arity_exact is None or sum(b) == rem:
                 dparts.append((tuple(b), T))
     if trunc.mode == DEGREE_TRUNCATED:
         alist = list(iter_y_exponents(m, trunc.bound))
         for b, T in dparts:
             for S in subsets:
-                for a in alist:
-                    keys.append((a, S, b, T))
-        return keys
+                yield b, T, S, alist
+        return
     # Weight mode in lcm-scaled integer weights: eta_i weighs den - steps_i,
     # d_eta_i and d_y_i the negatives of their variables' weights; the
     # a-list of each distinct budget is built once.
@@ -290,9 +281,15 @@ def operator_keys_in_window(X: CritLocus, order_cap: int, trunc: TruncationSpec,
             alist = alists.get(budget)
             if alist is None:
                 alist = alists[budget] = list(_walk_exponents(steps, budget))
-            for a in alist:
-                keys.append((a, S, b, T))
-    return keys
+            yield b, T, S, alist
+
+
+def operator_keys_in_window(X: CritLocus, order_cap: int, trunc: TruncationSpec,
+                            arity_exact=None):
+    """Operator monomial keys with derivative degree <= order_cap (or exactly
+    ``arity_exact``) and multiplication part within the truncation window."""
+    return [(a, S, b, T) for b, T, S, alist
+            in _window_blocks(X, order_cap, trunc, arity_exact) for a in alist]
 
 
 def _order_bound(label: FiltrationLabel, p: int, j: int):
@@ -317,13 +314,13 @@ def filtration_dims(label: FiltrationLabel, p: int, degrees, hbar_exps,
                     X: CritLocus, trunc: TruncationSpec):
     """Q-dimensions of a filtration piece per (cohomological degree,
     hbar-exponent) within a finite window: one enumeration at the largest
-    order bound, counted by (degree, order)."""
+    order bound, counted by (degree, order) a block at a time."""
     bounds = {e: _order_bound(label, p, e + 1) for e in hbar_exps}
     cap = max((b for b in bounds.values() if b is not None), default=-1)
     counts = {}
-    for k in operator_keys_in_window(X, cap, trunc):
-        dk = (key_degree(k), key_order(k))
-        counts[dk] = counts.get(dk, 0) + 1
+    for b, T, S, alist in _window_blocks(X, cap, trunc):
+        dk = (len(T) - len(S), sum(b) + len(T))
+        counts[dk] = counts.get(dk, 0) + len(alist)
     return {(d, e): sum(counts.get((d, o), 0) for o in range(bound + 1))
             if bound is not None else 0
             for e, bound in bounds.items() for d in degrees}
@@ -387,22 +384,20 @@ def nu_eigen_analysis(X: CritLocus, p: int, k: int,
         raise TruncationRequired("empty symbol block in the window")
     index = {key: i for i, key in enumerate(basis)}
     n = len(basis)
-    mat = [[0] * n for _ in range(n)]
-    for col, key in enumerate(basis):
+    cols = []  # the block as sparse columns {row: entry}
+    for key in basis:
         image = _nu_apply(slots, Operator._from_store(m, {(key, 0): 1}))
-        for (ikey, e), c in image.terms.items():
-            row = index.get(ikey)
-            if e == 1 and row is not None and key_order(ikey) == p:
-                mat[row][col] = c
+        cols.append({index[ikey]: c for (ikey, e), c in image.terms.items()
+                     if e == 1 and ikey in index})
     scalar_shift = 1 - p - k
-    lam0 = mat[0][0]
-    if all(mat[r][c] == (lam0 if r == c else 0)
-           for r in range(n) for c in range(n)):
+    lam0 = cols[0].get(0, 0)
+    if all(col == ({c: lam0} if lam0 else {}) for c, col in enumerate(cols)):
         # the generic case for the canonical pair: the block acts by a scalar
         eigenvalues = [int(lam0)] if lam0.denominator == 1 else [lam0]
         return SpectrumReport(p, k, n, eigenvalues,
                               eigenvalues[0] + scalar_shift,
                               eigenvalues[0] + scalar_shift != 0, True)
+    mat = [[cols[c].get(r, 0) for c in range(n)] for r in range(n)]
     eigenvalues = [lam for lam in range(p + 1) if _rank(_shifted(mat, lam)) < n]
     # semisimplicity on the window: the product of (M - lam) over found
     # eigenvalues must annihilate the block

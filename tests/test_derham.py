@@ -284,6 +284,50 @@ def _nu_reference(w, delta, rho):
     return out
 
 
+def _mu_reference(w, delta):
+    """mu word by word, left to right: c hbar^e a_0 o Delta o a_1 o ... ."""
+    m = w.m
+    D = delta.as_operator_series()
+    out = Operator.zero(m)
+    for (e, ws), c in w.terms.items():
+        op = Operator(m, {(ws[0][0], ws[0][1], (0,) * m, ()): HSeries.monomial(e, c)})
+        for mono in ws[1:]:
+            op = op_compose(op_compose(op, D),
+                            Operator(m, {(mono[0], mono[1], (0,) * m, ()): 1}))
+        out = out + op
+    return out
+
+
+_COEFFS = st.sampled_from([1, -2, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), q=_COEFFS)
+def test_mu_matches_word_by_word_reference(seed, q):
+    """Horner's rule on the prefix trie against the word-by-word product:
+    words over a three-letter alphabet with the unit share prefixes and
+    carry unit factors, each at one or two hbar exponents; dr_d, cup and
+    dr_total_d add their own unit factors."""
+    rng = random.Random(seed)
+    m = rng.randint(1, 2)
+    X = corpus_locus(4 if m == 2 else 0)
+    delta = random_quantisation(rng, m)
+    letters = [unit_key(m)] + [
+        (tuple(rng.randint(0, 1) for _ in range(m)),
+         tuple(sorted(rng.sample(range(1, m + 1), rng.randint(0, 1)))))
+        for _ in range(2)]
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        ws = tuple(rng.choice(letters) for _ in range(rng.randint(1, 4)))
+        for e in rng.sample(range(-1, 3), rng.randint(1, 2)):
+            terms[(e, ws)] = q * rng.choice([1, -1, 3])
+    pieces = [random_element(rng, m, nterms=2, with_hbar=True).scale(q)
+              for _ in range(2)]
+    formed = cup(dr_d(pieces[0]), dr_of(pieces[1]))
+    for w in (DRWord(m, terms), formed, dr_total_d(X, formed)):
+        assert mu(w, delta, X) == _mu_reference(w, delta)
+
+
 def _random_word(rng, m, length):
     terms = {}
     for _ in range(rng.randint(1, 3)):

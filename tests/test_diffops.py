@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from qshift.coefficients import HSeries, _accumulate, hseries_mul
 from qshift.diffops import (Operator, Polyvector, _fold, _gen_sequence,
-                            _mono_product, op_apply, op_commutator,
-                            op_compose, op_order, pv_mul, schouten, symbol)
+                            key_degree, op_apply, op_commutator, op_compose,
+                            op_order, pv_mul, schouten, symbol)
 from qshift.errors import OrderTooLow, ZeroOperator
 from qshift.gca import Element, gmul
 
@@ -264,8 +264,11 @@ _KEY_PAIRS = st.integers(1, 3).flatmap(
 @example((1, ((0,), (), (0,), (1,)), ((0,), (), (0,), (1,))))  # deta1 o deta1
 @example((2, ((1, 0), (2,), (2, 1), (1, 2)), ((3, 2), (1, 2), (0, 1), (2,))))
 def test_mono_product_matches_fold(case):
+    """The product kernel on two one-term operators against the generator
+    fold."""
     m, k1, k2 = case
-    assert _mono_product(k1, k2) == _fold(_gen_sequence(k1, m), {k2: 1}, m)
+    product = op_compose(Operator(m, {k1: 1}), Operator(m, {k2: 1}))
+    assert product == Operator(m, _fold(_gen_sequence(k1, m), {k2: 1}, m))
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +354,29 @@ def _hseries_st():
 def _operator_st(m):
     return st.dictionaries(_key_st(m, max_exp=2), _hseries_st(),
                            max_size=3).map(lambda t: Operator(m, t))
+
+
+_OPERATOR_PAIRS = st.integers(1, 2).flatmap(
+    lambda m: st.tuples(_operator_st(m), _operator_st(m)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_OPERATOR_PAIRS)
+@example((Operator(2, {((0, 0), (1,), (0, 0), ()): 1,              # odd
+                       ((1, 0), (), (0, 0), (1, 2)): 2}),          # even
+          Operator(2, {((0, 0), (), (1, 0), (1,)): 1,              # odd
+                       ((0, 1), (2,), (0, 0), ()): HSeries({-1: 3, 1: -1})})))
+def test_commutator_matches_pairwise_graded_definition(pair):
+    """[D1, D2] = Sum over monomial pairs of k1 o k2 - (-1)^(|k1||k2|) k2 o k1."""
+    D1, D2 = pair
+    m = D1.m
+    expected = Operator.zero(m)
+    for k1, c1 in D1.series().items():
+        for k2, c2 in D2.series().items():
+            t1, t2 = Operator(m, {k1: c1}), Operator(m, {k2: c2})
+            sign = -1 if key_degree(k1) % 2 and key_degree(k2) % 2 else 1
+            expected = expected + op_compose(t1, t2) - op_compose(t2, t1).scale(sign)
+    assert op_commutator(D1, D2) == expected
 
 
 _OPERATOR_TRIPLES = st.integers(1, 2).flatmap(

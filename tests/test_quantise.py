@@ -342,6 +342,25 @@ def test_weight_window_keys_match_fraction_reference(idx):
                     == _reference_weight_keys(X, cap, bound, arity_exact=cap))
 
 
+@pytest.mark.parametrize("idx", [0, 4, 7], ids=["x^2", "x^3+y^3", "x^2+y^2+z^2"])
+def test_degree_window_keys_match_nested_loops(idx):
+    """Degree mode enumerates (b, T), then S, then a, in this order."""
+    X = corpus_locus(idx)
+    m, subsets = X.m, eta_subsets(X.m)
+    for bound in (0, 2):
+        alist = list(iter_y_exponents(m, bound))
+        for cap in range(3):
+            for arity in (None, cap):
+                dparts = [(tuple(b), T) for T in subsets
+                          for b in iter_y_exponents(m, cap - len(T))
+                          if arity is None or sum(b) + len(T) == arity]
+                expected = [(a, S, b, T) for b, T in dparts
+                            for S in subsets for a in alist]
+                assert operator_keys_in_window(
+                    X, cap, TruncationSpec(DEGREE_TRUNCATED, bound),
+                    arity_exact=arity) == expected
+
+
 @pytest.mark.parametrize("idx", [1, 4, 7], ids=["x^3", "x^3+y^3", "x^2+y^2+z^2"])
 @pytest.mark.parametrize("mode", [DEGREE_TRUNCATED, WEIGHT_GRADED])
 def test_filtration_dims_match_definition(idx, mode):
