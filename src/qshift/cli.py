@@ -23,6 +23,7 @@ import sys
 import time
 from fractions import Fraction
 
+from .coefficients import codec
 from .cohomology import (DEGREE_TRUNCATED, WEIGHT_GRADED, TruncationSpec,
                          koszul_dims_at_hbar_zero, milnor_number,
                          twisted_derham_dims)
@@ -298,8 +299,12 @@ def format_polynomial(f: Element, names) -> str:
     """Canonical printable form of a polynomial over the declared names."""
     if f.is_zero():
         return "0"
+    C = codec(f.m)
     parts = []
-    for ((a, _), _), coeff in sorted(f.terms.items(), reverse=True):
+    # descending in the decoded ((a, eta), e), which orders the y exponents
+    for (a, _, _, _, _), coeff in sorted(
+            ((C.decode(k), c) for k, c in f.terms.items()),
+            key=lambda t: (t[0][:2], t[0][4]), reverse=True):
         mono = []
         for i, e in enumerate(a):
             if e == 1:

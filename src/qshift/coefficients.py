@@ -1,14 +1,16 @@
-"""Exact scalar arithmetic: the one coefficient model, the hbar-Laurent
-boundary type, and the sparse rank/solve kernel over Q.
+"""Exact scalar arithmetic: the one coefficient model, the packed monomial
+keys, the hbar-Laurent boundary type, and the sparse rank/solve kernel
+over Q.
 
 A coefficient is canonical: a nonzero ``int``, or a ``fractions.Fraction``
 whose denominator is greater than 1.  It is never a float, and an integral
 Fraction is stored as its numerator, so integer data stays in ``int``
 arithmetic until a non-integral value appears.  Elements, operators,
-symbols and de Rham words all keep one flat store of terms, keyed by the
-monomial and the hbar exponent together, with one canonical coefficient
-per key.  ``_accumulate`` is the one add-and-drop-zero step behind every
-such sum, and ``_canon`` admits a rational from outside.
+symbols and de Rham words all keep one flat store of terms, keyed by one
+``int`` that packs the monomial and the hbar exponent together (see
+:class:`Codec`), with one canonical coefficient per key.  ``_accumulate``
+is the one add-and-drop-zero step behind every such sum, and ``_canon``
+admits a rational from outside.
 
 An :class:`HSeries` is a finite Laurent polynomial in the degree-0 dummy
 variable hbar with canonical coefficients; it is exact, never truncated.
@@ -19,6 +21,10 @@ a store for printing (``series()``), and reports.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
+
+from .errors import ExponentOverflow
 
 
 def _canon(c):
@@ -180,50 +186,185 @@ def hbar_derivative_scaled(a: HSeries) -> HSeries:
 
 
 # ---------------------------------------------------------------------------
-# Flat term stores {(monomial key, hbar exponent): coefficient}
+# Packed monomial keys
 # ---------------------------------------------------------------------------
 
-def _flatten(terms):
-    """The store of boundary input {monomial key: HSeries | int | Fraction}."""
+FIELD_BITS = 16
+
+
+class Codec:
+    """The packed keys of the monomials y^a eta_S d_y^b d_eta_T hbar^e in m
+    generator pairs: one ``int`` per monomial and hbar exponent (the
+    packed exponent vectors of Monagan and Pearce, 2007).
+
+    From the low end, bit 2i - 2 is eta_i and bit 2i - 1 is d_eta_i: the
+    odd part, whose layout does not depend on m.  Above it sit m fields of
+    ``FIELD_BITS`` bits for a, then m for b, and above those the hbar
+    exponent e, so ``key >> hbar_shift`` is e and a negative e needs no
+    bias.  An element key is an operator key with b = 0 and T empty, and
+    the unit monomial is 0.
+
+    The y and d_y fields of a product of two monomials are the sums of
+    theirs, so the even part of a product key is one integer addition.  The
+    top bit of each field is a guard: every exponent stays below ``limit``,
+    so a sum of two keys never carries out of a field, and a guard bit set
+    in a sum is an overflow, refused by ``check`` with ExponentOverflow
+    rather than wrapped.  Tuples ``(a, eta[, b, deta])`` appear only at the
+    boundary (constructors, ``series()``, printing and reports), through
+    ``encode`` and ``decode``.
+    """
+
+    __slots__ = ("m", "limit", "field", "odd", "eta", "deta", "eta_bits",
+                 "deta_bits", "y", "dy", "y_off", "dy_off", "y_block",
+                 "dy_block", "guard", "hbar_shift", "hbar", "mono",
+                 "y_lows", "y_guards", "dy_lows", "dy_guards", "dy_to_y",
+                 "shared")
+
+    def __init__(self, m):
+        w = FIELD_BITS
+        self.m = m
+        self.limit = 1 << (w - 1)
+        self.field = (1 << w) - 1
+        self.eta_bits = tuple(1 << 2 * i for i in range(m))
+        self.deta_bits = tuple(2 << 2 * i for i in range(m))
+        self.eta = sum(self.eta_bits)
+        self.deta = sum(self.deta_bits)
+        self.odd = self.eta | self.deta
+        self.y_off = tuple(2 * m + i * w for i in range(m))
+        self.dy_off = tuple(2 * m + (m + i) * w for i in range(m))
+        self.y = tuple(1 << o for o in self.y_off)
+        self.dy = tuple(1 << o for o in self.dy_off)
+        self.y_block = sum(self.field << o for o in self.y_off)
+        self.dy_block = sum(self.field << o for o in self.dy_off)
+        self.y_guards = sum(self.limit << o for o in self.y_off)
+        self.dy_guards = sum(self.limit << o for o in self.dy_off)
+        self.guard = self.y_guards | self.dy_guards
+        # a field x < limit is nonzero iff x + (limit - 1) sets its guard
+        self.y_lows = sum((self.limit - 1) << o for o in self.y_off)
+        self.dy_lows = sum((self.limit - 1) << o for o in self.dy_off)
+        self.dy_to_y = m * w
+        # a y-field guard bit -> (y offset, d_y offset, y_i + d_y_i units)
+        self.shared = {self.limit << yo: (yo, do, (1 << yo) + (1 << do))
+                       for yo, do in zip(self.y_off, self.dy_off)}
+        self.hbar_shift = 2 * m + 2 * m * w
+        self.hbar = 1 << self.hbar_shift
+        self.mono = self.hbar - 1
+
+    def overflow(self):
+        raise ExponentOverflow(
+            f"an exponent reached {self.limit}; packed monomial keys hold "
+            f"exponents below {self.limit}")
+
+    def check(self, key):
+        """``key``, refused if a sum of keys overflowed a field."""
+        if key & self.guard:
+            self.overflow()
+        return key
+
+    def encode(self, a, eta=(), b=None, deta=(), e=0):
+        """The key of y^a eta_S d_y^b d_eta_T hbar^e, for S = ``eta`` and
+        T = ``deta`` strictly increasing index tuples in 1..m; b defaults
+        to 0.  Out-of-range input is refused, never wrapped."""
+        return (self._fields(self.y, a) + self._fields(self.dy, b)
+                + self._odd(self.eta_bits, eta) + self._odd(self.deta_bits, deta)
+                + (int(e) << self.hbar_shift))
+
+    def _fields(self, units, exps):
+        if exps is None:
+            return 0
+        if len(exps) != self.m:
+            raise ValueError(f"exponent vector of length {len(exps)}, "
+                             f"m = {self.m}")
+        if not 0 <= min(exps) <= max(exps) < self.limit:
+            if min(exps) < 0:
+                raise ValueError(f"negative exponent in {exps!r}")
+            self.overflow()
+        return sum(map(mul, units, exps))
+
+    def _odd(self, bits, index):
+        if not index:
+            return 0
+        if not (0 < index[0] and index[-1] <= self.m and all(
+                x < z for x, z in zip(index, index[1:]))):
+            raise ValueError(f"odd indices {index!r} are not strictly "
+                             f"increasing in 1..{self.m}")
+        return sum(bits[i - 1] for i in index)
+
+    def decode(self, key):
+        """``(a, eta, b, deta, e)`` of a key, as tuples and the int e."""
+        field = self.field
+        return (self.y_exponents(key), _indices(self.eta_bits, key),
+                tuple([key >> o & field for o in self.dy_off]),
+                _indices(self.deta_bits, key), key >> self.hbar_shift)
+
+    def y_exponents(self, key):
+        field = self.field
+        return tuple([key >> o & field for o in self.y_off])
+
+    def degree(self, key):
+        """Cohomological degree -|eta| + |d_eta|; hbar has degree 0."""
+        return (key & self.deta).bit_count() - (key & self.eta).bit_count()
+
+    def order(self, key):
+        """Total derivative degree |b| + |d_eta|."""
+        return (sum(key >> o & self.field for o in self.dy_off)
+                + (key & self.deta).bit_count())
+
+
+def _indices(bits, key):
+    """The 1-based indices of the ``bits`` set in ``key``."""
+    return tuple([i for i, bit in enumerate(bits, 1) if key & bit])
+
+
+@lru_cache(maxsize=None)
+def codec(m):
+    """The one :class:`Codec` of m generator pairs."""
+    return Codec(m)
+
+
+@lru_cache(maxsize=None)
+def _shuffle(s, u):
+    """The Koszul sign of the product of the odd generators of two disjoint
+    masks of one kind (eta bits, or d_eta bits) in canonical order: -1 to
+    the number of pairs x in s, z in u with x above z."""
+    n = 0
+    while u:
+        low = u & -u
+        n += (s & ~(2 * low - 1)).bit_count()
+        u ^= low
+    return -1 if n & 1 else 1
+
+
+# ---------------------------------------------------------------------------
+# Flat term stores {packed key: coefficient}
+# ---------------------------------------------------------------------------
+
+def _flatten(terms, C):
+    """The store of boundary input {monomial tuple: HSeries | int |
+    Fraction}; a tuple is ``(a, eta)`` or ``(a, eta, b, deta)``."""
     store = {}
     for key, c in terms.items():
+        key = C.encode(*key)
         if isinstance(c, HSeries):
             for e, v in c.coeffs.items():
-                store[(key, e)] = v
+                store[key + (e << C.hbar_shift)] = v
         elif c:
-            store[(key, 0)] = _canon(c)
+            store[key] = _canon(c)
     return store
 
 
-def _hbar_items(store):
-    """The terms of a store grouped once per monomial key, as
-    [(key, [(hbar exponent, coefficient), ...])]."""
-    grouped = {}
-    for (key, e), c in store.items():
-        grouped.setdefault(key, []).append((e, c))
-    return list(grouped.items())
-
-
-def _add_terms(acc, key, h1, h2, n=1):
-    """Accumulate n * h1 * h2 at ``key`` into the store ``acc``; h1 and h2
-    are (hbar exponent, coefficient) items."""
-    for e1, v1 in h1:
-        v1 *= n
-        for e2, v2 in h2:
-            _accumulate(acc, (key, e1 + e2), v1 * v2)
-
-
 class _Store:
-    """m generators and a store {(monomial key, hbar exponent): canonical
-    coefficient}, with the arithmetic that elements and operators share.
-    The constructor takes {monomial key: HSeries | int | Fraction}; a bare
-    rational stands for that multiple of the unit monomial ``_unit()``."""
+    """m generators and a store {packed key: canonical coefficient}, with
+    the arithmetic that elements and operators share.  The constructor
+    takes {monomial tuple: HSeries | int | Fraction}; a bare rational
+    stands for that multiple of the unit monomial, the key 0.  ``_arity``
+    is the length of the subclass's boundary tuples."""
 
     __slots__ = ("m", "terms")
 
     def __init__(self, m, terms=None):
         self.m = int(m)
-        self.terms = _flatten(terms) if terms else {}
+        self.terms = _flatten(terms, codec(self.m)) if terms else {}
 
     @classmethod
     def _from_store(cls, m, store):
@@ -235,13 +376,22 @@ class _Store:
 
     def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
-            return type(self)(self.m, {self._unit(): other})
+            other = _canon(other)
+            return self._from_store(self.m, {0: other} if other else {})
         return other
 
     def _select(self, keep):
-        """The terms whose monomial key passes ``keep``."""
+        """The terms whose key passes ``keep``."""
         return self._from_store(self.m, {k: c for k, c in self.terms.items()
-                                         if keep(k[0])})
+                                         if keep(k)})
+
+    def degrees(self):
+        C = codec(self.m)
+        return {C.degree(k) for k in self.terms}
+
+    def degree_part(self, d):
+        C = codec(self.m)
+        return self._select(lambda k: C.degree(k) == d)
 
     def is_zero(self):
         return not self.terms
@@ -259,8 +409,13 @@ class _Store:
         return hash((self.m, frozenset(self.terms.items())))
 
     def series(self):
-        """{monomial key: HSeries}, the per-monomial view for printing."""
-        return {key: HSeries(dict(h)) for key, h in _hbar_items(self.terms)}
+        """{monomial tuple: HSeries}, the per-monomial view for printing."""
+        C = codec(self.m)
+        grouped = {}
+        for k, c in self.terms.items():
+            *key, e = C.decode(k)
+            grouped.setdefault(tuple(key[:self._arity]), {})[e] = c
+        return {key: HSeries(h) for key, h in grouped.items()}
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -280,7 +435,7 @@ class _Store:
         return (-self) + other
 
     def scale(self, c):
-        return self._from_store(self.m, _scaled(self.terms, c))
+        return self._from_store(self.m, _scaled(self.terms, c, codec(self.m)))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, HSeries)):
@@ -290,13 +445,14 @@ class _Store:
     __rmul__ = __mul__
 
 
-def _scaled(store, c):
-    """A store times c: an HSeries, or a rational."""
+def _scaled(store, c, C=None):
+    """A store times c: an HSeries (which needs the store's codec C), or a
+    rational."""
     out = {}
     if isinstance(c, HSeries):
-        for (key, e), v in store.items():
+        for k, v in store.items():
             for f, w in c.coeffs.items():
-                _accumulate(out, (key, e + f), v * w)
+                _accumulate(out, k + (f << C.hbar_shift), v * w)
         return out
     c = _canon(c)
     if c:

@@ -16,7 +16,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .coefficients import _accumulate, _div, rank_rational, solve_rational
+from .coefficients import (_accumulate, _div, codec, rank_rational,
+                           solve_rational)
 from .errors import (NonIsolated, NotCertified, NotPolynomial,
                      TruncationRequired, ZeroPolynomial)
 from .gca import CritLocus, Element, apply_koszul_delta
@@ -111,24 +112,32 @@ def eta_subsets(m):
 
 
 def element_keys_in_window(X, cutoff):
-    """All (y_exps, eta) monomial keys of weight <= cutoff, grouped by
+    """All packed monomial keys y^a eta_S of weight <= cutoff, grouped by
     degree; y_i weighs w_i and eta_i weighs 1 - w_i (f quasi-homogeneous)."""
     weights = X.signature.weights
+    C = codec(X.m)
     by_degree = {}
     for S in eta_subsets(X.m):
         budget = Fraction(cutoff) - sum(1 - weights[i - 1] for i in S)
         if budget >= 0:
             by_degree.setdefault(-len(S), []).extend(
-                (a, S) for a in iter_y_exponents(X.m, budget, weights))
+                C.encode(a, S) for a in iter_y_exponents(X.m, budget, weights))
     return by_degree
 
 
 def bv_apply(X: CritLocus, a: Element) -> Element:
-    """Apply Sum_i d_{y_i} d_{eta_i} (no hbar factor)."""
+    """Apply Sum_i d_{y_i} d_{eta_i} (no hbar factor): per term and i,
+    contract eta_i with its sign, then differentiate in y_i."""
+    C = codec(X.m)
     out = {}
-    for i in range(1, X.m + 1):
-        for k, c in a.contract_eta(i).partial_y(i).terms.items():
-            _accumulate(out, k, c)
+    for k, c in a.terms.items():
+        for bit, off, unit in zip(C.eta_bits, C.y_off, C.y):
+            if k & bit:
+                n = k >> off & C.field
+                if n:
+                    if (k & C.eta & (bit - 1)).bit_count() & 1:
+                        n = -n
+                    _accumulate(out, (k ^ bit) - unit, n * c)
     return Element._from_store(X.m, out)
 
 
@@ -138,7 +147,7 @@ def _slice_rank(X, basis):
     the columns the images touch."""
     cols, rows = {}, []
     for key in basis:
-        mono = Element(X.m, {key: 1})
+        mono = Element._from_store(X.m, {key: 1})
         img = apply_koszul_delta(X, mono) + bv_apply(X, mono)
         rows.append({cols.setdefault(k, len(cols)): c
                      for k, c in img.terms.items()})
@@ -199,7 +208,8 @@ def _tame(X):
     certificate f is refused: NotCertified.
     """
     mu = milnor_number(X.f, X.m, X.names)
-    monomials = [a for (a, _), _ in X.f.terms]
+    exps = {k: codec(X.m).y_exponents(k) for k in X.f.terms}
+    monomials = list(exps.values())
     squares = [tuple(2 * (j == i) for j in range(X.m)) for i in range(X.m)]
     for chosen in itertools.combinations(monomials + squares, X.m):
         weights = solve_rational(
@@ -211,7 +221,7 @@ def _tame(X):
         if max(weight.values()) > 1:
             continue
         top = Element._from_store(X.m, {k: c for k, c in X.f.terms.items()
-                                        if weight[k[0][0]] == 1})
+                                        if weight[exps[k]] == 1})
         try:
             mu_top = milnor_number(top, X.m, X.names)
         except NonIsolated:
@@ -324,8 +334,9 @@ def milnor_number(f: Element, m: int, names=None) -> int:
         raise ZeroPolynomial("f = 0")
     if not f.is_polynomial():
         raise NotPolynomial("f must be a polynomial in y only")
+    C = codec(m)
     leads = sorted((lead for lead, _ in _groebner(
-        [{a: c for ((a, _), _), c in f.partial_y(i).terms.items()}
+        [{C.y_exponents(k): c for k, c in f.partial_y(i).terms.items()}
          for i in range(1, m + 1)])), key=_grevlex)
     box = []
     for i in range(m):

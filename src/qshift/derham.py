@@ -3,38 +3,23 @@ Alexander-Whitney cup product, the total differential, the evaluation map mu
 sending a_0 (x) ... (x) a_r to a_0 Delta a_1 Delta ... Delta a_r, its
 derivation nu, and the compatibility checker for pairs (omega, Delta).
 
-A word a_0 (x) ... (x) a_r is stored as a tuple of element-monomial keys
-with a canonical coefficient and a separate hbar exponent; the interleaved
-reading a_0 . e . a_1 . e ... e . a_r with an odd degree-1 slot symbol e
-makes the differential a plain graded derivation (element factors map to
-delta(a) + e.a - (-1)^deg(a) a.e, slot symbols map to e.e) and makes mu the
-substitution homomorphism e -> Delta.
+A word a_0 (x) ... (x) a_r is stored as a tuple of packed element-monomial
+keys with a canonical coefficient and a separate hbar exponent; the
+interleaved reading a_0 . e . a_1 . e ... e . a_r with an odd degree-1 slot
+symbol e makes the differential a plain graded derivation (element factors
+map to delta(a) + e.a - (-1)^deg(a) a.e, slot symbols map to e.e) and makes
+mu the substitution homomorphism e -> Delta.
 """
 
 from __future__ import annotations
 
-from .coefficients import (_accumulate, _canon, _hbar_items, _scaled,
-                           solve_rational)
-from .diffops import (Operator, _product_into, key_degree, op_commutator,
-                      op_unit_key)
+from .coefficients import _accumulate, _canon, _scaled, codec, solve_rational
+from .diffops import Operator, _product_into, op_commutator
 from .errors import NotMaurerCartan
-from .gca import CritLocus, Element, apply_koszul_delta, merge_ascending, unit_key
+from .gca import CritLocus, Element, _mono_mul, apply_koszul_delta
 from .quantise import (Quantisation, centre_differential, koszul_operator,
                        mc_residual, operator_keys_in_window, sigma_tangent)
 from .cohomology import DEGREE_TRUNCATED, TruncationSpec
-
-
-def _mono_degree(key):
-    return -len(key[1])
-
-
-def _mono_mul(k1, k2):
-    """Product of two element monomial keys: (key, sign) or (None, 0)."""
-    (a1, e1), (a2, e2) = k1, k2
-    eta, sign = merge_ascending(e1, e2)
-    if eta is None:
-        return None, 0
-    return (tuple(x + z for x, z in zip(a1, a2)), eta), sign
 
 
 class DRWord:
@@ -44,8 +29,12 @@ class DRWord:
     __slots__ = ("m", "terms", "hodge_weight")
 
     def __init__(self, m, terms=None, hodge_weight=0):
+        """``terms`` is {(hbar_exp, word): rational} with the factors of a
+        word given as element tuples ``(a, eta)``."""
         self.m = int(m)
-        self.terms = {k: _canon(c) for k, c in terms.items() if c} if terms else {}
+        C = codec(self.m)
+        self.terms = {(e, tuple(C.encode(*k) for k in ws)): _canon(c)
+                      for (e, ws), c in terms.items() if c} if terms else {}
         self.hodge_weight = int(hodge_weight)
 
     @classmethod
@@ -106,30 +95,32 @@ class DRWord:
 
 def dr_of(a: Element) -> DRWord:
     """Length-1 word (a)."""
-    return DRWord._from_store(a.m, {(e, (key,)): q
-                                    for (key, e), q in a.terms.items()}, 0)
+    C = codec(a.m)
+    return DRWord._from_store(a.m, {(k >> C.hbar_shift, (k & C.mono,)): q
+                                    for k, q in a.terms.items()}, 0)
 
 
 def dr_d(a: Element) -> DRWord:
     """The 1-form word of a:  1 (x) a  -  (-1)^deg(a) a (x) 1."""
-    m = a.m
-    unit = unit_key(m)
+    C = codec(a.m)
     out = {}
-    for (key, e), q in a.terms.items():
-        sign = -1 if _mono_degree(key) % 2 else 1
-        _accumulate(out, (e, (unit, key)), q)
-        _accumulate(out, (e, (key, unit)), -sign * q)
-    return DRWord._from_store(m, out, 1)
+    for k, q in a.terms.items():
+        e, key = k >> C.hbar_shift, k & C.mono
+        sign = -1 if C.degree(key) % 2 else 1
+        _accumulate(out, (e, (0, key)), q)
+        _accumulate(out, (e, (key, 0)), -sign * q)
+    return DRWord._from_store(a.m, out, 1)
 
 
 def cup(w1: DRWord, w2: DRWord) -> DRWord:
     """Alexander-Whitney merge: the adjacent factors multiply in O_X."""
     if w1.m != w2.m:
         raise ValueError("signature mismatch")
+    C = codec(w1.m)
     out = {}
     for (e1, ws1), c1 in w1.terms.items():
         for (e2, ws2), c2 in w2.terms.items():
-            mid, sign = _mono_mul(ws1[-1], ws2[0])
+            mid, sign = _mono_mul(ws1[-1], ws2[0], C)
             if mid is None:
                 continue
             _accumulate(out, (e1 + e2, ws1[:-1] + (mid,) + ws2[1:]),
@@ -142,13 +133,14 @@ def apply_codegeneracy(w: DRWord, j: int) -> DRWord:
     twist (-1)^(deg a_0 + ... + deg a_j).  The twist matches the sign
     conventions of the total differential; words built from algebra elements
     and formal differentials are annihilated by every such map."""
+    C = codec(w.m)
     out = {}
     for (e, ws), c in w.terms.items():
         if j + 1 >= len(ws):
             raise ValueError("codegeneracy index out of range")
-        prefix = sum(_mono_degree(k) for k in ws[:j + 1])
+        prefix = sum(C.degree(k) for k in ws[:j + 1])
         psign = -1 if prefix % 2 else 1
-        mid, sign = _mono_mul(ws[j], ws[j + 1])
+        mid, sign = _mono_mul(ws[j], ws[j + 1], C)
         if mid is None:
             continue
         _accumulate(out, (e, ws[:j] + (mid,) + ws[j + 2:]), psign * sign * c)
@@ -160,7 +152,7 @@ def dr_total_d(X: CritLocus, w: DRWord) -> DRWord:
     Koszul differential, as one graded derivation over the interleaved
     factors (slot symbols have degree +1)."""
     m = w.m
-    unit = unit_key(m)
+    C = codec(m)
     out = {}
     for (e, ws), c in w.terms.items():
         r = len(ws) - 1
@@ -168,20 +160,21 @@ def dr_total_d(X: CritLocus, w: DRWord) -> DRWord:
         for i, mono in enumerate(ws):
             psign = -1 if prefix % 2 else 1
             # delta part on this factor
-            image = apply_koszul_delta(X, Element._from_store(m, {(mono, 0): 1}))
-            for (ikey, _), ic in image.terms.items():
+            image = apply_koszul_delta(X, Element._from_store(m, {mono: 1}))
+            for ikey, ic in image.terms.items():
                 _accumulate(out, (e, ws[:i] + (ikey,) + ws[i + 1:]),
                             psign * c * ic)
             # e.a insertion (unit at slot i) and -(-1)^deg a.e (unit at i+1)
-            _accumulate(out, (e, ws[:i] + (unit,) + ws[i:]), psign * c)
-            asign = -1 if _mono_degree(mono) % 2 else 1
-            _accumulate(out, (e, ws[:i + 1] + (unit,) + ws[i + 1:]),
+            _accumulate(out, (e, ws[:i] + (0,) + ws[i:]), psign * c)
+            degree = C.degree(mono)
+            asign = -1 if degree % 2 else 1
+            _accumulate(out, (e, ws[:i + 1] + (0,) + ws[i + 1:]),
                         -psign * asign * c)
-            prefix += _mono_degree(mono)
+            prefix += degree
             if i < r:
                 # the slot symbol between factors i and i+1: e -> e.e
                 esign = -1 if prefix % 2 else 1
-                _accumulate(out, (e, ws[:i + 1] + (unit,) + ws[i + 1:]),
+                _accumulate(out, (e, ws[:i + 1] + (0,) + ws[i + 1:]),
                             esign * c)
                 prefix += 1
     return DRWord._from_store(m, out, w.hodge_weight)
@@ -196,56 +189,56 @@ def canonical_symplectic(X: CritLocus) -> DRWord:
     return DRWord._from_store(m, out.terms, 2)
 
 
-def _times(left, right):
-    """L o R for operands grouped by monomial, grouped by monomial."""
+def _times(left, right, C):
+    """The items of L o R, for the items of L and R."""
     acc = {}
-    _product_into(acc, left, right)
-    return _hbar_items(acc)
+    _product_into(acc, left, right, C)
+    return list(acc.items())
 
 
-def _horner(m, words, D, slots=None, left=None, prefix=0):
+def _horner(C, words, D, slots=None, left=None, prefix=0):
     """The store of Sum c hbar^e a_0 Delta a_1 ... Delta a_r over ``words``,
     (factors, e, c) triples, by Horner's rule on their prefix trie: per
     first factor a, a o (Sum of the ended words' c hbar^e + Delta o the
     tails' sum), so each internal node takes one composition with Delta, a
-    unit factor is skipped and c hbar^e is applied at the leaf.  D is Delta
-    grouped by monomial.
+    unit factor (the key 0) is skipped and c hbar^e is applied at the leaf.
+    D is the list of Delta's items; an element key a is the key of its
+    multiplication operator.
 
     With a list ``slots`` it also appends the rho-free factors of nu for
     each proper prefix q: its Koszul exponent (degrees of q's factors plus
-    its length - 1), L_q = a_0 Delta ... a_q, built from the parent's
-    L Delta, and R_q, the sum of the tails after q with the words'
-    c hbar^e; both grouped by monomial.
+    its length - 1), the items of L_q = a_0 Delta ... a_q, built from the
+    parent's L Delta, and those of R_q, the sum of the tails after q with
+    the words' c hbar^e.
     """
-    unit, one, zero = unit_key(m), op_unit_key(m), (0,) * m
     groups = {}
     for ws, e, c in words:
         groups.setdefault(ws[0], []).append((ws[1:], e, c))
     out, left_d = {}, None
     for a, tails in groups.items():
-        mult = [((a[0], a[1], zero, ()), [(0, 1)])]
-        inner = {(one, e): c for ws, e, c in tails if not ws}
+        mult = ((a, 1),)
+        inner = {e << C.hbar_shift: c for ws, e, c in tails if not ws}
         rest = [t for t in tails if t[0]]
         if rest:
             if slots is None:
-                right = _hbar_items(_horner(m, rest, D))
+                right = _horner(C, rest, D).items()
             else:
                 if left is None:
                     la = mult
                 else:
                     if left_d is None:
-                        left_d = _times(left, D)
-                    la = left_d if a == unit else _times(left_d, mult)
-                deg = prefix + _mono_degree(a)
-                right = _hbar_items(_horner(m, rest, D, slots, la, deg + 1))
+                        left_d = _times(left, D, C)
+                    la = left_d if a == 0 else _times(left_d, mult, C)
+                deg = prefix + C.degree(a)
+                right = list(_horner(C, rest, D, slots, la, deg + 1).items())
                 if la and right:
                     slots.append((deg, la, right))
-            _product_into(inner, D, right)
-        if a == unit:
+            _product_into(inner, D, right, C)
+        if a == 0:
             for k, v in inner.items():
                 _accumulate(out, k, v)
         else:
-            _product_into(out, mult, _hbar_items(inner))
+            _product_into(out, mult, inner.items(), C)
     return out
 
 
@@ -255,30 +248,31 @@ def _words(w: DRWord):
 
 def mu(w: DRWord, delta: Quantisation, X: CritLocus) -> Operator:
     """a_0 (x) ... (x) a_r evaluates to a_0 Delta a_1 Delta ... Delta a_r."""
-    D = _hbar_items(delta.as_operator_series().terms)
-    return Operator._from_store(w.m, _horner(w.m, _words(w), D))
+    D = list(delta.as_operator_series().terms.items())
+    return Operator._from_store(w.m, _horner(codec(w.m), _words(w), D))
 
 
 def _nu_slots(w: DRWord, delta: Quantisation):
     """The rho-free factors of nu, one (Koszul exponent, L, R) slot per
-    distinct proper prefix of the words (see ``_horner``)."""
+    distinct proper prefix of the words (see ``_horner``), and mu(w), which
+    the same traversal evaluates."""
     slots = []
-    _horner(w.m, _words(w), _hbar_items(delta.as_operator_series().terms),
-            slots)
-    return slots
+    store = _horner(codec(w.m), _words(w),
+                    list(delta.as_operator_series().terms.items()), slots)
+    return slots, Operator._from_store(w.m, store)
 
 
 def _nu_apply(slots, rho: Operator) -> Operator:
     """Sum over slots and degree parts rho_d of (-1)^((d - 1) * exponent)
     L o rho_d o R.  An even exponent takes rho itself and an odd one rho
     with its even-degree part negated, so each slot takes two products."""
-    plain = _hbar_items(rho.terms)
-    twisted = [(k, h if key_degree(k) % 2 else [(e, -c) for e, c in h])
-               for k, h in plain]
+    C = codec(rho.m)
+    plain = list(rho.terms.items())
+    twisted = [(k, c if C.degree(k) & 1 else -c) for k, c in plain]
     out = {}
     for prefix, left, right in slots:
-        _product_into(out, _times(left, twisted if prefix % 2 else plain),
-                      right)
+        _product_into(out, _times(left, twisted if prefix % 2 else plain, C),
+                      right, C)
     return Operator._from_store(rho.m, out)
 
 
@@ -287,15 +281,22 @@ def nu(w: DRWord, delta: Quantisation, rho: Operator, X: CritLocus) -> Operator:
     Koszul sign (-1)^((deg rho - 1) * prefix degree) per slot."""
     if rho.is_zero():
         return Operator.zero(w.m)
-    return _nu_apply(_nu_slots(w, delta), rho)
+    return _nu_apply(_nu_slots(w, delta)[0], rho)
 
 
 def check_chain_identity(w: DRWord, delta: Quantisation, X: CritLocus) -> Operator:
     """Residual of  delta_Delta mu(w) = mu(Dw) + nu(w, Delta, residual(Delta));
-    identically zero for every word and every Delta, Maurer-Cartan or not."""
+    identically zero for every word and every Delta, Maurer-Cartan or not.
+    mu(w) comes out of the traversal that builds nu's slots, so it is
+    evaluated once."""
     kappa = mc_residual(X, delta)
-    lhs = centre_differential(X, delta, mu(w, delta, X), allow_non_mc=True)
-    rhs = mu(dr_total_d(X, w), delta, X) + nu(w, delta, kappa, X)
+    if kappa.is_zero():
+        mu_w, nu_w = mu(w, delta, X), kappa
+    else:
+        slots, mu_w = _nu_slots(w, delta)
+        nu_w = _nu_apply(slots, kappa)
+    lhs = centre_differential(X, delta, mu_w, allow_non_mc=True)
+    rhs = mu(dr_total_d(X, w), delta, X) + nu_w
     return lhs - rhs
 
 
@@ -353,23 +354,25 @@ def check_compatibility(omega: DRWord, delta: Quantisation, X: CritLocus,
     r = mu(omega, delta, X) - sigma_tangent(delta).eps_as_series()
     if r.is_zero():
         return CompatVerdict(CompatVerdict.EXACT, window=window)
+    C = codec(X.m)
     degrees = {d - 1 for d in r.degrees()}
     trunc = TruncationSpec(DEGREE_TRUNCATED, window.ydeg_cap)
     keys = operator_keys_in_window(X, window.order_cap, trunc)
     # a stable sort: ascending degree, enumeration order within a degree
-    candidates = sorted((k for k in keys if key_degree(k) in degrees),
-                        key=key_degree)
-    exps = range(window.hbar_min, window.hbar_max + 1)
-    unknowns = [(key, e) for key in candidates for e in exps]
+    candidates = sorted((k for k in keys if C.degree(k) in degrees),
+                        key=C.degree)
+    shifts = [e << C.hbar_shift
+              for e in range(window.hbar_min, window.hbar_max + 1)]
+    unknowns = [key + h for key in candidates for h in shifts]
     total = koszul_operator(X) + delta.as_operator_series()
     # sparse rows keyed by term; the residual's terms come first, so the
     # right-hand side sits in rows 0 .. len(r.terms) - 1
     rows = {k: {} for k in r.terms}
     for ki, key in enumerate(candidates):
-        image = op_commutator(total, Operator._from_store(X.m, {(key, 0): 1}))
-        for col, e in enumerate(exps, ki * len(exps)):
-            for (ikey, ie), q in image.terms.items():
-                rows.setdefault((ikey, ie + e), {})[col] = q
+        image = op_commutator(total, Operator._from_store(X.m, {key: 1}))
+        for col, h in enumerate(shifts, ki * len(shifts)):
+            for ikey, q in image.terms.items():
+                rows.setdefault(ikey + h, {})[col] = q
     sol = solve_rational(list(rows.values()), dict(enumerate(r.terms.values())),
                          len(unknowns))
     if sol is None:

@@ -1,58 +1,40 @@
 """Filtered algebra of differential operators on the free algebra, with
 normal ordering, symbols, and the Schouten--Nijenhuis bracket on symbols.
 
-An operator monomial is the key ``(y_exps, eta, dy_exps, deta)`` denoting the
-normal-ordered composite
+An operator monomial is the normal-ordered composite
 
     y^a * eta_S * d_y^b * d_eta_T      (S, T strictly increasing),
 
-with multiplications left of all derivative symbols.  Cohomological degrees:
-d_{y_i} is even (0), d_{eta_i} odd (+1), so deg = -|S| + |T|.  All products
-are reduced to this normal form eagerly.  The product of two monomials has a
-closed form: the Leibniz rule for d_y^b o y^c and the Clifford normal
-ordering of d_eta_T o eta_U, whose signs come from folding the d_eta
-generators through eta_U with the generator rules below, so every Koszul
-sign is a consequence of ``op_apply(d_eta_i, eta_i) = 1`` and the graded
-Leibniz rule.
+with multiplications left of all derivative symbols, stored as a packed key
+of ``coefficients.Codec``; at the boundary it reads as the tuple
+``(a, S, b, T)``.  Cohomological degrees: d_{y_i} is even (0), d_{eta_i}
+odd (+1), so deg = -|S| + |T|.  All products are reduced to this normal
+form eagerly.  The product of two monomials has a closed form: the Leibniz
+rule for d_y^b o y^c and the Clifford normal ordering of d_eta_T o eta_U,
+whose signs come from folding the d_eta generators through eta_U with the
+generator rules below, so every Koszul sign is a consequence of
+``op_apply(d_eta_i, eta_i) = 1`` and the graded Leibniz rule.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, perm
-from operator import add
 
-from .coefficients import (_accumulate, _add_terms, _flatten, _hbar_items,
-                           _scaled, _Store)
+from .coefficients import (_accumulate, _flatten, _scaled, _shuffle, _Store,
+                           codec)
 from .errors import ArityMismatch, OrderTooLow, ZeroOperator
-from .gca import Element, insert_index, merge_ascending
+from .gca import Element
 
 _MY, _META, _DY, _DETA = 0, 1, 2, 3
 
 
-def op_unit_key(m):
-    return ((0,) * m, (), (0,) * m, ())
-
-
-def key_order(key):
-    """Total derivative degree of a monomial key."""
-    return sum(key[2]) + len(key[3])
-
-
-def key_degree(key):
-    """Cohomological degree: -|eta| + |d_eta|."""
-    return -len(key[1]) + len(key[3])
-
-
 class Operator(_Store):
-    """Sparse normal-ordered differential operator: a store
-    {(key, hbar exponent): canonical coefficient}."""
+    """Sparse normal-ordered differential operator: a store {packed key:
+    canonical coefficient}."""
 
     __slots__ = ()
-
-    def _unit(self):
-        return op_unit_key(self.m)
+    _arity = 4
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -61,42 +43,37 @@ class Operator(_Store):
 
     @staticmethod
     def identity(m):
-        return Operator(m, {op_unit_key(m): 1})
+        return Operator._from_store(m, {0: 1})
 
     @staticmethod
     def mult(a: Element):
-        """Multiplication operator of an element."""
-        zero = (0,) * a.m
-        return Operator._from_store(a.m, {((ya, ea, zero, ()), e): c
-                                          for ((ya, ea), e), c in a.terms.items()})
+        """Multiplication operator of an element: the same keys."""
+        return Operator._from_store(a.m, dict(a.terms))
 
     @staticmethod
     def d_y(m, i):
-        e = [0] * m
-        e[i - 1] = 1
-        return Operator(m, {((0,) * m, (), tuple(e), ()): 1})
+        return Operator._from_store(m, {codec(m).dy[i - 1]: 1})
 
     @staticmethod
     def d_eta(m, i):
-        return Operator(m, {((0,) * m, (), (0,) * m, (i,)): 1})
+        return Operator._from_store(m, {codec(m).deta_bits[i - 1]: 1})
 
     # -- queries ------------------------------------------------------------
-    def degrees(self):
-        return {key_degree(k) for k, _ in self.terms}
-
-    def degree_part(self, d):
-        return self._select(lambda key: key_degree(key) == d)
-
     def order_part(self, k):
-        return self._select(lambda key: key_order(key) == k)
+        C = codec(self.m)
+        return self._select(lambda key: C.order(key) == k)
 
     def hbar_component(self, e):
         """hbar-free Operator collecting the hbar^e coefficient."""
-        return Operator._from_store(self.m, {(key, 0): c for (key, f), c
-                                             in self.terms.items() if f == e})
+        C = codec(self.m)
+        shift = e << C.hbar_shift
+        return Operator._from_store(self.m, {k - shift: c for k, c
+                                             in self.terms.items()
+                                             if k >> C.hbar_shift == e})
 
     def hbar_exponents(self):
-        return {e for _, e in self.terms}
+        shift = codec(self.m).hbar_shift
+        return {k >> shift for k in self.terms}
 
     def __repr__(self):
         return f"Operator({self})"
@@ -141,63 +118,59 @@ def format_op_monomial(key, m, names=None):
 # Generator folding: the four left-composition rules
 # ---------------------------------------------------------------------------
 
-def _gen_sequence(key, m):
+def _parity(mask):
+    return -1 if mask.bit_count() & 1 else 1
+
+
+def _gen_sequence(key, C):
     """Generator factors of a monomial key, left to right."""
-    a, eta, b, deta = key
+    a, eta, b, deta, _ = C.decode(key)
     seq = []
-    for i in range(m):
+    for i in range(C.m):
         seq.extend([(_MY, i + 1)] * a[i])
     seq.extend((_META, i) for i in eta)
-    for i in range(m):
+    for i in range(C.m):
         seq.extend([(_DY, i + 1)] * b[i])
     seq.extend((_DETA, i) for i in deta)
     return seq
 
 
-def _compose_gen_key(gen, key, m):
+def _compose_gen_key(gen, key, C):
     """Left-compose one generator with a normal-ordered monomial key.
 
     Yields ``(new_key, integer coefficient)`` pairs.
     """
     kind, i = gen
-    a, eta, b, deta = key
     if kind == _MY:
-        na = list(a)
-        na[i - 1] += 1
-        yield (tuple(na), eta, b, deta), 1
+        yield C.check(key + C.y[i - 1]), 1
     elif kind == _META:
-        ne, sign = insert_index(i, eta)
-        if ne is not None:
-            yield (a, ne, b, deta), sign
+        bit = C.eta_bits[i - 1]
+        if not key & bit:
+            yield key | bit, _parity(key & C.eta & (bit - 1))
     elif kind == _DY:
-        if a[i - 1]:
-            na = list(a)
-            na[i - 1] -= 1
-            yield (tuple(na), eta, b, deta), a[i - 1]
-        nb = list(b)
-        nb[i - 1] += 1
-        yield (a, eta, tuple(nb), deta), 1
+        a = key >> C.y_off[i - 1] & C.field
+        if a:
+            yield key - C.y[i - 1], a
+        yield C.check(key + C.dy[i - 1]), 1
     else:  # _DETA
-        pos = None
-        if i in eta:
-            pos = eta.index(i)
-            ne = eta[:pos] + eta[pos + 1:]
-            yield (a, ne, b, deta), (-1 if pos % 2 else 1)
-        nd, sign = insert_index(i, deta)
-        if nd is not None:
-            pass_sign = -1 if len(eta) % 2 else 1
-            yield (a, eta, b, nd), pass_sign * sign
-        return
+        bit = C.eta_bits[i - 1]
+        if key & bit:
+            yield key ^ bit, _parity(key & C.eta & (bit - 1))
+        dbit = C.deta_bits[i - 1]
+        if not key & dbit:
+            # past all of eta_S, then into place among d_eta_T
+            yield key | dbit, _parity(key & C.eta) * _parity(
+                key & C.deta & (dbit - 1))
 
 
-def _fold(gens, state, m):
+def _fold(gens, state, C):
     """Left-compose the generator word ``gens`` with ``state``, a
     {normal-ordered key: integer coefficient} combination, one generator at
     a time from the right."""
     for gen in reversed(gens):
         nxt = {}
         for key, coeff in state.items():
-            for nkey, c in _compose_gen_key(gen, key, m):
+            for nkey, c in _compose_gen_key(gen, key, C):
                 _accumulate(nxt, nkey, coeff * c)
         state = nxt
         if not state:
@@ -205,81 +178,110 @@ def _fold(gens, state, m):
     return state
 
 
-@lru_cache(maxsize=None)
-def _odd_product(S, T, U, V):
-    """The odd part of eta_S d_eta_T o eta_U d_eta_V in normal order, as
-    ``((eta, d_eta, sign), ...)``: the d_eta generators are folded through
-    eta_U with the generator rules, then eta_S.eta_U' and d_eta_T'.d_eta_V
-    are merged.  The y and d_y slots play no part, so one entry serves
-    every m."""
+def _odd_product(left, right):
+    """The odd part of eta_S d_eta_T o eta_U d_eta_V in normal order, for
+    the odd parts ``left`` (the masks S and T) and ``right`` (U and V) of
+    two keys, as ``((odd bits, sign), ...)``: the d_eta generators of T are
+    folded through eta_U with the generator rules, then eta_S is merged
+    with what is left of eta_U and the remaining d_eta with d_eta_V.  The
+    y and d_y fields play no part and the odd bits do not move with m, so
+    one entry serves every m."""
+    C = codec(max(1, (max(left, right).bit_length() + 1) // 2))
+    S, T, U, V = left & C.eta, left & C.deta, right & C.eta, right & C.deta
     out = []
-    for k, s in _fold([(_DETA, t) for t in T], {((), U, (), ()): 1}, 0).items():
-        eta, s1 = merge_ascending(S, k[1])
-        deta, s2 = merge_ascending(k[3], V)
-        if eta is not None and deta is not None:
-            out.append((eta, deta, s * s1 * s2))
+    for k, s in _fold(_gen_sequence(T, C), {U: 1}, C).items():
+        u, t = k & C.eta, k & C.deta
+        if not (S & u or t & V):
+            out.append((S | u | t | V, s * _shuffle(S, u) * _shuffle(t, V)))
     return tuple(out)
 
 
-def _leibniz(a, b, c, d):
-    """Normal-ordered y^a d_y^b o y^c d_y^d as ``[(y exps, d_y exps, n)]``:
-    the sum over k of prod_i C(b_i, k_i) c_i!/(c_i - k_i)!
-    y^(a+c-k) d_y^(b-k+d)."""
-    terms = [((), (), 1)]
-    for ai, bi, ci, di in zip(a, b, c, d):
-        terms = [(y + (ai + ci - k,), dy + (bi + di - k,),
-                  n * comb(bi, k) * perm(ci, k))
-                 for y, dy, n in terms for k in range(min(bi, ci) + 1)]
+# _odd_product(left, right) as _ODD_ROWS[left][right], each entry computed
+# when a product first meets it
+_ODD_ROWS = {}
+
+
+def _leibniz(C, kl, kr, shared, base, v):
+    """The terms of v y^a d_y^b o y^c d_y^d for the keys ``kl`` and ``kr``
+    of a pair whose leading term is v at ``base``, as ``[(key, n)]``: per
+    variable i in ``shared`` (the y-field guard bits where b_i and c_i are
+    both nonzero), the terms j = 0..min(b_i, c_i), which step the y_i and
+    d_y_i fields down together by j, times C(b_i, j) c_i!/(c_i - j)!."""
+    field = C.field
+    terms = [(base, v)]
+    while shared:
+        low = shared & -shared
+        shared ^= low
+        yoff, doff, step = C.shared[low]
+        b, c = kl >> doff & field, kr >> yoff & field
+        terms = [(k - j * step, n * comb(b, j) * perm(c, j))
+                 for k, n in terms for j in range(min(b, c) + 1)]
     return terms
 
 
-def _product_into(acc, left, right, sign=1):
+def _product_into(acc, left, right, C, sign=1):
     """Accumulate sign * L o R into the store ``acc``, where ``left`` and
-    ``right`` are operands grouped by monomial (``_hbar_items``), in one
-    pass over monomial pairs.
+    ``right`` are the flat (key, coefficient) items of two stores, in one
+    pass over the pairs of terms.
 
     For y^a eta_S d_y^b d_eta_T o y^c eta_U d_y^d d_eta_V, d_y^b passes y^c
     by Leibniz and d_eta_T passes eta_U by Clifford ordering; everything
     else commutes, so the only further signs are the merges in
-    ``_odd_product``.  Distinct (k, U') give distinct keys, so the terms of
-    one pair never collide.
+    ``_odd_product``.  The key of the leading term is the sum of the two
+    keys' even parts (y and d_y fields and hbar exponents) plus the odd
+    bits, and ``_leibniz`` runs only when a variable has d_y in L and y in
+    R.  Distinct (j, U') give distinct keys, so the terms of one pair never
+    collide.
     """
-    if sign != 1:
-        left = [(k, [(e, v * sign) for e, v in h]) for k, h in left]
-    for (a, S, b, T), h1 in left:
-        for (c, U, d, V), h2 in right:
-            odd = _odd_product(S, T, U, V)
-            if not odd:
+    odd, guard = C.odd, C.guard
+    yb, yl, yg = C.y_block, C.y_lows, C.y_guards
+    db, dl, dg, shift = C.dy_block, C.dy_lows, C.dy_guards, C.dy_to_y
+    # per term: even part, odd part, and the guard bits of its nonzero y
+    # fields (a field x < limit is nonzero iff x + limit - 1 sets its guard)
+    rterms = [(kr & ~odd, kr & odd, ((kr & yb) + yl) & yg, kr, cr)
+              for kr, cr in right]
+    rows = _ODD_ROWS
+    for kl, cl in left:
+        el, ol = kl & ~odd, kl & odd
+        dys = (((kl & db) + dl) & dg) >> shift  # nonzero d_y, at y's place
+        if sign != 1:
+            cl = -cl
+        row = rows.get(ol)
+        if row is None:
+            row = rows[ol] = {}
+        for er, orr, ysr, kr, cr in rterms:
+            odds = row.get(orr)
+            if odds is None:
+                odds = row[orr] = _odd_product(ol, orr)
+            if not odds:
                 continue
-            if any(map(min, b, c)):
-                even = _leibniz(a, b, c, d)
-            else:
-                even = ((tuple(map(add, a, c)), tuple(map(add, b, d)), 1),)
-            for y, dy, n in even:
-                for eta, deta, s in odd:
-                    key = (y, eta, dy, deta)
-                    ns = n * s
-                    for e1, v1 in h1:
-                        if ns != 1:
-                            v1 *= ns
-                        for e2, v2 in h2:
-                            # the add-and-drop-zero step of _accumulate
-                            k = (key, e1 + e2)
-                            v = acc.get(k, 0) + v1 * v2
-                            if not v:
-                                acc.pop(k, None)
-                            elif type(v) is Fraction and v.denominator == 1:
-                                acc[k] = v.numerator
-                            else:
-                                acc[k] = v
+            base = el + er
+            if base & guard:
+                C.overflow()
+            v = cl * cr
+            if dys & ysr:
+                for k, n in _leibniz(C, kl, kr, dys & ysr, base, v):
+                    for bits, s in odds:
+                        _accumulate(acc, k + bits, n if s == 1 else -n)
+                continue
+            for bits, s in odds:
+                # _accumulate, inlined
+                k = base + bits
+                w = acc.get(k, 0) + (v if s == 1 else -v)
+                if not w:
+                    del acc[k]
+                elif type(w) is Fraction and w.denominator == 1:
+                    acc[k] = w.numerator
+                else:
+                    acc[k] = w
 
 
 def op_compose(D1: Operator, D2: Operator) -> Operator:
-    """Normal-ordered product D1 o D2, in one pass over monomial pairs."""
+    """Normal-ordered product D1 o D2, in one pass over pairs of terms."""
     if D1.m != D2.m:
         raise ValueError("signature mismatch")
     acc = {}
-    _product_into(acc, _hbar_items(D1.terms), _hbar_items(D2.terms))
+    _product_into(acc, D1.terms.items(), D2.terms.items(), codec(D1.m))
     return Operator._from_store(D1.m, acc)
 
 
@@ -288,37 +290,30 @@ def op_apply(D: Operator, a: Element) -> Element:
     reference that the closed-form product is checked against."""
     if D.m != a.m:
         raise ValueError("signature mismatch")
-    m = D.m
+    C = codec(D.m)
     out = {}
-    for key, h in _hbar_items(D.terms):
+    for key, c in D.terms.items():
         state = a.terms
-        for kind, i in reversed(_gen_sequence(key, m)):
-            nxt = {}
-            for ((ya, ea), e), ce in state.items():
+        for kind, i in reversed(_gen_sequence(key, C)):
+            bit, nxt = C.eta_bits[i - 1], {}
+            for k, ce in state.items():
                 if kind == _MY:
-                    na = list(ya)
-                    na[i - 1] += 1
-                    _accumulate(nxt, ((tuple(na), ea), e), ce)
-                elif kind == _META:
-                    ne, sign = insert_index(i, ea)
-                    if ne is not None:
-                        _accumulate(nxt, ((ya, ne), e), sign * ce)
+                    _accumulate(nxt, C.check(k + C.y[i - 1]), ce)
                 elif kind == _DY:
-                    if ya[i - 1]:
-                        na = list(ya)
-                        na[i - 1] -= 1
-                        _accumulate(nxt, ((tuple(na), ea), e), ya[i - 1] * ce)
-                elif i in ea:  # _DETA
-                    pos = ea.index(i)
-                    ne = ea[:pos] + ea[pos + 1:]
-                    _accumulate(nxt, ((ya, ne), e), -ce if pos % 2 else ce)
+                    n = k >> C.y_off[i - 1] & C.field
+                    if n:
+                        _accumulate(nxt, k - C.y[i - 1], n * ce)
+                elif (kind == _META) != bool(k & bit):
+                    # eta_i into place, or d_eta_i contracting it
+                    odd = (k & C.eta & (bit - 1)).bit_count() & 1
+                    _accumulate(nxt, k ^ bit, -ce if odd else ce)
             state = nxt
             if not state:
                 break
-        for (k, e2), ce in state.items():
-            for e1, c in h:
-                _accumulate(out, (k, e1 + e2), c * ce)
-    return Element._from_store(m, out)
+        hbar = key - (key & C.mono)
+        for k, ce in state.items():
+            _accumulate(out, k + hbar, c * ce)
+    return Element._from_store(D.m, out)
 
 
 def op_commutator(D1: Operator, D2: Operator) -> Operator:
@@ -327,16 +322,17 @@ def op_commutator(D1: Operator, D2: Operator) -> Operator:
     the sign of k2 o k1 is +1 only for two odd monomials."""
     if D1.m != D2.m:
         raise ValueError("signature mismatch")
-    left, right = _hbar_items(D1.terms), _hbar_items(D2.terms)
-    odd_l = [t for t in left if key_degree(t[0]) % 2]
-    even_l = [t for t in left if not key_degree(t[0]) % 2]
-    odd_r = [t for t in right if key_degree(t[0]) % 2]
-    even_r = [t for t in right if not key_degree(t[0]) % 2]
+    C = codec(D1.m)
+    left, right = list(D1.terms.items()), list(D2.terms.items())
+    odd_l = [t for t in left if C.degree(t[0]) & 1]
+    even_l = [t for t in left if not C.degree(t[0]) & 1]
+    odd_r = [t for t in right if C.degree(t[0]) & 1]
+    even_r = [t for t in right if not C.degree(t[0]) & 1]
     acc = {}
-    _product_into(acc, left, right)
-    _product_into(acc, even_r, left, -1)
-    _product_into(acc, odd_r, even_l, -1)
-    _product_into(acc, odd_r, odd_l)
+    _product_into(acc, left, right, C)
+    _product_into(acc, even_r, left, C, -1)
+    _product_into(acc, odd_r, even_l, C, -1)
+    _product_into(acc, odd_r, odd_l, C)
     return Operator._from_store(D1.m, acc)
 
 
@@ -344,7 +340,8 @@ def op_order(D: Operator) -> int:
     """Maximal total derivative degree; equals the inductive filtration level."""
     if D.is_zero():
         raise ZeroOperator("order of the zero operator is undefined")
-    return max(key_order(k) for k, _ in D.terms)
+    C = codec(D.m)
+    return max(C.order(k) for k in D.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +357,12 @@ class Polyvector:
     def __init__(self, m, arity, terms=None):
         self.m = int(m)
         self.arity = int(arity)
-        self.terms = _flatten(terms) if terms else {}
-        for key, _ in self.terms:
-            if key_order(key) != self.arity:
+        C = codec(self.m)
+        self.terms = _flatten(terms, C) if terms else {}
+        for key in self.terms:
+            if C.order(key) != self.arity:
                 raise ArityMismatch(
-                    f"monomial of arity {key_order(key)} in arity-{self.arity} polyvector")
+                    f"monomial of arity {C.order(key)} in arity-{self.arity} polyvector")
 
     @classmethod
     def _from_store(cls, m, arity, store):
@@ -407,7 +405,8 @@ class Polyvector:
         return self + (-other)
 
     def scale(self, c):
-        return Polyvector._from_store(self.m, self.arity, _scaled(self.terms, c))
+        return Polyvector._from_store(self.m, self.arity,
+                                      _scaled(self.terms, c, codec(self.m)))
 
     def lift(self) -> Operator:
         """Read the symbol as a normal-ordered operator (same keys)."""
@@ -428,30 +427,20 @@ def pv_mul(P: Polyvector, Q: Polyvector) -> Polyvector:
     """Free graded-commutative product of symbols; arity adds."""
     if P.m != Q.m:
         raise ValueError("signature mismatch")
+    C = codec(P.m)
+    odd = C.odd
     out = {}
-    right = _hbar_items(Q.terms)
-    for k1, h1 in _hbar_items(P.terms):
-        for k2, h2 in right:
-            key, sign = _merge_symbol_keys(k1, k2)
-            if key is not None:
-                _add_terms(out, key, h1, h2, sign)
+    right = [(k & ~odd, k & C.eta, k & C.deta, c) for k, c in Q.terms.items()]
+    for k1, c1 in P.terms.items():
+        e1, S, T = k1 & ~odd, k1 & C.eta, k1 & C.deta
+        for e2, U, V, c2 in right:
+            if S & U or T & V:
+                continue
+            # moving the d_eta block of k1 past the eta block of k2
+            cross = _parity(T) if U.bit_count() & 1 else 1
+            _accumulate(out, C.check(e1 + e2) | S | U | T | V,
+                        _shuffle(S, U) * _shuffle(T, V) * cross * c1 * c2)
     return Polyvector._from_store(P.m, P.arity + Q.arity, out)
-
-
-def _merge_symbol_keys(k1, k2):
-    a1, e1, b1, t1 = k1
-    a2, e2, b2, t2 = k2
-    eta, s1 = merge_ascending(e1, e2)
-    if eta is None:
-        return None, 0
-    deta, s2 = merge_ascending(t1, t2)
-    if deta is None:
-        return None, 0
-    # moving the d_eta block of k1 past the eta block of k2
-    cross = -1 if (len(t1) * len(e2)) % 2 else 1
-    a = tuple(x + z for x, z in zip(a1, a2))
-    b = tuple(x + z for x, z in zip(b1, b2))
-    return (a, eta, b, deta), s1 * s2 * cross
 
 
 # Symbol generators are (kind, index) pairs reusing the monomial slot kinds:
@@ -509,20 +498,19 @@ def _bracket_words(u, v):
     return out
 
 
-def _key_from_gens(gens, m):
+def _key_from_gens(gens, C):
     """Sort a raw generator word into a canonical symbol key.
 
     Returns ``(key, sign)`` with the Koszul sorting sign, or ``(None, 0)``
     when an odd generator repeats.
     """
-    a = [0] * m
-    b = [0] * m
+    key = 0
     odd = []
     for kind, i in gens:
         if kind == _MY:
-            a[i - 1] += 1
+            key += C.y[i - 1]
         elif kind == _DY:
-            b[i - 1] += 1
+            key += C.dy[i - 1]
         elif kind == _META:
             odd.append((0, i))
         else:
@@ -534,9 +522,9 @@ def _key_from_gens(gens, m):
                 return None, 0
             if odd[x] > odd[z]:
                 sign = -sign
-    eta = tuple(sorted(i for (t, i) in odd if t == 0))
-    deta = tuple(sorted(i for (t, i) in odd if t == 1))
-    return (tuple(a), eta, tuple(b), deta), sign
+    for t, i in odd:
+        key += (C.deta_bits if t else C.eta_bits)[i - 1]
+    return C.check(key), sign
 
 
 def schouten(P1: Polyvector, P2: Polyvector) -> Polyvector:
@@ -548,16 +536,19 @@ def schouten(P1: Polyvector, P2: Polyvector) -> Polyvector:
     if P1.m != P2.m:
         raise ValueError("signature mismatch")
     m = P1.m
+    C = codec(m)
     out = {}
-    right = [(k2, _gen_sequence(k2, m), h2) for k2, h2 in _hbar_items(P2.terms)]
-    for k1, h1 in _hbar_items(P1.terms):
-        g1 = _gen_sequence(k1, m)
-        for k2, g2, h2 in right:
+    right = [(_gen_sequence(k2, C), k2 - (k2 & C.mono), c2)
+             for k2, c2 in P2.terms.items()]
+    for k1, c1 in P1.terms.items():
+        g1 = _gen_sequence(k1, C)
+        h1 = k1 - (k1 & C.mono)
+        for g2, h2, c2 in right:
             if not g1 or not g2:
                 continue
             for word, s in _bracket_words(g1, g2):
-                key, ks = _key_from_gens(word, m)
+                key, ks = _key_from_gens(word, C)
                 if key is not None:
-                    _add_terms(out, key, h1, h2, s * ks)
+                    _accumulate(out, key + h1 + h2, s * ks * c1 * c2)
     arity = max(P1.arity + P2.arity - 1, 0)
     return Polyvector._from_store(m, arity, out)

@@ -45,6 +45,10 @@ class NoConsistentProfile(QShiftError):
     pass
 
 
+class ExponentOverflow(QShiftError):
+    """An exponent beyond the field of a packed monomial key."""
+
+
 class ParseError(QShiftError):
     """Problem-file syntax error, carries 1-based line/column."""
 

@@ -2,57 +2,22 @@
 modelling the derived critical locus of a polynomial f, with the Koszul
 differential given by contraction with df.
 
-Grading is cohomological: deg(y_i) = 0, deg(eta_i) = -1.  A monomial is the
-key ``(y_exps, eta)`` with ``y_exps`` a length-m tuple of naturals and
-``eta`` a strictly increasing tuple of indices in 1..m.  Koszul signs are
-generated purely by transpositions of odd symbols relative to this canonical
-order; every other module inherits that convention.
+Grading is cohomological: deg(y_i) = 0, deg(eta_i) = -1.  A monomial
+y^a eta_S is a packed key of ``coefficients.Codec`` with no derivative
+part; at the boundary it reads as the tuple ``(a, S)``, with ``a`` a
+length-m tuple of naturals and ``S`` a strictly increasing tuple of
+indices in 1..m.  Koszul signs are generated purely by transpositions of
+odd symbols relative to this canonical order; every other module inherits
+that convention.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
 
-from .coefficients import (HSeries, _accumulate, _add_terms, _hbar_items,
-                           _Store, solve_rational)
+from .coefficients import (HSeries, _accumulate, _shuffle, _Store, codec,
+                           solve_rational)
 from .errors import NotPolynomial, ZeroPolynomial
-
-
-def merge_ascending(a, b):
-    """Merge two strictly increasing index tuples of odd symbols.
-
-    Returns ``(merged, sign)`` with the Koszul sign of the interleave, or
-    ``(None, 0)`` when an index repeats (odd square = 0).
-    """
-    if not a:
-        return b, 1
-    if not b:
-        return a, 1
-    out = []
-    i = j = 0
-    inversions = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return None, 0
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-            inversions += len(a) - i
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out), (-1 if inversions % 2 else 1)
-
-
-def insert_index(idx, s):
-    """Insert one odd index into an increasing tuple; (None, 0) on repeat."""
-    if idx in s:
-        return None, 0
-    pos = sum(1 for x in s if x < idx)
-    return tuple(sorted(s + (idx,))), (-1 if pos % 2 else 1)
 
 
 class AlgebraSignature:
@@ -75,13 +40,11 @@ class AlgebraSignature:
 
 
 class Element(_Store):
-    """Sparse sum of monomials y^a * eta_S * hbar^e: a store
-    {((a, S), e): canonical coefficient}."""
+    """Sparse sum of monomials y^a * eta_S * hbar^e: a store {packed key:
+    canonical coefficient}."""
 
     __slots__ = ()
-
-    def _unit(self):
-        return unit_key(self.m)
+    _arity = 2
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -90,32 +53,27 @@ class Element(_Store):
 
     @staticmethod
     def one(m):
-        return Element(m, {unit_key(m): 1})
+        return Element._from_store(m, {0: 1})
 
     @staticmethod
     def const(m, c):
-        return Element(m, {unit_key(m): c})
+        return Element(m, {((0,) * m, ()): c})
 
     @staticmethod
     def y(m, i, power=1):
         e = [0] * m
         e[i - 1] = power
-        return Element(m, {(tuple(e), ()): 1})
+        return Element._from_store(m, {codec(m).encode(e): 1})
 
     @staticmethod
     def eta(m, i):
-        return Element(m, {((0,) * m, (i,)): 1})
+        return Element._from_store(m, {codec(m).eta_bits[i - 1]: 1})
 
     # -- queries ------------------------------------------------------------
     def is_polynomial(self):
         """No eta factors and hbar-free coefficients."""
-        return not any(eta or e for (_, eta), e in self.terms)
-
-    def degrees(self):
-        return {-len(eta) for (_, eta), _ in self.terms}
-
-    def degree_part(self, d):
-        return self._select(lambda key: -len(key[1]) == d)
+        rest = ~codec(self.m).y_block
+        return not any(k & rest for k in self.terms)
 
     # -- arithmetic ----------------------------------------------------------
     def __mul__(self, other):
@@ -131,21 +89,13 @@ class Element(_Store):
 
     def partial_y(self, i):
         """Formal partial derivative with respect to y_i (even, no signs)."""
+        C = codec(self.m)
+        off, unit = C.y_off[i - 1], C.y[i - 1]
         out = {}
-        for ((a, eta), e), c in self.terms.items():
-            if a[i - 1]:
-                na = list(a)
-                na[i - 1] -= 1
-                _accumulate(out, ((tuple(na), eta), e), c * a[i - 1])
-        return Element._from_store(self.m, out)
-
-    def contract_eta(self, i):
-        """Odd left derivation d/d(eta_i): kills monomials without eta_i."""
-        out = {}
-        for ((a, eta), e), c in self.terms.items():
-            key, sign = _contract_eta_key(eta, i)
-            if key is not None:
-                out[((a, key), e)] = c if sign > 0 else -c
+        for k, c in self.terms.items():
+            a = k >> off & C.field
+            if a:
+                _accumulate(out, k - unit, c * a)
         return Element._from_store(self.m, out)
 
     def __repr__(self):
@@ -155,30 +105,28 @@ class Element(_Store):
         return format_terms(self.series(), self.m)
 
 
-def unit_key(m):
-    return ((0,) * m, ())
-
-
-def _contract_eta_key(eta, i):
-    if i not in eta:
+def _mono_mul(k1, k2, C):
+    """Product of two element monomial keys: (key, sign) or (None, 0).  The
+    y fields and hbar exponents add as keys, and the eta masks merge with
+    their shuffle sign."""
+    s1, s2 = k1 & C.eta, k2 & C.eta
+    if s1 & s2:
         return None, 0
-    pos = eta.index(i)
-    return eta[:pos] + eta[pos + 1:], (-1 if pos % 2 else 1)
+    return C.check((k1 ^ s1) + (k2 ^ s2)) | s1 | s2, _shuffle(s1, s2)
 
 
 def gmul(a: Element, b: Element) -> Element:
     """Graded-commutative product with Koszul signs, accumulated straight
-    into the result; each pair of monomials is merged once."""
+    into the result; each pair of terms is multiplied once."""
     if a.m != b.m:
         raise ValueError("signature mismatch")
+    C = codec(a.m)
     out = {}
-    right = _hbar_items(b.terms)
-    for (ya, ea), ha in _hbar_items(a.terms):
-        for (yb, eb), hb in right:
-            eta, sign = merge_ascending(ea, eb)
-            if eta is None:
-                continue
-            _add_terms(out, (tuple(map(add, ya, yb)), eta), ha, hb, sign)
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            key, sign = _mono_mul(ka, kb, C)
+            if key is not None:
+                _accumulate(out, key, sign * ca * cb)
     return Element._from_store(a.m, out)
 
 
@@ -240,7 +188,8 @@ def detect_weights(f: Element, m: int):
     weight 1, or None when no such solution exists.  Variables absent from
     every monomial get weight 1.
     """
-    rows = [{i: e for i, e in enumerate(a) if e} for (a, _), _ in f.terms]
+    exps = [codec(m).y_exponents(k) for k in f.terms]
+    rows = [{i: e for i, e in enumerate(a) if e} for a in exps]
     sol = solve_rational(rows, dict.fromkeys(range(len(rows)), 1), m)
     if sol is None:
         return None
@@ -248,7 +197,7 @@ def detect_weights(f: Element, m: int):
     weights = [sol[i] if i in used else 1 for i in range(m)]
     if any(w <= 0 for w in weights):
         return None
-    for (a, _), _ in f.terms:
+    for a in exps:
         if sum(w * e for w, e in zip(weights, a)) != 1:
             return None
     return tuple(weights)
@@ -272,10 +221,15 @@ def apply_koszul_delta(X: CritLocus, a: Element) -> Element:
     """Degree +1 derivation with delta(y_i) = 0, delta(eta_i) = df/dy_i."""
     if a.m != X.m:
         raise ValueError("signature mismatch")
+    C = codec(X.m)
     out = {}
-    for i in range(1, X.m + 1):
-        contracted = a.contract_eta(i)
-        if contracted:
-            for k, c in gmul(X.partials[i - 1], contracted).terms.items():
-                _accumulate(out, k, c)
+    for k, c in a.terms.items():
+        for bit, partial in zip(C.eta_bits, X.partials):
+            if k & bit:
+                # contract eta_i with its sign, then multiply by the
+                # eta-free df/dy_i: the keys add
+                rest = k ^ bit
+                s = -c if (k & C.eta & (bit - 1)).bit_count() & 1 else c
+                for pk, pc in partial.terms.items():
+                    _accumulate(out, C.check(rest + pk), s * pc)
     return Element._from_store(X.m, out)

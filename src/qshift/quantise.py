@@ -13,31 +13,30 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .coefficients import _accumulate, rank_rational
+from .coefficients import _accumulate, codec, rank_rational
 from .cohomology import (DEGREE_TRUNCATED, WEIGHT_GRADED, TruncationSpec,
                          _walk_exponents, _weight_steps, eta_subsets,
                          iter_y_exponents)
-from .diffops import (Operator, op_commutator, op_compose, op_order,
-                      key_degree, symbol)
+from .diffops import Operator, op_commutator, op_compose, op_order, symbol
 from .errors import NotMaurerCartan, TruncationRequired
 from .gca import CritLocus, Element, gmul
 
 
 def koszul_operator(X: CritLocus) -> Operator:
     """Contraction with df as a normal-ordered operator."""
-    m = X.m
-    return Operator._from_store(m, {
-        ((a, eta, (0,) * m, (i,)), e): c
-        for i in range(1, m + 1)
-        for ((a, eta), e), c in X.partials[i - 1].terms.items()})
+    C = codec(X.m)
+    return Operator._from_store(X.m, {
+        k | bit: c for bit, partial in zip(C.deta_bits, X.partials)
+        for k, c in partial.terms.items()})
 
 
 def _hbar_series(m, parts, offset):
     """Sum_j parts[j] hbar^(j + offset) as a single operator."""
+    shift = codec(m).hbar_shift
     out = {}
     for j, op in parts.items():
-        for (key, e), c in op.terms.items():
-            _accumulate(out, (key, e + j + offset), c)
+        for k, c in op.terms.items():
+            _accumulate(out, k + ((j + offset) << shift), c)
     return Operator._from_store(m, out)
 
 
@@ -129,13 +128,9 @@ class FiltrationLabel:
 
 def bv_quantisation(X: CritLocus) -> Quantisation:
     """The canonical second-order quantisation hbar * Sum_i d_y_i d_eta_i."""
-    m = X.m
-    terms = {}
-    for i in range(1, m + 1):
-        e = [0] * m
-        e[i - 1] = 1
-        terms[((0,) * m, (), tuple(e), (i,))] = 1
-    return Quantisation(m, {2: Operator(m, terms)})
+    C = codec(X.m)
+    return Quantisation(X.m, {2: Operator._from_store(
+        X.m, {dy + bit: 1 for dy, bit in zip(C.dy, C.deta_bits)})})
 
 
 def mc_residual(X: CritLocus, delta: Quantisation) -> Operator:
@@ -143,8 +138,9 @@ def mc_residual(X: CritLocus, delta: Quantisation) -> Operator:
     quantisation (square-zero for delta + Delta); (1/2)[Delta, Delta] is
     Delta_odd o Delta_odd, as pairs add (1 - (-1)^(|k1||k2|)) k1 o k2."""
     D = delta.as_operator_series()
+    C = codec(D.m)
     odd = Operator._from_store(D.m, {k: c for k, c in D.terms.items()
-                                     if key_degree(k[0]) % 2})
+                                     if C.degree(k) & 1})
     return op_commutator(koszul_operator(X), D) + op_compose(odd, odd)
 
 
@@ -167,20 +163,23 @@ def centre_differential(X: CritLocus, delta: Quantisation, u: Operator,
 # Non-degeneracy
 # ---------------------------------------------------------------------------
 
-def _symbol_partial(terms, kind, i, m):
+def _symbol_partial(terms, kind, i, C):
     """Left partial of a symbol-term dict by one derivative symbol."""
     out = {}
-    for ((a, eta, b, deta), e), c in terms.items():
-        if kind == "y":
-            if b[i - 1]:
-                nb = list(b)
-                nb[i - 1] -= 1
-                _accumulate(out, ((a, eta, tuple(nb), deta), e), c * b[i - 1])
-        elif i in deta:
-            pos = deta.index(i)
-            nd = deta[:pos] + deta[pos + 1:]
-            odd = (len(eta) + pos) % 2
-            _accumulate(out, ((a, eta, b, nd), e), -c if odd else c)
+    if kind == "y":
+        off, unit = C.dy_off[i - 1], C.dy[i - 1]
+        for k, c in terms.items():
+            b = k >> off & C.field
+            if b:
+                _accumulate(out, k - unit, c * b)
+    else:
+        bit = C.deta_bits[i - 1]
+        for k, c in terms.items():
+            if k & bit:
+                # past eta_S, then out of its place among d_eta_T
+                odd = ((k & C.eta).bit_count()
+                       + (k & C.deta & (bit - 1)).bit_count()) & 1
+                _accumulate(out, k ^ bit, -c if odd else c)
     return out
 
 
@@ -220,19 +219,20 @@ def is_nondegenerate(X: CritLocus, delta: Quantisation):
     d2 = delta.coeffs.get(2)
     if d2 is None:
         return False, Element.zero(m)
+    C = codec(m)
     sym = symbol(d2, 2)
     gens = [("y", i) for i in range(1, m + 1)] + [("eta", i) for i in range(1, m + 1)]
     mat = []
     for (k1, i1) in gens:
         row = []
-        first = _symbol_partial(sym.terms, k1, i1, m)
+        first = _symbol_partial(sym.terms, k1, i1, C)
         for (k2, i2) in gens:
-            second = _symbol_partial(first, k2, i2, m)
-            row.append(Element._from_store(m, {
-                ((a, eta), e): c for ((a, eta, _, _), e), c in second.items()}))
+            # arity 2 less two derivatives: element keys
+            row.append(Element._from_store(
+                m, _symbol_partial(first, k2, i2, C)))
         mat.append(row)
     det = _det_elements(mat, m)
-    return det.terms.keys() == {(((0,) * m, ()), 0)}, det
+    return det.terms.keys() == {0}, det
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +242,10 @@ def is_nondegenerate(X: CritLocus, delta: Quantisation):
 def _window_blocks(X: CritLocus, order_cap: int, trunc: TruncationSpec,
                    arity_exact=None):
     """The operator monomial keys of ``operator_keys_in_window`` as blocks
-    ``(b, T, S, a-list)``: the keys (a, S, b, T) for a in the a-list."""
+    ``(b, T, S, a-list)``: the keys (a, S, b, T) for the packed y^a in the
+    a-list."""
     m = X.m
+    C = codec(m)
     weights = X.signature.weights
     if trunc.mode == WEIGHT_GRADED and weights is None:
         raise TruncationRequired("weight truncation needs quasi-homogeneity weights")
@@ -259,7 +261,7 @@ def _window_blocks(X: CritLocus, order_cap: int, trunc: TruncationSpec,
             if arity_exact is None or sum(b) == rem:
                 dparts.append((tuple(b), T))
     if trunc.mode == DEGREE_TRUNCATED:
-        alist = list(iter_y_exponents(m, trunc.bound))
+        alist = [C.encode(a) for a in iter_y_exponents(m, trunc.bound)]
         for b, T in dparts:
             for S in subsets:
                 yield b, T, S, alist
@@ -280,7 +282,8 @@ def _window_blocks(X: CritLocus, order_cap: int, trunc: TruncationSpec,
                 continue
             alist = alists.get(budget)
             if alist is None:
-                alist = alists[budget] = list(_walk_exponents(steps, budget))
+                alist = alists[budget] = [
+                    C.encode(a) for a in _walk_exponents(steps, budget)]
             yield b, T, S, alist
 
 
@@ -288,8 +291,11 @@ def operator_keys_in_window(X: CritLocus, order_cap: int, trunc: TruncationSpec,
                             arity_exact=None):
     """Operator monomial keys with derivative degree <= order_cap (or exactly
     ``arity_exact``) and multiplication part within the truncation window."""
-    return [(a, S, b, T) for b, T, S, alist
-            in _window_blocks(X, order_cap, trunc, arity_exact) for a in alist]
+    C = codec(X.m)
+    zero = (0,) * X.m
+    return [fixed + a for b, T, S, alist
+            in _window_blocks(X, order_cap, trunc, arity_exact)
+            for fixed in (C.encode(zero, S, b, T),) for a in alist]
 
 
 def _order_bound(label: FiltrationLabel, p: int, j: int):
@@ -378,17 +384,19 @@ def nu_eigen_analysis(X: CritLocus, p: int, k: int,
     if trunc is None:
         trunc = TruncationSpec(DEGREE_TRUNCATED, 2)
     m = X.m
-    slots = _nu_slots(canonical_symplectic(X), bv_quantisation(X))
+    slots, _ = _nu_slots(canonical_symplectic(X), bv_quantisation(X))
     basis = operator_keys_in_window(X, p, trunc, arity_exact=p)
     if not basis:
         raise TruncationRequired("empty symbol block in the window")
-    index = {key: i for i, key in enumerate(basis)}
+    # the hbar^1 coefficient of each image, read in the basis
+    hbar = codec(m).hbar
+    index = {key + hbar: i for i, key in enumerate(basis)}
     n = len(basis)
     cols = []  # the block as sparse columns {row: entry}
     for key in basis:
-        image = _nu_apply(slots, Operator._from_store(m, {(key, 0): 1}))
-        cols.append({index[ikey]: c for (ikey, e), c in image.terms.items()
-                     if e == 1 and ikey in index})
+        image = _nu_apply(slots, Operator._from_store(m, {key: 1}))
+        cols.append({index[k]: c for k, c in image.terms.items()
+                     if k in index})
     scalar_shift = 1 - p - k
     lam0 = cols[0].get(0, 0)
     if all(col == ({c: lam0} if lam0 else {}) for c, col in enumerate(cols)):

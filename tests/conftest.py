@@ -1,6 +1,6 @@
 import pytest
 
-from qshift.coefficients import HSeries
+from qshift.coefficients import HSeries, codec
 from qshift.diffops import Operator, Polyvector
 from qshift.gca import Element, make_crit_locus
 from qshift.quantise import Quantisation
@@ -134,3 +134,25 @@ def sparse_rows(dense):
     """Dense rows of rationals as the sparse rows ``{col: value}`` that the
     rank/solve kernel takes; zero cells are left out."""
     return [{c: v for c, v in enumerate(row) if v} for row in dense]
+
+
+def decoded(x):
+    """The store of an element, operator or polyvector read through the
+    codec: {(monomial tuple, hbar exponent): coefficient}."""
+    C = codec(x.m)
+    n = 2 if isinstance(x, Element) else 4
+    return {(key[:n], key[4]): c
+            for key, c in ((C.decode(k), c) for k, c in x.terms.items())}
+
+
+def decoded_words(w):
+    """The store of a de Rham word read through the codec: {(hbar exponent,
+    word of (a, eta) tuples): coefficient}."""
+    C = codec(w.m)
+    return {(e, tuple(C.decode(k)[:2] for k in ws)): c
+            for (e, ws), c in w.terms.items()}
+
+
+def unit_key(m):
+    """The boundary tuple of the unit element monomial."""
+    return ((0,) * m, ())

@@ -68,7 +68,7 @@ def twisted_matrix(X, basis):
     the columns the images touch (plain 0 in empty cells)."""
     images = []
     for key in basis:
-        mono = Element(X.m, {key: 1})
+        mono = Element._from_store(X.m, {key: 1})
         images.append((apply_koszul_delta(X, mono)
                        + bv_apply(X, mono).scale(HSeries.monomial(1))).series())
     cols = {}

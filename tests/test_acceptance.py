@@ -14,7 +14,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from qshift.cli import parse_problem, print_problem, run_command, Report
-from qshift.coefficients import HSeries
+from qshift.coefficients import HSeries, codec
 from qshift.cohomology import (DEGREE_TRUNCATED, TruncationSpec,
                                milnor_number, twisted_derham_dims)
 from qshift.derham import (CompatVerdict, canonical_symplectic,
@@ -164,7 +164,7 @@ def test_acceptance_chain_identity():
 # ---------------------------------------------------------------------------
 
 def _pv_degree(P):
-    degs = {-len(k[1]) + len(k[3]) for k, _ in P.terms}
+    degs = {codec(P.m).degree(k) for k in P.terms}
     return degs.pop() if len(degs) == 1 else None
 
 

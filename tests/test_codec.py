@@ -1,0 +1,152 @@
+"""The packed monomial keys: the codec round trip, the product kernel on
+packed keys against the generator-by-generator reference, and overflow
+refusal at the field limit."""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qshift import cli
+from qshift.coefficients import FIELD_BITS, HSeries, codec
+from qshift.diffops import Operator, op_apply, op_compose
+from qshift.errors import ExponentOverflow
+from qshift.gca import Element, gmul
+
+LIMIT = 1 << (FIELD_BITS - 1)
+
+
+def _odd(m):
+    return st.sets(st.integers(1, m)).map(lambda s: tuple(sorted(s)))
+
+
+def _exps(m, top):
+    # the field limit itself is drawn often, not left to chance
+    entry = st.one_of(st.integers(0, top), st.just(top))
+    return st.tuples(*[entry] * m)
+
+
+def _monomial(m, top=LIMIT - 1):
+    return st.tuples(_exps(m, top), _odd(m), _exps(m, top), _odd(m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda m: st.tuples(
+    st.just(m), _monomial(m), st.integers(-40, 40))))
+def test_codec_round_trip(case):
+    """encode and decode are inverse for m = 1..3, negative hbar exponents
+    and exponents at the field limit; the constructor boundary and
+    ``series()`` give the tuples back."""
+    m, (a, eta, b, deta), e = case
+    C = codec(m)
+    key = C.encode(a, eta, b, deta, e)
+    assert C.decode(key) == (a, eta, b, deta, e)
+    assert key >> C.hbar_shift == e
+    assert C.degree(key) == len(deta) - len(eta)
+    assert C.order(key) == sum(b) + len(deta)
+    op = Operator(m, {(a, eta, b, deta): HSeries.monomial(e, 3)})
+    assert op.terms == {key: 3}
+    assert op.series() == {(a, eta, b, deta): HSeries.monomial(e, 3)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda m: st.tuples(
+    st.just(m), _exps(m, LIMIT // 2 - 1), _exps(m, LIMIT // 2 - 1),
+    st.integers(-9, 9), st.integers(-9, 9))))
+def test_even_parts_add(case):
+    """The y fields and hbar exponents of a product are the sums of the
+    factors' keys, without a carry between fields."""
+    m, a1, a2, e1, e2 = case
+    C = codec(m)
+    total = C.encode(a1, e=e1) + C.encode(a2, e=e2)
+    assert C.check(total) == C.encode(tuple(map(sum, zip(a1, a2))), e=e1 + e2)
+
+
+def _term(m, max_exp):
+    return st.tuples(_exps(m, max_exp), _odd(m), _exps(m, max_exp), _odd(m),
+                     st.integers(-3, 3).filter(bool), st.integers(-1, 2))
+
+
+def _operator(m, terms):
+    return Operator(m, {(a, eta, b, deta): HSeries.monomial(e, c)
+                        for a, eta, b, deta, c, e in terms})
+
+
+def _element(m, terms):
+    return Element(m, {(a, eta): HSeries.monomial(e, c)
+                       for a, eta, _, _, c, e in terms})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.lists(_term(3, 2), min_size=1, max_size=4),
+       st.lists(_term(3, 2), min_size=1, max_size=4),
+       st.lists(_term(3, 3), min_size=1, max_size=4))
+def test_compose_with_leibniz_pairs_matches_op_apply(i, left, right, probe):
+    """In m = 3, L o R applied to an element agrees with applying R, then
+    L, one generator at a time, for operators with a d_y_i in L meeting a
+    y_i in R, so that the product kernel takes its Leibniz path."""
+    m = 3
+    a, eta, b, deta, c, e = left[0]
+    left[0] = (a, eta, b[:i - 1] + (2,) + b[i:], deta, c, e)
+    a, eta, b, deta, c, e = right[0]
+    right[0] = (a[:i - 1] + (2,) + a[i:], eta, b, deta, c, e)
+    L, R, x = _operator(m, left), _operator(m, right), _element(m, probe)
+    assert op_apply(op_compose(L, R), x) == op_apply(L, op_apply(R, x))
+
+
+def test_field_limit_is_accepted_and_refused_beyond():
+    C = codec(2)
+    top = Element.y(2, 1, LIMIT - 1)
+    assert C.decode(next(iter(top.terms)))[0] == (LIMIT - 1, 0)
+    with pytest.raises(ExponentOverflow):
+        Element.y(2, 1, LIMIT)
+    with pytest.raises(ExponentOverflow):
+        C.encode((0, 0), (), (LIMIT, 0))
+    half = Element.y(2, 2, LIMIT // 2)
+    assert gmul(half, Element.y(2, 2, LIMIT // 2 - 1)) == Element.y(2, 2, LIMIT - 1)
+    with pytest.raises(ExponentOverflow):
+        gmul(half, half)
+
+
+def test_kernel_refuses_overflow_in_y_and_d_y_fields():
+    """Sums of fields at the limit are refused, never wrapped into the next
+    field; the Leibniz terms below the limit are not affected."""
+    m = 1
+    top = (LIMIT - 1,)
+    dy_top = Operator(m, {((0,), (), top, ()): 1})
+    y_top = Operator.mult(Element.y(m, 1, LIMIT - 1))
+    with pytest.raises(ExponentOverflow):
+        op_compose(dy_top, Operator.d_y(m, 1))
+    with pytest.raises(ExponentOverflow):
+        op_compose(Operator.mult(Element.y(m, 1)), y_top)
+    with pytest.raises(ExponentOverflow):
+        op_apply(Operator.mult(Element.y(m, 1)), Element.y(m, 1, LIMIT - 1))
+    # d_y^(L-1) o y = y d_y^(L-1) + (L-1) d_y^(L-2): both fields stay below
+    assert op_compose(dy_top, Operator.mult(Element.y(m, 1))) == Operator(m, {
+        ((1,), (), top, ()): 1, ((0,), (), (LIMIT - 2,), ()): LIMIT - 1})
+
+
+@pytest.mark.parametrize("power, code", [
+    ("((x^7)^31)^151", 0),   # x^32767, at the limit
+    ("(x^128)^256", 2),      # x^32768, beyond it
+], ids=["at-limit", "beyond-limit"])
+def test_cli_at_the_field_limit(tmp_path, capsys, power, code):
+    """An exponent beyond the field exits 2 with a typed error; one at the
+    limit is answered."""
+    path = tmp_path / "f.qs"
+    path.write_text(f"vars x;\nf = {power};\n")
+    assert cli.main(["milnor", str(path)]) == code
+    report = json.loads(capsys.readouterr().out)
+    if code:
+        assert report["payload"]["error_type"] == "ExponentOverflow"
+    else:
+        assert report["payload"]["milnor"] == LIMIT - 2
+
+
+def test_vc_dims_on_a_large_exponent(tmp_path, capsys):
+    """x^2000, far beyond a narrow field, through the codec."""
+    path = tmp_path / "x2000.qs"
+    path.write_text("vars x;\nf = x^2000;\n")
+    assert cli.main(["vc-dims", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["dims"] == {"0": 1999}

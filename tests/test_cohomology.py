@@ -16,7 +16,7 @@ from qshift.errors import (NonIsolated, NotCertified, NotPolynomial,
                            TruncationRequired, ZeroPolynomial)
 from qshift.gca import Element, make_crit_locus
 
-from conftest import CORPUS, CORPUS_IDS, sparse_rows
+from conftest import CORPUS, CORPUS_IDS, decoded, sparse_rows
 from hbar_oracle import rank_exact_fraction_field, twisted_matrix
 
 
@@ -262,7 +262,7 @@ def test_groebner_basis_passes_buchberger_test(f, m, mu):
     """Every S-pair of the returned basis and every partial reduce to 0 by
     an independent division, no leading monomial divides another, and the
     standard monomials count mu."""
-    partials = [{a: c for ((a, _), _), c in f.partial_y(i).terms.items()}
+    partials = [{a: c for ((a, _), _), c in decoded(f.partial_y(i)).items()}
                 for i in range(1, m + 1)]
     basis = [g for _, g in _groebner(partials)]
     leads = [max(g, key=_grevlex_key) for g in basis]

@@ -6,24 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qshift import derham
-from qshift.coefficients import HSeries
+from qshift.coefficients import HSeries, codec
 from qshift.cohomology import DEGREE_TRUNCATED, TruncationSpec
 from qshift.derham import (CompatVerdict, DRWord, SearchWindow, _nu_apply,
                            apply_codegeneracy, canonical_symplectic,
                            check_chain_identity, check_compatibility, cup,
                            dr_d, dr_of, dr_total_d, mu, nu)
 from qshift.coefficients import solve_rational
-from qshift.diffops import (Operator, key_degree, key_order, op_apply,
+from qshift.diffops import (Operator, op_apply,
                             op_commutator, op_compose, schouten, symbol)
 from qshift.errors import NotMaurerCartan
-from qshift.gca import Element, gmul, make_crit_locus, unit_key
+from qshift.gca import Element, gmul, make_crit_locus
 from qshift.quantise import (Quantisation, bv_quantisation, centre_differential,
                              mc_residual, nu_eigen_analysis,
                              operator_keys_in_window, sigma_tangent)
 
-from conftest import (corpus_locus, random_element, random_homogeneous_operator,
-                      random_operator, random_polyvector, random_quantisation,
-                      sparse_rows)
+from conftest import (corpus_locus, decoded, decoded_words, random_element,
+                      random_homogeneous_operator, random_operator,
+                      random_polyvector, random_quantisation, sparse_rows,
+                      unit_key)
 
 
 def _word(m, *monos, hexp=0, coeff=1):
@@ -75,7 +76,7 @@ def test_cup_four_term_expansion():
     u = unit_key(m)
     y, e = _ykey(m, 1), _ekey(m, 1)
     ye = gmul(Element.y(m, 1), Element.eta(m, 1))
-    (((yekey, _), _),) = ye.terms.items()
+    (((yekey, _), _),) = decoded(ye).items()
     w = cup(dr_d(Element.y(m, 1)), dr_d(Element.eta(m, 1)))
     expected = (_word(m, u, y, e) + _word(m, u, yekey, u)
                 - _word(m, y, u, e) - _word(m, y, e, u))
@@ -248,7 +249,7 @@ def test_nu_derivation_rule_random():
             pieces.append(dr_d(a) if rng.random() < 0.5 else dr_of(a))
         w1, w2 = pieces
         w1_degrees = {sum(-len(k[1]) for k in ws) + len(ws) - 1
-                      for (_, ws) in w1.terms}
+                      for (_, ws) in decoded_words(w1)}
         if len(w1_degrees) != 1:
             continue
         d1 = w1_degrees.pop()
@@ -268,7 +269,7 @@ def _nu_reference(w, delta, rho):
     for rd in sorted(rho.degrees()):
         rpart = rho.degree_part(rd)
         shift = rd - 1
-        for (e, ws), c in w.terms.items():
+        for (e, ws), c in decoded_words(w).items():
             r = len(ws) - 1
             for slot in range(r):
                 prefix = sum(-len(k[1]) for k in ws[:slot + 1]) + slot
@@ -289,7 +290,7 @@ def _mu_reference(w, delta):
     m = w.m
     D = delta.as_operator_series()
     out = Operator.zero(m)
-    for (e, ws), c in w.terms.items():
+    for (e, ws), c in decoded_words(w).items():
         op = Operator(m, {(ws[0][0], ws[0][1], (0,) * m, ()): HSeries.monomial(e, c)})
         for mono in ws[1:]:
             op = op_compose(op_compose(op, D),
@@ -368,10 +369,10 @@ def test_eigen_block_matches_reference_nu_columns(monkeypatch, p):
     monkeypatch.setattr(derham, "_nu_apply", recording)
     report = nu_eigen_analysis(X, p, 2, trunc)
     basis = operator_keys_in_window(X, p, trunc, arity_exact=p)
-    assert [next(iter(rho.terms))[0] for rho, _ in applied] == basis
+    assert [next(iter(rho.terms)) for rho, _ in applied] == basis
 
     def block(images):
-        return [[images[col].hbar_component(1).terms.get((row, 0), 0)
+        return [[images[col].hbar_component(1).terms.get(row, 0)
                  for col in range(len(basis))] for row in basis]
 
     reference = [_nu_reference(omega, delta, rho) for rho, _ in applied]
@@ -428,7 +429,7 @@ def test_mu_filtration_bound_random():
         for e in image.hbar_exponents():
             comp = image.hbar_component(e)
             bound = e if e >= q else 2 * e - q
-            assert max(key_order(k) for k, _ in comp.terms) <= bound
+            assert max(codec(m).order(k) for k in comp.terms) <= bound
 
 
 def test_compatibility_exact_for_canonical_pair():
@@ -480,11 +481,12 @@ def _reference_search(omega, delta, X, window):
     kind and the witness store."""
     r = mu(omega, delta, X) - sigma_tangent(delta).eps_as_series()
     trunc = TruncationSpec(DEGREE_TRUNCATED, window.ydeg_cap)
+    C = codec(X.m)
     candidates = []
     for d in sorted({dd - 1 for dd in r.degrees()}):
         candidates.extend(k for k in operator_keys_in_window(
-            X, window.order_cap, trunc) if key_degree(k) == d)
-    unknowns = [(key, e) for key in candidates
+            X, window.order_cap, trunc) if C.degree(k) == d)
+    unknowns = [key + (e << C.hbar_shift) for key in candidates
                 for e in range(window.hbar_min, window.hbar_max + 1)]
     images = [centre_differential(X, delta, Operator._from_store(X.m, {u: 1}),
                                   allow_non_mc=True).terms for u in unknowns]

@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+from qshift import duality
 from qshift.coefficients import HSeries
 from qshift.diffops import Operator, op_compose, op_order, symbol
 from qshift.duality import (is_self_dual, solve_sign_profile, star,
                             star_fixed_slot_dimension, star_operator_series,
                             transpose)
+from qshift.errors import NoConsistentProfile
 from qshift.gca import Element, make_crit_locus
 from qshift.quantise import (Quantisation, bv_quantisation,
                              operator_keys_in_window)
@@ -27,6 +29,18 @@ def test_profile_is_classical_adjoint(locus_and_profile):
     assert profile.gen_signs["d_eta"] == -1
     assert profile.gen_signs["mult_y"] == 1
     assert profile.gen_signs["mult_eta"] == 1
+
+
+@pytest.mark.parametrize("flip", [(-1, 1), (1, -1), (-1, -1)],
+                         ids=["d_y", "d_eta", "both"])
+def test_profile_check_refuses_every_other_profile(monkeypatch, flip):
+    """The checks on the defining relations hold for (-1, -1) only: a
+    derivation that produced any other profile is refused."""
+    real = duality.SignProfile
+    monkeypatch.setattr(duality, "SignProfile",
+                        lambda sy, se: real(sy * flip[0], se * flip[1]))
+    with pytest.raises(NoConsistentProfile):
+        solve_sign_profile(corpus_locus(4))
 
 
 def test_transpose_euler_operator(locus_and_profile):

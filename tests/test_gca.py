@@ -7,7 +7,7 @@ from qshift.coefficients import HSeries
 from qshift.errors import NotPolynomial, ZeroPolynomial
 from qshift.gca import (Element, apply_koszul_delta, gmul, make_crit_locus)
 
-from conftest import corpus_locus, random_element
+from conftest import corpus_locus, decoded, random_element
 
 
 def test_make_crit_locus_cubic():
@@ -132,5 +132,5 @@ def test_element_normal_form_uniqueness():
     assert a == -b
     assert (a + b).is_zero()
     # eta indices stored strictly increasing
-    (((_, eta), _),) = b.terms.keys()
+    (((_, eta), _),) = decoded(b).keys()
     assert eta == (1, 2)
