@@ -1,5 +1,6 @@
 """Filtered algebra of differential operators on the free algebra, with
-normal ordering, symbols, and the Schouten--Nijenhuis bracket on symbols.
+normal ordering, symbols, and the Schouten--Nijenhuis bracket on symbols,
+taken as the principal symbol of the commutator of lifts.
 
 An operator monomial is the normal-ordered composite
 
@@ -395,7 +396,8 @@ class Polyvector:
         out = dict(self.terms)
         for k, c in other.terms.items():
             _accumulate(out, k, c)
-        return Polyvector._from_store(self.m, max(self.arity, other.arity), out)
+        arity = other.arity if other.terms and not self.terms else self.arity
+        return Polyvector._from_store(self.m, arity, out)
 
     def __neg__(self):
         return Polyvector._from_store(self.m, self.arity,
@@ -443,112 +445,10 @@ def pv_mul(P: Polyvector, Q: Polyvector) -> Polyvector:
     return Polyvector._from_store(P.m, P.arity + Q.arity, out)
 
 
-# Symbol generators are (kind, index) pairs reusing the monomial slot kinds:
-# _MY = coordinate y_i, _META = coordinate eta_i, _DY = d_y symbol, _DETA =
-# d_eta symbol.  Odd generators: _META (deg -1) and _DETA (deg +1).
-_GEN_DEG = {_MY: 0, _META: -1, _DY: 0, _DETA: 1}
-
-
-def _gen_pairing(g1, g2):
-    """Bracket of two generators; only <d_x, x> pairings survive."""
-    (k1, i1), (k2, i2) = g1, g2
-    if i1 != i2:
-        return 0
-    if (k1, k2) in ((_DY, _MY), (_DETA, _META)):
-        return 1
-    if (k1, k2) == (_MY, _DY):
-        return -1
-    if (k1, k2) == (_META, _DETA):
-        # [eta, xi_eta] = -(-1)^{(-1)(+1)} [xi_eta, eta] = +1
-        return 1
-    return 0
-
-
-def _word_degree(gens):
-    return sum(_GEN_DEG[k] for k, _ in gens)
-
-
-def _bracket_words(u, v):
-    """Leibniz expansion of the bracket of two generator words.
-
-    Returns a list of ``(word, sign)`` pairs where ``word`` is a raw
-    concatenation of generators (not yet sorted); signs arise only from the
-    Leibniz rules
-        [A.g, B] = A.[g, B] + (-1)^{|g||B|} [A, B].g
-        [g, B.h] = [g, B].h + (-1)^{|g||B|} B.[g, h].
-    """
-    if not u or not v:
-        return []
-    if len(u) > 1:
-        head, g = u[:-1], u[-1]
-        out = [(list(head) + w, s) for (w, s) in _bracket_words([g], v)]
-        sign = -1 if (_GEN_DEG[g[0]] * _word_degree(v)) % 2 else 1
-        out.extend((w + [g], s * sign) for (w, s) in _bracket_words(head, v))
-        return out
-    g = u[0]
-    if len(v) == 1:
-        val = _gen_pairing(g, v[0])
-        return [([], val)] if val else []
-    head, h = v[:-1], v[-1]
-    out = [(w + [h], s) for (w, s) in _bracket_words([g], head)]
-    val = _gen_pairing(g, h)
-    if val:
-        sign = -1 if (_GEN_DEG[g[0]] * _word_degree(head)) % 2 else 1
-        out.append((list(head), sign * val))
-    return out
-
-
-def _key_from_gens(gens, C):
-    """Sort a raw generator word into a canonical symbol key.
-
-    Returns ``(key, sign)`` with the Koszul sorting sign, or ``(None, 0)``
-    when an odd generator repeats.
-    """
-    key = 0
-    odd = []
-    for kind, i in gens:
-        if kind == _MY:
-            key += C.y[i - 1]
-        elif kind == _DY:
-            key += C.dy[i - 1]
-        elif kind == _META:
-            odd.append((0, i))
-        else:
-            odd.append((1, i))
-    sign = 1
-    for x in range(len(odd)):
-        for z in range(x + 1, len(odd)):
-            if odd[x] == odd[z]:
-                return None, 0
-            if odd[x] > odd[z]:
-                sign = -sign
-    for t, i in odd:
-        key += (C.deta_bits if t else C.eta_bits)[i - 1]
-    return C.check(key), sign
-
-
 def schouten(P1: Polyvector, P2: Polyvector) -> Polyvector:
-    """Schouten--Nijenhuis bracket via graded Leibniz expansion on symbols.
-
-    This route never touches operator composition; the test suite
-    cross-checks it against the principal symbol of the commutator of lifts.
-    """
-    if P1.m != P2.m:
-        raise ValueError("signature mismatch")
-    m = P1.m
-    C = codec(m)
-    out = {}
-    right = [(_gen_sequence(k2, C), k2 - (k2 & C.mono), c2)
-             for k2, c2 in P2.terms.items()]
-    for k1, c1 in P1.terms.items():
-        g1 = _gen_sequence(k1, C)
-        h1 = k1 - (k1 & C.mono)
-        for g2, h2, c2 in right:
-            if not g1 or not g2:
-                continue
-            for word, s in _bracket_words(g1, g2):
-                key, ks = _key_from_gens(word, C)
-                if key is not None:
-                    _accumulate(out, key + h1 + h2, s * ks * c1 * c2)
-    arity = max(P1.arity + P2.arity - 1, 0)
-    return Polyvector._from_store(m, arity, out)
+    """Schouten--Nijenhuis bracket: the arity-(p + q - 1) part of the
+    graded commutator of the lifts, whose top order p + q cancels, so it is
+    the principal symbol of [P1, P2]."""
+    arity = P1.arity + P2.arity - 1
+    bracket = op_commutator(P1.lift(), P2.lift()).order_part(arity)
+    return Polyvector._from_store(P1.m, max(arity, 0), bracket.terms)

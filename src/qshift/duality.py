@@ -10,8 +10,8 @@ checked against the transpose itself on every generator.
 
 from __future__ import annotations
 
-from .coefficients import _accumulate, codec
-from .diffops import Operator, _fold, _gen_sequence, op_compose
+from .coefficients import codec
+from .diffops import Operator, _product_into, op_compose
 from .errors import NoConsistentProfile
 from .gca import CritLocus, Element
 from .quantise import Quantisation
@@ -33,22 +33,28 @@ class SignProfile:
 
 def transpose(D: Operator, profile: SignProfile) -> Operator:
     """Anti-automorphism: reverse each monomial with its Koszul sign, apply
-    the generator signs, and renormal-order."""
-    m = D.m
-    C = codec(m)
+    the generator signs, and renormal-order.
+
+    The reversed word of y^a eta_S d_y^b d_eta_T is d_eta_T reversed, d_y^b,
+    eta_S reversed, y^a; putting the reversed eta_S and d_eta_T back in
+    order, it is (d_y^b d_eta_T) o (y^a eta_S) times
+    (-1)^(|S|(|S|-1)/2 + |T|(|T|-1)/2), one product per term.  The
+    reversal's Koszul sign is (-1)^(n(n-1)/2) for the n = |S| + |T| odd
+    generators.
+    """
+    C = codec(D.m)
     sy = profile.gen_signs["d_y"]
     se = profile.gen_signs["d_eta"]
     out = {}
     for key, c in D.terms.items():
-        mono = key & C.mono
-        odd, nd = (mono & C.odd).bit_count(), (mono & C.deta).bit_count()
-        sign = sy ** ((C.order(mono) - nd) % 2) * se ** (nd % 2)
-        if (odd * (odd - 1) // 2) % 2:
+        mult = key & (C.y_block | C.eta)
+        ns, nt = (key & C.eta).bit_count(), (key & C.deta).bit_count()
+        n = ns + nt
+        sign = sy ** ((C.order(key) - nt) % 2) * se ** (nt % 2)
+        if (n * (n - 1) // 2 + ns * (ns - 1) // 2 + nt * (nt - 1) // 2) % 2:
             sign = -sign
-        state = _fold(_gen_sequence(mono, C)[::-1], {0: 1}, C)
-        for k, q in state.items():
-            _accumulate(out, k + key - mono, sign * q * c)
-    return Operator._from_store(m, out)
+        _product_into(out, ((key - mult, sign * c),), ((mult, 1),), C)
+    return Operator._from_store(D.m, out)
 
 
 def solve_sign_profile(X: CritLocus) -> SignProfile:

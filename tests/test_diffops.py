@@ -12,6 +12,8 @@ from qshift.diffops import (Operator, Polyvector, _fold, _gen_sequence,
 from qshift.errors import OrderTooLow, ZeroOperator
 from qshift.gca import Element, gmul
 
+from schouten_oracle import schouten_by_words
+
 from conftest import (decoded, random_element, random_hseries,
                       random_homogeneous_operator, random_operator,
                       random_polyvector)
@@ -146,6 +148,8 @@ def test_schouten_disjoint_and_scalar():
 
 
 def test_schouten_equals_symbol_of_commutator_random():
+    """The bracket, the principal symbol of the commutator of lifts,
+    against the graded Leibniz expansion on generator words."""
     rng = random.Random(8)
     for _ in range(80):
         m = rng.randint(1, 2)
@@ -153,8 +157,17 @@ def test_schouten_equals_symbol_of_commutator_random():
         q = rng.randint(1, 3)
         P = random_polyvector(rng, m, p)
         Q = random_polyvector(rng, m, q)
-        via_comm = symbol(op_commutator(P.lift(), Q.lift()), p + q - 1)
-        assert schouten(P, Q) == via_comm
+        assert schouten(P, Q) == schouten_by_words(P, Q)
+
+
+def test_polyvector_sum_with_zero_keeps_the_arity():
+    m = 1
+    P = Polyvector(m, 1, {((0,), (), (1,), ()): 1})
+    zero = Polyvector.zero(m, 3)
+    for total in (P + zero, zero + P, P - zero):
+        assert total == P
+        assert total.arity == 1
+    assert (zero - P).arity == 1
 
 
 def _pv_degree(P):

@@ -1,11 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from qshift import duality
-from qshift.coefficients import HSeries
-from qshift.diffops import Operator, op_compose, op_order, symbol
-from qshift.duality import (is_self_dual, solve_sign_profile, star,
+from qshift.coefficients import HSeries, _accumulate, codec
+from qshift.diffops import (Operator, _fold, _gen_sequence, op_compose,
+                            op_order, symbol)
+from qshift.duality import (SignProfile, is_self_dual, solve_sign_profile, star,
                             star_fixed_slot_dimension, star_operator_series,
                             transpose)
 from qshift.errors import NoConsistentProfile
@@ -82,6 +84,33 @@ def test_transpose_involution_and_antimultiplicativity(locus_and_profile):
                 rhs = op_compose(transpose(p2, profile),
                                  transpose(p1, profile)).scale(sign)
                 assert lhs == rhs
+
+
+@pytest.mark.parametrize("sy, se", [(1, 1), (-1, 1), (1, -1), (-1, -1)],
+                         ids=["none", "d_y", "d_eta", "both"])
+def test_transpose_matches_reversed_word_fold(sy, se):
+    """The transpose against the fold of each monomial's reversed generator
+    word, with (-1)^(n(n-1)/2) for its n odd generators and the profile's
+    generator signs, under every sign profile, m <= 3 and hbar exponents
+    -2..3."""
+    profile = SignProfile(sy, se)
+    rng = random.Random(30)
+    for _ in range(60):
+        m = rng.randint(1, 3)
+        C = codec(m)
+        terms, expected = {}, {}
+        for key, c in random_operator(rng, m, max_order=3, nterms=3).terms.items():
+            hbar = rng.randint(-2, 3) << C.hbar_shift
+            if rng.randint(0, 3) == 0:
+                c = Fraction(c, 3)
+            _accumulate(terms, key + hbar, c)
+            n, nd = (key & C.odd).bit_count(), (key & C.deta).bit_count()
+            sign = ((-1) ** (n * (n - 1) // 2) * sy ** (C.order(key) - nd)
+                    * se ** nd)
+            for k, q in _fold(_gen_sequence(key, C)[::-1], {0: 1}, C).items():
+                _accumulate(expected, k + hbar, sign * q * c)
+        D = Operator._from_store(m, terms)
+        assert transpose(D, profile) == Operator._from_store(m, expected)
 
 
 def test_transpose_order_preserving(locus_and_profile):
