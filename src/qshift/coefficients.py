@@ -1,6 +1,6 @@
 """Exact scalar arithmetic: the one coefficient model, the packed monomial
 keys, the hbar-Laurent boundary type, and the sparse rank/solve kernel
-over Q.
+over Q, which eliminates fraction-free on integer rows.
 
 A coefficient is canonical: a nonzero ``int``, or a ``fractions.Fraction``
 whose denominator is greater than 1.  It is never a float, and an integral
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from operator import mul
 
 from .errors import ExponentOverflow
@@ -29,6 +30,8 @@ from .errors import ExponentOverflow
 
 def _canon(c):
     """The canonical form of an exact rational; 0 stays 0, floats are refused."""
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
@@ -37,7 +40,10 @@ def _canon(c):
 
 
 def _div(a, b):
-    """The exact quotient a / b of two rationals, canonical."""
+    """The exact quotient a / b of two rationals, canonical; an ``int`` when
+    a and b are ints and b divides a."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
     return _canon(Fraction(a, b))
 
 
@@ -466,34 +472,57 @@ def _scaled(store, c, C=None):
 # ---------------------------------------------------------------------------
 
 def _eliminate(rows):
-    """Sparse Gaussian elimination over Q on rows ``{col: rational}``.
+    """Fraction-free sparse Gaussian elimination of rows ``{col: int}``.
 
-    Each row is reduced against the pivot rows found so far, keyed by their
-    leading (smallest) column, until its leading column is new; it is then
-    divided exactly by its leading entry to a unit pivot and kept.  Rows
-    that reduce to zero vanish, so the rank is the number of pivots, and the
-    set of pivot columns depends only on the row space.  Zero entries are
-    never stored, and every entry is canonical.
+    Rows are taken shortest first, and consumed.  Each is reduced against
+    the pivot rows found so far, keyed by their leading (smallest) column,
+    until its leading column is new: against a pivot p with lead p_l, a row
+    r with lead r_l becomes (p_l/g) r - (r_l/g) p for g = gcd(p_l, r_l).  A
+    new pivot is divided by its content, with the sign of its lead, so it
+    is primitive with a positive lead.  The rank is the number of pivots,
+    and the set of pivot columns depends only on the row space.
     """
     pivots = {}
-    for row in rows:
+    for row in sorted(rows, key=len):
         while row:
             lead = min(row)
             prow = pivots.get(lead)
             if prow is None:
-                lv = row[lead]
-                pivots[lead] = {c: _div(v, lv) for c, v in row.items()}
+                g = (1 if row[lead] > 0 else -1) * gcd(*row.values())
+                if g != 1:
+                    row = {c: v // g for c, v in row.items()}
+                pivots[lead] = row
                 break
-            f = -row[lead]
+            g = gcd(prow[lead], row[lead])
+            pl, rl = prow[lead] // g, row[lead] // g
+            if pl != 1:
+                for c in row:
+                    row[c] *= pl
             for c, v in prow.items():
-                _accumulate(row, c, f * v)
+                _accumulate(row, c, -rl * v)
     return pivots
 
 
-def _admit(rows):
-    """Copies of sparse rows ``{col: rational}`` with canonical entries; an
-    explicit zero is dropped, so the input rows are never mutated."""
-    return [{c: _canon(v) for c, v in row.items() if v} for row in rows]
+def _admit(rows, rhs=(), col=None):
+    """Integer copies of sparse rows ``{col: rational}``: an explicit zero is
+    dropped, and a row with a non-integral entry is scaled by the lcm of its
+    denominators, which keeps its span.  ``rhs`` ``{row index: rational}``
+    joins its rows at column ``col`` first.  The input is never mutated."""
+    out = []
+    for i, row in enumerate(rows):
+        if i in rhs:
+            row = {**row, col: rhs[i]}
+        for v in row.values():
+            if not v or type(v) is not int:
+                row = {c: _canon(v) for c, v in row.items() if v}
+                den = lcm(*[v.denominator for v in row.values()])
+                if den != 1:
+                    row = {c: (v * den).numerator for c, v in row.items()}
+                break
+        else:
+            row = row.copy()
+        out.append(row)
+    return out
 
 
 def rank_rational(rows):
@@ -508,18 +537,15 @@ def solve_rational(rows, rhs, ncols):
     ``0 .. ncols - 1`` and ``rhs`` is b as ``{row index: rational}``.
     Returns None when the right-hand-side column becomes a pivot (b is not
     in the column space); otherwise back-substitutes with every free
-    variable 0.  The entries of the solution are canonical.
+    variable 0, one exact division by each pivot's lead.  The entries of
+    the solution are canonical.
     """
-    aug = _admit(rows)
-    for i, b in rhs.items():
-        if b:
-            aug[i][ncols] = _canon(b)
-    pivots = _eliminate(aug)
+    pivots = _eliminate(_admit(rows, rhs, ncols))
     if ncols in pivots:
         return None
     sol = [0] * ncols
     for lead in sorted(pivots, reverse=True):
         prow = pivots[lead]
-        sol[lead] = _canon(prow.get(ncols, 0) - sum(
-            v * sol[c] for c, v in prow.items() if lead < c < ncols))
+        rest = sum(v * sol[c] for c, v in prow.items() if lead < c < ncols)
+        sol[lead] = _div(prow.get(ncols, 0) - rest, prow[lead])
     return sol

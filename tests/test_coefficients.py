@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qshift.coefficients import (HSeries, hbar_derivative_scaled,
+from qshift.coefficients import (HSeries, _div, hbar_derivative_scaled,
                                  hseries_mul, rank_rational, solve_rational)
 
 from qshift.cohomology import element_keys_in_window
@@ -167,6 +167,16 @@ def test_kernel_admits_explicit_zero_and_integral_fraction():
     assert repr(rows) == before
     with pytest.raises(TypeError):  # a float is refused, even one that cancels
         rank_rational([{0: 1}, {0: 1.0}])
+    with pytest.raises(TypeError):  # in the right-hand side too
+        solve_rational([{0: 2}], {0: 0.5}, 1)
+
+
+def test_div_stays_int_when_exact():
+    assert _div(6, 3) == 2 and type(_div(6, 3)) is int
+    assert _div(-4, 2) == -2 and type(_div(-4, 2)) is int
+    assert _div(1, 3) == Fraction(1, 3)
+    assert _div(Fraction(4, 3), Fraction(2, 3)) == 2
+    assert type(_div(Fraction(4, 3), Fraction(2, 3))) is int
 
 
 def test_evaluate_and_substitute():
@@ -253,6 +263,64 @@ def test_sparse_kernel_matches_dense_reference(system):
             expected[col] = reduced[k][ncols]
         assert sol == expected
     assert repr((sparse, sparse_rhs)) == before
+
+
+@st.composite
+def _witness_systems(draw):
+    """Systems shaped like the coboundary searches of check_compatibility:
+    20-80 sparse rows of 1-3 nonzero int entries up to 60 in size, some
+    rows of Fraction entries, and a right-hand side that is zero,
+    arbitrary, or in the column space."""
+    ncols = draw(st.integers(5, 30))
+    values = st.integers(-60, 60).filter(bool)
+    rows = []
+    for _ in range(draw(st.integers(20, 80))):
+        row = draw(st.dictionaries(st.integers(0, ncols - 1), values,
+                                   min_size=1, max_size=3))
+        if draw(st.integers(0, 4)) == 0:
+            row = {c: Fraction(v, draw(st.integers(1, 6)))
+                   for c, v in row.items()}
+        rows.append(row)
+    kind = draw(st.sampled_from(["zero", "arbitrary", "consistent"]))
+    if kind == "zero":
+        rhs = {}
+    elif kind == "arbitrary":
+        rhs = draw(st.dictionaries(st.integers(0, len(rows) - 1), values))
+    else:
+        x = [draw(st.integers(-3, 3)) for _ in range(ncols)]
+        rhs = {i: sum((v * x[c] for c, v in row.items()), 0)
+               for i, row in enumerate(rows)}
+    return rows, rhs, ncols, draw(st.permutations(range(len(rows))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_witness_systems())
+def test_kernel_on_witness_shaped_systems(system):
+    """Rank, solvability and the solution with every free variable 0 agree
+    with the dense reference, whatever the row order, and the caller's rows
+    are left as they were."""
+    rows, rhs, ncols, perm = system
+    before = repr((rows, rhs))
+    dense = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
+    pivots, _ = _reference_rref(dense, ncols)
+    aug_pivots, reduced = _reference_rref(
+        [r + [Fraction(rhs.get(i, 0))] for i, r in enumerate(dense)], ncols + 1)
+    expected = None
+    if ncols not in aug_pivots:
+        expected = [Fraction(0)] * ncols
+        for k, col in enumerate(aug_pivots):
+            expected[col] = reduced[k][ncols]
+    sol = solve_rational(rows, rhs, ncols)
+    assert rank_rational(rows) == len(pivots)
+    assert sol == expected
+    if sol is not None:
+        assert all(type(v) is int or v.denominator > 1 for v in sol)
+    where = {i: k for k, i in enumerate(perm)}
+    permuted = [rows[i] for i in perm]
+    assert rank_rational(permuted) == len(pivots)
+    assert solve_rational(permuted, {where[i]: b for i, b in rhs.items()},
+                          ncols) == sol
+    assert repr((rows, rhs)) == before
 
 
 def test_slice_rank_hands_canonical_sparse_rows(monkeypatch):

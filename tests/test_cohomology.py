@@ -290,20 +290,24 @@ def _floats(obj):
 
 def test_integer_input_stays_exact(monkeypatch):
     """On integer-only input no float appears in a Groebner basis, a pivot
-    row, a solution or a report payload: every division is exact."""
+    row, a solution or a report payload: every division is exact.  Every
+    pivot row of the elimination holds only ints, is primitive, and leads
+    with a positive entry at its smallest column."""
     from qshift import cli, coefficients, cohomology
     from qshift.coefficients import rank_rational, solve_rational
-    seen = []
+    seen, eliminated = [], []
 
-    def spy(fn):
+    def spy(fn, into):
         def wrapper(*args):
             out = fn(*args)
+            into.append(out)
             seen.append(out)
             return out
         return wrapper
 
-    monkeypatch.setattr(cohomology, "_groebner", spy(cohomology._groebner))
-    monkeypatch.setattr(coefficients, "_eliminate", spy(coefficients._eliminate))
+    monkeypatch.setattr(cohomology, "_groebner", spy(cohomology._groebner, []))
+    monkeypatch.setattr(coefficients, "_eliminate",
+                        spy(coefficients._eliminate, eliminated))
     for text in ("vars x y; f = x^3 + x^2*y^2 + y^5;",
                  "vars x y; f = 3*x^3 + 2*y^4;",
                  "vars x y; f = x^4 + y^4 + x^2*y;",
@@ -321,3 +325,9 @@ def test_integer_input_stays_exact(monkeypatch):
     assert seen and not list(_floats(seen)) and not list(_floats(sol))
     for value in sol:
         assert type(value) is int or value.denominator > 1
+    assert any(eliminated)
+    for pivots in eliminated:
+        for lead, row in pivots.items():
+            assert all(type(v) is int and v for v in row.values())
+            assert lead == min(row) and row[lead] > 0
+            assert math.gcd(*row.values()) == 1
