@@ -2,10 +2,9 @@
 critical loci, operator-identity verification, and vanishing-cycle
 cohomology dimensions."""
 
-from .coefficients import HSeries, hbar_derivative_scaled, hseries_mul
-from .cohomology import (CohomologyReport, TruncationSpec,
-                         koszul_dims_at_hbar_zero, milnor_number,
-                         twisted_derham_dims)
+from .coefficients import HSeries, hseries_mul
+from .cohomology import (CohomologyReport, koszul_dims_at_hbar_zero,
+                         milnor_number, twisted_derham_dims)
 from .derham import (DRWord, canonical_symplectic, check_chain_identity,
                      check_compatibility, cup, dr_d, dr_of, dr_total_d, mu, nu)
 from .diffops import (Operator, Polyvector, op_apply, op_commutator,

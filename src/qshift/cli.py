@@ -24,7 +24,7 @@ import time
 from fractions import Fraction
 
 from .coefficients import codec
-from .cohomology import (DEGREE_TRUNCATED, WEIGHT_GRADED, TruncationSpec,
+from .cohomology import (DEGREE_TRUNCATED, WEIGHT_GRADED,
                          koszul_dims_at_hbar_zero, milnor_number,
                          twisted_derham_dims)
 from .derham import (SearchWindow, canonical_symplectic, check_compatibility)
@@ -140,11 +140,11 @@ class ProblemFile:
 
 
 class _Parser:
-    def __init__(self, tokens, var_index):
+    def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
-        self.var_index = var_index
-        self.m = len(var_index)
+        self.var_index = {}
+        self.m = 0
         self.depth = 0
 
     def peek(self):
@@ -155,12 +155,53 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind):
+    def expect(self, kind, message=None):
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.value!r}",
+            raise ParseError(message or f"expected {kind!r}, found {tok.value!r}",
                              tok.line, tok.col)
         return self.advance()
+
+    def keyword(self, word, message):
+        tok = self.advance()
+        if tok.kind != "ident" or tok.value != word:
+            raise ParseError(message, tok.line, tok.col)
+        return tok
+
+    def parse_problem(self):
+        head = self.keyword("vars", "problem must start with 'vars'")
+        names = []
+        while self.peek().kind == "ident":
+            names.append(self.advance().value)
+        if not names:
+            tok = self.peek()
+            raise ParseError("need at least one variable", tok.line, tok.col)
+        if len(set(names)) != len(names):
+            raise ParseError("variable names must be unique", head.line, head.col)
+        self.expect(";", "expected ';' after variable list")
+        self.keyword("f", "expected 'f = <expr>;'")
+        self.expect("=", "expected '=' after 'f'")
+        self.var_index = {name: i + 1 for i, name in enumerate(names)}
+        self.m = len(names)
+        f = self.parse_expr()
+        self.expect(";", "expected ';' after f")
+        options = {}
+        while self.peek().kind == "ident":
+            tok = self.advance()
+            if tok.value not in OPTION_NAMES:
+                raise ParseError(f"unknown option {tok.value!r}; options are "
+                                 f"{', '.join(OPTION_NAMES)}", tok.line, tok.col)
+            self.expect("=", "expected '=' in option")
+            value = self.advance()
+            if value.kind not in ("number", "ident"):
+                raise ParseError("option value must be a rational or identifier",
+                                 value.line, value.col)
+            options[tok.value] = value.value
+            self.expect(";", "expected ';' after option")
+        tok = self.peek()
+        if tok.kind != "eof":
+            raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col)
+        return ProblemFile(names, f, options)
 
     def parse_expr(self):
         if self.peek().kind == "-":
@@ -219,76 +260,7 @@ class _Parser:
 
 def parse_problem(text: str) -> ProblemFile:
     """Parse the problem-file grammar; exact rationals, positions on error."""
-    tokens = _tokenize(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos]
-
-    def advance():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    tok = advance()
-    if tok.kind != "ident" or tok.value != "vars":
-        raise ParseError("problem must start with 'vars'", tok.line, tok.col)
-    names = []
-    while peek().kind == "ident":
-        names.append(advance().value)
-    if not names:
-        tok = peek()
-        raise ParseError("need at least one variable", tok.line, tok.col)
-    if len(set(names)) != len(names):
-        raise ParseError("variable names must be unique", tok.line, tok.col)
-    tok = peek()
-    if tok.kind != ";":
-        raise ParseError("expected ';' after variable list", tok.line, tok.col)
-    advance()
-    tok = advance()
-    if tok.kind != "ident" or tok.value != "f":
-        raise ParseError("expected 'f = <expr>;'", tok.line, tok.col)
-    tok = peek()
-    if tok.kind != "=":
-        raise ParseError("expected '=' after 'f'", tok.line, tok.col)
-    advance()
-    var_index = {name: i + 1 for i, name in enumerate(names)}
-    parser = _Parser(tokens, var_index)
-    parser.pos = pos
-    f = parser.parse_expr()
-    pos = parser.pos
-    tok = peek()
-    if tok.kind != ";":
-        raise ParseError("expected ';' after f", tok.line, tok.col)
-    advance()
-    options = {}
-    while peek().kind == "ident":
-        tok = advance()
-        key = tok.value
-        if key not in OPTION_NAMES:
-            raise ParseError(f"unknown option {key!r}; options are "
-                             f"{', '.join(OPTION_NAMES)}", tok.line, tok.col)
-        tok = peek()
-        if tok.kind != "=":
-            raise ParseError("expected '=' in option", tok.line, tok.col)
-        advance()
-        tok = advance()
-        if tok.kind == "number":
-            options[key] = tok.value
-        elif tok.kind == "ident":
-            options[key] = tok.value
-        else:
-            raise ParseError("option value must be a rational or identifier",
-                             tok.line, tok.col)
-        tok = peek()
-        if tok.kind != ";":
-            raise ParseError("expected ';' after option", tok.line, tok.col)
-        advance()
-    tok = peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col)
-    return ProblemFile(names, f, options)
+    return _Parser(_tokenize(text)).parse_problem()
 
 
 def _format_rational(q: Fraction) -> str:
@@ -380,10 +352,13 @@ def _setting(name, problem, flags, default):
 
 
 def _int_setting(name, problem, flags, default):
-    """An integer setting; a non-integral value is refused, not truncated."""
+    """A window size: a non-integral value is refused, not truncated, and so
+    is a negative one."""
     value = Fraction(_setting(name, problem, flags, default))
     if value.denominator != 1:
         raise QShiftError(f"{name} must be an integer, not {value}")
+    if value < 0:
+        raise QShiftError(f"{name} must be >= 0, not {value}")
     return int(value)
 
 
@@ -426,8 +401,6 @@ def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
         elif cmd == "check-compat":
             X = problem.crit_locus()
             size = _int_setting("window", problem, flags, 3)
-            if size < 0:
-                raise QShiftError(f"window must be >= 0, not {size}")
             window = SearchWindow(order_cap=size, ydeg_cap=size,
                                   hbar_max=size + 2)
             verdict = check_compatibility(canonical_symplectic(X),
@@ -453,9 +426,8 @@ def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
             X = problem.crit_locus()
             p = int(flags["p"])
             k = int(flags["k"])
-            bound = _int_setting("max_degree", problem, flags, 2)
-            trunc = TruncationSpec(DEGREE_TRUNCATED, bound)
-            report = nu_eigen_analysis(X, p, k, trunc)
+            report = nu_eigen_analysis(
+                X, p, k, _int_setting("max_degree", problem, flags, 2))
             payload = report.as_dict()
         elif cmd == "filtration":
             X = problem.crit_locus()
@@ -463,11 +435,10 @@ def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
             level = int(_setting("level", problem, flags, 0))
             p = int(_setting("p", problem, flags, 2))
             bound = _int_setting("max_degree", problem, flags, 2)
-            trunc = TruncationSpec(DEGREE_TRUNCATED, bound)
             degrees = range(-X.m, X.m + 1)
             hbar_exps = range(-1, int(_setting("hbar_max", problem, flags, 4)) + 1)
             table = filtration_dims(FiltrationLabel(kind, level), p, degrees,
-                                    hbar_exps, X, trunc)
+                                    hbar_exps, X, bound)
             payload = {"dims": [{"degree": d, "hbar_exp": e, "dim": n}
                                 for (d, e), n in sorted(table.items())],
                        "kind": kind, "level": level, "p": p}

@@ -144,21 +144,6 @@ class HSeries:
         c = _canon(c)
         return HSeries({k: v * c for k, v in self.coeffs.items()})
 
-    def shift(self, n):
-        """Multiply by hbar**n."""
-        return HSeries({k + n: v for k, v in self.coeffs.items()})
-
-    def substitute_neg_hbar(self):
-        """hbar -> -hbar."""
-        return HSeries({k: (v if k % 2 == 0 else -v)
-                        for k, v in self.coeffs.items()})
-
-    def evaluate(self, point):
-        """Specialise hbar to a nonzero rational."""
-        point = Fraction(point)
-        return sum((v * point ** k for k, v in self.coeffs.items()),
-                   Fraction(0))
-
     def __repr__(self):
         return f"HSeries({self})"
 
@@ -184,11 +169,6 @@ def hseries_mul(a: HSeries, b: HSeries) -> HSeries:
         for kb, vb in b.coeffs.items():
             _accumulate(out, ka + kb, va * vb)
     return HSeries(out)
-
-
-def hbar_derivative_scaled(a: HSeries) -> HSeries:
-    """hbar**2 * d/dhbar: the monomial c*hbar**k maps to k*c*hbar**(k+1)."""
-    return HSeries({k + 1: k * v for k, v in a.coeffs.items() if k != 0})
 
 
 # ---------------------------------------------------------------------------

@@ -26,21 +26,6 @@ WEIGHT_GRADED = "WeightGraded"
 DEGREE_TRUNCATED = "DegreeTruncated"
 
 
-class TruncationSpec:
-    """How to render the operator complexes finite-dimensional slice-wise."""
-
-    __slots__ = ("mode", "bound")
-
-    def __init__(self, mode, bound):
-        if mode not in (WEIGHT_GRADED, DEGREE_TRUNCATED):
-            raise ValueError(f"unknown truncation mode {mode!r}")
-        self.mode = mode
-        self.bound = int(bound)
-
-    def __repr__(self):
-        return f"TruncationSpec({self.mode}, bound={self.bound})"
-
-
 class CohomologyReport:
     """Dimensions by degree, with ``certificate``: the payload fields of the
     proof that they are exact."""
@@ -74,19 +59,15 @@ class CohomologyReport:
 # Monomial enumeration
 # ---------------------------------------------------------------------------
 
-def _weight_steps(m, weights=None):
-    """``(den, steps)``: the weights scaled to integers by the lcm ``den`` of
-    their denominators; all steps 1 (and den 1) without weights."""
-    if not weights:
-        return 1, [1] * m
-    den = math.lcm(*(Fraction(w).denominator for w in weights))
-    return den, [int(Fraction(w) * den) for w in weights]
-
-
-def _walk_exponents(steps, budget):
-    """Exponent vectors a with sum(a_i * steps_i) <= budget (an int), in
-    lexicographic order."""
-    m = len(steps)
+def iter_y_exponents(m, cap, weights=None):
+    """Exponent vectors with total degree <= cap, or weight <= cap when
+    weights are given, in lexicographic order.  The weights are scaled to
+    integers by the lcm of their denominators, so the walk is int-only."""
+    if weights:
+        den = math.lcm(*(Fraction(w).denominator for w in weights))
+        steps = [int(Fraction(w) * den) for w in weights]
+    else:
+        den, steps = 1, [1] * m
 
     def rec(i, budget, prefix):
         if i == m:
@@ -95,15 +76,7 @@ def _walk_exponents(steps, budget):
         for k in range(budget // steps[i] + 1):
             yield from rec(i + 1, budget - k * steps[i], prefix + (k,))
 
-    yield from rec(0, budget, ())
-
-
-def iter_y_exponents(m, cap, weights=None):
-    """Exponent vectors with total degree <= cap, or weight <= cap when
-    weights are given, in lexicographic order.  The weights are scaled to
-    integers by the lcm of their denominators, so the walk is int-only."""
-    den, steps = _weight_steps(m, weights)
-    yield from _walk_exponents(steps, math.floor(Fraction(cap) * den))
+    yield from rec(0, math.floor(Fraction(cap) * den), ())
 
 
 def eta_subsets(m):

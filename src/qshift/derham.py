@@ -19,7 +19,6 @@ from .errors import NotMaurerCartan
 from .gca import CritLocus, Element, _mono_mul, apply_koszul_delta
 from .quantise import (Quantisation, centre_differential, koszul_operator,
                        mc_residual, operator_keys_in_window, sigma_tangent)
-from .cohomology import DEGREE_TRUNCATED, TruncationSpec
 
 
 class DRWord:
@@ -301,19 +300,19 @@ def check_chain_identity(w: DRWord, delta: Quantisation, X: CritLocus) -> Operat
 
 
 class SearchWindow:
-    """Finite (order, y-degree, hbar) box for coboundary searches."""
+    """Finite (order, y-degree, hbar) box for coboundary searches; the hbar
+    exponents run from 0 to hbar_max."""
 
-    __slots__ = ("order_cap", "ydeg_cap", "hbar_min", "hbar_max")
+    __slots__ = ("order_cap", "ydeg_cap", "hbar_max")
 
-    def __init__(self, order_cap=3, ydeg_cap=3, hbar_min=0, hbar_max=5):
+    def __init__(self, order_cap=3, ydeg_cap=3, hbar_max=5):
         self.order_cap = order_cap
         self.ydeg_cap = ydeg_cap
-        self.hbar_min = hbar_min
         self.hbar_max = hbar_max
 
     def as_dict(self):
         return {"order_cap": self.order_cap, "ydeg_cap": self.ydeg_cap,
-                "hbar_min": self.hbar_min, "hbar_max": self.hbar_max}
+                "hbar_min": 0, "hbar_max": self.hbar_max}
 
 
 class CompatVerdict:
@@ -356,13 +355,11 @@ def check_compatibility(omega: DRWord, delta: Quantisation, X: CritLocus,
         return CompatVerdict(CompatVerdict.EXACT, window=window)
     C = codec(X.m)
     degrees = {d - 1 for d in r.degrees()}
-    trunc = TruncationSpec(DEGREE_TRUNCATED, window.ydeg_cap)
-    keys = operator_keys_in_window(X, window.order_cap, trunc)
+    keys = operator_keys_in_window(X, window.order_cap, window.ydeg_cap)
     # a stable sort: ascending degree, enumeration order within a degree
     keyed = [(d, k) for k in keys if (d := C.degree(k)) in degrees]
     candidates = [k for _, k in sorted(keyed, key=lambda dk: dk[0])]
-    shifts = [e << C.hbar_shift
-              for e in range(window.hbar_min, window.hbar_max + 1)]
+    shifts = [e << C.hbar_shift for e in range(window.hbar_max + 1)]
     unknowns = [key + h for key in candidates for h in shifts]
     total = koszul_operator(X) + delta.as_operator_series()
     # sparse rows keyed by term; the residual's terms come first, so the

@@ -426,23 +426,12 @@ def symbol(D: Operator, k: int) -> Polyvector:
 
 
 def pv_mul(P: Polyvector, Q: Polyvector) -> Polyvector:
-    """Free graded-commutative product of symbols; arity adds."""
-    if P.m != Q.m:
-        raise ValueError("signature mismatch")
-    C = codec(P.m)
-    odd = C.odd
-    out = {}
-    right = [(k & ~odd, k & C.eta, k & C.deta, c) for k, c in Q.terms.items()]
-    for k1, c1 in P.terms.items():
-        e1, S, T = k1 & ~odd, k1 & C.eta, k1 & C.deta
-        for e2, U, V, c2 in right:
-            if S & U or T & V:
-                continue
-            # moving the d_eta block of k1 past the eta block of k2
-            cross = _parity(T) if U.bit_count() & 1 else 1
-            _accumulate(out, C.check(e1 + e2) | S | U | T | V,
-                        _shuffle(S, U) * _shuffle(T, V) * cross * c1 * c2)
-    return Polyvector._from_store(P.m, P.arity + Q.arity, out)
+    """Free graded-commutative product of symbols, arity adding: the top
+    order p + q part of the composite of the lifts, where no derivative of
+    P reaches Q."""
+    arity = P.arity + Q.arity
+    product = op_compose(P.lift(), Q.lift()).order_part(arity)
+    return Polyvector._from_store(P.m, arity, product.terms)
 
 
 def schouten(P1: Polyvector, P2: Polyvector) -> Polyvector:

@@ -10,13 +10,9 @@ membership constraint order(Delta_j) <= j.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 
 from .coefficients import _accumulate, codec, rank_rational
-from .cohomology import (DEGREE_TRUNCATED, WEIGHT_GRADED, TruncationSpec,
-                         _walk_exponents, _weight_steps, eta_subsets,
-                         iter_y_exponents)
+from .cohomology import eta_subsets, iter_y_exponents
 from .diffops import Operator, op_commutator, op_compose, op_order, symbol
 from .errors import NotMaurerCartan, TruncationRequired
 from .gca import CritLocus, Element, gmul
@@ -236,66 +232,31 @@ def is_nondegenerate(X: CritLocus, delta: Quantisation):
 
 
 # ---------------------------------------------------------------------------
-# Filtration dimension tables
+# Operator windows and filtration dimension tables
 # ---------------------------------------------------------------------------
 
-def _window_blocks(X: CritLocus, order_cap: int, trunc: TruncationSpec,
-                   arity_exact=None):
-    """The operator monomial keys of ``operator_keys_in_window`` as blocks
-    ``(b, T, S, a-list)``: the keys (a, S, b, T) for the packed y^a in the
-    a-list."""
-    m = X.m
-    C = codec(m)
-    weights = X.signature.weights
-    if trunc.mode == WEIGHT_GRADED and weights is None:
-        raise TruncationRequired("weight truncation needs quasi-homogeneity weights")
-    if order_cap < 0:
-        return
-    subsets = eta_subsets(m)
-    dparts = []
-    for T in subsets:
-        rem = (order_cap if arity_exact is None else arity_exact) - len(T)
-        if rem < 0:
-            continue
-        for b in iter_y_exponents(m, rem):
-            if arity_exact is None or sum(b) == rem:
-                dparts.append((tuple(b), T))
-    if trunc.mode == DEGREE_TRUNCATED:
-        alist = [C.encode(a) for a in iter_y_exponents(m, trunc.bound)]
-        for b, T in dparts:
-            for S in subsets:
-                yield b, T, S, alist
-        return
-    # Weight mode in lcm-scaled integer weights: eta_i weighs den - steps_i,
-    # d_eta_i and d_y_i the negatives of their variables' weights; the
-    # a-list of each distinct budget is built once.
-    den, steps = _weight_steps(m, weights)
-    cap = math.floor(Fraction(trunc.bound) * den)
-    odd = [den - w for w in steps]
-    alists = {}
-    for b, T in dparts:
-        room = (cap + sum(w * e for w, e in zip(steps, b))
-                + sum(odd[t - 1] for t in T))
-        for S in subsets:
-            budget = room - sum(odd[s - 1] for s in S)
-            if budget < 0:
-                continue
-            alist = alists.get(budget)
-            if alist is None:
-                alist = alists[budget] = [
-                    C.encode(a) for a in _walk_exponents(steps, budget)]
-            yield b, T, S, alist
+def _derivative_parts(m, order_cap, arity_exact=None):
+    """The derivative parts (b, T) of the operator window: d_y^b d_eta_T of
+    order <= order_cap, or exactly ``arity_exact``; T in ``eta_subsets``
+    order, then b lexicographic."""
+    top = order_cap if arity_exact is None else arity_exact
+    return [(b, T) for T in eta_subsets(m) if len(T) <= top
+            for b in iter_y_exponents(m, top - len(T))
+            if arity_exact is None or sum(b) + len(T) == top]
 
 
-def operator_keys_in_window(X: CritLocus, order_cap: int, trunc: TruncationSpec,
+def operator_keys_in_window(X: CritLocus, order_cap: int, ydeg_cap: int,
                             arity_exact=None):
-    """Operator monomial keys with derivative degree <= order_cap (or exactly
-    ``arity_exact``) and multiplication part within the truncation window."""
+    """Operator monomial keys y^a eta_S d_y^b d_eta_T with derivative degree
+    <= order_cap (or exactly ``arity_exact``) and |a| <= ydeg_cap, ordered
+    by (b, T), then S, then a."""
     C = codec(X.m)
     zero = (0,) * X.m
-    return [fixed + a for b, T, S, alist
-            in _window_blocks(X, order_cap, trunc, arity_exact)
-            for fixed in (C.encode(zero, S, b, T),) for a in alist]
+    subsets = eta_subsets(X.m)
+    alist = [C.encode(a) for a in iter_y_exponents(X.m, ydeg_cap)]
+    return [fixed + a for b, T in _derivative_parts(X.m, order_cap, arity_exact)
+            for S in subsets for fixed in (C.encode(zero, S, b, T),)
+            for a in alist]
 
 
 def _order_bound(label: FiltrationLabel, p: int, j: int):
@@ -317,16 +278,20 @@ def _order_bound(label: FiltrationLabel, p: int, j: int):
 
 
 def filtration_dims(label: FiltrationLabel, p: int, degrees, hbar_exps,
-                    X: CritLocus, trunc: TruncationSpec):
+                    X: CritLocus, ydeg_cap: int):
     """Q-dimensions of a filtration piece per (cohomological degree,
-    hbar-exponent) within a finite window: one enumeration at the largest
-    order bound, counted by (degree, order) a block at a time."""
+    hbar-exponent) within the window |a| <= ydeg_cap: the derivative parts
+    at the largest order bound, counted by (degree, order) per (b, T, S),
+    each block holding every y^a of the window."""
     bounds = {e: _order_bound(label, p, e + 1) for e in hbar_exps}
     cap = max((b for b in bounds.values() if b is not None), default=-1)
+    block = sum(1 for _ in iter_y_exponents(X.m, ydeg_cap))
+    subsets = eta_subsets(X.m)
     counts = {}
-    for b, T, S, alist in _window_blocks(X, cap, trunc):
-        dk = (len(T) - len(S), sum(b) + len(T))
-        counts[dk] = counts.get(dk, 0) + len(alist)
+    for b, T in _derivative_parts(X.m, cap):
+        for S in subsets:
+            dk = (len(T) - len(S), sum(b) + len(T))
+            counts[dk] = counts.get(dk, 0) + block
     return {(d, e): sum(counts.get((d, o), 0) for o in range(bound + 1))
             if bound is not None else 0
             for e, bound in bounds.items() for d in degrees}
@@ -371,7 +336,7 @@ def _rank(block):
 
 
 def nu_eigen_analysis(X: CritLocus, p: int, k: int,
-                      trunc: TruncationSpec | None = None) -> SpectrumReport:
+                      ydeg_cap: int = 2) -> SpectrumReport:
     """Spectrum of the derivation nu(omega, pi) on the arity-p symbol block,
     for the canonical pair, together with the shifted operator's
     invertibility on the block ("+ d/d(hbar^-1)" acts by the scalar 1-p-k).
@@ -381,11 +346,9 @@ def nu_eigen_analysis(X: CritLocus, p: int, k: int,
 
     if k < 1 or p < 0:
         raise ValueError("need p >= 0 and k >= 1")
-    if trunc is None:
-        trunc = TruncationSpec(DEGREE_TRUNCATED, 2)
     m = X.m
     slots, _ = _nu_slots(canonical_symplectic(X), bv_quantisation(X))
-    basis = operator_keys_in_window(X, p, trunc, arity_exact=p)
+    basis = operator_keys_in_window(X, p, ydeg_cap, arity_exact=p)
     if not basis:
         raise TruncationRequired("empty symbol block in the window")
     # the hbar^1 coefficient of each image, read in the basis

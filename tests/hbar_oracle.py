@@ -26,7 +26,7 @@ def _divexact(p, q):
         if k < floor:
             raise ArithmeticError("inexact polynomial division")
         out[k] = Fraction(p.coeffs[p.max_exp], q.coeffs[top])
-        p = p - q.shift(k).scale(out[k])
+        p = p - q * HSeries.monomial(k, out[k])
     return HSeries(out)
 
 

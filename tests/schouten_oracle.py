@@ -1,12 +1,14 @@
-"""Independent Schouten--Nijenhuis bracket, for the tests only: the graded
-Leibniz expansion of the bracket on generator words.  The engine takes the
-bracket as the principal symbol of the commutator of lifts, through the one
-product kernel; this route never touches operator composition, so the tests
-check the engine against it."""
+"""Independent Schouten--Nijenhuis bracket and symbol product, for the
+tests only: the graded Leibniz expansion of the bracket on generator words,
+and the closed form of the free graded-commutative product.  The engine
+takes both from the one product kernel (the bracket as the principal symbol
+of the commutator of lifts, the product as the top-order part of their
+composite); these routes never touch operator composition, so the tests
+check the engine against them."""
 
-from qshift.coefficients import _accumulate, codec
+from qshift.coefficients import _accumulate, _shuffle, codec
 from qshift.diffops import (_DETA, _DY, _META, _MY, Polyvector,
-                            _gen_sequence)
+                            _gen_sequence, _parity)
 
 # Symbol generators are (kind, index) pairs reusing the monomial slot kinds:
 # _MY = coordinate y_i, _META = coordinate eta_i, _DY = d_y symbol, _DETA =
@@ -113,3 +115,24 @@ def schouten_by_words(P1: Polyvector, P2: Polyvector) -> Polyvector:
                     _accumulate(out, key + h1 + h2, s * ks * c1 * c2)
     arity = max(P1.arity + P2.arity - 1, 0)
     return Polyvector._from_store(m, arity, out)
+
+
+def pv_mul_closed_form(P: Polyvector, Q: Polyvector) -> Polyvector:
+    """Free graded-commutative product of symbols, term by term: the y and
+    d_y parts add, the odd parts merge with their shuffle signs, and the
+    d_eta block of P passes the eta block of Q with (-1)^(|T||U|)."""
+    if P.m != Q.m:
+        raise ValueError("signature mismatch")
+    C = codec(P.m)
+    odd = C.odd
+    out = {}
+    right = [(k & ~odd, k & C.eta, k & C.deta, c) for k, c in Q.terms.items()]
+    for k1, c1 in P.terms.items():
+        e1, S, T = k1 & ~odd, k1 & C.eta, k1 & C.deta
+        for e2, U, V, c2 in right:
+            if S & U or T & V:
+                continue
+            cross = _parity(T) if U.bit_count() & 1 else 1
+            _accumulate(out, C.check(e1 + e2) | S | U | T | V,
+                        _shuffle(S, U) * _shuffle(T, V) * cross * c1 * c2)
+    return Polyvector._from_store(P.m, P.arity + Q.arity, out)

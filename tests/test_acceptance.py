@@ -15,8 +15,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from qshift.cli import parse_problem, print_problem, run_command, Report
 from qshift.coefficients import HSeries, codec
-from qshift.cohomology import (DEGREE_TRUNCATED, TruncationSpec,
-                               milnor_number, twisted_derham_dims)
+from qshift.cohomology import milnor_number, twisted_derham_dims
 from qshift.derham import (CompatVerdict, canonical_symplectic,
                            check_chain_identity, check_compatibility, cup,
                            dr_d, dr_of)
@@ -235,11 +234,11 @@ def test_acceptance_self_duality():
                 continue
             assert symbol(transpose(D, profile), p) == symbol(D, p).scale((-1) ** p)
             found += 1
-    trunc = TruncationSpec(DEGREE_TRUNCATED, 1)
+    ydeg_cap = 1
     for j in range(2, 6):
         for k in range(0, j + 1):
             arity = j - k
-            keys = operator_keys_in_window(X, arity, trunc, arity_exact=arity)
+            keys = operator_keys_in_window(X, arity, ydeg_cap, arity_exact=arity)
             fixed, total = star_fixed_slot_dimension(X, profile, j, k, keys)
             assert (fixed == total) if k % 2 == 0 else (fixed == 0), (j, k)
     _report("self-duality: strict fixed point, involution, (-1)^p rule, "
@@ -255,13 +254,13 @@ def test_acceptance_obstruction_eigenvalues():
     X2 = make_crit_locus(Element.y(2, 1) ** 3 + Element.y(2, 2) ** 3, 2)
     for p in range(5):
         for k in range(1, 5):
-            rep = nu_eigen_analysis(X, p, k, TruncationSpec(DEGREE_TRUNCATED, 2))
+            rep = nu_eigen_analysis(X, p, k, 2)
             assert rep.eigenvalues == [p], (p, k, rep.eigenvalues)
             assert rep.combined_scalar == 1 - k, (p, k)
             assert rep.invertible == (k >= 2), (p, k)
             assert rep.diagonalisable
     for (p, k) in ((1, 1), (2, 2), (4, 3)):
-        rep = nu_eigen_analysis(X2, p, k, TruncationSpec(DEGREE_TRUNCATED, 1))
+        rep = nu_eigen_analysis(X2, p, k, 1)
         assert rep.eigenvalues == [p]
         assert rep.combined_scalar == 1 - k
         assert rep.invertible == (k >= 2)
@@ -298,13 +297,13 @@ def test_acceptance_filtration_shapes():
     for (mname, midx) in (("x^2", 0), ("x^3+y^3", 4)):
         name, builder, m, _ = CORPUS[midx]
         X = make_crit_locus(builder(), m)
-        trunc = TruncationSpec(DEGREE_TRUNCATED, 2)
+        ydeg_cap = 2
         degrees = range(-m, m + 1)
         hbar_exps = range(-1, 5)
         ftilde = {}
         for p in (2, 3):
             table = filtration_dims(FiltrationLabel(FiltrationLabel.FTILDE), p,
-                                    degrees, hbar_exps, X, trunc)
+                                    degrees, hbar_exps, X, ydeg_cap)
             ftilde[p] = table
             for (d, e), n in table.items():
                 j = e + 1
@@ -312,13 +311,13 @@ def test_acceptance_filtration_shapes():
                 assert n == expected, (p, d, e)
         for i in (1, 2):
             table = filtration_dims(FiltrationLabel(FiltrationLabel.G, i), 2,
-                                    degrees, hbar_exps, X, trunc)
+                                    degrees, hbar_exps, X, ydeg_cap)
             for (d, e), n in table.items():
                 j = e + 1
                 bound = j - i if j >= 2 else None
                 assert n == _direct_count(m, 2, bound, d), (i, d, e)
         conv = filtration_dims(FiltrationLabel(FiltrationLabel.CONV, 2), 2,
-                               degrees, hbar_exps, X, trunc)
+                               degrees, hbar_exps, X, ydeg_cap)
         for (d, e), n in conv.items():
             j = e + 1
             if j < 0:

@@ -436,3 +436,20 @@ def test_negative_window_flag_exits_2(tmp_path, capsys):
     path.write_text("vars x y; f = x^3 + y^3; window = -1;\n")
     assert main(["check-compat", str(path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("cmd, extra", [
+    ("filtration", []),
+    ("eigen", ["--p", "1", "--k", "2"]),
+], ids=["filtration", "eigen"])
+def test_negative_max_degree_flag_exits_2(tmp_path, capsys, cmd, extra):
+    """``--max-degree -1`` is refused like ``--window -1``, not answered
+    with an empty window (a filtration table of zeros)."""
+    path = tmp_path / "p.qs"
+    path.write_text("vars x y; f = x^3 + y^3;\n")
+    code = main([cmd, str(path), "--max-degree", "-1", *extra])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out["status"] == "error"
+    assert out["payload"]["reason"] == "max_degree must be >= 0, not -1"
+    jsonschema.validate(out, SCHEMA)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from qshift import derham
 from qshift.coefficients import HSeries, codec
-from qshift.cohomology import DEGREE_TRUNCATED, TruncationSpec
 from qshift.derham import (CompatVerdict, DRWord, SearchWindow, _nu_apply,
                            apply_codegeneracy, canonical_symplectic,
                            check_chain_identity, check_compatibility, cup,
@@ -357,7 +356,7 @@ def test_eigen_block_matches_reference_nu_columns(monkeypatch, p):
     """nu_eigen_analysis builds the same block, column by column, as the
     reference nu applied to each basis monomial."""
     X = corpus_locus(4)
-    trunc = TruncationSpec(DEGREE_TRUNCATED, 1)
+    ydeg_cap = 1
     omega, delta = canonical_symplectic(X), bv_quantisation(X)
     applied = []
 
@@ -367,8 +366,8 @@ def test_eigen_block_matches_reference_nu_columns(monkeypatch, p):
         return image
 
     monkeypatch.setattr(derham, "_nu_apply", recording)
-    report = nu_eigen_analysis(X, p, 2, trunc)
-    basis = operator_keys_in_window(X, p, trunc, arity_exact=p)
+    report = nu_eigen_analysis(X, p, 2, ydeg_cap)
+    basis = operator_keys_in_window(X, p, ydeg_cap, arity_exact=p)
     assert [next(iter(rho.terms)) for rho, _ in applied] == basis
 
     def block(images):
@@ -480,14 +479,13 @@ def _reference_search(omega, delta, X, window):
     differential per unknown (key, e), then dense rows; returns the verdict
     kind and the witness store."""
     r = mu(omega, delta, X) - sigma_tangent(delta).eps_as_series()
-    trunc = TruncationSpec(DEGREE_TRUNCATED, window.ydeg_cap)
     C = codec(X.m)
     candidates = []
     for d in sorted({dd - 1 for dd in r.degrees()}):
         candidates.extend(k for k in operator_keys_in_window(
-            X, window.order_cap, trunc) if C.degree(k) == d)
+            X, window.order_cap, window.ydeg_cap) if C.degree(k) == d)
     unknowns = [key + (e << C.hbar_shift) for key in candidates
-                for e in range(window.hbar_min, window.hbar_max + 1)]
+                for e in range(window.hbar_max + 1)]
     images = [centre_differential(X, delta, Operator._from_store(X.m, {u: 1}),
                                   allow_non_mc=True).terms for u in unknowns]
     row_keys = list(dict.fromkeys([k for img in images for k in img]
@@ -506,13 +504,13 @@ _HALF_X3_TWO_THIRDS_Y3 = (Element.y(2, 1) ** 3).scale(Fraction(1, 2)) \
 
 @pytest.mark.parametrize("f, window, kind", [
     (Element.y(2, 1) ** 3 + Element.y(2, 2) ** 3,
-     SearchWindow(order_cap=2, ydeg_cap=2, hbar_min=1, hbar_max=4),
+     SearchWindow(order_cap=2, ydeg_cap=2, hbar_max=4),
      CompatVerdict.COBOUNDARY),
     (_HALF_X3_TWO_THIRDS_Y3, SearchWindow(order_cap=2, ydeg_cap=2, hbar_max=4),
      CompatVerdict.COBOUNDARY),
     (Element.y(2, 1) ** 3 + Element.y(2, 2) ** 3,
      SearchWindow(order_cap=2, ydeg_cap=0, hbar_max=4), CompatVerdict.FAILS),
-], ids=["x3y3-hbar1..4", "half-x3-two-thirds-y3", "refusing-window"])
+], ids=["x3y3-hbar0..4", "half-x3-two-thirds-y3", "refusing-window"])
 def test_witness_search_matches_reference_assembly(f, window, kind):
     """One image per operator key, shifted across the hbar window, gives
     the verdict and the witness of the per-(key, e) dense assembly, and

@@ -12,7 +12,7 @@ from qshift.diffops import (Operator, Polyvector, _fold, _gen_sequence,
 from qshift.errors import OrderTooLow, ZeroOperator
 from qshift.gca import Element, gmul
 
-from schouten_oracle import schouten_by_words
+from schouten_oracle import pv_mul_closed_form, schouten_by_words
 
 from conftest import (decoded, random_element, random_hseries,
                       random_homogeneous_operator, random_operator,
@@ -158,6 +158,19 @@ def test_schouten_equals_symbol_of_commutator_random():
         P = random_polyvector(rng, m, p)
         Q = random_polyvector(rng, m, q)
         assert schouten(P, Q) == schouten_by_words(P, Q)
+
+
+def test_pv_mul_equals_top_order_of_composite_random():
+    """The product, the arity-(p + q) part of the composite of lifts,
+    against the closed form on seeded random polyvectors."""
+    rng = random.Random(9)
+    for _ in range(300):
+        m = rng.randint(1, 3)
+        P = random_polyvector(rng, m, rng.randint(0, 3))
+        Q = random_polyvector(rng, m, rng.randint(0, 3))
+        got = pv_mul(P, Q)
+        assert got == pv_mul_closed_form(P, Q)
+        assert got.arity == P.arity + Q.arity
 
 
 def test_polyvector_sum_with_zero_keeps_the_arity():

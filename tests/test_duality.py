@@ -14,7 +14,6 @@ from qshift.errors import NoConsistentProfile
 from qshift.gca import Element, make_crit_locus
 from qshift.quantise import (Quantisation, bv_quantisation,
                              operator_keys_in_window)
-from qshift.cohomology import DEGREE_TRUNCATED, TruncationSpec
 
 from conftest import corpus_locus, random_operator, random_quantisation
 
@@ -193,11 +192,11 @@ def test_gr_parity_fixed_slots(locus_and_profile):
     """The star involution acts on the gr_G^k slot by (-1)^k: the fixed
     subspace is everything for even k and zero for odd k."""
     X, profile = locus_and_profile
-    trunc = TruncationSpec(DEGREE_TRUNCATED, 1)
+    ydeg_cap = 1
     for j in range(2, 6):
         for k in range(0, j + 1):
             arity = j - k
-            keys = operator_keys_in_window(X, arity, trunc, arity_exact=arity)
+            keys = operator_keys_in_window(X, arity, ydeg_cap, arity_exact=arity)
             fixed, total = star_fixed_slot_dimension(X, profile, j, k, keys)
             assert total > 0
             if k % 2 == 0:

@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qshift.coefficients import HSeries, codec
-from qshift.cohomology import (DEGREE_TRUNCATED, WEIGHT_GRADED, TruncationSpec,
-                               eta_subsets, iter_y_exponents)
+from qshift.cohomology import eta_subsets, iter_y_exponents
 from qshift.diffops import Operator, op_compose, op_order
 from qshift.errors import NotMaurerCartan
 from qshift.gca import Element, make_crit_locus
@@ -231,18 +230,14 @@ def test_nondegenerate_failures():
 # Filtration dimension tables
 # ---------------------------------------------------------------------------
 
-def _window(X, bound=2):
-    return TruncationSpec(DEGREE_TRUNCATED, bound)
-
-
 def test_filtration_empty_window():
     X = corpus_locus(0)
     table = filtration_dims(FiltrationLabel(FiltrationLabel.FTILDE), 2,
-                            [], [], X, _window(X))
+                            [], [], X, 2)
     assert table == {}
     # below the starting level everything vanishes
     table = filtration_dims(FiltrationLabel(FiltrationLabel.FTILDE), 2,
-                            range(-1, 2), range(-1, 1), X, _window(X))
+                            range(-1, 2), range(-1, 1), X, 2)
     assert all(v == 0 for v in table.values())
 
 
@@ -252,12 +247,12 @@ def test_filtration_conv_splits_as_functions_plus_ftilde():
         X = corpus_locus(idx)
         degrees = range(-X.m, X.m + 1)
         hbar_exps = range(-1, 4)
-        trunc = _window(X, 2)
+        ydeg_cap = 2
         conv = filtration_dims(FiltrationLabel(FiltrationLabel.CONV, 2), 2,
-                               degrees, hbar_exps, X, trunc)
+                               degrees, hbar_exps, X, ydeg_cap)
         ftilde = filtration_dims(FiltrationLabel(FiltrationLabel.FTILDE), 2,
-                                 degrees, hbar_exps, X, trunc)
-        akeys = [k for k in operator_keys_in_window(X, 0, trunc)]
+                                 degrees, hbar_exps, X, ydeg_cap)
+        akeys = [k for k in operator_keys_in_window(X, 0, ydeg_cap)]
         for d in degrees:
             a_dim = sum(1 for k in akeys if codec(X.m).degree(k) == d)
             for e in hbar_exps:
@@ -268,11 +263,11 @@ def test_filtration_conv_splits_as_functions_plus_ftilde():
 def test_filtration_g_level_counts_lower_order():
     """G^1 Ftilde^2 at hbar^1 consists of order <= 1 operators."""
     X = corpus_locus(3)
-    trunc = _window(X, 2)
+    ydeg_cap = 2
     degrees = range(-X.m, X.m + 1)
     table = filtration_dims(FiltrationLabel(FiltrationLabel.G, 1), 2,
-                            degrees, [1], X, trunc)
-    keys = operator_keys_in_window(X, 1, trunc)
+                            degrees, [1], X, ydeg_cap)
+    keys = operator_keys_in_window(X, 1, ydeg_cap)
     for d in degrees:
         assert table[(d, 1)] == sum(1 for k in keys
                                     if codec(X.m).degree(k) == d)
@@ -282,14 +277,14 @@ def test_filtration_gr_reindexing():
     """gr_G^i Ftilde^p at hbar^(j-1) has the dimension of arity-(j-i)
     symbols, for j >= p."""
     X = corpus_locus(0)
-    trunc = _window(X, 2)
+    ydeg_cap = 2
     degrees = range(-X.m, X.m + 1)
     p = 2
     for i in (0, 1, 2):
         gi = filtration_dims(FiltrationLabel(FiltrationLabel.G, i), p,
-                             degrees, range(p - 1, p + 3), X, trunc)
+                             degrees, range(p - 1, p + 3), X, ydeg_cap)
         gi1 = filtration_dims(FiltrationLabel(FiltrationLabel.G, i + 1), p,
-                              degrees, range(p - 1, p + 3), X, trunc)
+                              degrees, range(p - 1, p + 3), X, ydeg_cap)
         for (d, e) in gi:
             j = e + 1
             if j < p:
@@ -300,54 +295,14 @@ def test_filtration_gr_reindexing():
                 assert gr == 0
                 continue
             direct = sum(1 for k in operator_keys_in_window(
-                X, arity, trunc, arity_exact=arity)
+                X, arity, ydeg_cap, arity_exact=arity)
                 if codec(X.m).degree(k) == d)
             assert gr == direct
 
 
-def _reference_weight_keys(X, order_cap, bound, arity_exact=None):
-    """Weight-mode window with a Fraction budget and a fresh a-list for
-    every (b, T, S)."""
-    m, weights = X.m, X.signature.weights
-    subsets = eta_subsets(m)
-    keys = []
-    for T in subsets:
-        rem = (order_cap if arity_exact is None else arity_exact) - len(T)
-        if rem < 0:
-            continue
-        for b in iter_y_exponents(m, rem):
-            if arity_exact is not None and sum(b) != rem:
-                continue
-            for S in subsets:
-                fixed = (sum(1 - weights[s - 1] for s in S)
-                         - sum(weights[i] * b[i] for i in range(m))
-                         - sum(1 - weights[t - 1] for t in T))
-                budget = Fraction(bound) - fixed
-                if budget < 0:
-                    continue
-                for a in iter_y_exponents(m, budget, weights):
-                    keys.append(codec(m).encode(a, S, b, T))
-    return keys
-
-
-@pytest.mark.parametrize("idx", [1, 4, 5, 7, 8],
-                         ids=["x^3", "x^3+y^3", "x^3+y^5", "x^2+y^2+z^2", "x^3+x*y"])
-def test_weight_window_keys_match_fraction_reference(idx):
-    """Integer budgets give the same keys, in the same order, as Fraction
-    budgets."""
-    X = corpus_locus(idx)
-    for bound in (0, 1, 2):
-        trunc = TruncationSpec(WEIGHT_GRADED, bound)
-        for cap in range(3):
-            assert (operator_keys_in_window(X, cap, trunc)
-                    == _reference_weight_keys(X, cap, bound))
-            assert (operator_keys_in_window(X, cap, trunc, arity_exact=cap)
-                    == _reference_weight_keys(X, cap, bound, arity_exact=cap))
-
-
 @pytest.mark.parametrize("idx", [0, 4, 7], ids=["x^2", "x^3+y^3", "x^2+y^2+z^2"])
 def test_degree_window_keys_match_nested_loops(idx):
-    """Degree mode enumerates (b, T), then S, then a, in this order."""
+    """The window enumerates (b, T), then S, then a, in this order."""
     X = corpus_locus(idx)
     m, subsets = X.m, eta_subsets(X.m)
     for bound in (0, 2):
@@ -360,17 +315,15 @@ def test_degree_window_keys_match_nested_loops(idx):
                 expected = [codec(m).encode(a, S, b, T) for b, T in dparts
                             for S in subsets for a in alist]
                 assert operator_keys_in_window(
-                    X, cap, TruncationSpec(DEGREE_TRUNCATED, bound),
-                    arity_exact=arity) == expected
+                    X, cap, bound, arity_exact=arity) == expected
 
 
 @pytest.mark.parametrize("idx", [1, 4, 7], ids=["x^3", "x^3+y^3", "x^2+y^2+z^2"])
-@pytest.mark.parametrize("mode", [DEGREE_TRUNCATED, WEIGHT_GRADED])
-def test_filtration_dims_match_definition(idx, mode):
+def test_filtration_dims_match_definition(idx):
     """Each entry counts the keys of one window enumeration at its own order
-    bound: every kind, levels 0..2, p 0..3, degree and weight mode."""
+    bound: every kind, levels 0..2, p 0..3."""
     X = corpus_locus(idx)
-    trunc = TruncationSpec(mode, 1)
+    ydeg_cap = 1
     degrees = range(-X.m, X.m + 1)
     hbar_exps = range(-1, 3)
     windows = {}
@@ -378,7 +331,7 @@ def test_filtration_dims_match_definition(idx, mode):
         for level in range(3):
             label = FiltrationLabel(kind, level)
             for p in range(4):
-                table = filtration_dims(label, p, degrees, hbar_exps, X, trunc)
+                table = filtration_dims(label, p, degrees, hbar_exps, X, ydeg_cap)
                 assert set(table) == {(d, e) for d in degrees for e in hbar_exps}
                 for e in hbar_exps:
                     bound = _order_bound(label, p, e + 1)
@@ -387,7 +340,7 @@ def test_filtration_dims_match_definition(idx, mode):
                         continue
                     if bound not in windows:
                         windows[bound] = [codec(X.m).degree(k) for k in
-                                          operator_keys_in_window(X, bound, trunc)]
+                                          operator_keys_in_window(X, bound, ydeg_cap)]
                     for d in degrees:
                         assert table[(d, e)] == windows[bound].count(d)
 
@@ -426,8 +379,7 @@ def test_eigen_non_scalar_block(monkeypatch, k, jordan, eigenvalues,
     from qshift import derham
     X = make_crit_locus(Element.y(1, 1) ** 2, 1)
     p = 1
-    basis = operator_keys_in_window(X, p, TruncationSpec(DEGREE_TRUNCATED, 2),
-                                    arity_exact=p)
+    basis = operator_keys_in_window(X, p, 2, arity_exact=p)
     n = len(basis)
     mat = [[int(r == c) for c in range(n)] for r in range(n)]
     if jordan:
@@ -453,18 +405,10 @@ def test_eigen_non_scalar_block(monkeypatch, k, jordan, eigenvalues,
 
 def test_eigen_window_independence():
     X = make_crit_locus(Element.y(2, 1) ** 3 + Element.y(2, 2) ** 3, 2)
-    small = nu_eigen_analysis(X, 2, 2, TruncationSpec(DEGREE_TRUNCATED, 1))
-    big = nu_eigen_analysis(X, 2, 2, TruncationSpec(DEGREE_TRUNCATED, 3))
+    small = nu_eigen_analysis(X, 2, 2, 1)
+    big = nu_eigen_analysis(X, 2, 2, 3)
     assert small.eigenvalues == big.eigenvalues == [2]
     assert small.combined_scalar == big.combined_scalar == -1
-
-
-def test_eigen_weight_window():
-    X = make_crit_locus(Element.y(1, 1) ** 3, 1)
-    rep = nu_eigen_analysis(X, 2, 3, TruncationSpec(WEIGHT_GRADED, 2))
-    assert rep.eigenvalues == [2]
-    assert rep.combined_scalar == -2
-    assert rep.invertible
 
 
 def test_quantisation_validation():
