@@ -2,7 +2,7 @@
 critical loci, operator-identity verification, and vanishing-cycle
 cohomology dimensions."""
 
-from .coefficients import HSeries, hseries_mul
+from .coefficients import HSeries
 from .cohomology import (CohomologyReport, koszul_dims_at_hbar_zero,
                          milnor_number, twisted_derham_dims)
 from .derham import (DRWord, canonical_symplectic, check_chain_identity,

@@ -23,13 +23,12 @@ import sys
 import time
 from fractions import Fraction
 
-from .coefficients import codec
+from .coefficients import codec, format_monomial
 from .cohomology import (DEGREE_TRUNCATED, WEIGHT_GRADED,
                          koszul_dims_at_hbar_zero, milnor_number,
                          twisted_derham_dims)
 from .derham import (SearchWindow, canonical_symplectic, check_compatibility)
 from .duality import is_self_dual, solve_sign_profile
-from .diffops import format_op_monomial
 from .errors import ParseError, QShiftError, UnknownVariable
 from .gca import Element, make_crit_locus
 from .quantise import (FiltrationLabel, bv_quantisation, filtration_dims,
@@ -339,7 +338,7 @@ class Report:
 
 def _residual_terms(op):
     view = op.series()
-    return [[format_op_monomial(key, op.m), str(view[key])] for key in sorted(view)]
+    return [[format_monomial(key), str(view[key])] for key in sorted(view)]
 
 
 def _setting(name, problem, flags, default):
@@ -352,8 +351,9 @@ def _setting(name, problem, flags, default):
 
 
 def _int_setting(name, problem, flags, default):
-    """A window size: a non-integral value is refused, not truncated, and so
-    is a negative one."""
+    """A non-negative integer setting (a window size, p, the top hbar
+    exponent): a non-integral value is refused, not truncated, and so is a
+    negative one."""
     value = Fraction(_setting(name, problem, flags, default))
     if value.denominator != 1:
         raise QShiftError(f"{name} must be an integer, not {value}")
@@ -433,10 +433,10 @@ def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
             X = problem.crit_locus()
             kind = _KIND_MAP[_setting("kind", problem, flags, "ftilde")]
             level = int(_setting("level", problem, flags, 0))
-            p = int(_setting("p", problem, flags, 2))
+            p = _int_setting("p", problem, flags, 2)
             bound = _int_setting("max_degree", problem, flags, 2)
             degrees = range(-X.m, X.m + 1)
-            hbar_exps = range(-1, int(_setting("hbar_max", problem, flags, 4)) + 1)
+            hbar_exps = range(-1, _int_setting("hbar_max", problem, flags, 4) + 1)
             table = filtration_dims(FiltrationLabel(kind, level), p, degrees,
                                     hbar_exps, X, bound)
             payload = {"dims": [{"degree": d, "hbar_exp": e, "dim": n}

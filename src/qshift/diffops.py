@@ -22,8 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, perm
 
-from .coefficients import (_accumulate, _flatten, _scaled, _shuffle, _Store,
-                           codec)
+from .coefficients import _accumulate, _shuffle, _Store, codec
 from .errors import ArityMismatch, OrderTooLow, ZeroOperator
 from .gca import Element
 
@@ -75,44 +74,6 @@ class Operator(_Store):
     def hbar_exponents(self):
         shift = codec(self.m).hbar_shift
         return {k >> shift for k in self.terms}
-
-    def __repr__(self):
-        return f"Operator({self})"
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        view = self.series()
-        for key in sorted(view):
-            mono = format_op_monomial(key, self.m)
-            cs = str(view[key])
-            if cs == "1":
-                parts.append(mono)
-            elif mono == "1":
-                parts.append(cs)
-            elif "+" in cs:
-                parts.append(f"({cs})*{mono}")
-            else:
-                parts.append(f"{cs}*{mono}")
-        return " + ".join(parts)
-
-
-def format_op_monomial(key, m, names=None):
-    a, eta, b, deta = key
-    parts = []
-    from .gca import format_monomial
-    left = format_monomial((a, eta), m, names)
-    if left != "1":
-        parts.append(left)
-    for i in range(m):
-        if b[i]:
-            name = f"D{names[i]}" if names else f"Dy{i + 1}"
-            parts.append(name if b[i] == 1 else f"{name}^{b[i]}")
-    for i in deta:
-        name = f"Deta_{names[i - 1]}" if names else f"Deta{i}"
-        parts.append(name)
-    return "*".join(parts) if parts else "1"
 
 
 # ---------------------------------------------------------------------------
@@ -349,17 +310,17 @@ def op_order(D: Operator) -> int:
 # Polyvectors (principal symbols) and the Schouten--Nijenhuis bracket
 # ---------------------------------------------------------------------------
 
-class Polyvector:
+class Polyvector(_Store):
     """Homogeneous arity-p symbol: derivative symbols commute freely.  The
     store and the constructor input are those of :class:`Operator`."""
 
-    __slots__ = ("m", "arity", "terms")
+    __slots__ = ("arity",)
+    _arity = 4
 
     def __init__(self, m, arity, terms=None):
-        self.m = int(m)
+        super().__init__(m, terms)
         self.arity = int(arity)
         C = codec(self.m)
-        self.terms = _flatten(terms, C) if terms else {}
         for key in self.terms:
             if C.order(key) != self.arity:
                 raise ArityMismatch(
@@ -368,23 +329,19 @@ class Polyvector:
     @classmethod
     def _from_store(cls, m, arity, store):
         """Wrap a canonical, zero-free store whose keys all have the arity."""
-        P = cls.__new__(cls)
-        P.m = m
+        P = super()._from_store(m, store)
         P.arity = arity
-        P.terms = store
         return P
+
+    def _like(self, store):
+        return self._from_store(self.m, self.arity, store)
 
     @staticmethod
     def zero(m, arity=0):
         return Polyvector(m, arity)
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def __eq__(self, other):
+        """The zero symbol equals a zero of any arity."""
         if not isinstance(other, Polyvector):
             return NotImplemented
         return (self.m == other.m and self.terms == other.terms
@@ -393,22 +350,10 @@ class Polyvector:
     def __add__(self, other):
         if self.arity != other.arity and self.terms and other.terms:
             raise ArityMismatch("cannot add polyvectors of different arity")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _accumulate(out, k, c)
-        arity = other.arity if other.terms and not self.terms else self.arity
-        return Polyvector._from_store(self.m, arity, out)
-
-    def __neg__(self):
-        return Polyvector._from_store(self.m, self.arity,
-                                      {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return Polyvector._from_store(self.m, self.arity,
-                                      _scaled(self.terms, c, codec(self.m)))
+        out = super().__add__(other)
+        if other.terms and not self.terms:
+            out.arity = other.arity
+        return out
 
     def lift(self) -> Operator:
         """Read the symbol as a normal-ordered operator (same keys)."""
@@ -416,6 +361,8 @@ class Polyvector:
 
     def __repr__(self):
         return f"Polyvector(arity={self.arity}, {self.lift()})"
+
+    __str__ = __repr__
 
 
 def symbol(D: Operator, k: int) -> Polyvector:

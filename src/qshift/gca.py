@@ -98,12 +98,6 @@ class Element(_Store):
                 _accumulate(out, k - unit, c * a)
         return Element._from_store(self.m, out)
 
-    def __repr__(self):
-        return f"Element({self})"
-
-    def __str__(self):
-        return format_terms(self.series(), self.m)
-
 
 def _mono_mul(k1, k2, C):
     """Product of two element monomial keys: (key, sign) or (None, 0).  The
@@ -128,38 +122,6 @@ def gmul(a: Element, b: Element) -> Element:
             if key is not None:
                 _accumulate(out, key, sign * ca * cb)
     return Element._from_store(a.m, out)
-
-
-def format_monomial(key, m, names=None):
-    a, eta = key
-    parts = []
-    for i in range(m):
-        if a[i]:
-            name = names[i] if names else f"y{i + 1}"
-            parts.append(name if a[i] == 1 else f"{name}^{a[i]}")
-    for i in eta:
-        name = f"eta_{names[i - 1]}" if names else f"eta{i}"
-        parts.append(name)
-    return "*".join(parts) if parts else "1"
-
-
-def format_terms(terms, m, names=None):
-    if not terms:
-        return "0"
-    parts = []
-    for key in sorted(terms):
-        c = terms[key]
-        mono = format_monomial(key, m, names)
-        cs = str(c)
-        if cs == "1":
-            parts.append(mono)
-        elif mono == "1":
-            parts.append(cs)
-        elif "+" in cs or (cs.startswith("-") and "*" in cs):
-            parts.append(f"({cs})*{mono}")
-        else:
-            parts.append(f"{cs}*{mono}")
-    return " + ".join(parts)
 
 
 class CritLocus:

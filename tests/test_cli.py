@@ -12,6 +12,10 @@ jsonschema = pytest.importorskip("jsonschema")
 from qshift import cli
 from qshift.cli import (ProblemFile, Report, format_polynomial, main,
                         parse_problem, print_problem, run_command)
+from qshift.coefficients import HSeries
+from qshift.derham import CompatVerdict
+from qshift.diffops import Operator
+from qshift.duality import SelfDualVerdict
 from qshift.errors import ParseError, UnknownVariable
 from qshift.gca import Element
 
@@ -453,3 +457,55 @@ def test_negative_max_degree_flag_exits_2(tmp_path, capsys, cmd, extra):
     assert out["status"] == "error"
     assert out["payload"]["reason"] == "max_degree must be >= 0, not -1"
     jsonschema.validate(out, SCHEMA)
+
+
+@pytest.mark.parametrize("flag, name", [("--hbar-max", "hbar_max"),
+                                        ("--p", "p")], ids=["hbar-max", "p"])
+def test_negative_filtration_setting_exits_2(tmp_path, capsys, flag, name):
+    """``filtration --hbar-max -1`` and ``--p -1`` are refused like
+    ``--max-degree -1``, not answered with a shorter table or the p = 0
+    table."""
+    path = tmp_path / "p.qs"
+    path.write_text("vars x y; f = 1/2*x^3 + 2/3*y^3;\n")
+    code = main(["filtration", str(path), flag, "-1"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out["status"] == "error"
+    assert out["payload"]["reason"] == f"{name} must be >= 0, not -1"
+    jsonschema.validate(out, SCHEMA)
+
+
+def _multi_term_operator():
+    return Operator(2, {((1, 0), (), (0, 1), ()): HSeries({0: 3, 2: 1}),
+                        ((0, 0), (), (0, 0), (1,)): Fraction(-1, 2)})
+
+
+@pytest.mark.parametrize("cmd, target, verdict, status, field", [
+    ("check-mc", "mc_residual", lambda op: op, "fail", None),
+    ("check-compat", "check_compatibility",
+     lambda op: CompatVerdict(CompatVerdict.FAILS, residual=op), "fail", None),
+    ("check-compat", "check_compatibility",
+     lambda op: CompatVerdict(CompatVerdict.COBOUNDARY, witness=op), "ok",
+     "witness_terms"),
+    ("check-selfdual", "is_self_dual",
+     lambda op: SelfDualVerdict(SelfDualVerdict.FAILS, op), "fail", None),
+], ids=["mc-fail", "compat-fail", "compat-witness", "selfdual-fail"])
+def test_failing_and_witness_reports(monkeypatch, cmd, target, verdict,
+                                     status, field):
+    """The canonical quantisation never fails these checks, so the check is
+    replaced by one answering a nonzero operator with a multi-term hbar
+    coefficient; its terms print one [monomial, coefficient] pair each."""
+    answer = verdict(_multi_term_operator())
+    monkeypatch.setattr(cli, target, lambda *args: answer)
+    problem = parse_problem("vars x y; f = 1/2*x^3 + 2/3*y^3;")
+    report = run_command(cmd, problem, {})
+    assert report.status == status
+    assert report.exit_code == (1 if status == "fail" else 0)
+    _validate(report)
+    terms = [["Deta1", "-1/2"], ["y1*Dy2", "3 + h^2"]]
+    if field is None:
+        assert report.residual_terms == terms
+        assert report.payload["reason"]
+    else:
+        assert report.payload[field] == terms
+        assert report.residual_terms is None

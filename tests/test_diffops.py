@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qshift.coefficients import HSeries, _accumulate, codec, hseries_mul
+from qshift.coefficients import HSeries, _accumulate, codec
 from qshift.diffops import (Operator, Polyvector, _fold, _gen_sequence,
                             op_apply, op_commutator, op_compose, op_order,
                             pv_mul, schouten, symbol)
@@ -300,7 +300,7 @@ def test_mono_product_matches_fold(case):
 
 
 # ---------------------------------------------------------------------------
-# Multi-term hbar coefficients against the fold + hseries_mul composition
+# Multi-term hbar coefficients against the fold + HSeries product composition
 # ---------------------------------------------------------------------------
 
 def _reference_compose(D1, D2):
@@ -310,7 +310,7 @@ def _reference_compose(D1, D2):
     for k1, c1 in D1.series().items():
         gens = _gen_sequence(C.encode(*k1), C)
         for k2, c2 in D2.series().items():
-            c = hseries_mul(c1, c2)
+            c = c1 * c2
             for key, n in _fold(gens, {C.encode(*k2): 1}, C).items():
                 _accumulate(out, C.decode(key)[:4], c.scale(n))
     return Operator(m, out)
@@ -417,3 +417,33 @@ _OPERATOR_TRIPLES = st.integers(1, 2).flatmap(
 def test_compose_associative(ops):
     A, B, C = ops
     assert op_compose(op_compose(A, B), C) == op_compose(A, op_compose(B, C))
+
+
+# ---------------------------------------------------------------------------
+# Printing: one pinned string per value type
+# ---------------------------------------------------------------------------
+
+def test_str_and_repr_pinned():
+    """The printed forms that reports and messages read: a coefficient is
+    parenthesised only when it has several terms, and monomials list y,
+    eta, Dy, then Deta."""
+    poly = HSeries({0: 3, 2: 1})
+    assert (str(poly), repr(poly)) == ("3 + h^2", "HSeries(3 + h^2)")
+    assert str(HSeries({-1: 1})) == "h^-1"
+    assert str(HSeries.const(Fraction(-1, 2))) == "-1/2"
+    assert str(HSeries.zero()) == "0"
+    terms = {((1, 0), (), (0, 1), ()): poly,
+             ((0, 0), (), (0, 0), (1,)): Fraction(-1, 2)}
+    D = Operator(2, {**terms, ((0, 2), (1,), (0, 0), ()): HSeries({-1: 1})})
+    text = "-1/2*Deta1 + h^-1*y2^2*eta1 + (3 + h^2)*y1*Dy2"
+    assert (str(D), repr(D)) == (text, f"Operator({text})")
+    assert str(Operator.zero(2)) == "0"
+    P = Polyvector(2, 1, terms)
+    text = "Polyvector(arity=1, -1/2*Deta1 + (3 + h^2)*y1*Dy2)"
+    assert (str(P), repr(P)) == (text, text)
+    assert repr(Polyvector.zero(2)) == "Polyvector(arity=0, 0)"
+    a = Element(2, {((1, 0), (1,)): poly, ((0, 0), ()): Fraction(-1, 2),
+                    ((0, 1), ()): HSeries({-1: 1})})
+    text = "-1/2 + h^-1*y2 + (3 + h^2)*y1*eta1"
+    assert (str(a), repr(a)) == (text, f"Element({text})")
+    assert str(Element.zero(1)) == "0"
