@@ -14,8 +14,8 @@ mu the substitution homomorphism e -> Delta.
 from __future__ import annotations
 
 from .coefficients import _accumulate, _canon, _scaled, codec, solve_rational
-from .diffops import Operator, _product_into, op_commutator
-from .errors import NotMaurerCartan
+from .diffops import Operator, _banded_images, _product_into, op_commutator
+from .errors import NotCertified, NotMaurerCartan
 from .gca import CritLocus, Element, _mono_mul, apply_koszul_delta
 from .quantise import (Quantisation, centre_differential, koszul_operator,
                        mc_residual, operator_keys_in_window, sigma_tangent)
@@ -343,8 +343,9 @@ def check_compatibility(omega: DRWord, delta: Quantisation, X: CritLocus,
     The unknowns are the operator monomials hbar^e u of the window, one
     degree below the residual's.  hbar is central and of degree 0, so
     [delta + Delta, hbar^e u] = hbar^e [delta + Delta, u]: the centre
-    differential is taken once per monomial u at hbar^0, and the column of
-    each hbar^e u is that image with every hbar exponent shifted by e.
+    differential of every monomial u at hbar^0 is one banded commutator,
+    and the column of each hbar^e u is that image with every hbar exponent
+    shifted by e.  A witness is reported only if its image is the residual.
     """
     if not mc_residual(X, delta).is_zero():
         raise NotMaurerCartan("compatibility needs a Maurer-Cartan Delta")
@@ -357,23 +358,27 @@ def check_compatibility(omega: DRWord, delta: Quantisation, X: CritLocus,
     degrees = {d - 1 for d in r.degrees()}
     keys = operator_keys_in_window(X, window.order_cap, window.ydeg_cap)
     # a stable sort: ascending degree, enumeration order within a degree
-    keyed = [(d, k) for k in keys if (d := C.degree(k)) in degrees]
-    candidates = [k for _, k in sorted(keyed, key=lambda dk: dk[0])]
+    candidates = sorted([k for k in keys if C.degree(k) in degrees],
+                        key=C.degree)
     shifts = [e << C.hbar_shift for e in range(window.hbar_max + 1)]
     unknowns = [key + h for key in candidates for h in shifts]
     total = koszul_operator(X) + delta.as_operator_series()
     # sparse rows keyed by term; the residual's terms come first, so the
     # right-hand side sits in rows 0 .. len(r.terms) - 1
     rows = {k: {} for k in r.terms}
-    for ki, key in enumerate(candidates):
-        image = op_commutator(total, Operator._from_store(X.m, {key: 1}))
+    images = _banded_images(X.m, candidates,
+                            lambda u: op_commutator(total, u), total.terms)
+    for ki, image in enumerate(images):
         for col, h in enumerate(shifts, ki * len(shifts)):
-            for ikey, q in image.terms.items():
+            for ikey, q in image.items():
                 rows.setdefault(ikey + h, {})[col] = q
     sol = solve_rational(list(rows.values()), dict(enumerate(r.terms.values())),
                          len(unknowns))
     if sol is None:
         return CompatVerdict(CompatVerdict.FAILS, residual=r, window=window)
-    witness = {u: v for u, v in zip(unknowns, sol) if v}
-    return CompatVerdict(CompatVerdict.COBOUNDARY,
-                         witness=Operator._from_store(X.m, witness), window=window)
+    witness = Operator._from_store(
+        X.m, {u: v for u, v in zip(unknowns, sol) if v})
+    if op_commutator(total, witness) != r:
+        raise NotCertified("the witness does not reproduce the residual")
+    return CompatVerdict(CompatVerdict.COBOUNDARY, witness=witness,
+                         window=window)

@@ -163,22 +163,23 @@ def _odd_product(left, right):
 _ODD_ROWS = {}
 
 
-def _leibniz(C, kl, kr, shared, base, v):
-    """The terms of v y^a d_y^b o y^c d_y^d for the keys ``kl`` and ``kr``
-    of a pair whose leading term is v at ``base``, as ``[(key, n)]``: per
-    variable i in ``shared`` (the y-field guard bits where b_i and c_i are
-    both nonzero), the terms j = 0..min(b_i, c_i), which step the y_i and
-    d_y_i fields down together by j, times C(b_i, j) c_i!/(c_i - j)!."""
-    field = C.field
-    terms = [(base, v)]
-    while shared:
-        low = shared & -shared
-        shared ^= low
-        yoff, doff, step = C.shared[low]
-        b, c = kl >> doff & field, kr >> yoff & field
-        terms = [(k - j * step, n * comb(b, j) * perm(c, j))
-                 for k, n in terms for j in range(min(b, c) + 1)]
-    return terms
+def _leibniz_steps(C, fields):
+    """The terms of d_y^b o y^c, for ``fields`` the d_y fields b of L's key
+    and the y fields c of R's, as ``((key step, multiplier), ...)``: per
+    variable i, j = 0..min(b_i, c_i) steps the y_i and d_y_i fields down
+    together by j, times C(b_i, j) c_i!/(c_i - j)!."""
+    steps = [(0, 1)]
+    for yoff, doff, unit in C.shared.values():
+        b, c = fields >> doff & C.field, fields >> yoff & C.field
+        steps = [(k + j * unit, n * comb(b, j) * perm(c, j))
+                 for k, n in steps for j in range(min(b, c) + 1)]
+    return tuple(steps)
+
+
+# _leibniz_steps(codec(m), fields) as _LEIBNIZ_ROWS[m][fields], each entry
+# computed when a product first meets it; the fields move with m
+_LEIBNIZ_ROWS = {}
+_NO_STEPS = ((0, 1),)  # a pair where no d_y of L meets a y of R
 
 
 def _product_into(acc, left, right, C, sign=1):
@@ -191,9 +192,9 @@ def _product_into(acc, left, right, C, sign=1):
     else commutes, so the only further signs are the merges in
     ``_odd_product``.  The key of the leading term is the sum of the two
     keys' even parts (y and d_y fields and hbar exponents) plus the odd
-    bits, and ``_leibniz`` runs only when a variable has d_y in L and y in
-    R.  Distinct (j, U') give distinct keys, so the terms of one pair never
-    collide.
+    bits, and the Leibniz steps of ``_LEIBNIZ_ROWS`` apply only when a
+    variable has d_y in L and y in R.  Distinct (j, U') give distinct keys,
+    so the terms of one pair never collide.
     """
     odd, guard = C.odd, C.guard
     yb, yl, yg = C.y_block, C.y_lows, C.y_guards
@@ -203,6 +204,7 @@ def _product_into(acc, left, right, C, sign=1):
     rterms = [(kr & ~odd, kr & odd, ((kr & yb) + yl) & yg, kr, cr)
               for kr, cr in right]
     rows = _ODD_ROWS
+    steps_of = _LEIBNIZ_ROWS.setdefault(C.m, {})
     for kl, cl in left:
         el, ol = kl & ~odd, kl & odd
         dys = (((kl & db) + dl) & dg) >> shift  # nonzero d_y, at y's place
@@ -220,22 +222,24 @@ def _product_into(acc, left, right, C, sign=1):
             base = el + er
             if base & guard:
                 C.overflow()
-            v = cl * cr
+            v, steps = cl * cr, _NO_STEPS
             if dys & ysr:
-                for k, n in _leibniz(C, kl, kr, dys & ysr, base, v):
-                    for bits, s in odds:
-                        _accumulate(acc, k + bits, n if s == 1 else -n)
-                continue
-            for bits, s in odds:
-                # _accumulate, inlined
-                k = base + bits
-                w = acc.get(k, 0) + (v if s == 1 else -v)
-                if not w:
-                    del acc[k]
-                elif type(w) is Fraction and w.denominator == 1:
-                    acc[k] = w.numerator
-                else:
-                    acc[k] = w
+                fields = kl & db | kr & yb
+                steps = steps_of.get(fields)
+                if steps is None:
+                    steps = steps_of[fields] = _leibniz_steps(C, fields)
+            for step, n in steps:
+                n *= v
+                for bits, s in odds:
+                    # _accumulate, inlined
+                    k = base - step + bits
+                    w = acc.get(k, 0) + (n if s == 1 else -n)
+                    if not w:
+                        del acc[k]
+                    elif type(w) is Fraction and w.denominator == 1:
+                        acc[k] = w.numerator
+                    else:
+                        acc[k] = w
 
 
 def op_compose(D1: Operator, D2: Operator) -> Operator:
@@ -296,6 +300,24 @@ def op_commutator(D1: Operator, D2: Operator) -> Operator:
     _product_into(acc, odd_r, even_l, C, -1)
     _product_into(acc, odd_r, odd_l, C)
     return Operator._from_store(D1.m, acc)
+
+
+def _banded_images(m, keys, apply, *factors):
+    """The images of the hbar-free monomials ``keys`` under a linear map
+    ``apply`` of operators, in one call, one store per key.  The map adds
+    one hbar exponent from each of ``factors`` (iterables of keys), and hbar
+    is central of degree 0, so key i goes in at hbar^(K i), K the span of
+    those sums (Kronecker substitution), and is read back from its band."""
+    shift = codec(m).hbar_shift
+    exps = [[k >> shift for k in factor] for factor in factors]
+    lo = sum(map(min, exps))
+    K = sum(map(max, exps)) - lo + 1
+    images = [{} for _ in keys]
+    banded = {key + (K * i << shift): 1 for i, key in enumerate(keys)}
+    for k, c in apply(Operator._from_store(m, banded)).terms.items():
+        i = ((k >> shift) - lo) // K
+        images[i][k - (K * i << shift)] = c
+    return images
 
 
 def op_order(D: Operator) -> int:

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from .coefficients import _accumulate, codec, rank_rational
 from .cohomology import eta_subsets, iter_y_exponents
-from .diffops import Operator, op_commutator, op_compose, op_order, symbol
+from .diffops import (Operator, _banded_images, op_commutator, op_compose,
+                      op_order, symbol)
 from .errors import NotMaurerCartan, TruncationRequired
 from .gca import CritLocus, Element, gmul
 
@@ -335,31 +336,33 @@ def _rank(block):
                           for row in block])
 
 
+def _nu_block(X: CritLocus, basis):
+    """The block of nu(omega, pi) for the canonical pair on the symbol
+    monomials ``basis`` as sparse columns {row: entry}: the hbar^1
+    coefficients of the images of one banded call, read in the basis."""
+    from .derham import _nu_apply, _nu_slots, canonical_symplectic
+
+    slots, _ = _nu_slots(canonical_symplectic(X), bv_quantisation(X))
+    images = _banded_images(X.m, basis, lambda rho: _nu_apply(slots, rho),
+                            [k for _, left, _ in slots for k, _ in left],
+                            [k for _, _, right in slots for k, _ in right])
+    index = {key + codec(X.m).hbar: i for i, key in enumerate(basis)}
+    return [{index[k]: c for k, c in image.items() if k in index}
+            for image in images]
+
+
 def nu_eigen_analysis(X: CritLocus, p: int, k: int,
                       ydeg_cap: int = 2) -> SpectrumReport:
     """Spectrum of the derivation nu(omega, pi) on the arity-p symbol block,
     for the canonical pair, together with the shifted operator's
     invertibility on the block ("+ d/d(hbar^-1)" acts by the scalar 1-p-k).
-    The rho-free factors of nu are built once for the whole block.
     """
-    from .derham import _nu_apply, _nu_slots, canonical_symplectic
-
     if k < 1 or p < 0:
         raise ValueError("need p >= 0 and k >= 1")
-    m = X.m
-    slots, _ = _nu_slots(canonical_symplectic(X), bv_quantisation(X))
     basis = operator_keys_in_window(X, p, ydeg_cap, arity_exact=p)
     if not basis:
         raise TruncationRequired("empty symbol block in the window")
-    # the hbar^1 coefficient of each image, read in the basis
-    hbar = codec(m).hbar
-    index = {key + hbar: i for i, key in enumerate(basis)}
-    n = len(basis)
-    cols = []  # the block as sparse columns {row: entry}
-    for key in basis:
-        image = _nu_apply(slots, Operator._from_store(m, {key: 1}))
-        cols.append({index[k]: c for k, c in image.terms.items()
-                     if k in index})
+    n, cols = len(basis), _nu_block(X, basis)
     scalar_shift = 1 - p - k
     lam0 = cols[0].get(0, 0)
     if all(col == ({c: lam0} if lam0 else {}) for c, col in enumerate(cols)):

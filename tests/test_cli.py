@@ -66,6 +66,23 @@ def test_parse_leading_minus_and_comments():
     assert p.f == Element.y(1, 1) ** 3 - Element.y(1, 1) ** 2
 
 
+def test_unary_minus_only_leads_an_expression(tmp_path, capsys):
+    """``-`` may lead an expression or a parenthesised one, never a term
+    after a binary operator: ``x^3 + -2*y^3`` is a parse error at the
+    second sign (exit 2), while ``x^3 - 2*y^3`` and ``x^3 + (-2)*y^3``
+    parse to the same polynomial."""
+    expected = Element.y(2, 1) ** 3 - (Element.y(2, 2) ** 3).scale(2)
+    for text in ("x^3 - 2*y^3", "x^3 + (-2)*y^3"):
+        assert parse_problem(f"vars x y; f = {text};").f == expected
+    with pytest.raises(ParseError) as err:
+        parse_problem("vars x y; f = x^3 + -2*y^3;")
+    assert (err.value.line, err.value.col) == (1, 21)
+    path = tmp_path / "minus.qs"
+    path.write_text("vars x y; f = x^3 + -2*y^3;\n")
+    assert main(["milnor", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["status"] == "error"
+
+
 def test_round_trip_identity():
     cases = [
         "vars x y; f = x^3 + y^3;",

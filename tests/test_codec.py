@@ -3,6 +3,7 @@ packed keys against the generator-by-generator reference, and overflow
 refusal at the field limit."""
 
 import json
+from math import comb, perm
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from qshift import cli
 from qshift.coefficients import FIELD_BITS, HSeries, codec
-from qshift.diffops import Operator, op_apply, op_compose
+from qshift.diffops import Operator, _leibniz_steps, op_apply, op_compose
 from qshift.errors import ExponentOverflow
 from qshift.gca import Element, gmul
 
@@ -93,6 +94,85 @@ def test_compose_with_leibniz_pairs_matches_op_apply(i, left, right, probe):
     right[0] = (a[:i - 1] + (2,) + a[i:], eta, b, deta, c, e)
     L, R, x = _operator(m, left), _operator(m, right), _element(m, probe)
     assert op_apply(op_compose(L, R), x) == op_apply(L, op_apply(R, x))
+
+
+def _leibniz(C, kl, kr, shared, base, v):
+    """The Leibniz expansion as the product kernel once computed it per
+    pair, kept as the oracle for its table: the terms of v y^a d_y^b o
+    y^c d_y^d for the keys ``kl`` and ``kr`` whose leading term is v at
+    ``base``, per variable in ``shared`` (the y-field guard bits where b_i
+    and c_i are both nonzero) the terms j = 0..min(b_i, c_i), which step
+    the y_i and d_y_i fields down together by j, times
+    C(b_i, j) c_i!/(c_i - j)!."""
+    field = C.field
+    terms = [(base, v)]
+    while shared:
+        low = shared & -shared
+        shared ^= low
+        yoff, doff, step = C.shared[low]
+        b, c = kl >> doff & field, kr >> yoff & field
+        terms = [(k - j * step, n * comb(b, j) * perm(c, j))
+                 for k, n in terms for j in range(min(b, c) + 1)]
+    return terms
+
+
+def _near_limit(m):
+    """Per variable a (d_y in L, y in R) pair with one of the two within 4
+    of the field limit and the other at most 3."""
+    big, small = st.integers(LIMIT - 4, LIMIT - 1), st.integers(0, 3)
+    pair = st.one_of(st.tuples(big, small), st.tuples(small, big),
+                     st.tuples(small, small))
+    return st.lists(pair, min_size=m, max_size=m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda m: st.tuples(
+    st.just(m), _near_limit(m), _exps(m, 3), _exps(m, 3),
+    st.integers(-5, 5).filter(bool))))
+def test_leibniz_table_matches_the_per_pair_expansion(case):
+    """A table entry, keyed by L's d_y fields and R's y fields, gives the
+    terms of the per-pair expansion, with exponents near 2^15 - 1."""
+    m, pairs, a, d, v = case
+    C = codec(m)
+    b, c = tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
+    kl, kr = C.encode(a, (), b), C.encode(c, (), d)
+    shared = (((kl & C.dy_block) + C.dy_lows & C.dy_guards) >> C.dy_to_y
+              & ((kr & C.y_block) + C.y_lows & C.y_guards))
+    base = (kl & ~C.odd) + (kr & ~C.odd)
+    steps = _leibniz_steps(C, kl & C.dy_block | kr & C.y_block)
+    assert sorted((base - step, v * n) for step, n in steps) == \
+        sorted(_leibniz(C, kl, kr, shared, base, v))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(_term(m, 2), min_size=1, max_size=2),
+    st.lists(_term(m, 2), min_size=1, max_size=2),
+    st.lists(_term(m, 2), min_size=1, max_size=2))))
+def test_compose_near_the_limit_matches_op_apply(case):
+    """L o R applied to an element agrees with applying R, then L, when R's
+    y exponents sit near 2^15 - 1 and L has d_y to pass through them: the
+    Leibniz table with large multipliers."""
+    m, left, right, probe = case
+    a, eta, b, deta, cl, e = left[0]
+    left[0] = (a, eta, (b[0] + 1,) + b[1:], deta, cl, e)
+    right = [(tuple(LIMIT - 5 - x for x in a), eta, b, deta, cr, e)
+             for a, eta, b, deta, cr, e in right]
+    L, R, x = _operator(m, left), _operator(m, right), _element(m, probe)
+    assert op_apply(op_compose(L, R), x) == op_apply(L, op_apply(R, x))
+
+
+def test_leibniz_path_refuses_overflow():
+    """A pair whose d_y in L meets a y in R takes the Leibniz path; a sum
+    of keys that reaches the limit there is still refused, in the y fields
+    and in the d_y fields."""
+    m, half = 1, LIMIT // 2
+    with pytest.raises(ExponentOverflow):
+        op_compose(Operator(m, {((half,), (), (1,), ()): 1}),
+                   Operator.mult(Element.y(m, 1, half)))
+    with pytest.raises(ExponentOverflow):
+        op_compose(Operator(m, {((0,), (), (LIMIT - 1,), ()): 1}),
+                   Operator(m, {((1,), (), (1,), ()): 1}))
 
 
 def test_field_limit_is_accepted_and_refused_beyond():

@@ -1,24 +1,27 @@
+import importlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qshift import derham
+from qshift import derham, quantise
 from qshift.coefficients import HSeries, codec
 from qshift.derham import (CompatVerdict, DRWord, SearchWindow, _nu_apply,
-                           apply_codegeneracy, canonical_symplectic,
+                           _nu_slots, apply_codegeneracy, canonical_symplectic,
                            check_chain_identity, check_compatibility, cup,
                            dr_d, dr_of, dr_total_d, mu, nu)
 from qshift.coefficients import solve_rational
-from qshift.diffops import (Operator, op_apply,
+from qshift.diffops import (Operator, _banded_images, op_apply,
                             op_commutator, op_compose, schouten, symbol)
-from qshift.errors import NotMaurerCartan
+from qshift.errors import NotCertified, NotMaurerCartan
 from qshift.gca import Element, gmul, make_crit_locus
 from qshift.quantise import (Quantisation, bv_quantisation, centre_differential,
-                             mc_residual, nu_eigen_analysis,
-                             operator_keys_in_window, sigma_tangent)
+                             _nu_block, koszul_operator, mc_residual,
+                             nu_eigen_analysis, operator_keys_in_window,
+                             sigma_tangent)
 
 from conftest import (corpus_locus, decoded, decoded_words, random_element,
                       random_homogeneous_operator, random_operator,
@@ -358,24 +361,25 @@ def test_eigen_block_matches_reference_nu_columns(monkeypatch, p):
     X = corpus_locus(4)
     ydeg_cap = 1
     omega, delta = canonical_symplectic(X), bv_quantisation(X)
-    applied = []
+    built = []
 
-    def recording(slots, rho):
-        image = _nu_apply(slots, rho)
-        applied.append((rho, image))
-        return image
+    def recording(X, basis):
+        cols = _nu_block(X, basis)
+        built.append((basis, cols))
+        return cols
 
-    monkeypatch.setattr(derham, "_nu_apply", recording)
+    monkeypatch.setattr(quantise, "_nu_block", recording)
     report = nu_eigen_analysis(X, p, 2, ydeg_cap)
     basis = operator_keys_in_window(X, p, ydeg_cap, arity_exact=p)
-    assert [next(iter(rho.terms)) for rho, _ in applied] == basis
+    (applied, cols), = built
+    assert applied == basis
 
-    def block(images):
-        return [[images[col].hbar_component(1).terms.get(row, 0)
-                 for col in range(len(basis))] for row in basis]
-
-    reference = [_nu_reference(omega, delta, rho) for rho, _ in applied]
-    assert block([image for _, image in applied]) == block(reference)
+    reference = [_nu_reference(omega, delta, Operator._from_store(X.m, {key: 1}))
+                 for key in basis]
+    assert [[cols[col].get(row, 0) for col in range(len(basis))]
+            for row in range(len(basis))] == \
+        [[reference[col].hbar_component(1).terms.get(row, 0)
+          for col in range(len(basis))] for row in basis]
     assert report.eigenvalues == [p]
 
 
@@ -527,6 +531,118 @@ def test_witness_search_matches_reference_assembly(f, window, kind):
         assert centre_differential(X, bv, verdict.witness) == residual
     else:
         assert verdict.witness is None
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _per_key_system(omega, delta, X, window):
+    """The coboundary search's linear system assembled with one commutator
+    per window key, its rows in the order the search adds them: the oracle
+    for the banded assembly.  Returns the rows, the right-hand side and the
+    unknowns."""
+    r = mu(omega, delta, X) - sigma_tangent(delta).eps_as_series()
+    C = codec(X.m)
+    degrees = {d - 1 for d in r.degrees()}
+    keyed = [(C.degree(k), k) for k in operator_keys_in_window(
+        X, window.order_cap, window.ydeg_cap) if C.degree(k) in degrees]
+    candidates = [k for _, k in sorted(keyed, key=lambda dk: dk[0])]
+    shifts = [e << C.hbar_shift for e in range(window.hbar_max + 1)]
+    total = koszul_operator(X) + delta.as_operator_series()
+    rows = {k: {} for k in r.terms}
+    for ki, key in enumerate(candidates):
+        image = op_commutator(total, Operator._from_store(X.m, {key: 1}))
+        for col, h in enumerate(shifts, ki * len(shifts)):
+            for ikey, q in image.terms.items():
+                rows.setdefault(ikey + h, {})[col] = q
+    unknowns = [key + h for key in candidates for h in shifts]
+    return list(rows.values()), dict(enumerate(r.terms.values())), unknowns
+
+
+def test_banded_witness_search_matches_per_key_search(monkeypatch):
+    """On every witness window of the benchmark, the banded search hands
+    the solver the rows of the per-key assembly, in the same order, and
+    reports the witness that those rows give."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    problems = workloads.load_problems({n for n, _, _ in workloads.WITNESS_JOBS})
+    systems = []
+
+    def recording(rows, rhs, ncols):
+        systems.append((rows, rhs, ncols))
+        return solve_rational(rows, rhs, ncols)
+
+    monkeypatch.setattr(derham, "solve_rational", recording)
+    for name, (order_cap, ydeg_cap, hbar_max), kind in workloads.WITNESS_JOBS:
+        X = problems[name].crit_locus()
+        bv, omega = bv_quantisation(X), DRWord.zero(X.m, 2)
+        window = SearchWindow(order_cap, ydeg_cap, hbar_max)
+        verdict = check_compatibility(omega, bv, X, window)
+        rows, rhs, unknowns = _per_key_system(omega, bv, X, window)
+        (got_rows, got_rhs, ncols), = systems
+        systems.clear()
+        assert [list(row.items()) for row in got_rows] == \
+            [list(row.items()) for row in rows]
+        assert (got_rhs, ncols) == (rhs, len(unknowns))
+        sol = solve_rational(rows, rhs, len(unknowns))
+        assert verdict.kind == kind
+        if sol is None:
+            assert kind == CompatVerdict.FAILS and verdict.witness is None
+        else:
+            assert verdict.witness == Operator._from_store(
+                X.m, {u: v for u, v in zip(unknowns, sol) if v})
+
+
+def test_wrong_witness_is_refused(monkeypatch):
+    """A solution that does not solve the system (here the solver's answer
+    doubled, whose image is twice the nonzero residual) is refused with
+    NotCertified instead of being reported."""
+    X = corpus_locus(4)
+    monkeypatch.setattr(derham, "solve_rational", lambda rows, rhs, ncols: [
+        2 * v for v in solve_rational(rows, rhs, ncols)])
+    with pytest.raises(NotCertified):
+        check_compatibility(DRWord.zero(X.m, 2), bv_quantisation(X), X,
+                            SearchWindow(order_cap=2, ydeg_cap=2, hbar_max=4))
+
+
+def test_banded_images_match_per_key_images():
+    """Read back from their bands, the images of one banded call are the
+    images of one call per key, term for term and in the same order:
+    commutators with delta + Delta where Delta has a Delta_3 (an hbar^2
+    term), and nu on words with hbar exponents up to 4, so that the band
+    width K is above 2.  The unit key's commutator is zero, an empty
+    band."""
+    rng = random.Random(41)
+    for trial in range(8):
+        m = 1 + trial % 2
+        X = corpus_locus(4 if m == 2 else 0)
+        shift = codec(m).hbar_shift
+        delta = random_quantisation(rng, m)
+        while len(delta.coeffs) < 2:
+            delta = random_quantisation(rng, m)
+        keys = operator_keys_in_window(X, 2, 1)
+        total = koszul_operator(X) + delta.as_operator_series()
+        exps = total.hbar_exponents()
+        assert max(exps) - min(exps) + 1 > 2
+        images = _banded_images(m, keys, lambda u: op_commutator(total, u),
+                                total.terms)
+        per_key = [op_commutator(total, Operator._from_store(m, {k: 1})).terms
+                   for k in keys]
+        assert [list(image.items()) for image in images] == \
+            [list(image.items()) for image in per_key]
+        assert images[keys.index(0)] == {}
+
+        w = _random_word(rng, m, 2 + trial % 3)
+        slots, _ = _nu_slots(w + w.shift_hbar(2), delta)
+        lefts = [k >> shift for _, left, _ in slots for k, _ in left]
+        rights = [k >> shift for _, _, right in slots for k, _ in right]
+        assert max(lefts) + max(rights) - min(lefts) - min(rights) + 1 > 2
+        images = _banded_images(m, keys, lambda rho: _nu_apply(slots, rho),
+                                [k for _, left, _ in slots for k, _ in left],
+                                [k for _, _, right in slots for k, _ in right])
+        per_key = [_nu_apply(slots, Operator._from_store(m, {k: 1})).terms
+                   for k in keys]
+        assert images == per_key
 
 
 def test_compatibility_requires_maurer_cartan():

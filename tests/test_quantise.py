@@ -373,10 +373,10 @@ def test_eigen_examples():
 def test_eigen_non_scalar_block(monkeypatch, k, jordan, eigenvalues,
                                 diagonalisable, invertible):
     """A block that is not a scalar (forced here through a stand-in for the
-    nu images) is ranked at each candidate eigenvalue: diag(0, 1, ..., 1)
-    has eigenvalues 0 and 1 and is diagonalisable, 1 + E_01 has the one
+    block's columns) is ranked at each candidate eigenvalue: diag(0, 1, ...,
+    1) has eigenvalues 0 and 1 and is diagonalisable, 1 + E_01 has the one
     eigenvalue 1 and is not; M + 1 - p - k decides invertibility."""
-    from qshift import derham
+    from qshift import quantise
     X = make_crit_locus(Element.y(1, 1) ** 2, 1)
     p = 1
     basis = operator_keys_in_window(X, p, 2, arity_exact=p)
@@ -387,14 +387,12 @@ def test_eigen_non_scalar_block(monkeypatch, k, jordan, eigenvalues,
     else:
         mat[0][0] = 0
 
-    def block_column(slots, rho):
-        key, = rho.terms
-        col = basis.index(key)
-        hbar = codec(X.m).hbar
-        return Operator._from_store(X.m, {basis[r] + hbar: mat[r][col]
-                                          for r in range(n) if mat[r][col]})
+    def block_columns(X, keys):
+        assert keys == basis
+        return [{r: mat[r][col] for r in range(n) if mat[r][col]}
+                for col in range(n)]
 
-    monkeypatch.setattr(derham, "_nu_apply", block_column)
+    monkeypatch.setattr(quantise, "_nu_block", block_columns)
     rep = nu_eigen_analysis(X, p, k)
     assert rep.block_dim == n > 2
     assert rep.eigenvalues == eigenvalues
