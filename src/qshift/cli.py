@@ -23,7 +23,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .coefficients import codec, format_monomial
+from .coefficients import format_monomial
 from .cohomology import (DEGREE_TRUNCATED, WEIGHT_GRADED,
                          koszul_dims_at_hbar_zero, milnor_number,
                          twisted_derham_dims)
@@ -260,52 +260,6 @@ class _Parser:
 def parse_problem(text: str) -> ProblemFile:
     """Parse the problem-file grammar; exact rationals, positions on error."""
     return _Parser(_tokenize(text)).parse_problem()
-
-
-def _format_rational(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def format_polynomial(f: Element, names) -> str:
-    """Canonical printable form of a polynomial over the declared names."""
-    if f.is_zero():
-        return "0"
-    C = codec(f.m)
-    parts = []
-    # descending in the decoded ((a, eta), e), which orders the y exponents
-    for (a, _, _, _, _), coeff in sorted(
-            ((C.decode(k), c) for k, c in f.terms.items()),
-            key=lambda t: (t[0][:2], t[0][4]), reverse=True):
-        mono = []
-        for i, e in enumerate(a):
-            if e == 1:
-                mono.append(names[i])
-            elif e > 1:
-                mono.append(f"{names[i]}^{e}")
-        body = "*".join(mono)
-        c = abs(coeff)
-        if not body:
-            piece = _format_rational(c)
-        elif c == 1:
-            piece = body
-        else:
-            piece = f"{_format_rational(c)}*{body}"
-        if not parts:
-            parts.append(piece if coeff > 0 else f"-{piece}")
-        else:
-            parts.append(f"+ {piece}" if coeff > 0 else f"- {piece}")
-    return " ".join(parts)
-
-
-def print_problem(problem: ProblemFile) -> str:
-    """Canonical text; re-parsing yields an identical structure."""
-    lines = [f"vars {' '.join(problem.vars)};",
-             f"f = {format_polynomial(problem.f, problem.vars)};"]
-    for key in sorted(problem.options):
-        value = problem.options[key]
-        text = _format_rational(value) if isinstance(value, Fraction) else str(value)
-        lines.append(f"{key} = {text};")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -281,10 +281,6 @@ class _Store:
         C = codec(self.m)
         return {C.degree(k) for k in self.terms}
 
-    def degree_part(self, d):
-        C = codec(self.m)
-        return self._select(lambda k: C.degree(k) == d)
-
     def is_zero(self):
         return not self.terms
 
@@ -381,23 +377,6 @@ class HSeries(_Store):
     @staticmethod
     def monomial(exp, c=1):
         return HSeries({exp: c})
-
-    # -- queries -----------------------------------------------------------
-    @property
-    def coeffs(self):
-        """{hbar exponent: coefficient}: the store itself."""
-        return self.terms
-
-    @property
-    def min_exp(self):
-        return min(self.terms, default=0)
-
-    @property
-    def max_exp(self):
-        return max(self.terms, default=0)
-
-    def __getitem__(self, exp):
-        return self.terms.get(exp, 0)
 
     def __str__(self):
         parts = []

@@ -13,7 +13,7 @@ mu the substitution homomorphism e -> Delta.
 
 from __future__ import annotations
 
-from .coefficients import _accumulate, _canon, _scaled, codec, solve_rational
+from .coefficients import _accumulate, _canon, _Store, codec, solve_rational
 from .diffops import Operator, _banded_images, _product_into, op_commutator
 from .errors import NotCertified, NotMaurerCartan
 from .gca import CritLocus, Element, _mono_mul, apply_koszul_delta
@@ -21,11 +21,12 @@ from .quantise import (Quantisation, centre_differential, koszul_operator,
                        mc_residual, operator_keys_in_window, sigma_tangent)
 
 
-class DRWord:
+class DRWord(_Store):
     """Formal rational combination of (hbar_exp, tensor word) terms: a
-    store {(hbar_exp, word): canonical coefficient}."""
+    store {(hbar_exp, word): canonical coefficient}, with the arithmetic of
+    :class:`_Store` and a Hodge weight, the least weight of its summands."""
 
-    __slots__ = ("m", "terms", "hodge_weight")
+    __slots__ = ("hodge_weight",)
 
     def __init__(self, m, terms=None, hodge_weight=0):
         """``terms`` is {(hbar_exp, word): rational} with the factors of a
@@ -39,57 +40,34 @@ class DRWord:
     @classmethod
     def _from_store(cls, m, store, hodge_weight):
         """Wrap a store that is already canonical and zero-free."""
-        w = cls.__new__(cls)
-        w.m = m
-        w.terms = store
+        w = super()._from_store(m, store)
         w.hodge_weight = hodge_weight
         return w
+
+    def _like(self, store):
+        return self._from_store(self.m, store, self.hodge_weight)
+
+    def _coerce(self, other):
+        """A word key is a tuple, so no rational stands for a word."""
+        return other
 
     @staticmethod
     def zero(m, hodge_weight=0):
         return DRWord(m, {}, hodge_weight)
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, DRWord):
-            return NotImplemented
-        return self.m == other.m and self.terms == other.terms
-
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _accumulate(out, k, c)
-        weight = min(self.hodge_weight, other.hodge_weight) \
-            if self.terms and other.terms else \
-            (self.hodge_weight if self.terms else other.hodge_weight)
-        return DRWord._from_store(self.m, out, weight)
-
-    def __neg__(self):
-        return DRWord._from_store(self.m, {k: -c for k, c in self.terms.items()},
-                                  self.hodge_weight)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return DRWord._from_store(self.m, _scaled(self.terms, _canon(c)),
-                                  self.hodge_weight)
-
-    def shift_hbar(self, n):
-        return DRWord._from_store(self.m, {(e + n, ws): c
-                                           for (e, ws), c in self.terms.items()},
-                                  self.hodge_weight)
-
-    def max_length(self):
-        return max((len(ws) for (_, ws) in self.terms), default=0)
+        """The sum has the least weight of its nonzero summands; a zero
+        summand takes the other's weight."""
+        out = super().__add__(other)
+        if not self.terms or (other.terms
+                              and other.hodge_weight < self.hodge_weight):
+            out.hodge_weight = other.hodge_weight
+        return out
 
     def __repr__(self):
         return f"DRWord({len(self.terms)} terms, F^{self.hodge_weight})"
+
+    __str__ = __repr__
 
 
 def dr_of(a: Element) -> DRWord:
@@ -125,25 +103,6 @@ def cup(w1: DRWord, w2: DRWord) -> DRWord:
             _accumulate(out, (e1 + e2, ws1[:-1] + (mid,) + ws2[1:]),
                         sign * c1 * c2)
     return DRWord._from_store(w1.m, out, w1.hodge_weight + w2.hodge_weight)
-
-
-def apply_codegeneracy(w: DRWord, j: int) -> DRWord:
-    """Koszul-signed codegeneracy: multiply adjacent factors j, j+1 with the
-    twist (-1)^(deg a_0 + ... + deg a_j).  The twist matches the sign
-    conventions of the total differential; words built from algebra elements
-    and formal differentials are annihilated by every such map."""
-    C = codec(w.m)
-    out = {}
-    for (e, ws), c in w.terms.items():
-        if j + 1 >= len(ws):
-            raise ValueError("codegeneracy index out of range")
-        prefix = sum(C.degree(k) for k in ws[:j + 1])
-        psign = -1 if prefix % 2 else 1
-        mid, sign = _mono_mul(ws[j], ws[j + 1], C)
-        if mid is None:
-            continue
-        _accumulate(out, (e, ws[:j] + (mid,) + ws[j + 2:]), psign * sign * c)
-    return DRWord._from_store(w.m, out, w.hodge_weight)
 
 
 def dr_total_d(X: CritLocus, w: DRWord) -> DRWord:

@@ -13,8 +13,8 @@ odd (+1), so deg = -|S| + |T|.  All products are reduced to this normal
 form eagerly.  The product of two monomials has a closed form: the Leibniz
 rule for d_y^b o y^c and the Clifford normal ordering of d_eta_T o eta_U,
 whose signs come from folding the d_eta generators through eta_U with the
-generator rules below, so every Koszul sign is a consequence of
-``op_apply(d_eta_i, eta_i) = 1`` and the graded Leibniz rule.
+d_eta rule (``_odd_product``), so every Koszul sign is a consequence of
+d_eta_i eta_i + eta_i d_eta_i = 1 and the graded Leibniz rule.
 """
 
 from __future__ import annotations
@@ -22,11 +22,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, perm
 
-from .coefficients import _accumulate, _shuffle, _Store, codec
+from .coefficients import _shuffle, _Store, codec
 from .errors import ArityMismatch, OrderTooLow, ZeroOperator
 from .gca import Element
-
-_MY, _META, _DY, _DETA = 0, 1, 2, 3
 
 
 class Operator(_Store):
@@ -63,95 +61,39 @@ class Operator(_Store):
         C = codec(self.m)
         return self._select(lambda key: C.order(key) == k)
 
-    def hbar_component(self, e):
-        """hbar-free Operator collecting the hbar^e coefficient."""
-        C = codec(self.m)
-        shift = e << C.hbar_shift
-        return Operator._from_store(self.m, {k - shift: c for k, c
-                                             in self.terms.items()
-                                             if k >> C.hbar_shift == e})
-
     def hbar_exponents(self):
         shift = codec(self.m).hbar_shift
         return {k >> shift for k in self.terms}
-
-
-# ---------------------------------------------------------------------------
-# Generator folding: the four left-composition rules
-# ---------------------------------------------------------------------------
-
-def _parity(mask):
-    return -1 if mask.bit_count() & 1 else 1
-
-
-def _gen_sequence(key, C):
-    """Generator factors of a monomial key, left to right."""
-    a, eta, b, deta, _ = C.decode(key)
-    seq = []
-    for i in range(C.m):
-        seq.extend([(_MY, i + 1)] * a[i])
-    seq.extend((_META, i) for i in eta)
-    for i in range(C.m):
-        seq.extend([(_DY, i + 1)] * b[i])
-    seq.extend((_DETA, i) for i in deta)
-    return seq
-
-
-def _compose_gen_key(gen, key, C):
-    """Left-compose one generator with a normal-ordered monomial key.
-
-    Yields ``(new_key, integer coefficient)`` pairs.
-    """
-    kind, i = gen
-    if kind == _MY:
-        yield C.check(key + C.y[i - 1]), 1
-    elif kind == _META:
-        bit = C.eta_bits[i - 1]
-        if not key & bit:
-            yield key | bit, _parity(key & C.eta & (bit - 1))
-    elif kind == _DY:
-        a = key >> C.y_off[i - 1] & C.field
-        if a:
-            yield key - C.y[i - 1], a
-        yield C.check(key + C.dy[i - 1]), 1
-    else:  # _DETA
-        bit = C.eta_bits[i - 1]
-        if key & bit:
-            yield key ^ bit, _parity(key & C.eta & (bit - 1))
-        dbit = C.deta_bits[i - 1]
-        if not key & dbit:
-            # past all of eta_S, then into place among d_eta_T
-            yield key | dbit, _parity(key & C.eta) * _parity(
-                key & C.deta & (dbit - 1))
-
-
-def _fold(gens, state, C):
-    """Left-compose the generator word ``gens`` with ``state``, a
-    {normal-ordered key: integer coefficient} combination, one generator at
-    a time from the right."""
-    for gen in reversed(gens):
-        nxt = {}
-        for key, coeff in state.items():
-            for nkey, c in _compose_gen_key(gen, key, C):
-                _accumulate(nxt, nkey, coeff * c)
-        state = nxt
-        if not state:
-            break
-    return state
 
 
 def _odd_product(left, right):
     """The odd part of eta_S d_eta_T o eta_U d_eta_V in normal order, for
     the odd parts ``left`` (the masks S and T) and ``right`` (U and V) of
     two keys, as ``((odd bits, sign), ...)``: the d_eta generators of T are
-    folded through eta_U with the generator rules, then eta_S is merged
+    folded through eta_U one at a time from the right, then eta_S is merged
     with what is left of eta_U and the remaining d_eta with d_eta_V.  The
     y and d_y fields play no part and the odd bits do not move with m, so
-    one entry serves every m."""
+    one entry serves every m.
+
+    The fold needs only the d_eta rule: d_eta_i o eta_S' d_eta_T' is the
+    contraction of eta_i, signed by the eta below it, plus d_eta_i moved
+    past all of eta_S' into place; taken from the highest index down, every
+    d_eta already placed lies above it.  The tests check it against the
+    fold with the rules of all four generators."""
     C = codec(max(1, (max(left, right).bit_length() + 1) // 2))
     S, T, U, V = left & C.eta, left & C.deta, right & C.eta, right & C.deta
+    state = {U: 1}
+    for dbit in reversed(C.deta_bits):
+        if T & dbit:
+            bit, nxt = dbit >> 1, {}
+            for k, s in state.items():
+                if k & bit:
+                    n = (k & C.eta & (bit - 1)).bit_count()
+                    nxt[k ^ bit] = -s if n & 1 else s
+                nxt[k | dbit] = -s if (k & C.eta).bit_count() & 1 else s
+            state = nxt
     out = []
-    for k, s in _fold(_gen_sequence(T, C), {U: 1}, C).items():
+    for k, s in state.items():
         u, t = k & C.eta, k & C.deta
         if not (S & u or t & V):
             out.append((S | u | t | V, s * _shuffle(S, u) * _shuffle(t, V)))
@@ -249,37 +191,6 @@ def op_compose(D1: Operator, D2: Operator) -> Operator:
     acc = {}
     _product_into(acc, D1.terms.items(), D2.terms.items(), codec(D1.m))
     return Operator._from_store(D1.m, acc)
-
-
-def op_apply(D: Operator, a: Element) -> Element:
-    """Evaluate the operator on an element, one generator at a time: the
-    reference that the closed-form product is checked against."""
-    if D.m != a.m:
-        raise ValueError("signature mismatch")
-    C = codec(D.m)
-    out = {}
-    for key, c in D.terms.items():
-        state = a.terms
-        for kind, i in reversed(_gen_sequence(key, C)):
-            bit, nxt = C.eta_bits[i - 1], {}
-            for k, ce in state.items():
-                if kind == _MY:
-                    _accumulate(nxt, C.check(k + C.y[i - 1]), ce)
-                elif kind == _DY:
-                    n = k >> C.y_off[i - 1] & C.field
-                    if n:
-                        _accumulate(nxt, k - C.y[i - 1], n * ce)
-                elif (kind == _META) != bool(k & bit):
-                    # eta_i into place, or d_eta_i contracting it
-                    odd = (k & C.eta & (bit - 1)).bit_count() & 1
-                    _accumulate(nxt, k ^ bit, -ce if odd else ce)
-            state = nxt
-            if not state:
-                break
-        hbar = key - (key & C.mono)
-        for k, ce in state.items():
-            _accumulate(out, k + hbar, c * ce)
-    return Element._from_store(D.m, out)
 
 
 def op_commutator(D1: Operator, D2: Operator) -> Operator:
@@ -392,15 +303,6 @@ def symbol(D: Operator, k: int) -> Polyvector:
     if not D.is_zero() and op_order(D) > k:
         raise OrderTooLow(f"operator has order {op_order(D)} > {k}")
     return Polyvector._from_store(D.m, k, D.order_part(k).terms)
-
-
-def pv_mul(P: Polyvector, Q: Polyvector) -> Polyvector:
-    """Free graded-commutative product of symbols, arity adding: the top
-    order p + q part of the composite of the lifts, where no derivative of
-    P reaches Q."""
-    arity = P.arity + Q.arity
-    product = op_compose(P.lift(), Q.lift()).order_part(arity)
-    return Polyvector._from_store(P.m, arity, product.terms)
 
 
 def schouten(P1: Polyvector, P2: Polyvector) -> Polyvector:

@@ -101,14 +101,6 @@ def star(delta: Quantisation, profile: SignProfile) -> Quantisation:
     return Quantisation(delta.m, coeffs)
 
 
-def star_operator_series(op: Operator, profile: SignProfile) -> Operator:
-    """-transpose with hbar -> -hbar, for raw operator series."""
-    shift = codec(op.m).hbar_shift
-    flipped = Operator._from_store(op.m, {k: -c if k >> shift & 1 else c
-                                          for k, c in op.terms.items()})
-    return transpose(flipped, profile).scale(-1)
-
-
 class SelfDualVerdict:
     STRICT = "Strict"
     FAILS = "Fails"
@@ -133,25 +125,3 @@ def is_self_dual(delta: Quantisation, profile: SignProfile) -> SelfDualVerdict:
         return SelfDualVerdict(SelfDualVerdict.STRICT)
     residual = starred.as_operator_series() - delta.as_operator_series()
     return SelfDualVerdict(SelfDualVerdict.FAILS, residual)
-
-
-def star_fixed_slot_dimension(X: CritLocus, profile: SignProfile, j: int,
-                              k: int, keys) -> tuple[int, int]:
-    """Dimensions (fixed, total) of the star action on the gr_G^k slot at
-    hbar^(j-1): basis symbols of arity j-k, star acting through the slot."""
-    arity = j - k
-    C = codec(X.m)
-    basis = [key for key in keys if C.order(key) == arity]
-    fixed = 0
-    sign = 1 if j % 2 == 0 else -1
-    for key in basis:
-        op = Operator._from_store(X.m, {key: 1})
-        image = transpose(op, profile).scale(sign).order_part(arity)
-        if image == op:
-            fixed += 1
-        elif image == op.scale(-1):
-            pass
-        else:
-            # star must act by a scalar on each symbol monomial
-            raise NoConsistentProfile("star does not act diagonally on symbols")
-    return fixed, len(basis)

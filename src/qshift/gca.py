@@ -31,10 +31,6 @@ class AlgebraSignature:
         self.m = int(m)
         self.weights = tuple(Fraction(w) for w in weights) if weights else None
 
-    def __eq__(self, other):
-        return (isinstance(other, AlgebraSignature)
-                and self.m == other.m and self.weights == other.weights)
-
     def __repr__(self):
         return f"AlgebraSignature(m={self.m}, weights={self.weights})"
 

@@ -10,13 +10,12 @@ membership constraint order(Delta_j) <= j.
 
 from __future__ import annotations
 
-
-from .coefficients import _accumulate, codec, rank_rational
+from .coefficients import _accumulate, codec
 from .cohomology import eta_subsets, iter_y_exponents
 from .diffops import (Operator, _banded_images, op_commutator, op_compose,
-                      op_order, symbol)
-from .errors import NotMaurerCartan, TruncationRequired
-from .gca import CritLocus, Element, gmul
+                      op_order)
+from .errors import NotCertified, NotMaurerCartan, TruncationRequired
+from .gca import CritLocus
 
 
 def koszul_operator(X: CritLocus) -> Operator:
@@ -64,9 +63,6 @@ class Quantisation:
     @staticmethod
     def zero(m):
         return Quantisation(m)
-
-    def is_zero(self):
-        return not self.coeffs
 
     def __eq__(self, other):
         if not isinstance(other, Quantisation):
@@ -154,82 +150,6 @@ def centre_differential(X: CritLocus, delta: Quantisation, u: Operator,
         raise NotMaurerCartan("Delta does not satisfy the master equation")
     total = koszul_operator(X) + delta.as_operator_series()
     return op_commutator(total, u)
-
-
-# ---------------------------------------------------------------------------
-# Non-degeneracy
-# ---------------------------------------------------------------------------
-
-def _symbol_partial(terms, kind, i, C):
-    """Left partial of a symbol-term dict by one derivative symbol."""
-    out = {}
-    if kind == "y":
-        off, unit = C.dy_off[i - 1], C.dy[i - 1]
-        for k, c in terms.items():
-            b = k >> off & C.field
-            if b:
-                _accumulate(out, k - unit, c * b)
-    else:
-        bit = C.deta_bits[i - 1]
-        for k, c in terms.items():
-            if k & bit:
-                # past eta_S, then out of its place among d_eta_T
-                odd = ((k & C.eta).bit_count()
-                       + (k & C.deta & (bit - 1)).bit_count()) & 1
-                _accumulate(out, k ^ bit, -c if odd else c)
-    return out
-
-
-def _det_elements(mat, m):
-    """Leibniz determinant of a matrix of Elements (row order products)."""
-    n = len(mat)
-    import itertools
-    det = Element.zero(m)
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        prod = Element.one(m)
-        zero = False
-        for r in range(n):
-            entry = mat[r][perm[r]]
-            if entry.is_zero():
-                zero = True
-                break
-            prod = gmul(prod, entry)
-        if zero or prod.is_zero():
-            continue
-        det = det + (prod if sign > 0 else -prod)
-    return det
-
-
-def is_nondegenerate(X: CritLocus, delta: Quantisation):
-    """Unit-determinant test of the symbol pairing of Delta_2 on generators.
-
-    Returns ``(verdict, certificate)`` where the certificate is the exact
-    determinant of the 2m x 2m pairing matrix over O_X.
-    """
-    m = X.m
-    d2 = delta.coeffs.get(2)
-    if d2 is None:
-        return False, Element.zero(m)
-    C = codec(m)
-    sym = symbol(d2, 2)
-    gens = [("y", i) for i in range(1, m + 1)] + [("eta", i) for i in range(1, m + 1)]
-    mat = []
-    for (k1, i1) in gens:
-        row = []
-        first = _symbol_partial(sym.terms, k1, i1, C)
-        for (k2, i2) in gens:
-            # arity 2 less two derivatives: element keys
-            row.append(Element._from_store(
-                m, _symbol_partial(first, k2, i2, C)))
-        mat.append(row)
-    det = _det_elements(mat, m)
-    return det.terms.keys() == {0}, det
 
 
 # ---------------------------------------------------------------------------
@@ -324,31 +244,27 @@ class SpectrumReport:
                 "diagonalisable": self.diagonalisable}
 
 
-def _shifted(mat, lam):
-    """M - lam for a small dense square block M."""
-    return [[v - lam if r == c else v for c, v in enumerate(row)]
-            for r, row in enumerate(mat)]
-
-
-def _rank(block):
-    """Rank over Q of a small dense block, handed over as sparse rows."""
-    return rank_rational([{c: v for c, v in enumerate(row) if v}
-                          for row in block])
+# the basis keys banded per ``_banded_images`` call, which bounds the images
+# held at once
+_NU_CHUNK = 1024
 
 
 def _nu_block(X: CritLocus, basis):
-    """The block of nu(omega, pi) for the canonical pair on the symbol
-    monomials ``basis`` as sparse columns {row: entry}: the hbar^1
-    coefficients of the images of one banded call, read in the basis."""
+    """The columns of nu(omega, pi) for the canonical pair on the symbol
+    monomials ``basis``, as sparse columns {row: entry} in basis order: the
+    hbar^1 coefficients of the images, read in the whole basis, banded
+    ``_NU_CHUNK`` keys per call and yielded one chunk at a time."""
     from .derham import _nu_apply, _nu_slots, canonical_symplectic
 
     slots, _ = _nu_slots(canonical_symplectic(X), bv_quantisation(X))
-    images = _banded_images(X.m, basis, lambda rho: _nu_apply(slots, rho),
-                            [k for _, left, _ in slots for k, _ in left],
-                            [k for _, _, right in slots for k, _ in right])
+    lefts = [k for _, left, _ in slots for k, _ in left]
+    rights = [k for _, _, right in slots for k, _ in right]
     index = {key + codec(X.m).hbar: i for i, key in enumerate(basis)}
-    return [{index[k]: c for k, c in image.items() if k in index}
-            for image in images]
+    for start in range(0, len(basis), _NU_CHUNK):
+        for image in _banded_images(X.m, basis[start:start + _NU_CHUNK],
+                                    lambda rho: _nu_apply(slots, rho),
+                                    lefts, rights):
+            yield {index[k]: c for k, c in image.items() if k in index}
 
 
 def nu_eigen_analysis(X: CritLocus, p: int, k: int,
@@ -356,33 +272,24 @@ def nu_eigen_analysis(X: CritLocus, p: int, k: int,
     """Spectrum of the derivation nu(omega, pi) on the arity-p symbol block,
     for the canonical pair, together with the shifted operator's
     invertibility on the block ("+ d/d(hbar^-1)" acts by the scalar 1-p-k).
+
+    The answer is certified only for a scalar block: every column is
+    lam0 on its own diagonal, so the block is lam0 times the identity
+    exactly, with the one eigenvalue lam0.  Any other block is refused with
+    NotCertified.
     """
     if k < 1 or p < 0:
         raise ValueError("need p >= 0 and k >= 1")
     basis = operator_keys_in_window(X, p, ydeg_cap, arity_exact=p)
     if not basis:
         raise TruncationRequired("empty symbol block in the window")
-    n, cols = len(basis), _nu_block(X, basis)
-    scalar_shift = 1 - p - k
-    lam0 = cols[0].get(0, 0)
-    if all(col == ({c: lam0} if lam0 else {}) for c, col in enumerate(cols)):
-        # the generic case for the canonical pair: the block acts by a scalar
-        eigenvalues = [int(lam0)] if lam0.denominator == 1 else [lam0]
-        return SpectrumReport(p, k, n, eigenvalues,
-                              eigenvalues[0] + scalar_shift,
-                              eigenvalues[0] + scalar_shift != 0, True)
-    mat = [[cols[c].get(r, 0) for c in range(n)] for r in range(n)]
-    eigenvalues = [lam for lam in range(p + 1) if _rank(_shifted(mat, lam)) < n]
-    # semisimplicity on the window: the product of (M - lam) over found
-    # eigenvalues must annihilate the block
-    prod = [[int(r == c) for c in range(n)] for r in range(n)]
-    for lam in eigenvalues:
-        shifted = _shifted(mat, lam)
-        prod = [[sum(prod[r][t] * shifted[t][c] for t in range(n))
-                 for c in range(n)] for r in range(n)]
-    diagonalisable = all(v == 0 for row in prod for v in row)
-    combined = sorted({lam + scalar_shift for lam in eigenvalues})
-    combined_scalar = combined[0] if len(combined) == 1 else None
-    invertible = _rank(_shifted(mat, -scalar_shift)) == n
-    return SpectrumReport(p, k, n, eigenvalues, combined_scalar,
-                          invertible, diagonalisable)
+    for c, col in enumerate(_nu_block(X, basis)):
+        if c == 0:
+            lam0 = col.get(0, 0)
+        if col != ({c: lam0} if lam0 else {}):
+            raise NotCertified(
+                f"the block of nu is not a scalar (column {c} of "
+                f"{len(basis)}); only a scalar block is certified")
+    shifted = lam0 + 1 - p - k
+    return SpectrumReport(p, k, len(basis), [lam0], shifted, shifted != 0,
+                          True)

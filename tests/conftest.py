@@ -1,7 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
 from qshift.coefficients import HSeries, codec
 from qshift.diffops import Operator, Polyvector
+from qshift.duality import transpose
+from qshift.errors import NoConsistentProfile
 from qshift.gca import Element, make_crit_locus
 from qshift.quantise import Quantisation
 
@@ -156,3 +160,86 @@ def decoded_words(w):
 def unit_key(m):
     """The boundary tuple of the unit element monomial."""
     return ((0,) * m, ())
+
+
+def degree_part(x, d):
+    """The terms of an element or operator of cohomological degree d."""
+    C = codec(x.m)
+    return x._select(lambda k: C.degree(k) == d)
+
+
+def hbar_component(D, e):
+    """hbar-free Operator collecting the hbar^e coefficient of D."""
+    C = codec(D.m)
+    shift = e << C.hbar_shift
+    return Operator._from_store(D.m, {k - shift: c for k, c in D.terms.items()
+                                      if k >> C.hbar_shift == e})
+
+
+def star_fixed_slot_dimension(X, profile, j, k, keys):
+    """Dimensions (fixed, total) of the star action on the gr_G^k slot at
+    hbar^(j-1): basis symbols of arity j-k, star acting through the slot."""
+    arity = j - k
+    C = codec(X.m)
+    basis = [key for key in keys if C.order(key) == arity]
+    fixed = 0
+    sign = 1 if j % 2 == 0 else -1
+    for key in basis:
+        op = Operator._from_store(X.m, {key: 1})
+        image = transpose(op, profile).scale(sign).order_part(arity)
+        if image == op:
+            fixed += 1
+        elif image != op.scale(-1):
+            # star must act by a scalar on each symbol monomial
+            raise NoConsistentProfile("star does not act diagonally on symbols")
+    return fixed, len(basis)
+
+
+# ---------------------------------------------------------------------------
+# Printing problem files: the inverse of ``cli.parse_problem``
+# ---------------------------------------------------------------------------
+
+def _format_rational(q: Fraction) -> str:
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def format_polynomial(f, names) -> str:
+    """Canonical printable form of a polynomial over the declared names."""
+    if f.is_zero():
+        return "0"
+    C = codec(f.m)
+    parts = []
+    # descending in the decoded ((a, eta), e), which orders the y exponents
+    for (a, _, _, _, _), coeff in sorted(
+            ((C.decode(k), c) for k, c in f.terms.items()),
+            key=lambda t: (t[0][:2], t[0][4]), reverse=True):
+        mono = []
+        for i, e in enumerate(a):
+            if e == 1:
+                mono.append(names[i])
+            elif e > 1:
+                mono.append(f"{names[i]}^{e}")
+        body = "*".join(mono)
+        c = abs(coeff)
+        if not body:
+            piece = _format_rational(c)
+        elif c == 1:
+            piece = body
+        else:
+            piece = f"{_format_rational(c)}*{body}"
+        if not parts:
+            parts.append(piece if coeff > 0 else f"-{piece}")
+        else:
+            parts.append(f"+ {piece}" if coeff > 0 else f"- {piece}")
+    return " ".join(parts)
+
+
+def print_problem(problem) -> str:
+    """Canonical text; re-parsing yields an identical structure."""
+    lines = [f"vars {' '.join(problem.vars)};",
+             f"f = {format_polynomial(problem.f, problem.vars)};"]
+    for key in sorted(problem.options):
+        value = problem.options[key]
+        text = _format_rational(value) if isinstance(value, Fraction) else str(value)
+        lines.append(f"{key} = {text};")
+    return "\n".join(lines) + "\n"

@@ -18,14 +18,15 @@ def _divexact(p, q):
     exponent is at least min(p) - min(q); passing below that bound proves
     that q does not divide p.
     """
-    top = q.max_exp
-    floor = p.min_exp - q.min_exp
+    top = max(q.terms)
+    floor = min(p.terms, default=0) - min(q.terms)
     out = {}
     while p:
-        k = p.max_exp - top
+        lead = max(p.terms)
+        k = lead - top
         if k < floor:
             raise ArithmeticError("inexact polynomial division")
-        out[k] = Fraction(p.coeffs[p.max_exp], q.coeffs[top])
+        out[k] = Fraction(p.terms[lead], q.terms[top])
         p = p - q * HSeries.monomial(k, out[k])
     return HSeries(out)
 

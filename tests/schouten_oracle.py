@@ -7,13 +7,14 @@ composite); these routes never touch operator composition, so the tests
 check the engine against them."""
 
 from qshift.coefficients import _accumulate, _shuffle, codec
-from qshift.diffops import (_DETA, _DY, _META, _MY, Polyvector,
-                            _gen_sequence, _parity)
+from qshift.diffops import Polyvector
+
+from generator_oracle import DETA, DY, META, MY, gen_sequence, parity
 
 # Symbol generators are (kind, index) pairs reusing the monomial slot kinds:
-# _MY = coordinate y_i, _META = coordinate eta_i, _DY = d_y symbol, _DETA =
-# d_eta symbol.  Odd generators: _META (deg -1) and _DETA (deg +1).
-_GEN_DEG = {_MY: 0, _META: -1, _DY: 0, _DETA: 1}
+# MY = coordinate y_i, META = coordinate eta_i, DY = d_y symbol, DETA =
+# d_eta symbol.  Odd generators: META (deg -1) and DETA (deg +1).
+_GEN_DEG = {MY: 0, META: -1, DY: 0, DETA: 1}
 
 
 def _gen_pairing(g1, g2):
@@ -21,11 +22,11 @@ def _gen_pairing(g1, g2):
     (k1, i1), (k2, i2) = g1, g2
     if i1 != i2:
         return 0
-    if (k1, k2) in ((_DY, _MY), (_DETA, _META)):
+    if (k1, k2) in ((DY, MY), (DETA, META)):
         return 1
-    if (k1, k2) == (_MY, _DY):
+    if (k1, k2) == (MY, DY):
         return -1
-    if (k1, k2) == (_META, _DETA):
+    if (k1, k2) == (META, DETA):
         # [eta, xi_eta] = -(-1)^{(-1)(+1)} [xi_eta, eta] = +1
         return 1
     return 0
@@ -74,11 +75,11 @@ def _key_from_gens(gens, C):
     key = 0
     odd = []
     for kind, i in gens:
-        if kind == _MY:
+        if kind == MY:
             key += C.y[i - 1]
-        elif kind == _DY:
+        elif kind == DY:
             key += C.dy[i - 1]
-        elif kind == _META:
+        elif kind == META:
             odd.append((0, i))
         else:
             odd.append((1, i))
@@ -101,10 +102,10 @@ def schouten_by_words(P1: Polyvector, P2: Polyvector) -> Polyvector:
     m = P1.m
     C = codec(m)
     out = {}
-    right = [(_gen_sequence(k2, C), k2 - (k2 & C.mono), c2)
+    right = [(gen_sequence(k2, C), k2 - (k2 & C.mono), c2)
              for k2, c2 in P2.terms.items()]
     for k1, c1 in P1.terms.items():
-        g1 = _gen_sequence(k1, C)
+        g1 = gen_sequence(k1, C)
         h1 = k1 - (k1 & C.mono)
         for g2, h2, c2 in right:
             if not g1 or not g2:
@@ -132,7 +133,7 @@ def pv_mul_closed_form(P: Polyvector, Q: Polyvector) -> Polyvector:
         for e2, U, V, c2 in right:
             if S & U or T & V:
                 continue
-            cross = _parity(T) if U.bit_count() & 1 else 1
+            cross = parity(T) if U.bit_count() & 1 else 1
             _accumulate(out, C.check(e1 + e2) | S | U | T | V,
                         _shuffle(S, U) * _shuffle(T, V) * cross * c1 * c2)
     return Polyvector._from_store(P.m, P.arity + Q.arity, out)

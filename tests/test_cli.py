@@ -9,15 +9,16 @@ from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from qshift import cli
-from qshift.cli import (ProblemFile, Report, format_polynomial, main,
-                        parse_problem, print_problem, run_command)
+from qshift import cli, quantise
+from qshift.cli import ProblemFile, Report, main, parse_problem, run_command
 from qshift.coefficients import HSeries
 from qshift.derham import CompatVerdict
 from qshift.diffops import Operator
 from qshift.duality import SelfDualVerdict
 from qshift.errors import ParseError, UnknownVariable
 from qshift.gca import Element
+
+from conftest import format_polynomial, print_problem
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "src", "qshift",
                            "report_schema.json")
@@ -245,6 +246,25 @@ def test_removed_flags_are_refused(tmp_path, capsys):
         main(["vc-dims", str(path), "--max-degree", "3"])
     capsys.readouterr()
     assert exc.value.code == 2
+
+
+def test_eigen_non_scalar_block_exits_2(monkeypatch, tmp_path, capsys):
+    """A block of nu that is not a scalar (a stand-in whose first column
+    has an entry off the diagonal) is refused: exit 2, NotCertified, and a
+    report that validates."""
+    def block_columns(X, basis):
+        yield {0: 1, 1: 1}
+        yield from ({c: 1} for c in range(1, len(basis)))
+
+    monkeypatch.setattr(quantise, "_nu_block", block_columns)
+    path = tmp_path / "p.qs"
+    path.write_text("vars x; f = x^2;\n")
+    code = main(["eigen", str(path), "--p", "1", "--k", "2"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out["status"] == "error"
+    assert out["payload"]["error_type"] == "NotCertified"
+    jsonschema.validate(out, SCHEMA)
 
 
 def test_format_polynomial_canonical():

@@ -38,8 +38,8 @@ def test_mul_commutative_associative():
 
 def test_invariants_no_zero_coefficients():
     s = H({0: 1}) - H({0: 1})
-    assert s.coeffs == {}
-    assert H({2: 0}).coeffs == {}
+    assert s.terms == {}
+    assert H({2: 0}).terms == {}
 
 
 def test_divexact_laurent_quotients():
@@ -83,7 +83,7 @@ def _rescaled(rng, ncols, nrows):
 def _at(mat, point):
     """The sparse rows of the matrix's values at hbar = point."""
     point = Fraction(point)
-    return sparse_rows([[sum(v * point ** k for k, v in e.coeffs.items())
+    return sparse_rows([[sum(v * point ** k for k, v in e.terms.items())
                          if e else Fraction(0) for e in row] for row in mat])
 
 

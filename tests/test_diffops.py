@@ -5,18 +5,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qshift.coefficients import HSeries, _accumulate, codec
-from qshift.diffops import (Operator, Polyvector, _fold, _gen_sequence,
-                            op_apply, op_commutator, op_compose, op_order,
-                            pv_mul, schouten, symbol)
+from qshift.coefficients import HSeries, _accumulate, _shuffle, codec
+from qshift.diffops import (Operator, Polyvector, _odd_product, op_commutator,
+                            op_compose, op_order, schouten, symbol)
 from qshift.errors import OrderTooLow, ZeroOperator
 from qshift.gca import Element, gmul
 
+from generator_oracle import fold, gen_sequence, op_apply
 from schouten_oracle import pv_mul_closed_form, schouten_by_words
 
-from conftest import (decoded, random_element, random_hseries,
-                      random_homogeneous_operator, random_operator,
-                      random_polyvector)
+from conftest import (decoded, degree_part, hbar_component, random_element,
+                      random_hseries, random_homogeneous_operator,
+                      random_operator, random_polyvector)
 
 
 def test_apply_contract_then_differentiate():
@@ -124,7 +124,7 @@ def test_symbol_homomorphism_random():
         if D1.is_zero() or D2.is_zero():
             continue
         lhs = symbol(op_compose(D1, D2), k + l)
-        rhs = pv_mul(symbol(D1, k), symbol(D2, l))
+        rhs = pv_mul_closed_form(symbol(D1, k), symbol(D2, l))
         assert lhs == rhs
 
 
@@ -161,16 +161,17 @@ def test_schouten_equals_symbol_of_commutator_random():
 
 
 def test_pv_mul_equals_top_order_of_composite_random():
-    """The product, the arity-(p + q) part of the composite of lifts,
-    against the closed form on seeded random polyvectors."""
+    """The arity-(p + q) part of the composite of lifts is the free
+    graded-commutative product: the closed form on seeded random
+    polyvectors."""
     rng = random.Random(9)
     for _ in range(300):
         m = rng.randint(1, 3)
         P = random_polyvector(rng, m, rng.randint(0, 3))
         Q = random_polyvector(rng, m, rng.randint(0, 3))
-        got = pv_mul(P, Q)
+        arity = P.arity + Q.arity
+        got = symbol(op_compose(P.lift(), Q.lift()).order_part(arity), arity)
         assert got == pv_mul_closed_form(P, Q)
-        assert got.arity == P.arity + Q.arity
 
 
 def test_polyvector_sum_with_zero_keeps_the_arity():
@@ -222,8 +223,9 @@ def test_schouten_leibniz_random():
             continue
         dp, dq = _pv_degree(P), _pv_degree(Q)
         sign = -1 if (dp % 2) and (dq % 2) else 1
-        lhs = schouten(P, pv_mul(Q, R))
-        rhs = pv_mul(schouten(P, Q), R) + pv_mul(Q, schouten(P, R)).scale(sign)
+        lhs = schouten(P, pv_mul_closed_form(Q, R))
+        rhs = (pv_mul_closed_form(schouten(P, Q), R)
+               + pv_mul_closed_form(Q, schouten(P, R)).scale(sign))
         assert lhs == rhs
         checked += 1
 
@@ -265,8 +267,8 @@ def test_inductive_filtration_equivalence():
 def test_hbar_components():
     m = 1
     D = Operator.d_y(m, 1).scale(HSeries({0: 1, 2: 3}))
-    assert D.hbar_component(2) == Operator.d_y(m, 1).scale(3)
-    assert D.hbar_component(1).is_zero()
+    assert hbar_component(D, 2) == Operator.d_y(m, 1).scale(3)
+    assert hbar_component(D, 1).is_zero()
     assert D.hbar_exponents() == {0, 2}
 
 
@@ -296,7 +298,26 @@ def test_mono_product_matches_fold(case):
     product = op_compose(Operator(m, {k1: 1}), Operator(m, {k2: 1}))
     C = codec(m)
     assert product == Operator._from_store(
-        m, _fold(_gen_sequence(C.encode(*k1), C), {C.encode(*k2): 1}, C))
+        m, fold(gen_sequence(C.encode(*k1), C), {C.encode(*k2): 1}, C))
+
+
+def test_odd_product_matches_fold_on_every_mask_pair():
+    """The odd-part table folds only d_eta generators; on every pair of odd
+    masks for m <= 3 it gives the terms of the general generator fold, in
+    the same order."""
+    for m in (1, 2, 3):
+        C = codec(m)
+        for left in range(1 << 2 * m):
+            S, T = left & C.eta, left & C.deta
+            for right in range(1 << 2 * m):
+                U, V = right & C.eta, right & C.deta
+                expected = []
+                for k, s in fold(gen_sequence(T, C), {U: 1}, C).items():
+                    u, t = k & C.eta, k & C.deta
+                    if not (S & u or t & V):
+                        expected.append((S | u | t | V,
+                                         s * _shuffle(S, u) * _shuffle(t, V)))
+                assert _odd_product(left, right) == tuple(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +329,10 @@ def _reference_compose(D1, D2):
     C = codec(m)
     out = {}
     for k1, c1 in D1.series().items():
-        gens = _gen_sequence(C.encode(*k1), C)
+        gens = gen_sequence(C.encode(*k1), C)
         for k2, c2 in D2.series().items():
             c = c1 * c2
-            for key, n in _fold(gens, {C.encode(*k2): 1}, C).items():
+            for key, n in fold(gens, {C.encode(*k2): 1}, C).items():
                 _accumulate(out, C.decode(key)[:4], c.scale(n))
     return Operator(m, out)
 
@@ -319,9 +340,9 @@ def _reference_compose(D1, D2):
 def _reference_commutator(D1, D2):
     out = Operator.zero(D1.m)
     for d1 in D1.degrees():
-        p1 = D1.degree_part(d1)
+        p1 = degree_part(D1, d1)
         for d2 in D2.degrees():
-            p2 = D2.degree_part(d2)
+            p2 = degree_part(D2, d2)
             sign = -1 if (d1 % 2) and (d2 % 2) else 1
             term = _reference_compose(p1, p2) - _reference_compose(p2, p1).scale(sign)
             out = out + term
@@ -335,7 +356,7 @@ def _laurent_operator(rng, m, max_order=3, nterms=3):
     terms = {}
     for key in D.series():
         c = HSeries()
-        while len(c.coeffs) < 2:
+        while len(c.terms) < 2:
             c = random_hseries(rng, min_exp=-2, max_exp=2, nterms=3)
         terms[key] = c.scale(Fraction(rng.choice((1, 1, 2, 3)), rng.choice((1, 2, 5))))
     return Operator(m, terms)
@@ -371,7 +392,8 @@ def test_compose_and_commutator_multi_term_hbar():
         _assert_clean(gmul(a, b))
         _assert_clean(op_apply(D1, a))
         P, Q = _top_symbol(D1), _top_symbol(D2)
-        _assert_clean(pv_mul(P, Q))
+        arity = P.arity + Q.arity
+        _assert_clean(op_compose(P.lift(), Q.lift()).order_part(arity))
         _assert_clean(schouten(P, Q))
 
 

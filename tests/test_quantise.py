@@ -1,21 +1,23 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from qshift.coefficients import HSeries, codec
+from qshift import quantise
+from qshift.coefficients import HSeries, _accumulate, codec
 from qshift.cohomology import eta_subsets, iter_y_exponents
-from qshift.diffops import Operator, op_compose, op_order
-from qshift.errors import NotMaurerCartan
-from qshift.gca import Element, make_crit_locus
+from qshift.diffops import Operator, op_compose, op_order, symbol
+from qshift.errors import NotCertified, NotMaurerCartan
+from qshift.gca import Element, gmul, make_crit_locus
 from qshift.quantise import (FiltrationLabel, Quantisation, _order_bound,
                              bv_quantisation, centre_differential,
-                             filtration_dims, is_nondegenerate,
-                             koszul_operator, mc_residual, nu_eigen_analysis,
-                             operator_keys_in_window, sigma_tangent)
+                             filtration_dims, koszul_operator, mc_residual,
+                             nu_eigen_analysis, operator_keys_in_window,
+                             sigma_tangent)
 
 from conftest import (CORPUS, CORPUS_IDS, corpus_locus, decoded,
-                      random_operator, random_quantisation)
+                      hbar_component, random_operator, random_quantisation)
 
 
 def test_bv_quantisation_shape():
@@ -202,9 +204,84 @@ def test_centre_differential_order_bookkeeping():
             pieces = pieces + op.scale(HSeries.monomial(p))
         image = centre_differential(X, bv, pieces)
         for e in image.hbar_exponents():
-            comp = image.hbar_component(e)
+            comp = hbar_component(image, e)
             if not comp.is_zero():
                 assert op_order(comp) <= e
+
+
+# ---------------------------------------------------------------------------
+# Non-degeneracy of the symbol pairing of Delta_2
+# ---------------------------------------------------------------------------
+
+def _symbol_partial(terms, kind, i, C):
+    """Left partial of a symbol-term dict by one derivative symbol."""
+    out = {}
+    if kind == "y":
+        off, unit = C.dy_off[i - 1], C.dy[i - 1]
+        for k, c in terms.items():
+            b = k >> off & C.field
+            if b:
+                _accumulate(out, k - unit, c * b)
+    else:
+        bit = C.deta_bits[i - 1]
+        for k, c in terms.items():
+            if k & bit:
+                # past eta_S, then out of its place among d_eta_T
+                odd = ((k & C.eta).bit_count()
+                       + (k & C.deta & (bit - 1)).bit_count()) & 1
+                _accumulate(out, k ^ bit, -c if odd else c)
+    return out
+
+
+def _det_elements(mat, m):
+    """Leibniz determinant of a matrix of Elements (row order products)."""
+    n = len(mat)
+    det = Element.zero(m)
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        seen = list(perm)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if seen[i] > seen[j]:
+                    sign = -sign
+        prod = Element.one(m)
+        zero = False
+        for r in range(n):
+            entry = mat[r][perm[r]]
+            if entry.is_zero():
+                zero = True
+                break
+            prod = gmul(prod, entry)
+        if zero or prod.is_zero():
+            continue
+        det = det + (prod if sign > 0 else -prod)
+    return det
+
+
+def is_nondegenerate(X, delta):
+    """Unit-determinant test of the symbol pairing of Delta_2 on generators.
+
+    Returns ``(verdict, certificate)`` where the certificate is the exact
+    determinant of the 2m x 2m pairing matrix over O_X.
+    """
+    m = X.m
+    d2 = delta.coeffs.get(2)
+    if d2 is None:
+        return False, Element.zero(m)
+    C = codec(m)
+    sym = symbol(d2, 2)
+    gens = [("y", i) for i in range(1, m + 1)] + [("eta", i) for i in range(1, m + 1)]
+    mat = []
+    for (k1, i1) in gens:
+        row = []
+        first = _symbol_partial(sym.terms, k1, i1, C)
+        for (k2, i2) in gens:
+            # arity 2 less two derivatives: element keys
+            row.append(Element._from_store(
+                m, _symbol_partial(first, k2, i2, C)))
+        mat.append(row)
+    det = _det_elements(mat, m)
+    return det.terms.keys() == {0}, det
 
 
 def test_nondegenerate_bv(corpus_case):
@@ -366,17 +443,12 @@ def test_eigen_examples():
         assert rep.invertible == (k != 1)
 
 
-@pytest.mark.parametrize("k, jordan, eigenvalues, diagonalisable, invertible", [
-    (1, False, [0, 1], True, False),
-    (2, True, [1], False, True),
-], ids=["diag-0-1", "jordan-1"])
-def test_eigen_non_scalar_block(monkeypatch, k, jordan, eigenvalues,
-                                diagonalisable, invertible):
+@pytest.mark.parametrize("k, jordan", [(1, False), (2, True)],
+                         ids=["diag-0-1", "jordan-1"])
+def test_eigen_non_scalar_block(monkeypatch, k, jordan):
     """A block that is not a scalar (forced here through a stand-in for the
-    block's columns) is ranked at each candidate eigenvalue: diag(0, 1, ...,
-    1) has eigenvalues 0 and 1 and is diagonalisable, 1 + E_01 has the one
-    eigenvalue 1 and is not; M + 1 - p - k decides invertibility."""
-    from qshift import quantise
+    block's columns) is refused: neither diag(0, 1, ..., 1) nor 1 + E_01 is
+    lam0 times the identity, and no eigenvalue is reported for either."""
     X = make_crit_locus(Element.y(1, 1) ** 2, 1)
     p = 1
     basis = operator_keys_in_window(X, p, 2, arity_exact=p)
@@ -393,12 +465,42 @@ def test_eigen_non_scalar_block(monkeypatch, k, jordan, eigenvalues,
                 for col in range(n)]
 
     monkeypatch.setattr(quantise, "_nu_block", block_columns)
-    rep = nu_eigen_analysis(X, p, k)
-    assert rep.block_dim == n > 2
-    assert rep.eigenvalues == eigenvalues
-    assert rep.diagonalisable == diagonalisable
-    assert rep.invertible == invertible
-    assert rep.combined_scalar == (1 - p - k + 1 if jordan else None)
+    assert n > 2
+    with pytest.raises(NotCertified):
+        nu_eigen_analysis(X, p, k)
+
+
+def test_eigen_checks_the_block_in_chunks(monkeypatch):
+    """With the basis banded seven keys per call, the report is the same,
+    the images come in ceil(n / 7) calls, and a column that is not a
+    scalar in the last chunk is still refused."""
+    X = make_crit_locus(Element.y(2, 1) ** 3 + Element.y(2, 2) ** 3, 2)
+    whole = nu_eigen_analysis(X, 2, 2).as_dict()
+    n = whole["block_dim"]
+    basis = operator_keys_in_window(X, 2, 2, arity_exact=2)
+    real, calls = quantise._banded_images, []
+
+    def counting(m, keys, *args):
+        calls.append(len(keys))
+        return real(m, keys, *args)
+
+    monkeypatch.setattr(quantise, "_NU_CHUNK", 7)
+    monkeypatch.setattr(quantise, "_banded_images", counting)
+    assert nu_eigen_analysis(X, 2, 2).as_dict() == whole
+    assert len(calls) == -(-n // 7) > 2 and sum(calls) == n
+
+    def spoiled(m, keys, *args):
+        images = counting(m, keys, *args)
+        if sum(calls) == n:
+            # the last column gets an entry in row 0, off its diagonal
+            images[-1] = {**images[-1], basis[0] + codec(m).hbar: 1}
+        return images
+
+    calls.clear()
+    monkeypatch.setattr(quantise, "_banded_images", spoiled)
+    with pytest.raises(NotCertified, match=f"column {n - 1} "):
+        nu_eigen_analysis(X, 2, 2)
+    assert len(calls) == -(-n // 7)
 
 
 def test_eigen_window_independence():
