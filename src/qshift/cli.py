@@ -24,8 +24,7 @@ import time
 from fractions import Fraction
 
 from .coefficients import format_monomial
-from .cohomology import (DEGREE_TRUNCATED, WEIGHT_GRADED,
-                         koszul_dims_at_hbar_zero, milnor_number,
+from .cohomology import (koszul_dims_at_hbar_zero, milnor_number,
                          twisted_derham_dims)
 from .derham import (SearchWindow, canonical_symplectic, check_compatibility)
 from .duality import is_self_dual, solve_sign_profile
@@ -36,7 +35,7 @@ from .quantise import (FiltrationLabel, bv_quantisation, filtration_dims,
 
 SCHEMA_VERSION = 1
 
-OPTION_NAMES = ("mode", "max_degree", "window")
+OPTION_NAMES = ("max_degree", "window")
 MAX_NESTING = 100  # parentheses; the parser recurses four frames per level
 
 _KIND_MAP = {"g": FiltrationLabel.G, "ftilde": FiltrationLabel.FTILDE,
@@ -304,28 +303,19 @@ def _setting(name, problem, flags, default):
     return default
 
 
-def _int_setting(name, problem, flags, default):
-    """A non-negative integer setting (a window size, p, the top hbar
-    exponent): a non-integral value is refused, not truncated, and so is a
-    negative one."""
-    value = Fraction(_setting(name, problem, flags, default))
+def _int_setting(name, problem, flags, default=None):
+    """A non-negative integer setting (a window size, p, k, a level, the top
+    hbar exponent): a missing value with no default is refused, and so are
+    a non-integral value, which is not truncated, and a negative one."""
+    raw = _setting(name, problem, flags, default)
+    if raw is None:
+        raise QShiftError(f"{name} is required")
+    value = Fraction(raw)
     if value.denominator != 1:
-        raise QShiftError(f"{name} must be an integer, not {value}")
+        raise QShiftError(f"{name} must be an integer, not {raw}")
     if value < 0:
         raise QShiftError(f"{name} must be >= 0, not {value}")
     return int(value)
-
-
-def _vc_mode(problem, flags):
-    """``vc-dims`` mode; None lets ``twisted_derham_dims`` choose."""
-    mode = _setting("mode", problem, flags, None)
-    if mode in ("weight", WEIGHT_GRADED):
-        return WEIGHT_GRADED
-    if mode in ("truncate", "degree", DEGREE_TRUNCATED):
-        return DEGREE_TRUNCATED
-    if mode is None:
-        return None
-    raise QShiftError(f"unknown truncation mode {mode!r}")
 
 
 def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
@@ -340,8 +330,7 @@ def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
             n = milnor_number(problem.f, len(problem.vars), problem.vars)
             payload = {"milnor": int(n), **n.certificate}
         elif cmd == "vc-dims":
-            payload = twisted_derham_dims(problem.crit_locus(),
-                                          _vc_mode(problem, flags)).as_dict()
+            payload = twisted_derham_dims(problem.crit_locus()).as_dict()
         elif cmd == "koszul-dims":
             payload = koszul_dims_at_hbar_zero(problem.crit_locus()).as_dict()
         elif cmd == "check-mc":
@@ -378,15 +367,19 @@ def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
                 residual_terms = _residual_terms(verdict.residual)
         elif cmd == "eigen":
             X = problem.crit_locus()
-            p = int(flags["p"])
-            k = int(flags["k"])
+            p = _int_setting("p", problem, flags)
+            k = _int_setting("k", problem, flags)
             report = nu_eigen_analysis(
                 X, p, k, _int_setting("max_degree", problem, flags, 2))
             payload = report.as_dict()
         elif cmd == "filtration":
             X = problem.crit_locus()
-            kind = _KIND_MAP[_setting("kind", problem, flags, "ftilde")]
-            level = int(_setting("level", problem, flags, 0))
+            kind = _setting("kind", problem, flags, "ftilde")
+            if kind not in _KIND_MAP:
+                raise QShiftError(f"kind must be one of "
+                                  f"{', '.join(_KIND_MAP)}, not {kind!r}")
+            kind = _KIND_MAP[kind]
+            level = _int_setting("level", problem, flags, 0)
             p = _int_setting("p", problem, flags, 2)
             bound = _int_setting("max_degree", problem, flags, 2)
             degrees = range(-X.m, X.m + 1)
@@ -420,11 +413,9 @@ def _build_argparser():
     def common(p):
         p.add_argument("file", help="problem file (vars ...; f = ...;)")
 
-    for name in ("milnor", "koszul-dims", "check-mc", "check-selfdual"):
+    for name in ("milnor", "vc-dims", "koszul-dims", "check-mc",
+                 "check-selfdual"):
         common(sub.add_parser(name))
-    p = sub.add_parser("vc-dims")
-    common(p)
-    p.add_argument("--mode", choices=["weight", "truncate"], default=None)
     p = sub.add_parser("check-compat")
     common(p)
     p.add_argument("--window", type=int, default=None)

@@ -360,10 +360,10 @@ class HSeries(_Store):
 
     __slots__ = ()
 
-    def __init__(self, coeffs=None):
+    def __init__(self, terms=None):
         self.m = 0
-        self.terms = ({int(k): _canon(v) for k, v in coeffs.items() if v}
-                      if coeffs else {})
+        self.terms = ({int(k): _canon(v) for k, v in terms.items() if v}
+                      if terms else {})
 
     # -- constructors -----------------------------------------------------
     @staticmethod

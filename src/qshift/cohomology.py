@@ -18,12 +18,8 @@ from fractions import Fraction
 
 from .coefficients import (_accumulate, _div, codec, rank_rational,
                            solve_rational)
-from .errors import (NonIsolated, NotCertified, NotPolynomial,
-                     TruncationRequired, ZeroPolynomial)
+from .errors import NonIsolated, NotCertified, NotPolynomial, ZeroPolynomial
 from .gca import CritLocus, Element, apply_koszul_delta
-
-WEIGHT_GRADED = "WeightGraded"
-DEGREE_TRUNCATED = "DegreeTruncated"
 
 
 class CohomologyReport:
@@ -132,7 +128,7 @@ def _slice_rank(X, basis):
 # ---------------------------------------------------------------------------
 
 def _weight_rescaling(X):
-    """Weight mode: quasi-homogeneous f with an isolated singularity.
+    """Quasi-homogeneous f with an isolated singularity.
 
     Give y_i the weight w_i, eta_i the weight 1 - w_i and hbar the weight 1.
     Then delta keeps the weight and hbar * Delta does too, so every matrix
@@ -153,9 +149,6 @@ def _weight_rescaling(X):
     the cohomology of the whole complex.
     """
     weights = X.signature.weights
-    if weights is None:
-        raise TruncationRequired(
-            "f is not quasi-homogeneous; use DegreeTruncated mode")
     milnor_number(X.f, X.m, X.names)
     cutoff = sum(1 - 2 * w for w in weights)
     by_degree = element_keys_in_window(X, cutoff)
@@ -168,7 +161,7 @@ def _weight_rescaling(X):
 
 
 def _tame(X):
-    """Degree mode: f semi-quasi-homogeneous, hence tame.
+    """f semi-quasi-homogeneous, hence tame.
 
     The certificate is positive weights w under which every monomial of f
     weighs at most 1 and the top part f_w (weight exactly 1) has an
@@ -207,18 +200,14 @@ def _tame(X):
                        "refusing to guess its twisted de Rham cohomology")
 
 
-def twisted_derham_dims(X: CritLocus, mode: str | None = None) -> CohomologyReport:
-    """Dimensions over Q(hbar) of the hbar-twisted de Rham complex, each
-    with its proof: ``WEIGHT_GRADED`` is the weight-rescaling argument of
-    ``_weight_rescaling``, ``DEGREE_TRUNCATED`` the tameness certificate of
-    ``_tame``.  The default is weight mode when f is quasi-homogeneous."""
-    if mode is None:
-        mode = WEIGHT_GRADED if X.signature.weights is not None else DEGREE_TRUNCATED
-    if mode == WEIGHT_GRADED:
+def twisted_derham_dims(X: CritLocus) -> CohomologyReport:
+    """Dimensions over Q(hbar) of the hbar-twisted de Rham complex, with the
+    proof that f admits: the weight-rescaling argument of
+    ``_weight_rescaling`` when f is quasi-homogeneous, else the tameness
+    certificate of ``_tame``."""
+    if X.signature.weights is not None:
         return _weight_rescaling(X)
-    if mode == DEGREE_TRUNCATED:
-        return _tame(X)
-    raise ValueError(f"unknown truncation mode {mode!r}")
+    return _tame(X)
 
 
 # ---------------------------------------------------------------------------

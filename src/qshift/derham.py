@@ -206,7 +206,7 @@ def _words(w: DRWord):
 
 def mu(w: DRWord, delta: Quantisation, X: CritLocus) -> Operator:
     """a_0 (x) ... (x) a_r evaluates to a_0 Delta a_1 Delta ... Delta a_r."""
-    D = list(delta.as_operator_series().terms.items())
+    D = list(delta.terms.items())
     return Operator._from_store(w.m, _horner(codec(w.m), _words(w), D))
 
 
@@ -216,7 +216,7 @@ def _nu_slots(w: DRWord, delta: Quantisation):
     the same traversal evaluates."""
     slots = []
     store = _horner(codec(w.m), _words(w),
-                    list(delta.as_operator_series().terms.items()), slots)
+                    list(delta.terms.items()), slots)
     return slots, Operator._from_store(w.m, store)
 
 
@@ -321,7 +321,7 @@ def check_compatibility(omega: DRWord, delta: Quantisation, X: CritLocus,
                         key=C.degree)
     shifts = [e << C.hbar_shift for e in range(window.hbar_max + 1)]
     unknowns = [key + h for key in candidates for h in shifts]
-    total = koszul_operator(X) + delta.as_operator_series()
+    total = koszul_operator(X) + delta
     # sparse rows keyed by term; the residual's terms come first, so the
     # right-hand side sits in rows 0 .. len(r.terms) - 1
     rows = {k: {} for k in r.terms}

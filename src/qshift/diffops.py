@@ -35,9 +35,9 @@ class Operator(_Store):
     _arity = 4
 
     # -- constructors -------------------------------------------------------
-    @staticmethod
-    def zero(m):
-        return Operator(m)
+    @classmethod
+    def zero(cls, m):
+        return cls(m)
 
     @staticmethod
     def identity(m):

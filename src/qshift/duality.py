@@ -93,12 +93,14 @@ def solve_sign_profile(X: CritLocus) -> SignProfile:
 
 
 def star(delta: Quantisation, profile: SignProfile) -> Quantisation:
-    """Coefficient-wise (-1)^j transpose: Delta*(hbar) = -Delta^t(-hbar)."""
-    coeffs = {}
-    for j, op in delta.coeffs.items():
-        sign = 1 if j % 2 == 0 else -1
-        coeffs[j] = transpose(op, profile).scale(sign)
-    return Quantisation(delta.m, coeffs)
+    """Delta*(hbar) = -Delta^t(-hbar): one transpose of the series, then
+    the sign -(-1)^e on hbar^e.  The transpose keeps each hbar^e
+    coefficient hbar-free and does not raise its order, so the result is a
+    quantisation without a second check."""
+    C = codec(delta.m)
+    return Quantisation._from_store(delta.m, {
+        k: c if k >> C.hbar_shift & 1 else -c
+        for k, c in transpose(delta, profile).terms.items()})
 
 
 class SelfDualVerdict:
@@ -120,8 +122,7 @@ class SelfDualVerdict:
 
 def is_self_dual(delta: Quantisation, profile: SignProfile) -> SelfDualVerdict:
     """Strict iff star(Delta) = Delta exactly; otherwise the difference."""
-    starred = star(delta, profile)
-    if starred == delta:
+    residual = star(delta, profile) - delta
+    if residual.is_zero():
         return SelfDualVerdict(SelfDualVerdict.STRICT)
-    residual = starred.as_operator_series() - delta.as_operator_series()
     return SelfDualVerdict(SelfDualVerdict.FAILS, residual)

@@ -3,14 +3,14 @@ the second level of the order filtration, the canonical second-order BV
 operator, the centre differential, the canonical tangent vector, and the
 dimension bookkeeping for the hbar-order filtrations.
 
-A quantisation is stored as finitely many hbar-free operator coefficients
-Delta_j (j >= 2), read as Delta = Sum_j Delta_j hbar^(j-1) with the
-membership constraint order(Delta_j) <= j.
+A quantisation is stored once, as its hbar-series Delta = Sum_j Delta_j
+hbar^(j-1): one operator whose hbar^(j-1) coefficient Delta_j is checked
+against the membership constraint order(Delta_j) <= j when it is built.
 """
 
 from __future__ import annotations
 
-from .coefficients import _accumulate, codec
+from .coefficients import codec
 from .cohomology import eta_subsets, iter_y_exponents
 from .diffops import (Operator, _banded_images, op_commutator, op_compose,
                       op_order)
@@ -26,75 +26,48 @@ def koszul_operator(X: CritLocus) -> Operator:
         for k, c in partial.terms.items()})
 
 
-def _hbar_series(m, parts, offset):
-    """Sum_j parts[j] hbar^(j + offset) as a single operator."""
-    shift = codec(m).hbar_shift
-    out = {}
-    for j, op in parts.items():
-        for k, c in op.terms.items():
-            _accumulate(out, k + ((j + offset) << shift), c)
-    return Operator._from_store(m, out)
+class Quantisation(Operator):
+    """Delta = Sum_j Delta_j hbar^(j-1) as one operator, built from the
+    hbar-free levels {j: Delta_j} (j >= 2, order(Delta_j) <= j).  A sum or
+    product of quantisations is a plain Operator, never taken for one that
+    was checked."""
 
+    __slots__ = ()
 
-class Quantisation:
-    """Finitely supported coefficient map j -> Delta_j."""
-
-    __slots__ = ("m", "coeffs")
-
-    def __init__(self, m, coeffs=None):
+    def __init__(self, m, levels=None):
         self.m = int(m)
-        clean = {}
-        if coeffs:
-            for j, op in coeffs.items():
-                j = int(j)
-                if j < 2:
-                    raise ValueError("quantisation coefficients start at j = 2")
-                if op.is_zero():
-                    continue
-                if op_order(op) > j:
-                    raise ValueError(
-                        f"order {op_order(op)} coefficient at level {j} breaks "
-                        f"the filtration bound")
-                if op.hbar_exponents() - {0}:
-                    raise ValueError("coefficients must be hbar-free")
-                clean[j] = op
-        self.coeffs = clean
-
-    @staticmethod
-    def zero(m):
-        return Quantisation(m)
-
-    def __eq__(self, other):
-        if not isinstance(other, Quantisation):
-            return NotImplemented
-        return self.m == other.m and self.coeffs == other.coeffs
-
-    def as_operator_series(self) -> Operator:
-        """Sum_j Delta_j hbar^(j-1) as a single operator."""
-        return _hbar_series(self.m, self.coeffs, -1)
-
-    def __repr__(self):
-        return f"Quantisation({self.as_operator_series()})"
-
-
-class TangentElement:
-    """A quantisation together with an epsilon-direction Sum_j v_j hbar^j."""
-
-    __slots__ = ("base", "eps_part")
-
-    def __init__(self, base: Quantisation, eps_part):
-        self.base = base
-        clean = {}
-        for j, op in (eps_part or {}).items():
+        shift = codec(self.m).hbar_shift
+        self.terms = {}
+        for j, op in (levels or {}).items():
+            j = int(j)
+            if j < 2:
+                raise ValueError("quantisation coefficients start at j = 2")
             if op.is_zero():
                 continue
             if op_order(op) > j:
-                raise ValueError("epsilon part breaks the order bound")
-            clean[int(j)] = op
-        self.eps_part = clean
+                raise ValueError(
+                    f"order {op_order(op)} coefficient at level {j} breaks "
+                    f"the filtration bound")
+            if op.hbar_exponents() - {0}:
+                raise ValueError("coefficients must be hbar-free")
+            self.terms.update((k + (j - 1 << shift), c)
+                              for k, c in op.terms.items())
+
+    def _like(self, store):
+        return Operator._from_store(self.m, store)
+
+
+class TangentElement:
+    """A tangent vector at a quantisation, held as its epsilon-direction:
+    one operator series in hbar."""
+
+    __slots__ = ("eps",)
+
+    def __init__(self, eps: Operator):
+        self.eps = eps
 
     def eps_as_series(self) -> Operator:
-        return _hbar_series(self.base.m, self.eps_part, 0)
+        return self.eps
 
 
 class FiltrationLabel:
@@ -122,25 +95,26 @@ class FiltrationLabel:
 def bv_quantisation(X: CritLocus) -> Quantisation:
     """The canonical second-order quantisation hbar * Sum_i d_y_i d_eta_i."""
     C = codec(X.m)
-    return Quantisation(X.m, {2: Operator._from_store(
-        X.m, {dy + bit: 1 for dy, bit in zip(C.dy, C.deta_bits)})})
+    return Quantisation._from_store(
+        X.m, {dy + bit + C.hbar: 1 for dy, bit in zip(C.dy, C.deta_bits)})
 
 
 def mc_residual(X: CritLocus, delta: Quantisation) -> Operator:
     """[delta_Koszul, Delta] + (1/2)[Delta, Delta]; zero iff Delta is a
     quantisation (square-zero for delta + Delta); (1/2)[Delta, Delta] is
     Delta_odd o Delta_odd, as pairs add (1 - (-1)^(|k1||k2|)) k1 o k2."""
-    D = delta.as_operator_series()
-    C = codec(D.m)
-    odd = Operator._from_store(D.m, {k: c for k, c in D.terms.items()
-                                     if C.degree(k) & 1})
-    return op_commutator(koszul_operator(X), D) + op_compose(odd, odd)
+    C = codec(delta.m)
+    odd = delta._select(lambda k: C.degree(k) & 1)
+    return op_commutator(koszul_operator(X), delta) + op_compose(odd, odd)
 
 
 def sigma_tangent(delta: Quantisation) -> TangentElement:
-    """Canonical tangent vector: epsilon part hbar^2 d(Delta)/d(hbar)."""
-    eps = {j: op.scale(j - 1) for j, op in delta.coeffs.items() if j != 1}
-    return TangentElement(delta, eps)
+    """Canonical tangent vector: epsilon part hbar^2 d(Delta)/d(hbar), which
+    sends c hbar^e to e c hbar^(e+1)."""
+    C = codec(delta.m)
+    return TangentElement(Operator._from_store(delta.m, {
+        k + C.hbar: (k >> C.hbar_shift) * c for k, c in delta.terms.items()
+        if k >> C.hbar_shift}))
 
 
 def centre_differential(X: CritLocus, delta: Quantisation, u: Operator,
@@ -148,8 +122,7 @@ def centre_differential(X: CritLocus, delta: Quantisation, u: Operator,
     """[delta_Koszul + Delta, u], the differential of the centre."""
     if not allow_non_mc and not mc_residual(X, delta).is_zero():
         raise NotMaurerCartan("Delta does not satisfy the master equation")
-    total = koszul_operator(X) + delta.as_operator_series()
-    return op_commutator(total, u)
+    return op_commutator(koszul_operator(X) + delta, u)
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,30 @@ def hbar_component(D, e):
                                       if k >> C.hbar_shift == e})
 
 
+def levels(delta):
+    """The levels {j: Delta_j} of a quantisation series: the hbar-free
+    coefficient of hbar^(j-1), for each j where it is nonzero."""
+    return {e + 1: hbar_component(delta, e) for e in delta.hbar_exponents()}
+
+
+def star_by_level(delta, profile):
+    """The star involution level by level, the reference for
+    ``duality.star``: Delta_j -> (-1)^j Delta_j^t, so that
+    Delta*(hbar) = -Delta^t(-hbar)."""
+    return Quantisation(delta.m, {
+        j: transpose(op, profile).scale(1 if j % 2 == 0 else -1)
+        for j, op in levels(delta).items()})
+
+
+def sigma_by_level(delta):
+    """hbar^2 d(Delta)/d(hbar) level by level, the reference for
+    ``quantise.sigma_tangent``: Sum_j (j - 1) Delta_j hbar^j."""
+    out = Operator.zero(delta.m)
+    for j, op in levels(delta).items():
+        out = out + op.scale(HSeries.monomial(j, j - 1))
+    return out
+
+
 def star_fixed_slot_dimension(X, profile, j, k, keys):
     """Dimensions (fixed, total) of the star action on the gr_G^k slot at
     hbar^(j-1): basis symbols of arity j-k, star acting through the slot."""

@@ -28,7 +28,8 @@ from qshift.quantise import (FiltrationLabel, Quantisation, bv_quantisation,
 
 from schouten_oracle import pv_mul_closed_form, schouten_by_words
 
-from conftest import (CORPUS, degree_part, print_problem, random_element,
+from conftest import (CORPUS, degree_part, levels, print_problem,
+                      random_element,
                       random_polyvector, random_quantisation,
                       star_fixed_slot_dimension)
 
@@ -133,9 +134,9 @@ def _random_delta_maybe_non_mc(rng, m):
         spoiler = Operator(m, {((0,) * m, (i,),
                                 tuple(2 if j == i - 1 else 0 for j in range(m)),
                                 ()): HSeries.const(rng.randint(1, 3))})
-        coeffs = dict(delta.coeffs)
-        coeffs[2] = coeffs.get(2, Operator.zero(m)) + spoiler
-        delta = Quantisation(m, coeffs)
+        parts = levels(delta)
+        parts[2] = parts.get(2, Operator.zero(m)) + spoiler
+        delta = Quantisation(m, parts)
     return delta
 
 
@@ -355,8 +356,7 @@ def test_acceptance_parser_and_reports():
             jsonschema.validate(report.as_dict(), schema)
             assert report.status == "ok", (text, cmd, report.payload)
             assert report.exit_code == 0
-    bad = run_command("vc-dims", parse_problem("vars x; f = x^3 + x^4;"),
-                      {"mode": "weight"})
+    bad = run_command("vc-dims", parse_problem("vars x y; f = x^2*y;"), {})
     assert bad.status == "error" and bad.exit_code == 2
     jsonschema.validate(bad.as_dict(), schema)
     assert Report("check-mc", "fail", {"reason": "r"}).exit_code == 1

@@ -57,8 +57,8 @@ def test_parse_errors_carry_position():
 
 
 def test_parse_options_and_parentheses():
-    p = parse_problem("vars x y; f = (x + y)^2 * 3; window = 9; mode = weight;")
-    assert p.options == {"window": Fraction(9), "mode": "weight"}
+    p = parse_problem("vars x y; f = (x + y)^2 * 3; window = 9; max_degree = 2;")
+    assert p.options == {"window": Fraction(9), "max_degree": Fraction(2)}
     assert p.f == ((Element.y(2, 1) + Element.y(2, 2)) ** 2).scale(3)
 
 
@@ -88,7 +88,7 @@ def test_round_trip_identity():
     cases = [
         "vars x y; f = x^3 + y^3;",
         "vars x; f = 1/2 * x^4; window = 3;",
-        "vars x y z; f = x^2 + y^2 + z^2; mode = weight; max_degree = 12;",
+        "vars x y z; f = x^2 + y^2 + z^2; window = 2; max_degree = 12;",
         "vars u v; f = -u^2 + 2/3 * v^5;",
     ]
     for text in cases:
@@ -129,8 +129,8 @@ def test_reports_validate_for_all_commands():
     problem = parse_problem("vars x y; f = x^3 + y^3;")
     commands = {
         "milnor": {},
-        "vc-dims": {"mode": "weight"},
-        "koszul-dims": {"mode": "weight"},
+        "vc-dims": {},
+        "koszul-dims": {},
         "check-mc": {},
         "check-compat": {"window": 2},
         "check-selfdual": {},
@@ -145,7 +145,7 @@ def test_reports_validate_for_all_commands():
 
 def test_report_payload_values():
     problem = parse_problem("vars x y; f = x^3 + y^3;")
-    report = run_command("vc-dims", problem, {"mode": "weight"})
+    report = run_command("vc-dims", problem, {})
     assert report.payload["dims"] == {"0": 4}
     assert report.payload["field"] == "Q(hbar)"
     assert report.payload["stabilised"] is True
@@ -158,8 +158,8 @@ def test_report_payload_values():
 
 
 def test_error_reports_validate_and_carry_reason():
-    problem = parse_problem("vars x; f = x^3 + x^4;")
-    report = run_command("vc-dims", problem, {"mode": "weight"})
+    problem = parse_problem("vars x y; f = x^2*y;")
+    report = run_command("vc-dims", problem, {})
     assert report.status == "error"
     assert "reason" in report.payload
     _validate(report)
@@ -193,7 +193,7 @@ def test_main_ok_and_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("target, cmd, flags, exc", [
-    ("qshift.cohomology.rank_rational", "vc-dims", ["--mode", "weight"],
+    ("qshift.cohomology.rank_rational", "vc-dims", [],
      ArithmeticError("rank kernel fault")),
     ("qshift.gca.solve_rational", "koszul-dims", [],
      ZeroDivisionError("division by zero")),
@@ -299,12 +299,13 @@ def test_zero_settings_are_kept(options, cmd, flags, check):
     "vars x; f = x^2;\nmax_degre = 5;",
     "vars x; f = x^2;\nseed = 5;",
     "vars x; f = x^2;\nstab_window = 2;",
-], ids=["hbar_trunc", "typo", "seed", "stab_window"])
+    "vars x; f = x^2;\nmode = weight;",
+], ids=["hbar_trunc", "typo", "seed", "stab_window", "mode"])
 def test_unknown_options_rejected(text):
     with pytest.raises(ParseError) as err:
         parse_problem(text)
     assert (err.value.line, err.value.col) == (2, 1)
-    assert "options are mode, max_degree, window" in str(err.value)
+    assert "options are max_degree, window" in str(err.value)
 
 
 def test_deep_nesting_exits_2_with_report(tmp_path, capsys):
@@ -402,21 +403,34 @@ def test_non_isolated_refused_with_the_variable(tmp_path, capsys, text,
 ], ids=["x2y", "x2y2", "x+x2y"])
 def test_vc_dims_refuses_what_it_cannot_certify(tmp_path, capsys, text):
     """No certificate exists: x^2*y and x^2*y^2 are not isolated, and
-    x + x^2*y has no critical point but is not tame.  Each mode refuses,
-    in well under a second."""
+    x + x^2*y has no critical point but is not tame.  vc-dims refuses, in
+    well under a second."""
     path = tmp_path / "p.qs"
     path.write_text(text + "\n")
-    for flags in ([], ["--mode", "truncate"], ["--mode", "weight"]):
-        code = main(["vc-dims", str(path)] + flags)
-        out = json.loads(capsys.readouterr().out)
-        assert code == 2
-        assert out["payload"]["error_type"] in (
-            "NotCertified", "NonIsolated", "TruncationRequired")
-        assert out["timing_ms"] < 1000
-        jsonschema.validate(out, SCHEMA)
     code = main(["vc-dims", str(path)])
     out = json.loads(capsys.readouterr().out)
+    assert code == 2
     assert out["payload"]["error_type"] in ("NotCertified", "NonIsolated")
+    assert out["timing_ms"] < 1000
+    jsonschema.validate(out, SCHEMA)
+
+
+def test_vc_dims_mode_is_refused(tmp_path, capsys):
+    """vc-dims chooses its certificate from f: ``--mode`` is an unknown
+    flag (exit 2) and ``mode = weight;`` an unknown option, refused with an
+    error report (exit 2)."""
+    path = tmp_path / "p.qs"
+    path.write_text("vars x y; f = 1/2*x^3 + 2/3*y^3;\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["vc-dims", str(path), "--mode", "weight"])
+    assert exit_info.value.code == 2
+    capsys.readouterr()
+    path.write_text("vars x y; f = 1/2*x^3 + 2/3*y^3; mode = weight;\n")
+    assert main(["vc-dims", str(path)]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "error"
+    assert out["payload"]["error_type"] == "ParseError"
+    jsonschema.validate(out, SCHEMA)
 
 
 @pytest.mark.parametrize("text, certificate, dims", [
@@ -510,6 +524,28 @@ def test_negative_filtration_setting_exits_2(tmp_path, capsys, flag, name):
     assert out["status"] == "error"
     assert out["payload"]["reason"] == f"{name} must be >= 0, not -1"
     jsonschema.validate(out, SCHEMA)
+
+
+@pytest.mark.parametrize("cmd, flags, reason", [
+    ("eigen", {"p": Fraction(3, 2), "k": 2}, "p must be an integer, not 3/2"),
+    ("eigen", {"p": 1, "k": 2.9}, "k must be an integer, not 2.9"),
+    ("eigen", {"k": 2}, "p is required"),
+    ("eigen", {"p": 1}, "k is required"),
+    ("filtration", {"level": Fraction(3, 2)},
+     "level must be an integer, not 3/2"),
+    ("filtration", {"kind": "bogus"},
+     "kind must be one of g, ftilde, conv, not 'bogus'"),
+], ids=["eigen-p-3/2", "eigen-k-2.9", "eigen-no-p", "eigen-no-k",
+        "filtration-level-3/2", "filtration-kind-bogus"])
+def test_library_settings_are_refused_not_truncated(cmd, flags, reason):
+    """run_command takes settings from library callers too: a non-integral
+    p, k or level is refused rather than truncated (p = 3/2 once ran as
+    p = 1), and a missing p or k or an unknown kind is named."""
+    problem = parse_problem("vars x y; f = x^3 + y^3;")
+    report = run_command(cmd, problem, flags)
+    assert report.status == "error"
+    assert report.payload["reason"] == reason
+    _validate(report)
 
 
 def _multi_term_operator():

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qshift.coefficients import HSeries
-from qshift.cohomology import (DEGREE_TRUNCATED, WEIGHT_GRADED,
-                               CohomologyReport, _groebner, _slice_rank,
+from qshift.cohomology import (CohomologyReport, _groebner, _slice_rank,
+                               _tame, _weight_rescaling,
                                element_keys_in_window,
                                iter_y_exponents, koszul_dims_at_hbar_zero,
                                milnor_number, twisted_derham_dims)
 from qshift.errors import (NonIsolated, NotCertified, NotPolynomial,
-                           TruncationRequired, ZeroPolynomial)
+                           ZeroPolynomial)
 from qshift.gca import Element, make_crit_locus
 
 from conftest import CORPUS, CORPUS_IDS, decoded, sparse_rows
@@ -62,16 +62,18 @@ def test_twisted_dims_concentrated_quadric_threefold():
     m = 3
     f = Element.y(m, 1) ** 2 + Element.y(m, 2) ** 2 + Element.y(m, 3) ** 2
     X = make_crit_locus(f, m)
-    report = twisted_derham_dims(X, WEIGHT_GRADED)
+    report = twisted_derham_dims(X)
     assert report.dims_by_degree == {0: 1}
 
 
 def test_twisted_dims_mode_agreement():
+    """Both certificates answer a quasi-homogeneous f alike: the weight
+    rescaling, which vc-dims uses, and the tameness certificate."""
     for idx in (0, 1, 4, 6):
         name, builder, m, mu = CORPUS[idx]
         X = make_crit_locus(builder(), m)
-        rw = twisted_derham_dims(X, WEIGHT_GRADED)
-        rd = twisted_derham_dims(X, DEGREE_TRUNCATED)
+        rw = _weight_rescaling(X)
+        rd = _tame(X)
         assert rw.dims_by_degree == rd.dims_by_degree
         assert rd.certificate["certificate"] == "tame:semi-quasi-homogeneous"
         assert rd.certificate["weights"] == rw.certificate["weights"]
@@ -92,15 +94,18 @@ def test_koszul_dims_single_variable():
 
 
 def test_weight_mode_requires_weights():
+    """The weight rescaling is chosen only for f with weights; x^3 + x^4 has
+    none, so it gets the tameness certificate."""
     f = Element.y(1, 1) ** 3 + Element.y(1, 1) ** 4
     X = make_crit_locus(f, 1)
     assert X.signature.weights is None
-    with pytest.raises(TruncationRequired):
-        twisted_derham_dims(X, WEIGHT_GRADED)
+    report = twisted_derham_dims(X)
+    assert report.certificate["certificate"] == "tame:semi-quasi-homogeneous"
+    assert report.dims_by_degree == {0: 3}
 
 
 def test_not_certified_is_an_error_not_a_guess():
-    """Degree mode refuses f without a tameness certificate.  x^2 + y^2 +
+    """The tameness certificate refuses f that it cannot certify.  x^2 + y^2 +
     x^3*y^3 has finitely many critical points, but no two of its monomials
     give weights under which the third weighs at most 1."""
     for exps, error in [
@@ -110,7 +115,7 @@ def test_not_certified_is_an_error_not_a_guess():
             (((2, 0), (0, 2), (3, 3)), NotCertified)]:
         X = make_crit_locus(Element(2, {(a, ()): 1 for a in exps}), 2)
         with pytest.raises(error):
-            twisted_derham_dims(X, DEGREE_TRUNCATED)
+            _tame(X)
 
 
 def _y(m, a, c=1):
@@ -129,7 +134,7 @@ _WEIGHT_MODE_PROBLEMS = [(builder(), m) for (_, builder, m, _) in CORPUS] + [
 def test_rank_certificates_on_corpus_slices():
     """The one rank at hbar = 1 per slice equals the rank over Q(hbar) of
     the Bareiss oracle, on every slice at the socle cutoff of every
-    weight-mode problem of the corpus and of the benchmark."""
+    quasi-homogeneous problem of the corpus and of the benchmark."""
     for f, m in _WEIGHT_MODE_PROBLEMS:
         X = make_crit_locus(f, m)
         socle = sum(1 - 2 * w for w in X.signature.weights)
@@ -197,14 +202,14 @@ def test_semi_quasi_homogeneous_milnor_orlik(powers, data):
     report = koszul_dims_at_hbar_zero(X)
     assert report.dims_by_degree == {0: mu}
     assert report.certificate["certificate"] == "groebner-grevlex"
-    # vc-dims: the tame certificate in degree mode, and weight mode on the
+    # vc-dims: the tame certificate, and the weight rescaling on the
     # quasi-homogeneous top part (on f too when f happens to be one)
-    assert twisted_derham_dims(X, DEGREE_TRUNCATED).dims_by_degree == {0: mu}
+    assert _tame(X).dims_by_degree == {0: mu}
     top = make_crit_locus(sum((Element.y(m, i, a) for i, a in
                                enumerate(powers, start=1)), Element.zero(m)), m)
-    assert twisted_derham_dims(top, WEIGHT_GRADED).dims_by_degree == {0: mu}
+    assert _weight_rescaling(top).dims_by_degree == {0: mu}
     if X.signature.weights is not None:
-        assert twisted_derham_dims(X, WEIGHT_GRADED).dims_by_degree == {0: mu}
+        assert _weight_rescaling(X).dims_by_degree == {0: mu}
 
 
 def _grevlex_key(a):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qshift import duality
 from qshift.coefficients import HSeries, _accumulate, codec
@@ -11,12 +13,13 @@ from qshift.duality import (SignProfile, is_self_dual, solve_sign_profile, star,
 from qshift.errors import NoConsistentProfile
 from qshift.gca import Element, make_crit_locus
 from qshift.quantise import (Quantisation, bv_quantisation,
-                             operator_keys_in_window)
+                             operator_keys_in_window, sigma_tangent)
 
 from generator_oracle import fold, gen_sequence
 
-from conftest import (corpus_locus, degree_part, random_operator,
-                      random_quantisation, star_fixed_slot_dimension)
+from conftest import (corpus_locus, degree_part, levels, random_operator,
+                      random_quantisation, sigma_by_level, star_by_level,
+                      star_fixed_slot_dimension)
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +69,7 @@ def test_transpose_fixes_multiplications(locus_and_profile):
 def test_transpose_fixes_bv(locus_and_profile):
     X, profile = locus_and_profile
     bv = bv_quantisation(X)
-    assert transpose(bv.coeffs[2], profile) == bv.coeffs[2]
+    assert transpose(levels(bv)[2], profile) == levels(bv)[2]
 
 
 def test_transpose_involution_and_antimultiplicativity(locus_and_profile):
@@ -158,21 +161,41 @@ def test_star_preserves_poisson_symbol(locus_and_profile):
     rng = random.Random(31)
     for _ in range(20):
         delta = random_quantisation(rng, X.m)
-        if 2 not in delta.coeffs:
+        if 2 not in levels(delta):
             continue
-        lhs = symbol(star(delta, profile).coeffs[2], 2)
-        rhs = symbol(delta.coeffs[2], 2)
+        lhs = symbol(levels(star(delta, profile))[2], 2)
+        rhs = symbol(levels(delta)[2], 2)
         assert lhs == rhs
 
 
 def test_self_duality_obstructed_by_odd_coefficient(locus_and_profile):
     X, profile = locus_and_profile
     bv = bv_quantisation(X)
-    d3 = bv.coeffs[2]  # transpose-fixed, reused at level 3
-    delta = Quantisation(X.m, {2: bv.coeffs[2], 3: d3})
+    d3 = levels(bv)[2]  # transpose-fixed, reused at level 3
+    delta = Quantisation(X.m, {2: d3, 3: d3})
     verdict = is_self_dual(delta, profile)
     assert verdict.kind == "Fails"
     assert verdict.residual == d3.scale(HSeries.monomial(2, -2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 3),
+       picked=st.lists(st.integers(2, 4), min_size=1, max_size=3, unique=True))
+def test_series_star_and_sigma_match_level_by_level(seed, m, picked):
+    """star, sigma_tangent and the self-duality residual, each one pass over
+    the hbar-series, against the level-by-level reference on random
+    quantisations with levels among 2..4."""
+    delta = random_quantisation(random.Random(seed), m, levels=sorted(picked))
+    profile = solve_sign_profile(corpus_locus([0, 3, 7][m - 1]))
+    starred = star(delta, profile)
+    assert type(starred) is Quantisation
+    assert starred == star_by_level(delta, profile)
+    assert sigma_tangent(delta).eps_as_series() == sigma_by_level(delta)
+    verdict = is_self_dual(delta, profile)
+    residual = star_by_level(delta, profile) - delta
+    assert verdict.ok() == residual.is_zero()
+    if not verdict.ok():
+        assert verdict.residual == residual
 
 
 def test_self_duality_zero(locus_and_profile):
