@@ -28,7 +28,7 @@ from .cohomology import (koszul_dims_at_hbar_zero, milnor_number,
                          twisted_derham_dims)
 from .derham import (SearchWindow, canonical_symplectic, check_compatibility)
 from .duality import is_self_dual, solve_sign_profile
-from .errors import ParseError, QShiftError, UnknownVariable
+from .errors import ParseError, QShiftError, UnknownVariable, UsageError
 from .gca import Element, make_crit_locus
 from .quantise import (FiltrationLabel, bv_quantisation, filtration_dims,
                        mc_residual, nu_eigen_analysis)
@@ -36,6 +36,14 @@ from .quantise import (FiltrationLabel, bv_quantisation, filtration_dims,
 SCHEMA_VERSION = 1
 
 OPTION_NAMES = ("max_degree", "window")
+# the flags each command reads, by name: ``--max-degree`` on the command
+# line, ``max_degree`` in the flags of ``run_command``
+COMMAND_FLAGS = {
+    "milnor": (), "vc-dims": (), "koszul-dims": (), "check-mc": (),
+    "check-compat": ("window",), "check-selfdual": (),
+    "eigen": ("p", "k", "max_degree"),
+    "filtration": ("kind", "level", "p", "max_degree", "hbar_max"),
+}
 MAX_NESTING = 100  # parentheses; the parser recurses four frames per level
 
 _KIND_MAP = {"g": FiltrationLabel.G, "ftilde": FiltrationLabel.FTILDE,
@@ -310,7 +318,10 @@ def _int_setting(name, problem, flags, default=None):
     raw = _setting(name, problem, flags, default)
     if raw is None:
         raise QShiftError(f"{name} is required")
-    value = Fraction(raw)
+    try:
+        value = Fraction(raw)
+    except ValueError:
+        raise QShiftError(f"{name} must be an integer, not {raw}") from None
     if value.denominator != 1:
         raise QShiftError(f"{name} must be an integer, not {raw}")
     if value < 0:
@@ -318,14 +329,27 @@ def _int_setting(name, problem, flags, default=None):
     return int(value)
 
 
+def _error_payload(exc):
+    return {"reason": str(exc) or repr(exc), "error_type": type(exc).__name__}
+
+
 def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
-    """Execute one command against a parsed problem file."""
+    """Execute one command against a parsed problem file.  A flag that the
+    command does not read is refused; a flag set to None is unset."""
     flags = dict(flags or {})
     t0 = time.monotonic()
     status = "ok"
     payload = {}
     residual_terms = None
     try:
+        if cmd not in COMMAND_FLAGS:
+            raise QShiftError(f"unknown command {cmd!r}")
+        unread = [name for name, value in flags.items()
+                  if value is not None and name not in COMMAND_FLAGS[cmd]]
+        if unread:
+            raise UsageError(
+                f"{cmd} does not read the flag {unread[0]!r}; its flags are: "
+                f"{', '.join(COMMAND_FLAGS[cmd]) or 'none'}")
         if cmd == "milnor":
             n = milnor_number(problem.f, len(problem.vars), problem.vars)
             payload = {"milnor": int(n), **n.certificate}
@@ -389,12 +413,9 @@ def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
             payload = {"dims": [{"degree": d, "hbar_exp": e, "dim": n}
                                 for (d, e), n in sorted(table.items())],
                        "kind": kind, "level": level, "p": p}
-        else:
-            raise QShiftError(f"unknown command {cmd!r}")
     except (QShiftError, KeyError, ValueError, ArithmeticError) as exc:
         status = "error"
-        payload = {"reason": str(exc) or repr(exc),
-                   "error_type": type(exc).__name__}
+        payload = _error_payload(exc)
     timing_ms = int((time.monotonic() - t0) * 1000)
     return Report(cmd, status, payload, residual_terms, timing_ms)
 
@@ -403,60 +424,64 @@ def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
 # Entry point
 # ---------------------------------------------------------------------------
 
+class _CommandParser(argparse.ArgumentParser):
+    """The parser of one command: a bad argument raises UsageError, which
+    ``main`` answers with an error report, instead of exiting."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _build_argparser():
+    """One subcommand per entry of COMMAND_FLAGS, taking the problem file
+    and its flags as strings; ``run_command`` checks their values."""
     ap = argparse.ArgumentParser(
         prog="qshift",
         description="Exact checks and cohomology for BV quantisations of "
                     "derived critical loci of polynomials.")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    sub = ap.add_subparsers(dest="command", required=True,
+                            parser_class=_CommandParser)
+    for cmd, names in COMMAND_FLAGS.items():
+        p = sub.add_parser(cmd)
         p.add_argument("file", help="problem file (vars ...; f = ...;)")
-
-    for name in ("milnor", "vc-dims", "koszul-dims", "check-mc",
-                 "check-selfdual"):
-        common(sub.add_parser(name))
-    p = sub.add_parser("check-compat")
-    common(p)
-    p.add_argument("--window", type=int, default=None)
-    p = sub.add_parser("eigen")
-    common(p)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-degree", type=int, default=None, dest="max_degree")
-    p = sub.add_parser("filtration")
-    common(p)
-    p.add_argument("--kind", choices=["g", "ftilde", "conv"], default="ftilde")
-    p.add_argument("--level", type=int, default=0)
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--max-degree", type=int, default=None, dest="max_degree")
-    p.add_argument("--hbar-max", type=int, default=4, dest="hbar_max")
+        for name in names:
+            p.add_argument("--" + name.replace("_", "-"), dest=name)
     return ap
 
 
-def main(argv=None) -> int:
-    ap = _build_argparser()
-    args = ap.parse_args(argv)
-    flags = {k: v for k, v in vars(args).items()
-             if k not in ("command", "file")}
+def _run_file(cmd, path, flags):
     try:
-        with open(args.file, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        report = Report(args.command, "error",
-                        {"reason": str(exc), "error_type": "IOError"})
+        return Report(cmd, "error", {"reason": str(exc), "error_type": "IOError"})
+    try:
+        return run_command(cmd, parse_problem(text), flags)
+    except Exception as exc:
+        # last resort for a fault in the engine: an escaping exception
+        # would exit 1, which means "identity violated"
+        if not isinstance(exc, QShiftError):
+            import traceback  # only on this path: it slows start-up
+            traceback.print_exc(limit=-10)  # the innermost frames
+        return Report(cmd, "error", _error_payload(exc))
+
+
+def main(argv=None) -> int:
+    """Run one command.  An unknown or missing command exits 2 from
+    argparse; a bad argument to a known command gets an error report."""
+    args = argparse.Namespace()
+    try:
+        # argparse sets args.command before it parses the command's own
+        # arguments, so a bad one is reported under its command
+        _, extra = _build_argparser().parse_known_args(argv, args)
+        if extra:
+            raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
+    except UsageError as exc:
+        report = Report(args.command, "error", _error_payload(exc))
     else:
-        try:
-            report = run_command(args.command, parse_problem(text), flags)
-        except Exception as exc:
-            # last resort for a fault in the engine: an escaping exception
-            # would exit 1, which means "identity violated"
-            if not isinstance(exc, QShiftError):
-                import traceback  # only on this path: it slows start-up
-                traceback.print_exc(limit=-10)  # the innermost frames
-            report = Report(args.command, "error",
-                            {"reason": str(exc) or repr(exc),
-                             "error_type": type(exc).__name__})
+        flags = {k: v for k, v in vars(args).items()
+                 if k not in ("command", "file")}
+        report = _run_file(args.command, args.file, flags)
     if report.status != "ok":
         print(f"qshift: {report.status}: "
               f"{report.payload.get('reason', '')}", file=sys.stderr)

@@ -13,7 +13,8 @@ mu the substitution homomorphism e -> Delta.
 
 from __future__ import annotations
 
-from .coefficients import _accumulate, _canon, _Store, codec, solve_rational
+from .coefficients import (_accumulate, _canon, _div, _Store, codec,
+                           solve_rational)
 from .diffops import Operator, _banded_images, _product_into, op_commutator
 from .errors import NotCertified, NotMaurerCartan
 from .gca import CritLocus, Element, _mono_mul, apply_koszul_delta
@@ -163,11 +164,11 @@ def _horner(C, words, D, slots=None, left=None, prefix=0):
     D is the list of Delta's items; an element key a is the key of its
     multiplication operator.
 
-    With a list ``slots`` it also appends the rho-free factors of nu for
-    each proper prefix q: its Koszul exponent (degrees of q's factors plus
-    its length - 1), the items of L_q = a_0 Delta ... a_q, built from the
-    parent's L Delta, and those of R_q, the sum of the tails after q with
-    the words' c hbar^e.
+    With a dict ``slots`` it also gathers nu's rho-free factors: per proper
+    prefix q, its Koszul exponent (degrees of q's factors plus its length
+    - 1), L_q = a_0 Delta ... a_q, built from the parent's L Delta, and R_q,
+    the sum of the tails after q with the words' c hbar^e.  For R_q = c R^,
+    R^ being 1 on its least key, slots[(exponent parity, R^)] sums c L_q.
     """
     groups = {}
     for ws, e, c in words:
@@ -188,9 +189,13 @@ def _horner(C, words, D, slots=None, left=None, prefix=0):
                         left_d = _times(left, D, C)
                     la = left_d if a == 0 else _times(left_d, mult, C)
                 deg = prefix + C.degree(a)
-                right = list(_horner(C, rest, D, slots, la, deg + 1).items())
+                right = sorted(_horner(C, rest, D, slots, la, deg + 1).items())
                 if la and right:
-                    slots.append((deg, la, right))
+                    lead = right[0][1]
+                    hat = tuple((k, _div(v, lead)) for k, v in right)
+                    merged = slots.setdefault((deg & 1, hat), {})
+                    for k, v in la:
+                        _accumulate(merged, k, lead * v)
             _product_into(inner, D, right, C)
         if a == 0:
             for k, v in inner.items():
@@ -211,25 +216,27 @@ def mu(w: DRWord, delta: Quantisation, X: CritLocus) -> Operator:
 
 
 def _nu_slots(w: DRWord, delta: Quantisation):
-    """The rho-free factors of nu, one (Koszul exponent, L, R) slot per
-    distinct proper prefix of the words (see ``_horner``), and mu(w), which
-    the same traversal evaluates."""
-    slots = []
-    store = _horner(codec(w.m), _words(w),
-                    list(delta.terms.items()), slots)
-    return slots, Operator._from_store(w.m, store)
+    """The rho-free factors of nu as (parity, L, R) slots, one per Koszul
+    exponent parity and right factor up to a scalar, L the sum of the scaled
+    left factors that share them (see ``_horner``) and never zero, and
+    mu(w), which the same traversal evaluates."""
+    slots = {}
+    store = _horner(codec(w.m), _words(w), list(delta.terms.items()), slots)
+    return ([(parity, list(left.items()), right)
+             for (parity, right), left in slots.items() if left],
+            Operator._from_store(w.m, store))
 
 
 def _nu_apply(slots, rho: Operator) -> Operator:
-    """Sum over slots and degree parts rho_d of (-1)^((d - 1) * exponent)
-    L o rho_d o R.  An even exponent takes rho itself and an odd one rho
-    with its even-degree part negated, so each slot takes two products."""
+    """nu(rho) by distributivity: the sum over slots and degree parts rho_d
+    of (-1)^((d - 1) * parity) L o rho_d o R.  An even parity takes rho, an
+    odd one rho with its even-degree part negated: two products a slot."""
     C = codec(rho.m)
     plain = list(rho.terms.items())
     twisted = [(k, c if C.degree(k) & 1 else -c) for k, c in plain]
     out = {}
-    for prefix, left, right in slots:
-        _product_into(out, _times(left, twisted if prefix % 2 else plain, C),
+    for parity, left, right in slots:
+        _product_into(out, _times(left, twisted if parity else plain, C),
                       right, C)
     return Operator._from_store(rho.m, out)
 

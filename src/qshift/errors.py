@@ -49,6 +49,10 @@ class ExponentOverflow(QShiftError):
     """An exponent beyond the field of a packed monomial key."""
 
 
+class UsageError(QShiftError):
+    """A command-line argument or flag that its command does not take."""
+
+
 class ParseError(QShiftError):
     """Problem-file syntax error, carries 1-based line/column."""
 

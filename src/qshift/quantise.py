@@ -10,6 +10,8 @@ against the membership constraint order(Delta_j) <= j when it is built.
 
 from __future__ import annotations
 
+from math import comb
+
 from .coefficients import codec
 from .cohomology import eta_subsets, iter_y_exponents
 from .diffops import (Operator, _banded_images, op_commutator, op_compose,
@@ -129,26 +131,18 @@ def centre_differential(X: CritLocus, delta: Quantisation, u: Operator,
 # Operator windows and filtration dimension tables
 # ---------------------------------------------------------------------------
 
-def _derivative_parts(m, order_cap, arity_exact=None):
-    """The derivative parts (b, T) of the operator window: d_y^b d_eta_T of
-    order <= order_cap, or exactly ``arity_exact``; T in ``eta_subsets``
-    order, then b lexicographic."""
-    top = order_cap if arity_exact is None else arity_exact
-    return [(b, T) for T in eta_subsets(m) if len(T) <= top
-            for b in iter_y_exponents(m, top - len(T))
-            if arity_exact is None or sum(b) + len(T) == top]
-
-
 def operator_keys_in_window(X: CritLocus, order_cap: int, ydeg_cap: int,
                             arity_exact=None):
     """Operator monomial keys y^a eta_S d_y^b d_eta_T with derivative degree
     <= order_cap (or exactly ``arity_exact``) and |a| <= ydeg_cap, ordered
-    by (b, T), then S, then a."""
+    by T in ``eta_subsets`` order, then b lexicographic, then S, then a."""
     C = codec(X.m)
-    zero = (0,) * X.m
-    subsets = eta_subsets(X.m)
+    zero, subsets = (0,) * X.m, eta_subsets(X.m)
+    top = order_cap if arity_exact is None else arity_exact
     alist = [C.encode(a) for a in iter_y_exponents(X.m, ydeg_cap)]
-    return [fixed + a for b, T in _derivative_parts(X.m, order_cap, arity_exact)
+    return [fixed + a for T in subsets if len(T) <= top
+            for b in iter_y_exponents(X.m, top - len(T))
+            if arity_exact is None or sum(b) + len(T) == top
             for S in subsets for fixed in (C.encode(zero, S, b, T),)
             for a in alist]
 
@@ -174,21 +168,20 @@ def _order_bound(label: FiltrationLabel, p: int, j: int):
 def filtration_dims(label: FiltrationLabel, p: int, degrees, hbar_exps,
                     X: CritLocus, ydeg_cap: int):
     """Q-dimensions of a filtration piece per (cohomological degree,
-    hbar-exponent) within the window |a| <= ydeg_cap: the derivative parts
-    at the largest order bound, counted by (degree, order) per (b, T, S),
-    each block holding every y^a of the window."""
-    bounds = {e: _order_bound(label, p, e + 1) for e in hbar_exps}
-    cap = max((b for b in bounds.values() if b is not None), default=-1)
-    block = sum(1 for _ in iter_y_exponents(X.m, ydeg_cap))
-    subsets = eta_subsets(X.m)
-    counts = {}
-    for b, T in _derivative_parts(X.m, cap):
-        for S in subsets:
-            dk = (len(T) - len(S), sum(b) + len(T))
-            counts[dk] = counts.get(dk, 0) + block
-    return {(d, e): sum(counts.get((d, o), 0) for o in range(bound + 1))
-            if bound is not None else 0
-            for e, bound in bounds.items() for d in degrees}
+    hbar-exponent) within the window |a| <= ydeg_cap, in closed form: the
+    derivative parts (b, T) with eta set S of degree |T| - |S| and order o
+    number C(m, |T|) C(m, |S|) C(o - |T| + m - 1, m - 1), which sum over
+    o <= bound to C(bound - |T| + m, m), each with C(ydeg_cap + m, m) y^a."""
+    m = X.m
+
+    def dim(d, bound):
+        return comb(ydeg_cap + m, m) * sum(
+            comb(m, t) * comb(m, t - d) * comb(bound - t + m, m)
+            for t in range(max(d, 0), min(m, bound) + 1))
+
+    return {(d, e): 0 if bound is None else dim(d, bound)
+            for e in hbar_exps for bound in (_order_bound(label, p, e + 1),)
+            for d in degrees}
 
 
 # ---------------------------------------------------------------------------

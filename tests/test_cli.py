@@ -215,19 +215,31 @@ def test_kernel_arithmetic_errors_exit_2(monkeypatch, tmp_path, capsys,
     jsonschema.validate(out, SCHEMA)
 
 
+def _usage_error(capsys, argv, reason):
+    """main answers a bad argument to a known command with a schema-valid
+    error report on stdout and exit 2."""
+    code = main(argv)
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out["command"] == argv[0]
+    assert out["status"] == "error"
+    assert out["payload"]["reason"] == reason
+    jsonschema.validate(out, SCHEMA)
+    return out
+
+
 def test_seed_precedence(tmp_path, capsys, monkeypatch):
     """No answer reads a seed, so no seed source takes precedence: a
-    ``seed`` option is refused by the parser, ``--seed`` by argparse (exit
-    2), and QSHIFT_SEED in the environment leaves the report unchanged."""
+    ``seed`` option is refused by the parser, ``--seed`` with an error
+    report (exit 2), and QSHIFT_SEED in the environment leaves the report
+    unchanged."""
     with pytest.raises(ParseError):
         parse_problem("vars x; f = x^2; seed = 5;")
     path = tmp_path / "p.qs"
     path.write_text("vars x y; f = x^3 + y^3;\n")
     for cmd in ("vc-dims", "milnor"):
-        with pytest.raises(SystemExit) as exc:
-            main([cmd, str(path), "--seed", "7"])
-        capsys.readouterr()
-        assert exc.value.code == 2
+        _usage_error(capsys, [cmd, str(path), "--seed", "7"],
+                     "unrecognized arguments: --seed 7")
         monkeypatch.delenv("QSHIFT_SEED", raising=False)
         assert main([cmd, str(path)]) == 0
         plain = json.loads(capsys.readouterr().out)["payload"]
@@ -237,15 +249,68 @@ def test_seed_precedence(tmp_path, capsys, monkeypatch):
 
 
 def test_removed_flags_are_refused(tmp_path, capsys):
-    """vc-dims reads no degree bound, so argparse refuses ``--max-degree``
-    there (exit 2).  ``max_degree`` is an option of eigen and filtration;
-    vc-dims ignores it (see ``test_zero_settings_are_kept``)."""
+    """vc-dims reads no degree bound, so ``--max-degree`` is refused there
+    with an error report (exit 2).  ``max_degree`` is an option of eigen
+    and filtration; vc-dims ignores it (see ``test_zero_settings_are_kept``)."""
     path = tmp_path / "p.qs"
     path.write_text("vars x; f = x^2;\n")
+    out = _usage_error(capsys, ["vc-dims", str(path), "--max-degree", "3"],
+                       "unrecognized arguments: --max-degree 3")
+    assert out["payload"]["error_type"] == "UsageError"
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["eigen", "FILE", "--p", "1.5", "--k", "2"], "p must be an integer, not 1.5"),
+    (["eigen", "FILE", "--k", "2", "--p"], "argument --p: expected one argument"),
+    (["filtration", "FILE", "--kind", "bogus"],
+     "kind must be one of g, ftilde, conv, not 'bogus'"),
+    (["check-compat", "FILE", "--window", "abc"],
+     "window must be an integer, not abc"),
+    (["milnor", "FILE", "extra"], "unrecognized arguments: extra"),
+    (["milnor"], "the following arguments are required: file"),
+], ids=["eigen-p-1.5", "eigen-p-no-value", "filtration-kind-bogus",
+        "check-compat-window-abc", "milnor-extra", "milnor-no-file"])
+def test_bad_flags_get_an_error_report(tmp_path, capsys, argv, reason):
+    """A bad flag value, a flag without its value, a stray argument and a
+    missing file each get an error report under their command (exit 2)."""
+    path = tmp_path / "p.qs"
+    path.write_text("vars x y; f = x^3 + y^3;\n")
+    _usage_error(capsys, [str(path) if a == "FILE" else a for a in argv],
+                 reason)
+
+
+@pytest.mark.parametrize("argv", [["bogus", "p.qs"], [], ["--p", "2"]],
+                         ids=["unknown", "missing", "flag-only"])
+def test_unknown_or_missing_command_exits_from_argparse(capsys, argv):
+    """A report's command is one of the known commands, so an unknown or
+    missing command gets argparse's usage line and exit 2, no report."""
     with pytest.raises(SystemExit) as exc:
-        main(["vc-dims", str(path), "--max-degree", "3"])
-    capsys.readouterr()
+        main(argv)
     assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("cmd, flags, name", [
+    ("check-compat", {"windw": 0}, "windw"),
+    ("vc-dims", {"mode": "weight"}, "mode"),
+    ("milnor", {"max_degree": -5}, "max_degree"),
+    ("eigen", {"p": 1, "k": 2, "level": 1}, "level"),
+], ids=["check-compat-windw", "vc-dims-mode", "milnor-max_degree",
+        "eigen-level"])
+def test_run_command_refuses_flags_it_does_not_read(cmd, flags, name):
+    """run_command refuses a flag its command does not read, naming it,
+    where it once answered ok with the flag ignored; a flag set to None is
+    unset, as main passes every flag of the command."""
+    problem = parse_problem("vars x y; f = x^3 + y^3;")
+    report = run_command(cmd, problem, flags)
+    assert report.status == "error" and report.exit_code == 2
+    assert report.payload["error_type"] == "UsageError"
+    assert report.payload["reason"].startswith(
+        f"{cmd} does not read the flag {name!r}")
+    _validate(report)
+    unset = {key: None for key in flags}
+    assert run_command(cmd, problem, unset).status == (
+        "error" if cmd == "eigen" else "ok")
 
 
 def test_eigen_non_scalar_block_exits_2(monkeypatch, tmp_path, capsys):
@@ -417,14 +482,12 @@ def test_vc_dims_refuses_what_it_cannot_certify(tmp_path, capsys, text):
 
 def test_vc_dims_mode_is_refused(tmp_path, capsys):
     """vc-dims chooses its certificate from f: ``--mode`` is an unknown
-    flag (exit 2) and ``mode = weight;`` an unknown option, refused with an
+    flag and ``mode = weight;`` an unknown option, each refused with an
     error report (exit 2)."""
     path = tmp_path / "p.qs"
     path.write_text("vars x y; f = 1/2*x^3 + 2/3*y^3;\n")
-    with pytest.raises(SystemExit) as exit_info:
-        main(["vc-dims", str(path), "--mode", "weight"])
-    assert exit_info.value.code == 2
-    capsys.readouterr()
+    _usage_error(capsys, ["vc-dims", str(path), "--mode", "weight"],
+                 "unrecognized arguments: --mode weight")
     path.write_text("vars x y; f = 1/2*x^3 + 2/3*y^3; mode = weight;\n")
     assert main(["vc-dims", str(path)]) == 2
     out = json.loads(capsys.readouterr().out)

@@ -397,16 +397,41 @@ def _random_word(rng, m, length):
 
 
 def test_nu_matches_left_to_right_reference():
+    """nu against its slot-by-slot definition, for m up to 3.  Beside a
+    random word w, two words make slots share a right factor up to a
+    non-unit rational, so that merging them divides: 2/3 omega + w, whose
+    merged left factors always carry a Fraction, and w plus the words of w
+    with (2/3) y_1 multiplied into the first factor."""
     rng = random.Random(22)
     for trial in range(24):
-        m = 1 + trial % 2
-        X = corpus_locus(4 if m == 2 else 0)
+        m = 1 + trial % 3
+        X = corpus_locus((0, 4, 7)[m - 1])
         delta = random_quantisation(rng, m)
         rho = sum((random_homogeneous_operator(rng, m, rng.randint(0, 2), d)
                    for d in (-1, 0, 1)), Operator.zero(m))
         rho = rho + mc_residual(X, delta)
         w = _random_word(rng, m, 1 + trial % 4)
-        assert nu(w, delta, rho, X) == _nu_reference(w, delta, rho)
+        third = Fraction(2, 3)
+        omega = canonical_symplectic(X).scale(third) + w
+        for word in (w, omega, w + cup(dr_of(Element.y(m, 1).scale(third)), w)):
+            assert nu(word, delta, rho, X) == _nu_reference(word, delta, rho)
+        slots, _ = _nu_slots(omega, delta)
+        assert any(type(c) is Fraction for _, left, _ in slots for _, c in left)
+
+
+@pytest.mark.parametrize("m, count, terms", [(1, 4, 5), (2, 6, 8), (3, 8, 11)])
+def test_canonical_pair_slots_grouped_by_right_factor(m, count, terms):
+    """The canonical pair on x_1^3 + ... + x_m^3 has 6/11/16 proper
+    prefixes, whose left factors carry 11/29/55 terms; merged per parity
+    and right factor up to a scalar, they come to 4/6/8 slots with 5/8/11
+    terms, each right factor 1 on its least key."""
+    f = sum((Element.y(m, i) ** 3 for i in range(2, m + 1)), Element.y(m, 1) ** 3)
+    X = make_crit_locus(f, m)
+    slots, _ = _nu_slots(canonical_symplectic(X), bv_quantisation(X))
+    assert len(slots) == count
+    assert sum(len(left) for _, left, _ in slots) == terms
+    assert len({(parity, right) for parity, _, right in slots}) == count
+    assert all(dict(right)[min(dict(right))] == 1 for _, _, right in slots)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -389,29 +390,30 @@ def test_degree_window_keys_match_nested_loops(idx):
 
 @pytest.mark.parametrize("idx", [1, 4, 7], ids=["x^3", "x^3+y^3", "x^2+y^2+z^2"])
 def test_filtration_dims_match_definition(idx):
-    """Each entry counts the keys of one window enumeration at its own order
-    bound: every kind, levels 0..2, p 0..3."""
+    """Each entry of the closed form counts the keys of one window
+    enumeration at its own order bound: every kind, levels 0..3, p 0..3,
+    ydeg_cap 0..3 and hbar exponents -1..5."""
     X = corpus_locus(idx)
-    ydeg_cap = 1
     degrees = range(-X.m, X.m + 1)
-    hbar_exps = range(-1, 3)
+    hbar_exps = range(-1, 6)
     windows = {}
     for kind in (FiltrationLabel.FTILDE, FiltrationLabel.G, FiltrationLabel.CONV):
-        for level in range(3):
+        for level in range(4):
             label = FiltrationLabel(kind, level)
-            for p in range(4):
+            for p, ydeg_cap in itertools.product(range(4), range(4)):
                 table = filtration_dims(label, p, degrees, hbar_exps, X, ydeg_cap)
-                assert set(table) == {(d, e) for d in degrees for e in hbar_exps}
+                assert list(table) == [(d, e) for e in hbar_exps for d in degrees]
                 for e in hbar_exps:
                     bound = _order_bound(label, p, e + 1)
                     if bound is None:
                         assert all(table[(d, e)] == 0 for d in degrees)
                         continue
-                    if bound not in windows:
-                        windows[bound] = [codec(X.m).degree(k) for k in
-                                          operator_keys_in_window(X, bound, ydeg_cap)]
+                    if (bound, ydeg_cap) not in windows:
+                        windows[bound, ydeg_cap] = Counter(
+                            codec(X.m).degree(k) for k in
+                            operator_keys_in_window(X, bound, ydeg_cap))
                     for d in degrees:
-                        assert table[(d, e)] == windows[bound].count(d)
+                        assert table[(d, e)] == windows[bound, ydeg_cap][d]
 
 
 # ---------------------------------------------------------------------------
