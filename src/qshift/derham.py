@@ -324,8 +324,8 @@ def check_compatibility(omega: DRWord, delta: Quantisation, X: CritLocus,
     degrees = {d - 1 for d in r.degrees()}
     keys = operator_keys_in_window(X, window.order_cap, window.ydeg_cap)
     # a stable sort: ascending degree, enumeration order within a degree
-    candidates = sorted([k for k in keys if C.degree(k) in degrees],
-                        key=C.degree)
+    keyed = [(d, k) for k in keys if (d := C.degree(k)) in degrees]
+    candidates = [k for _, k in sorted(keyed, key=lambda dk: dk[0])]
     shifts = [e << C.hbar_shift for e in range(window.hbar_max + 1)]
     unknowns = [key + h for key in candidates for h in shifts]
     total = koszul_operator(X) + delta

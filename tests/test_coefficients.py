@@ -12,6 +12,7 @@ from qshift.gca import Element, make_crit_locus
 
 from conftest import random_hseries, sparse_rows
 from hbar_oracle import _divexact, rank_exact_fraction_field, twisted_matrix
+from solve_oracle import component, full_solve
 
 
 def H(coeffs):
@@ -298,6 +299,87 @@ def test_kernel_on_witness_shaped_systems(system):
     assert solve_rational(permuted, {where[i]: b for i, b in rhs.items()},
                           ncols) == sol
     assert repr((rows, rhs)) == before
+
+
+_block_entries = st.one_of(st.just(0), st.just(0), st.integers(-5, 5),
+                           st.builds(Fraction, st.integers(-5, 5),
+                                     st.integers(1, 4)))
+_nonzero = st.sampled_from([1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def _block_systems(draw):
+    """(rows, rhs, ncols): one to four blocks, random of 1-6 rows or chains
+    of 3-6 rows, with int, Fraction and explicitly stored zero entries,
+    their rows and columns permuted and interleaved.  b is A x on every
+    block, with an entry in every row; or, per block, 0, A x for a sparse
+    x, or one arbitrary entry, and then it may be made inconsistent by
+    repeating a row of one block with a different b."""
+    kind = draw(st.sampled_from(["subset", "all", "inconsistent"]))
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            width = draw(st.integers(1, 6))
+            block = [[draw(_block_entries) for _ in range(width)]
+                     for _ in range(draw(st.integers(1, 6)))]
+        else:  # a chain, as in a band: row i in columns i - 1 and i
+            width = height = draw(st.integers(3, 6))
+            block = [[draw(_nonzero) if i - c in (0, 1) else 0
+                      for c in range(width)] for i in range(height)]
+        x = [draw(st.sampled_from([0, 0, 1, -2, Fraction(3, 2)]))
+             for _ in range(width)]
+        b = [sum(a * v for a, v in zip(row, x)) for row in block]
+        part = draw(st.sampled_from(["entry", "zero", "image"]))
+        if kind != "all" and part != "image":
+            b = [0] * len(block)
+            if part == "entry":
+                b[draw(st.integers(0, len(block) - 1))] = draw(_nonzero)
+        blocks.append((block, b))
+    if kind == "inconsistent":
+        block, b = draw(st.sampled_from(blocks))
+        i = draw(st.integers(0, len(block) - 1))
+        block.append(list(block[i]))
+        b.append(b[i] + draw(st.sampled_from([1, -2, Fraction(1, 3)])))
+    ncols = sum(len(block[0]) for block, _ in blocks)
+    cols = iter(draw(st.permutations(range(ncols))))
+    tagged = []
+    for block, b in blocks:
+        where = [next(cols) for _ in block[0]]
+        for row, bi in zip(block, b):
+            tagged.append(({c: v for c, v in zip(where, row)
+                            if v or not draw(st.integers(0, 3))}, bi))
+    tagged = draw(st.permutations(tagged))
+    rows = [row for row, _ in tagged]
+    rhs = {i: bi for i, (_, bi) in enumerate(tagged)
+           if kind == "all" or bi or not draw(st.integers(0, 3))}
+    return rows, rhs, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(_block_systems())
+def test_solve_matches_whole_system_on_block_diagonal_systems(system):
+    """Eliminating only b's component gives the whole-system solution,
+    entry for entry and None for None, and 0 on every unknown outside b's
+    component; the caller's rows are left as they were."""
+    rows, rhs, ncols = system
+    before = repr((rows, rhs))
+    sol = solve_rational(rows, rhs, ncols)
+    expected = full_solve(rows, rhs, ncols)
+    assert repr(sol) == repr(expected)  # entries and their types
+    assert repr((rows, rhs)) == before
+    if sol is not None:
+        _, reached = component(rows, rhs)
+        assert all(not v for c, v in enumerate(sol) if c not in reached)
+
+
+def test_solve_follows_a_chain_past_b_neighbours():
+    """b sits at the one-entry end of a chain: x_3 is fixed by a row three
+    column steps from b's row, and the row in column 5 is never reached."""
+    rows = [{5: 1}, {2: 2, 3: 1}, {0: 1}, {1: 1, 2: 1}, {0: 1, 1: 1}]
+    for rhs in ({2: 1}, {2: 1, 0: 0}):
+        assert solve_rational(rows, rhs, 6) == full_solve(rows, rhs, 6) == \
+            [1, -1, 1, -2, 0, 0]
+    assert solve_rational(rows, {0: 1, 2: 1}, 6) == [1, -1, 1, -2, 0, 1]
 
 
 def test_slice_rank_hands_canonical_sparse_rows(monkeypatch):

@@ -24,6 +24,7 @@ from qshift.quantise import (Quantisation, bv_quantisation, centre_differential,
                              sigma_tangent)
 
 from generator_oracle import op_apply
+from solve_oracle import component, full_solve
 
 from conftest import (corpus_locus, decoded, decoded_words, degree_part,
                       hbar_component, levels, random_element,
@@ -646,13 +647,20 @@ def _per_key_system(omega, delta, X, window):
     return list(rows.values()), dict(enumerate(r.terms.values())), unknowns
 
 
+def _witness_jobs(monkeypatch):
+    """(name, X, window, expected verdict) for every witness window of the
+    benchmark."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    problems = workloads.load_problems({n for n, _, _ in workloads.WITNESS_JOBS})
+    return [(name, problems[name].crit_locus(), SearchWindow(*window), kind)
+            for name, window, kind in workloads.WITNESS_JOBS]
+
+
 def test_banded_witness_search_matches_per_key_search(monkeypatch):
     """On every witness window of the benchmark, the banded search hands
     the solver the rows of the per-key assembly, in the same order, and
     reports the witness that those rows give."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    workloads = importlib.import_module("workloads")
-    problems = workloads.load_problems({n for n, _, _ in workloads.WITNESS_JOBS})
     systems = []
 
     def recording(rows, rhs, ncols):
@@ -660,10 +668,8 @@ def test_banded_witness_search_matches_per_key_search(monkeypatch):
         return solve_rational(rows, rhs, ncols)
 
     monkeypatch.setattr(derham, "solve_rational", recording)
-    for name, (order_cap, ydeg_cap, hbar_max), kind in workloads.WITNESS_JOBS:
-        X = problems[name].crit_locus()
+    for name, X, window, kind in _witness_jobs(monkeypatch):
         bv, omega = bv_quantisation(X), DRWord.zero(X.m, 2)
-        window = SearchWindow(order_cap, ydeg_cap, hbar_max)
         verdict = check_compatibility(omega, bv, X, window)
         rows, rhs, unknowns = _per_key_system(omega, bv, X, window)
         (got_rows, got_rhs, ncols), = systems
@@ -678,6 +684,78 @@ def test_banded_witness_search_matches_per_key_search(monkeypatch):
         else:
             assert verdict.witness == Operator._from_store(
                 X.m, {u: v for u, v in zip(unknowns, sol) if v})
+
+
+def test_witness_search_solves_only_the_reached_block(monkeypatch):
+    """On every witness window of the benchmark the kernel gives the verdict
+    and the witness store that the whole-system oracle gives, and for
+    x^3+y^5 at (2, 2, 4) it eliminates at most 40 of the 1,023 rows."""
+    from qshift import coefficients
+    eliminate, eliminated, whole = coefficients._eliminate, [], []
+
+    def spy(rows):
+        eliminated.append(len(rows))
+        return eliminate(rows)
+
+    def oracle_solve(rows, rhs, ncols):
+        whole.append(len(rows))
+        return full_solve(rows, rhs, ncols)
+
+    for name, X, window, kind in _witness_jobs(monkeypatch):
+        bv, omega = bv_quantisation(X), DRWord.zero(X.m, 2)
+        eliminated.clear()
+        whole.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(coefficients, "_eliminate", spy)
+            verdict = check_compatibility(omega, bv, X, window)
+        with monkeypatch.context() as patch:
+            patch.setattr(derham, "solve_rational", oracle_solve)
+            oracle = check_compatibility(omega, bv, X, window)
+        assert verdict.kind == oracle.kind == kind
+        assert (verdict.witness is None) == (oracle.witness is None)
+        if verdict.witness is not None:
+            assert list(verdict.witness.terms.items()) == \
+                list(oracle.witness.terms.items())
+        if (name, window.order_cap, window.ydeg_cap,
+                window.hbar_max) == ("x3y5", 2, 2, 4):
+            assert whole == [1023] and len(eliminated) == 1
+            assert eliminated[0] <= 40
+
+
+def test_fails_verdicts_have_a_small_dual_certificate(monkeypatch):
+    """Each Fails window's system is inconsistent, shown by a dual vector y
+    on b's component alone: y^T A = 0 and y^T b = 1, both checked by direct
+    multiplication over the whole system.  The component is 2 to 4 rows."""
+    systems = []
+
+    def recording(rows, rhs, ncols):
+        systems.append((rows, rhs, ncols))
+        return solve_rational(rows, rhs, ncols)
+
+    monkeypatch.setattr(derham, "solve_rational", recording)
+    fails = [job for job in _witness_jobs(monkeypatch)
+             if job[3] == CompatVerdict.FAILS]
+    assert len(fails) == 6
+    for name, X, window, kind in fails:
+        verdict = check_compatibility(DRWord.zero(X.m, 2), bv_quantisation(X),
+                                      X, window)
+        assert verdict.kind == kind and verdict.witness is None
+        (rows, rhs, ncols), = systems
+        systems.clear()
+        reached, cols = component(rows, rhs)
+        assert 2 <= len(reached) <= 4
+        # the transposed system: one equation per column of the component,
+        # and y^T b = 1 last
+        dual = [{j: rows[i][c] for j, i in enumerate(reached) if rows[i].get(c)}
+                for c in sorted(cols)]
+        dual.append({j: rhs[i] for j, i in enumerate(reached) if rhs.get(i)})
+        y = full_solve(dual, {len(dual) - 1: 1}, len(reached))
+        assert y is not None
+        y = dict(zip(reached, y))
+        for c in range(ncols):
+            assert sum(y.get(i, 0) * row.get(c, 0)
+                       for i, row in enumerate(rows)) == 0
+        assert sum(y.get(i, 0) * b for i, b in rhs.items()) == 1
 
 
 def test_wrong_witness_is_refused(monkeypatch):
