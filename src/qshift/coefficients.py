@@ -485,31 +485,7 @@ def solve_rational(rows, rhs, ncols):
     in the column space); otherwise back-substitutes with every free
     variable 0, one exact division by each pivot's lead.  The entries of
     the solution are canonical.
-
-    Only the rows connected to b's rows through shared columns are
-    eliminated, found by one search over a column -> rows index; every
-    other unknown is 0.  A is block-diagonal over the connected components
-    of its row-column graph, and a component where b is 0 is solved by
-    x = 0.  ``_eliminate`` reduces a row only against pivots that lead in
-    that row's columns, so it never mixes two components, and its stable
-    shortest-first order gives each component the same pivots with or
-    without the others: the answer, and a refusal, are those of the whole
-    system.  When b has an entry in every row the search is skipped.
     """
-    if len(rhs) < len(rows):
-        by_col = {}
-        for i, row in enumerate(rows):
-            for c in row:
-                by_col.setdefault(c, []).append(i)
-        reached, todo, seen = set(rhs), list(rhs), set()
-        while todo:
-            for c in rows[todo.pop()].keys() - seen:
-                seen.add(c)
-                todo += [i for i in by_col[c] if i not in reached]
-                reached.update(by_col[c])
-        keep = sorted(reached)
-        rhs = {n: rhs[i] for n, i in enumerate(keep) if i in rhs}
-        rows = [rows[i] for i in keep]
     pivots = _eliminate(_admit(rows, rhs, ncols))
     if ncols in pivots:
         return None

@@ -290,13 +290,25 @@ def milnor_number(f: Element, m: int, names=None) -> int:
     Q-basis of the quotient, so mu is their count: 0 for the unit ideal.
     Each y_i needs a pure power y_i^e among the leading monomials, which
     bounds a_i < e; without one, all powers of y_i are standard: NonIsolated,
-    naming y_i by ``names`` (the declared variables), else as y_i.
+    naming y_i by ``names`` (the declared variables), else as y_i.  First,
+    if m >= 2 and y_i^2 divides every term, the hyperplane y_i = 0 lies in
+    the critical locus: NonIsolated without a Groebner basis.
     """
     if f.is_zero():
         raise ZeroPolynomial("f = 0")
     if not f.is_polynomial():
         raise NotPolynomial("f must be a polynomial in y only")
     C = codec(m)
+    # a y field x < limit is >= 2 iff x + (limit - 2) sets its guard bit
+    low, squares = C.y_lows - sum(C.y), (C.y_guards if m >= 2 else 0)
+    for k in f.terms:
+        squares &= k + low
+    for i, o in enumerate(C.y_off):
+        if squares >> o & C.limit:
+            name = names[i] if names else f"y_{i + 1}"
+            raise NonIsolated(f"{name}^2 divides every term of f, so the "
+                              f"hyperplane {name} = 0 lies in the critical "
+                              f"locus: Q[y]/(df) is infinite-dimensional")
     leads = sorted((lead for lead, _ in _groebner(
         [{C.y_exponents(k): c for k, c in f.partial_y(i).terms.items()}
          for i in range(1, m + 1)])), key=_grevlex)

@@ -311,7 +311,11 @@ def check_compatibility(omega: DRWord, delta: Quantisation, X: CritLocus,
     [delta + Delta, hbar^e u] = hbar^e [delta + Delta, u]: the centre
     differential of every monomial u at hbar^0 is one banded commutator,
     and the column of each hbar^e u is that image with every hbar exponent
-    shifted by e.  A witness is reported only if its image is the residual.
+    shifted by e.  Only the rows that the residual's rows reach through
+    shared columns are assembled, in the whole system's order: any other
+    component has b = 0 and is solved by 0, and elimination never mixes
+    components, so the verdict and the witness are the whole system's.  A
+    witness is reported only if its image is the residual.
     """
     if not mc_residual(X, delta).is_zero():
         raise NotMaurerCartan("compatibility needs a Maurer-Cartan Delta")
@@ -326,24 +330,37 @@ def check_compatibility(omega: DRWord, delta: Quantisation, X: CritLocus,
     # a stable sort: ascending degree, enumeration order within a degree
     keyed = [(d, k) for k in keys if (d := C.degree(k)) in degrees]
     candidates = [k for _, k in sorted(keyed, key=lambda dk: dk[0])]
-    shifts = [e << C.hbar_shift for e in range(window.hbar_max + 1)]
-    unknowns = [key + h for key in candidates for h in shifts]
+    n = window.hbar_max + 1
+    shifts = [e << C.hbar_shift for e in range(n)]
     total = koszul_operator(X) + delta
-    # sparse rows keyed by term; the residual's terms come first, so the
-    # right-hand side sits in rows 0 .. len(r.terms) - 1
-    rows = {k: {} for k in r.terms}
     images = _banded_images(X.m, candidates,
                             lambda u: op_commutator(total, u), total.terms)
-    for ki, image in enumerate(images):
-        for col, h in enumerate(shifts, ki * len(shifts)):
-            for ikey, q in image.items():
-                rows.setdefault(ikey + h, {})[col] = q
-    sol = solve_rational(list(rows.values()), dict(enumerate(r.terms.values())),
-                         len(unknowns))
+    at = {}  # image key -> [(candidate, position in its image)]
+    for i, image in enumerate(images):
+        for pos, k in enumerate(image):
+            at.setdefault(k, []).append((i, pos))
+    # row k holds (column i n + e, position, q) for q at k - shift e in image i
+    reached, todo, seen = {}, list(r.terms), set()
+    for k in todo:
+        if k in reached:
+            continue
+        row = reached[k] = sorted(
+            (i * n + e, pos, images[i][k - h]) for e, h in enumerate(shifts)
+            for i, pos in at.get(k - h, ()))
+        for col, _, _ in row:
+            if col not in seen:
+                seen.add(col)
+                todo += [key + shifts[col % n] for key in images[col // n]]
+    # the residual's rows first, then the order in which the whole system
+    # adds rows: by first column, then by position in that image
+    found = list(reached.values())
+    found[len(r.terms):] = sorted(found[len(r.terms):], key=lambda e: e[0][:2])
+    sol = solve_rational([{c: q for c, _, q in row} for row in found],
+                         dict(enumerate(r.terms.values())), len(candidates) * n)
     if sol is None:
         return CompatVerdict(CompatVerdict.FAILS, residual=r, window=window)
-    witness = Operator._from_store(
-        X.m, {u: v for u, v in zip(unknowns, sol) if v})
+    witness = Operator._from_store(X.m, {
+        candidates[c // n] + shifts[c % n]: v for c, v in enumerate(sol) if v})
     if op_commutator(total, witness) != r:
         raise NotCertified("the witness does not reproduce the residual")
     return CompatVerdict(CompatVerdict.COBOUNDARY, witness=witness,

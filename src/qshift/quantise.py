@@ -11,6 +11,7 @@ against the membership constraint order(Delta_j) <= j when it is built.
 from __future__ import annotations
 
 from math import comb
+from operator import mul
 
 from .coefficients import codec
 from .cohomology import eta_subsets, iter_y_exponents
@@ -137,14 +138,18 @@ def operator_keys_in_window(X: CritLocus, order_cap: int, ydeg_cap: int,
     <= order_cap (or exactly ``arity_exact``) and |a| <= ydeg_cap, ordered
     by T in ``eta_subsets`` order, then b lexicographic, then S, then a."""
     C = codec(X.m)
-    zero, subsets = (0,) * X.m, eta_subsets(X.m)
     top = order_cap if arity_exact is None else arity_exact
-    alist = [C.encode(a) for a in iter_y_exponents(X.m, ydeg_cap)]
-    return [fixed + a for T in subsets if len(T) <= top
+    if max(top, ydeg_cap) >= C.limit:
+        C.overflow()
+    subsets = eta_subsets(X.m)
+    etas = [sum(C.eta_bits[i - 1] for i in S) for S in subsets]
+    detas = [sum(C.deta_bits[i - 1] for i in T) for T in subsets]
+    alist = [sum(map(mul, C.y, a)) for a in iter_y_exponents(X.m, ydeg_cap)]
+    return [fixed + s + a for T, t in zip(subsets, detas) if len(T) <= top
             for b in iter_y_exponents(X.m, top - len(T))
             if arity_exact is None or sum(b) + len(T) == top
-            for S in subsets for fixed in (C.encode(zero, S, b, T),)
-            for a in alist]
+            for fixed in (t + sum(map(mul, C.dy, b)),)
+            for s in etas for a in alist]
 
 
 def _order_bound(label: FiltrationLabel, p: int, j: int):

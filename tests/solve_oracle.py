@@ -1,8 +1,9 @@
 """The whole-system solve, for the tests only: fraction-free elimination of
 every row of the augmented system, then back-substitution with every free
-variable 0.  ``solve_rational`` eliminates only the rows that b's rows
-reach through shared columns; the tests check it against this oracle, and
-check that oracle's answers with ``component`` and direct products."""
+variable 0.  The tests check ``solve_rational`` against this oracle.  The
+witness search assembles only the rows that b's rows reach through shared
+columns; the tests check those rows against ``component`` of the whole
+system, and its answers against this oracle on every row."""
 
 from qshift.coefficients import _admit, _div, _eliminate
 

@@ -358,9 +358,10 @@ def _block_systems(draw):
 @settings(max_examples=300, deadline=None)
 @given(_block_systems())
 def test_solve_matches_whole_system_on_block_diagonal_systems(system):
-    """Eliminating only b's component gives the whole-system solution,
-    entry for entry and None for None, and 0 on every unknown outside b's
-    component; the caller's rows are left as they were."""
+    """The sparse solve gives the oracle's solution, entry for entry and
+    None for None, and 0 on every unknown outside b's component, which is
+    why the witness search may assemble that component alone; the caller's
+    rows are left as they were."""
     rows, rhs, ncols = system
     before = repr((rows, rhs))
     sol = solve_rational(rows, rhs, ncols)
@@ -374,7 +375,7 @@ def test_solve_matches_whole_system_on_block_diagonal_systems(system):
 
 def test_solve_follows_a_chain_past_b_neighbours():
     """b sits at the one-entry end of a chain: x_3 is fixed by a row three
-    column steps from b's row, and the row in column 5 is never reached."""
+    column steps from b's row, and x_5, outside b's component, is 0."""
     rows = [{5: 1}, {2: 2, 3: 1}, {0: 1}, {1: 1, 2: 1}, {0: 1, 1: 1}]
     for rhs in ({2: 1}, {2: 1, 0: 0}):
         assert solve_rational(rows, rhs, 6) == full_solve(rows, rhs, 6) == \

@@ -47,6 +47,32 @@ def test_milnor_errors():
         milnor_number(f, 2)
 
 
+def test_square_variable_is_refused_before_groebner(monkeypatch):
+    """If m >= 2 and y_i^2 divides every term of f, the hyperplane y_i = 0
+    is critical: NonIsolated names y_i without a Groebner basis.  At m = 1
+    the hyperplane is a point, and x^2 still answers mu = 1."""
+    from qshift import cohomology
+
+    def no_groebner(polys):
+        raise AssertionError("a Groebner basis was computed")
+
+    x, yy, z = Element.y(2, 1), Element.y(2, 2), Element.y(3, 3)
+    roadmap_f = (z ** 2 * Element(3, {((3, 4, 2), ()): 2, ((3, 1, 2), ()): -1,
+                                      ((2, 3, 2), ()): Fraction(-2, 3),
+                                      ((4, 3, 1), ()): 2, ((0, 1, 0), ()): 2}))
+    with monkeypatch.context() as patch:
+        patch.setattr(cohomology, "_groebner", no_groebner)
+        for f, m, names, name in [(x ** 2 * yy, 2, None, "y_1"),
+                                  (x ** 2 * yy ** 2, 2, ("x", "y"), "x"),
+                                  (yy ** 2 * (x + yy), 2, ("x", "y"), "y"),
+                                  (roadmap_f, 3, ("x", "y", "z"), "z")]:
+            with pytest.raises(NonIsolated, match=rf"^{name}\^2 divides every"):
+                milnor_number(f, m, names)
+    assert milnor_number(Element.y(1, 1) ** 2, 1) == 1
+    # x^2*y + y^3: no square divides every term, and f is isolated
+    assert milnor_number(x ** 2 * yy + yy ** 3, 2) == 4
+
+
 def test_twisted_dims_match_milnor(corpus_case):
     name, X, mu = corpus_case
     report = twisted_derham_dims(X)

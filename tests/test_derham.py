@@ -628,8 +628,9 @@ def _per_key_system(omega, delta, X, window):
     """The coboundary search's linear system assembled with one commutator
     per window key, its rows in the order the search adds them: the oracle
     for the banded assembly.  Returns the rows, the right-hand side and the
-    unknowns."""
-    r = mu(omega, delta, X) - sigma_tangent(delta).eps_as_series()
+    unknowns.  The residual is read through ``derham``, as the search reads
+    it."""
+    r = derham.mu(omega, delta, X) - sigma_tangent(delta).eps_as_series()
     C = codec(X.m)
     degrees = {d - 1 for d in r.degrees()}
     keyed = [(C.degree(k), k) for k in operator_keys_in_window(
@@ -657,91 +658,128 @@ def _witness_jobs(monkeypatch):
             for name, window, kind in workloads.WITNESS_JOBS]
 
 
-def test_banded_witness_search_matches_per_key_search(monkeypatch):
-    """On every witness window of the benchmark, the banded search hands
-    the solver the rows of the per-key assembly, in the same order, and
-    reports the witness that those rows give."""
+def _search_against_whole_system(monkeypatch, omega, delta, X, window):
+    """Run the witness search and check it against the whole per-key
+    system: the solver is handed exactly the rows of b's component
+    (``component``), in the per-key order and item for item, with b and the
+    column count unchanged; and ``full_solve`` on every row of the per-key
+    system gives the search's verdict and witness store.  Returns the
+    verdict, the number of rows handed over and the per-key system."""
     systems = []
 
     def recording(rows, rhs, ncols):
         systems.append((rows, rhs, ncols))
         return solve_rational(rows, rhs, ncols)
 
-    monkeypatch.setattr(derham, "solve_rational", recording)
+    with monkeypatch.context() as patch:
+        patch.setattr(derham, "solve_rational", recording)
+        verdict = check_compatibility(omega, delta, X, window)
+    system = rows, rhs, unknowns = _per_key_system(omega, delta, X, window)
+    if verdict.kind == CompatVerdict.EXACT:
+        assert not systems and not rhs
+        return verdict, 0, system
+    (got_rows, got_rhs, ncols), = systems
+    reached, _ = component(rows, rhs)
+    assert [list(row.items()) for row in got_rows] == \
+        [list(rows[i].items()) for i in reached]
+    assert got_rhs == {j: rhs[i] for j, i in enumerate(reached) if i in rhs}
+    assert ncols == len(unknowns)
+    sol = full_solve(rows, rhs, len(unknowns))
+    if sol is None:
+        assert verdict.kind == CompatVerdict.FAILS and verdict.witness is None
+    else:
+        assert verdict.kind == CompatVerdict.COBOUNDARY
+        assert list(verdict.witness.terms.items()) == \
+            [(u, v) for u, v in zip(unknowns, sol) if v]
+    return verdict, len(got_rows), system
+
+
+def test_banded_witness_search_matches_per_key_search(monkeypatch):
+    """On every witness window of the benchmark, the search hands the solver
+    b's component of the per-key system and reports the verdict and the
+    witness store of the whole system."""
     for name, X, window, kind in _witness_jobs(monkeypatch):
-        bv, omega = bv_quantisation(X), DRWord.zero(X.m, 2)
-        verdict = check_compatibility(omega, bv, X, window)
-        rows, rhs, unknowns = _per_key_system(omega, bv, X, window)
-        (got_rows, got_rhs, ncols), = systems
-        systems.clear()
-        assert [list(row.items()) for row in got_rows] == \
-            [list(row.items()) for row in rows]
-        assert (got_rhs, ncols) == (rhs, len(unknowns))
-        sol = solve_rational(rows, rhs, len(unknowns))
+        verdict, _, _ = _search_against_whole_system(
+            monkeypatch, DRWord.zero(X.m, 2), bv_quantisation(X), X, window)
         assert verdict.kind == kind
-        if sol is None:
-            assert kind == CompatVerdict.FAILS and verdict.witness is None
-        else:
-            assert verdict.witness == Operator._from_store(
-                X.m, {u: v for u, v in zip(unknowns, sol) if v})
 
 
 def test_witness_search_solves_only_the_reached_block(monkeypatch):
-    """On every witness window of the benchmark the kernel gives the verdict
-    and the witness store that the whole-system oracle gives, and for
-    x^3+y^5 at (2, 2, 4) it eliminates at most 40 of the 1,023 rows."""
-    from qshift import coefficients
-    eliminate, eliminated, whole = coefficients._eliminate, [], []
+    """Beyond the benchmark, on x^3+y^3+z^3 at (2, 2, 4) and (3, 3, 5), the
+    search gives the whole per-key system's verdict and witness from b's
+    component alone; for x^3+y^5 at (2, 2, 4) it hands over at most 40 of
+    the 1,023 rows."""
+    X = make_crit_locus(Element.y(3, 1) ** 3 + Element.y(3, 2) ** 3
+                        + Element.y(3, 3) ** 3, 3)
+    for window in ((2, 2, 4), (3, 3, 5)):
+        verdict, handed, (rows, _, _) = _search_against_whole_system(
+            monkeypatch, DRWord.zero(3, 2), bv_quantisation(X), X,
+            SearchWindow(*window))
+        assert verdict.kind == CompatVerdict.COBOUNDARY
+        assert handed < len(rows)
+    [(X, window)] = [(X, window) for name, X, window, _ in
+                     _witness_jobs(monkeypatch)
+                     if name == "x3y5" and window.ydeg_cap == 2]
+    _, handed, (rows, _, _) = _search_against_whole_system(
+        monkeypatch, DRWord.zero(2, 2), bv_quantisation(X), X, window)
+    assert len(rows) == 1023 and handed <= 40
 
-    def spy(rows):
-        eliminated.append(len(rows))
-        return eliminate(rows)
 
-    def oracle_solve(rows, rhs, ncols):
-        whole.append(len(rows))
-        return full_solve(rows, rhs, ncols)
+_SEARCH_LOCI = [
+    (Element.y(1, 1) ** 3, 1),
+    ((Element.y(1, 1) ** 3).scale(Fraction(1, 2)), 1),
+    (Element.y(2, 1) ** 3 + Element.y(2, 2) ** 3, 2),
+    (_HALF_X3_TWO_THIRDS_Y3, 2),
+]
 
-    for name, X, window, kind in _witness_jobs(monkeypatch):
-        bv, omega = bv_quantisation(X), DRWord.zero(X.m, 2)
-        eliminated.clear()
-        whole.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(coefficients, "_eliminate", spy)
-            verdict = check_compatibility(omega, bv, X, window)
-        with monkeypatch.context() as patch:
-            patch.setattr(derham, "solve_rational", oracle_solve)
-            oracle = check_compatibility(omega, bv, X, window)
-        assert verdict.kind == oracle.kind == kind
-        assert (verdict.witness is None) == (oracle.witness is None)
-        if verdict.witness is not None:
-            assert list(verdict.witness.terms.items()) == \
-                list(oracle.witness.terms.items())
-        if (name, window.order_cap, window.ydeg_cap,
-                window.hbar_max) == ("x3y5", 2, 2, 4):
-            assert whole == [1023] and len(eliminated) == 1
-            assert eliminated[0] <= 40
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(_SEARCH_LOCI),
+       st.integers(0, 2), st.integers(0, 2), st.integers(0, 3), st.booleans())
+def test_witness_search_matches_component_on_random_quantisations(
+        seed, locus, order_cap, ydeg_cap, hbar_max, coboundary):
+    """On random quantisations at m = 1 and 2, among them on
+    f = 1/2 x^3 + 2/3 y^3 whose rows carry Fraction entries, the search
+    hands the solver b's component of the per-key system and reports the
+    whole system's verdict and witness.  The residual is mu - sigma, or
+    (``coboundary``) the image of a random operator of the window, which
+    the search must find.  The assembly never uses the master equation, so
+    that check is stubbed out."""
+    f, m = locus
+    X = make_crit_locus(f, m)
+    rng = random.Random(seed)
+    delta = random_quantisation(rng, m)
+    window = SearchWindow(order_cap, ydeg_cap, hbar_max)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(derham, "mc_residual", lambda X, delta: Operator.zero(m))
+        if coboundary:
+            keys = operator_keys_in_window(X, order_cap, ydeg_cap)
+            u = Operator._from_store(m, {
+                rng.choice(keys) + (rng.randint(0, hbar_max) << codec(m).hbar_shift):
+                rng.choice([1, -2, Fraction(1, 3)]) for _ in range(2)})
+            image = op_commutator(koszul_operator(X) + delta, u)
+            # mu - sigma is then the image of u
+            patch.setattr(derham, "mu", lambda omega, delta, X: image
+                          + sigma_tangent(delta).eps_as_series())
+        verdict, _, _ = _search_against_whole_system(
+            patch, DRWord.zero(m, 2), delta, X, window)
+    if coboundary and not image.is_zero():
+        assert verdict.kind == CompatVerdict.COBOUNDARY
 
 
 def test_fails_verdicts_have_a_small_dual_certificate(monkeypatch):
     """Each Fails window's system is inconsistent, shown by a dual vector y
     on b's component alone: y^T A = 0 and y^T b = 1, both checked by direct
-    multiplication over the whole system.  The component is 2 to 4 rows."""
-    systems = []
-
-    def recording(rows, rhs, ncols):
-        systems.append((rows, rhs, ncols))
-        return solve_rational(rows, rhs, ncols)
-
-    monkeypatch.setattr(derham, "solve_rational", recording)
+    multiplication over the whole per-key system.  The component is 2 to 4
+    rows."""
     fails = [job for job in _witness_jobs(monkeypatch)
              if job[3] == CompatVerdict.FAILS]
     assert len(fails) == 6
     for name, X, window, kind in fails:
-        verdict = check_compatibility(DRWord.zero(X.m, 2), bv_quantisation(X),
-                                      X, window)
+        omega, bv = DRWord.zero(X.m, 2), bv_quantisation(X)
+        verdict, _, (rows, rhs, unknowns) = _search_against_whole_system(
+            monkeypatch, omega, bv, X, window)
         assert verdict.kind == kind and verdict.witness is None
-        (rows, rhs, ncols), = systems
-        systems.clear()
         reached, cols = component(rows, rhs)
         assert 2 <= len(reached) <= 4
         # the transposed system: one equation per column of the component,
@@ -752,7 +790,7 @@ def test_fails_verdicts_have_a_small_dual_certificate(monkeypatch):
         y = full_solve(dual, {len(dual) - 1: 1}, len(reached))
         assert y is not None
         y = dict(zip(reached, y))
-        for c in range(ncols):
+        for c in range(len(unknowns)):
             assert sum(y.get(i, 0) * row.get(c, 0)
                        for i, row in enumerate(rows)) == 0
         assert sum(y.get(i, 0) * b for i, b in rhs.items()) == 1

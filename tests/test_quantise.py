@@ -7,9 +7,8 @@ import pytest
 
 from qshift import quantise
 from qshift.coefficients import HSeries, _accumulate, codec
-from qshift.cohomology import eta_subsets, iter_y_exponents
 from qshift.diffops import Operator, op_compose, op_order, symbol
-from qshift.errors import NotCertified, NotMaurerCartan
+from qshift.errors import ExponentOverflow, NotCertified, NotMaurerCartan
 from qshift.gca import Element, gmul, make_crit_locus
 from qshift.quantise import (FiltrationLabel, Quantisation, _order_bound,
                              bv_quantisation, centre_differential,
@@ -20,6 +19,7 @@ from qshift.quantise import (FiltrationLabel, Quantisation, _order_bound,
 from conftest import (CORPUS, CORPUS_IDS, corpus_locus, decoded,
                       hbar_component, levels, random_operator,
                       random_quantisation)
+from window_oracle import operator_keys_by_encode
 
 
 def test_bv_quantisation_shape():
@@ -372,20 +372,40 @@ def test_filtration_gr_reindexing():
 
 @pytest.mark.parametrize("idx", [0, 4, 7], ids=["x^2", "x^3+y^3", "x^2+y^2+z^2"])
 def test_degree_window_keys_match_nested_loops(idx):
-    """The window enumerates (b, T), then S, then a, in this order."""
+    """The integer-packed window is the window of one ``Codec.encode`` per
+    fixed part, list for list: (b, T), then S, then a, for order and
+    y-degree caps 0..3, with and without an exact arity 0..3."""
     X = corpus_locus(idx)
-    m, subsets = X.m, eta_subsets(X.m)
-    for bound in (0, 2):
-        alist = list(iter_y_exponents(m, bound))
-        for cap in range(3):
-            for arity in (None, cap):
-                dparts = [(tuple(b), T) for T in subsets
-                          for b in iter_y_exponents(m, cap - len(T))
-                          if arity is None or sum(b) + len(T) == arity]
-                expected = [codec(m).encode(a, S, b, T) for b, T in dparts
-                            for S in subsets for a in alist]
-                assert operator_keys_in_window(
-                    X, cap, bound, arity_exact=arity) == expected
+    for ydeg_cap, cap in itertools.product(range(4), range(4)):
+        for arity in (None, *range(4)):
+            assert operator_keys_in_window(X, cap, ydeg_cap, arity_exact=arity) \
+                == operator_keys_by_encode(X, cap, ydeg_cap, arity_exact=arity)
+
+
+def test_window_cap_overflow_is_refused_before_enumerating(monkeypatch):
+    """A cap of 2^15 (an order cap, an exact arity or a y-degree cap) is
+    refused with ExponentOverflow before anything is enumerated; caps of
+    2^15 - 1 at m = 1 give the oracle's window."""
+    X = corpus_locus(0)
+    big = codec(X.m).limit
+    assert big == 2 ** 15
+    assert operator_keys_in_window(X, 0, big - 1) == \
+        operator_keys_by_encode(X, 0, big - 1)
+    assert operator_keys_in_window(X, big - 1, 0) == \
+        operator_keys_by_encode(X, big - 1, 0)
+
+    def enumerated(*args):
+        raise AssertionError("the window was enumerated")
+
+    monkeypatch.setattr(quantise, "iter_y_exponents", enumerated)
+    monkeypatch.setattr(quantise, "eta_subsets", enumerated)
+    for idx in (0, 4, 7):
+        X = corpus_locus(idx)
+        for args, arity in [((big, 0), None), ((0, big), None),
+                            ((big, big), None), ((0, 0), big),
+                            ((3, 3), big), ((0, big), 1)]:
+            with pytest.raises(ExponentOverflow):
+                operator_keys_in_window(X, *args, arity_exact=arity)
 
 
 @pytest.mark.parametrize("idx", [1, 4, 7], ids=["x^3", "x^3+y^3", "x^2+y^2+z^2"])
