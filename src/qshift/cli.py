@@ -23,12 +23,13 @@ import sys
 import time
 from fractions import Fraction
 
-from .coefficients import format_monomial
+from .coefficients import codec, format_monomial
 from .cohomology import (koszul_dims_at_hbar_zero, milnor_number,
                          twisted_derham_dims)
 from .derham import (SearchWindow, canonical_symplectic, check_compatibility)
 from .duality import is_self_dual, solve_sign_profile
-from .errors import ParseError, QShiftError, UnknownVariable, UsageError
+from .errors import (ExponentOverflow, ParseError, QShiftError,
+                     UnknownVariable, UsageError)
 from .gca import Element, make_crit_locus
 from .quantise import (FiltrationLabel, bv_quantisation, filtration_dims,
                        mc_residual, nu_eigen_analysis)
@@ -67,6 +68,14 @@ class _Token:
         return f"Token({self.kind}, {self.value!r})"
 
 
+def _digits_end(text, i):
+    """The end of the run of ASCII digits from i; ``str.isdigit`` would
+    also take superscripts and other scripts' digits."""
+    while i < len(text) and "0" <= text[i] <= "9":
+        i += 1
+    return i
+
+
 def _tokenize(text):
     tokens = []
     line, col = 1, 1
@@ -88,17 +97,12 @@ def _tokenize(text):
                 i += 1
             continue
         start_col = col
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
+        if "0" <= ch <= "9":
+            j = _digits_end(text, i)
             num = int(text[i:j])
-            if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                k = j
-                while k < n and text[k].isdigit():
-                    k += 1
-                den = int(text[j:k])
+            k = _digits_end(text, j + 1) if text[j:j + 1] == "/" else j
+            if k > j + 1:  # digits follow the "/"
+                den = int(text[j + 1:k])
                 if den == 0:
                     raise ParseError("zero denominator", line, start_col)
                 tokens.append(_Token("number", Fraction(num, den), line, start_col))
@@ -236,6 +240,10 @@ class _Parser:
             if tok.value.denominator != 1 or tok.value < 0:
                 raise ParseError("exponent must be a natural number",
                                  tok.line, tok.col)
+            if tok.value >= codec(self.m).limit:
+                raise ExponentOverflow(
+                    f"exponent {tok.value} (line {tok.line}, col {tok.col}) "
+                    f"is not below {codec(self.m).limit}")
             return base ** int(tok.value)
         return base
 

@@ -29,10 +29,6 @@ class NotMaurerCartan(QShiftError):
     pass
 
 
-class TruncationRequired(QShiftError):
-    pass
-
-
 class NotCertified(QShiftError):
     pass
 

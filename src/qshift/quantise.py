@@ -17,7 +17,7 @@ from .coefficients import codec
 from .cohomology import eta_subsets, iter_y_exponents
 from .diffops import (Operator, _banded_images, op_commutator, op_compose,
                       op_order)
-from .errors import NotCertified, NotMaurerCartan, TruncationRequired
+from .errors import NotCertified, NotMaurerCartan
 from .gca import CritLocus
 
 
@@ -176,8 +176,11 @@ def filtration_dims(label: FiltrationLabel, p: int, degrees, hbar_exps,
     hbar-exponent) within the window |a| <= ydeg_cap, in closed form: the
     derivative parts (b, T) with eta set S of degree |T| - |S| and order o
     number C(m, |T|) C(m, |S|) C(o - |T| + m - 1, m - 1), which sum over
-    o <= bound to C(bound - |T| + m, m), each with C(ydeg_cap + m, m) y^a."""
-    m = X.m
+    o <= bound to C(bound - |T| + m, m), each with C(ydeg_cap + m, m) y^a.
+    An hbar exponent is refused from 2^15 on, as a window cap is."""
+    m, C = X.m, codec(X.m)
+    if max(hbar_exps, default=0) >= C.limit:
+        C.overflow()
 
     def dim(d, bound):
         return comb(ydeg_cap + m, m) * sum(
@@ -194,48 +197,36 @@ def filtration_dims(label: FiltrationLabel, p: int, degrees, hbar_exps,
 # ---------------------------------------------------------------------------
 
 class SpectrumReport:
+    """The answer of ``nu_eigen_analysis``; ``as_dict`` is its payload."""
+
     __slots__ = ("p", "k", "block_dim", "eigenvalues", "combined_scalar",
                  "invertible", "diagonalisable")
 
-    def __init__(self, p, k, block_dim, eigenvalues, combined_scalar,
-                 invertible, diagonalisable):
-        self.p = p
-        self.k = k
-        self.block_dim = block_dim
-        self.eigenvalues = eigenvalues
-        self.combined_scalar = combined_scalar
-        self.invertible = invertible
-        self.diagonalisable = diagonalisable
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            setattr(self, name, value)
 
     def as_dict(self):
-        return {"p": self.p, "k": self.k, "block_dim": self.block_dim,
-                "eigenvalues": self.eigenvalues,
-                "combined_scalar": self.combined_scalar,
-                "invertible": self.invertible,
-                "diagonalisable": self.diagonalisable}
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
-# the basis keys banded per ``_banded_images`` call, which bounds the images
-# held at once
-_NU_CHUNK = 1024
+def _nu_block(X: CritLocus, block):
+    """The images of nu(omega, pi) for the canonical pair on the hbar-free
+    symbol monomials ``block``, one store per key, in one banded call.
 
-
-def _nu_block(X: CritLocus, basis):
-    """The columns of nu(omega, pi) for the canonical pair on the symbol
-    monomials ``basis``, as sparse columns {row: entry} in basis order: the
-    hbar^1 coefficients of the images, read in the whole basis, banded
-    ``_NU_CHUNK`` keys per call and yielded one chunk at a time."""
+    Refused with NotCertified if a slot's left factor L carries a d_y.
+    Without one, y^a commutes with every L, so nu(y^a rho) = y^a nu(rho):
+    the images of the y-degree-0 block fix those at every y-degree."""
     from .derham import _nu_apply, _nu_slots, canonical_symplectic
 
     slots, _ = _nu_slots(canonical_symplectic(X), bv_quantisation(X))
     lefts = [k for _, left, _ in slots for k, _ in left]
+    if any(k & codec(X.m).dy_block for k in lefts):
+        raise NotCertified("a left factor of nu carries d_y, so the "
+                           "y-degree-0 block does not fix the others")
     rights = [k for _, _, right in slots for k, _ in right]
-    index = {key + codec(X.m).hbar: i for i, key in enumerate(basis)}
-    for start in range(0, len(basis), _NU_CHUNK):
-        for image in _banded_images(X.m, basis[start:start + _NU_CHUNK],
-                                    lambda rho: _nu_apply(slots, rho),
-                                    lefts, rights):
-            yield {index[k]: c for k, c in image.items() if k in index}
+    return _banded_images(X.m, block, lambda rho: _nu_apply(slots, rho),
+                          lefts, rights)
 
 
 def nu_eigen_analysis(X: CritLocus, p: int, k: int,
@@ -244,23 +235,26 @@ def nu_eigen_analysis(X: CritLocus, p: int, k: int,
     for the canonical pair, together with the shifted operator's
     invertibility on the block ("+ d/d(hbar^-1)" acts by the scalar 1-p-k).
 
-    The answer is certified only for a scalar block: every column is
-    lam0 on its own diagonal, so the block is lam0 times the identity
-    exactly, with the one eigenvalue lam0.  Any other block is refused with
-    NotCertified.
+    The answer is certified only for a scalar block, at every y-degree at
+    once: on each arity-p key rho of y-degree 0, the terms of nu(rho) of
+    arity >= p must be exactly lam0 rho hbar (lower arity is zero on gr_p),
+    and ``_nu_block`` carries this to every y^a rho.  Any other block is
+    refused with NotCertified.  ``ydeg_cap`` only sizes ``block_dim``.
     """
     if k < 1 or p < 0:
         raise ValueError("need p >= 0 and k >= 1")
-    basis = operator_keys_in_window(X, p, ydeg_cap, arity_exact=p)
-    if not basis:
-        raise TruncationRequired("empty symbol block in the window")
-    for c, col in enumerate(_nu_block(X, basis)):
+    C = codec(X.m)
+    if ydeg_cap >= C.limit:
+        C.overflow()
+    block = operator_keys_in_window(X, p, 0, arity_exact=p)
+    for c, (key, image) in enumerate(zip(block, _nu_block(X, block))):
+        top = {t: v for t, v in image.items() if C.order(t) >= p}
         if c == 0:
-            lam0 = col.get(0, 0)
-        if col != ({c: lam0} if lam0 else {}):
+            lam0 = top.get(key + C.hbar, 0)
+        if top != ({key + C.hbar: lam0} if lam0 else {}):
             raise NotCertified(
                 f"the block of nu is not a scalar (column {c} of "
-                f"{len(basis)}); only a scalar block is certified")
+                f"{len(block)}); only a scalar block is certified")
     shifted = lam0 + 1 - p - k
-    return SpectrumReport(p, k, len(basis), [lam0], shifted, shifted != 0,
-                          True)
+    return SpectrumReport(p, k, comb(ydeg_cap + X.m, X.m) * len(block),
+                          [lam0], shifted, shifted != 0, True)

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from qshift import cli, quantise
+from qshift import cli, gca, quantise
 from qshift.cli import ProblemFile, Report, main, parse_problem, run_command
-from qshift.coefficients import HSeries
+from qshift.coefficients import HSeries, codec
 from qshift.derham import CompatVerdict
 from qshift.diffops import Operator
 from qshift.duality import SelfDualVerdict
-from qshift.errors import ParseError, UnknownVariable
+from qshift.errors import ExponentOverflow, ParseError, UnknownVariable
 from qshift.gca import Element
 
 from conftest import format_polynomial, print_problem
@@ -54,6 +54,56 @@ def test_parse_errors_carry_position():
         parse_problem("f = x;")
     with pytest.raises(ParseError):
         parse_problem("vars x x; f = x;")
+
+
+@pytest.mark.parametrize("text, col", [
+    ("vars x; f = x\u00b2;", 14),          # superscript two
+    ("vars x; f = x^\u0663;", 15),         # Arabic-Indic three
+    ("vars x; f = \uff13*x;", 13),          # fullwidth three
+    ("vars x; f = 1/\u0662*x;", 14),        # a denominator in another script
+], ids=["superscript", "arabic-indic-exponent", "fullwidth", "denominator"])
+def test_non_ascii_digits_are_parse_errors(tmp_path, capsys, text, col):
+    """Only the ASCII digits 0-9 make a number: another script's digit, or
+    a superscript, is a ParseError at its position (exit 2, no traceback),
+    where one was read as a digit (x^3 for the Arabic-Indic three) or
+    failed in int() with a ValueError."""
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert (err.value.line, err.value.col) == (1, col)
+    path = tmp_path / "p.qs"
+    path.write_text(text, encoding="utf-8")
+    assert main(["milnor", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["payload"]["error_type"] == "ParseError"
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("text", [
+    "vars x; f = x^32768;", "vars x; f = 3^320000;",
+    "vars x y; f = (x + y)^32768;", "vars x; f = 2*x^99999999999999999999;",
+], ids=["x", "constant", "binomial", "huge"])
+def test_exponent_literal_beyond_the_field_is_refused(monkeypatch, tmp_path,
+                                                      capsys, text):
+    """An exponent literal of 2^15 or more is refused with ExponentOverflow
+    before any product is taken (3^320000 once took seconds, and
+    (x + y)^32768 ran 32,767 products before the codec refused it); a
+    report names it, exit 2."""
+    def no_product(*args):
+        raise AssertionError("a product was taken")
+
+    monkeypatch.setattr(gca, "gmul", no_product)
+    with pytest.raises(ExponentOverflow, match="not below 32768"):
+        parse_problem(text)
+    path = tmp_path / "p.qs"
+    path.write_text(text)
+    assert main(["milnor", str(path)]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["payload"]["error_type"] == "ExponentOverflow"
+    jsonschema.validate(out, SCHEMA)
+
+
+def test_exponent_literal_at_the_limit_parses():
+    assert parse_problem("vars x; f = x^32767;").f == Element.y(1, 1, 32767)
 
 
 def test_parse_options_and_parentheses():
@@ -314,14 +364,15 @@ def test_run_command_refuses_flags_it_does_not_read(cmd, flags, name):
 
 
 def test_eigen_non_scalar_block_exits_2(monkeypatch, tmp_path, capsys):
-    """A block of nu that is not a scalar (a stand-in whose first column
-    has an entry off the diagonal) is refused: exit 2, NotCertified, and a
+    """A block of nu that is not a scalar (a stand-in whose first image
+    has a term off the diagonal) is refused: exit 2, NotCertified, and a
     report that validates."""
-    def block_columns(X, basis):
-        yield {0: 1, 1: 1}
-        yield from ({c: 1} for c in range(1, len(basis)))
+    def block_images(X, block):
+        hbar = codec(X.m).hbar
+        return [{block[0] + hbar: 1, block[1] + hbar: 1},
+                *({key + hbar: 1} for key in block[1:])]
 
-    monkeypatch.setattr(quantise, "_nu_block", block_columns)
+    monkeypatch.setattr(quantise, "_nu_block", block_images)
     path = tmp_path / "p.qs"
     path.write_text("vars x; f = x^2;\n")
     code = main(["eigen", str(path), "--p", "1", "--k", "2"])
@@ -596,6 +647,21 @@ def test_negative_filtration_setting_exits_2(tmp_path, capsys, flag, name):
     assert out["status"] == "error"
     assert out["payload"]["reason"] == f"{name} must be >= 0, not -1"
     jsonschema.validate(out, SCHEMA)
+
+
+@pytest.mark.parametrize("value, code", [(32767, 0), (32768, 2), (10 ** 5, 2)])
+def test_filtration_hbar_max_beyond_the_field_is_refused(value, code):
+    """``filtration --hbar-max`` of 2^15 or more is refused with
+    ExponentOverflow, as a window cap is, before any table is built (10^5
+    once took seconds and hundreds of MB at m = 3); 2^15 - 1 is answered."""
+    problem = parse_problem("vars x; f = x^3;")
+    report = run_command("filtration", problem, {"hbar_max": value})
+    assert report.exit_code == code
+    if code:
+        assert report.payload["error_type"] == "ExponentOverflow"
+    else:
+        assert report.payload["dims"][-1]["hbar_exp"] == 32767
+    _validate(report)
 
 
 @pytest.mark.parametrize("cmd, flags, reason", [

@@ -437,31 +437,48 @@ def test_canonical_pair_slots_grouped_by_right_factor(m, count, terms):
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_eigen_block_matches_reference_nu_columns(monkeypatch, p):
-    """nu_eigen_analysis builds the same block, column by column, as the
-    reference nu applied to each basis monomial."""
+    """nu_eigen_analysis builds, on the arity-p keys of y-degree 0, the
+    same images as the reference nu applied to each key; and the reference
+    nu of y_i rho is y_i times that of rho, the step that carries the block
+    to every y-degree."""
     X = corpus_locus(4)
-    ydeg_cap = 1
     omega, delta = canonical_symplectic(X), bv_quantisation(X)
+    C = codec(X.m)
     built = []
 
-    def recording(X, basis):
-        cols = list(_nu_block(X, basis))
-        built.append((basis, cols))
-        return cols
+    def recording(X, block):
+        images = _nu_block(X, block)
+        built.append((block, images))
+        return images
 
     monkeypatch.setattr(quantise, "_nu_block", recording)
-    report = nu_eigen_analysis(X, p, 2, ydeg_cap)
-    basis = operator_keys_in_window(X, p, ydeg_cap, arity_exact=p)
-    (applied, cols), = built
-    assert applied == basis
+    report = nu_eigen_analysis(X, p, 2, 1)
+    block = operator_keys_in_window(X, p, 0, arity_exact=p)
+    (applied, images), = built
+    assert applied == block
+    assert report.block_dim == 3 * len(block)
 
-    reference = [_nu_reference(omega, delta, Operator._from_store(X.m, {key: 1}))
-                 for key in basis]
-    assert [[cols[col].get(row, 0) for col in range(len(basis))]
-            for row in range(len(basis))] == \
-        [[hbar_component(reference[col], 1).terms.get(row, 0)
-          for col in range(len(basis))] for row in basis]
+    def reference(key):
+        return _nu_reference(omega, delta, Operator._from_store(X.m, {key: 1}))
+
+    for key, image in zip(block, images):
+        want = reference(key)
+        assert image == want.terms
+        for y in C.y:
+            assert reference(key + y).terms == \
+                {k + y: c for k, c in want.terms.items()}
     assert report.eigenvalues == [p]
+
+
+def test_eigen_images_carry_lower_arity_terms():
+    """At m = 1, nu(eta_1 d_eta_1) = hbar (eta_1 d_eta_1 - 1): the images
+    have hbar^1 terms of lower arity, which the scalar check leaves out as
+    the lower filtration step."""
+    X = corpus_locus(0)
+    C = codec(1)
+    key = C.eta_bits[0] + C.deta_bits[0]
+    assert _nu_block(X, [key]) == [{key + C.hbar: 1, C.hbar: -1}]
+    assert nu_eigen_analysis(X, 1, 2).eigenvalues == [1]
 
 
 def test_chain_identity_unit_word_reduces_to_residual_definition():

@@ -2,10 +2,11 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from qshift import quantise
+from qshift import derham, quantise
 from qshift.coefficients import HSeries, _accumulate, codec
 from qshift.diffops import Operator, op_compose, op_order, symbol
 from qshift.errors import ExponentOverflow, NotCertified, NotMaurerCartan
@@ -19,6 +20,7 @@ from qshift.quantise import (FiltrationLabel, Quantisation, _order_bound,
 from conftest import (CORPUS, CORPUS_IDS, corpus_locus, decoded,
                       hbar_component, levels, random_operator,
                       random_quantisation)
+from eigen_oracle import windowed_eigen_analysis
 from window_oracle import operator_keys_by_encode
 
 
@@ -461,60 +463,127 @@ def test_eigen_examples():
                          ids=["diag-0-1", "jordan-1"])
 def test_eigen_non_scalar_block(monkeypatch, k, jordan):
     """A block that is not a scalar (forced here through a stand-in for the
-    block's columns) is refused: neither diag(0, 1, ..., 1) nor 1 + E_01 is
+    block's images) is refused: neither diag(0, 1, ..., 1) nor 1 + E_01 is
     lam0 times the identity, and no eigenvalue is reported for either."""
     X = make_crit_locus(Element.y(1, 1) ** 2, 1)
     p = 1
-    basis = operator_keys_in_window(X, p, 2, arity_exact=p)
-    n = len(basis)
+    block = operator_keys_in_window(X, p, 0, arity_exact=p)
+    n = len(block)
     mat = [[int(r == c) for c in range(n)] for r in range(n)]
     if jordan:
         mat[0][1] = 1
     else:
         mat[0][0] = 0
+    hbar = codec(X.m).hbar
 
-    def block_columns(X, keys):
-        assert keys == basis
-        return [{r: mat[r][col] for r in range(n) if mat[r][col]}
+    def block_images(X, keys):
+        assert keys == block
+        return [{block[r] + hbar: mat[r][col] for r in range(n) if mat[r][col]}
                 for col in range(n)]
 
-    monkeypatch.setattr(quantise, "_nu_block", block_columns)
+    monkeypatch.setattr(quantise, "_nu_block", block_images)
     assert n > 2
     with pytest.raises(NotCertified):
         nu_eigen_analysis(X, p, k)
 
 
-def test_eigen_checks_the_block_in_chunks(monkeypatch):
-    """With the basis banded seven keys per call, the report is the same,
-    the images come in ceil(n / 7) calls, and a column that is not a
-    scalar in the last chunk is still refused."""
-    X = make_crit_locus(Element.y(2, 1) ** 3 + Element.y(2, 2) ** 3, 2)
-    whole = nu_eigen_analysis(X, 2, 2).as_dict()
-    n = whole["block_dim"]
-    basis = operator_keys_in_window(X, 2, 2, arity_exact=2)
+def _cubes(m):
+    return make_crit_locus(
+        sum((Element.y(m, i) ** 3 for i in range(2, m + 1)), Element.y(m, 1) ** 3),
+        m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_eigen_reports_match_the_windowed_oracle(m):
+    """The y-degree-0 block gives the report of the check on the whole
+    window |a| <= cap, field for field: p 0..3, k 1..2 and caps 0..3."""
+    X = _cubes(m)
+    for p, k, cap in itertools.product(range(4), (1, 2), range(4)):
+        assert nu_eigen_analysis(X, p, k, cap).as_dict() == \
+            windowed_eigen_analysis(X, p, k, cap).as_dict(), (p, k, cap)
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda C, keys, images: images[-1].update({keys[0] + C.hbar: 1}),
+    lambda C, keys, images: images[0].update({keys[0] + C.y[0] + C.hbar: 1}),
+    lambda C, keys, images: images[0].update({keys[0] + C.dy[0] + C.hbar: 1}),
+    lambda C, keys, images: images[0].update({keys[0] + 2 * C.hbar: 1}),
+    lambda C, keys, images: images[3].update({keys[3] + C.hbar: 3}),
+], ids=["off-diagonal-arity-p-ydeg-0", "arity-p-ydeg-1", "arity-p+1",
+        "diagonal-at-hbar^2", "other-scalar"])
+def test_eigen_refuses_every_term_it_does_not_certify(monkeypatch, spoil):
+    """A term of arity >= p in an image of the y-degree-0 block other than
+    lam0 rho hbar is refused, never dropped: an off-diagonal arity-p hbar^1
+    term at y-degree 0 or 1, an arity-(p + 1) term, the diagonal at hbar^2,
+    and a second scalar on the diagonal."""
+    X = _cubes(2)
+    real = quantise._banded_images
+
+    def spoiled(m, keys, *args):
+        images = real(m, keys, *args)
+        spoil(codec(m), keys, images)
+        return images
+
+    monkeypatch.setattr(quantise, "_banded_images", spoiled)
+    with pytest.raises(NotCertified, match="not a scalar"):
+        nu_eigen_analysis(X, 2, 2)
+
+
+def test_eigen_keeps_the_lower_filtration_step(monkeypatch):
+    """Terms of arity < p are zero on gr_p: adding some to every image, at
+    several hbar exponents, leaves the report as it is."""
+    X = _cubes(2)
+    want = nu_eigen_analysis(X, 2, 2).as_dict()
+    real = quantise._banded_images
+    C = codec(X.m)
+    lower = {0: 5, C.dy[1] + C.y[0]: -1, C.deta_bits[0] + 2 * C.hbar: 7}
+
+    def with_lower(m, keys, *args):
+        return [{**image, **lower} for image in real(m, keys, *args)]
+
+    monkeypatch.setattr(quantise, "_banded_images", with_lower)
+    assert nu_eigen_analysis(X, 2, 2).as_dict() == want
+
+
+def test_eigen_refuses_a_left_factor_with_d_y(monkeypatch):
+    """With a d_y in a left factor of nu's slots, y^a need not commute with
+    it, so the y-degree-0 block proves nothing about the others: refused."""
+    X = _cubes(2)
+    real = derham._nu_slots
+
+    def with_dy(w, delta):
+        slots, mu_w = real(w, delta)
+        parity, left, right = slots[0]
+        return [(parity, [*left, (codec(w.m).dy[1], 1)], right),
+                *slots[1:]], mu_w
+
+    monkeypatch.setattr(derham, "_nu_slots", with_dy)
+    with pytest.raises(NotCertified, match="carries d_y"):
+        nu_eigen_analysis(X, 2, 2)
+
+
+def test_eigen_cost_does_not_grow_with_the_cap(monkeypatch):
+    """The block is the arity-p keys of y-degree 0, banded in one call at
+    every cap; block_dim is C(cap + m, m) times its size, up to a cap of
+    2^15 - 1, and a cap of 2^15 is refused with ExponentOverflow."""
+    X = _cubes(3)
     real, calls = quantise._banded_images, []
 
     def counting(m, keys, *args):
-        calls.append(len(keys))
+        calls.append(list(keys))
         return real(m, keys, *args)
 
-    monkeypatch.setattr(quantise, "_NU_CHUNK", 7)
     monkeypatch.setattr(quantise, "_banded_images", counting)
-    assert nu_eigen_analysis(X, 2, 2).as_dict() == whole
-    assert len(calls) == -(-n // 7) > 2 and sum(calls) == n
-
-    def spoiled(m, keys, *args):
-        images = counting(m, keys, *args)
-        if sum(calls) == n:
-            # the last column gets an entry in row 0, off its diagonal
-            images[-1] = {**images[-1], basis[0] + codec(m).hbar: 1}
-        return images
-
-    calls.clear()
-    monkeypatch.setattr(quantise, "_banded_images", spoiled)
-    with pytest.raises(NotCertified, match=f"column {n - 1} "):
-        nu_eigen_analysis(X, 2, 2)
-    assert len(calls) == -(-n // 7)
+    block = operator_keys_in_window(X, 2, 0, arity_exact=2)
+    assert len(block) == 144
+    for cap in (0, 6, 40, 2 ** 15 - 1):
+        calls.clear()
+        assert nu_eigen_analysis(X, 2, 2, cap).block_dim == \
+            comb(cap + 3, 3) * 144
+        assert calls == [block]
+    assert nu_eigen_analysis(X, 2, 2, 40).block_dim == 1777104
+    with pytest.raises(ExponentOverflow):
+        nu_eigen_analysis(X, 2, 2, 2 ** 15)
 
 
 def test_eigen_window_independence():
