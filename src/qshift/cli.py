@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -68,12 +69,14 @@ class _Token:
         return f"Token({self.kind}, {self.value!r})"
 
 
-def _digits_end(text, i):
-    """The end of the run of ASCII digits from i; ``str.isdigit`` would
-    also take superscripts and other scripts' digits."""
-    while i < len(text) and "0" <= text[i] <= "9":
-        i += 1
-    return i
+def _digits_end(text, i, line, col):
+    """The end of the run of ASCII digits (not ``str.isdigit``'s) from i, at
+    column col, refused there if ``int`` would not convert that many."""
+    j = re.compile("[0-9]*").match(text, i).end()
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 is no limit
+    if 0 < limit < j - i:
+        raise ParseError(f"numeral of {j - i} digits (limit {limit})", line, col)
+    return j
 
 
 def _tokenize(text):
@@ -98,20 +101,16 @@ def _tokenize(text):
             continue
         start_col = col
         if "0" <= ch <= "9":
-            j = _digits_end(text, i)
-            num = int(text[i:j])
-            k = _digits_end(text, j + 1) if text[j:j + 1] == "/" else j
-            if k > j + 1:  # digits follow the "/"
-                den = int(text[j + 1:k])
-                if den == 0:
-                    raise ParseError("zero denominator", line, start_col)
-                tokens.append(_Token("number", Fraction(num, den), line, start_col))
-                col += k - i
-                i = k
-            else:
-                tokens.append(_Token("number", Fraction(num), line, start_col))
-                col += j - i
-                i = j
+            j = k = _digits_end(text, i, line, col)
+            if text[j:j + 1] == "/" and "0" <= text[j + 1:j + 2] <= "9":
+                k = _digits_end(text, j + 1, line, col + j + 1 - i)
+            den = int(text[j + 1:k]) if k > j else 1
+            if den == 0:
+                raise ParseError("zero denominator", line, start_col)
+            tokens.append(_Token("number", Fraction(int(text[i:j]), den),
+                                 line, start_col))
+            col += k - i
+            i = k
             continue
         if ch.isascii() and (ch.isalpha() or ch == "_"):
             j = i

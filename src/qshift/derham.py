@@ -301,21 +301,43 @@ class CompatVerdict:
         return f"CompatVerdict({self.kind})"
 
 
+def _source_lookup(total: Operator, candidates, n):
+    """The sources of a row key k: a superset of the (i, e), 0 <= e < n,
+    with k - e hbar a key of [total, candidates[i]].  A key of t o u or
+    u o t, t a term of ``total``, is even(t) + even(u) less a Leibniz step
+    Sum_i j_i (y_i + d_y_i), 0 <= j_i <= max(y_i(t), d_y_i(t)), plus u's
+    odd bits off t's variables (``_product_into``); a negative field sets a
+    guard bit, which no candidate carries."""
+    C = codec(total.m)
+    odd, shift, probes, index = C.odd, C.hbar_shift, set(), {}
+    for t in total.terms:
+        steps, used = [0], (t | t >> 1) & C.eta  # used: t's odd variables
+        for yo, do, unit in C.shared.values():
+            top = max(t >> yo & C.field, t >> do & C.field)
+            steps = [s + j * unit for s in steps for j in range(top + 1)]
+        probes.update(((t & ~odd) - s, odd ^ 3 * used) for s in steps)
+    for i, u in enumerate(candidates):
+        index.setdefault(u & ~odd, []).append((i, u & odd))
+    return lambda k: dict.fromkeys(
+        (i, e) for offset, outside in probes
+        for diff in ((k & ~odd) - offset,) for e in (diff >> shift,)
+        if 0 <= e < n for i, u in index.get(diff - (e << shift), ())
+        if not (u ^ k) & outside)
+
+
 def check_compatibility(omega: DRWord, delta: Quantisation, X: CritLocus,
                         window: SearchWindow | None = None) -> CompatVerdict:
     """Compare mu(omega, Delta) with the canonical tangent hbar^2 dDelta/dhbar;
     on strict inequality, search the window for a coboundary witness.
 
-    The unknowns are the operator monomials hbar^e u of the window, one
-    degree below the residual's.  hbar is central and of degree 0, so
-    [delta + Delta, hbar^e u] = hbar^e [delta + Delta, u]: the centre
-    differential of every monomial u at hbar^0 is one banded commutator,
-    and the column of each hbar^e u is that image with every hbar exponent
-    shifted by e.  Only the rows that the residual's rows reach through
-    shared columns are assembled, in the whole system's order: any other
-    component has b = 0 and is solved by 0, and elimination never mixes
-    components, so the verdict and the witness are the whole system's.  A
-    witness is reported only if its image is the residual.
+    The unknowns are the window's monomials hbar^e u one degree below the
+    residual's; hbar is central, so the column of hbar^e u is [delta +
+    Delta, u] shifted by e.  Only b's component of the row-column graph is
+    assembled, in the whole system's order: elimination never mixes
+    components and one with b = 0 is solved by 0, so the verdict and the
+    witness are the whole system's.  Each wave of rows names its sources
+    (``_source_lookup``); the new ones' images come from one banded call.
+    A witness is reported only if its image is the residual.
     """
     if not mc_residual(X, delta).is_zero():
         raise NotMaurerCartan("compatibility needs a Maurer-Cartan Delta")
@@ -324,38 +346,34 @@ def check_compatibility(omega: DRWord, delta: Quantisation, X: CritLocus,
     r = mu(omega, delta, X) - sigma_tangent(delta).eps_as_series()
     if r.is_zero():
         return CompatVerdict(CompatVerdict.EXACT, window=window)
-    C = codec(X.m)
-    degrees = {d - 1 for d in r.degrees()}
-    keys = operator_keys_in_window(X, window.order_cap, window.ydeg_cap)
-    # a stable sort: ascending degree, enumeration order within a degree
-    keyed = [(d, k) for k in keys if (d := C.degree(k)) in degrees]
-    candidates = [k for _, k in sorted(keyed, key=lambda dk: dk[0])]
+    candidates = [k for d in sorted({d - 1 for d in r.degrees()})
+                  for k in operator_keys_in_window(
+                      X, window.order_cap, window.ydeg_cap, degree=d)]
     n = window.hbar_max + 1
-    shifts = [e << C.hbar_shift for e in range(n)]
+    shifts = [e << codec(X.m).hbar_shift for e in range(n)]
     total = koszul_operator(X) + delta
-    images = _banded_images(X.m, candidates,
-                            lambda u: op_commutator(total, u), total.terms)
-    at = {}  # image key -> [(candidate, position in its image)]
-    for i, image in enumerate(images):
-        for pos, k in enumerate(image):
-            at.setdefault(k, []).append((i, pos))
-    # row k holds (column i n + e, position, q) for q at k - shift e in image i
-    reached, todo, seen = {}, list(r.terms), set()
-    for k in todo:
-        if k in reached:
-            continue
-        row = reached[k] = sorted(
-            (i * n + e, pos, images[i][k - h]) for e, h in enumerate(shifts)
-            for i, pos in at.get(k - h, ()))
-        for col, _, _ in row:
-            if col not in seen:
+    sources = _source_lookup(total, candidates, n)
+    # row k is {i n + e: q} for q at k - e hbar in image i, by column
+    images, reached, todo, seen = {}, {}, list(r.terms), set()
+    while todo:
+        pending = {k: sources(k) for k in todo if k not in reached}
+        new = {i for src in pending.values() for i, _ in src} - images.keys()
+        images.update(zip(new, new and _banded_images(
+            X.m, [candidates[i] for i in new],
+            lambda u: op_commutator(total, u), total.terms)))
+        todo = []
+        for k, src in pending.items():
+            row = reached[k] = {i * n + e: images[i][k - shifts[e]] for i, e
+                                in sorted(src) if k - shifts[e] in images[i]}
+            for col in row.keys() - seen:
                 seen.add(col)
                 todo += [key + shifts[col % n] for key in images[col // n]]
     # the residual's rows first, then the order in which the whole system
-    # adds rows: by first column, then by position in that image
-    found = list(reached.values())
-    found[len(r.terms):] = sorted(found[len(r.terms):], key=lambda e: e[0][:2])
-    sol = solve_rational([{c: q for c, _, q in row} for row in found],
+    # adds rows: by first column, then by position in that column's image
+    order = dict.fromkeys(r.terms)
+    for col in sorted(seen):
+        order.update((key + shifts[col % n], 0) for key in images[col // n])
+    sol = solve_rational([reached[k] for k in order],
                          dict(enumerate(r.terms.values())), len(candidates) * n)
     if sol is None:
         return CompatVerdict(CompatVerdict.FAILS, residual=r, window=window)

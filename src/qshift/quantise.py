@@ -133,10 +133,10 @@ def centre_differential(X: CritLocus, delta: Quantisation, u: Operator,
 # ---------------------------------------------------------------------------
 
 def operator_keys_in_window(X: CritLocus, order_cap: int, ydeg_cap: int,
-                            arity_exact=None):
+                            arity_exact=None, degree=None):
     """Operator monomial keys y^a eta_S d_y^b d_eta_T with derivative degree
-    <= order_cap (or exactly ``arity_exact``) and |a| <= ydeg_cap, ordered
-    by T in ``eta_subsets`` order, then b lexicographic, then S, then a."""
+    <= order_cap (or exactly ``arity_exact``), |a| <= ydeg_cap and, if given,
+    |T| - |S| = ``degree``: by T (``eta_subsets`` order), b (lex), S, a."""
     C = codec(X.m)
     top = order_cap if arity_exact is None else arity_exact
     if max(top, ydeg_cap) >= C.limit:
@@ -149,7 +149,8 @@ def operator_keys_in_window(X: CritLocus, order_cap: int, ydeg_cap: int,
             for b in iter_y_exponents(X.m, top - len(T))
             if arity_exact is None or sum(b) + len(T) == top
             for fixed in (t + sum(map(mul, C.dy, b)),)
-            for s in etas for a in alist]
+            for s in etas if degree in (None, t.bit_count() - s.bit_count())
+            for a in alist]
 
 
 def _order_bound(label: FiltrationLabel, p: int, j: int):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -72,6 +73,34 @@ def test_non_ascii_digits_are_parse_errors(tmp_path, capsys, text, col):
     assert (err.value.line, err.value.col) == (1, col)
     path = tmp_path / "p.qs"
     path.write_text(text, encoding="utf-8")
+    assert main(["milnor", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["payload"]["error_type"] == "ParseError"
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("where", ["numerator", "denominator"])
+def test_numerals_longer_than_int_converts_are_parse_errors(tmp_path, capsys,
+                                                            where):
+    """A numeral with more digits than ``int`` converts from a string (4,300
+    by default), as numerator or denominator, is a ParseError at its
+    position (exit 2, no traceback), where int() raised a ValueError; one
+    digit fewer parses."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if not limit:
+        pytest.skip("int() converts numerals of any length here")
+
+    def text(digits):
+        if where == "numerator":
+            return f"vars x;\nf = {'7' * digits}*x^2;\n"
+        return f"vars x;\nf = 1/{'7' * digits}*x^2;\n"
+
+    assert parse_problem(text(limit)).f.terms
+    with pytest.raises(ParseError, match=f"{limit + 1} digits") as err:
+        parse_problem(text(limit + 1))
+    assert (err.value.line, err.value.col) == (2, 5 if where == "numerator" else 7)
+    path = tmp_path / "p.qs"
+    path.write_text(text(limit + 1))
     assert main(["milnor", str(path)]) == 2
     captured = capsys.readouterr()
     assert json.loads(captured.out)["payload"]["error_type"] == "ParseError"

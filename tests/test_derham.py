@@ -784,6 +784,67 @@ def test_witness_search_matches_component_on_random_quantisations(
         assert verdict.kind == CompatVerdict.COBOUNDARY
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 2))
+def test_source_lookup_names_every_source(seed, m):
+    """For total = delta_Koszul of a random f + a random quantisation + a
+    random operator with hbar, plus a term y_1 eta_1 d_y_1^2 d_eta_m, every
+    key k of [total, u] names (u, 0) for each window key u, and k + e hbar
+    names (u, e) for e = 1, 2; above the window's top hbar exponent nothing
+    is named."""
+    rng = random.Random(seed)
+    f = Element(m, {(tuple(rng.randint(0, 3) for _ in range(m)), ()):
+                    rng.choice([1, -2, Fraction(1, 3)]) for _ in range(3)})
+    if not f.terms:
+        f = Element.y(m, 1) ** 2
+    X = make_crit_locus(f, m)
+    one = (1,) + (0,) * (m - 1)
+    extra = random_operator(rng, m, max_order=3, nterms=3, with_hbar=True) \
+        + Operator(m, {(one, (1,), tuple(2 * a for a in one), (m,)): 1})
+    total = koszul_operator(X) + random_quantisation(rng, m) + extra
+    keys = operator_keys_in_window(X, 2, 2 if m == 1 else 1)
+    sources = derham._source_lookup(total, keys, 3)
+    shift = codec(m).hbar_shift
+    for i, u in enumerate(keys):
+        image = op_commutator(total, Operator._from_store(m, {u: 1}))
+        for k in image.terms:
+            for e in range(3):
+                assert (i, e) in sources(k + (e << shift))
+            assert all(e < 3 for _, e in sources(k + (3 << shift)))
+
+
+def test_witness_search_images_only_the_named_candidates(monkeypatch):
+    """The search computes a candidate's image only when a row it reaches
+    names it, and each at most once: x^3+y^5 at (2, 2, 4) images at most 20
+    of its 114 candidates, and x^3+y^3+z^3 at (4, 4, 6) at most 600 of its
+    10,815."""
+    imaged, ncols = [], []
+
+    def spy(m, keys, *args):
+        imaged.extend(keys)
+        return _banded_images(m, keys, *args)
+
+    def solve(rows, rhs, n):
+        ncols.append(n)
+        return solve_rational(rows, rhs, n)
+
+    monkeypatch.setattr(derham, "_banded_images", spy)
+    monkeypatch.setattr(derham, "solve_rational", solve)
+    y2, y3 = Element.y(2, 2), Element.y(3, 3)
+    cases = [(Element.y(2, 1) ** 3 + y2 ** 5, (2, 2, 4), 114, 20),
+             (Element.y(3, 1) ** 3 + Element.y(3, 2) ** 3 + y3 ** 3,
+              (4, 4, 6), 10815, 600)]
+    for f, window, count, bound in cases:
+        imaged.clear()
+        ncols.clear()
+        X = make_crit_locus(f, f.m)
+        verdict = check_compatibility(DRWord.zero(f.m, 2), bv_quantisation(X),
+                                      X, SearchWindow(*window))
+        assert verdict.kind == CompatVerdict.COBOUNDARY
+        assert ncols == [count * (window[2] + 1)]
+        assert len(set(imaged)) == len(imaged) <= bound
+
+
 def test_fails_verdicts_have_a_small_dual_certificate(monkeypatch):
     """Each Fails window's system is inconsistent, shown by a dual vector y
     on b's component alone: y^T A = 0 and y^T b = 1, both checked by direct

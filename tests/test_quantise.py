@@ -384,6 +384,25 @@ def test_degree_window_keys_match_nested_loops(idx):
                 == operator_keys_by_encode(X, cap, ydeg_cap, arity_exact=arity)
 
 
+@pytest.mark.parametrize("idx", [0, 4, 7], ids=["x^2", "x^3+y^3", "x^2+y^2+z^2"])
+def test_window_keys_of_one_degree_match_the_oracle(idx):
+    """With ``degree`` d the window is the oracle's keys of degree |T| - |S|
+    = d, in the oracle's order, for order and y-degree caps 0..3, with and
+    without an exact arity; the degrees together give the whole window."""
+    X = corpus_locus(idx)
+    C = codec(X.m)
+    for ydeg_cap, cap, arity in itertools.product(range(4), range(4),
+                                                  (None, *range(4))):
+        oracle = operator_keys_by_encode(X, cap, ydeg_cap, arity_exact=arity)
+        parts = []
+        for d in range(-X.m - 1, X.m + 2):
+            part = operator_keys_in_window(X, cap, ydeg_cap,
+                                           arity_exact=arity, degree=d)
+            assert part == [k for k in oracle if C.degree(k) == d]
+            parts += part
+        assert Counter(parts) == Counter(oracle)
+
+
 def test_window_cap_overflow_is_refused_before_enumerating(monkeypatch):
     """A cap of 2^15 (an order cap, an exact arity or a y-degree cap) is
     refused with ExponentOverflow before anything is enumerated; caps of
