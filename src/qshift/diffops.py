@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, perm
 
-from .coefficients import _shuffle, _Store, codec
+from .coefficients import FIELD_BITS, _shuffle, _Store, codec
 from .errors import ArityMismatch, OrderTooLow, ZeroOperator
 from .gca import Element
 
@@ -100,11 +100,6 @@ def _odd_product(left, right):
     return tuple(out)
 
 
-# _odd_product(left, right) as _ODD_ROWS[left][right], each entry computed
-# when a product first meets it
-_ODD_ROWS = {}
-
-
 def _leibniz_steps(C, fields):
     """The terms of d_y^b o y^c, for ``fields`` the d_y fields b of L's key
     and the y fields c of R's, as ``((key step, multiplier), ...)``: per
@@ -118,70 +113,89 @@ def _leibniz_steps(C, fields):
     return tuple(steps)
 
 
-# _leibniz_steps(codec(m), fields) as _LEIBNIZ_ROWS[m][fields], each entry
-# computed when a product first meets it; the fields move with m
-_LEIBNIZ_ROWS = {}
-_NO_STEPS = ((0, 1),)  # a pair where no d_y of L meets a y of R
+def _pair_terms(C, ol, key, bracket):
+    """The terms of a pair of monomials as ``((offset, multiplier), ...)``,
+    offsets from the sum of their even parts, for L's odd part ``ol`` and
+    a ``key`` holding R's odd part, the d_y fields of L and y fields of R
+    where they meet and, from ``hbar_shift`` up, R's d_y and L's y fields
+    where those meet.  L o R pairs every Leibniz step with every term of
+    ``_odd_product``; the bracket merges in -(-1)^(|L||R|) R o L, whose
+    leading term cancels that of L o R (see ``op_commutator``)."""
+    orr = key & C.odd
+    terms = {bits - step: n * s
+             for step, n in _leibniz_steps(C, key & C.mono & ~C.odd)
+             for bits, s in _odd_product(ol, orr)}
+    if bracket:
+        sign = 1 if ol.bit_count() * orr.bit_count() & 1 else -1
+        for step, n in _leibniz_steps(C, key >> C.hbar_shift):
+            for bits, s in _odd_product(orr, ol):
+                terms[bits - step] = terms.get(bits - step, 0) + sign * n * s
+    out = tuple(_TERMS.setdefault(t, t) for t in terms.items() if t[1])
+    return _TERMS.setdefault(out, out)
 
 
-def _product_into(acc, left, right, C, sign=1):
-    """Accumulate sign * L o R into the store ``acc``, where ``left`` and
-    ``right`` are the flat (key, coefficient) items of two stores, in one
-    pass over the pairs of terms.
+# _pair_terms(C, ol, key, bracket) as _PAIR_ROWS[m, bracket][ol][key], each
+# entry computed when a product first meets it; the fields move with m.
+# _TERMS keeps one copy of each entry and of each (offset, multiplier) term.
+_PAIR_ROWS, _TERMS = {}, {}
+
+
+def _product_into(acc, left, right, C, bracket=False):
+    """Accumulate L o R, or with ``bracket`` the graded commutator [L, R],
+    into the store ``acc``, where ``left`` and ``right`` are the flat (key,
+    coefficient) items of two stores, in one pass over the pairs of terms.
 
     For y^a eta_S d_y^b d_eta_T o y^c eta_U d_y^d d_eta_V, d_y^b passes y^c
     by Leibniz and d_eta_T passes eta_U by Clifford ordering; everything
     else commutes, so the only further signs are the merges in
-    ``_odd_product``.  The key of the leading term is the sum of the two
-    keys' even parts (y and d_y fields and hbar exponents) plus the odd
-    bits, and the Leibniz steps of ``_LEIBNIZ_ROWS`` apply only when a
-    variable has d_y in L and y in R.  Distinct (j, U') give distinct keys,
-    so the terms of one pair never collide.
+    ``_odd_product``.  Every term's key is the sum of the two keys' even
+    parts (y and d_y fields and hbar exponents) plus an offset from
+    ``_PAIR_ROWS``, read by the odd parts and, found by a mask test, the
+    fields of the variables with d_y on one side and y on the other (from L
+    to R only, unless ``bracket``).  A pair whose entry is empty is skipped
+    before its keys are added, so it never overflows.
     """
-    odd, guard = C.odd, C.guard
+    odd, guard, top, hs = C.odd, C.guard, FIELD_BITS - 1, C.hbar_shift
     yb, yl, yg = C.y_block, C.y_lows, C.y_guards
     db, dl, dg, shift = C.dy_block, C.dy_lows, C.dy_guards, C.dy_to_y
-    # per term: even part, odd part, and the guard bits of its nonzero y
-    # fields (a field x < limit is nonzero iff x + limit - 1 sets its guard)
-    rterms = [(kr & ~odd, kr & odd, ((kr & yb) + yl) & yg, kr, cr)
-              for kr, cr in right]
-    rows = _ODD_ROWS
-    steps_of = _LEIBNIZ_ROWS.setdefault(C.m, {})
+    # per term: even part, odd part, and the guard bits (at y's place) of its
+    # nonzero y and d_y fields; x < limit is nonzero iff x + limit - 1 sets
+    # the guard, and a field's mask is (guard << 1) - (guard >> top)
+    rterms = [(kr & ~odd, kr & odd, ((kr & yb) + yl) & yg,
+               (((kr & db) + dl) & dg) >> shift, kr, cr) for kr, cr in right]
+    rows = _PAIR_ROWS.setdefault((C.m, bracket), {})
     for kl, cl in left:
         el, ol = kl & ~odd, kl & odd
-        dys = (((kl & db) + dl) & dg) >> shift  # nonzero d_y, at y's place
-        if sign != 1:
-            cl = -cl
-        row = rows.get(ol)
-        if row is None:
-            row = rows[ol] = {}
-        for er, orr, ysr, kr, cr in rterms:
-            odds = row.get(orr)
-            if odds is None:
-                odds = row[orr] = _odd_product(ol, orr)
-            if not odds:
+        dys = (((kl & db) + dl) & dg) >> shift
+        ys = ((kl & yb) + yl) & yg if bracket else 0
+        row = rows.get(ol) or rows.setdefault(ol, {})
+        for er, orr, ysr, dysr, kr, cr in rterms:
+            key, fwd, back = orr, dys & ysr, dysr & ys
+            if fwd:
+                fwd = (fwd << 1) - (fwd >> top)
+                key |= kl & fwd << shift | kr & fwd
+            if back:
+                back = (back << 1) - (back >> top)
+                key |= (kr & back << shift | kl & back) << hs
+            terms = row.get(key)
+            if terms is None:
+                terms = row[key] = _pair_terms(C, ol, key, bracket)
+            if not terms:
                 continue
             base = el + er
             if base & guard:
                 C.overflow()
-            v, steps = cl * cr, _NO_STEPS
-            if dys & ysr:
-                fields = kl & db | kr & yb
-                steps = steps_of.get(fields)
-                if steps is None:
-                    steps = steps_of[fields] = _leibniz_steps(C, fields)
-            for step, n in steps:
-                n *= v
-                for bits, s in odds:
-                    # _accumulate, inlined
-                    k = base - step + bits
-                    w = acc.get(k, 0) + (n if s == 1 else -n)
-                    if not w:
-                        del acc[k]
-                    elif type(w) is Fraction and w.denominator == 1:
-                        acc[k] = w.numerator
-                    else:
-                        acc[k] = w
+            v = cl * cr
+            for off, n in terms:
+                # _accumulate, inlined
+                k = base + off
+                w = acc.get(k, 0) + v * n
+                if not w:
+                    del acc[k]
+                elif type(w) is Fraction and w.denominator == 1:
+                    acc[k] = w.numerator
+                else:
+                    acc[k] = w
 
 
 def op_compose(D1: Operator, D2: Operator) -> Operator:
@@ -194,22 +208,20 @@ def op_compose(D1: Operator, D2: Operator) -> Operator:
 
 
 def op_commutator(D1: Operator, D2: Operator) -> Operator:
-    """Graded commutator [D1, D2], extended bilinearly over monomials:
-    k1 o k2 - (-1)^(|k1||k2|) k2 o k1 for each pair, added to one store;
-    the sign of k2 o k1 is +1 only for two odd monomials."""
+    """Graded commutator [D1, D2], the sum over pairs of monomials of
+    k1 o k2 - (-1)^(|k1||k2|) k2 o k1, in one pass over the pairs.  The
+    leading terms of the two products (no Leibniz step, no Clifford
+    contraction) agree up to that sign, as the associated graded of the
+    order filtration is supercommutative, and both are zero when S and U
+    or T and V meet.  So they cancel in the pair's merged table entry
+    (``_pair_terms``), which keeps only the steps j >= 1 and the
+    contractions of both directions; a pair with no d_y against a y and no
+    d_eta against an eta, either way, has an empty entry and is skipped."""
     if D1.m != D2.m:
         raise ValueError("signature mismatch")
-    C = codec(D1.m)
-    left, right = list(D1.terms.items()), list(D2.terms.items())
-    odd_l = [t for t in left if C.degree(t[0]) & 1]
-    even_l = [t for t in left if not C.degree(t[0]) & 1]
-    odd_r = [t for t in right if C.degree(t[0]) & 1]
-    even_r = [t for t in right if not C.degree(t[0]) & 1]
     acc = {}
-    _product_into(acc, left, right, C)
-    _product_into(acc, even_r, left, C, -1)
-    _product_into(acc, odd_r, even_l, C, -1)
-    _product_into(acc, odd_r, odd_l, C)
+    _product_into(acc, D1.terms.items(), D2.terms.items(), codec(D1.m),
+                  bracket=True)
     return Operator._from_store(D1.m, acc)
 
 

@@ -10,6 +10,7 @@ against the membership constraint order(Delta_j) <= j when it is built.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 from operator import mul
 
@@ -132,6 +133,21 @@ def centre_differential(X: CritLocus, delta: Quantisation, u: Operator,
 # Operator windows and filtration dimension tables
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _odd_masks(m):
+    """(|S|, eta_S, d_eta_S) for the subsets S of ``eta_subsets(m)``."""
+    C = codec(m)
+    return tuple((len(S), sum(C.eta_bits[i - 1] for i in S),
+                  sum(C.deta_bits[i - 1] for i in S)) for S in eta_subsets(m))
+
+
+@lru_cache(maxsize=256)
+def _y_keys(m, cap, exact=False):
+    """The keys y^a of degree <= cap (== cap if ``exact``), lexicographic."""
+    return tuple(sum(map(mul, codec(m).y, a)) for a in iter_y_exponents(m, cap)
+                 if not exact or sum(a) == cap)
+
+
 def operator_keys_in_window(X: CritLocus, order_cap: int, ydeg_cap: int,
                             arity_exact=None, degree=None):
     """Operator monomial keys y^a eta_S d_y^b d_eta_T with derivative degree
@@ -141,15 +157,11 @@ def operator_keys_in_window(X: CritLocus, order_cap: int, ydeg_cap: int,
     top = order_cap if arity_exact is None else arity_exact
     if max(top, ydeg_cap) >= C.limit:
         C.overflow()
-    subsets = eta_subsets(X.m)
-    etas = [sum(C.eta_bits[i - 1] for i in S) for S in subsets]
-    detas = [sum(C.deta_bits[i - 1] for i in T) for T in subsets]
-    alist = [sum(map(mul, C.y, a)) for a in iter_y_exponents(X.m, ydeg_cap)]
-    return [fixed + s + a for T, t in zip(subsets, detas) if len(T) <= top
-            for b in iter_y_exponents(X.m, top - len(T))
-            if arity_exact is None or sum(b) + len(T) == top
-            for fixed in (t + sum(map(mul, C.dy, b)),)
-            for s in etas if degree in (None, t.bit_count() - s.bit_count())
+    masks, alist = _odd_masks(X.m), _y_keys(X.m, ydeg_cap)
+    return [tb + s + a for nt, _, t in masks if nt <= top
+            for b in _y_keys(X.m, top - nt, arity_exact is not None)
+            for tb in (t + (b << C.dy_to_y),)
+            for ns, s, _ in masks if degree in (None, nt - ns)
             for a in alist]
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qshift import cli
 from qshift.coefficients import FIELD_BITS, HSeries, codec
-from qshift.diffops import Operator, _leibniz_steps, op_compose
+from qshift.diffops import Operator, _leibniz_steps, op_commutator, op_compose
 from qshift.errors import ExponentOverflow
 from qshift.gca import Element, gmul
 
@@ -232,3 +232,19 @@ def test_vc_dims_on_a_large_exponent(tmp_path, capsys):
     path.write_text("vars x;\nf = x^2000;\n")
     assert cli.main(["vc-dims", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["payload"]["dims"] == {"0": 1999}
+
+
+def test_commutator_overflow_is_refused_only_for_pairs_that_meet():
+    """A commutator pair that meets (a d_y against a y, either way) adds its
+    keys and is refused when they overflow; a pair that meets in neither
+    direction contributes nothing and is skipped before its keys are
+    added, so [y^(2^14), y^(2^14)] is 0 while the product still overflows."""
+    m, half = 1, LIMIT // 2
+    y_half = Operator.mult(Element.y(m, 1, half))
+    y_half_dy = Operator(m, {((half,), (), (1,), ()): 1})
+    for left, right in ((y_half_dy, y_half), (y_half, y_half_dy)):
+        with pytest.raises(ExponentOverflow):
+            op_commutator(left, right)
+    assert op_commutator(y_half, y_half).is_zero()
+    with pytest.raises(ExponentOverflow):
+        op_compose(y_half, y_half)

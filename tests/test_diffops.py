@@ -66,6 +66,11 @@ def test_commutator_canonical_pairs():
         == Operator.identity(m)
     assert op_commutator(Operator.mult(Element.y(m, 1)),
                          Operator.mult(Element.y(m, 2))).is_zero()
+    # pairs that meet only from right to left
+    assert op_commutator(Operator.mult(Element.y(m, 1)), Operator.d_y(m, 1)) \
+        == Operator.identity(m).scale(-1)
+    assert op_commutator(Operator.mult(Element.eta(m, 1)), Operator.d_eta(m, 1)) \
+        == Operator.identity(m)
 
 
 def test_order_examples():
@@ -397,26 +402,45 @@ def test_compose_and_commutator_multi_term_hbar():
         _assert_clean(schouten(P, Q))
 
 
-def _hseries_st():
-    return st.dictionaries(st.integers(-2, 2), st.integers(-3, 3).filter(bool),
+def _hseries_st(values=st.integers(-3, 3)):
+    return st.dictionaries(st.integers(-2, 2), values.filter(bool),
                            min_size=1, max_size=3).map(HSeries)
 
 
-def _operator_st(m):
-    return st.dictionaries(_key_st(m, max_exp=2), _hseries_st(),
+def _operator_st(m, max_exp=2, values=st.integers(-3, 3)):
+    return st.dictionaries(_key_st(m, max_exp), _hseries_st(values),
                            max_size=3).map(lambda t: Operator(m, t))
 
 
-_OPERATOR_PAIRS = st.integers(1, 2).flatmap(
-    lambda m: st.tuples(_operator_st(m), _operator_st(m)))
+def _fraction_operator_pair(m):
+    """Two operators with exponents up to 4 and Laurent-hbar coefficients
+    whose values are Fractions."""
+    ops = _operator_st(m, 4, st.fractions(-3, 3, max_denominator=4))
+    return st.tuples(ops, ops)
 
 
-@settings(max_examples=60, deadline=None)
+_OPERATOR_PAIRS = st.integers(1, 3).flatmap(_fraction_operator_pair)
+
+
+def _mono(m, key, c=1):
+    return Operator(m, {key: c})
+
+
+@settings(max_examples=120, deadline=None)
 @given(_OPERATOR_PAIRS)
 @example((Operator(2, {((0, 0), (1,), (0, 0), ()): 1,              # odd
                        ((1, 0), (), (0, 0), (1, 2)): 2}),          # even
           Operator(2, {((0, 0), (), (1, 0), (1,)): 1,              # odd
                        ((0, 1), (2,), (0, 0), ()): HSeries({-1: 3, 1: -1})})))
+# eta1 deta1 against y1 eta1 deta1: no leading term (S meets U, T meets V),
+# and the contraction eta1 deta1 carries every odd bit of the pair
+@example((_mono(1, ((0,), (1,), (0,), (1,))),
+          _mono(1, ((1,), (1,), (0,), (1,)), HSeries({-1: Fraction(1, 2)}))))
+# [y dy^2, y^2 dy]: a d_y meets a y in both directions
+@example((_mono(1, ((1,), (), (2,), ())), _mono(1, ((2,), (), (1,), ()), 3)))
+# [y1 eta1 dy2, y1 deta2]: meets in neither direction, so the pair is skipped
+@example((_mono(2, ((1, 0), (1,), (0, 1), ()), Fraction(2, 3)),
+          _mono(2, ((1, 0), (), (0, 0), (2,)), HSeries({0: 1, 2: -1}))))
 def test_commutator_matches_pairwise_graded_definition(pair):
     """[D1, D2] = Sum over monomial pairs of k1 o k2 - (-1)^(|k1||k2|) k2 o k1."""
     D1, D2 = pair
