@@ -11,8 +11,8 @@ from .diffops import (Operator, Polyvector, op_commutator, op_compose,
                       op_order, schouten, symbol)
 from .duality import (SignProfile, is_self_dual, solve_sign_profile, star,
                       transpose)
-from .gca import (AlgebraSignature, CritLocus, Element, apply_koszul_delta,
-                  gmul, make_crit_locus)
+from .gca import (CritLocus, Element, apply_koszul_delta, gmul,
+                  make_crit_locus)
 from .quantise import (FiltrationLabel, Quantisation, TangentElement,
                        bv_quantisation, centre_differential, filtration_dims,
                        koszul_operator, mc_residual, nu_eigen_analysis,

@@ -6,8 +6,11 @@ The eta-model complex is O_X = Q[y] (x) Lambda[eta] with differential
 delta + hbar * Sum_i d_{y_i} d_{eta_i}.  Its cohomology over Q(hbar) is
 taken from one exact rank per degree slice when f is quasi-homogeneous
 (weight rescaling), and from the tameness theorem when f is
-semi-quasi-homogeneous; anything else is refused.  The Jacobian ring
-Q[y]/(df) comes from one Groebner basis of the partials.
+semi-quasi-homogeneous; anything else is refused.  The weights are
+solved here, not held by the CritLocus.  The Jacobian ring Q[y]/(df)
+comes from one Groebner basis of the partials, built fraction-free on
+packed grevlex keys, and mu counts its standard monomials by the Hilbert
+recursion.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ import itertools
 import math
 from fractions import Fraction
 
-from .coefficients import (_accumulate, _div, codec, rank_rational,
-                           solve_rational)
+from .coefficients import (FIELD_BITS, _accumulate, _admit, _div, codec,
+                           rank_rational, solve_rational)
 from .errors import NonIsolated, NotCertified, NotPolynomial, ZeroPolynomial
-from .gca import CritLocus, Element, apply_koszul_delta
+from .gca import CritLocus, Element, apply_koszul_delta, detect_weights
 
 
 class CohomologyReport:
@@ -80,10 +83,9 @@ def eta_subsets(m):
                   for S in itertools.combinations(range(1, m + 1), k))
 
 
-def element_keys_in_window(X, cutoff):
+def element_keys_in_window(X, cutoff, weights):
     """All packed monomial keys y^a eta_S of weight <= cutoff, grouped by
     degree; y_i weighs w_i and eta_i weighs 1 - w_i (f quasi-homogeneous)."""
-    weights = X.signature.weights
     C = codec(X.m)
     by_degree = {}
     for S in eta_subsets(X.m):
@@ -127,8 +129,8 @@ def _slice_rank(X, basis):
 # The twisted de Rham cohomology, by certificate
 # ---------------------------------------------------------------------------
 
-def _weight_rescaling(X):
-    """Quasi-homogeneous f with an isolated singularity.
+def _weight_rescaling(X, weights):
+    """Quasi-homogeneous f with an isolated singularity, of ``weights``.
 
     Give y_i the weight w_i, eta_i the weight 1 - w_i and hbar the weight 1.
     Then delta keeps the weight and hbar * Delta does too, so every matrix
@@ -148,10 +150,9 @@ def _weight_rescaling(X):
     quasi-isomorphism for c' >= c >= socle: the one cutoff c = socle gives
     the cohomology of the whole complex.
     """
-    weights = X.signature.weights
     milnor_number(X.f, X.m, X.names)
     cutoff = sum(1 - 2 * w for w in weights)
-    by_degree = element_keys_in_window(X, cutoff)
+    by_degree = element_keys_in_window(X, cutoff, weights)
     rank = {d: _slice_rank(X, basis) for d, basis in by_degree.items()}
     dims = {d: len(basis) - rank[d] - rank.get(d - 1, 0)
             for d, basis in by_degree.items()}
@@ -203,80 +204,135 @@ def _tame(X):
 def twisted_derham_dims(X: CritLocus) -> CohomologyReport:
     """Dimensions over Q(hbar) of the hbar-twisted de Rham complex, with the
     proof that f admits: the weight-rescaling argument of
-    ``_weight_rescaling`` when f is quasi-homogeneous, else the tameness
-    certificate of ``_tame``."""
-    if X.signature.weights is not None:
-        return _weight_rescaling(X)
+    ``_weight_rescaling`` when f is quasi-homogeneous (``detect_weights``
+    finds its weights), else the tameness certificate of ``_tame``."""
+    weights = detect_weights(X.f, X.m)
+    if weights is not None:
+        return _weight_rescaling(X, weights)
     return _tame(X)
 
 
 # ---------------------------------------------------------------------------
-# Jacobian ring: a grevlex Groebner basis of the partials
+# Jacobian ring: a grevlex Groebner basis of the partials, on packed keys
 # ---------------------------------------------------------------------------
 
-def _grevlex(a):
-    """Sort key of an exponent vector in graded reverse lexicographic order."""
-    return sum(a), tuple(-x for x in reversed(a))
+_TOP = (1 << FIELD_BITS - 1) - 1  # the field of exponent 0
+_FIELD = (1 << FIELD_BITS) - 1
 
 
-def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+def _grevlex_layout(m):
+    """(key of 1, guard bits) of the packed grevlex keys in m variables.
+
+    A key is an ``int`` whose integer order is grevlex: the total degree |a|
+    on top, and below it, from a_m down to a_1, one ``FIELD_BITS``-wide
+    field per variable holding 2^15 - 1 - a_i under a clear guard bit.  The
+    key is affine in a, so key(a) - key(lead) carries each term of a
+    polynomial led by ``lead`` to its multiple by y^(a - lead) in one
+    addition, and an exponent pushed past 2^15 - 1 borrows into its guard.
+    ``lead`` divides ``a`` iff (lead | guards) - a borrows from no guard bit
+    (Monagan and Pearce 2007)."""
+    fields = range(0, FIELD_BITS * m, FIELD_BITS)
+    return (sum(_TOP << s for s in fields),
+            sum(1 << FIELD_BITS - 1 << s for s in fields))
 
 
-def _add_multiple(p, c, q, g):
-    """p += c * y^q * g, in place."""
-    for b, d in g.items():
-        _accumulate(p, tuple(x + y for x, y in zip(b, q)), c * d)
+def _add_multiple(p, c, a, lead, g, guards, m):
+    """p += c * y^(a - lead) * g for g led by ``lead``: one addition per
+    term.  Each term of the product is at most y^a, so no exponent exceeds
+    |a|; past 2^15 - 1 an exponent borrows into its field's guard bit, and
+    is refused as in the codec."""
+    shift = a - lead
+    if a >> FIELD_BITS * m > _TOP and any((b + shift) & guards for b in g):
+        codec(m).overflow()
+    for b, v in g.items():
+        _accumulate(p, b + shift, c * v)
 
 
-def _reduce(p, basis):
-    """Remainder of p on full division by ``basis``, a list of (leading
-    monomial, monic polynomial) pairs."""
+def _reduce(p, basis, guards, m):
+    """Primitive remainder of p {key: int}, with a positive leading
+    coefficient, on full division by ``basis``: (lead, lead | guards, g),
+    g primitive with a positive leading coefficient.  A step cancels the
+    leading term c y^a of p by u p - v y^(a - lead) g, for u / v the leading
+    coefficient of g over c in lowest terms: fraction-free, and the
+    remainder is the one over Q up to a factor."""
     p, rem = dict(p), {}
     while p:
-        a = max(p, key=_grevlex)
-        for lead, g in basis:
-            if _divides(lead, a):
-                _add_multiple(p, -p[a], tuple(x - y for x, y in zip(a, lead)), g)
+        a = max(p)
+        for lead, test, g in basis:
+            if (test - a) & guards == guards:
+                d = math.gcd(g[lead], p[a])
+                u, v = g[lead] // d, p[a] // d
+                if u != 1:
+                    p = {k: c * u for k, c in p.items()}
+                    rem = {k: c * u for k, c in rem.items()}
+                _add_multiple(p, -v, a, lead, g, guards, m)
                 break
         else:
             rem[a] = p.pop(a)
+    if rem:
+        d = math.gcd(*rem.values()) * (1 if rem[max(rem)] > 0 else -1)
+        rem = {k: c // d for k, c in rem.items()}
     return rem
 
 
-def _groebner(polys):
-    """Minimal grevlex Groebner basis of the ideal of the {exponents: Fraction}
-    polynomials, as (leading monomial, monic polynomial) pairs: Buchberger's
+def _groebner(polys, m):
+    """Minimal grevlex Groebner basis of the ideal of the {key: int}
+    polynomials, as (leading key, primitive polynomial) pairs: Buchberger's
     algorithm taking the pair with the smallest lcm first, and skipping a pair
     only when the coprime-leading-monomial criterion or the chain criterion
     proves that its S-polynomial reduces to 0 (Cox-Little-O'Shea, ch. 2)."""
+    one, guards = _grevlex_layout(m)
+    shifts = range(0, FIELD_BITS * m, FIELD_BITS)
     basis, pending = [], {}  # {frozenset({i, j}): lcm of their leads}
 
+    def lcm(x, y):  # the smaller field holds the larger exponent
+        low = [min(x >> s & _FIELD, y >> s & _FIELD) for s in shifts]
+        return ((m * _TOP - sum(low)) << FIELD_BITS * m
+                | sum(v << s for v, s in zip(low, shifts)))
+
     def add(p):
-        lead = max(p, key=_grevlex)
-        for i, (other, _) in enumerate(basis):
-            pending[frozenset((i, len(basis)))] = tuple(map(max, other, lead))
-        basis.append((lead, {a: _div(v, p[lead]) for a, v in p.items()}))
+        lead = max(p)
+        for i, (other, _, _) in enumerate(basis):
+            pending[frozenset((i, len(basis)))] = lcm(other, lead)
+        basis.append((lead, lead | guards, p))
 
     for p in polys:
-        if r := _reduce(p, basis):
+        if r := _reduce(p, basis, guards, m):
             add(r)
     while pending:
-        pair = min(pending, key=lambda ij: _grevlex(pending[ij]))
-        lcm = pending.pop(pair)
-        (li, gi), (lj, gj) = (basis[k] for k in pair)
-        if not any(map(min, li, lj)) or any(  # coprime leads, or a chain
-                k not in pair and _divides(lk, lcm)
+        pair = min(pending, key=pending.get)
+        key = pending.pop(pair)
+        (li, _, gi), (lj, _, gj) = (basis[k] for k in pair)
+        if key == li + lj - one or any(  # coprime leads, or a chain
+                k not in pair and (test - key) & guards == guards
                 and all(frozenset((i, k)) not in pending for i in pair)
-                for k, (lk, _) in enumerate(basis)):
+                for k, (_, test, _) in enumerate(basis)):
             continue
-        s = {}
-        _add_multiple(s, 1, tuple(x - y for x, y in zip(lcm, li)), gi)
-        _add_multiple(s, -1, tuple(x - y for x, y in zip(lcm, lj)), gj)
-        if r := _reduce(s, basis):
+        spoly, d = {}, math.gcd(gi[li], gj[lj])
+        _add_multiple(spoly, gj[lj] // d, key, li, gi, guards, m)
+        _add_multiple(spoly, -gi[li] // d, key, lj, gj, guards, m)
+        if r := _reduce(spoly, basis, guards, m):
             add(r)
-    return [(lead, g) for lead, g in basis
-            if not any(o != lead and _divides(o, lead) for o, _ in basis)]
+    return [(lead, g) for lead, _, g in basis
+            if not any(o != lead and (test - lead) & guards == guards
+                       for o, test, _ in basis)]
+
+
+def _standard_count(leads):
+    """How many exponent vectors no vector of ``leads`` divides, when the
+    leads hold a power of every variable: the Hilbert function of their
+    monomial ideal, summed (Bayer and Stillman 1992).  Between two
+    consecutive last exponents among the leads, the leads that can divide
+    stay the same, so that slab counts its width times their projections'
+    count in one variable fewer; from the power of the last variable on,
+    nothing is standard."""
+    if not all(map(any, leads)):  # 1 is a lead
+        return 0
+    if len(leads[0]) == 1:
+        return min(a[0] for a in leads)
+    cuts = sorted({a[-1] for a in leads})
+    return sum((t - s) * _standard_count([a[:-1] for a in leads if a[-1] <= s])
+               for s, t in zip(cuts, cuts[1:]))
 
 
 class _Certified(int):
@@ -287,9 +343,9 @@ def milnor_number(f: Element, m: int, names=None) -> int:
     """dim_Q Q[y]/(df/dy_1, ..., df/dy_m) from a grevlex Groebner basis G.
 
     The standard monomials (divisible by no leading monomial of G) are a
-    Q-basis of the quotient, so mu is their count: 0 for the unit ideal.
-    Each y_i needs a pure power y_i^e among the leading monomials, which
-    bounds a_i < e; without one, all powers of y_i are standard: NonIsolated,
+    Q-basis of the quotient, so mu is their count (``_standard_count``): 0
+    for the unit ideal.  Each y_i needs a pure power y_i^e among the leading
+    monomials; without one, all powers of y_i are standard: NonIsolated,
     naming y_i by ``names`` (the declared variables), else as y_i.  First,
     if m >= 2 and y_i^2 divides every term, the hyperplane y_i = 0 lies in
     the critical locus: NonIsolated without a Groebner basis.
@@ -309,21 +365,22 @@ def milnor_number(f: Element, m: int, names=None) -> int:
             raise NonIsolated(f"{name}^2 divides every term of f, so the "
                               f"hyperplane {name} = 0 lies in the critical "
                               f"locus: Q[y]/(df) is infinite-dimensional")
-    leads = sorted((lead for lead, _ in _groebner(
-        [{C.y_exponents(k): c for k, c in f.partial_y(i).terms.items()}
-         for i in range(1, m + 1)])), key=_grevlex)
-    box = []
+    one, _ = _grevlex_layout(m)
+    # a codec key of y^a holds a_1 .. a_m in the same fields, from bit 2m
+    leads = sorted(lead for lead, _ in _groebner(_admit(
+        [{(sum(k >> o & C.field for o in C.y_off) << FIELD_BITS * m)
+          + one - (k >> 2 * m): c for k, c in f.partial_y(i).terms.items()}
+         for i in range(1, m + 1)]), m))
+    leads = [[_TOP - (k >> FIELD_BITS * i & C.field) for i in range(m)]
+             for k in leads]
     for i in range(m):
-        powers = [a[i] for a in leads if not any(a[:i] + a[i + 1:])]
-        if not powers:
+        if not any(a[i] == sum(a) for a in leads):
             name = names[i] if names else f"y_{i + 1}"
             raise NonIsolated(f"no leading monomial of (df) is a power of "
                               f"{name}: Q[y]/(df) is infinite-dimensional")
-        box.append(range(min(powers)))
-    mu = _Certified(sum(1 for a in itertools.product(*box)
-                        if not any(_divides(lead, a) for lead in leads)))
+    mu = _Certified(_standard_count(leads))
     mu.certificate = {"certificate": "groebner-grevlex",
-                      "leading_monomials": [list(a) for a in leads]}
+                      "leading_monomials": leads}
     return mu
 
 

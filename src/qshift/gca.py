@@ -20,21 +20,6 @@ from .coefficients import (HSeries, _accumulate, _shuffle, _Store, codec,
 from .errors import NotPolynomial, ZeroPolynomial
 
 
-class AlgebraSignature:
-    """Number of y-variables plus optional quasi-homogeneity weights."""
-
-    __slots__ = ("m", "weights")
-
-    def __init__(self, m, weights=None):
-        if m < 1:
-            raise ValueError("need at least one variable")
-        self.m = int(m)
-        self.weights = tuple(Fraction(w) for w in weights) if weights else None
-
-    def __repr__(self):
-        return f"AlgebraSignature(m={self.m}, weights={self.weights})"
-
-
 class Element(_Store):
     """Sparse sum of monomials y^a * eta_S * hbar^e: a store {packed key:
     canonical coefficient}."""
@@ -121,19 +106,15 @@ def gmul(a: Element, b: Element) -> Element:
 
 
 class CritLocus:
-    """A polynomial f with its cached partials, modelling Crit(f) derived."""
+    """f in m variables with its cached partials, modelling Crit(f) derived."""
 
-    __slots__ = ("signature", "f", "partials", "names")
+    __slots__ = ("m", "f", "partials", "names")
 
-    def __init__(self, signature, f, partials, names=None):
-        self.signature = signature
+    def __init__(self, m, f, partials, names=None):
+        self.m = m
         self.f = f
         self.partials = partials
         self.names = names
-
-    @property
-    def m(self):
-        return self.signature.m
 
     def __repr__(self):
         return f"CritLocus(m={self.m}, f={self.f})"
@@ -162,8 +143,10 @@ def detect_weights(f: Element, m: int):
 
 
 def make_crit_locus(f: Element, m: int, names=None) -> CritLocus:
-    """Build the critical-locus data of f, caching partials and weights;
-    ``names`` are the declared variables, for messages."""
+    """Build the critical-locus data of f, caching its partials; ``names``
+    are the declared variables, for messages."""
+    if m < 1:
+        raise ValueError("need at least one variable")
     if f.m != m:
         raise ValueError("signature mismatch")
     if f.is_zero():
@@ -171,8 +154,7 @@ def make_crit_locus(f: Element, m: int, names=None) -> CritLocus:
     if not f.is_polynomial():
         raise NotPolynomial("f must be an hbar-free polynomial in y only")
     partials = [f.partial_y(i) for i in range(1, m + 1)]
-    weights = detect_weights(f, m)
-    return CritLocus(AlgebraSignature(m, weights), f, partials, names)
+    return CritLocus(m, f, partials, names)
 
 
 def apply_koszul_delta(X: CritLocus, a: Element) -> Element:

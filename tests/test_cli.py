@@ -274,7 +274,7 @@ def test_main_ok_and_error(tmp_path, capsys):
 @pytest.mark.parametrize("target, cmd, flags, exc", [
     ("qshift.cohomology.rank_rational", "vc-dims", [],
      ArithmeticError("rank kernel fault")),
-    ("qshift.gca.solve_rational", "koszul-dims", [],
+    ("qshift.cohomology._groebner", "koszul-dims", [],
      ZeroDivisionError("division by zero")),
 ])
 def test_kernel_arithmetic_errors_exit_2(monkeypatch, tmp_path, capsys,
@@ -518,6 +518,32 @@ def test_groebner_certificate_answers(text, mu):
     assert report.payload["total"] == mu
     assert report.payload["certificate"] == "groebner-grevlex"
     assert report.timing_ms < 1000
+    _validate(report)
+
+
+# 20 monomials in x, y, z with no quasi-homogeneity weights: mu = 96, and
+# the 30 minimal leading monomials of the grevlex basis in grevlex order.
+_DENSE_F = ("vars x y z; f = -4*z^3 + 4*y^2*z + 2*y^2*z^2 + 4*y^2*z^3"
+            " - y^3*z^2 + 4*x*z^2 - 2*x*y - 2*x*y*z + 5*x*y*z^2 + 2*x*y^2"
+            " + 5*x*y^3 - x^2*y*z + 3*x^2*y*z^3 + 3*x^2*y^3 + x^2*y^3*z^2"
+            " - 4*x^2*y^3*z^3 + x^3 + 5*x^3*y^2 - 4*x^3*y^2*z + 3*x^3*y^3;")
+_DENSE_LEADS = [
+    [3, 2, 1], [3, 3, 0], [2, 1, 4], [0, 4, 3], [1, 3, 3], [2, 2, 3],
+    [2, 3, 2], [4, 1, 2], [5, 0, 2], [0, 6, 1], [1, 5, 1], [2, 4, 1],
+    [5, 1, 1], [6, 0, 1], [1, 6, 0], [2, 5, 0], [5, 2, 0], [6, 1, 0],
+    [7, 0, 0], [0, 0, 8], [0, 1, 7], [1, 0, 7], [0, 2, 6], [1, 1, 6],
+    [2, 0, 6], [0, 3, 5], [1, 2, 5], [3, 0, 5], [4, 0, 4], [0, 8, 0]]
+
+
+def test_dense_milnor_certificate_is_pinned():
+    """A dense f without weights: mu and the leading monomials, in order,
+    as the tuple-and-Fraction Buchberger reported them."""
+    report = run_command("milnor", parse_problem(_DENSE_F))
+    assert report.status == "ok", report.payload
+    assert report.payload["milnor"] == 96
+    assert report.payload["certificate"] == "groebner-grevlex"
+    assert report.payload["leading_monomials"] == _DENSE_LEADS
+    assert _count_standard(_DENSE_LEADS, 3) == 96
     _validate(report)
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qshift.coefficients import HSeries, _div, rank_rational, solve_rational
 
 from qshift.cohomology import element_keys_in_window
-from qshift.gca import Element, make_crit_locus
+from qshift.gca import Element, detect_weights, make_crit_locus
 
 from conftest import random_hseries, sparse_rows
 from hbar_oracle import _divexact, rank_exact_fraction_field, twisted_matrix
@@ -397,9 +397,10 @@ def test_slice_rank_hands_canonical_sparse_rows(monkeypatch):
 
     monkeypatch.setattr(cohomology, "rank_rational", rank_spy)
     X = make_crit_locus(Element.y(2, 1) ** 3 + Element.y(2, 2) ** 3, 2)
-    socle = sum(1 - 2 * w for w in X.signature.weights)
+    weights = detect_weights(X.f, X.m)
+    socle = sum(1 - 2 * w for w in weights)
     cells = 0
-    for basis in element_keys_in_window(X, socle).values():
+    for basis in element_keys_in_window(X, socle, weights).values():
         seen.clear()
         r = cohomology._slice_rank(X, basis)
         assert r == rank_exact_fraction_field(twisted_matrix(X, basis))

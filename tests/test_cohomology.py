@@ -8,15 +8,16 @@ from hypothesis import strategies as st
 
 from qshift.coefficients import HSeries
 from qshift.cohomology import (CohomologyReport, _groebner, _slice_rank,
-                               _tame, _weight_rescaling,
+                               _standard_count, _tame, _weight_rescaling,
                                element_keys_in_window,
                                iter_y_exponents, koszul_dims_at_hbar_zero,
                                milnor_number, twisted_derham_dims)
-from qshift.errors import (NonIsolated, NotCertified, NotPolynomial,
-                           ZeroPolynomial)
-from qshift.gca import Element, make_crit_locus
+from qshift.errors import (ExponentOverflow, NonIsolated, NotCertified,
+                           NotPolynomial, ZeroPolynomial)
+from qshift.gca import Element, detect_weights, make_crit_locus
 
 from conftest import CORPUS, CORPUS_IDS, decoded, sparse_rows
+from groebner_oracle import box_count, milnor as oracle_milnor
 from hbar_oracle import rank_exact_fraction_field, twisted_matrix
 
 
@@ -53,7 +54,7 @@ def test_square_variable_is_refused_before_groebner(monkeypatch):
     the hyperplane is a point, and x^2 still answers mu = 1."""
     from qshift import cohomology
 
-    def no_groebner(polys):
+    def no_groebner(polys, m):
         raise AssertionError("a Groebner basis was computed")
 
     x, yy, z = Element.y(2, 1), Element.y(2, 2), Element.y(3, 3)
@@ -98,7 +99,7 @@ def test_twisted_dims_mode_agreement():
     for idx in (0, 1, 4, 6):
         name, builder, m, mu = CORPUS[idx]
         X = make_crit_locus(builder(), m)
-        rw = _weight_rescaling(X)
+        rw = _weight_rescaling(X, detect_weights(X.f, X.m))
         rd = _tame(X)
         assert rw.dims_by_degree == rd.dims_by_degree
         assert rd.certificate["certificate"] == "tame:semi-quasi-homogeneous"
@@ -124,7 +125,7 @@ def test_weight_mode_requires_weights():
     none, so it gets the tameness certificate."""
     f = Element.y(1, 1) ** 3 + Element.y(1, 1) ** 4
     X = make_crit_locus(f, 1)
-    assert X.signature.weights is None
+    assert detect_weights(X.f, X.m) is None
     report = twisted_derham_dims(X)
     assert report.certificate["certificate"] == "tame:semi-quasi-homogeneous"
     assert report.dims_by_degree == {0: 3}
@@ -163,8 +164,9 @@ def test_rank_certificates_on_corpus_slices():
     quasi-homogeneous problem of the corpus and of the benchmark."""
     for f, m in _WEIGHT_MODE_PROBLEMS:
         X = make_crit_locus(f, m)
-        socle = sum(1 - 2 * w for w in X.signature.weights)
-        by_degree = element_keys_in_window(X, socle)
+        weights = detect_weights(X.f, X.m)
+        socle = sum(1 - 2 * w for w in weights)
+        by_degree = element_keys_in_window(X, socle, weights)
         for d, basis in sorted(by_degree.items()):
             assert _slice_rank(X, basis) == rank_exact_fraction_field(
                 twisted_matrix(X, basis)), (f, d)
@@ -233,13 +235,26 @@ def test_semi_quasi_homogeneous_milnor_orlik(powers, data):
     assert _tame(X).dims_by_degree == {0: mu}
     top = make_crit_locus(sum((Element.y(m, i, a) for i, a in
                                enumerate(powers, start=1)), Element.zero(m)), m)
-    assert _weight_rescaling(top).dims_by_degree == {0: mu}
-    if X.signature.weights is not None:
-        assert _weight_rescaling(X).dims_by_degree == {0: mu}
+    assert _weight_rescaling(top, detect_weights(top.f, m)).dims_by_degree \
+        == {0: mu}
+    weights = detect_weights(X.f, X.m)
+    if weights is not None:
+        assert _weight_rescaling(X, weights).dims_by_degree == {0: mu}
 
 
 def _grevlex_key(a):
     return sum(a), tuple(-x for x in reversed(a))
+
+
+def _packed(a):
+    """The packed grevlex key of y^a: |a| on top, then 2^15 - 1 - a_i in
+    16-bit fields from a_m down to a_1."""
+    return sum(a) << 16 * len(a) | sum((2 ** 15 - 1 - x) << 16 * i
+                                       for i, x in enumerate(a))
+
+
+def _unpacked(key, m):
+    return tuple(2 ** 15 - 1 - (key >> 16 * i & 0xFFFF) for i in range(m))
 
 
 def _remainder(p, basis):
@@ -292,11 +307,17 @@ HARD_3VAR = [
 def test_groebner_basis_passes_buchberger_test(f, m, mu):
     """Every S-pair of the returned basis and every partial reduce to 0 by
     an independent division, no leading monomial divides another, and the
-    standard monomials count mu."""
+    standard monomials count mu.  The basis is built on packed keys, which
+    are decoded to exponent tuples here, and its integer leading key is
+    the grevlex leading monomial."""
     partials = [{a: c for ((a, _), _), c in decoded(f.partial_y(i)).items()}
                 for i in range(1, m + 1)]
-    basis = [g for _, g in _groebner(partials)]
+    packed = _groebner([{_packed(a): c for a, c in p.items()}
+                        for p in partials], m)
+    basis = [{_unpacked(k, m): c for k, c in g.items()} for _, g in packed]
     leads = [max(g, key=_grevlex_key) for g in basis]
+    assert [_unpacked(lead, m) for lead, _ in packed] == leads
+    assert all(type(c) is int for g in basis for c in g.values())
     assert not any(a != b and all(x <= y for x, y in zip(a, b))
                    for a in leads for b in leads)
     for g, h in itertools.combinations(basis, 2):
@@ -304,6 +325,60 @@ def test_groebner_basis_passes_buchberger_test(f, m, mu):
     for p in partials:
         assert _remainder(p, basis) == {}
     assert milnor_number(f, m) == mu
+
+
+_COEFF = st.builds(Fraction, st.integers(1, 4), st.integers(1, 3)).flatmap(
+    lambda c: st.sampled_from([c, -c]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(m=st.integers(1, 3), data=st.data())
+def test_milnor_matches_the_tuple_oracle(m, data):
+    """On random f (1-6 monomials, exponents <= 4, coefficients in
+    +-{1..4}/{1..3}) the packed, fraction-free Buchberger and the Hilbert
+    count give the oracle's mu and leading monomials in the same order, or
+    both refuse NonIsolated for the same reason.  The examples are fixed:
+    a few f in a thousand of this kind keep Buchberger busy for a minute
+    or more (in the oracle too), and nothing bounds its work yet."""
+    terms = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 4)] * m),
+                                      _COEFF, min_size=1, max_size=6))
+    f = Element(m, {(a, ()): c for a, c in terms.items()})
+    names = ("x", "y", "z")[:m]
+    try:
+        expected = oracle_milnor(f, m, names)
+    except NonIsolated as exc:
+        with pytest.raises(NonIsolated) as refused:
+            milnor_number(f, m, names)
+        assert str(refused.value) == str(exc)
+        return
+    mu = milnor_number(f, m, names)
+    assert (mu, mu.certificate["leading_monomials"]) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 4), data=st.data())
+def test_standard_count_matches_the_box_walk(m, data):
+    """On random zero-dimensional lead sets (a power of every variable, up
+    to 8 more leads, exponents <= 8, 1 allowed) the Hilbert recursion
+    counts the standard monomials that the box walk counts."""
+    powers = data.draw(st.lists(st.integers(0, 8), min_size=m, max_size=m))
+    leads = [[e * (j == i) for j in range(m)] for i, e in enumerate(powers)]
+    leads += data.draw(st.lists(st.lists(st.integers(0, 8), min_size=m,
+                                         max_size=m), max_size=8))
+    leads = data.draw(st.permutations(leads))
+    assert _standard_count(leads) == box_count(leads)
+
+
+def test_exponent_overflow_is_refused():
+    """An S-polynomial that would push an exponent to 2^15 is refused with
+    ExponentOverflow, as the codec refuses it; exponents just below the
+    limit answer."""
+    g1 = {_packed((16000, 17000)): 1, _packed((32767, 0)): 1}
+    g2 = {_packed((16001, 16999)): 1}
+    with pytest.raises(ExponentOverflow):
+        _groebner([g1, g2], 2)
+    f = Element.y(2, 1, 2 ** 15 - 1) + Element.y(2, 2, 2 ** 15 - 1)
+    assert milnor_number(f, 2) == (2 ** 15 - 2) ** 2
 
 
 def _floats(obj):
