@@ -150,7 +150,7 @@ def _weight_rescaling(X, weights):
     quasi-isomorphism for c' >= c >= socle: the one cutoff c = socle gives
     the cohomology of the whole complex.
     """
-    milnor_number(X.f, X.m, X.names)
+    milnor_number(X.f, X.m, X.names, X.partials)
     cutoff = sum(1 - 2 * w for w in weights)
     by_degree = element_keys_in_window(X, cutoff, weights)
     rank = {d: _slice_rank(X, basis) for d, basis in by_degree.items()}
@@ -174,7 +174,7 @@ def _tame(X):
     Rham cohomology in degree 0 only, of dimension mu(f).  Without a
     certificate f is refused: NotCertified.
     """
-    mu = milnor_number(X.f, X.m, X.names)
+    mu = milnor_number(X.f, X.m, X.names, X.partials)
     exps = {k: codec(X.m).y_exponents(k) for k in X.f.terms}
     monomials = list(exps.values())
     squares = [tuple(2 * (j == i) for j in range(X.m)) for i in range(X.m)]
@@ -339,8 +339,9 @@ class _Certified(int):
     """An int with ``certificate``, the payload fields of its proof."""
 
 
-def milnor_number(f: Element, m: int, names=None) -> int:
-    """dim_Q Q[y]/(df/dy_1, ..., df/dy_m) from a grevlex Groebner basis G.
+def milnor_number(f: Element, m: int, names=None, partials=None) -> int:
+    """dim_Q Q[y]/(df/dy_1, ..., df/dy_m) from a grevlex Groebner basis G,
+    of the ``partials`` of f when given (a CritLocus caches them).
 
     The standard monomials (divisible by no leading monomial of G) are a
     Q-basis of the quotient, so mu is their count (``_standard_count``): 0
@@ -369,8 +370,8 @@ def milnor_number(f: Element, m: int, names=None) -> int:
     # a codec key of y^a holds a_1 .. a_m in the same fields, from bit 2m
     leads = sorted(lead for lead, _ in _groebner(_admit(
         [{(sum(k >> o & C.field for o in C.y_off) << FIELD_BITS * m)
-          + one - (k >> 2 * m): c for k, c in f.partial_y(i).terms.items()}
-         for i in range(1, m + 1)]), m))
+          + one - (k >> 2 * m): c for k, c in p.terms.items()}
+         for p in partials or map(f.partial_y, range(1, m + 1))]), m))
     leads = [[_TOP - (k >> FIELD_BITS * i & C.field) for i in range(m)]
              for k in leads]
     for i in range(m):
@@ -392,5 +393,5 @@ def koszul_dims_at_hbar_zero(X: CritLocus) -> CohomologyReport:
     m in a Cohen-Macaulay ring: a regular sequence.  The Koszul homology,
     supported at those points, is the Jacobian ring in degree 0: {0: mu}.
     """
-    mu = milnor_number(X.f, X.m, X.names)
+    mu = milnor_number(X.f, X.m, X.names, X.partials)
     return CohomologyReport({0: mu}, "Q", mu.certificate)

@@ -17,7 +17,7 @@ from .coefficients import (_accumulate, _canon, _div, _Store, codec,
                            solve_rational)
 from .diffops import Operator, _banded_images, _product_into, op_commutator
 from .errors import NotCertified, NotMaurerCartan
-from .gca import CritLocus, Element, _mono_mul, apply_koszul_delta
+from .gca import CritLocus, Element, _koszul_into, _mono_mul
 from .quantise import (Quantisation, centre_differential, koszul_operator,
                        mc_residual, operator_keys_in_window, sigma_tangent)
 
@@ -111,16 +111,19 @@ def dr_total_d(X: CritLocus, w: DRWord) -> DRWord:
     Koszul differential, as one graded derivation over the interleaved
     factors (slot symbols have degree +1)."""
     m = w.m
+    if m != X.m:
+        raise ValueError("signature mismatch")
     C = codec(m)
-    out = {}
+    out, images = {}, {}  # images: delta of each distinct factor
     for (e, ws), c in w.terms.items():
         r = len(ws) - 1
         prefix = 0  # total degree of factors strictly to the left
         for i, mono in enumerate(ws):
             psign = -1 if prefix % 2 else 1
             # delta part on this factor
-            image = apply_koszul_delta(X, Element._from_store(m, {mono: 1}))
-            for ikey, ic in image.terms.items():
+            if mono not in images:
+                _koszul_into(images.setdefault(mono, {}), X, mono, 1, C)
+            for ikey, ic in images[mono].items():
                 _accumulate(out, (e, ws[:i] + (ikey,) + ws[i + 1:]),
                             psign * c * ic)
             # e.a insertion (unit at slot i) and -(-1)^deg a.e (unit at i+1)
@@ -155,14 +158,17 @@ def _times(left, right, C):
     return list(acc.items())
 
 
-def _horner(C, words, D, slots=None, left=None, prefix=0):
+def _horner(C, words, blocks, slots=None, left=None, prefix=0):
     """The store of Sum c hbar^e a_0 Delta a_1 ... Delta a_r over ``words``,
     (factors, e, c) triples, by Horner's rule on their prefix trie: per
-    first factor a, a o (Sum of the ended words' c hbar^e + Delta o the
-    tails' sum), so each internal node takes one composition with Delta, a
-    unit factor (the key 0) is skipped and c hbar^e is applied at the leaf.
-    D is the list of Delta's items; an element key a is the key of its
-    multiplication operator.
+    first factor a, a o (the ended words' Sum c hbar^e) + (a o Delta) o (the
+    tails' sum), so each node with tails takes one product, and c hbar^e is
+    applied at the leaf.  An element key a is the key of its multiplication
+    operator; a is derivative-free, so a o ended is a key addition and the
+    block a o Delta one per term of Delta, with the eta shuffle sign
+    (``_mono_mul``).  ``blocks`` maps a factor to its block's items, the
+    unit 0 to Delta's; it lives for one evaluation (one ``mu`` or
+    ``_nu_slots`` call) and gains each factor's block on first use.
 
     With a dict ``slots`` it also gathers nu's rho-free factors: per proper
     prefix q, its Koszul exponent (degrees of q's factors plus its length
@@ -173,14 +179,16 @@ def _horner(C, words, D, slots=None, left=None, prefix=0):
     groups = {}
     for ws, e, c in words:
         groups.setdefault(ws[0], []).append((ws[1:], e, c))
-    out, left_d = {}, None
+    out, left_d, D = {}, None, blocks[0]
     for a, tails in groups.items():
         mult = ((a, 1),)
-        inner = {e << C.hbar_shift: c for ws, e, c in tails if not ws}
+        for ws, e, c in tails:
+            if not ws:
+                _accumulate(out, a + (e << C.hbar_shift), c)
         rest = [t for t in tails if t[0]]
         if rest:
             if slots is None:
-                right = _horner(C, rest, D).items()
+                right = _horner(C, rest, blocks).items()
             else:
                 if left is None:
                     la = mult
@@ -189,19 +197,18 @@ def _horner(C, words, D, slots=None, left=None, prefix=0):
                         left_d = _times(left, D, C)
                     la = left_d if a == 0 else _times(left_d, mult, C)
                 deg = prefix + C.degree(a)
-                right = sorted(_horner(C, rest, D, slots, la, deg + 1).items())
+                right = sorted(_horner(C, rest, blocks, slots, la,
+                                       deg + 1).items())
                 if la and right:
                     lead = right[0][1]
                     hat = tuple((k, _div(v, lead)) for k, v in right)
                     merged = slots.setdefault((deg & 1, hat), {})
                     for k, v in la:
                         _accumulate(merged, k, lead * v)
-            _product_into(inner, D, right, C)
-        if a == 0:
-            for k, v in inner.items():
-                _accumulate(out, k, v)
-        else:
-            _product_into(out, mult, inner.items(), C)
+            if a not in blocks:
+                blocks[a] = [(key, sign * v) for k, v in D
+                             for key, sign in (_mono_mul(a, k, C),) if sign]
+            _product_into(out, blocks[a], right, C)
     return out
 
 
@@ -211,8 +218,8 @@ def _words(w: DRWord):
 
 def mu(w: DRWord, delta: Quantisation, X: CritLocus) -> Operator:
     """a_0 (x) ... (x) a_r evaluates to a_0 Delta a_1 Delta ... Delta a_r."""
-    D = list(delta.terms.items())
-    return Operator._from_store(w.m, _horner(codec(w.m), _words(w), D))
+    blocks = {0: list(delta.terms.items())}
+    return Operator._from_store(w.m, _horner(codec(w.m), _words(w), blocks))
 
 
 def _nu_slots(w: DRWord, delta: Quantisation):
@@ -221,7 +228,8 @@ def _nu_slots(w: DRWord, delta: Quantisation):
     left factors that share them (see ``_horner``) and never zero, and
     mu(w), which the same traversal evaluates."""
     slots = {}
-    store = _horner(codec(w.m), _words(w), list(delta.terms.items()), slots)
+    store = _horner(codec(w.m), _words(w), {0: list(delta.terms.items())},
+                    slots)
     return ([(parity, list(left.items()), right)
              for (parity, right), left in slots.items() if left],
             Operator._from_store(w.m, store))

@@ -164,12 +164,17 @@ def apply_koszul_delta(X: CritLocus, a: Element) -> Element:
     C = codec(X.m)
     out = {}
     for k, c in a.terms.items():
-        for bit, partial in zip(C.eta_bits, X.partials):
-            if k & bit:
-                # contract eta_i with its sign, then multiply by the
-                # eta-free df/dy_i: the keys add
-                rest = k ^ bit
-                s = -c if (k & C.eta & (bit - 1)).bit_count() & 1 else c
-                for pk, pc in partial.terms.items():
-                    _accumulate(out, C.check(rest + pk), s * pc)
+        _koszul_into(out, X, k, c, C)
     return Element._from_store(X.m, out)
+
+
+def _koszul_into(out, X, k, c, C):
+    """Accumulate c delta(k) into the store ``out``, k an element key."""
+    for bit, partial in zip(C.eta_bits, X.partials):
+        if k & bit:
+            # contract eta_i with its sign, then multiply by the eta-free
+            # df/dy_i: the keys add
+            rest = k ^ bit
+            s = -c if (k & C.eta & (bit - 1)).bit_count() & 1 else c
+            for pk, pc in partial.terms.items():
+                _accumulate(out, C.check(rest + pk), s * pc)

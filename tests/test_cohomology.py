@@ -1,11 +1,13 @@
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qshift import cli
 from qshift.coefficients import HSeries
 from qshift.cohomology import (CohomologyReport, _groebner, _slice_rank,
                                _standard_count, _tame, _weight_rescaling,
@@ -367,6 +369,40 @@ def test_standard_count_matches_the_box_walk(m, data):
                                          max_size=m), max_size=8))
     leads = data.draw(st.permutations(leads))
     assert _standard_count(leads) == box_count(leads)
+
+
+def test_standard_count_matches_the_box_walk_on_the_problem_files():
+    """The Hilbert recursion and the box walk count the same standard
+    monomials on the leading monomials of every problem file, and that
+    count is its Milnor number."""
+    paths = sorted((Path(__file__).resolve().parent.parent / "perfbench"
+                    / "problems").glob("*.qs"))
+    assert len(paths) == 13
+    for path in paths:
+        problem = cli.parse_problem(path.read_text())
+        mu = milnor_number(problem.f, len(problem.vars), problem.vars)
+        leads = mu.certificate["leading_monomials"]
+        assert _standard_count(leads) == box_count(leads) == mu, path.name
+
+
+def test_crit_locus_partials_are_not_taken_again(monkeypatch):
+    """milnor_number reads a CritLocus's cached partials: koszul-dims and
+    the weight-rescaling certificate never differentiate f again, and
+    answer as milnor_number does from f alone."""
+    f = Element.y(2, 1) ** 3 + Element.y(2, 2) ** 5
+    X = make_crit_locus(f, 2, ("x", "y"))
+    expected = milnor_number(f, 2, ("x", "y"))
+    calls = []
+    original = Element.partial_y
+    monkeypatch.setattr(Element, "partial_y",
+                        lambda a, i: calls.append(i) or original(a, i))
+    report = koszul_dims_at_hbar_zero(X)
+    assert report.dims_by_degree == {0: expected}
+    assert report.certificate == expected.certificate
+    assert twisted_derham_dims(X).dims_by_degree == {0: 8}
+    assert calls == []
+    milnor_number(f, 2)
+    assert calls == [1, 2]
 
 
 def test_exponent_overflow_is_refused():

@@ -363,21 +363,33 @@ _COEFFS = st.sampled_from([1, -2, Fraction(1, 2), Fraction(-2, 3)])
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), q=_COEFFS)
 def test_mu_matches_word_by_word_reference(seed, q):
-    """Horner's rule on the prefix trie against the word-by-word product:
-    words over a three-letter alphabet with the unit share prefixes and
-    carry unit factors, each at one or two hbar exponents; dr_d, cup and
-    dr_total_d add their own unit factors."""
+    """Horner's rule on the prefix trie against the word-by-word product,
+    for m up to 3: words of length up to 5 over a four-letter alphabet with
+    the unit share prefixes and carry unit factors, each at one or two hbar
+    exponents; y_1 (x) ... (x) y_1, five factors, repeats one first factor
+    at every depth; dr_d, cup and dr_total_d add their own unit factors.
+    For m >= 2, Delta carries eta_1 d_eta_1 d_eta_2, so the letter eta_1
+    kills a term of Delta and its block a o Delta is shorter than Delta."""
     rng = random.Random(seed)
-    m = rng.randint(1, 2)
-    X = corpus_locus(4 if m == 2 else 0)
+    m = rng.randint(1, 3)
+    X = corpus_locus((0, 4, 7)[m - 1])
     delta = random_quantisation(rng, m)
-    letters = [unit_key(m)] + [
-        (tuple(rng.randint(0, 1) for _ in range(m)),
-         tuple(sorted(rng.sample(range(1, m + 1), rng.randint(0, 1)))))
-        for _ in range(2)]
-    terms = {}
+    killer = ((0,) * m, (1,))
+    if m >= 2:
+        extra = Operator(m, {((0,) * m, (1,), (0,) * m, (1, 2)): 1})
+        delta = Quantisation(m, {2: hbar_component(delta, 1) + extra,
+                                 3: hbar_component(delta, 2)})
+        C = codec(m)
+        a = C.encode(*killer)
+        block = [k for k in delta.terms if _mono_mul(a, k, C)[0] is not None]
+        assert 0 < len(block) < len(delta.terms)
+    y1 = ((1,) + (0,) * (m - 1), ())
+    letters = [unit_key(m), killer, y1,
+               (tuple(rng.randint(0, 1) for _ in range(m)),
+                tuple(sorted(rng.sample(range(1, m + 1), rng.randint(0, 1)))))]
+    terms = {(0, (y1,) * 5): q}
     for _ in range(rng.randint(1, 6)):
-        ws = tuple(rng.choice(letters) for _ in range(rng.randint(1, 4)))
+        ws = tuple(rng.choice(letters) for _ in range(rng.randint(1, 5)))
         for e in rng.sample(range(-1, 3), rng.randint(1, 2)):
             terms[(e, ws)] = q * rng.choice([1, -1, 3])
     pieces = [random_element(rng, m, nterms=2, with_hbar=True).scale(q)
@@ -385,6 +397,39 @@ def test_mu_matches_word_by_word_reference(seed, q):
     formed = cup(dr_d(pieces[0]), dr_of(pieces[1]))
     for w in (DRWord(m, terms), formed, dr_total_d(X, formed)):
         assert mu(w, delta, X) == _mu_reference(w, delta)
+
+
+def test_mu_takes_one_product_per_trie_node_with_tails(monkeypatch):
+    """mu composes at each node of the words' prefix trie that has tails
+    one block a o Delta (Delta itself for the unit) with the tails' sum:
+    one call of the pair loop per such node, never one with an element
+    factor alone."""
+    m = 2
+    X = corpus_locus(4)
+    extra = Operator(m, {((0, 0), (1,), (0, 0), (1, 2)): 1})
+    delta = Quantisation(m, {2: hbar_component(bv_quantisation(X), 1) + extra})
+    y1, y2, e1 = ((1, 0), ()), ((0, 1), ()), ((0, 0), (1,))
+    u = unit_key(m)
+    w = DRWord(m, {(0, (y1, e1, y2)): 1, (1, (y1, e1)): 2, (0, (y1, u, e1)): 3,
+                   (0, (u, e1, e1, y1)): -1, (2, (e1, y2)): 1,
+                   (0, (e1,)): 5}) + canonical_symplectic(X)
+    nodes = {ws[:i] for (_, ws) in w.terms for i in range(1, len(ws))}
+    C = codec(m)
+    D = list(delta.terms.items())
+    blocks = {0: D}
+    for (_, ws) in w.terms:
+        for a in ws:
+            blocks[a] = [(key, s * v) for k, v in D
+                         for key, s in (_mono_mul(a, k, C),) if s]
+    assert any(0 < len(b) < len(D) for b in blocks.values())
+    calls = []
+    original = derham._product_into
+    monkeypatch.setattr(derham, "_product_into",
+                        lambda acc, left, right, C: calls.append(list(left))
+                        or original(acc, left, right, C))
+    assert mu(w, delta, X) == _mu_reference(w, delta)
+    assert len(calls) == len(nodes)
+    assert all(left in blocks.values() for left in calls)
 
 
 def _random_word(rng, m, length):
