@@ -376,10 +376,14 @@ def test_mu_matches_word_by_word_reference(seed, q):
     delta = random_quantisation(rng, m)
     killer = ((0,) * m, (1,))
     if m >= 2:
-        extra = Operator(m, {((0,) * m, (1,), (0,) * m, (1, 2)): 1})
-        delta = Quantisation(m, {2: hbar_component(delta, 1) + extra,
-                                 3: hbar_component(delta, 2)})
         C = codec(m)
+        h1 = hbar_component(delta, 1)
+        key = ((0,) * m, (1,), (0,) * m, (1, 2))
+        # Delta may already hold -eta_1 d_eta_1 d_eta_2; add it twice then,
+        # so that the term survives the sum.
+        c = 2 if h1.terms.get(C.encode(*key)) == -1 else 1
+        extra = Operator(m, {key: c})
+        delta = Quantisation(m, {2: h1 + extra, 3: hbar_component(delta, 2)})
         a = C.encode(*killer)
         block = [k for k in delta.terms if _mono_mul(a, k, C)[0] is not None]
         assert 0 < len(block) < len(delta.terms)
