@@ -17,7 +17,7 @@ from .coefficients import (_accumulate, _canon, _div, _Store, codec,
                            solve_rational)
 from .diffops import Operator, _banded_images, _product_into, op_commutator
 from .errors import NotCertified, NotMaurerCartan
-from .gca import CritLocus, Element, _koszul_into, _mono_mul
+from .gca import CritLocus, Element, _koszul_into
 from .quantise import (Quantisation, centre_differential, koszul_operator,
                        mc_residual, operator_keys_in_window, sigma_tangent)
 
@@ -91,18 +91,16 @@ def dr_d(a: Element) -> DRWord:
 
 
 def cup(w1: DRWord, w2: DRWord) -> DRWord:
-    """Alexander-Whitney merge: the adjacent factors multiply in O_X."""
+    """Alexander-Whitney merge: the adjacent factors multiply in O_X, by
+    the product kernel."""
     if w1.m != w2.m:
         raise ValueError("signature mismatch")
     C = codec(w1.m)
     out = {}
     for (e1, ws1), c1 in w1.terms.items():
         for (e2, ws2), c2 in w2.terms.items():
-            mid, sign = _mono_mul(ws1[-1], ws2[0], C)
-            if mid is None:
-                continue
-            _accumulate(out, (e1 + e2, ws1[:-1] + (mid,) + ws2[1:]),
-                        sign * c1 * c2)
+            for mid, c in _times(((ws1[-1], c1),), ((ws2[0], c2),), C):
+                _accumulate(out, (e1 + e2, ws1[:-1] + (mid,) + ws2[1:]), c)
     return DRWord._from_store(w1.m, out, w1.hodge_weight + w2.hodge_weight)
 
 
@@ -164,11 +162,10 @@ def _horner(C, words, blocks, slots=None, left=None, prefix=0):
     first factor a, a o (the ended words' Sum c hbar^e) + (a o Delta) o (the
     tails' sum), so each node with tails takes one product, and c hbar^e is
     applied at the leaf.  An element key a is the key of its multiplication
-    operator; a is derivative-free, so a o ended is a key addition and the
-    block a o Delta one per term of Delta, with the eta shuffle sign
-    (``_mono_mul``).  ``blocks`` maps a factor to its block's items, the
-    unit 0 to Delta's; it lives for one evaluation (one ``mu`` or
-    ``_nu_slots`` call) and gains each factor's block on first use.
+    operator, and ended is a sum of scalars, so a o ended is a key addition.
+    ``blocks`` maps a factor to its block's items, the unit 0 to Delta's;
+    it lives for one evaluation (one ``mu`` or ``_nu_slots`` call) and
+    gains a factor's block, one product of a alone with Delta, on first use.
 
     With a dict ``slots`` it also gathers nu's rho-free factors: per proper
     prefix q, its Koszul exponent (degrees of q's factors plus its length
@@ -206,8 +203,7 @@ def _horner(C, words, blocks, slots=None, left=None, prefix=0):
                     for k, v in la:
                         _accumulate(merged, k, lead * v)
             if a not in blocks:
-                blocks[a] = [(key, sign * v) for k, v in D
-                             for key, sign in (_mono_mul(a, k, C),) if sign]
+                blocks[a] = _times(mult, D, C)
             _product_into(out, blocks[a], right, C)
     return out
 

@@ -24,7 +24,6 @@ from math import comb, perm
 
 from .coefficients import FIELD_BITS, _shuffle, _Store, codec
 from .errors import ArityMismatch, OrderTooLow, ZeroOperator
-from .gca import Element
 
 
 class Operator(_Store):
@@ -44,11 +43,6 @@ class Operator(_Store):
         return Operator._from_store(m, {0: 1})
 
     @staticmethod
-    def mult(a: Element):
-        """Multiplication operator of an element: the same keys."""
-        return Operator._from_store(a.m, dict(a.terms))
-
-    @staticmethod
     def d_y(m, i):
         return Operator._from_store(m, {codec(m).dy[i - 1]: 1})
 
@@ -64,6 +58,13 @@ class Operator(_Store):
     def hbar_exponents(self):
         shift = codec(self.m).hbar_shift
         return {k >> shift for k in self.terms}
+
+    # -- arithmetic ----------------------------------------------------------
+    def __mul__(self, other):
+        """A scalar multiple, or the composite self o other."""
+        if isinstance(other, Operator):
+            return op_compose(self, other)
+        return super().__mul__(other)
 
 
 def _odd_product(left, right):
@@ -292,13 +293,22 @@ class Polyvector(_Store):
         return (self.m == other.m and self.terms == other.terms
                 and (self.arity == other.arity or not self.terms or not other.terms))
 
+    def _coerce(self, other):
+        """A rational is the arity-0 polyvector."""
+        if isinstance(other, (int, Fraction)):
+            return self._from_store(self.m, 0, super()._coerce(other).terms)
+        return other
+
     def __add__(self, other):
+        other = self._coerce(other)
         if self.arity != other.arity and self.terms and other.terms:
             raise ArityMismatch("cannot add polyvectors of different arity")
         out = super().__add__(other)
         if other.terms and not self.terms:
             out.arity = other.arity
         return out
+
+    __radd__ = __add__
 
     def lift(self) -> Operator:
         """Read the symbol as a normal-ordered operator (same keys)."""

@@ -79,8 +79,8 @@ def solve_sign_profile(X: CritLocus) -> SignProfile:
 
     for i in range(1, m + 1):
         for g, x, eps in (
-                (Operator.d_y(m, i), Operator.mult(Element.y(m, i)), 1),
-                (Operator.d_eta(m, i), Operator.mult(Element.eta(m, i)), -1)):
+                (Operator.d_y(m, i), Element.y(m, i), 1),
+                (Operator.d_eta(m, i), Element.eta(m, i), -1)):
             gx, xg = op_compose(g, x), op_compose(x, g)
             if not (gx - xg.scale(eps) == Operator.identity(m)
                     and tau(x) == x and tau(tau(g)) == g

@@ -2,36 +2,33 @@
 modelling the derived critical locus of a polynomial f, with the Koszul
 differential given by contraction with df.
 
-Grading is cohomological: deg(y_i) = 0, deg(eta_i) = -1.  A monomial
+Grading is cohomological: deg(y_i) = 0, deg(eta_i) = -1.  An element is
+the derivative-free operator, its own multiplication operator: a monomial
 y^a eta_S is a packed key of ``coefficients.Codec`` with no derivative
-part; at the boundary it reads as the tuple ``(a, S)``, with ``a`` a
-length-m tuple of naturals and ``S`` a strictly increasing tuple of
-indices in 1..m.  Koszul signs are generated purely by transpositions of
-odd symbols relative to this canonical order; every other module inherits
-that convention.
+part, and the product is the operator product kernel of ``diffops``, in
+which eta_S o eta_U is their merge with its shuffle sign.  At the boundary
+a monomial reads as the tuple ``(a, S)``, with ``a`` a length-m tuple of
+naturals and ``S`` a strictly increasing tuple of indices in 1..m.
+Koszul signs are generated purely by transpositions of odd symbols
+relative to this canonical order; every other module inherits that
+convention.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .coefficients import (HSeries, _accumulate, _shuffle, _Store, codec,
-                           solve_rational)
+from .coefficients import _accumulate, codec, solve_rational
+from .diffops import Operator, _product_into
 from .errors import NotPolynomial, ZeroPolynomial
 
 
-class Element(_Store):
-    """Sparse sum of monomials y^a * eta_S * hbar^e: a store {packed key:
-    canonical coefficient}."""
+class Element(Operator):
+    """Sparse sum of monomials y^a * eta_S * hbar^e: an operator whose keys
+    carry no derivative, printed as ``(a, S)`` monomials."""
 
     __slots__ = ()
     _arity = 2
 
     # -- constructors -------------------------------------------------------
-    @staticmethod
-    def zero(m):
-        return Element(m)
-
     @staticmethod
     def one(m):
         return Element._from_store(m, {0: 1})
@@ -57,10 +54,18 @@ class Element(_Store):
         return not any(k & rest for k in self.terms)
 
     # -- arithmetic ----------------------------------------------------------
+    def __add__(self, other):
+        """Another operator type makes the sum an Operator: the types
+        decide it, not the keys."""
+        out = super().__add__(other)
+        if isinstance(other, Operator) and type(other) is not Element:
+            return Operator._from_store(self.m, out.terms)
+        return out
+
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, HSeries)):
-            return self.scale(other)
-        return gmul(self, other)
+        if type(other) is Element:
+            return gmul(self, other)
+        return super().__mul__(other)
 
     def __pow__(self, n):
         out = Element.one(self.m)
@@ -80,28 +85,13 @@ class Element(_Store):
         return Element._from_store(self.m, out)
 
 
-def _mono_mul(k1, k2, C):
-    """Product of two element monomial keys: (key, sign) or (None, 0).  The
-    y fields and hbar exponents add as keys, and the eta masks merge with
-    their shuffle sign."""
-    s1, s2 = k1 & C.eta, k2 & C.eta
-    if s1 & s2:
-        return None, 0
-    return C.check((k1 ^ s1) + (k2 ^ s2)) | s1 | s2, _shuffle(s1, s2)
-
-
 def gmul(a: Element, b: Element) -> Element:
-    """Graded-commutative product with Koszul signs, accumulated straight
-    into the result; each pair of terms is multiplied once."""
+    """Graded-commutative product with Koszul signs: the composite of the
+    multiplication operators, by the one product kernel."""
     if a.m != b.m:
         raise ValueError("signature mismatch")
-    C = codec(a.m)
     out = {}
-    for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
-            key, sign = _mono_mul(ka, kb, C)
-            if key is not None:
-                _accumulate(out, key, sign * ca * cb)
+    _product_into(out, a.terms.items(), b.terms.items(), codec(a.m))
     return Element._from_store(a.m, out)
 
 

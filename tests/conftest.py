@@ -162,6 +162,19 @@ def unit_key(m):
     return ((0,) * m, ())
 
 
+def mono_mul(k1, k2, C):
+    """The product of two element monomial keys, the reference for the
+    product kernel on elements: (key, sign), or (None, 0) when the eta
+    masks meet.  The y fields and hbar exponents add as keys; eta_S eta_U
+    is their merge, signed by the pairs i in S, j in U with i > j."""
+    s1, s2 = k1 & C.eta, k2 & C.eta
+    if s1 & s2:
+        return None, 0
+    swaps = sum((s1 & ~(2 * bit - 1)).bit_count()
+                for bit in C.eta_bits if s2 & bit)
+    return C.check((k1 ^ s1) + (k2 ^ s2)) | s1 | s2, -1 if swaps & 1 else 1
+
+
 def degree_part(x, d):
     """The terms of an element or operator of cohomological degree d."""
     C = codec(x.m)

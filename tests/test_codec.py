@@ -171,7 +171,7 @@ def test_leibniz_path_refuses_overflow():
     m, half = 1, LIMIT // 2
     with pytest.raises(ExponentOverflow):
         op_compose(Operator(m, {((half,), (), (1,), ()): 1}),
-                   Operator.mult(Element.y(m, 1, half)))
+                   Element.y(m, 1, half))
     with pytest.raises(ExponentOverflow):
         op_compose(Operator(m, {((0,), (), (LIMIT - 1,), ()): 1}),
                    Operator(m, {((1,), (), (1,), ()): 1}))
@@ -197,15 +197,15 @@ def test_kernel_refuses_overflow_in_y_and_d_y_fields():
     m = 1
     top = (LIMIT - 1,)
     dy_top = Operator(m, {((0,), (), top, ()): 1})
-    y_top = Operator.mult(Element.y(m, 1, LIMIT - 1))
+    y_top = Element.y(m, 1, LIMIT - 1)
     with pytest.raises(ExponentOverflow):
         op_compose(dy_top, Operator.d_y(m, 1))
     with pytest.raises(ExponentOverflow):
-        op_compose(Operator.mult(Element.y(m, 1)), y_top)
+        op_compose(Element.y(m, 1), y_top)
     with pytest.raises(ExponentOverflow):
-        op_apply(Operator.mult(Element.y(m, 1)), Element.y(m, 1, LIMIT - 1))
+        op_apply(Element.y(m, 1), Element.y(m, 1, LIMIT - 1))
     # d_y^(L-1) o y = y d_y^(L-1) + (L-1) d_y^(L-2): both fields stay below
-    assert op_compose(dy_top, Operator.mult(Element.y(m, 1))) == Operator(m, {
+    assert op_compose(dy_top, Element.y(m, 1)) == Operator(m, {
         ((1,), (), top, ()): 1, ((0,), (), (LIMIT - 2,), ()): LIMIT - 1})
 
 
@@ -240,7 +240,7 @@ def test_commutator_overflow_is_refused_only_for_pairs_that_meet():
     direction contributes nothing and is skipped before its keys are
     added, so [y^(2^14), y^(2^14)] is 0 while the product still overflows."""
     m, half = 1, LIMIT // 2
-    y_half = Operator.mult(Element.y(m, 1, half))
+    y_half = Element.y(m, 1, half)
     y_half_dy = Operator(m, {((half,), (), (1,), ()): 1})
     for left, right in ((y_half_dy, y_half), (y_half, y_half_dy)):
         with pytest.raises(ExponentOverflow):

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from qshift.coefficients import HSeries, _accumulate, _shuffle, codec
 from qshift.diffops import (Operator, Polyvector, _odd_product, op_commutator,
                             op_compose, op_order, schouten, symbol)
-from qshift.errors import OrderTooLow, ZeroOperator
+from qshift.errors import ArityMismatch, OrderTooLow, ZeroOperator
 from qshift.gca import Element, gmul
+from qshift.quantise import Quantisation
 
 from generator_oracle import fold, gen_sequence, op_apply
 from schouten_oracle import pv_mul_closed_form, schouten_by_words
@@ -33,51 +34,50 @@ def test_apply_missing_eta_kills():
 
 def test_apply_euler_operator():
     m = 1
-    euler = op_compose(Operator.mult(Element.y(m, 1)), Operator.d_y(m, 1))
+    euler = op_compose(Element.y(m, 1), Operator.d_y(m, 1))
     assert op_apply(euler, Element.y(m, 1) ** 3) == 3 * Element.y(m, 1) ** 3
 
 
 def test_compose_heisenberg():
     m = 1
-    D = op_compose(Operator.d_y(m, 1), Operator.mult(Element.y(m, 1)))
-    expected = op_compose(Operator.mult(Element.y(m, 1)), Operator.d_y(m, 1)) + 1
+    D = op_compose(Operator.d_y(m, 1), Element.y(m, 1))
+    expected = op_compose(Element.y(m, 1), Operator.d_y(m, 1)) + 1
     assert D == expected
 
 
 def test_compose_odd_pair():
     m = 1
-    D = op_compose(Operator.d_eta(m, 1), Operator.mult(Element.eta(m, 1)))
+    D = op_compose(Operator.d_eta(m, 1), Element.eta(m, 1))
     expected = (Operator.identity(m)
-                - op_compose(Operator.mult(Element.eta(m, 1)), Operator.d_eta(m, 1)))
+                - op_compose(Element.eta(m, 1), Operator.d_eta(m, 1)))
     assert D == expected
 
 
 def test_compose_commuting_multiplications():
     m = 2
-    D = op_compose(Operator.mult(Element.y(m, 1)), Operator.mult(Element.y(m, 2)))
-    assert D == Operator.mult(gmul(Element.y(m, 1), Element.y(m, 2)))
+    D = op_compose(Element.y(m, 1), Element.y(m, 2))
+    assert D == gmul(Element.y(m, 1), Element.y(m, 2))
 
 
 def test_commutator_canonical_pairs():
     m = 2
-    assert op_commutator(Operator.d_y(m, 1), Operator.mult(Element.y(m, 1))) \
+    assert op_commutator(Operator.d_y(m, 1), Element.y(m, 1)) \
         == Operator.identity(m)
-    assert op_commutator(Operator.d_eta(m, 1), Operator.mult(Element.eta(m, 1))) \
+    assert op_commutator(Operator.d_eta(m, 1), Element.eta(m, 1)) \
         == Operator.identity(m)
-    assert op_commutator(Operator.mult(Element.y(m, 1)),
-                         Operator.mult(Element.y(m, 2))).is_zero()
+    assert op_commutator(Element.y(m, 1), Element.y(m, 2)).is_zero()
     # pairs that meet only from right to left
-    assert op_commutator(Operator.mult(Element.y(m, 1)), Operator.d_y(m, 1)) \
+    assert op_commutator(Element.y(m, 1), Operator.d_y(m, 1)) \
         == Operator.identity(m).scale(-1)
-    assert op_commutator(Operator.mult(Element.eta(m, 1)), Operator.d_eta(m, 1)) \
+    assert op_commutator(Element.eta(m, 1), Operator.d_eta(m, 1)) \
         == Operator.identity(m)
 
 
 def test_order_examples():
     m = 2
     assert op_order(op_compose(Operator.d_y(m, 1), Operator.d_eta(m, 1))) == 2
-    assert op_order(Operator.mult(Element.y(m, 1) ** 3)) == 0
-    mixed = (op_compose(Operator.mult(Element.y(m, 1)), Operator.d_y(m, 1))
+    assert op_order(Element.y(m, 1) ** 3) == 0
+    mixed = (op_compose(Element.y(m, 1), Operator.d_y(m, 1))
              + Operator.d_eta(m, 2))
     assert op_order(mixed) == 1
     with pytest.raises(ZeroOperator):
@@ -108,12 +108,12 @@ def test_commutator_order_drop_random():
 
 def test_symbol_drops_lower_order():
     m = 1
-    D = op_compose(Operator.mult(Element.y(m, 1)), Operator.d_y(m, 1)) + 1
+    D = op_compose(Element.y(m, 1), Operator.d_y(m, 1)) + 1
     s = symbol(D, 1)
     assert decoded(s) == {(((1,), (), (1,), ()), 0): 1}
     s2 = symbol(op_compose(Operator.d_y(m, 1), Operator.d_eta(m, 1)), 2)
     assert decoded(s2) == {(((0,), (), (1,), (1,)), 0): 1}
-    assert symbol(Operator.mult(Element.y(m, 1) ** 2), 1).is_zero()
+    assert symbol(Element.y(m, 1) ** 2, 1).is_zero()
     with pytest.raises(OrderTooLow):
         symbol(op_compose(Operator.d_y(m, 1), Operator.d_y(m, 1)), 1)
 
@@ -189,6 +189,40 @@ def test_polyvector_sum_with_zero_keeps_the_arity():
     assert (zero - P).arity == 1
 
 
+def test_polyvector_rational_is_the_arity_zero_polyvector():
+    """A rational is the arity-0 polyvector: P +- 0 is P, and P +- c with
+    c != 0 needs arity 0, in either order."""
+    m = 1
+    P = Polyvector(m, 1, {((0,), (), (1,), ()): 1})
+    for total in (P + 0, 0 + P, P - 0, P + Fraction(0)):
+        assert total == P and total.arity == 1
+    assert 0 - P == -P and (0 - P).arity == 1
+    for bad in (lambda: P + 1, lambda: 1 + P, lambda: P - 1, lambda: 1 - P,
+                lambda: P + Fraction(1, 2)):
+        with pytest.raises(ArityMismatch):
+            bad()
+    Q = Polyvector(m, 0, {((1,), (), (0,), ()): 1})
+    unit = Polyvector(m, 0, {((0,), (), (0,), ()): 1})
+    assert Q + 1 == 1 + Q == Q + unit and (Q - 1).arity == (1 - Q).arity == 0
+    assert (Polyvector.zero(m, 2) + 1).arity == 0
+
+
+def test_element_with_another_operator_is_an_operator():
+    """An Element with an operator of another type, in either order, sums
+    and composes to an Operator, which prints its derivatives; two
+    Elements, or an Element and a rational, stay an Element."""
+    m = 1
+    y, dy = Element.y(m, 1), Operator.d_y(m, 1)
+    delta = Quantisation(m, {2: op_compose(dy, Operator.d_eta(m, 1))})
+    for mixed in (y + dy, dy + y, y - dy, dy - y, y + delta, delta + y,
+                  y - delta, y * dy, dy * y, y * delta):
+        assert type(mixed) is Operator
+    assert str(y + dy) == "Dy1 + y1"
+    assert y * dy == op_compose(y, dy) and dy * y == op_compose(dy, y)
+    for same in (y + y, y - y, y * y, y + 1, 1 - y, 2 * y, y ** 2):
+        assert type(same) is Element
+
+
 def _pv_degree(P):
     degs = {codec(P.m).degree(k) for k in P.terms}
     assert len(degs) <= 1
@@ -247,8 +281,8 @@ def test_inductive_filtration_equivalence():
             continue
         k = op_order(D)
         current = D
-        witnesses = ([Operator.mult(Element.y(m, i + 1)) for i in range(m)]
-                     + [Operator.mult(Element.eta(m, i + 1)) for i in range(m)])
+        witnesses = ([Element.y(m, i + 1) for i in range(m)]
+                     + [Element.eta(m, i + 1) for i in range(m)])
         # some k-fold iterated commutator with generators is nonzero
         frontier = [D]
         for _ in range(k):
@@ -261,7 +295,7 @@ def test_inductive_filtration_equivalence():
             for w in witnesses:
                 assert op_commutator(w, u).is_zero()
         for _ in range(3):
-            a = Operator.mult(random_element(rng, m))
+            a = random_element(rng, m)
             iterated = D
             for _ in range(k + 1):
                 iterated = op_commutator(a, iterated)

@@ -51,7 +51,7 @@ def test_profile_check_refuses_every_other_profile(monkeypatch, flip):
 def test_transpose_euler_operator(locus_and_profile):
     X, profile = locus_and_profile
     m = X.m
-    euler = op_compose(Operator.mult(Element.y(m, 1)), Operator.d_y(m, 1))
+    euler = op_compose(Element.y(m, 1), Operator.d_y(m, 1))
     assert transpose(euler, profile) == -euler - 1
 
 
@@ -59,10 +59,9 @@ def test_transpose_fixes_multiplications(locus_and_profile):
     X, profile = locus_and_profile
     rng = random.Random(26)
     for _ in range(10):
-        a = Operator.mult(
-            Element(X.m, {((rng.randint(0, 2), rng.randint(0, 2)),
+        a = Element(X.m, {((rng.randint(0, 2), rng.randint(0, 2)),
                            tuple(sorted(rng.sample((1, 2), rng.randint(0, 2))))):
-                          HSeries.const(rng.randint(1, 5))}))
+                          HSeries.const(rng.randint(1, 5))})
         assert transpose(a, profile) == a
 
 

@@ -2,13 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qshift.coefficients import HSeries
+from qshift.coefficients import HSeries, _accumulate, codec
+from qshift.diffops import Operator, op_compose
 from qshift.errors import NotPolynomial, ZeroPolynomial
 from qshift.gca import (Element, apply_koszul_delta, detect_weights, gmul,
                         make_crit_locus)
 
-from conftest import corpus_locus, decoded, degree_part, random_element
+from conftest import (corpus_locus, decoded, degree_part, mono_mul,
+                      random_element)
 
 
 def test_make_crit_locus_cubic():
@@ -78,6 +82,41 @@ def test_gmul_graded_commutative_associative():
                 sign = -1 if (da % 2) and (db % 2) else 1
                 assert gmul(pa, pb) == gmul(pb, pa).scale(sign)
         assert gmul(gmul(a, b), c) == gmul(a, gmul(b, c))
+
+
+@st.composite
+def _elements(draw, m):
+    """Up to three terms y^a eta_S hbar^e, a_i <= 2, S any subset, e in
+    -1..2, with Fraction coefficients."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        a = tuple(draw(st.integers(0, 2)) for _ in range(m))
+        eta = tuple(i for i in range(1, m + 1) if draw(st.booleans()))
+        c = draw(st.fractions(-3, 3, max_denominator=4))
+        terms[(a, eta)] = HSeries.monomial(draw(st.integers(-1, 2)), c)
+    return Element(m, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), m=st.integers(1, 3))
+def test_gmul_is_the_operator_product(data, m):
+    """gmul, the product kernel on derivative-free keys, against the pair
+    loop over the monomial reference, and against op_compose; an Element
+    equals, and hashes as, the Operator with the same terms."""
+    a, b = data.draw(_elements(m)), data.draw(_elements(m))
+    C = codec(m)
+    expected = {}
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            key, sign = mono_mul(ka, kb, C)
+            if key is not None:
+                _accumulate(expected, key, sign * ca * cb)
+    product = gmul(a, b)
+    assert type(product) is Element and product.terms == expected
+    assert a * b == product == op_compose(a, b)
+    op = Operator._from_store(m, dict(a.terms))
+    assert op == a and a == op and hash(op) == hash(a)
+    assert op_compose(op, b) == product
 
 
 def test_koszul_on_generators():

@@ -135,11 +135,11 @@ def test_centre_differential_on_generators():
     m = 2
     X = make_crit_locus(Element.y(m, 1) ** 3 + Element.y(m, 2) ** 3, m)
     bv = bv_quantisation(X)
-    u = Operator.mult(Element.y(m, 1))
+    u = Element.y(m, 1)
     assert centre_differential(X, bv, u) == Operator.d_eta(m, 1).scale(HSeries.monomial(1))
-    v = Operator.mult(Element.eta(m, 1))
+    v = Element.eta(m, 1)
     expected = (Operator.d_y(m, 1).scale(HSeries.monomial(1))
-                + Operator.mult(X.partials[0]))
+                + X.partials[0])
     assert centre_differential(X, bv, v) == expected
     assert centre_differential(X, bv, Operator.identity(m)).is_zero()
 
