@@ -268,9 +268,18 @@ class _Store:
         return self._from_store(self.m, store)
 
     def _coerce(self, other):
+        """``other`` as a store to combine with: a rational is that multiple
+        of the unit.  A store must be of this one's kind, the subclass of
+        _Store its type descends from (an Element mixes with an Operator),
+        else TypeError, and have its m, else ValueError."""
         if isinstance(other, (int, Fraction)):
             other = _canon(other)
             return self._like({0: other} if other else {})
+        if type(other).__mro__[-3:] != type(self).__mro__[-3:]:
+            raise TypeError(f"cannot combine {type(self).__name__} with "
+                            f"{type(other).__name__}")
+        if other.m != self.m:
+            raise ValueError("signature mismatch")
         return other
 
     def _select(self, keep):
@@ -288,10 +297,12 @@ class _Store:
         return bool(self.terms)
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if not isinstance(other, type(self)):
+        """Equal terms, for what ``_coerce`` admits; all else is unequal."""
+        try:
+            other = self._coerce(other)
+        except (TypeError, ValueError):
             return NotImplemented
-        return self.m == other.m and self.terms == other.terms
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash((self.m, frozenset(self.terms.items())))
@@ -306,10 +317,14 @@ class _Store:
         return {key: HSeries(h) for key, h in grouped.items()}
 
     def __add__(self, other):
+        """Two types of one kind sum to the kind: Element + Operator too."""
+        other = self._coerce(other)
         out = dict(self.terms)
-        for k, c in self._coerce(other).terms.items():
+        for k, c in other.terms.items():
             _accumulate(out, k, c)
-        return self._like(out)
+        if type(other) is type(self):
+            return self._like(out)
+        return type(self).__mro__[-3]._from_store(self.m, out)
 
     __radd__ = __add__
 

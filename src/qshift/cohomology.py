@@ -3,10 +3,11 @@ de Rham complex, and the Milnor number and the hbar = 0 Koszul homology,
 each answered with the proof that makes it exact.
 
 The eta-model complex is O_X = Q[y] (x) Lambda[eta] with differential
-delta + hbar * Sum_i d_{y_i} d_{eta_i}.  Its cohomology over Q(hbar) is
-taken from one exact rank per degree slice when f is quasi-homogeneous
-(weight rescaling), and from the tameness theorem when f is
-semi-quasi-homogeneous; anything else is refused.  The weights are
+delta + hbar * Sum_i d_{y_i} d_{eta_i}; both act on elements as brackets
+in the one product kernel.  Its cohomology over Q(hbar) is taken from one
+exact rank per degree slice, its images from one banded call, when f is
+quasi-homogeneous (weight rescaling), and from the tameness theorem when
+f is semi-quasi-homogeneous; anything else is refused.  The weights are
 solved here, not held by the CritLocus.  The Jacobian ring Q[y]/(df)
 comes from one Groebner basis of the partials, built fraction-free on
 packed grevlex keys, and mu counts its standard monomials by the Hilbert
@@ -21,6 +22,7 @@ from fractions import Fraction
 
 from .coefficients import (FIELD_BITS, _accumulate, _admit, _div, codec,
                            rank_rational, solve_rational)
+from .diffops import _banded_images, _product_into
 from .errors import NonIsolated, NotCertified, NotPolynomial, ZeroPolynomial
 from .gca import CritLocus, Element, apply_koszul_delta, detect_weights
 
@@ -97,32 +99,28 @@ def element_keys_in_window(X, cutoff, weights):
 
 
 def bv_apply(X: CritLocus, a: Element) -> Element:
-    """Apply Sum_i d_{y_i} d_{eta_i} (no hbar factor): per term and i,
-    contract eta_i with its sign, then differentiate in y_i."""
-    C = codec(X.m)
-    out = {}
-    for k, c in a.terms.items():
-        for bit, off, unit in zip(C.eta_bits, C.y_off, C.y):
-            if k & bit:
-                n = k >> off & C.field
-                if n:
-                    if (k & C.eta & (bit - 1)).bit_count() & 1:
-                        n = -n
-                    _accumulate(out, (k ^ bit) - unit, n * c)
+    """Apply Sum_i d_{y_i} d_{eta_i} (no hbar factor) as the brackets
+    Sum_i [d_{y_i}, [d_{eta_i}, a]]: a first-order operator's bracket with
+    an element is its image, so the kernel keeps no derivative."""
+    if a.m != X.m:
+        raise ValueError("signature mismatch")
+    C, out = codec(X.m), {}
+    for dy, deta in zip(C.dy, C.deta_bits):
+        inner = {}
+        _product_into(inner, ((deta, 1),), a.terms.items(), C, bracket=True)
+        _product_into(out, ((dy, 1),), inner.items(), C, bracket=True)
     return Element._from_store(X.m, out)
 
 
 def _slice_rank(X, basis):
     """Rank over Q of delta + Delta, the differential at hbar = 1, on the
-    monomial keys ``basis`` (one degree): one sparse row per image, over
-    the columns the images touch."""
-    cols, rows = {}, []
-    for key in basis:
-        mono = Element._from_store(X.m, {key: 1})
-        img = apply_koszul_delta(X, mono) + bv_apply(X, mono)
-        rows.append({cols.setdefault(k, len(cols)): c
-                     for k, c in img.terms.items()})
-    return rank_rational(rows)
+    monomial keys ``basis`` (one degree): one sparse row per image, the
+    images from one banded call, over the columns they touch."""
+    cols = {}
+    return rank_rational([
+        {cols.setdefault(k, len(cols)): c for k, c in img.items()}
+        for img in _banded_images(X.m, basis, lambda b: (
+            apply_koszul_delta(X, b) + bv_apply(X, b)))])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from .coefficients import (_accumulate, _canon, _div, _Store, codec,
                            solve_rational)
 from .diffops import Operator, _banded_images, _product_into, op_commutator
 from .errors import NotCertified, NotMaurerCartan
-from .gca import CritLocus, Element, _koszul_into
+from .gca import CritLocus, Element
 from .quantise import (Quantisation, centre_differential, koszul_operator,
                        mc_residual, operator_keys_in_window, sigma_tangent)
 
@@ -50,7 +50,9 @@ class DRWord(_Store):
 
     def _coerce(self, other):
         """A word key is a tuple, so no rational stands for a word."""
-        return other
+        if not isinstance(other, DRWord):
+            raise TypeError(f"cannot combine DRWord with {type(other).__name__}")
+        return super()._coerce(other)
 
     @staticmethod
     def zero(m, hodge_weight=0):
@@ -112,7 +114,8 @@ def dr_total_d(X: CritLocus, w: DRWord) -> DRWord:
     if m != X.m:
         raise ValueError("signature mismatch")
     C = codec(m)
-    out, images = {}, {}  # images: delta of each distinct factor
+    out, images = {}, {}  # images: delta of each distinct factor, [K, a]
+    K = koszul_operator(X).terms.items()
     for (e, ws), c in w.terms.items():
         r = len(ws) - 1
         prefix = 0  # total degree of factors strictly to the left
@@ -120,7 +123,8 @@ def dr_total_d(X: CritLocus, w: DRWord) -> DRWord:
             psign = -1 if prefix % 2 else 1
             # delta part on this factor
             if mono not in images:
-                _koszul_into(images.setdefault(mono, {}), X, mono, 1, C)
+                _product_into(images.setdefault(mono, {}), K, ((mono, 1),), C,
+                              bracket=True)
             for ikey, ic in images[mono].items():
                 _accumulate(out, (e, ws[:i] + (ikey,) + ws[i + 1:]),
                             psign * c * ic)

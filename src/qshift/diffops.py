@@ -297,7 +297,7 @@ class Polyvector(_Store):
         """A rational is the arity-0 polyvector."""
         if isinstance(other, (int, Fraction)):
             return self._from_store(self.m, 0, super()._coerce(other).terms)
-        return other
+        return super()._coerce(other)
 
     def __add__(self, other):
         other = self._coerce(other)

@@ -6,9 +6,11 @@ Grading is cohomological: deg(y_i) = 0, deg(eta_i) = -1.  An element is
 the derivative-free operator, its own multiplication operator: a monomial
 y^a eta_S is a packed key of ``coefficients.Codec`` with no derivative
 part, and the product is the operator product kernel of ``diffops``, in
-which eta_S o eta_U is their merge with its shuffle sign.  At the boundary
-a monomial reads as the tuple ``(a, S)``, with ``a`` a length-m tuple of
-naturals and ``S`` a strictly increasing tuple of indices in 1..m.
+which eta_S o eta_U is their merge with its shuffle sign.  The Koszul
+differential is the operator K = Sum_i df/dy_i d_eta_i, a derivation, so
+it acts on an element a as the bracket [K, a] in that kernel.  At the
+boundary a monomial reads as the tuple ``(a, S)``: ``a`` a length-m tuple
+of naturals, ``S`` strictly increasing indices in 1..m.
 Koszul signs are generated purely by transpositions of odd symbols
 relative to this canonical order; every other module inherits that
 convention.
@@ -17,7 +19,7 @@ convention.
 from __future__ import annotations
 
 from .coefficients import _accumulate, codec, solve_rational
-from .diffops import Operator, _product_into
+from .diffops import Operator, _product_into, op_commutator
 from .errors import NotPolynomial, ZeroPolynomial
 
 
@@ -54,27 +56,22 @@ class Element(Operator):
         return not any(k & rest for k in self.terms)
 
     # -- arithmetic ----------------------------------------------------------
-    def __add__(self, other):
-        """Another operator type makes the sum an Operator: the types
-        decide it, not the keys."""
-        out = super().__add__(other)
-        if isinstance(other, Operator) and type(other) is not Element:
-            return Operator._from_store(self.m, out.terms)
-        return out
-
     def __mul__(self, other):
         if type(other) is Element:
             return gmul(self, other)
         return super().__mul__(other)
 
     def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"exponent {n!r} is not a natural number")
         out = Element.one(self.m)
-        for _ in range(int(n)):
+        for _ in range(n):
             out = gmul(out, self)
         return out
 
     def partial_y(self, i):
-        """Formal partial derivative with respect to y_i (even, no signs)."""
+        """Formal partial derivative with respect to y_i: even and without
+        signs, so one pass over the terms rather than a kernel bracket."""
         C = codec(self.m)
         off, unit = C.y_off[i - 1], C.y[i - 1]
         out = {}
@@ -147,24 +144,17 @@ def make_crit_locus(f: Element, m: int, names=None) -> CritLocus:
     return CritLocus(m, f, partials, names)
 
 
-def apply_koszul_delta(X: CritLocus, a: Element) -> Element:
-    """Degree +1 derivation with delta(y_i) = 0, delta(eta_i) = df/dy_i."""
-    if a.m != X.m:
-        raise ValueError("signature mismatch")
+def koszul_operator(X: CritLocus) -> Operator:
+    """The Koszul differential as the operator Sum_i df/dy_i d_eta_i,
+    contraction with df: its one definition."""
     C = codec(X.m)
-    out = {}
-    for k, c in a.terms.items():
-        _koszul_into(out, X, k, c, C)
-    return Element._from_store(X.m, out)
+    return Operator._from_store(X.m, {
+        k | bit: c for bit, partial in zip(C.deta_bits, X.partials)
+        for k, c in partial.terms.items()})
 
 
-def _koszul_into(out, X, k, c, C):
-    """Accumulate c delta(k) into the store ``out``, k an element key."""
-    for bit, partial in zip(C.eta_bits, X.partials):
-        if k & bit:
-            # contract eta_i with its sign, then multiply by the eta-free
-            # df/dy_i: the keys add
-            rest = k ^ bit
-            s = -c if (k & C.eta & (bit - 1)).bit_count() & 1 else c
-            for pk, pc in partial.terms.items():
-                _accumulate(out, C.check(rest + pk), s * pc)
+def apply_koszul_delta(X: CritLocus, a: Element) -> Element:
+    """Degree +1 derivation with delta(y_i) = 0, delta(eta_i) = df/dy_i:
+    [K, a] for K = ``koszul_operator(X)``, as K o a and (-1)^|a| a o K
+    differ by the contractions alone, which the kernel keeps."""
+    return Element._from_store(X.m, op_commutator(koszul_operator(X), a).terms)

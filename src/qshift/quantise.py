@@ -19,15 +19,7 @@ from .cohomology import eta_subsets, iter_y_exponents
 from .diffops import (Operator, _banded_images, op_commutator, op_compose,
                       op_order)
 from .errors import NotCertified, NotMaurerCartan
-from .gca import CritLocus
-
-
-def koszul_operator(X: CritLocus) -> Operator:
-    """Contraction with df as a normal-ordered operator."""
-    C = codec(X.m)
-    return Operator._from_store(X.m, {
-        k | bit: c for bit, partial in zip(C.deta_bits, X.partials)
-        for k, c in partial.terms.items()})
+from .gca import CritLocus, koszul_operator
 
 
 class Quantisation(Operator):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qshift.coefficients import HSeries, _accumulate, _shuffle, codec
+from qshift.derham import dr_of
 from qshift.diffops import (Operator, Polyvector, _odd_product, op_commutator,
                             op_compose, op_order, schouten, symbol)
 from qshift.errors import ArityMismatch, OrderTooLow, ZeroOperator
@@ -221,6 +222,45 @@ def test_element_with_another_operator_is_an_operator():
     assert y * dy == op_compose(y, dy) and dy * y == op_compose(dy, y)
     for same in (y + y, y - y, y * y, y + 1, 1 - y, 2 * y, y ** 2):
         assert type(same) is Element
+
+
+_OPERATOR_KIND = ("Element", "Operator", "Quantisation")
+_STORE_TYPES = {
+    "HSeries": lambda m, c: HSeries.monomial(1, c),
+    "Element": lambda m, c: Element(m, {((1,) * m, (m,)): c}),
+    "Operator": lambda m, c: Operator(m, {((1,) * m, (), (0,) * m, (m,)): c}),
+    "Quantisation": lambda m, c: Quantisation(m, {2: c * Operator.d_eta(m, m)}),
+    "Polyvector": lambda m, c: Polyvector(m, 1, {((0,) * m, (), (0,) * m,
+                                                  (m,)): c}),
+    "DRWord": lambda m, c: dr_of(c * Element.eta(m, m)),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(kinds=st.tuples(*[st.sampled_from(sorted(_STORE_TYPES))] * 2),
+       ms=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+       cs=st.tuples(*[st.fractions(-2, 2, max_denominator=3)] * 2))
+def test_store_arithmetic_mixes_one_kind_and_one_m(kinds, ms, cs):
+    """Every pair of store types through +, - and ==: Element, Operator and
+    Quantisation mix, any other two types are refused with TypeError, and
+    two stores of one kind but different m with ValueError; == holds only
+    for one kind, one m and the same terms."""
+    a, b = (_STORE_TYPES[k](m, c) for k, m, c in zip(kinds, ms, cs))
+    one_kind = kinds[0] == kinds[1] or set(kinds) <= set(_OPERATOR_KIND)
+    one_m = a.m == b.m
+    for sign, combine in ((1, lambda: a + b), (-1, lambda: a - b)):
+        if not one_kind:
+            with pytest.raises(TypeError):
+                combine()
+        elif not one_m:
+            with pytest.raises(ValueError, match="signature mismatch"):
+                combine()
+        else:
+            expected = dict(a.terms)
+            for k, c in b.terms.items():
+                _accumulate(expected, k, sign * c)
+            assert combine().terms == expected
+    assert (a == b) == (b == a) == (one_kind and one_m and a.terms == b.terms)
 
 
 def _pv_degree(P):

@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qshift.coefficients import HSeries, _accumulate, codec
+from qshift.cohomology import bv_apply
 from qshift.diffops import Operator, op_compose
-from qshift.errors import NotPolynomial, ZeroPolynomial
+from qshift.errors import ExponentOverflow, NotPolynomial, ZeroPolynomial
 from qshift.gca import (Element, apply_koszul_delta, detect_weights, gmul,
-                        make_crit_locus)
+                        koszul_operator, make_crit_locus)
 
 from conftest import (corpus_locus, decoded, degree_part, mono_mul,
                       random_element)
+from generator_oracle import op_apply
 
 
 def test_make_crit_locus_cubic():
@@ -117,6 +119,57 @@ def test_gmul_is_the_operator_product(data, m):
     op = Operator._from_store(m, dict(a.terms))
     assert op == a and a == op and hash(op) == hash(a)
     assert op_compose(op, b) == product
+
+
+@st.composite
+def _polynomials(draw, m):
+    """One to three terms y^a, a_i <= 3, with nonzero Fraction
+    coefficients: the f of a CritLocus."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        a = tuple(draw(st.integers(0, 3)) for _ in range(m))
+        terms[(a, ())] = draw(st.fractions(-3, 3, max_denominator=4)
+                              .filter(bool))
+    return Element(m, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), m=st.integers(1, 3))
+def test_derivations_match_the_generator_reference(data, m):
+    """delta, Delta_BV and d/dy_i on elements against the evaluation of
+    their operators one generator at a time, which never meets the product
+    kernel."""
+    X = make_crit_locus(data.draw(_polynomials(m)), m)
+    a = data.draw(_elements(m))
+    bv = Operator(m, {((0,) * m, (), tuple(int(j == i) for j in range(m)),
+                       (i + 1,)): 1 for i in range(m)})
+    assert apply_koszul_delta(X, a) == op_apply(koszul_operator(X), a)
+    assert bv_apply(X, a) == op_apply(bv, a)
+    for i in range(1, m + 1):
+        assert a.partial_y(i) == op_apply(Operator.d_y(m, i), a)
+
+
+def test_derivations_refuse_overflow_and_another_m():
+    """delta of a key whose product with df/dy passes the exponent limit is
+    refused, one step below it is not; an element of another m is refused."""
+    limit = codec(1).limit
+    X = make_crit_locus(Element.y(1, 1, 3), 1)
+    top = Element(1, {((limit - 2,), (1,)): 1})
+    with pytest.raises(ExponentOverflow):
+        apply_koszul_delta(X, top)
+    below = Element(1, {((limit - 3,), (1,)): 1})
+    assert apply_koszul_delta(X, below) == 3 * Element.y(1, 1, limit - 1)
+    for apply in (apply_koszul_delta, bv_apply):
+        with pytest.raises(ValueError, match="signature mismatch"):
+            apply(X, Element.eta(2, 1))
+
+
+def test_pow_takes_a_natural_exponent():
+    y = Element.y(1, 1)
+    assert y ** 0 == 1 and y ** 3 == Element.y(1, 1, 3)
+    for bad in (-1, 1.5, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="not a natural number"):
+            y ** bad
 
 
 def test_koszul_on_generators():
