@@ -9,10 +9,12 @@ Grammar (a deliberately small, diff-friendly surface):
     factor  := base ("^" nat)?
     base    := ident | rational | "(" expr ")"
 
-Rational literals are integers or a/b fractions.  Reports are JSON on
-stdout (schema shipped as ``report_schema.json``), diagnostics on stderr;
-exit code 0 means status ok, 1 a violated identity, 2 bad input or an
-answer that cannot be certified.
+Rational literals are integers or a/b fractions, read with the rest by
+one compiled scanner (``_SCAN``).  Every command runs on the one locus
+that ``ProblemFile.crit_locus`` builds, where f is checked.  Reports are
+JSON on stdout (schema shipped as ``report_schema.json``), diagnostics on
+stderr; exit code 0 means status ok, 1 a violated identity, 2 bad input
+or an answer that cannot be certified.
 """
 
 from __future__ import annotations
@@ -69,63 +71,42 @@ class _Token:
         return f"Token({self.kind}, {self.value!r})"
 
 
-def _digits_end(text, i, line, col):
-    """The end of the run of ASCII digits (not ``str.isdigit``'s) from i, at
-    column col, refused there if ``int`` would not convert that many."""
-    j = re.compile("[0-9]*").match(text, i).end()
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 is no limit
-    if 0 < limit < j - i:
-        raise ParseError(f"numeral of {j - i} digits (limit {limit})", line, col)
-    return j
+# Numerals and identifiers are ASCII ([0-9], not ``str.isdigit``'s digits);
+# a space is ``str.isspace`` without the newline, which alone ends a line.
+_SCAN = re.compile(r"(?P<number>(?P<num>[0-9]+)(?:/(?P<den>[0-9]+))?)"
+                   r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[;=+\-*^()])"
+                   r"|(?P<comment>#[^\n]*)|(?P<space>[^\S\n]+)|(?P<newline>\n)")
 
 
 def _tokenize(text):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if "0" <= ch <= "9":
-            j = k = _digits_end(text, i, line, col)
-            if text[j:j + 1] == "/" and "0" <= text[j + 1:j + 2] <= "9":
-                k = _digits_end(text, j + 1, line, col + j + 1 - i)
-            den = int(text[j + 1:k]) if k > j else 1
-            if den == 0:
-                raise ParseError("zero denominator", line, start_col)
-            tokens.append(_Token("number", Fraction(int(text[i:j]), den),
-                                 line, start_col))
-            col += k - i
-            i = k
-            continue
-        if ch.isascii() and (ch.isalpha() or ch == "_"):
-            j = i
-            while j < n and text[j].isascii() and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in ";=+-*^()":
-            tokens.append(_Token(ch, ch, line, start_col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
+    """The tokens of ``text`` with 1-based positions, ending in eof.  A
+    numeral with more digits than ``int`` converts is refused at its first
+    digit; a comment takes no column, so an eof after one is at its '#'."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 is no limit
+    tokens, line, col, pos = [], 1, 1, 0
+    while pos < len(text):
+        match = _SCAN.match(text, pos)
+        if match is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind, value, pos = match.lastgroup, match.group(), match.end()
+        if kind == "number":
+            num, den = match.group("num", "den")
+            for digits, at in ((num, col), (den or "", col + len(num) + 1)):
+                if 0 < limit < len(digits):
+                    raise ParseError(f"numeral of {len(digits)} digits "
+                                     f"(limit {limit})", line, at)
+            if den is not None and int(den) == 0:
+                raise ParseError("zero denominator", line, col)
+            tokens.append(_Token(kind, Fraction(int(num), int(den or 1)),
+                                 line, col))
+        elif kind == "ident":
+            tokens.append(_Token(kind, value, line, col))
+        elif kind == "op":
+            tokens.append(_Token(value, value, line, col))
+        if kind == "newline":
+            line, col = line + 1, 1
+        elif kind != "comment":
+            col += len(value)
     tokens.append(_Token("eof", None, line, col))
     return tokens
 
@@ -357,15 +338,15 @@ def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
             raise UsageError(
                 f"{cmd} does not read the flag {unread[0]!r}; its flags are: "
                 f"{', '.join(COMMAND_FLAGS[cmd]) or 'none'}")
+        X = problem.crit_locus()
         if cmd == "milnor":
-            n = milnor_number(problem.f, len(problem.vars), problem.vars)
+            n = milnor_number(X)
             payload = {"milnor": int(n), **n.certificate}
         elif cmd == "vc-dims":
-            payload = twisted_derham_dims(problem.crit_locus()).as_dict()
+            payload = twisted_derham_dims(X).as_dict()
         elif cmd == "koszul-dims":
-            payload = koszul_dims_at_hbar_zero(problem.crit_locus()).as_dict()
+            payload = koszul_dims_at_hbar_zero(X).as_dict()
         elif cmd == "check-mc":
-            X = problem.crit_locus()
             residual = mc_residual(X, bv_quantisation(X))
             residual_terms = _residual_terms(residual)
             payload = {"residual_zero": residual.is_zero()}
@@ -373,7 +354,6 @@ def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
                 status = "fail"
                 payload["reason"] = "master-equation residual is nonzero"
         elif cmd == "check-compat":
-            X = problem.crit_locus()
             size = _int_setting("window", problem, flags, 3)
             window = SearchWindow(order_cap=size, ydeg_cap=size,
                                   hbar_max=size + 2)
@@ -387,7 +367,6 @@ def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
                 payload["reason"] = "no coboundary witness in the window"
                 residual_terms = _residual_terms(verdict.residual)
         elif cmd == "check-selfdual":
-            X = problem.crit_locus()
             profile = solve_sign_profile(X)
             verdict = is_self_dual(bv_quantisation(X), profile)
             payload = {"verdict": verdict.kind,
@@ -397,14 +376,12 @@ def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
                 payload["reason"] = "star involution does not fix the quantisation"
                 residual_terms = _residual_terms(verdict.residual)
         elif cmd == "eigen":
-            X = problem.crit_locus()
             p = _int_setting("p", problem, flags)
             k = _int_setting("k", problem, flags)
             report = nu_eigen_analysis(
                 X, p, k, _int_setting("max_degree", problem, flags, 2))
             payload = report.as_dict()
         elif cmd == "filtration":
-            X = problem.crit_locus()
             kind = _setting("kind", problem, flags, "ftilde")
             if kind not in _KIND_MAP:
                 raise QShiftError(f"kind must be one of "

@@ -8,10 +8,12 @@ in the one product kernel.  Its cohomology over Q(hbar) is taken from one
 exact rank per degree slice, its images from one banded call, when f is
 quasi-homogeneous (weight rescaling), and from the tameness theorem when
 f is semi-quasi-homogeneous; anything else is refused.  The weights are
-solved here, not held by the CritLocus.  The Jacobian ring Q[y]/(df)
-comes from one Groebner basis of the partials, built fraction-free on
-packed grevlex keys, and mu counts its standard monomials by the Hilbert
-recursion.
+solved here, not held by the CritLocus.  Every function takes a CritLocus,
+the top part f_w of a tameness certificate too, so only
+``gca.make_crit_locus`` checks and differentiates f.  The Jacobian ring
+Q[y]/(df) comes from one Groebner basis of its partials, built
+fraction-free on packed grevlex keys, and mu counts its standard monomials
+by the Hilbert recursion.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from fractions import Fraction
 from .coefficients import (FIELD_BITS, _accumulate, _admit, _div, codec,
                            rank_rational, solve_rational)
 from .diffops import _banded_images, _product_into
-from .errors import NonIsolated, NotCertified, NotPolynomial, ZeroPolynomial
-from .gca import CritLocus, Element, apply_koszul_delta, detect_weights
+from .errors import NonIsolated, NotCertified
+from .gca import (CritLocus, Element, apply_koszul_delta, detect_weights,
+                  make_crit_locus)
 
 
 class CohomologyReport:
@@ -148,7 +151,7 @@ def _weight_rescaling(X, weights):
     quasi-isomorphism for c' >= c >= socle: the one cutoff c = socle gives
     the cohomology of the whole complex.
     """
-    milnor_number(X.f, X.m, X.names, X.partials)
+    milnor_number(X)
     cutoff = sum(1 - 2 * w for w in weights)
     by_degree = element_keys_in_window(X, cutoff, weights)
     rank = {d: _slice_rank(X, basis) for d, basis in by_degree.items()}
@@ -172,7 +175,7 @@ def _tame(X):
     Rham cohomology in degree 0 only, of dimension mu(f).  Without a
     certificate f is refused: NotCertified.
     """
-    mu = milnor_number(X.f, X.m, X.names, X.partials)
+    mu = milnor_number(X)
     exps = {k: codec(X.m).y_exponents(k) for k in X.f.terms}
     monomials = list(exps.values())
     squares = [tuple(2 * (j == i) for j in range(X.m)) for i in range(X.m)]
@@ -188,7 +191,7 @@ def _tame(X):
         top = Element._from_store(X.m, {k: c for k, c in X.f.terms.items()
                                         if weight[exps[k]] == 1})
         try:
-            mu_top = milnor_number(top, X.m, X.names)
+            mu_top = milnor_number(make_crit_locus(top, X.m, X.names))
         except NonIsolated:
             continue
         if mu_top == mu == math.prod(_div(1, w) - 1 for w in weights):
@@ -337,44 +340,40 @@ class _Certified(int):
     """An int with ``certificate``, the payload fields of its proof."""
 
 
-def milnor_number(f: Element, m: int, names=None, partials=None) -> int:
-    """dim_Q Q[y]/(df/dy_1, ..., df/dy_m) from a grevlex Groebner basis G,
-    of the ``partials`` of f when given (a CritLocus caches them).
+def milnor_number(X: CritLocus) -> int:
+    """dim_Q Q[y]/(df/dy_1, ..., df/dy_m) from a grevlex Groebner basis G of
+    the partials that the locus X caches.
 
     The standard monomials (divisible by no leading monomial of G) are a
     Q-basis of the quotient, so mu is their count (``_standard_count``): 0
     for the unit ideal.  Each y_i needs a pure power y_i^e among the leading
     monomials; without one, all powers of y_i are standard: NonIsolated,
-    naming y_i by ``names`` (the declared variables), else as y_i.  First,
+    naming y_i by ``X.names`` (the declared variables), else as y_i.  First,
     if m >= 2 and y_i^2 divides every term, the hyperplane y_i = 0 lies in
     the critical locus: NonIsolated without a Groebner basis.
     """
-    if f.is_zero():
-        raise ZeroPolynomial("f = 0")
-    if not f.is_polynomial():
-        raise NotPolynomial("f must be a polynomial in y only")
-    C = codec(m)
+    C = codec(X.m)
     # a y field x < limit is >= 2 iff x + (limit - 2) sets its guard bit
-    low, squares = C.y_lows - sum(C.y), (C.y_guards if m >= 2 else 0)
-    for k in f.terms:
+    low, squares = C.y_lows - sum(C.y), (C.y_guards if X.m >= 2 else 0)
+    for k in X.f.terms:
         squares &= k + low
     for i, o in enumerate(C.y_off):
         if squares >> o & C.limit:
-            name = names[i] if names else f"y_{i + 1}"
+            name = X.names[i] if X.names else f"y_{i + 1}"
             raise NonIsolated(f"{name}^2 divides every term of f, so the "
                               f"hyperplane {name} = 0 lies in the critical "
                               f"locus: Q[y]/(df) is infinite-dimensional")
-    one, _ = _grevlex_layout(m)
+    one, _ = _grevlex_layout(X.m)
     # a codec key of y^a holds a_1 .. a_m in the same fields, from bit 2m
     leads = sorted(lead for lead, _ in _groebner(_admit(
-        [{(sum(k >> o & C.field for o in C.y_off) << FIELD_BITS * m)
-          + one - (k >> 2 * m): c for k, c in p.terms.items()}
-         for p in partials or map(f.partial_y, range(1, m + 1))]), m))
-    leads = [[_TOP - (k >> FIELD_BITS * i & C.field) for i in range(m)]
+        [{(sum(k >> o & C.field for o in C.y_off) << FIELD_BITS * X.m)
+          + one - (k >> 2 * X.m): c for k, c in p.terms.items()}
+         for p in X.partials]), X.m))
+    leads = [[_TOP - (k >> FIELD_BITS * i & C.field) for i in range(X.m)]
              for k in leads]
-    for i in range(m):
+    for i in range(X.m):
         if not any(a[i] == sum(a) for a in leads):
-            name = names[i] if names else f"y_{i + 1}"
+            name = X.names[i] if X.names else f"y_{i + 1}"
             raise NonIsolated(f"no leading monomial of (df) is a power of "
                               f"{name}: Q[y]/(df) is infinite-dimensional")
     mu = _Certified(_standard_count(leads))
@@ -391,5 +390,5 @@ def koszul_dims_at_hbar_zero(X: CritLocus) -> CohomologyReport:
     m in a Cohen-Macaulay ring: a regular sequence.  The Koszul homology,
     supported at those points, is the Jacobian ring in degree 0: {0: mu}.
     """
-    mu = milnor_number(X.f, X.m, X.names, X.partials)
+    mu = milnor_number(X)
     return CohomologyReport({0: mu}, "Q", mu.certificate)

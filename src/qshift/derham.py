@@ -18,8 +18,8 @@ from .coefficients import (_accumulate, _canon, _div, _Store, codec,
 from .diffops import Operator, _banded_images, _product_into, op_commutator
 from .errors import NotCertified, NotMaurerCartan
 from .gca import CritLocus, Element
-from .quantise import (Quantisation, centre_differential, koszul_operator,
-                       mc_residual, operator_keys_in_window, sigma_tangent)
+from .quantise import (Quantisation, koszul_operator, mc_residual,
+                       operator_keys_in_window, sigma_tangent)
 
 
 class DRWord(_Store):
@@ -114,18 +114,18 @@ def dr_total_d(X: CritLocus, w: DRWord) -> DRWord:
     if m != X.m:
         raise ValueError("signature mismatch")
     C = codec(m)
-    out, images = {}, {}  # images: delta of each distinct factor, [K, a]
+    out, images = {}, {}  # images: [K, a] for each distinct factor a with eta
     K = koszul_operator(X).terms.items()
     for (e, ws), c in w.terms.items():
         r = len(ws) - 1
         prefix = 0  # total degree of factors strictly to the left
         for i, mono in enumerate(ws):
             psign = -1 if prefix % 2 else 1
-            # delta part on this factor
-            if mono not in images:
+            # delta part on this factor, 0 on one without eta (the unit too)
+            if mono & C.eta and mono not in images:
                 _product_into(images.setdefault(mono, {}), K, ((mono, 1),), C,
                               bracket=True)
-            for ikey, ic in images[mono].items():
+            for ikey, ic in images.get(mono, {}).items():
                 _accumulate(out, (e, ws[:i] + (ikey,) + ws[i + 1:]),
                             psign * c * ic)
             # e.a insertion (unit at slot i) and -(-1)^deg a.e (unit at i+1)
@@ -268,7 +268,7 @@ def check_chain_identity(w: DRWord, delta: Quantisation, X: CritLocus) -> Operat
     else:
         slots, mu_w = _nu_slots(w, delta)
         nu_w = _nu_apply(slots, kappa)
-    lhs = centre_differential(X, delta, mu_w, allow_non_mc=True)
+    lhs = op_commutator(koszul_operator(X) + delta, mu_w)
     rhs = mu(dr_total_d(X, w), delta, X) + nu_w
     return lhs - rhs
 

@@ -286,13 +286,6 @@ class Polyvector(_Store):
     def zero(m, arity=0):
         return Polyvector(m, arity)
 
-    def __eq__(self, other):
-        """The zero symbol equals a zero of any arity."""
-        if not isinstance(other, Polyvector):
-            return NotImplemented
-        return (self.m == other.m and self.terms == other.terms
-                and (self.arity == other.arity or not self.terms or not other.terms))
-
     def _coerce(self, other):
         """A rational is the arity-0 polyvector."""
         if isinstance(other, (int, Fraction)):

@@ -131,7 +131,8 @@ def detect_weights(f: Element, m: int):
 
 def make_crit_locus(f: Element, m: int, names=None) -> CritLocus:
     """Build the critical-locus data of f, caching its partials; ``names``
-    are the declared variables, for messages."""
+    are the declared variables, for messages.  The one place where f is
+    checked and differentiated."""
     if m < 1:
         raise ValueError("need at least one variable")
     if f.m != m:

@@ -113,10 +113,10 @@ def sigma_tangent(delta: Quantisation) -> TangentElement:
         if k >> C.hbar_shift}))
 
 
-def centre_differential(X: CritLocus, delta: Quantisation, u: Operator,
-                        allow_non_mc: bool = False) -> Operator:
+def centre_differential(X: CritLocus, delta: Quantisation,
+                        u: Operator) -> Operator:
     """[delta_Koszul + Delta, u], the differential of the centre."""
-    if not allow_non_mc and not mc_residual(X, delta).is_zero():
+    if not mc_residual(X, delta).is_zero():
         raise NotMaurerCartan("Delta does not satisfy the master equation")
     return op_commutator(koszul_operator(X) + delta, u)
 
@@ -134,24 +134,22 @@ def _odd_masks(m):
 
 
 @lru_cache(maxsize=256)
-def _y_keys(m, cap, exact=False):
-    """The keys y^a of degree <= cap (== cap if ``exact``), lexicographic."""
-    return tuple(sum(map(mul, codec(m).y, a)) for a in iter_y_exponents(m, cap)
-                 if not exact or sum(a) == cap)
+def _y_keys(m, cap):
+    """The keys y^a of degree <= cap, lexicographic."""
+    return tuple(sum(map(mul, codec(m).y, a)) for a in iter_y_exponents(m, cap))
 
 
 def operator_keys_in_window(X: CritLocus, order_cap: int, ydeg_cap: int,
-                            arity_exact=None, degree=None):
+                            degree=None):
     """Operator monomial keys y^a eta_S d_y^b d_eta_T with derivative degree
-    <= order_cap (or exactly ``arity_exact``), |a| <= ydeg_cap and, if given,
-    |T| - |S| = ``degree``: by T (``eta_subsets`` order), b (lex), S, a."""
+    <= order_cap, |a| <= ydeg_cap and, if given, |T| - |S| = ``degree``: by
+    T (``eta_subsets`` order), b (lex), S, a."""
     C = codec(X.m)
-    top = order_cap if arity_exact is None else arity_exact
-    if max(top, ydeg_cap) >= C.limit:
+    if max(order_cap, ydeg_cap) >= C.limit:
         C.overflow()
     masks, alist = _odd_masks(X.m), _y_keys(X.m, ydeg_cap)
-    return [tb + s + a for nt, _, t in masks if nt <= top
-            for b in _y_keys(X.m, top - nt, arity_exact is not None)
+    return [tb + s + a for nt, _, t in masks if nt <= order_cap
+            for b in _y_keys(X.m, order_cap - nt)
             for tb in (t + (b << C.dy_to_y),)
             for ns, s, _ in masks if degree in (None, nt - ns)
             for a in alist]
@@ -251,7 +249,8 @@ def nu_eigen_analysis(X: CritLocus, p: int, k: int,
     C = codec(X.m)
     if ydeg_cap >= C.limit:
         C.overflow()
-    block = operator_keys_in_window(X, p, 0, arity_exact=p)
+    block = [key for key in operator_keys_in_window(X, p, 0)
+             if C.order(key) == p]
     for c, (key, image) in enumerate(zip(block, _nu_block(X, block))):
         top = {t: v for t, v in image.items() if C.order(t) >= p}
         if c == 0:

@@ -7,7 +7,7 @@ from qshift.diffops import Operator, Polyvector
 from qshift.duality import transpose
 from qshift.errors import NoConsistentProfile
 from qshift.gca import Element, make_crit_locus
-from qshift.quantise import Quantisation
+from qshift.quantise import Quantisation, operator_keys_in_window
 
 # The standard singularity corpus: (name, builder, m, milnor number).
 CORPUS = [
@@ -31,6 +31,14 @@ CORPUS_IDS = [name for (name, _, _, _) in CORPUS]
 def corpus_locus(index):
     name, builder, m, mu = CORPUS[index]
     return make_crit_locus(builder(), m)
+
+
+def arity_keys(X, arity, ydeg_cap, degree=None):
+    """The keys of order exactly ``arity`` in the window of order cap
+    ``arity``, in the window's order."""
+    C = codec(X.m)
+    return [k for k in operator_keys_in_window(X, arity, ydeg_cap, degree)
+            if C.order(k) == arity]
 
 
 @pytest.fixture(params=range(len(CORPUS)), ids=CORPUS_IDS)

@@ -9,8 +9,9 @@ from qshift.coefficients import codec
 from qshift.derham import _nu_apply, _nu_slots, canonical_symplectic
 from qshift.diffops import _banded_images
 from qshift.errors import NotCertified
-from qshift.quantise import (SpectrumReport, bv_quantisation,
-                             operator_keys_in_window)
+from qshift.quantise import SpectrumReport, bv_quantisation
+
+from conftest import arity_keys
 
 
 def windowed_eigen_analysis(X, p, k, ydeg_cap=2):
@@ -18,7 +19,7 @@ def windowed_eigen_analysis(X, p, k, ydeg_cap=2):
     image terms outside the window's hbar^1 part are not looked at."""
     if k < 1 or p < 0:
         raise ValueError("need p >= 0 and k >= 1")
-    basis = operator_keys_in_window(X, p, ydeg_cap, arity_exact=p)
+    basis = arity_keys(X, p, ydeg_cap)
     slots, _ = _nu_slots(canonical_symplectic(X), bv_quantisation(X))
     lefts = [key for _, left, _ in slots for key, _ in left]
     rights = [key for _, _, right in slots for key, _ in right]

@@ -23,12 +23,11 @@ from qshift.diffops import Operator, op_compose, op_order, schouten, symbol
 from qshift.duality import is_self_dual, solve_sign_profile, transpose
 from qshift.gca import Element, make_crit_locus
 from qshift.quantise import (FiltrationLabel, Quantisation, bv_quantisation,
-                             filtration_dims, mc_residual, nu_eigen_analysis,
-                             operator_keys_in_window)
+                             filtration_dims, mc_residual, nu_eigen_analysis)
 
 from schouten_oracle import pv_mul_closed_form, schouten_by_words
 
-from conftest import (CORPUS, degree_part, levels, print_problem,
+from conftest import (CORPUS, arity_keys, degree_part, levels, print_problem,
                       random_element,
                       random_polyvector, random_quantisation,
                       star_fixed_slot_dimension)
@@ -96,7 +95,7 @@ def test_acceptance_vanishing_cycles():
     for name, X, mu in cases:
         t0 = time.monotonic()
         report = twisted_derham_dims(X)
-        oracle = milnor_number(X.f, X.m)
+        oracle = milnor_number(X)
         elapsed = time.monotonic() - t0
         worst = max(worst, elapsed)
         assert oracle == mu, f"oracle disagrees for {name}"
@@ -239,7 +238,7 @@ def test_acceptance_self_duality():
     for j in range(2, 6):
         for k in range(0, j + 1):
             arity = j - k
-            keys = operator_keys_in_window(X, arity, ydeg_cap, arity_exact=arity)
+            keys = arity_keys(X, arity, ydeg_cap)
             fixed, total = star_fixed_slot_dimension(X, profile, j, k, keys)
             assert (fixed == total) if k % 2 == 0 else (fixed == 0), (j, k)
     _report("self-duality: strict fixed point, involution, (-1)^p rule, "

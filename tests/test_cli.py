@@ -47,6 +47,30 @@ def test_parse_unknown_variable_position():
     assert err.value.col == 17
 
 
+@pytest.mark.parametrize("text, line, col", [
+    ("vars x; \n f = x +;", 2, 9),              # a space before the newline
+    ("vars x; # c \n f = x + z;", 2, 10),       # a comment before it
+    ("vars x;\t\r\n\tf = x +;", 2, 9),           # tab, \r\n, tab
+    ("vars x;\u00a0\nf\u00a0= x +;", 2, 8),      # no-break spaces
+    ("vars x;\n\n  f = (x +\n   z);", 4, 4),
+    ("vars x; f = x", 1, 14),                    # eof
+    ("vars x; f = x \t\r", 1, 17),              # eof after spaces
+    ("vars x; f = x # c", 1, 15),                # eof after a comment
+    ("vars x; f = x\n# c\n", 3, 1),             # eof after a comment line
+], ids=["space-newline", "comment-newline", "crlf-tabs", "no-break-space",
+        "lines", "eof", "eof-spaces", "eof-comment", "eof-comment-line"])
+def test_positions_after_whitespace_comments_and_newlines(text, line, col):
+    """Only a newline starts a line; every other whitespace character, a
+    carriage return or a no-break space too, takes one column, and a
+    comment takes none, so the end of input after a comment is at its '#'.
+    So the error after whitespace or a comment that precedes a newline
+    carries the position on the next line."""
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value).endswith(f"(line {line}, col {col})")
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as err:
         parse_problem("vars x;\nf = x +;")
@@ -220,6 +244,26 @@ def test_reports_validate_for_all_commands():
         report = run_command(cmd, problem, flags)
         assert report.status == "ok", (cmd, report.payload)
         _validate(report)
+
+
+def test_every_command_refuses_a_zero_f_from_the_one_locus(monkeypatch,
+                                                          tmp_path, capsys):
+    """All eight commands build the critical locus once, right after the
+    flag check, so f = 0 gets one report from all of them: ZeroPolynomial,
+    reason 'f = 0', exit 2."""
+    path = tmp_path / "zero.qs"
+    path.write_text("vars x; f = x - x;\n")
+    calls = []
+    real = cli.make_crit_locus
+    monkeypatch.setattr(cli, "make_crit_locus",
+                        lambda *args: calls.append(args) or real(*args))
+    for cmd in cli.COMMAND_FLAGS:
+        calls.clear()
+        assert main([cmd, str(path)]) == 2, cmd
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert payload == {"reason": "f = 0",
+                           "error_type": "ZeroPolynomial"}, cmd
+        assert len(calls) == 1, cmd
 
 
 def test_report_payload_values():

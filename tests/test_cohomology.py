@@ -24,30 +24,31 @@ from hbar_oracle import rank_exact_fraction_field, twisted_matrix
 
 
 def test_milnor_examples():
-    assert milnor_number(Element.y(1, 1) ** 2, 1) == 1
+    assert milnor_number(make_crit_locus(Element.y(1, 1) ** 2, 1)) == 1
     f = Element.y(2, 1) ** 3 + Element.y(2, 2) ** 3
-    assert milnor_number(f, 2) == 4
+    assert milnor_number(make_crit_locus(f, 2)) == 4
     f = Element.y(2, 1) ** 3 + Element.y(2, 2) ** 5
-    assert milnor_number(f, 2) == 8
+    assert milnor_number(make_crit_locus(f, 2)) == 8
 
 
 def test_milnor_corpus(corpus_case):
     name, X, mu = corpus_case
-    assert milnor_number(X.f, X.m) == mu
+    assert milnor_number(X) == mu
 
 
 def test_milnor_errors():
     with pytest.raises(ZeroPolynomial):
-        milnor_number(Element.zero(1), 1)
+        milnor_number(make_crit_locus(Element.zero(1), 1))
     with pytest.raises(NotPolynomial):
-        milnor_number(Element.y(1, 1) ** 2 * HSeries.monomial(1), 1)
+        milnor_number(make_crit_locus(
+            Element.y(1, 1) ** 2 * HSeries.monomial(1), 1))
     # unused variable: a partial vanishes identically
     with pytest.raises(NonIsolated):
-        milnor_number(Element.y(2, 1) ** 2, 2)
+        milnor_number(make_crit_locus(Element.y(2, 1) ** 2, 2))
     # one-dimensional critical locus
     f = Element.y(2, 1) ** 2 * Element.y(2, 2) ** 2
     with pytest.raises(NonIsolated):
-        milnor_number(f, 2)
+        milnor_number(make_crit_locus(f, 2))
 
 
 def test_square_variable_is_refused_before_groebner(monkeypatch):
@@ -70,10 +71,10 @@ def test_square_variable_is_refused_before_groebner(monkeypatch):
                                   (yy ** 2 * (x + yy), 2, ("x", "y"), "y"),
                                   (roadmap_f, 3, ("x", "y", "z"), "z")]:
             with pytest.raises(NonIsolated, match=rf"^{name}\^2 divides every"):
-                milnor_number(f, m, names)
-    assert milnor_number(Element.y(1, 1) ** 2, 1) == 1
+                milnor_number(make_crit_locus(f, m, names))
+    assert milnor_number(make_crit_locus(Element.y(1, 1) ** 2, 1)) == 1
     # x^2*y + y^3: no square divides every term, and f is isolated
-    assert milnor_number(x ** 2 * yy + yy ** 3, 2) == 4
+    assert milnor_number(make_crit_locus(x ** 2 * yy + yy ** 3, 2)) == 4
 
 
 def test_twisted_dims_match_milnor(corpus_case):
@@ -172,7 +173,7 @@ def test_rank_certificates_on_corpus_slices():
         for d, basis in sorted(by_degree.items()):
             assert _slice_rank(X, basis) == rank_exact_fraction_field(
                 twisted_matrix(X, basis)), (f, d)
-        assert twisted_derham_dims(X).dims_by_degree == {0: milnor_number(f, m)}
+        assert twisted_derham_dims(X).dims_by_degree == {0: milnor_number(X)}
 
 
 def test_report_euler_characteristic():
@@ -227,8 +228,8 @@ def test_semi_quasi_homogeneous_milnor_orlik(powers, data):
         if sum(Fraction(k, a) for k, a in zip(b, powers)) < 1:
             f = f + Element(m, {(b, ()): c})
     mu = math.prod(a - 1 for a in powers)
-    assert milnor_number(f, m) == mu
     X = make_crit_locus(f, m)
+    assert milnor_number(X) == mu
     report = koszul_dims_at_hbar_zero(X)
     assert report.dims_by_degree == {0: mu}
     assert report.certificate["certificate"] == "groebner-grevlex"
@@ -326,7 +327,7 @@ def test_groebner_basis_passes_buchberger_test(f, m, mu):
         assert _remainder(_s_polynomial(g, h), basis) == {}
     for p in partials:
         assert _remainder(p, basis) == {}
-    assert milnor_number(f, m) == mu
+    assert milnor_number(make_crit_locus(f, m)) == mu
 
 
 _COEFF = st.builds(Fraction, st.integers(1, 4), st.integers(1, 3)).flatmap(
@@ -350,10 +351,10 @@ def test_milnor_matches_the_tuple_oracle(m, data):
         expected = oracle_milnor(f, m, names)
     except NonIsolated as exc:
         with pytest.raises(NonIsolated) as refused:
-            milnor_number(f, m, names)
+            milnor_number(make_crit_locus(f, m, names))
         assert str(refused.value) == str(exc)
         return
-    mu = milnor_number(f, m, names)
+    mu = milnor_number(make_crit_locus(f, m, names))
     assert (mu, mu.certificate["leading_monomials"]) == expected
 
 
@@ -380,7 +381,7 @@ def test_standard_count_matches_the_box_walk_on_the_problem_files():
     assert len(paths) == 13
     for path in paths:
         problem = cli.parse_problem(path.read_text())
-        mu = milnor_number(problem.f, len(problem.vars), problem.vars)
+        mu = milnor_number(problem.crit_locus())
         leads = mu.certificate["leading_monomials"]
         assert _standard_count(leads) == box_count(leads) == mu, path.name
 
@@ -388,10 +389,10 @@ def test_standard_count_matches_the_box_walk_on_the_problem_files():
 def test_crit_locus_partials_are_not_taken_again(monkeypatch):
     """milnor_number reads a CritLocus's cached partials: koszul-dims and
     the weight-rescaling certificate never differentiate f again, and
-    answer as milnor_number does from f alone."""
+    answer as milnor_number does on a fresh locus of f."""
     f = Element.y(2, 1) ** 3 + Element.y(2, 2) ** 5
     X = make_crit_locus(f, 2, ("x", "y"))
-    expected = milnor_number(f, 2, ("x", "y"))
+    expected = milnor_number(make_crit_locus(f, 2, ("x", "y")))
     calls = []
     original = Element.partial_y
     monkeypatch.setattr(Element, "partial_y",
@@ -401,7 +402,7 @@ def test_crit_locus_partials_are_not_taken_again(monkeypatch):
     assert report.certificate == expected.certificate
     assert twisted_derham_dims(X).dims_by_degree == {0: 8}
     assert calls == []
-    milnor_number(f, 2)
+    make_crit_locus(f, 2)
     assert calls == [1, 2]
 
 
@@ -414,7 +415,7 @@ def test_exponent_overflow_is_refused():
     with pytest.raises(ExponentOverflow):
         _groebner([g1, g2], 2)
     f = Element.y(2, 1, 2 ** 15 - 1) + Element.y(2, 2, 2 ** 15 - 1)
-    assert milnor_number(f, 2) == (2 ** 15 - 2) ** 2
+    assert milnor_number(make_crit_locus(f, 2)) == (2 ** 15 - 2) ** 2
 
 
 def _floats(obj):

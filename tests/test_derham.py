@@ -26,11 +26,11 @@ from qshift.quantise import (Quantisation, bv_quantisation, centre_differential,
 from generator_oracle import op_apply
 from solve_oracle import component, full_solve
 
-from conftest import (corpus_locus, decoded, decoded_words, degree_part,
-                      hbar_component, levels, mono_mul, random_element,
-                      random_homogeneous_operator, random_operator,
-                      random_polyvector, random_quantisation, sparse_rows,
-                      unit_key)
+from conftest import (arity_keys, corpus_locus, decoded, decoded_words,
+                      degree_part, hbar_component, levels, mono_mul,
+                      random_element, random_homogeneous_operator,
+                      random_operator, random_polyvector, random_quantisation,
+                      sparse_rows, unit_key)
 
 
 def _word(m, *monos, hexp=0, coeff=1):
@@ -162,6 +162,31 @@ def test_total_d_squares_to_zero_random():
         for piece in pieces[1:]:
             w = cup(w, piece)
         assert dr_total_d(X, dr_total_d(X, w)).is_zero()
+
+
+def test_total_d_brackets_only_the_factors_with_eta(monkeypatch):
+    """delta of a factor without eta, the unit among them, is 0, so the
+    total differential takes one kernel bracket per distinct factor that
+    has an eta and none for the others."""
+    X = corpus_locus(4)
+    C = codec(X.m)
+    x, eta = Element.y(X.m, 1), Element.eta(X.m, 2)
+    w = (canonical_symplectic(X) + cup(dr_d(x * eta), dr_of(x))
+         + cup(dr_of(eta), dr_d(x)))
+    factors = {k for _, ws in w.terms for k in ws}
+    assert any(k & C.eta for k in factors) and 0 in factors
+    assert any(k and not k & C.eta for k in factors)
+    expected = dr_total_d(X, w)
+    calls = []
+    real = derham._product_into
+
+    def counting(acc, left, right, *args, **kwargs):
+        calls.extend(k for k, _ in right)
+        return real(acc, left, right, *args, **kwargs)
+
+    monkeypatch.setattr(derham, "_product_into", counting)
+    assert dr_total_d(X, w) == expected
+    assert sorted(calls) == sorted(k for k in factors if k & C.eta)
 
 
 def apply_codegeneracy(w: DRWord, j: int) -> DRWord:
@@ -512,7 +537,7 @@ def test_eigen_block_matches_reference_nu_columns(monkeypatch, p):
 
     monkeypatch.setattr(quantise, "_nu_block", recording)
     report = nu_eigen_analysis(X, p, 2, 1)
-    block = operator_keys_in_window(X, p, 0, arity_exact=p)
+    block = arity_keys(X, p, 0)
     (applied, images), = built
     assert applied == block
     assert report.block_dim == 3 * len(block)
@@ -654,8 +679,9 @@ def _reference_search(omega, delta, X, window):
             X, window.order_cap, window.ydeg_cap) if C.degree(k) == d)
     unknowns = [key + (e << C.hbar_shift) for key in candidates
                 for e in range(window.hbar_max + 1)]
-    images = [centre_differential(X, delta, Operator._from_store(X.m, {u: 1}),
-                                  allow_non_mc=True).terms for u in unknowns]
+    total = koszul_operator(X) + delta
+    images = [op_commutator(total, Operator._from_store(X.m, {u: 1})).terms
+              for u in unknowns]
     row_keys = list(dict.fromkeys([k for img in images for k in img]
                                   + list(r.terms)))
     dense = [[img.get(k, 0) for img in images] for k in row_keys]

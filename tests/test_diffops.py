@@ -208,6 +208,22 @@ def test_polyvector_rational_is_the_arity_zero_polyvector():
     assert (Polyvector.zero(m, 2) + 1).arity == 0
 
 
+def test_polyvector_equality_goes_through_the_coercion():
+    """As for every store, == reads a rational as the arity-0 polyvector:
+    a zero of any arity is 0 and the arity-0 unit is 1.  Zeros of
+    different arity are equal and hash alike, the terms fix the arity of a
+    nonzero one, and a polyvector never equals the operator of its terms."""
+    m = 1
+    unit = Polyvector(m, 0, {((0,), (), (0,), ()): 1})
+    P = Polyvector(m, 1, {((0,), (), (1,), ()): 1})
+    assert Polyvector.zero(m, 1) == 0 and 0 == Polyvector.zero(m, 1)
+    assert unit == 1 and unit == Fraction(1) and unit != 2 and P != 1
+    assert Polyvector.zero(m, 1) == Polyvector.zero(m, 3)
+    assert hash(Polyvector.zero(m, 1)) == hash(Polyvector.zero(m, 3))
+    assert P != P.lift() and P.lift() != P
+    assert len({P, Polyvector(m, 1, {((0,), (), (1,), ()): 1}), unit}) == 2
+
+
 def test_element_with_another_operator_is_an_operator():
     """An Element with an operator of another type, in either order, sums
     and composes to an Operator, which prints its derivatives; two

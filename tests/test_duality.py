@@ -12,13 +12,12 @@ from qshift.duality import (SignProfile, is_self_dual, solve_sign_profile, star,
                             transpose)
 from qshift.errors import NoConsistentProfile
 from qshift.gca import Element, make_crit_locus
-from qshift.quantise import (Quantisation, bv_quantisation,
-                             operator_keys_in_window, sigma_tangent)
+from qshift.quantise import Quantisation, bv_quantisation, sigma_tangent
 
 from generator_oracle import fold, gen_sequence
 
-from conftest import (corpus_locus, degree_part, levels, random_operator,
-                      random_quantisation, sigma_by_level, star_by_level,
+from conftest import (arity_keys, corpus_locus, degree_part, levels,
+                      random_operator, random_quantisation, sigma_by_level, star_by_level,
                       star_fixed_slot_dimension)
 
 
@@ -210,7 +209,7 @@ def test_gr_parity_fixed_slots(locus_and_profile):
     for j in range(2, 6):
         for k in range(0, j + 1):
             arity = j - k
-            keys = operator_keys_in_window(X, arity, ydeg_cap, arity_exact=arity)
+            keys = arity_keys(X, arity, ydeg_cap)
             fixed, total = star_fixed_slot_dimension(X, profile, j, k, keys)
             assert total > 0
             if k % 2 == 0:

@@ -8,7 +8,8 @@ import pytest
 
 from qshift import derham, quantise
 from qshift.coefficients import HSeries, _accumulate, codec
-from qshift.diffops import Operator, op_compose, op_order, symbol
+from qshift.diffops import (Operator, op_commutator, op_compose, op_order,
+                            symbol)
 from qshift.errors import ExponentOverflow, NotCertified, NotMaurerCartan
 from qshift.gca import Element, gmul, make_crit_locus
 from qshift.quantise import (FiltrationLabel, Quantisation, _order_bound,
@@ -17,8 +18,8 @@ from qshift.quantise import (FiltrationLabel, Quantisation, _order_bound,
                              nu_eigen_analysis, operator_keys_in_window,
                              sigma_tangent)
 
-from conftest import (CORPUS, CORPUS_IDS, corpus_locus, decoded,
-                      hbar_component, levels, random_operator,
+from conftest import (CORPUS, CORPUS_IDS, arity_keys, corpus_locus,
+                      decoded, hbar_component, levels, random_operator,
                       random_quantisation)
 from eigen_oracle import windowed_eigen_analysis
 from window_oracle import operator_keys_by_encode
@@ -169,10 +170,10 @@ def test_centre_differential_commutes_with_hbar():
         X = corpus_locus(rng.choice([1, 4, 6, 8]))
         delta = random_quantisation(rng, X.m)
         u = random_operator(rng, X.m, with_hbar=True)
-        image = centre_differential(X, delta, u, allow_non_mc=True)
+        total = koszul_operator(X) + delta
+        image = op_commutator(total, u)
         for e in (1, 2, 3):
-            shifted = centre_differential(X, delta, u * HSeries.monomial(e),
-                                          allow_non_mc=True)
+            shifted = op_commutator(total, u * HSeries.monomial(e))
             assert shifted == _shift_hbar(image, e)
 
 
@@ -182,8 +183,6 @@ def test_centre_differential_rejects_non_mc():
     delta = Quantisation(1, {2: levels(bv_quantisation(X))[2] + spurious})
     with pytest.raises(NotMaurerCartan):
         centre_differential(X, delta, Operator.identity(1))
-    # the override is available for residual-twisted computations
-    centre_differential(X, delta, Operator.identity(1), allow_non_mc=True)
 
 
 def test_centre_differential_order_bookkeeping():
@@ -366,9 +365,8 @@ def test_filtration_gr_reindexing():
             if arity < 0:
                 assert gr == 0
                 continue
-            direct = sum(1 for k in operator_keys_in_window(
-                X, arity, ydeg_cap, arity_exact=arity)
-                if codec(X.m).degree(k) == d)
+            direct = sum(1 for k in arity_keys(X, arity, ydeg_cap)
+                         if codec(X.m).degree(k) == d)
             assert gr == direct
 
 
@@ -376,35 +374,39 @@ def test_filtration_gr_reindexing():
 def test_degree_window_keys_match_nested_loops(idx):
     """The integer-packed window is the window of one ``Codec.encode`` per
     fixed part, list for list: (b, T), then S, then a, for order and
-    y-degree caps 0..3, with and without an exact arity 0..3."""
+    y-degree caps 0..3; its keys of order exactly the cap are the oracle's
+    exact-arity window, in the oracle's order."""
     X = corpus_locus(idx)
     for ydeg_cap, cap in itertools.product(range(4), range(4)):
-        for arity in (None, *range(4)):
-            assert operator_keys_in_window(X, cap, ydeg_cap, arity_exact=arity) \
-                == operator_keys_by_encode(X, cap, ydeg_cap, arity_exact=arity)
+        assert operator_keys_in_window(X, cap, ydeg_cap) \
+            == operator_keys_by_encode(X, cap, ydeg_cap)
+        assert arity_keys(X, cap, ydeg_cap) \
+            == operator_keys_by_encode(X, cap, ydeg_cap, arity_exact=cap)
 
 
 @pytest.mark.parametrize("idx", [0, 4, 7], ids=["x^2", "x^3+y^3", "x^2+y^2+z^2"])
 def test_window_keys_of_one_degree_match_the_oracle(idx):
     """With ``degree`` d the window is the oracle's keys of degree |T| - |S|
-    = d, in the oracle's order, for order and y-degree caps 0..3, with and
-    without an exact arity; the degrees together give the whole window."""
+    = d, in the oracle's order, for order and y-degree caps 0..3, and so
+    are its keys of order exactly the cap; the degrees together give the
+    whole window."""
     X = corpus_locus(idx)
     C = codec(X.m)
-    for ydeg_cap, cap, arity in itertools.product(range(4), range(4),
-                                                  (None, *range(4))):
-        oracle = operator_keys_by_encode(X, cap, ydeg_cap, arity_exact=arity)
+    for ydeg_cap, cap, exact in itertools.product(range(4), range(4),
+                                                  (False, True)):
+        oracle = operator_keys_by_encode(X, cap, ydeg_cap,
+                                         arity_exact=cap if exact else None)
         parts = []
         for d in range(-X.m - 1, X.m + 2):
-            part = operator_keys_in_window(X, cap, ydeg_cap,
-                                           arity_exact=arity, degree=d)
+            part = (arity_keys(X, cap, ydeg_cap, d) if exact else
+                    operator_keys_in_window(X, cap, ydeg_cap, degree=d))
             assert part == [k for k in oracle if C.degree(k) == d]
             parts += part
         assert Counter(parts) == Counter(oracle)
 
 
 def test_window_cap_overflow_is_refused_before_enumerating(monkeypatch):
-    """A cap of 2^15 (an order cap, an exact arity or a y-degree cap) is
+    """A cap of 2^15 (an order cap or a y-degree cap) is
     refused with ExponentOverflow before anything is enumerated; caps of
     2^15 - 1 at m = 1 give the oracle's window."""
     X = corpus_locus(0)
@@ -422,11 +424,9 @@ def test_window_cap_overflow_is_refused_before_enumerating(monkeypatch):
     monkeypatch.setattr(quantise, "eta_subsets", enumerated)
     for idx in (0, 4, 7):
         X = corpus_locus(idx)
-        for args, arity in [((big, 0), None), ((0, big), None),
-                            ((big, big), None), ((0, 0), big),
-                            ((3, 3), big), ((0, big), 1)]:
+        for args in [(big, 0), (0, big), (big, big), (big, 3), (1, big)]:
             with pytest.raises(ExponentOverflow):
-                operator_keys_in_window(X, *args, arity_exact=arity)
+                operator_keys_in_window(X, *args)
 
 
 @pytest.mark.parametrize("idx", [1, 4, 7], ids=["x^3", "x^3+y^3", "x^2+y^2+z^2"])
@@ -486,7 +486,7 @@ def test_eigen_non_scalar_block(monkeypatch, k, jordan):
     lam0 times the identity, and no eigenvalue is reported for either."""
     X = make_crit_locus(Element.y(1, 1) ** 2, 1)
     p = 1
-    block = operator_keys_in_window(X, p, 0, arity_exact=p)
+    block = arity_keys(X, p, 0)
     n = len(block)
     mat = [[int(r == c) for c in range(n)] for r in range(n)]
     if jordan:
@@ -593,7 +593,7 @@ def test_eigen_cost_does_not_grow_with_the_cap(monkeypatch):
         return real(m, keys, *args)
 
     monkeypatch.setattr(quantise, "_banded_images", counting)
-    block = operator_keys_in_window(X, 2, 0, arity_exact=2)
+    block = arity_keys(X, 2, 0)
     assert len(block) == 144
     for cap in (0, 6, 40, 2 ** 15 - 1):
         calls.clear()
