@@ -50,6 +50,17 @@ def _div(a, b):
     return _canon(Fraction(a, b))
 
 
+def _content(values):
+    """The rational c that makes ``values / c`` integers with gcd 1, the
+    first of them positive: +-gcd(numerators) / lcm(denominators) of the
+    nonzero canonical ``values``, an ``int`` when they are."""
+    g = gcd(*[v.numerator for v in values])
+    den = lcm(*[v.denominator for v in values])
+    if values[0] < 0:
+        g = -g
+    return g if den == 1 else Fraction(g, den)
+
+
 def _accumulate(store, key, c):
     """Add c into store[key]; a key whose sum is zero is removed, and an
     integral Fraction is stored as its numerator."""
@@ -185,8 +196,10 @@ class Codec:
 
     def order(self, key):
         """Total derivative degree |b| + |d_eta|."""
-        return (sum(key >> o & self.field for o in self.dy_off)
-                + (key & self.deta).bit_count())
+        n = (key & self.deta).bit_count()
+        for o in self.dy_off:
+            n += key >> o & self.field
+        return n
 
 
 def _indices(bits, key):
@@ -305,6 +318,11 @@ class _Store:
         return self.terms == other.terms
 
     def __hash__(self):
+        """As the rational it equals, if any: 0 if empty, c if c times 1."""
+        if not self.terms:
+            return hash(0)
+        if len(self.terms) == 1 and 0 in self.terms:
+            return hash(self.terms[0])
         return hash((self.m, frozenset(self.terms.items())))
 
     def series(self):

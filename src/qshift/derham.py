@@ -13,8 +13,8 @@ mu the substitution homomorphism e -> Delta.
 
 from __future__ import annotations
 
-from .coefficients import (_accumulate, _canon, _div, _Store, codec,
-                           solve_rational)
+from .coefficients import (_accumulate, _canon, _content, _div, _Store,
+                           codec, solve_rational)
 from .diffops import Operator, _banded_images, _product_into, op_commutator
 from .errors import NotCertified, NotMaurerCartan
 from .gca import CritLocus, Element
@@ -109,7 +109,10 @@ def cup(w1: DRWord, w2: DRWord) -> DRWord:
 def dr_total_d(X: CritLocus, w: DRWord) -> DRWord:
     """Total differential: signed unit insertions plus the componentwise
     Koszul differential, as one graded derivation over the interleaved
-    factors (slot symbols have degree +1)."""
+    factors (slot symbols have degree +1).  Right of a_i, its a_i.e term,
+    -(-1)^(p + d) for p the degree left of a_i and d its own, cancels the
+    next slot's e.e term, so each gap takes one unit, e.a_(i+1) at
+    -(-1)^(p + d), as does the end; the unit before a_0 has sign +1."""
     m = w.m
     if m != X.m:
         raise ValueError("signature mismatch")
@@ -117,30 +120,21 @@ def dr_total_d(X: CritLocus, w: DRWord) -> DRWord:
     out, images = {}, {}  # images: [K, a] for each distinct factor a with eta
     K = koszul_operator(X).terms.items()
     for (e, ws), c in w.terms.items():
-        r = len(ws) - 1
-        prefix = 0  # total degree of factors strictly to the left
+        _accumulate(out, (e, (0,) + ws), c)
+        prefix = 0  # total degree of the interleaved factors to the left
         for i, mono in enumerate(ws):
-            psign = -1 if prefix % 2 else 1
             # delta part on this factor, 0 on one without eta (the unit too)
             if mono & C.eta and mono not in images:
                 _product_into(images.setdefault(mono, {}), K, ((mono, 1),), C,
                               bracket=True)
+            psign = -1 if prefix % 2 else 1
             for ikey, ic in images.get(mono, {}).items():
                 _accumulate(out, (e, ws[:i] + (ikey,) + ws[i + 1:]),
                             psign * c * ic)
-            # e.a insertion (unit at slot i) and -(-1)^deg a.e (unit at i+1)
-            _accumulate(out, (e, ws[:i] + (0,) + ws[i:]), psign * c)
-            degree = C.degree(mono)
-            asign = -1 if degree % 2 else 1
+            prefix += C.degree(mono)
             _accumulate(out, (e, ws[:i + 1] + (0,) + ws[i + 1:]),
-                        -psign * asign * c)
-            prefix += degree
-            if i < r:
-                # the slot symbol between factors i and i+1: e -> e.e
-                esign = -1 if prefix % 2 else 1
-                _accumulate(out, (e, ws[:i + 1] + (0,) + ws[i + 1:]),
-                            esign * c)
-                prefix += 1
+                        c if prefix % 2 else -c)
+            prefix += 1  # the slot symbol after a_i
     return DRWord._from_store(m, out, w.hodge_weight)
 
 
@@ -160,7 +154,8 @@ def _times(left, right, C):
     return list(acc.items())
 
 
-def _horner(C, words, blocks, slots=None, left=None, prefix=0):
+def _horner(C, words, blocks, slots=None, left=None, prefix=0, left_d=None,
+            out=None):
     """The store of Sum c hbar^e a_0 Delta a_1 ... Delta a_r over ``words``,
     (factors, e, c) triples, by Horner's rule on their prefix trie: per
     first factor a, a o (the ended words' Sum c hbar^e) + (a o Delta) o (the
@@ -168,19 +163,22 @@ def _horner(C, words, blocks, slots=None, left=None, prefix=0):
     applied at the leaf.  An element key a is the key of its multiplication
     operator, and ended is a sum of scalars, so a o ended is a key addition.
     ``blocks`` maps a factor to its block's items, the unit 0 to Delta's;
-    it lives for one evaluation (one ``mu`` or ``_nu_slots`` call) and
+    it lives for one check (``check_chain_identity``) or evaluation and
     gains a factor's block, one product of a alone with Delta, on first use.
+    With a dict ``out`` the terms are added into it.
 
     With a dict ``slots`` it also gathers nu's rho-free factors: per proper
     prefix q, its Koszul exponent (degrees of q's factors plus its length
-    - 1), L_q = a_0 Delta ... a_q, built from the parent's L Delta, and R_q,
-    the sum of the tails after q with the words' c hbar^e.  For R_q = c R^,
-    R^ being 1 on its least key, slots[(exponent parity, R^)] sums c L_q.
+    - 1), L_q = a_0 Delta ... a_q, built from the parent's L Delta
+    (``left_d``; a_0's block under the root), and R_q, the sum of the tails
+    after q with the words' c hbar^e.  For R_q = c R^, R^ the primitive
+    integer form of R_q (gcd 1, positive on its least key; ``_content``),
+    slots[(exponent parity, R^)] sums c L_q.
     """
     groups = {}
     for ws, e, c in words:
         groups.setdefault(ws[0], []).append((ws[1:], e, c))
-    out, left_d, D = {}, None, blocks[0]
+    out, D = {} if out is None else out, blocks[0]
     for a, tails in groups.items():
         mult = ((a, 1),)
         for ws, e, c in tails:
@@ -188,26 +186,27 @@ def _horner(C, words, blocks, slots=None, left=None, prefix=0):
                 _accumulate(out, a + (e << C.hbar_shift), c)
         rest = [t for t in tails if t[0]]
         if rest:
+            if a not in blocks:
+                blocks[a] = _times(mult, D, C)
             if slots is None:
                 right = _horner(C, rest, blocks).items()
             else:
                 if left is None:
-                    la = mult
+                    la, la_d = mult, blocks[a]
                 else:
                     if left_d is None:
                         left_d = _times(left, D, C)
                     la = left_d if a == 0 else _times(left_d, mult, C)
+                    la_d = None
                 deg = prefix + C.degree(a)
-                right = sorted(_horner(C, rest, blocks, slots, la,
-                                       deg + 1).items())
+                right = sorted(_horner(C, rest, blocks, slots, la, deg + 1,
+                                       la_d).items())
                 if la and right:
-                    lead = right[0][1]
-                    hat = tuple((k, _div(v, lead)) for k, v in right)
+                    c = _content([v for _, v in right])
+                    hat = tuple((k, _div(v, c)) for k, v in right)
                     merged = slots.setdefault((deg & 1, hat), {})
                     for k, v in la:
-                        _accumulate(merged, k, lead * v)
-            if a not in blocks:
-                blocks[a] = _times(mult, D, C)
+                        _accumulate(merged, k, c * v)
             _product_into(out, blocks[a], right, C)
     return out
 
@@ -222,14 +221,16 @@ def mu(w: DRWord, delta: Quantisation, X: CritLocus) -> Operator:
     return Operator._from_store(w.m, _horner(codec(w.m), _words(w), blocks))
 
 
-def _nu_slots(w: DRWord, delta: Quantisation):
+def _nu_slots(w: DRWord, delta: Quantisation, blocks=None):
     """The rho-free factors of nu as (parity, L, R) slots, one per Koszul
     exponent parity and right factor up to a scalar, L the sum of the scaled
     left factors that share them (see ``_horner``) and never zero, and
-    mu(w), which the same traversal evaluates."""
+    mu(w), which the same traversal evaluates.  ``blocks`` is a block table
+    of Delta to fill and share, else a new one."""
     slots = {}
-    store = _horner(codec(w.m), _words(w), {0: list(delta.terms.items())},
-                    slots)
+    if blocks is None:
+        blocks = {0: list(delta.terms.items())}
+    store = _horner(codec(w.m), _words(w), blocks, slots)
     return ([(parity, list(left.items()), right)
              for (parity, right), left in slots.items() if left],
             Operator._from_store(w.m, store))
@@ -261,16 +262,22 @@ def check_chain_identity(w: DRWord, delta: Quantisation, X: CritLocus) -> Operat
     """Residual of  delta_Delta mu(w) = mu(Dw) + nu(w, Delta, residual(Delta));
     identically zero for every word and every Delta, Maurer-Cartan or not.
     mu(w) comes out of the traversal that builds nu's slots, so it is
-    evaluated once."""
+    evaluated once, and one block table serves it and mu(Dw).  The residual
+    is one store: nu(w; -kappa), then [delta_Koszul, mu(w)], [Delta, mu(w)]
+    and mu(Dw) with its words' scalars negated are added into it."""
+    C = codec(w.m)
     kappa = mc_residual(X, delta)
+    blocks = {0: list(delta.terms.items())}
     if kappa.is_zero():
-        mu_w, nu_w = mu(w, delta, X), kappa
+        acc, mu_w = {}, _horner(C, _words(w), blocks)
     else:
-        slots, mu_w = _nu_slots(w, delta)
-        nu_w = _nu_apply(slots, kappa)
-    lhs = op_commutator(koszul_operator(X) + delta, mu_w)
-    rhs = mu(dr_total_d(X, w), delta, X) + nu_w
-    return lhs - rhs
+        slots, mu_w = _nu_slots(w, delta, blocks)
+        acc, mu_w = _nu_apply(slots, -kappa).terms, mu_w.terms
+    for op in (koszul_operator(X), delta):
+        _product_into(acc, op.terms.items(), mu_w.items(), C, bracket=True)
+    _horner(C, [(ws, e, -c) for ws, e, c in _words(dr_total_d(X, w))],
+            blocks, out=acc)
+    return Operator._from_store(w.m, acc)
 
 
 class SearchWindow:

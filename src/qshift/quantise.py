@@ -16,8 +16,8 @@ from operator import mul
 
 from .coefficients import codec
 from .cohomology import eta_subsets, iter_y_exponents
-from .diffops import (Operator, _banded_images, op_commutator, op_compose,
-                      op_order)
+from .diffops import (Operator, _banded_images, _product_into,
+                      op_commutator, op_order)
 from .errors import NotCertified, NotMaurerCartan
 from .gca import CritLocus, koszul_operator
 
@@ -98,10 +98,15 @@ def bv_quantisation(X: CritLocus) -> Quantisation:
 def mc_residual(X: CritLocus, delta: Quantisation) -> Operator:
     """[delta_Koszul, Delta] + (1/2)[Delta, Delta]; zero iff Delta is a
     quantisation (square-zero for delta + Delta); (1/2)[Delta, Delta] is
-    Delta_odd o Delta_odd, as pairs add (1 - (-1)^(|k1||k2|)) k1 o k2."""
+    Delta_odd o Delta_odd, as pairs add (1 - (-1)^(|k1||k2|)) k1 o k2.
+    Both products accumulate into one store."""
     C = codec(delta.m)
-    odd = delta._select(lambda k: C.degree(k) & 1)
-    return op_commutator(koszul_operator(X), delta) + op_compose(odd, odd)
+    terms = delta.terms.items()
+    odd = [(k, c) for k, c in terms if C.degree(k) & 1]
+    acc = {}
+    _product_into(acc, koszul_operator(X).terms.items(), terms, C, bracket=True)
+    _product_into(acc, odd, odd, C)
+    return Operator._from_store(delta.m, acc)
 
 
 def sigma_tangent(delta: Quantisation) -> TangentElement:

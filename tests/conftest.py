@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from qshift.coefficients import HSeries, codec
-from qshift.diffops import Operator, Polyvector
+from qshift.coefficients import HSeries, _accumulate, codec
+from qshift.derham import DRWord
+from qshift.diffops import Operator, Polyvector, _product_into
 from qshift.duality import transpose
 from qshift.errors import NoConsistentProfile
-from qshift.gca import Element, make_crit_locus
+from qshift.gca import Element, koszul_operator, make_crit_locus
 from qshift.quantise import Quantisation, operator_keys_in_window
 
 # The standard singularity corpus: (name, builder, m, milnor number).
@@ -181,6 +182,40 @@ def mono_mul(k1, k2, C):
     swaps = sum((s1 & ~(2 * bit - 1)).bit_count()
                 for bit in C.eta_bits if s2 & bit)
     return C.check((k1 ^ s1) + (k2 ^ s2)) | s1 | s2, -1 if swaps & 1 else 1
+
+
+def dr_total_d_reference(X, w):
+    """The total differential term by term, the reference for
+    ``derham.dr_total_d``: per factor a_i, with p the degree of the
+    interleaved factors to its left, delta(a_i) at (-1)^p, e.a_i at
+    (-1)^p and -(-1)^deg(a_i) a_i.e, and per slot symbol e.e at (-1)^p."""
+    m = w.m
+    C = codec(m)
+    out, images = {}, {}
+    K = koszul_operator(X).terms.items()
+    for (e, ws), c in w.terms.items():
+        r = len(ws) - 1
+        prefix = 0
+        for i, mono in enumerate(ws):
+            psign = -1 if prefix % 2 else 1
+            if mono & C.eta and mono not in images:
+                _product_into(images.setdefault(mono, {}), K, ((mono, 1),), C,
+                              bracket=True)
+            for ikey, ic in images.get(mono, {}).items():
+                _accumulate(out, (e, ws[:i] + (ikey,) + ws[i + 1:]),
+                            psign * c * ic)
+            _accumulate(out, (e, ws[:i] + (0,) + ws[i:]), psign * c)
+            degree = C.degree(mono)
+            asign = -1 if degree % 2 else 1
+            _accumulate(out, (e, ws[:i + 1] + (0,) + ws[i + 1:]),
+                        -psign * asign * c)
+            prefix += degree
+            if i < r:
+                esign = -1 if prefix % 2 else 1
+                _accumulate(out, (e, ws[:i + 1] + (0,) + ws[i + 1:]),
+                            esign * c)
+                prefix += 1
+    return DRWord._from_store(m, out, w.hodge_weight)
 
 
 def degree_part(x, d):

@@ -53,6 +53,19 @@ def test_codec_round_trip(case):
     assert op.series() == {(a, eta, b, deta): HSeries.monomial(e, 3)}
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda m: st.tuples(
+    st.just(m), st.integers(0, codec(m).hbar - 1), st.integers(-40, 40))))
+def test_order_matches_the_decoded_key(case):
+    """``order`` reads |b| + |T| off any key, whatever its fields hold, as
+    ``decode`` does, for m = 1..3 and negative hbar exponents."""
+    m, mono, e = case
+    C = codec(m)
+    key = mono + (e << C.hbar_shift)
+    _, _, b, deta, _ = C.decode(key)
+    assert C.order(key) == sum(b) + len(deta)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 3).flatmap(lambda m: st.tuples(
     st.just(m), _exps(m, LIMIT // 2 - 1), _exps(m, LIMIT // 2 - 1),

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qshift.coefficients import HSeries, _div, rank_rational, solve_rational
+from qshift.coefficients import (HSeries, _content, _div, rank_rational,
+                                 solve_rational)
+from qshift.diffops import Operator, Polyvector
 
 from qshift.cohomology import element_keys_in_window
 from qshift.gca import Element, detect_weights, make_crit_locus
@@ -162,6 +165,32 @@ def test_div_stays_int_when_exact():
     assert _div(1, 3) == Fraction(1, 3)
     assert _div(Fraction(4, 3), Fraction(2, 3)) == 2
     assert type(_div(Fraction(4, 3), Fraction(2, 3))) is int
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(max_denominator=12).filter(bool), min_size=1,
+                max_size=5))
+def test_content_gives_the_primitive_integer_form(values):
+    """values / _content(values) are integers with gcd 1, the first
+    positive; the content of integers is an int."""
+    c = _content(values)
+    hat = [v / c for v in values]
+    assert all(h.denominator == 1 for h in hat) and hat[0] > 0
+    assert gcd(*[h.numerator for h in hat]) == 1
+    ints = [v.numerator for v in values]
+    assert type(_content(ints)) is int
+
+
+def test_a_store_equal_to_a_rational_hashes_as_it():
+    """Equal values hash alike: the zero store is 0 and c times the unit
+    monomial is c, across the store types."""
+    assert Element.zero(1) == 0 and len({0, Element.zero(1)}) == 1
+    assert Operator.identity(1) == 1 and len({1, Operator.identity(1)}) == 1
+    assert hash(Polyvector.zero(1, 1)) == hash(0)
+    assert hash(HSeries.const(3)) == hash(3)
+    half = Fraction(1, 2)
+    assert HSeries.const(half) == half and hash(HSeries.const(half)) == hash(half)
+    assert len({Element.y(1, 1), Element.y(1, 1) + 0}) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import importlib
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,8 @@ from generator_oracle import op_apply
 from solve_oracle import component, full_solve
 
 from conftest import (arity_keys, corpus_locus, decoded, decoded_words,
-                      degree_part, hbar_component, levels, mono_mul,
+                      degree_part, dr_total_d_reference, hbar_component,
+                      levels, mono_mul,
                       random_element, random_homogeneous_operator,
                       random_operator, random_polyvector, random_quantisation,
                       sparse_rows, unit_key)
@@ -187,6 +189,31 @@ def test_total_d_brackets_only_the_factors_with_eta(monkeypatch):
     monkeypatch.setattr(derham, "_product_into", counting)
     assert dr_total_d(X, w) == expected
     assert sorted(calls) == sorted(k for k in factors if k & C.eta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       q=st.sampled_from([1, -3, Fraction(1, 2), Fraction(-2, 3)]))
+def test_total_d_matches_the_three_term_reference(seed, q):
+    """One unit per gap against the three insertions per factor and slot
+    of the reference, for m up to 3: words of length 1 to 5 over letters
+    with the unit, eta factors and y's, at hbar exponents -1 to 2, with
+    coefficients that are Fractions for q non-integral."""
+    rng = random.Random(seed)
+    m = rng.randint(1, 3)
+    X = corpus_locus((0, 4, 7)[m - 1])
+    letters = [unit_key(m), _ekey(m, 1), _ekey(m, m), _ykey(m, 1, 2)]
+    letters.append((tuple(rng.randint(0, 2) for _ in range(m)),
+                    tuple(sorted(rng.sample(range(1, m + 1),
+                                            rng.randint(0, m))))))
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        ws = tuple(rng.choice(letters) for _ in range(rng.randint(1, 5)))
+        terms[(rng.randint(-1, 2), ws)] = q * rng.choice([1, -1, 2])
+    w = DRWord(m, terms, rng.randint(0, 2))
+    Dw = dr_total_d(X, w)
+    assert Dw == dr_total_d_reference(X, w)
+    assert Dw.hodge_weight == w.hodge_weight
 
 
 def apply_codegeneracy(w: DRWord, j: int) -> DRWord:
@@ -580,6 +607,107 @@ def test_chain_identity_length_one():
         delta = random_quantisation(rng, X.m)
         a = random_element(rng, X.m)
         assert check_chain_identity(dr_of(a), delta, X).is_zero()
+
+
+def _chain_cases(rng):
+    """(X, w, Delta) for m = 1, 2: the canonical Delta, which is
+    Maurer-Cartan, and a random one with a term eta_1 d_y_1^2 that makes
+    the residual nonzero; w a cup of a 1-form and a length-1 word, plus
+    2 y_1 (x) eta_1 (x) y_1."""
+    cases = []
+    for index in (0, 4):
+        X = corpus_locus(index)
+        m = X.m
+        spoiler = Operator(m, {((0,) * m, (1,), (2,) + (0,) * (m - 1), ()): 1})
+        rand = random_quantisation(rng, m)
+        for delta in (bv_quantisation(X),
+                      Quantisation(m, {2: hbar_component(rand, 1) + spoiler,
+                                       3: hbar_component(rand, 2)})):
+            pieces = [random_element(rng, m, nterms=2) for _ in range(2)]
+            w = (cup(dr_d(pieces[0]), dr_of(pieces[1]))
+                 + _word(m, _ykey(m, 1), _ekey(m, 1), _ykey(m, 1), coeff=2))
+            cases.append((X, w, delta))
+    assert [mc_residual(X, d).is_zero() for X, _, d in cases] == \
+        [True, False, True, False]
+    return cases
+
+
+def test_chain_residual_carries_a_perturbed_dw_as_minus_its_mu(monkeypatch):
+    """The residual is one store, so a word v added to Dw must come out as
+    exactly -mu(v): with kappa = 0 and without."""
+    rng = random.Random(31)
+    real = derham.dr_total_d
+    for X, w, delta in _chain_cases(rng):
+        v = (cup(dr_of(random_element(rng, X.m, nterms=2, with_hbar=True)),
+                 dr_d(random_element(rng, X.m, nterms=2)))
+             + _word(X.m, _ykey(X.m, 1), _ekey(X.m, 1), hexp=1, coeff=-3))
+        want = -mu(v, delta, X)
+        assert not want.is_zero()
+        monkeypatch.setattr(derham, "dr_total_d",
+                            lambda X, w, v=v: real(X, w) + v)
+        assert check_chain_identity(w, delta, X) == want
+        monkeypatch.undo()
+        assert check_chain_identity(w, delta, X).is_zero()
+
+
+def test_chain_residual_carries_a_perturbed_kappa_as_minus_its_nu(monkeypatch):
+    """kappa + rho in place of the master-equation residual must leave
+    exactly -nu(w, Delta, rho), with kappa = 0 and without."""
+    rng = random.Random(32)
+    real = derham.mc_residual
+    for X, w, delta in _chain_cases(rng):
+        rho = sum((random_homogeneous_operator(rng, X.m, rng.randint(0, 2), d)
+                   for d in (0, 1, 2)), Operator.zero(X.m))
+        want = -nu(w, delta, rho, X)
+        assert not want.is_zero()
+        monkeypatch.setattr(derham, "mc_residual",
+                            lambda X, d, rho=rho: real(X, d) + rho)
+        assert check_chain_identity(w, delta, X) == want
+        monkeypatch.undo()
+
+
+def test_chain_identity_builds_each_block_once(monkeypatch):
+    """One block table serves the traversal of w and that of Dw: each
+    distinct factor a != 1 that a word of either has before its last
+    factor gets its block a o Delta from one product, and no other product
+    of a alone with Delta is taken."""
+    rng = random.Random(33)
+    for X, w, delta in _chain_cases(rng):
+        w = w + cup(dr_of(Element.y(X.m, 1)), w)
+        D = list(delta.terms.items())
+        factors = {a for word in (w, dr_total_d(X, w))
+                   for _, ws in word.terms for a in ws[:-1]} - {0}
+        built = []
+        real = derham._times
+
+        def spying(left, right, C):
+            if right == D and len(left) == 1 and left[0][1] == 1:
+                built.append(left[0][0])
+            return real(left, right, C)
+
+        monkeypatch.setattr(derham, "_times", spying)
+        assert check_chain_identity(w, delta, X).is_zero()
+        monkeypatch.undo()
+        assert sorted(built) == sorted(factors)
+
+
+def test_integer_inputs_give_integer_primitive_slots():
+    """On integer words and Delta the slots hold no Fraction, and each
+    right factor is primitive: integers of gcd 1, positive on its least
+    key."""
+    rng = random.Random(34)
+    cases = [(X, w + cup(dr_of(Element.y(X.m, 1).scale(6)), w), delta)
+             for X, w, delta in _chain_cases(rng)]
+    cases += [(corpus_locus(i), canonical_symplectic(corpus_locus(i)),
+               bv_quantisation(corpus_locus(i))) for i in (0, 4, 7)]
+    for X, w, delta in cases:
+        slots, mu_w = _nu_slots(w, delta)
+        assert slots
+        for _, left, right in slots:
+            assert all(type(c) is int for _, c in left + list(right))
+            assert [k for k, _ in right] == sorted(k for k, _ in right)
+            assert right[0][1] > 0 and gcd(*[c for _, c in right]) == 1
+        assert all(type(c) is int for c in mu_w.terms.values())
 
 
 def test_chain_map_when_maurer_cartan():
