@@ -9,8 +9,7 @@ from .derham import (DRWord, canonical_symplectic, check_chain_identity,
                      check_compatibility, cup, dr_d, dr_of, dr_total_d, mu, nu)
 from .diffops import (Operator, Polyvector, op_commutator, op_compose,
                       op_order, schouten, symbol)
-from .duality import (SignProfile, is_self_dual, solve_sign_profile, star,
-                      transpose)
+from .duality import is_self_dual, solve_sign_profile, star, transpose
 from .gca import (CritLocus, Element, apply_koszul_delta, gmul,
                   make_crit_locus)
 from .quantise import (FiltrationLabel, Quantisation, TangentElement,

@@ -368,9 +368,8 @@ def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
                 residual_terms = _residual_terms(verdict.residual)
         elif cmd == "check-selfdual":
             profile = solve_sign_profile(X)
-            verdict = is_self_dual(bv_quantisation(X), profile)
-            payload = {"verdict": verdict.kind,
-                       "profile": dict(profile.gen_signs)}
+            verdict = is_self_dual(bv_quantisation(X))
+            payload = {"verdict": verdict.kind, "profile": profile}
             if not verdict.ok():
                 status = "fail"
                 payload["reason"] = "star involution does not fix the quantisation"

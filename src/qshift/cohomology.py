@@ -26,8 +26,7 @@ from .coefficients import (FIELD_BITS, _accumulate, _admit, _div, codec,
                            rank_rational, solve_rational)
 from .diffops import _banded_images, _product_into
 from .errors import NonIsolated, NotCertified
-from .gca import (CritLocus, Element, apply_koszul_delta, detect_weights,
-                  make_crit_locus)
+from .gca import CritLocus, Element, apply_koszul_delta, make_crit_locus
 
 
 class CohomologyReport:
@@ -130,6 +129,19 @@ def _slice_rank(X, basis):
 # The twisted de Rham cohomology, by certificate
 # ---------------------------------------------------------------------------
 
+def _unit_weights(exps, m):
+    """Positive weights w_1 .. w_m under which every exponent vector a of
+    ``exps`` weighs Sum_i w_i a_i = 1 exactly, or None.  The solve sets a
+    weight that the vectors leave free to 0, so a variable that no vector
+    uses gets no weight: None."""
+    rows = [{i: e for i, e in enumerate(a) if e} for a in exps]
+    weights = solve_rational(rows, dict.fromkeys(range(len(rows)), 1), m)
+    if weights is None or min(weights) <= 0 or any(
+            sum(w * e for w, e in zip(weights, a)) != 1 for a in exps):
+        return None
+    return tuple(weights)
+
+
 def _weight_rescaling(X, weights):
     """Quasi-homogeneous f with an isolated singularity, of ``weights``.
 
@@ -180,11 +192,9 @@ def _tame(X):
     monomials = list(exps.values())
     squares = [tuple(2 * (j == i) for j in range(X.m)) for i in range(X.m)]
     for chosen in itertools.combinations(monomials + squares, X.m):
-        weights = solve_rational(
-            [{i: e for i, e in enumerate(a) if e} for a in chosen],
-            dict.fromkeys(range(X.m), 1), X.m)
-        if weights is None or min(weights) <= 0:
-            continue  # a free weight comes back 0
+        weights = _unit_weights(chosen, X.m)
+        if weights is None:
+            continue
         weight = {a: sum(w * e for w, e in zip(weights, a)) for a in monomials}
         if max(weight.values()) > 1:
             continue
@@ -205,9 +215,10 @@ def _tame(X):
 def twisted_derham_dims(X: CritLocus) -> CohomologyReport:
     """Dimensions over Q(hbar) of the hbar-twisted de Rham complex, with the
     proof that f admits: the weight-rescaling argument of
-    ``_weight_rescaling`` when f is quasi-homogeneous (``detect_weights``
-    finds its weights), else the tameness certificate of ``_tame``."""
-    weights = detect_weights(X.f, X.m)
+    ``_weight_rescaling`` when all of f's monomials weigh 1 under one set of
+    positive weights, else the tameness certificate of ``_tame``."""
+    C = codec(X.m)
+    weights = _unit_weights([C.y_exponents(k) for k in X.f.terms], X.m)
     if weights is not None:
         return _weight_rescaling(X, weights)
     return _tame(X)

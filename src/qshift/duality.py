@@ -3,9 +3,9 @@ involution Delta -> -Delta^t(-hbar), and self-duality verdicts.
 
 The transpose is realised in the constant-volume trivialisation, so the
 divergence correction vanishes and the whole map is determined by one sign
-per derivative generator.  Those signs are derived from the defining
-relations [d_y, y] = 1 and [d_eta, eta] = 1, and the derived profile is
-checked against the transpose itself on every generator.
+per derivative generator: -1 on d_y and on d_eta.  ``solve_sign_profile``
+derives those signs from the defining relations [d_y, y] = 1 and
+[d_eta, eta] = 1 and checks the transpose against them on every generator.
 """
 
 from __future__ import annotations
@@ -17,66 +17,47 @@ from .gca import CritLocus, Element
 from .quantise import Quantisation
 
 
-class SignProfile:
-    """Signs of the transpose on generators; multiplications stay fixed."""
+def transpose(D: Operator) -> Operator:
+    """The transpose D^t: the anti-automorphism that fixes y_i and eta_i
+    and sends d_y -> -d_y and d_eta -> -d_eta (``solve_sign_profile``
+    derives and checks these signs).
 
-    __slots__ = ("gen_signs",)
-
-    def __init__(self, d_y_sign, d_eta_sign):
-        self.gen_signs = {"mult_y": 1, "mult_eta": 1,
-                          "d_y": int(d_y_sign), "d_eta": int(d_eta_sign)}
-
-    def __repr__(self):
-        return (f"SignProfile(d_y={self.gen_signs['d_y']}, "
-                f"d_eta={self.gen_signs['d_eta']})")
-
-
-def transpose(D: Operator, profile: SignProfile) -> Operator:
-    """Anti-automorphism: reverse each monomial with its Koszul sign, apply
-    the generator signs, and renormal-order.
-
-    The reversed word of y^a eta_S d_y^b d_eta_T is d_eta_T reversed, d_y^b,
-    eta_S reversed, y^a; putting the reversed eta_S and d_eta_T back in
-    order, it is (d_y^b d_eta_T) o (y^a eta_S) times
-    (-1)^(|S|(|S|-1)/2 + |T|(|T|-1)/2), one product per term.  The
-    reversal's Koszul sign is (-1)^(n(n-1)/2) for the n = |S| + |T| odd
-    generators.
+    Each monomial y^a eta_S d_y^b d_eta_T is reversed with the Koszul sign
+    (-1)^(n(n-1)/2) of its n = |S| + |T| odd generators and carries the
+    generator sign (-1)^order, one per derivative.  Putting the reversed
+    eta_S and d_eta_T back in order, the reversed word is
+    (d_y^b d_eta_T) o (y^a eta_S) times
+    (-1)^(|S|(|S|-1)/2 + |T|(|T|-1)/2), one product per term.
     """
     C = codec(D.m)
-    sy = profile.gen_signs["d_y"]
-    se = profile.gen_signs["d_eta"]
     out = {}
     for key, c in D.terms.items():
         mult = key & (C.y_block | C.eta)
         ns, nt = (key & C.eta).bit_count(), (key & C.deta).bit_count()
         n = ns + nt
-        sign = sy ** ((C.order(key) - nt) % 2) * se ** (nt % 2)
-        if (n * (n - 1) // 2 + ns * (ns - 1) // 2 + nt * (nt - 1) // 2) % 2:
-            sign = -sign
-        _product_into(out, ((key - mult, sign * c),), ((mult, 1),), C)
+        if (C.order(key) + n * (n - 1) // 2 + ns * (ns - 1) // 2
+                + nt * (nt - 1) // 2) % 2:
+            c = -c
+        _product_into(out, ((key - mult, c),), ((mult, 1),), C)
     return Operator._from_store(D.m, out)
 
 
-def solve_sign_profile(X: CritLocus) -> SignProfile:
-    """The transpose's signs (d_y, d_eta), derived from the defining
-    relations and checked.
+def solve_sign_profile(X: CritLocus) -> dict:
+    """The transpose's signs on the generators, derived from the defining
+    relations and checked against ``transpose``.
 
     A graded anti-automorphism tau, tau(AB) = (-1)^(|A||B|) tau(B) tau(A),
     that fixes the multiplications and sends a derivative generator g to
     s_g g maps the graded commutator [g, x] = g x - (-1)^(|g||x|) x g of g
     with its coordinate x to -s_g [g, x].  Both relations [d_y, y] = 1 and
     [d_eta, eta] = d_eta eta + eta d_eta = 1 have tau(1) = 1 on the right,
-    so s_g = -1 for both: the profile (-1, -1).  It is checked on every
-    generator pair: the relation holds in the operator algebra, tau fixes
-    x, is an involution on g, and reverses both products g x and x g with
-    their Koszul sign.  A failed check raises NoConsistentProfile.
+    so s_g = -1 for both.  It is checked on every generator pair of X's
+    variables: the relation holds in the operator algebra, the transpose
+    fixes x, is an involution on g, and reverses both products g x and x g
+    with their Koszul sign.  A failed check raises NoConsistentProfile.
+    Returns the signs {"mult_y": 1, "mult_eta": 1, "d_y": -1, "d_eta": -1}.
     """
-    m = X.m
-    profile = SignProfile(-1, -1)
-
-    def tau(D):
-        return transpose(D, profile)
-
+    m, tau = X.m, transpose
     for i in range(1, m + 1):
         for g, x, eps in (
                 (Operator.d_y(m, i), Element.y(m, i), 1),
@@ -87,12 +68,12 @@ def solve_sign_profile(X: CritLocus) -> SignProfile:
                     and tau(gx) == op_compose(tau(x), tau(g)).scale(eps)
                     and tau(xg) == op_compose(tau(g), tau(x)).scale(eps)):
                 raise NoConsistentProfile(
-                    f"the transpose with {profile} fails the defining "
-                    f"relation of generator {i}")
-    return profile
+                    f"the transpose fails the defining relation of "
+                    f"generator {i}")
+    return {"mult_y": 1, "mult_eta": 1, "d_y": -1, "d_eta": -1}
 
 
-def star(delta: Quantisation, profile: SignProfile) -> Quantisation:
+def star(delta: Quantisation) -> Quantisation:
     """Delta*(hbar) = -Delta^t(-hbar): one transpose of the series, then
     the sign -(-1)^e on hbar^e.  The transpose keeps each hbar^e
     coefficient hbar-free and does not raise its order, so the result is a
@@ -100,7 +81,7 @@ def star(delta: Quantisation, profile: SignProfile) -> Quantisation:
     C = codec(delta.m)
     return Quantisation._from_store(delta.m, {
         k: c if k >> C.hbar_shift & 1 else -c
-        for k, c in transpose(delta, profile).terms.items()})
+        for k, c in transpose(delta).terms.items()})
 
 
 class SelfDualVerdict:
@@ -120,9 +101,9 @@ class SelfDualVerdict:
         return f"SelfDualVerdict({self.kind})"
 
 
-def is_self_dual(delta: Quantisation, profile: SignProfile) -> SelfDualVerdict:
+def is_self_dual(delta: Quantisation) -> SelfDualVerdict:
     """Strict iff star(Delta) = Delta exactly; otherwise the difference."""
-    residual = star(delta, profile) - delta
+    residual = star(delta) - delta
     if residual.is_zero():
         return SelfDualVerdict(SelfDualVerdict.STRICT)
     return SelfDualVerdict(SelfDualVerdict.FAILS, residual)

@@ -18,7 +18,7 @@ convention.
 
 from __future__ import annotations
 
-from .coefficients import _accumulate, codec, solve_rational
+from .coefficients import _accumulate, codec
 from .diffops import Operator, _product_into, op_commutator
 from .errors import NotPolynomial, ZeroPolynomial
 
@@ -105,28 +105,6 @@ class CritLocus:
 
     def __repr__(self):
         return f"CritLocus(m={self.m}, f={self.f})"
-
-
-def detect_weights(f: Element, m: int):
-    """Solve sum_i w_i a_i = 1 over the exponent vectors of f's monomials.
-
-    Returns a tuple of positive weights making f quasi-homogeneous of
-    weight 1, or None when no such solution exists.  Variables absent from
-    every monomial get weight 1.
-    """
-    exps = [codec(m).y_exponents(k) for k in f.terms]
-    rows = [{i: e for i, e in enumerate(a) if e} for a in exps]
-    sol = solve_rational(rows, dict.fromkeys(range(len(rows)), 1), m)
-    if sol is None:
-        return None
-    used = {i for row in rows for i in row}
-    weights = [sol[i] if i in used else 1 for i in range(m)]
-    if any(w <= 0 for w in weights):
-        return None
-    for a in exps:
-        if sum(w * e for w, e in zip(weights, a)) != 1:
-            return None
-    return tuple(weights)
 
 
 def make_crit_locus(f: Element, m: int, names=None) -> CritLocus:

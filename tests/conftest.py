@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qshift.coefficients import HSeries, _accumulate, codec
+from qshift.cohomology import _unit_weights
 from qshift.derham import DRWord
 from qshift.diffops import Operator, Polyvector, _product_into
 from qshift.duality import transpose
@@ -143,6 +144,13 @@ def random_hseries(rng, min_exp=-1, max_exp=4, nterms=3):
     return HSeries(coeffs)
 
 
+def f_weights(X):
+    """``cohomology._unit_weights`` on the exponent vectors of f's
+    monomials: the weights that ``twisted_derham_dims`` finds, or None."""
+    C = codec(X.m)
+    return _unit_weights([C.y_exponents(k) for k in X.f.terms], X.m)
+
+
 def sparse_rows(dense):
     """Dense rows of rationals as the sparse rows ``{col: value}`` that the
     rank/solve kernel takes; zero cells are left out."""
@@ -238,12 +246,12 @@ def levels(delta):
     return {e + 1: hbar_component(delta, e) for e in delta.hbar_exponents()}
 
 
-def star_by_level(delta, profile):
+def star_by_level(delta):
     """The star involution level by level, the reference for
     ``duality.star``: Delta_j -> (-1)^j Delta_j^t, so that
     Delta*(hbar) = -Delta^t(-hbar)."""
     return Quantisation(delta.m, {
-        j: transpose(op, profile).scale(1 if j % 2 == 0 else -1)
+        j: transpose(op).scale(1 if j % 2 == 0 else -1)
         for j, op in levels(delta).items()})
 
 
@@ -256,7 +264,7 @@ def sigma_by_level(delta):
     return out
 
 
-def star_fixed_slot_dimension(X, profile, j, k, keys):
+def star_fixed_slot_dimension(X, j, k, keys):
     """Dimensions (fixed, total) of the star action on the gr_G^k slot at
     hbar^(j-1): basis symbols of arity j-k, star acting through the slot."""
     arity = j - k
@@ -266,7 +274,7 @@ def star_fixed_slot_dimension(X, profile, j, k, keys):
     sign = 1 if j % 2 == 0 else -1
     for key in basis:
         op = Operator._from_store(X.m, {key: 1})
-        image = transpose(op, profile).scale(sign).order_part(arity)
+        image = transpose(op).scale(sign).order_part(arity)
         if image == op:
             fixed += 1
         elif image != op.scale(-1):

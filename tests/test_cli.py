@@ -601,15 +601,19 @@ _ROADMAP_F = ("vars x y z; f = 2*x^3*y^4*z^4 - x^3*y*z^4 - 2/3*x^2*y^3*z^4"
     ("vars u v; f = u^2*v;", "u^2 divides every term of f, so the hyperplane u = 0"),
     (_ROADMAP_F, "z^2 divides every term of f, so the hyperplane z = 0"),
     ("vars u v; f = u^2 + 2*u*v + v^2;", "is a power of v:"),
-], ids=["x2y", "x2y2", "u2v", "z2-divides-f", "(u+v)^2"])
+    # y is absent from f, so no weights exist and vc-dims takes _tame
+    ("vars x y; f = x^3;", "x^2 divides every term of f, so the hyperplane x = 0"),
+], ids=["x2y", "x2y2", "u2v", "z2-divides-f", "(u+v)^2", "x3-no-y"])
 def test_non_isolated_refused_with_the_variable(tmp_path, capsys, text,
                                                 reason):
     """The reason names the variable as the problem file declares it: the
     y_i whose square divides every term of f, found before any Groebner
     basis (the z2 case ran for over 300 s without that check), or else the
-    y_i with no pure power among the leading monomials."""
+    y_i with no pure power among the leading monomials.  Each command gives
+    the same reason."""
     path = tmp_path / "p.qs"
     path.write_text(text + "\n")
+    reasons = set()
     for cmd in ("milnor", "koszul-dims", "vc-dims"):
         code = main([cmd, str(path)])
         out = json.loads(capsys.readouterr().out)
@@ -618,6 +622,8 @@ def test_non_isolated_refused_with_the_variable(tmp_path, capsys, text,
         assert reason in out["payload"]["reason"]
         assert out["timing_ms"] < 1000
         jsonschema.validate(out, SCHEMA)
+        reasons.add(out["payload"]["reason"])
+    assert len(reasons) == 1
 
 
 @pytest.mark.parametrize("text", [

@@ -11,9 +11,9 @@ from qshift.coefficients import (HSeries, _content, _div, rank_rational,
 from qshift.diffops import Operator, Polyvector
 
 from qshift.cohomology import element_keys_in_window
-from qshift.gca import Element, detect_weights, make_crit_locus
+from qshift.gca import Element, make_crit_locus
 
-from conftest import random_hseries, sparse_rows
+from conftest import f_weights, random_hseries, sparse_rows
 from hbar_oracle import _divexact, rank_exact_fraction_field, twisted_matrix
 from solve_oracle import component, full_solve
 
@@ -426,7 +426,7 @@ def test_slice_rank_hands_canonical_sparse_rows(monkeypatch):
 
     monkeypatch.setattr(cohomology, "rank_rational", rank_spy)
     X = make_crit_locus(Element.y(2, 1) ** 3 + Element.y(2, 2) ** 3, 2)
-    weights = detect_weights(X.f, X.m)
+    weights = f_weights(X)
     socle = sum(1 - 2 * w for w in weights)
     cells = 0
     for basis in element_keys_in_window(X, socle, weights).values():

@@ -16,9 +16,9 @@ from qshift.cohomology import (CohomologyReport, _groebner, _slice_rank,
                                milnor_number, twisted_derham_dims)
 from qshift.errors import (ExponentOverflow, NonIsolated, NotCertified,
                            NotPolynomial, ZeroPolynomial)
-from qshift.gca import Element, detect_weights, make_crit_locus
+from qshift.gca import Element, make_crit_locus
 
-from conftest import CORPUS, CORPUS_IDS, decoded, sparse_rows
+from conftest import CORPUS, CORPUS_IDS, decoded, f_weights, sparse_rows
 from groebner_oracle import box_count, milnor as oracle_milnor
 from hbar_oracle import rank_exact_fraction_field, twisted_matrix
 
@@ -102,7 +102,7 @@ def test_twisted_dims_mode_agreement():
     for idx in (0, 1, 4, 6):
         name, builder, m, mu = CORPUS[idx]
         X = make_crit_locus(builder(), m)
-        rw = _weight_rescaling(X, detect_weights(X.f, X.m))
+        rw = _weight_rescaling(X, f_weights(X))
         rd = _tame(X)
         assert rw.dims_by_degree == rd.dims_by_degree
         assert rd.certificate["certificate"] == "tame:semi-quasi-homogeneous"
@@ -128,7 +128,7 @@ def test_weight_mode_requires_weights():
     none, so it gets the tameness certificate."""
     f = Element.y(1, 1) ** 3 + Element.y(1, 1) ** 4
     X = make_crit_locus(f, 1)
-    assert detect_weights(X.f, X.m) is None
+    assert f_weights(X) is None
     report = twisted_derham_dims(X)
     assert report.certificate["certificate"] == "tame:semi-quasi-homogeneous"
     assert report.dims_by_degree == {0: 3}
@@ -167,7 +167,7 @@ def test_rank_certificates_on_corpus_slices():
     quasi-homogeneous problem of the corpus and of the benchmark."""
     for f, m in _WEIGHT_MODE_PROBLEMS:
         X = make_crit_locus(f, m)
-        weights = detect_weights(X.f, X.m)
+        weights = f_weights(X)
         socle = sum(1 - 2 * w for w in weights)
         by_degree = element_keys_in_window(X, socle, weights)
         for d, basis in sorted(by_degree.items()):
@@ -238,11 +238,35 @@ def test_semi_quasi_homogeneous_milnor_orlik(powers, data):
     assert _tame(X).dims_by_degree == {0: mu}
     top = make_crit_locus(sum((Element.y(m, i, a) for i, a in
                                enumerate(powers, start=1)), Element.zero(m)), m)
-    assert _weight_rescaling(top, detect_weights(top.f, m)).dims_by_degree \
+    assert _weight_rescaling(top, f_weights(top)).dims_by_degree \
         == {0: mu}
-    weights = detect_weights(X.f, X.m)
+    weights = f_weights(X)
     if weights is not None:
         assert _weight_rescaling(X, weights).dims_by_degree == {0: mu}
+
+
+@settings(max_examples=60, deadline=None)
+@given(powers=st.lists(st.integers(2, 9), min_size=1, max_size=3),
+       data=st.data())
+def test_brieskorn_pham_weights(powers, data):
+    """f = Sum c_i y_i^(a_i), c_i nonzero rationals: every monomial weighs 1
+    under w_i = 1/a_i alone, so the weight solve returns (1/a_1, ...), and
+    vc-dims reports them as strings with its weight-rescaling certificate
+    and mu = Prod (a_i - 1)."""
+    m = len(powers)
+    coeffs = data.draw(st.lists(st.builds(
+        Fraction, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 5)),
+        min_size=m, max_size=m))
+    f = sum((Element.y(m, i, a).scale(c) for i, (a, c) in
+             enumerate(zip(powers, coeffs), start=1)), Element.zero(m))
+    weights = tuple(Fraction(1, a) for a in powers)
+    assert f_weights(make_crit_locus(f, m)) == weights
+    names = [f"y{i}" for i in range(1, m + 1)]
+    report = cli.run_command("vc-dims", cli.ProblemFile(names, f))
+    assert report.status == "ok", report.payload
+    assert report.payload["certificate"] == "weight-rescaling"
+    assert report.payload["weights"] == [str(w) for w in weights]
+    assert report.payload["dims"] == {"0": math.prod(a - 1 for a in powers)}
 
 
 def _grevlex_key(a):

@@ -9,11 +9,11 @@ from qshift.coefficients import HSeries, _accumulate, codec
 from qshift.cohomology import bv_apply
 from qshift.diffops import Operator, op_compose
 from qshift.errors import ExponentOverflow, NotPolynomial, ZeroPolynomial
-from qshift.gca import (Element, apply_koszul_delta, detect_weights, gmul,
-                        koszul_operator, make_crit_locus)
+from qshift.gca import (Element, apply_koszul_delta, gmul, koszul_operator,
+                        make_crit_locus)
 
-from conftest import (corpus_locus, decoded, degree_part, mono_mul,
-                      random_element)
+from conftest import (corpus_locus, decoded, degree_part, f_weights,
+                      mono_mul, random_element)
 from generator_oracle import op_apply
 
 
@@ -23,13 +23,13 @@ def test_make_crit_locus_cubic():
     X = make_crit_locus(f, m)
     assert X.partials[0] == 3 * Element.y(m, 1) ** 2
     assert X.partials[1] == 3 * Element.y(m, 2) ** 2
-    assert detect_weights(X.f, X.m) == (Fraction(1, 3), Fraction(1, 3))
+    assert f_weights(X) == (Fraction(1, 3), Fraction(1, 3))
 
 
 def test_make_crit_locus_quadric():
     X = make_crit_locus(Element.y(1, 1) ** 2, 1)
     assert X.partials[0] == 2 * Element.y(1, 1)
-    assert detect_weights(X.f, X.m) == (Fraction(1, 2),)
+    assert f_weights(X) == (Fraction(1, 2),)
 
 
 def test_make_crit_locus_mixed_weights():
@@ -38,13 +38,13 @@ def test_make_crit_locus_mixed_weights():
     X = make_crit_locus(f, m)
     assert X.partials[0] == 3 * Element.y(m, 1) ** 2 + Element.y(m, 2)
     assert X.partials[1] == Element.y(m, 1)
-    assert detect_weights(X.f, X.m) == (Fraction(1, 3), Fraction(2, 3))
+    assert f_weights(X) == (Fraction(1, 3), Fraction(2, 3))
 
 
 def test_make_crit_locus_no_weights_when_inhomogeneous():
     f = Element.y(1, 1) ** 3 + Element.y(1, 1) ** 4
     X = make_crit_locus(f, 1)
-    assert detect_weights(X.f, X.m) is None
+    assert f_weights(X) is None
 
 
 def test_make_crit_locus_errors():
