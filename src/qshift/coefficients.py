@@ -477,8 +477,15 @@ def _eliminate(rows):
             if pl != 1:
                 for c in row:
                     row[c] *= pl
+            get = row.get
             for c, v in prow.items():
-                _accumulate(row, c, -rl * v)
+                # integer entries, so no canonical form; a zero sum is an
+                # entry of row (rl v is never 0), and it is dropped
+                s = get(c, 0) - rl * v
+                if s:
+                    row[c] = s
+                else:
+                    del row[c]
     return pivots
 
 
@@ -513,18 +520,27 @@ def solve_rational(rows, rhs, ncols):
     """Solve A x = b over Q by sparse elimination of the augmented system.
 
     ``rows`` are the sparse rows ``{col: rational}`` of A over the columns
-    ``0 .. ncols - 1`` and ``rhs`` is b as ``{row index: rational}``.
-    Returns None when the right-hand-side column becomes a pivot (b is not
-    in the column space); otherwise back-substitutes with every free
-    variable 0, one exact division by each pivot's lead.  The entries of
-    the solution are canonical.
+    ``0 .. ncols - 1`` and ``rhs`` is b as ``{row index: rational}``; an
+    index with no row is refused with ValueError.  Returns None when the
+    right-hand-side column becomes a pivot (b is not in the column space);
+    otherwise back-substitutes with every free variable 0, one exact
+    division by each pivot's lead, and returns x as ``{col: value}`` over
+    its nonzero entries, which are canonical.
     """
+    for i in rhs:
+        if not 0 <= i < len(rows):
+            raise ValueError(f"right-hand side at row {i!r}, but the system "
+                             f"has {len(rows)} rows")
     pivots = _eliminate(_admit(rows, rhs, ncols))
     if ncols in pivots:
         return None
-    sol = [0] * ncols
+    sol = {}
     for lead in sorted(pivots, reverse=True):
+        # every other column of a pivot row is above its lead, and only
+        # the leads below ncols are in sol
         prow = pivots[lead]
-        rest = sum(v * sol[c] for c, v in prow.items() if lead < c < ncols)
-        sol[lead] = _div(prow.get(ncols, 0) - rest, prow[lead])
+        rest = sum(v * sol[c] for c, v in prow.items() if c in sol)
+        value = _div(prow.get(ncols, 0) - rest, prow[lead])
+        if value:
+            sol[lead] = value
     return sol

@@ -135,11 +135,14 @@ def _unit_weights(exps, m):
     weight that the vectors leave free to 0, so a variable that no vector
     uses gets no weight: None."""
     rows = [{i: e for i, e in enumerate(a) if e} for a in exps]
-    weights = solve_rational(rows, dict.fromkeys(range(len(rows)), 1), m)
-    if weights is None or min(weights) <= 0 or any(
+    sol = solve_rational(rows, dict.fromkeys(range(len(rows)), 1), m)
+    if sol is None:
+        return None
+    weights = tuple(sol.get(i, 0) for i in range(m))
+    if min(weights) <= 0 or any(
             sum(w * e for w, e in zip(weights, a)) != 1 for a in exps):
         return None
-    return tuple(weights)
+    return weights
 
 
 def _weight_rescaling(X, weights):

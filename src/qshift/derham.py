@@ -322,22 +322,48 @@ def _source_lookup(total: Operator, candidates, n):
     u o t, t a term of ``total``, is even(t) + even(u) less a Leibniz step
     Sum_i j_i (y_i + d_y_i), 0 <= j_i <= max(y_i(t), d_y_i(t)), plus u's
     odd bits off t's variables (``_product_into``); a negative field sets a
-    guard bit, which no candidate carries."""
+    guard bit, which no candidate carries.
+
+    The candidates are indexed {even part: {odd part: i}}, and the probes
+    even(t) - step are grouped by the odd bits of t's variables, ``inside``.
+    From k, a probe names the bucket of even(k) - probe - e hbar, and in it
+    the odd parts equal to k's off ``inside``: one hit per submask of
+    ``inside``, so no candidate is looked at that k cannot name."""
     C = codec(total.m)
-    odd, shift, probes, index = C.odd, C.hbar_shift, set(), {}
+    odd, shift, groups, index = C.odd, C.hbar_shift, {}, {}
     for t in total.terms:
-        steps, used = [0], (t | t >> 1) & C.eta  # used: t's odd variables
+        steps = [0]
         for yo, do, unit in C.shared.values():
             top = max(t >> yo & C.field, t >> do & C.field)
             steps = [s + j * unit for s in steps for j in range(top + 1)]
-        probes.update(((t & ~odd) - s, odd ^ 3 * used) for s in steps)
+        inside = 3 * ((t | t >> 1) & C.eta)  # both odd bits of t's variables
+        groups.setdefault(inside, set()).update((t & ~odd) - s for s in steps)
+    probes = []
+    for inside, offsets in groups.items():
+        subs, s = [inside], inside
+        while s:
+            s = (s - 1) & inside
+            subs.append(s)
+        probes.append((odd ^ inside, subs, offsets))
     for i, u in enumerate(candidates):
-        index.setdefault(u & ~odd, []).append((i, u & odd))
-    return lambda k: dict.fromkeys(
-        (i, e) for offset, outside in probes
-        for diff in ((k & ~odd) - offset,) for e in (diff >> shift,)
-        if 0 <= e < n for i, u in index.get(diff - (e << shift), ())
-        if not (u ^ k) & outside)
+        index.setdefault(u & ~odd, {})[u & odd] = i
+
+    def sources(k):
+        even, out = k & ~odd, set()
+        for outside, subs, offsets in probes:
+            fixed = k & outside
+            for offset in offsets:
+                diff = even - offset
+                e = diff >> shift
+                if 0 <= e < n:
+                    bucket = index.get(diff - (e << shift))
+                    if bucket:
+                        for s in subs:
+                            i = bucket.get(fixed | s)
+                            if i is not None:
+                                out.add((i, e))
+        return out
+    return sources
 
 
 def check_compatibility(omega: DRWord, delta: Quantisation, X: CritLocus,
@@ -393,7 +419,7 @@ def check_compatibility(omega: DRWord, delta: Quantisation, X: CritLocus,
     if sol is None:
         return CompatVerdict(CompatVerdict.FAILS, residual=r, window=window)
     witness = Operator._from_store(X.m, {
-        candidates[c // n] + shifts[c % n]: v for c, v in enumerate(sol) if v})
+        candidates[c // n] + shifts[c % n]: v for c, v in sorted(sol.items())})
     if op_commutator(total, witness) != r:
         raise NotCertified("the witness does not reproduce the residual")
     return CompatVerdict(CompatVerdict.COBOUNDARY, witness=witness,

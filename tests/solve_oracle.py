@@ -22,6 +22,12 @@ def full_solve(rows, rhs, ncols):
     return sol
 
 
+def nonzero(sol):
+    """A dense solution as ``solve_rational`` returns it: {col: value} over
+    its nonzero entries, in column order; None stays None."""
+    return None if sol is None else {c: v for c, v in enumerate(sol) if v}
+
+
 def component(rows, rhs):
     """(row indices, columns) of b's connected component: the rows joined
     to a row where b is nonzero by a chain of nonzero entries in shared

@@ -15,7 +15,7 @@ from qshift.gca import Element, make_crit_locus
 
 from conftest import f_weights, random_hseries, sparse_rows
 from hbar_oracle import _divexact, rank_exact_fraction_field, twisted_matrix
-from solve_oracle import component, full_solve
+from solve_oracle import component, full_solve, nonzero
 
 
 def H(coeffs):
@@ -135,9 +135,9 @@ def test_rank_rational_and_solve():
     assert rank_rational(rows) == 1
     sol = solve_rational([{0: Fraction(1), 1: Fraction(1)}, {1: Fraction(1)}],
                          {0: Fraction(3), 1: Fraction(1)}, 2)
-    assert sol == [Fraction(2), Fraction(1)]
+    assert sol == {0: 2, 1: 1}
     assert solve_rational([{}], {0: Fraction(1)}, 1) is None
-    assert solve_rational([], {}, 2) == [0, 0]
+    assert solve_rational([], {}, 2) == {}
 
 
 def test_kernel_admits_explicit_zero_and_integral_fraction():
@@ -148,10 +148,10 @@ def test_kernel_admits_explicit_zero_and_integral_fraction():
     assert rank_rational(rows) == 2
     assert rank_rational([{0: 0}, {3: Fraction(0, 5)}]) == 0
     sol = solve_rational(rows, {0: Fraction(4, 2), 1: 3, 2: 3}, 2)
-    assert sol == [3, 1] and [type(v) for v in sol] == [int, int]
+    assert sol == {0: 3, 1: 1} and [type(v) for v in sol.values()] == [int, int]
     assert solve_rational(rows, {1: 0, 2: Fraction(6, 2)}, 2) is None
     assert solve_rational([{0: Fraction(4, 2), 1: 0}], {0: Fraction(1)}, 2) == \
-        [Fraction(1, 2), 0]
+        {0: Fraction(1, 2)}
     assert repr(rows) == before
     with pytest.raises(TypeError):  # a float is refused, even one that cancels
         rank_rational([{0: 1}, {0: 1.0}])
@@ -263,11 +263,10 @@ def test_sparse_kernel_matches_dense_reference(system):
     sol = solve_rational(sparse, sparse_rhs, ncols)
     assert (sol is None) == (ncols in aug_pivots)
     if sol is not None:
-        assert all(sum((a * x for a, x in zip(row, sol)), Fraction(0)) == b
-                   for row, b in zip(rows, rhs))
-        expected = [Fraction(0)] * ncols
-        for k, col in enumerate(aug_pivots):
-            expected[col] = reduced[k][ncols]
+        assert all(sum((a * sol.get(c, 0) for c, a in enumerate(row)),
+                       Fraction(0)) == b for row, b in zip(rows, rhs))
+        expected = {col: reduced[k][ncols] for k, col in enumerate(aug_pivots)
+                    if reduced[k][ncols]}
         assert sol == expected
     assert repr((sparse, sparse_rhs)) == before
 
@@ -314,14 +313,13 @@ def test_kernel_on_witness_shaped_systems(system):
         [r + [Fraction(rhs.get(i, 0))] for i, r in enumerate(dense)], ncols + 1)
     expected = None
     if ncols not in aug_pivots:
-        expected = [Fraction(0)] * ncols
-        for k, col in enumerate(aug_pivots):
-            expected[col] = reduced[k][ncols]
+        expected = {col: reduced[k][ncols] for k, col in enumerate(aug_pivots)
+                    if reduced[k][ncols]}
     sol = solve_rational(rows, rhs, ncols)
     assert rank_rational(rows) == len(pivots)
     assert sol == expected
     if sol is not None:
-        assert all(type(v) is int or v.denominator > 1 for v in sol)
+        assert all(type(v) is int or v.denominator > 1 for v in sol.values())
     where = {i: k for k, i in enumerate(perm)}
     permuted = [rows[i] for i in perm]
     assert rank_rational(permuted) == len(pivots)
@@ -394,12 +392,14 @@ def test_solve_matches_whole_system_on_block_diagonal_systems(system):
     rows, rhs, ncols = system
     before = repr((rows, rhs))
     sol = solve_rational(rows, rhs, ncols)
-    expected = full_solve(rows, rhs, ncols)
-    assert repr(sol) == repr(expected)  # entries and their types
+    expected = nonzero(full_solve(rows, rhs, ncols))
+    assert sol == expected
     assert repr((rows, rhs)) == before
     if sol is not None:
+        assert [type(sol[c]) for c in expected] == \
+            [type(v) for v in expected.values()]
         _, reached = component(rows, rhs)
-        assert all(not v for c, v in enumerate(sol) if c not in reached)
+        assert sol.keys() <= reached
 
 
 def test_solve_follows_a_chain_past_b_neighbours():
@@ -407,9 +407,29 @@ def test_solve_follows_a_chain_past_b_neighbours():
     column steps from b's row, and x_5, outside b's component, is 0."""
     rows = [{5: 1}, {2: 2, 3: 1}, {0: 1}, {1: 1, 2: 1}, {0: 1, 1: 1}]
     for rhs in ({2: 1}, {2: 1, 0: 0}):
-        assert solve_rational(rows, rhs, 6) == full_solve(rows, rhs, 6) == \
-            [1, -1, 1, -2, 0, 0]
-    assert solve_rational(rows, {0: 1, 2: 1}, 6) == [1, -1, 1, -2, 0, 1]
+        assert solve_rational(rows, rhs, 6) == \
+            nonzero(full_solve(rows, rhs, 6)) == {0: 1, 1: -1, 2: 1, 3: -2}
+    assert solve_rational(rows, {0: 1, 2: 1}, 6) == \
+        {0: 1, 1: -1, 2: 1, 3: -2, 5: 1}
+
+
+def test_solve_holds_only_the_nonzero_entries():
+    """The solution is {col: value} over its nonzero entries alone, so its
+    size follows the pivots, not the column count: two rows over 10**6
+    columns give at most two entries."""
+    rows = [{0: 1, 999_999: 2}, {5: 3, 700_000: -1}]
+    sol = solve_rational(rows, {0: 4, 1: 6}, 10 ** 6)
+    assert sol == {0: 4, 5: 2}
+    assert solve_rational(rows, {}, 10 ** 6) == {}
+    assert solve_rational([{3: 2}], {0: 0}, 10 ** 6) == {}
+
+
+def test_solve_refuses_a_right_hand_side_without_a_row():
+    """An entry of b at a row index that has no row is refused, naming the
+    index, with or without other rows; it is never dropped."""
+    for rows, index in (([], 0), ([{}], 1), ([{0: 1}], -1), ([{0: 1}], 2)):
+        with pytest.raises(ValueError, match=f"row {index}\\b"):
+            solve_rational(rows, {index: 1}, 2)
 
 
 def test_slice_rank_hands_canonical_sparse_rows(monkeypatch):

@@ -487,10 +487,10 @@ def test_integer_input_stays_exact(monkeypatch):
     assert rank_rational(sparse_rows([[2, 3, 5], [4, 6, 10], [1, 0, 7]])) == 2
     sol = solve_rational(sparse_rows([[2, 0], [0, 3], [2, 3]]),
                          {0: 1, 1: 1, 2: 2}, 2)
-    assert sol == [Fraction(1, 2), Fraction(1, 3)]
+    assert sol == {0: Fraction(1, 2), 1: Fraction(1, 3)}
     assert solve_rational(sparse_rows([[2, 4], [1, 2]]), {0: 3, 1: 1}, 2) is None
     assert seen and not list(_floats(seen)) and not list(_floats(sol))
-    for value in sol:
+    for value in sol.values():
         assert type(value) is int or value.denominator > 1
     assert any(eliminated)
     for pivots in eliminated:

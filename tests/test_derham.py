@@ -26,6 +26,7 @@ from qshift.quantise import (Quantisation, bv_quantisation, centre_differential,
 
 from generator_oracle import op_apply
 from solve_oracle import component, full_solve
+from source_oracle import scanning_source_lookup
 
 from conftest import (arity_keys, corpus_locus, decoded, decoded_words,
                       degree_part, dr_total_d_reference, hbar_component,
@@ -817,7 +818,8 @@ def _reference_search(omega, delta, X, window):
     sol = solve_rational(sparse_rows(dense), rhs, len(unknowns))
     if sol is None:
         return CompatVerdict.FAILS, None
-    return CompatVerdict.COBOUNDARY, {u: v for u, v in zip(unknowns, sol) if v}
+    return CompatVerdict.COBOUNDARY, {unknowns[c]: v
+                                      for c, v in sorted(sol.items())}
 
 
 _HALF_X3_TWO_THIRDS_Y3 = (Element.y(2, 1) ** 3).scale(Fraction(1, 2)) \
@@ -1026,6 +1028,51 @@ def test_source_lookup_names_every_source(seed, m):
             assert all(e < 3 for _, e in sources(k + (3 << shift)))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(0, 3),
+       st.integers(0, 3), st.integers(1, 4))
+def test_source_lookup_matches_the_scanning_oracle(seed, m, order_cap,
+                                                   ydeg_cap, n):
+    """The exact-keyed lookup names the same (i, e) set as the scanning
+    oracle, for total = delta_Koszul of a random f + a random quantisation
+    + a random operator with hbar, plus (m >= 2) a term on every variable,
+    over the window of caps (order_cap, ydeg_cap) in every degree, from
+    image keys of window candidates shifted by hbar^e, e = 0 .. n, and from
+    random keys."""
+    rng = random.Random(seed)
+    f = Element(m, {(tuple(rng.randint(0, 3) for _ in range(m)), ()):
+                    rng.choice([1, -2, Fraction(1, 3)]) for _ in range(3)})
+    if not f.terms:
+        f = Element.y(m, 1) ** 2
+    X = make_crit_locus(f, m)
+    total = (koszul_operator(X) + random_quantisation(rng, m, max_ydeg=2)
+             + random_operator(rng, m, max_order=3, nterms=3, with_hbar=True))
+    if m >= 2:
+        one = (1,) + (0,) * (m - 1)
+        total = total + Operator(m, {(one, tuple(range(2, m + 1)), one, (1,)): 1})
+    C = codec(m)
+    for d in range(-m, m + 1):
+        keys = operator_keys_in_window(X, order_cap, ydeg_cap, degree=d)
+        if not keys:
+            continue
+        rows = set()
+        for u in rng.sample(keys, min(4, len(keys))):
+            image = op_commutator(total, Operator._from_store(m, {u: 1}))
+            rows.update(k + (e << C.hbar_shift) for k in image.terms
+                        for e in range(n + 1))
+        for _ in range(20):
+            rows.add(C.encode(
+                tuple(rng.randint(0, 4) for _ in range(m)),
+                tuple(i for i in range(1, m + 1) if rng.random() < 0.5),
+                tuple(rng.randint(0, 3) for _ in range(m)),
+                tuple(i for i in range(1, m + 1) if rng.random() < 0.5),
+                rng.randint(0, n + 1)))
+        sources = derham._source_lookup(total, keys, n)
+        oracle = scanning_source_lookup(total, keys, n)
+        for k in rows:
+            assert set(sources(k)) == oracle(k)
+
+
 def test_witness_search_images_only_the_named_candidates(monkeypatch):
     """The search computes a candidate's image only when a row it reaches
     names it, and each at most once: x^3+y^5 at (2, 2, 4) images at most 20
@@ -1092,8 +1139,8 @@ def test_wrong_witness_is_refused(monkeypatch):
     doubled, whose image is twice the nonzero residual) is refused with
     NotCertified instead of being reported."""
     X = corpus_locus(4)
-    monkeypatch.setattr(derham, "solve_rational", lambda rows, rhs, ncols: [
-        2 * v for v in solve_rational(rows, rhs, ncols)])
+    monkeypatch.setattr(derham, "solve_rational", lambda rows, rhs, ncols: {
+        c: 2 * v for c, v in solve_rational(rows, rhs, ncols).items()})
     with pytest.raises(NotCertified):
         check_compatibility(DRWord.zero(X.m, 2), bv_quantisation(X), X,
                             SearchWindow(order_cap=2, ydeg_cap=2, hbar_max=4))
