@@ -2,15 +2,15 @@
 
 Grammar (a deliberately small, diff-friendly surface):
 
-    problem := "vars" ident+ ";" "f" "=" expr ";" (option ";")*
-    option  := ident "=" (rational | ident)
+    problem := "vars" ident+ ";" "f" "=" expr ";" EOF
     expr    := ["-"] term (("+" | "-") term)*
     term    := factor ("*" factor)*
     factor  := base ("^" nat)?
     base    := ident | rational | "(" expr ")"
 
 Rational literals are integers or a/b fractions, read with the rest by
-one compiled scanner (``_SCAN``).  Every command runs on the one locus
+one compiled scanner (``_SCAN``).  Settings are flags only, with their
+defaults in ``COMMAND_FLAGS``.  Every command runs on the one locus
 that ``ProblemFile.crit_locus`` builds, where f is checked.  Reports are
 JSON on stdout (schema shipped as ``report_schema.json``), diagnostics on
 stderr; exit code 0 means status ok, 1 a violated identity, 2 bad input
@@ -39,14 +39,15 @@ from .quantise import (FiltrationLabel, bv_quantisation, filtration_dims,
 
 SCHEMA_VERSION = 1
 
-OPTION_NAMES = ("max_degree", "window")
-# the flags each command reads, by name: ``--max-degree`` on the command
-# line, ``max_degree`` in the flags of ``run_command``
+# the flags each command reads, in the order it reads them, with their
+# defaults (None: required): ``--max-degree`` on the command line,
+# ``max_degree`` in the flags of ``run_command``
 COMMAND_FLAGS = {
-    "milnor": (), "vc-dims": (), "koszul-dims": (), "check-mc": (),
-    "check-compat": ("window",), "check-selfdual": (),
-    "eigen": ("p", "k", "max_degree"),
-    "filtration": ("kind", "level", "p", "max_degree", "hbar_max"),
+    "milnor": {}, "vc-dims": {}, "koszul-dims": {}, "check-mc": {},
+    "check-compat": {"window": 3}, "check-selfdual": {},
+    "eigen": {"p": None, "k": None, "max_degree": 2},
+    "filtration": {"kind": "ftilde", "level": 0, "p": 2, "max_degree": 2,
+                   "hbar_max": 4},
 }
 MAX_NESTING = 100  # parentheses; the parser recurses four frames per level
 
@@ -112,18 +113,16 @@ def _tokenize(text):
 
 
 class ProblemFile:
-    __slots__ = ("vars", "f", "options")
+    __slots__ = ("vars", "f")
 
-    def __init__(self, vars, f, options=None):
+    def __init__(self, vars, f):
         self.vars = list(vars)
         self.f = f
-        self.options = dict(options or {})
 
     def __eq__(self, other):
         if not isinstance(other, ProblemFile):
             return NotImplemented
-        return (self.vars == other.vars and self.f == other.f
-                and self.options == other.options)
+        return self.vars == other.vars and self.f == other.f
 
     def crit_locus(self):
         return make_crit_locus(self.f, len(self.vars), self.vars)
@@ -175,23 +174,10 @@ class _Parser:
         self.m = len(names)
         f = self.parse_expr()
         self.expect(";", "expected ';' after f")
-        options = {}
-        while self.peek().kind == "ident":
-            tok = self.advance()
-            if tok.value not in OPTION_NAMES:
-                raise ParseError(f"unknown option {tok.value!r}; options are "
-                                 f"{', '.join(OPTION_NAMES)}", tok.line, tok.col)
-            self.expect("=", "expected '=' in option")
-            value = self.advance()
-            if value.kind not in ("number", "ident"):
-                raise ParseError("option value must be a rational or identifier",
-                                 value.line, value.col)
-            options[tok.value] = value.value
-            self.expect(";", "expected ';' after option")
         tok = self.peek()
         if tok.kind != "eof":
             raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col)
-        return ProblemFile(names, f, options)
+        return ProblemFile(names, f)
 
     def parse_expr(self):
         if self.peek().kind == "-":
@@ -290,31 +276,34 @@ def _residual_terms(op):
     return [[format_monomial(key), str(view[key])] for key in sorted(view)]
 
 
-def _setting(name, problem, flags, default):
-    """The flag, else the problem-file option, else the default: the first
-    that is set, so an explicit 0 is kept."""
-    for value in (flags.get(name), problem.options.get(name)):
-        if value is not None:
-            return value
-    return default
-
-
-def _int_setting(name, problem, flags, default=None):
-    """A non-negative integer setting (a window size, p, k, a level, the top
-    hbar exponent): a missing value with no default is refused, and so are
-    a non-integral value, which is not truncated, and a negative one."""
-    raw = _setting(name, problem, flags, default)
-    if raw is None:
-        raise QShiftError(f"{name} is required")
-    try:
-        value = Fraction(raw)
-    except ValueError:
-        raise QShiftError(f"{name} must be an integer, not {raw}") from None
-    if value.denominator != 1:
-        raise QShiftError(f"{name} must be an integer, not {raw}")
-    if value < 0:
-        raise QShiftError(f"{name} must be >= 0, not {value}")
-    return int(value)
+def _read_flags(cmd, flags, limit):
+    """The settings of ``cmd``, in table order: each flag if set (an explicit
+    0 is kept), else its default.  Refused: an unset required flag, an
+    unknown kind, a fractional setting, and one outside 0..limit - 1."""
+    settings = {}
+    for name, default in COMMAND_FLAGS[cmd].items():
+        raw = default if flags.get(name) is None else flags[name]
+        if raw is None:
+            raise QShiftError(f"{name} is required")
+        if name == "kind":
+            if raw not in _KIND_MAP:
+                raise QShiftError(f"kind must be one of "
+                                  f"{', '.join(_KIND_MAP)}, not {raw!r}")
+            settings[name] = _KIND_MAP[raw]
+            continue
+        try:
+            value = Fraction(raw)
+        except ValueError:
+            raise QShiftError(f"{name} must be an integer, not {raw}") from None
+        if value.denominator != 1:
+            raise QShiftError(f"{name} must be an integer, not {raw}")
+        if value < 0:
+            raise QShiftError(f"{name} must be >= 0, not {value}")
+        if value >= limit:
+            raise ExponentOverflow(
+                f"{name} must be below {limit}, not {value}")
+        settings[name] = int(value)
+    return settings
 
 
 def _error_payload(exc):
@@ -339,6 +328,7 @@ def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
                 f"{cmd} does not read the flag {unread[0]!r}; its flags are: "
                 f"{', '.join(COMMAND_FLAGS[cmd]) or 'none'}")
         X = problem.crit_locus()
+        settings = _read_flags(cmd, flags, codec(X.m).limit)
         if cmd == "milnor":
             n = milnor_number(X)
             payload = {"milnor": int(n), **n.certificate}
@@ -354,9 +344,8 @@ def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
                 status = "fail"
                 payload["reason"] = "master-equation residual is nonzero"
         elif cmd == "check-compat":
-            size = _int_setting("window", problem, flags, 3)
-            window = SearchWindow(order_cap=size, ydeg_cap=size,
-                                  hbar_max=size + 2)
+            size = settings["window"]
+            window = SearchWindow(size, size, size + 2)
             verdict = check_compatibility(canonical_symplectic(X),
                                           bv_quantisation(X), X, window)
             payload = {"verdict": verdict.kind, "window": window.as_dict()}
@@ -375,24 +364,13 @@ def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
                 payload["reason"] = "star involution does not fix the quantisation"
                 residual_terms = _residual_terms(verdict.residual)
         elif cmd == "eigen":
-            p = _int_setting("p", problem, flags)
-            k = _int_setting("k", problem, flags)
-            report = nu_eigen_analysis(
-                X, p, k, _int_setting("max_degree", problem, flags, 2))
-            payload = report.as_dict()
+            payload = nu_eigen_analysis(X, settings["p"], settings["k"],
+                                        settings["max_degree"]).as_dict()
         elif cmd == "filtration":
-            kind = _setting("kind", problem, flags, "ftilde")
-            if kind not in _KIND_MAP:
-                raise QShiftError(f"kind must be one of "
-                                  f"{', '.join(_KIND_MAP)}, not {kind!r}")
-            kind = _KIND_MAP[kind]
-            level = _int_setting("level", problem, flags, 0)
-            p = _int_setting("p", problem, flags, 2)
-            bound = _int_setting("max_degree", problem, flags, 2)
-            degrees = range(-X.m, X.m + 1)
-            hbar_exps = range(-1, _int_setting("hbar_max", problem, flags, 4) + 1)
-            table = filtration_dims(FiltrationLabel(kind, level), p, degrees,
-                                    hbar_exps, X, bound)
+            kind, level, p = settings["kind"], settings["level"], settings["p"]
+            table = filtration_dims(
+                FiltrationLabel(kind, level), p, range(-X.m, X.m + 1),
+                range(-1, settings["hbar_max"] + 1), X, settings["max_degree"])
             payload = {"dims": [{"degree": d, "hbar_exp": e, "dim": n}
                                 for (d, e), n in sorted(table.items())],
                        "kind": kind, "level": level, "p": p}
@@ -424,11 +402,13 @@ def _build_argparser():
                     "derived critical loci of polynomials.")
     sub = ap.add_subparsers(dest="command", required=True,
                             parser_class=_CommandParser)
-    for cmd, names in COMMAND_FLAGS.items():
+    for cmd, defaults in COMMAND_FLAGS.items():
         p = sub.add_parser(cmd)
         p.add_argument("file", help="problem file (vars ...; f = ...;)")
-        for name in names:
-            p.add_argument("--" + name.replace("_", "-"), dest=name)
+        for name, default in defaults.items():
+            p.add_argument("--" + name.replace("_", "-"), dest=name,
+                           help="required" if default is None
+                           else f"default {default}")
     return ap
 
 

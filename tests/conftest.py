@@ -324,10 +324,5 @@ def format_polynomial(f, names) -> str:
 
 def print_problem(problem) -> str:
     """Canonical text; re-parsing yields an identical structure."""
-    lines = [f"vars {' '.join(problem.vars)};",
-             f"f = {format_polynomial(problem.f, problem.vars)};"]
-    for key in sorted(problem.options):
-        value = problem.options[key]
-        text = _format_rational(value) if isinstance(value, Fraction) else str(value)
-        lines.append(f"{key} = {text};")
-    return "\n".join(lines) + "\n"
+    return (f"vars {' '.join(problem.vars)};\n"
+            f"f = {format_polynomial(problem.f, problem.vars)};\n")

@@ -31,7 +31,6 @@ def test_parse_basic():
     p = parse_problem("vars x y; f = x^3 + y^3;")
     assert p.vars == ["x", "y"]
     assert p.f == Element.y(2, 1) ** 3 + Element.y(2, 2) ** 3
-    assert p.options == {}
 
 
 def test_parse_rational_coefficient():
@@ -160,9 +159,13 @@ def test_exponent_literal_at_the_limit_parses():
 
 
 def test_parse_options_and_parentheses():
-    p = parse_problem("vars x y; f = (x + y)^2 * 3; window = 9; max_degree = 2;")
-    assert p.options == {"window": Fraction(9), "max_degree": Fraction(2)}
+    """The problem ends at f: a former option line after it is trailing
+    input at its name, and settings are flags only."""
+    p = parse_problem("vars x y; f = (x + y)^2 * 3;")
     assert p.f == ((Element.y(2, 1) + Element.y(2, 2)) ** 2).scale(3)
+    with pytest.raises(ParseError) as err:
+        parse_problem("vars x y; f = (x + y)^2 * 3; window = 9;")
+    assert str(err.value) == "trailing input 'window' (line 1, col 30)"
 
 
 def test_parse_leading_minus_and_comments():
@@ -190,8 +193,8 @@ def test_unary_minus_only_leads_an_expression(tmp_path, capsys):
 def test_round_trip_identity():
     cases = [
         "vars x y; f = x^3 + y^3;",
-        "vars x; f = 1/2 * x^4; window = 3;",
-        "vars x y z; f = x^2 + y^2 + z^2; window = 2; max_degree = 12;",
+        "vars x; f = 1/2 * x^4;",
+        "# a comment\nvars x y z;\n  f = (x^2 + y^2) + z^2;  # f\n",
         "vars u v; f = -u^2 + 2/3 * v^5;",
     ]
     for text in cases:
@@ -373,8 +376,8 @@ def test_seed_precedence(tmp_path, capsys, monkeypatch):
 
 def test_removed_flags_are_refused(tmp_path, capsys):
     """vc-dims reads no degree bound, so ``--max-degree`` is refused there
-    with an error report (exit 2).  ``max_degree`` is an option of eigen
-    and filtration; vc-dims ignores it (see ``test_zero_settings_are_kept``)."""
+    with an error report (exit 2).  ``max_degree`` is a flag of eigen and
+    filtration only, and no problem file sets it."""
     path = tmp_path / "p.qs"
     path.write_text("vars x; f = x^2;\n")
     out = _usage_error(capsys, ["vc-dims", str(path), "--max-degree", "3"],
@@ -462,23 +465,26 @@ def test_format_polynomial_canonical():
     assert text == "x^2 - 3/2*y"
 
 
-@pytest.mark.parametrize("options, cmd, flags, check", [
-    ("", "filtration", {"p": 0}, lambda r: r.payload["p"] == 0),
-    ("", "filtration", {"hbar_max": 0},
+@pytest.mark.parametrize("cmd, flags, check", [
+    ("filtration", {"p": 0}, lambda r: r.payload["p"] == 0),
+    ("filtration", {"hbar_max": 0},
      lambda r: {row["hbar_exp"] for row in r.payload["dims"]} == {-1, 0}),
-    ("window = 3;", "check-compat", {"window": 0},
+    ("check-compat", {"window": 0},
      lambda r: r.payload["window"]["order_cap"] == 0),
-    ("window = 0;", "check-compat", {},
+    ("check-compat", {"window": "0"},
      lambda r: r.payload["window"]["order_cap"] == 0),
-    ("", "eigen", {"p": 1, "k": 2, "max_degree": 0},
+    ("eigen", {"p": 1, "k": 2, "max_degree": 0},
      lambda r: r.payload["block_dim"] == 4),
-    ("max_degree = 0;", "vc-dims", {},
+    ("vc-dims", {"max_degree": None},
      lambda r: r.status == "ok" and r.payload["dims"] == {"0": 1}),
 ], ids=["filtration-p", "filtration-hbar_max", "check-compat-window-flag",
         "check-compat-window-option", "eigen-max_degree",
         "vc-dims-max_degree"])
-def test_zero_settings_are_kept(options, cmd, flags, check):
-    problem = parse_problem(f"vars x; f = x^2; {options}")
+def test_zero_settings_are_kept(cmd, flags, check):
+    """A setting of 0, as an int or as the string the command line passes,
+    is used as 0, not replaced by its default; vc-dims reads no bound, and
+    an unset (None) ``max_degree`` leaves its answer as it is."""
+    problem = parse_problem("vars x; f = x^2;")
     report = run_command(cmd, problem, flags)
     assert check(report), report.payload
 
@@ -489,12 +495,18 @@ def test_zero_settings_are_kept(options, cmd, flags, check):
     "vars x; f = x^2;\nseed = 5;",
     "vars x; f = x^2;\nstab_window = 2;",
     "vars x; f = x^2;\nmode = weight;",
-], ids=["hbar_trunc", "typo", "seed", "stab_window", "mode"])
+    "vars x; f = x^2;\nwindow = 3;",
+    "vars x; f = x^2;\nmax_degree = 2;",
+], ids=["hbar_trunc", "typo", "seed", "stab_window", "mode", "window",
+        "max_degree"])
 def test_unknown_options_rejected(text):
+    """The problem ends at f, so every ``name = value;`` line after it, the
+    former options ``window`` and ``max_degree`` too, is trailing input at
+    its name."""
     with pytest.raises(ParseError) as err:
         parse_problem(text)
-    assert (err.value.line, err.value.col) == (2, 1)
-    assert "options are max_degree, window" in str(err.value)
+    name = text.split("\n")[1].split()[0]
+    assert str(err.value) == f"trailing input {name!r} (line 2, col 1)"
 
 
 def test_deep_nesting_exits_2_with_report(tmp_path, capsys):
@@ -647,8 +659,8 @@ def test_vc_dims_refuses_what_it_cannot_certify(tmp_path, capsys, text):
 
 def test_vc_dims_mode_is_refused(tmp_path, capsys):
     """vc-dims chooses its certificate from f: ``--mode`` is an unknown
-    flag and ``mode = weight;`` an unknown option, each refused with an
-    error report (exit 2)."""
+    flag, and a ``mode = weight;`` line after f a parse error, each refused
+    with an error report (exit 2)."""
     path = tmp_path / "p.qs"
     path.write_text("vars x y; f = 1/2*x^3 + 2/3*y^3;\n")
     _usage_error(capsys, ["vc-dims", str(path), "--mode", "weight"],
@@ -688,20 +700,22 @@ def test_vc_dims_certificates(text, certificate, dims):
         jsonschema.validate(bad, SCHEMA)
 
 
-@pytest.mark.parametrize("options, cmd", [
-    ("stab_window = 0;", "vc-dims"),
-    ("stab_window = 1/2;", "vc-dims"),
-    ("window = 3/2;", "check-compat"),
+@pytest.mark.parametrize("options, argv, error_type", [
+    ("stab_window = 0;", ["vc-dims"], "ParseError"),
+    ("stab_window = 1/2;", ["vc-dims"], "ParseError"),
+    ("", ["check-compat", "--window", "3/2"], "QShiftError"),
 ], ids=["stab_window-0", "stab_window-half", "window-3/2"])
-def test_bad_integer_settings_exit_2(tmp_path, capsys, options, cmd):
-    """A non-integral window is refused, not truncated; ``stab_window`` is
-    not an option, so any value of it is a parse error."""
+def test_bad_integer_settings_exit_2(tmp_path, capsys, options, argv,
+                                     error_type):
+    """``--window 3/2`` is refused, not truncated; a problem file holds no
+    settings, so a ``stab_window`` line after f is a parse error."""
     path = tmp_path / "p.qs"
     path.write_text(f"vars x y; f = x^5 + y^7; {options}\n")
-    code = main([cmd, str(path)])
+    code = main([argv[0], str(path), *argv[1:]])
     out = json.loads(capsys.readouterr().out)
     assert code == 2
     assert out["status"] == "error"
+    assert out["payload"]["error_type"] == error_type
     jsonschema.validate(out, SCHEMA)
 
 
@@ -763,7 +777,9 @@ def test_filtration_hbar_max_beyond_the_field_is_refused(value, code):
     report = run_command("filtration", problem, {"hbar_max": value})
     assert report.exit_code == code
     if code:
-        assert report.payload["error_type"] == "ExponentOverflow"
+        assert report.payload == {
+            "reason": f"hbar_max must be below 32768, not {value}",
+            "error_type": "ExponentOverflow"}
     else:
         assert report.payload["dims"][-1]["hbar_exp"] == 32767
     _validate(report)
@@ -825,3 +841,83 @@ def test_failing_and_witness_reports(monkeypatch, cmd, target, verdict,
     else:
         assert report.payload[field] == terms
         assert report.residual_terms is None
+
+
+@pytest.mark.parametrize("text, message", [
+    ("vars x; f = 1/0*x;", "zero denominator (line 1, col 13)"),
+    ("vars ; f = 1;", "need at least one variable (line 1, col 6)"),
+    ("vars x; f = x^1/2;",
+     "exponent must be a natural number (line 1, col 15)"),
+], ids=["zero-denominator", "no-variable", "fractional-exponent"])
+def test_parser_refusals_are_pinned(text, message):
+    """A zero denominator, an empty variable list and a fractional exponent
+    are each a ParseError at their position."""
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert str(err.value) == message
+
+
+def test_run_command_refuses_an_unknown_command():
+    report = run_command("bogus", parse_problem("vars x; f = x^2;"))
+    assert report.exit_code == 2
+    assert report.payload == {"reason": "unknown command 'bogus'",
+                              "error_type": "QShiftError"}
+
+
+def test_eigen_k_zero_exits_2(tmp_path, capsys):
+    """``eigen --k 0`` is refused by the analysis with a schema-valid error
+    report (exit 2)."""
+    path = tmp_path / "p.qs"
+    path.write_text("vars x y; f = x^3 + y^3;\n")
+    out = _usage_error(capsys, ["eigen", str(path), "--p", "2", "--k", "0"],
+                       "need p >= 0 and k >= 1")
+    assert out["payload"]["error_type"] == "ValueError"
+
+
+@pytest.mark.parametrize("cmd, flags, name", [
+    ("check-compat", {}, "window"),
+    ("eigen", {"p": 1, "k": 2}, "max_degree"),
+    ("eigen", {"p": 1}, "k"),
+    ("filtration", {}, "max_degree"),
+    ("filtration", {}, "level"),
+    ("filtration", {}, "p"),
+], ids=["check-compat-window", "eigen-max_degree", "eigen-k",
+        "filtration-max_degree", "filtration-level", "filtration-p"])
+@pytest.mark.parametrize("value", [32767, 32768])
+def test_integer_settings_below_the_exponent_limit(cmd, flags, name, value):
+    """Every integer setting must stay below 2^15 = 32768, as an exponent
+    does: 2^15 - 1 is answered, and 2^15 is refused with ExponentOverflow
+    naming the flag and its value.  ``check-compat --window 40000`` on
+    x^3+y^3 once answered ok, since the canonical pair needs no search,
+    and so did ``filtration --max-degree 40000``.  ``--hbar-max`` has its
+    own test; ``eigen --p`` is left out, as its block enumeration grows as
+    p^2."""
+    problem = parse_problem("vars x y; f = x^3 + y^3;")
+    report = run_command(cmd, problem, {**flags, name: str(value)})
+    _validate(report)
+    if value < 32768:
+        assert report.status == "ok", report.payload
+    else:
+        assert report.payload == {
+            "reason": f"{name} must be below 32768, not 32768",
+            "error_type": "ExponentOverflow"}
+
+
+@pytest.mark.parametrize("cmd, defaults", [
+    ("milnor", {}), ("vc-dims", {}), ("koszul-dims", {}), ("check-mc", {}),
+    ("check-compat", {"window": 3}), ("check-selfdual", {}),
+    ("eigen", {"p": None, "k": None, "max_degree": 2}),
+    ("filtration", {"kind": "ftilde", "level": 0, "p": 2, "max_degree": 2,
+                    "hbar_max": 4}),
+])
+def test_help_names_every_default(capsys, cmd, defaults):
+    """``qshift <cmd> --help`` gives each flag's default from the one table,
+    or "required", the values the README's command table lists."""
+    assert cli.COMMAND_FLAGS[cmd] == defaults
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for name, default in defaults.items():
+        want = "required" if default is None else f"default {default}"
+        assert f"--{name.replace('_', '-')} {name.upper()} {want}" in text

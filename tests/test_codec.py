@@ -261,3 +261,20 @@ def test_commutator_overflow_is_refused_only_for_pairs_that_meet():
     assert op_commutator(y_half, y_half).is_zero()
     with pytest.raises(ExponentOverflow):
         op_compose(y_half, y_half)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"a": (1,)}, "exponent vector of length 1, m = 2"),
+    ({"a": (0, 0), "b": (2, -1)}, "negative exponent in (2, -1)"),
+    ({"a": (0, 0), "eta": (2, 1)},
+     "odd indices (2, 1) are not strictly increasing in 1..2"),
+    ({"a": (0, 0), "deta": (3,)},
+     "odd indices (3,) are not strictly increasing in 1..2"),
+], ids=["length", "negative", "odd-order", "odd-range"])
+def test_encode_refuses_what_it_cannot_pack(kwargs, message):
+    """``Codec.encode`` refuses, never wraps: an exponent vector of the
+    wrong length, a negative exponent, and odd indices that are not
+    strictly increasing in 1..m."""
+    with pytest.raises(ValueError) as err:
+        codec(2).encode(**kwargs)
+    assert str(err.value) == message

@@ -1222,3 +1222,23 @@ def test_identities_on_non_integral_coefficients(seed, q, r):
     D2 = random_operator(rng, m, with_hbar=True).scale(r)
     a = random_element(rng, m, nterms=3, with_hbar=True).scale(q)
     assert op_apply(op_compose(D1, D2), a) == op_apply(D1, op_apply(D2, a))
+
+
+@pytest.mark.parametrize("call", [
+    lambda X: cup(DRWord.zero(2), DRWord.zero(1)),
+    lambda X: dr_total_d(X, DRWord.zero(1)),
+], ids=["cup", "dr_total_d"])
+def test_words_refuse_a_bad_signature(call):
+    """``cup`` refuses words of different m, and ``dr_total_d`` a word
+    whose m is not the locus's."""
+    X = make_crit_locus(Element.y(2, 1) ** 3 + Element.y(2, 2) ** 3, 2)
+    with pytest.raises(ValueError) as err:
+        call(X)
+    assert str(err.value) == "signature mismatch"
+
+
+def test_nu_of_the_zero_operator_is_zero():
+    """nu(w, Delta, 0) = 0: nu is linear in the substituted operator."""
+    X = make_crit_locus(Element.y(2, 1) ** 3 + Element.y(2, 2) ** 3, 2)
+    zero = nu(canonical_symplectic(X), bv_quantisation(X), Operator.zero(2), X)
+    assert zero.m == 2 and zero.is_zero()

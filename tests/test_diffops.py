@@ -583,3 +583,17 @@ def test_str_and_repr_pinned():
     text = "-1/2 + h^-1*y2 + (3 + h^2)*y1*eta1"
     assert (str(a), repr(a)) == (text, f"Element({text})")
     assert str(Element.zero(1)) == "0"
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: op_compose(Operator.zero(1), Operator.zero(2)), ValueError,
+     "signature mismatch"),
+    (lambda: Polyvector(2, 2, {((0, 0), (), (1, 0), ()): 1}), ArityMismatch,
+     "monomial of arity 1 in arity-2 polyvector"),
+], ids=["op_compose", "polyvector-arity"])
+def test_operators_refuse_a_bad_signature(call, exc, message):
+    """``op_compose`` refuses operators of different m, and a polyvector
+    refuses a monomial whose arity is not its own."""
+    with pytest.raises(exc) as err:
+        call()
+    assert str(err.value) == message

@@ -227,3 +227,17 @@ def test_element_normal_form_uniqueness():
     # eta indices stored strictly increasing
     (((_, eta), _),) = decoded(b).keys()
     assert eta == (1, 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: make_crit_locus(Element.const(1, 1), 0),
+     "need at least one variable"),
+    (lambda: make_crit_locus(Element.y(2, 1) ** 3, 1), "signature mismatch"),
+    (lambda: gmul(Element.y(1, 1), Element.y(2, 1)), "signature mismatch"),
+], ids=["make_crit_locus-m0", "make_crit_locus-m", "gmul"])
+def test_locus_and_product_refuse_a_bad_signature(call, message):
+    """``make_crit_locus`` refuses m < 1 and an f in another number of
+    variables; ``gmul`` refuses factors of different m."""
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

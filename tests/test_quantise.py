@@ -647,3 +647,30 @@ def test_koszul_operator_squares_to_zero(corpus_case):
     dk = koszul_operator(X)
     assert op_compose(dk, dk).is_zero()
     assert op_order(dk) == 1
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda X: FiltrationLabel("bogus"), "unknown filtration kind 'bogus'"),
+    (lambda X: FiltrationLabel(FiltrationLabel.G, -1),
+     "filtration level must be >= 0"),
+    (lambda X: nu_eigen_analysis(X, 2, 0), "need p >= 0 and k >= 1"),
+], ids=["label-kind", "label-level", "eigen-k0"])
+def test_labels_and_eigen_refuse_bad_input(call, message):
+    """A filtration label refuses an unknown kind and a negative level, and
+    the eigen analysis refuses k = 0."""
+    X = make_crit_locus(Element.y(2, 1) ** 3 + Element.y(2, 2) ** 3, 2)
+    with pytest.raises(ValueError) as err:
+        call(X)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kind", [FiltrationLabel.FTILDE, FiltrationLabel.G,
+                                  FiltrationLabel.CONV])
+def test_filtration_below_hbar_minus_one_is_empty(kind):
+    """Below hbar^-1 every filtration piece is empty: at hbar exponent -2,
+    ``_order_bound`` has j = -1 < 0, and every dimension is 0."""
+    X = make_crit_locus(Element.y(2, 1) ** 3 + Element.y(2, 2) ** 3, 2)
+    label = FiltrationLabel(kind, 0)
+    assert _order_bound(label, 0, -1) is None
+    table = filtration_dims(label, 0, range(-2, 3), [-2], X, 2)
+    assert table == {(d, -2): 0 for d in range(-2, 3)}
