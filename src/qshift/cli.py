@@ -60,13 +60,18 @@ _KIND_MAP = {"g": FiltrationLabel.G, "ftilde": FiltrationLabel.FTILDE,
 # ---------------------------------------------------------------------------
 
 class _Token:
-    __slots__ = ("kind", "value", "line", "col")
+    """A token and its position: ``value`` is what the parser reads (a
+    numeral's Fraction), ``text`` the source text that messages quote (None
+    at eof)."""
 
-    def __init__(self, kind, value, line, col):
+    __slots__ = ("kind", "value", "line", "col", "text")
+
+    def __init__(self, kind, value, line, col, text=None):
         self.kind = kind
         self.value = value
         self.line = line
         self.col = col
+        self.text = value if text is None else text
 
     def __repr__(self):
         return f"Token({self.kind}, {self.value!r})"
@@ -99,7 +104,7 @@ def _tokenize(text):
             if den is not None and int(den) == 0:
                 raise ParseError("zero denominator", line, col)
             tokens.append(_Token(kind, Fraction(int(num), int(den or 1)),
-                                 line, col))
+                                 line, col, value))
         elif kind == "ident":
             tokens.append(_Token(kind, value, line, col))
         elif kind == "op":
@@ -147,7 +152,7 @@ class _Parser:
     def expect(self, kind, message=None):
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(message or f"expected {kind!r}, found {tok.value!r}",
+            raise ParseError(message or f"expected {kind!r}, found {tok.text!r}",
                              tok.line, tok.col)
         return self.advance()
 
@@ -176,7 +181,7 @@ class _Parser:
         self.expect(";", "expected ';' after f")
         tok = self.peek()
         if tok.kind != "eof":
-            raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col)
+            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
         return ProblemFile(names, f)
 
     def parse_expr(self):
@@ -235,7 +240,7 @@ class _Parser:
             self.expect(")")
             self.depth -= 1
             return expr
-        raise ParseError(f"unexpected token {tok.value!r}", tok.line, tok.col)
+        raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
 
 
 def parse_problem(text: str) -> ProblemFile:

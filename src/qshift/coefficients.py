@@ -523,9 +523,16 @@ def solve_rational(rows, rhs, ncols):
     ``0 .. ncols - 1`` and ``rhs`` is b as ``{row index: rational}``; an
     index with no row is refused with ValueError.  Returns None when the
     right-hand-side column becomes a pivot (b is not in the column space);
-    otherwise back-substitutes with every free variable 0, one exact
-    division by each pivot's lead, and returns x as ``{col: value}`` over
-    its nonzero entries, which are canonical.
+    otherwise back-substitutes with every free variable 0 and returns x as
+    ``{col: value}`` over its nonzero entries, which are canonical.
+
+    Back-substitution stays in integers: x is held as numerators over one
+    common denominator D, and a pivot's value is its integer remainder
+    (b D less the row's known terms) over lead * D.  When the lead does not
+    divide the remainder, D and the numerators found so far are multiplied
+    by lead / gcd(remainder, lead), so D is always the lcm of the values'
+    denominators.  Each nonzero entry becomes a canonical rational once,
+    at the end.
     """
     for i in rhs:
         if not 0 <= i < len(rows):
@@ -534,13 +541,21 @@ def solve_rational(rows, rhs, ncols):
     pivots = _eliminate(_admit(rows, rhs, ncols))
     if ncols in pivots:
         return None
-    sol = {}
+    num, den = {}, 1
     for lead in sorted(pivots, reverse=True):
         # every other column of a pivot row is above its lead, and only
-        # the leads below ncols are in sol
+        # the leads below ncols are in num
         prow = pivots[lead]
-        rest = sum(v * sol[c] for c, v in prow.items() if c in sol)
-        value = _div(prow.get(ncols, 0) - rest, prow[lead])
-        if value:
-            sol[lead] = value
-    return sol
+        rest = prow.get(ncols, 0) * den - sum(
+            v * num[c] for c, v in prow.items() if c in num)
+        if rest:
+            p = prow[lead]  # positive: pivot rows are primitive
+            g = gcd(rest, p)
+            if g != p:
+                scale = p // g
+                den *= scale
+                for c in num:
+                    num[c] *= scale
+            num[lead] = rest // g
+    return {c: v // den if not v % den else Fraction(v, den)
+            for c, v in num.items()}

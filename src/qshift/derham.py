@@ -13,6 +13,8 @@ mu the substitution homomorphism e -> Delta.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .coefficients import (_accumulate, _canon, _content, _div, _Store,
                            codec, solve_rational)
 from .diffops import Operator, _banded_images, _product_into, op_commutator
@@ -376,9 +378,11 @@ def check_compatibility(omega: DRWord, delta: Quantisation, X: CritLocus,
     Delta, u] shifted by e.  Only b's component of the row-column graph is
     assembled, in the whole system's order: elimination never mixes
     components and one with b = 0 is solved by 0, so the verdict and the
-    witness are the whole system's.  Each wave of rows names its sources
-    (``_source_lookup``); the new ones' images come from one banded call.
-    A witness is reported only if its image is the residual.
+    witness are the whole system's.  Each distinct row of a wave names its
+    sources once (``_source_lookup``); the new ones' images come from one
+    banded call.  A witness u is reported only if [delta + Delta, D u] =
+    D r, for D the lcm of u's denominators: its image is the residual, in
+    integer products.
     """
     if not mc_residual(X, delta).is_zero():
         raise NotMaurerCartan("compatibility needs a Maurer-Cartan Delta")
@@ -397,7 +401,8 @@ def check_compatibility(omega: DRWord, delta: Quantisation, X: CritLocus,
     # row k is {i n + e: q} for q at k - e hbar in image i, by column
     images, reached, todo, seen = {}, {}, list(r.terms), set()
     while todo:
-        pending = {k: sources(k) for k in todo if k not in reached}
+        pending = {k: sources(k) for k in dict.fromkeys(todo)
+                   if k not in reached}
         new = {i for src in pending.values() for i, _ in src} - images.keys()
         images.update(zip(new, new and _banded_images(
             X.m, [candidates[i] for i in new],
@@ -420,7 +425,12 @@ def check_compatibility(omega: DRWord, delta: Quantisation, X: CritLocus,
         return CompatVerdict(CompatVerdict.FAILS, residual=r, window=window)
     witness = Operator._from_store(X.m, {
         candidates[c // n] + shifts[c % n]: v for c, v in sorted(sol.items())})
-    if op_commutator(total, witness) != r:
+    # [total, D u] = D r for D the lcm of u's denominators, so the product
+    # kernel multiplies u's integer numerators
+    den = lcm(*[v.denominator for v in sol.values()])
+    scaled = Operator._from_store(X.m, {k: v.numerator * (den // v.denominator)
+                                        for k, v in witness.terms.items()})
+    if op_commutator(total, scaled) != r.scale(den):
         raise NotCertified("the witness does not reproduce the residual")
     return CompatVerdict(CompatVerdict.COBOUNDARY, witness=witness,
                          window=window)

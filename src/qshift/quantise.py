@@ -160,6 +160,17 @@ def operator_keys_in_window(X: CritLocus, order_cap: int, ydeg_cap: int,
             for a in alist]
 
 
+def _order_keys(m, p):
+    """The keys d_y^b d_eta_T eta_S of order exactly p and y-degree 0, in
+    the order of the window of order cap p and y-degree cap 0: by T, b of
+    |b| = p - |T| (lex, its last entry fixed by the rest), then S."""
+    C = codec(m)
+    masks = _odd_masks(m)
+    return [t + sum(map(mul, C.dy, (*b, p - nt - sum(b)))) + s
+            for nt, _, t in masks if nt <= p
+            for b in iter_y_exponents(m - 1, p - nt) for _, s, _ in masks]
+
+
 def _order_bound(label: FiltrationLabel, p: int, j: int):
     """Order cap of the filtration piece at hbar^(j-1); None means empty."""
     if j < 0:
@@ -252,10 +263,9 @@ def nu_eigen_analysis(X: CritLocus, p: int, k: int,
     if k < 1 or p < 0:
         raise ValueError("need p >= 0 and k >= 1")
     C = codec(X.m)
-    if ydeg_cap >= C.limit:
+    if max(p, ydeg_cap) >= C.limit:
         C.overflow()
-    block = [key for key in operator_keys_in_window(X, p, 0)
-             if C.order(key) == p]
+    block = _order_keys(X.m, p)
     for c, (key, image) in enumerate(zip(block, _nu_block(X, block))):
         top = {t: v for t, v in image.items() if C.order(t) >= p}
         if c == 0:

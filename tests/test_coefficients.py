@@ -332,6 +332,11 @@ _block_entries = st.one_of(st.just(0), st.just(0), st.integers(-5, 5),
                            st.builds(Fraction, st.integers(-5, 5),
                                      st.integers(1, 4)))
 _nonzero = st.sampled_from([1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-2, 3)])
+# denominators 2, 3, 5 and 7 of both signs, so that back-substitution's
+# common denominator grows more than once within one solve
+_solution_values = st.sampled_from([
+    0, 0, 1, -2, Fraction(3, 2), Fraction(1, 3), Fraction(-2, 3),
+    Fraction(4, 5), Fraction(-3, 5), Fraction(2, 7), Fraction(-5, 7)])
 
 
 @st.composite
@@ -353,8 +358,7 @@ def _block_systems(draw):
             width = height = draw(st.integers(3, 6))
             block = [[draw(_nonzero) if i - c in (0, 1) else 0
                       for c in range(width)] for i in range(height)]
-        x = [draw(st.sampled_from([0, 0, 1, -2, Fraction(3, 2)]))
-             for _ in range(width)]
+        x = [draw(_solution_values) for _ in range(width)]
         b = [sum(a * v for a, v in zip(row, x)) for row in block]
         part = draw(st.sampled_from(["entry", "zero", "image"]))
         if kind != "all" and part != "image":

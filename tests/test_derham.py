@@ -1135,15 +1135,55 @@ def test_fails_verdicts_have_a_small_dual_certificate(monkeypatch):
 
 
 def test_wrong_witness_is_refused(monkeypatch):
-    """A solution that does not solve the system (here the solver's answer
-    doubled, whose image is twice the nonzero residual) is refused with
-    NotCertified instead of being reported."""
+    """A solution that does not solve the system is refused with
+    NotCertified instead of being reported: the solver's answer doubled,
+    whose image is twice the nonzero residual, and its answer wrong in one
+    entry alone by 1/5, which gives the check's common denominator a new
+    factor 5."""
     X = corpus_locus(4)
-    monkeypatch.setattr(derham, "solve_rational", lambda rows, rhs, ncols: {
-        c: 2 * v for c, v in solve_rational(rows, rhs, ncols).items()})
-    with pytest.raises(NotCertified):
+    for spoil in (lambda sol, c: {k: 2 * v for k, v in sol.items()},
+                  lambda sol, c: {**sol, c: sol[c] + Fraction(1, 5)}):
+        def spoiled(rows, rhs, ncols):
+            sol = solve_rational(rows, rhs, ncols)
+            return spoil(sol, min(sol))
+
+        monkeypatch.setattr(derham, "solve_rational", spoiled)
+        with pytest.raises(NotCertified):
+            check_compatibility(DRWord.zero(X.m, 2), bv_quantisation(X), X,
+                                SearchWindow(order_cap=2, ydeg_cap=2,
+                                             hbar_max=4))
+
+
+def test_witness_search_probes_each_assembled_row_once(monkeypatch):
+    """The row probe that ``_source_lookup`` returns runs once per row the
+    search assembles, never twice on one row, on every witness window of
+    the benchmark and on x^3+y^3+z^3 at (4, 4, 6)."""
+    probed, handed = [], []
+    real_lookup = derham._source_lookup
+
+    def lookup(*args):
+        sources = real_lookup(*args)
+
+        def spy(k):
+            probed.append(k)
+            return sources(k)
+        return spy
+
+    def solve(rows, rhs, ncols):
+        handed.append(len(rows))
+        return solve_rational(rows, rhs, ncols)
+
+    monkeypatch.setattr(derham, "_source_lookup", lookup)
+    monkeypatch.setattr(derham, "solve_rational", solve)
+    X3 = make_crit_locus(Element.y(3, 1) ** 3 + Element.y(3, 2) ** 3
+                         + Element.y(3, 3) ** 3, 3)
+    jobs = [(X, window) for _, X, window, _ in _witness_jobs(monkeypatch)]
+    for X, window in jobs + [(X3, SearchWindow(4, 4, 6))]:
+        probed.clear()
+        handed.clear()
         check_compatibility(DRWord.zero(X.m, 2), bv_quantisation(X), X,
-                            SearchWindow(order_cap=2, ydeg_cap=2, hbar_max=4))
+                            window)
+        assert len(set(probed)) == len(probed) == sum(handed) > 0
 
 
 def test_banded_images_match_per_key_images():

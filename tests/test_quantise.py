@@ -13,7 +13,7 @@ from qshift.diffops import (Operator, op_commutator, op_compose, op_order,
 from qshift.errors import ExponentOverflow, NotCertified, NotMaurerCartan
 from qshift.gca import Element, gmul, make_crit_locus
 from qshift.quantise import (FiltrationLabel, Quantisation, _order_bound,
-                             bv_quantisation, centre_differential,
+                             _order_keys, bv_quantisation, centre_differential,
                              filtration_dims, koszul_operator, mc_residual,
                              nu_eigen_analysis, operator_keys_in_window,
                              sigma_tangent)
@@ -603,6 +603,29 @@ def test_eigen_cost_does_not_grow_with_the_cap(monkeypatch):
     assert nu_eigen_analysis(X, 2, 2, 40).block_dim == 1777104
     with pytest.raises(ExponentOverflow):
         nu_eigen_analysis(X, 2, 2, 2 ** 15)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_eigen_block_is_the_filtered_window(monkeypatch, m):
+    """The eigen block, enumerated at order p alone, is the window of order
+    cap p at y-degree 0 filtered to order p, key for key, for p 0..6; it is
+    what ``nu_eigen_analysis`` hands to ``_nu_block``, and no window of lower
+    order is enumerated."""
+    X = _cubes(m)
+    blocks = []
+
+    def spy(X, keys):
+        blocks.append(keys)
+        return real(X, keys)
+
+    real = quantise._nu_block
+    monkeypatch.setattr(quantise, "_nu_block", spy)
+    monkeypatch.setattr(quantise, "operator_keys_in_window", None)
+    for p in range(7):
+        block = _order_keys(m, p)
+        assert block == arity_keys(X, p, 0), p
+        nu_eigen_analysis(X, p, 1)
+        assert blocks.pop() == block
 
 
 def test_eigen_window_independence():
