@@ -23,6 +23,9 @@ COHOMOLOGY = ("x3y3z3", "x5y7", "x3y3", "x3y5", "x2y3", "x4", "x3xy",
               "x4y4x2y", "x3x2y2")
 OPERATORS = ("x2", "x3", "x4", "x2y2", "x3y3", "x3y5", "x2y3", "x2y2z2",
              "x3xy", "x3y3z3")
+# every filtration kind at levels 0..2 on these; the rest take three pairs
+FILTRATION_GRID = ("x3", "x3y3z3")
+EIGEN = ("x3", "x3y3", "x3y3z3")
 WITNESS = (("x3y3", (2, 2, 4)), ("x3y5", (2, 2, 4)), ("x2y3", (2, 2, 4)),
            ("x3y3z3", (1, 1, 3))) + tuple(
     (name, window) for name in ("x3y3", "x3y5")
@@ -41,11 +44,21 @@ def _jobs():
     for name in OPERATORS:
         for cmd in ("check-mc", "check-compat", "check-selfdual"):
             yield f"{cmd}:{name}", name, cmd, {}
-        for kind, level in (("g", 1), ("ftilde", 0), ("conv", 2)):
+        pairs = ((("g", 1), ("ftilde", 0), ("conv", 2))
+                 if name not in FILTRATION_GRID else
+                 [(kind, level) for kind in ("g", "ftilde", "conv")
+                  for level in (0, 1, 2)])
+        for kind, level in pairs:
             yield (f"filtration-{kind}{level}:{name}", name, "filtration",
                    {"kind": kind, "level": level})
-    for p in (1, 2, 3):
-        yield f"eigen-p{p}-k2:x3y3", "x3y3", "eigen", {"p": p, "k": 2}
+    for window in (0, 1, 2):
+        yield (f"check-compat-w{window}:x3y3", "x3y3", "check-compat",
+               {"window": window})
+    for name in EIGEN:
+        for p in (0, 1, 2, 3):
+            for k in (1, 2, 3):
+                yield (f"eigen-p{p}-k{k}:{name}", name, "eigen",
+                       {"p": p, "k": k})
 
 
 def _witness(name, window):
