@@ -34,8 +34,8 @@ from .duality import is_self_dual, solve_sign_profile
 from .errors import (ExponentOverflow, ParseError, QShiftError,
                      UnknownVariable, UsageError)
 from .gca import Element, make_crit_locus
-from .quantise import (FiltrationLabel, bv_quantisation, filtration_dims,
-                       mc_residual, nu_eigen_analysis)
+from .quantise import (bv_quantisation, filtration_dims, mc_residual,
+                       nu_eigen_analysis)
 
 SCHEMA_VERSION = 1
 
@@ -51,8 +51,11 @@ COMMAND_FLAGS = {
 }
 MAX_NESTING = 100  # parentheses; the parser recurses four frames per level
 
-_KIND_MAP = {"g": FiltrationLabel.G, "ftilde": FiltrationLabel.FTILDE,
-             "conv": FiltrationLabel.CONV}
+_KIND_MAP = {"g": "G", "ftilde": "Ftilde", "conv": "GconvF"}
+# the reports of the commands whose check answers a Verdict, when it fails
+_FAIL_REASONS = {
+    "check-compat": "no coboundary witness in the window",
+    "check-selfdual": "star involution does not fix the quantisation"}
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +341,9 @@ def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
             n = milnor_number(X)
             payload = {"milnor": int(n), **n.certificate}
         elif cmd == "vc-dims":
-            payload = twisted_derham_dims(X).as_dict()
+            payload = twisted_derham_dims(X)
         elif cmd == "koszul-dims":
-            payload = koszul_dims_at_hbar_zero(X).as_dict()
+            payload = koszul_dims_at_hbar_zero(X)
         elif cmd == "check-mc":
             residual = mc_residual(X, bv_quantisation(X))
             residual_terms = _residual_terms(residual)
@@ -354,31 +357,27 @@ def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
             verdict = check_compatibility(canonical_symplectic(X),
                                           bv_quantisation(X), X, window)
             payload = {"verdict": verdict.kind, "window": window.as_dict()}
-            if verdict.kind == "CoboundaryWitness":
+            if verdict.witness is not None:
                 payload["witness_terms"] = _residual_terms(verdict.witness)
-            if not verdict.ok():
-                status = "fail"
-                payload["reason"] = "no coboundary witness in the window"
-                residual_terms = _residual_terms(verdict.residual)
         elif cmd == "check-selfdual":
             profile = solve_sign_profile(X)
             verdict = is_self_dual(bv_quantisation(X))
             payload = {"verdict": verdict.kind, "profile": profile}
-            if not verdict.ok():
-                status = "fail"
-                payload["reason"] = "star involution does not fix the quantisation"
-                residual_terms = _residual_terms(verdict.residual)
         elif cmd == "eigen":
             payload = nu_eigen_analysis(X, settings["p"], settings["k"],
-                                        settings["max_degree"]).as_dict()
+                                        settings["max_degree"])
         elif cmd == "filtration":
             kind, level, p = settings["kind"], settings["level"], settings["p"]
             table = filtration_dims(
-                FiltrationLabel(kind, level), p, range(-X.m, X.m + 1),
+                kind, level, p, range(-X.m, X.m + 1),
                 range(-1, settings["hbar_max"] + 1), X, settings["max_degree"])
             payload = {"dims": [{"degree": d, "hbar_exp": e, "dim": n}
                                 for (d, e), n in sorted(table.items())],
                        "kind": kind, "level": level, "p": p}
+        if cmd in _FAIL_REASONS and not verdict.ok():
+            status = "fail"
+            payload["reason"] = _FAIL_REASONS[cmd]
+            residual_terms = _residual_terms(verdict.residual)
     except (QShiftError, KeyError, ValueError, ArithmeticError) as exc:
         status = "error"
         payload = _error_payload(exc)

@@ -14,6 +14,9 @@ the top part f_w of a tameness certificate too, so only
 Q[y]/(df) comes from one Groebner basis of its partials, built
 fraction-free on packed grevlex keys, and mu counts its standard monomials
 by the Hilbert recursion.
+
+A dimension answer is its report payload, a dict (``_payload``); the Milnor
+number is an int that carries its ``certificate``.
 """
 
 from __future__ import annotations
@@ -29,33 +32,16 @@ from .errors import NonIsolated, NotCertified
 from .gca import CritLocus, Element, apply_koszul_delta, make_crit_locus
 
 
-class CohomologyReport:
-    """Dimensions by degree, with ``certificate``: the payload fields of the
-    proof that they are exact."""
-
-    __slots__ = ("dims_by_degree", "field", "euler", "certificate")
-
-    def __init__(self, dims_by_degree, field, certificate):
-        self.dims_by_degree = {int(d): int(n) for d, n in dims_by_degree.items() if n}
-        self.field = field
-        self.certificate = certificate
-        self.euler = sum((-1) ** (d % 2) * n
-                         for d, n in self.dims_by_degree.items())
-
-    @property
-    def total(self):
-        return sum(self.dims_by_degree.values())
-
-    def as_dict(self):
-        return {"dims": {str(d): n for d, n in sorted(self.dims_by_degree.items())},
-                "field": self.field,
-                "stabilised": True,
-                "euler": self.euler,
-                "total": self.total,
-                **self.certificate}
-
-    def __repr__(self):
-        return f"CohomologyReport({self.dims_by_degree}, field={self.field})"
+def _payload(dims, field, certificate):
+    """The report payload of nonzero dimensions by degree: {degree as a
+    string: n} in degree order, the field, their Euler characteristic and
+    total, then ``certificate``, the fields of the proof that they are
+    exact."""
+    dims = {d: int(n) for d, n in sorted(dims.items()) if n}
+    return {"dims": {str(d): n for d, n in dims.items()}, "field": field,
+            "stabilised": True,
+            "euler": sum(-n if d % 2 else n for d, n in dims.items()),
+            "total": sum(dims.values()), **certificate}
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +158,7 @@ def _weight_rescaling(X, weights):
     rank = {d: _slice_rank(X, basis) for d, basis in by_degree.items()}
     dims = {d: len(basis) - rank[d] - rank.get(d - 1, 0)
             for d, basis in by_degree.items()}
-    return CohomologyReport(dims, "Q(hbar)", {
+    return _payload(dims, "Q(hbar)", {
         "certificate": "weight-rescaling",
         "weights": [str(w) for w in weights], "cutoff": str(cutoff)})
 
@@ -208,14 +194,14 @@ def _tame(X):
         except NonIsolated:
             continue
         if mu_top == mu == math.prod(_div(1, w) - 1 for w in weights):
-            return CohomologyReport({0: mu}, "Q(hbar)", {
+            return _payload({0: mu}, "Q(hbar)", {
                 "certificate": "tame:semi-quasi-homogeneous",
                 "weights": [str(w) for w in weights], "cutoff": None})
     raise NotCertified("no semi-quasi-homogeneous weights certify f tame; "
                        "refusing to guess its twisted de Rham cohomology")
 
 
-def twisted_derham_dims(X: CritLocus) -> CohomologyReport:
+def twisted_derham_dims(X: CritLocus) -> dict:
     """Dimensions over Q(hbar) of the hbar-twisted de Rham complex, with the
     proof that f admits: the weight-rescaling argument of
     ``_weight_rescaling`` when all of f's monomials weigh 1 under one set of
@@ -396,7 +382,7 @@ def milnor_number(X: CritLocus) -> int:
     return mu
 
 
-def koszul_dims_at_hbar_zero(X: CritLocus) -> CohomologyReport:
+def koszul_dims_at_hbar_zero(X: CritLocus) -> dict:
     """Cohomology over Q of the Koszul complex of the partials (hbar = 0).
 
     ``milnor_number`` proves Q[y]/(df) finite or refuses f.  So at each
@@ -405,4 +391,4 @@ def koszul_dims_at_hbar_zero(X: CritLocus) -> CohomologyReport:
     supported at those points, is the Jacobian ring in degree 0: {0: mu}.
     """
     mu = milnor_number(X)
-    return CohomologyReport({0: mu}, "Q", mu.certificate)
+    return _payload({0: mu}, "Q", mu.certificate)

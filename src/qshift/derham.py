@@ -1,7 +1,8 @@
 """Tensor-word model of the de Rham complex: Amitsur words with the
 Alexander-Whitney cup product, the total differential, the evaluation map mu
 sending a_0 (x) ... (x) a_r to a_0 Delta a_1 Delta ... Delta a_r, its
-derivation nu, and the compatibility checker for pairs (omega, Delta).
+derivation nu, and the compatibility checker for pairs (omega, Delta), which
+answers the one ``quantise.Verdict`` (named ``CompatVerdict`` here too).
 
 A word a_0 (x) ... (x) a_r is stored as a tuple of packed element-monomial
 keys with a canonical coefficient and a separate hbar exponent; the
@@ -20,7 +21,7 @@ from .coefficients import (_accumulate, _canon, _content, _div, _Store,
 from .diffops import Operator, _banded_images, _product_into, op_commutator
 from .errors import NotCertified, NotMaurerCartan
 from .gca import CritLocus, Element
-from .quantise import (Quantisation, koszul_operator, mc_residual,
+from .quantise import (Quantisation, Verdict, koszul_operator, mc_residual,
                        operator_keys_in_window, sigma_tangent)
 
 
@@ -298,24 +299,7 @@ class SearchWindow:
                 "hbar_min": 0, "hbar_max": self.hbar_max}
 
 
-class CompatVerdict:
-    EXACT = "ExactCocycleEquality"
-    COBOUNDARY = "CoboundaryWitness"
-    FAILS = "Fails"
-
-    __slots__ = ("kind", "witness", "residual", "window")
-
-    def __init__(self, kind, witness=None, residual=None, window=None):
-        self.kind = kind
-        self.witness = witness
-        self.residual = residual
-        self.window = window
-
-    def ok(self):
-        return self.kind in (self.EXACT, self.COBOUNDARY)
-
-    def __repr__(self):
-        return f"CompatVerdict({self.kind})"
+CompatVerdict = Verdict  # the name that callers of check_compatibility use
 
 
 def _source_lookup(total: Operator, candidates, n):
@@ -369,9 +353,11 @@ def _source_lookup(total: Operator, candidates, n):
 
 
 def check_compatibility(omega: DRWord, delta: Quantisation, X: CritLocus,
-                        window: SearchWindow | None = None) -> CompatVerdict:
+                        window: SearchWindow | None = None) -> Verdict:
     """Compare mu(omega, Delta) with the canonical tangent hbar^2 dDelta/dhbar;
-    on strict inequality, search the window for a coboundary witness.
+    on strict inequality, search the window for a coboundary witness.  The
+    Verdict is ExactCocycleEquality, CoboundaryWitness with the witness, or
+    Fails with the residual.
 
     The unknowns are the window's monomials hbar^e u one degree below the
     residual's; hbar is central, so the column of hbar^e u is [delta +
@@ -390,7 +376,7 @@ def check_compatibility(omega: DRWord, delta: Quantisation, X: CritLocus,
         window = SearchWindow()
     r = mu(omega, delta, X) - sigma_tangent(delta).eps_as_series()
     if r.is_zero():
-        return CompatVerdict(CompatVerdict.EXACT, window=window)
+        return Verdict(Verdict.EXACT)
     candidates = [k for d in sorted({d - 1 for d in r.degrees()})
                   for k in operator_keys_in_window(
                       X, window.order_cap, window.ydeg_cap, degree=d)]
@@ -422,7 +408,7 @@ def check_compatibility(omega: DRWord, delta: Quantisation, X: CritLocus,
     sol = solve_rational([reached[k] for k in order],
                          dict(enumerate(r.terms.values())), len(candidates) * n)
     if sol is None:
-        return CompatVerdict(CompatVerdict.FAILS, residual=r, window=window)
+        return Verdict(Verdict.FAILS, residual=r)
     witness = Operator._from_store(X.m, {
         candidates[c // n] + shifts[c % n]: v for c, v in sorted(sol.items())})
     # [total, D u] = D r for D the lcm of u's denominators, so the product
@@ -432,5 +418,4 @@ def check_compatibility(omega: DRWord, delta: Quantisation, X: CritLocus,
                                         for k, v in witness.terms.items()})
     if op_commutator(total, scaled) != r.scale(den):
         raise NotCertified("the witness does not reproduce the residual")
-    return CompatVerdict(CompatVerdict.COBOUNDARY, witness=witness,
-                         window=window)
+    return Verdict(Verdict.COBOUNDARY, witness=witness)

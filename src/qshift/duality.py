@@ -1,5 +1,6 @@
 """Transpose anti-automorphism on differential operators, the star
-involution Delta -> -Delta^t(-hbar), and self-duality verdicts.
+involution Delta -> -Delta^t(-hbar), and the self-duality check, which
+answers the one ``quantise.Verdict``: Strict or Fails.
 
 The transpose is realised in the constant-volume trivialisation, so the
 divergence correction vanishes and the whole map is determined by one sign
@@ -14,7 +15,7 @@ from .coefficients import codec
 from .diffops import Operator, _product_into, op_compose
 from .errors import NoConsistentProfile
 from .gca import CritLocus, Element
-from .quantise import Quantisation
+from .quantise import Quantisation, Verdict
 
 
 def transpose(D: Operator) -> Operator:
@@ -84,26 +85,10 @@ def star(delta: Quantisation) -> Quantisation:
         for k, c in transpose(delta).terms.items()})
 
 
-class SelfDualVerdict:
-    STRICT = "Strict"
-    FAILS = "Fails"
-
-    __slots__ = ("kind", "residual")
-
-    def __init__(self, kind, residual=None):
-        self.kind = kind
-        self.residual = residual
-
-    def ok(self):
-        return self.kind == self.STRICT
-
-    def __repr__(self):
-        return f"SelfDualVerdict({self.kind})"
-
-
-def is_self_dual(delta: Quantisation) -> SelfDualVerdict:
-    """Strict iff star(Delta) = Delta exactly; otherwise the difference."""
+def is_self_dual(delta: Quantisation) -> Verdict:
+    """Strict iff star(Delta) = Delta exactly; otherwise Fails, with the
+    difference as the residual."""
     residual = star(delta) - delta
     if residual.is_zero():
-        return SelfDualVerdict(SelfDualVerdict.STRICT)
-    return SelfDualVerdict(SelfDualVerdict.FAILS, residual)
+        return Verdict(Verdict.STRICT)
+    return Verdict(Verdict.FAILS, residual=residual)

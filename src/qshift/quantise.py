@@ -1,7 +1,9 @@
 """Quantisations of the critical-locus algebra: Maurer-Cartan elements in
 the second level of the order filtration, the canonical second-order BV
-operator, the centre differential, the canonical tangent vector, and the
-dimension bookkeeping for the hbar-order filtrations.
+operator, the centre differential, the canonical tangent vector, the
+dimension bookkeeping for the hbar-order filtrations, and the one
+``Verdict`` that the checks of a quantisation answer.  The filtration
+table is a dict, and ``nu_eigen_analysis`` answers its report payload.
 
 A quantisation is stored once, as its hbar-series Delta = Sum_j Delta_j
 hbar^(j-1): one operator whose hbar^(j-1) coefficient Delta_j is checked
@@ -66,26 +68,29 @@ class TangentElement:
         return self.eps
 
 
-class FiltrationLabel:
-    """One of the decreasing filtrations: Ftilde, G (hbar-adic), or their
-    convolution."""
+class Verdict:
+    """The answer of a check that carries operators: ``check_compatibility``
+    answers ExactCocycleEquality, CoboundaryWitness with its ``witness``, or
+    Fails; ``is_self_dual`` answers Strict or Fails.  A Fails verdict holds
+    the ``residual`` that the check could not remove."""
 
-    FTILDE = "Ftilde"
-    G = "G"
-    CONV = "GconvF"
+    EXACT = "ExactCocycleEquality"
+    COBOUNDARY = "CoboundaryWitness"
+    STRICT = "Strict"
+    FAILS = "Fails"
 
-    __slots__ = ("kind", "level")
+    __slots__ = ("kind", "witness", "residual")
 
-    def __init__(self, kind, level=0):
-        if kind not in (self.FTILDE, self.G, self.CONV):
-            raise ValueError(f"unknown filtration kind {kind!r}")
-        if level < 0:
-            raise ValueError("filtration level must be >= 0")
+    def __init__(self, kind, witness=None, residual=None):
         self.kind = kind
-        self.level = int(level)
+        self.witness = witness
+        self.residual = residual
+
+    def ok(self):
+        return self.kind != self.FAILS
 
     def __repr__(self):
-        return f"FiltrationLabel({self.kind}, {self.level})"
+        return f"Verdict({self.kind})"
 
 
 def bv_quantisation(X: CritLocus) -> Quantisation:
@@ -171,32 +176,33 @@ def _order_keys(m, p):
             for b in iter_y_exponents(m - 1, p - nt) for _, s, _ in masks]
 
 
-def _order_bound(label: FiltrationLabel, p: int, j: int):
+def _order_bound(kind, level, p, j):
     """Order cap of the filtration piece at hbar^(j-1); None means empty."""
-    if j < 0:
-        return None
-    if label.kind == FiltrationLabel.FTILDE:
-        return j if j >= p else None
-    if label.kind == FiltrationLabel.G:
-        if j < p or j - label.level < 0:
-            return None
-        return j - label.level
-    # convolution (G*Ftilde)^level
-    q = label.level
-    if j >= q:
-        return j
-    bound = 2 * j - q
-    return bound if bound >= 0 else None
+    if kind == "Ftilde":
+        bound = j if j >= p else -1
+    elif kind == "G":
+        bound = j - level if j >= p else -1
+    else:  # convolution (G*Ftilde)^level
+        bound = j if j >= level else 2 * j - level
+    return bound if j >= 0 and bound >= 0 else None
 
 
-def filtration_dims(label: FiltrationLabel, p: int, degrees, hbar_exps,
+def filtration_dims(kind: str, level: int, p: int, degrees, hbar_exps,
                     X: CritLocus, ydeg_cap: int):
     """Q-dimensions of a filtration piece per (cohomological degree,
     hbar-exponent) within the window |a| <= ydeg_cap, in closed form: the
     derivative parts (b, T) with eta set S of degree |T| - |S| and order o
     number C(m, |T|) C(m, |S|) C(o - |T| + m - 1, m - 1), which sum over
     o <= bound to C(bound - |T| + m, m), each with C(ydeg_cap + m, m) y^a.
-    An hbar exponent is refused from 2^15 on, as a window cap is."""
+    An hbar exponent is refused from 2^15 on, as a window cap is.  The
+    piece is the ``level``-th of the decreasing filtration ``kind``:
+    "Ftilde", "G" (hbar-adic) or their convolution "GconvF"."""
+    if kind not in ("Ftilde", "G", "GconvF"):
+        raise ValueError(f"unknown filtration kind {kind!r}")
+    if level < 0:
+        raise ValueError("filtration level must be >= 0")
+    if ydeg_cap < 0:
+        raise ValueError("need ydeg_cap >= 0")
     m, C = X.m, codec(X.m)
     if max(hbar_exps, default=0) >= C.limit:
         C.overflow()
@@ -207,27 +213,14 @@ def filtration_dims(label: FiltrationLabel, p: int, degrees, hbar_exps,
             for t in range(max(d, 0), min(m, bound) + 1))
 
     return {(d, e): 0 if bound is None else dim(d, bound)
-            for e in hbar_exps for bound in (_order_bound(label, p, e + 1),)
+            for e in hbar_exps
+            for bound in (_order_bound(kind, level, p, e + 1),)
             for d in degrees}
 
 
 # ---------------------------------------------------------------------------
 # Obstruction eigenvalue analysis
 # ---------------------------------------------------------------------------
-
-class SpectrumReport:
-    """The answer of ``nu_eigen_analysis``; ``as_dict`` is its payload."""
-
-    __slots__ = ("p", "k", "block_dim", "eigenvalues", "combined_scalar",
-                 "invertible", "diagonalisable")
-
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            setattr(self, name, value)
-
-    def as_dict(self):
-        return {name: getattr(self, name) for name in self.__slots__}
-
 
 def _nu_block(X: CritLocus, block):
     """The images of nu(omega, pi) for the canonical pair on the hbar-free
@@ -249,7 +242,7 @@ def _nu_block(X: CritLocus, block):
 
 
 def nu_eigen_analysis(X: CritLocus, p: int, k: int,
-                      ydeg_cap: int = 2) -> SpectrumReport:
+                      ydeg_cap: int = 2) -> dict:
     """Spectrum of the derivation nu(omega, pi) on the arity-p symbol block,
     for the canonical pair, together with the shifted operator's
     invertibility on the block ("+ d/d(hbar^-1)" acts by the scalar 1-p-k).
@@ -258,10 +251,13 @@ def nu_eigen_analysis(X: CritLocus, p: int, k: int,
     once: on each arity-p key rho of y-degree 0, the terms of nu(rho) of
     arity >= p must be exactly lam0 rho hbar (lower arity is zero on gr_p),
     and ``_nu_block`` carries this to every y^a rho.  Any other block is
-    refused with NotCertified.  ``ydeg_cap`` only sizes ``block_dim``.
+    refused with NotCertified.  ``ydeg_cap`` only sizes ``block_dim``.  The
+    answer is the ``eigen`` report payload.
     """
     if k < 1 or p < 0:
         raise ValueError("need p >= 0 and k >= 1")
+    if ydeg_cap < 0:
+        raise ValueError("need ydeg_cap >= 0")
     C = codec(X.m)
     if max(p, ydeg_cap) >= C.limit:
         C.overflow()
@@ -275,5 +271,7 @@ def nu_eigen_analysis(X: CritLocus, p: int, k: int,
                 f"the block of nu is not a scalar (column {c} of "
                 f"{len(block)}); only a scalar block is certified")
     shifted = lam0 + 1 - p - k
-    return SpectrumReport(p, k, comb(ydeg_cap + X.m, X.m) * len(block),
-                          [lam0], shifted, shifted != 0, True)
+    return {"p": p, "k": k,
+            "block_dim": comb(ydeg_cap + X.m, X.m) * len(block),
+            "eigenvalues": [lam0], "combined_scalar": shifted,
+            "invertible": shifted != 0, "diagonalisable": True}

@@ -9,7 +9,7 @@ from qshift.coefficients import codec
 from qshift.derham import _nu_apply, _nu_slots, canonical_symplectic
 from qshift.diffops import _banded_images
 from qshift.errors import NotCertified
-from qshift.quantise import SpectrumReport, bv_quantisation
+from qshift.quantise import bv_quantisation
 
 from conftest import arity_keys
 
@@ -35,5 +35,6 @@ def windowed_eigen_analysis(X, p, k, ydeg_cap=2):
                 f"the block of nu is not a scalar (column {c} of "
                 f"{len(basis)}); only a scalar block is certified")
     shifted = lam0 + 1 - p - k
-    return SpectrumReport(p, k, len(basis), [lam0], shifted, shifted != 0,
-                          True)
+    return {"p": p, "k": k, "block_dim": len(basis), "eigenvalues": [lam0],
+            "combined_scalar": shifted, "invertible": shifted != 0,
+            "diagonalisable": True}

@@ -13,11 +13,10 @@ jsonschema = pytest.importorskip("jsonschema")
 from qshift import cli, gca, quantise
 from qshift.cli import ProblemFile, Report, main, parse_problem, run_command
 from qshift.coefficients import HSeries, codec
-from qshift.derham import CompatVerdict
 from qshift.diffops import Operator
-from qshift.duality import SelfDualVerdict
 from qshift.errors import ExponentOverflow, ParseError, UnknownVariable
 from qshift.gca import Element
+from qshift.quantise import Verdict
 
 from conftest import format_polynomial, print_problem
 
@@ -25,6 +24,12 @@ SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "src", "qshift",
                            "report_schema.json")
 with open(SCHEMA_PATH) as fh:
     SCHEMA = json.load(fh)
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_reports.json")
+with open(GOLDEN_PATH) as fh:
+    # the pinned command reports, given back the timing that the pin drops
+    GOLDEN = {job_id: dict(report, timing_ms=0)
+              for job_id, report in json.load(fh).items()
+              if "command" in report}
 
 
 def test_parse_basic():
@@ -267,6 +272,44 @@ def test_reports_validate_for_all_commands():
         report = run_command(cmd, problem, flags)
         assert report.status == "ok", (cmd, report.payload)
         _validate(report)
+
+
+def test_every_golden_report_validates():
+    """Every pinned report of every command meets the schema, payload
+    blocks included."""
+    assert {r["command"] for r in GOLDEN.values()} == set(cli.COMMAND_FLAGS)
+    for job_id, report in GOLDEN.items():
+        try:
+            jsonschema.validate(report, SCHEMA)
+        except jsonschema.ValidationError as exc:
+            pytest.fail(f"{job_id}: {exc.message}")
+
+
+_PAYLOAD_FIELDS = {
+    "check-mc": ["residual_zero"],
+    "check-compat": ["verdict", "window"],
+    "check-selfdual": ["verdict", "profile"],
+    "eigen": ["p", "k", "block_dim", "eigenvalues", "combined_scalar",
+              "invertible", "diagonalisable"],
+    "filtration": ["dims", "kind", "level", "p"],
+    "vc-dims": ["dims", "field", "stabilised", "euler", "total"],
+    "koszul-dims": ["dims", "field", "stabilised", "euler", "total"],
+}
+
+
+@pytest.mark.parametrize("cmd, field", [
+    (cmd, field) for cmd, fields in _PAYLOAD_FIELDS.items() for field in fields
+], ids=lambda value: value)
+def test_schema_requires_each_payload_field(cmd, field):
+    """A pinned ok report of ``cmd`` without one of its payload fields is
+    refused by the schema."""
+    report = next(r for r in GOLDEN.values()
+                  if r["command"] == cmd and r["status"] == "ok")
+    jsonschema.validate(report, SCHEMA)
+    payload = dict(report["payload"])
+    del payload[field]
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(dict(report, payload=payload), SCHEMA)
 
 
 def test_every_command_refuses_a_zero_f_from_the_one_locus(monkeypatch,
@@ -835,12 +878,12 @@ def _multi_term_operator():
 @pytest.mark.parametrize("cmd, target, verdict, status, field", [
     ("check-mc", "mc_residual", lambda op: op, "fail", None),
     ("check-compat", "check_compatibility",
-     lambda op: CompatVerdict(CompatVerdict.FAILS, residual=op), "fail", None),
+     lambda op: Verdict(Verdict.FAILS, residual=op), "fail", None),
     ("check-compat", "check_compatibility",
-     lambda op: CompatVerdict(CompatVerdict.COBOUNDARY, witness=op), "ok",
+     lambda op: Verdict(Verdict.COBOUNDARY, witness=op), "ok",
      "witness_terms"),
     ("check-selfdual", "is_self_dual",
-     lambda op: SelfDualVerdict(SelfDualVerdict.FAILS, op), "fail", None),
+     lambda op: Verdict(Verdict.FAILS, residual=op), "fail", None),
 ], ids=["mc-fail", "compat-fail", "compat-witness", "selfdual-fail"])
 def test_failing_and_witness_reports(monkeypatch, cmd, target, verdict,
                                      status, field):

@@ -12,8 +12,8 @@ from qshift.diffops import (Operator, op_commutator, op_compose, op_order,
                             symbol)
 from qshift.errors import ExponentOverflow, NotCertified, NotMaurerCartan
 from qshift.gca import Element, gmul, make_crit_locus
-from qshift.quantise import (FiltrationLabel, Quantisation, _order_bound,
-                             _order_keys, bv_quantisation, centre_differential,
+from qshift.quantise import (Quantisation, _order_bound, _order_keys,
+                             bv_quantisation, centre_differential,
                              filtration_dims, koszul_operator, mc_residual,
                              nu_eigen_analysis, operator_keys_in_window,
                              sigma_tangent)
@@ -303,12 +303,10 @@ def test_nondegenerate_failures():
 
 def test_filtration_empty_window():
     X = corpus_locus(0)
-    table = filtration_dims(FiltrationLabel(FiltrationLabel.FTILDE), 2,
-                            [], [], X, 2)
+    table = filtration_dims("Ftilde", 0, 2, [], [], X, 2)
     assert table == {}
     # below the starting level everything vanishes
-    table = filtration_dims(FiltrationLabel(FiltrationLabel.FTILDE), 2,
-                            range(-1, 2), range(-1, 1), X, 2)
+    table = filtration_dims("Ftilde", 0, 2, range(-1, 2), range(-1, 1), X, 2)
     assert all(v == 0 for v in table.values())
 
 
@@ -319,10 +317,10 @@ def test_filtration_conv_splits_as_functions_plus_ftilde():
         degrees = range(-X.m, X.m + 1)
         hbar_exps = range(-1, 4)
         ydeg_cap = 2
-        conv = filtration_dims(FiltrationLabel(FiltrationLabel.CONV, 2), 2,
-                               degrees, hbar_exps, X, ydeg_cap)
-        ftilde = filtration_dims(FiltrationLabel(FiltrationLabel.FTILDE), 2,
-                                 degrees, hbar_exps, X, ydeg_cap)
+        conv = filtration_dims("GconvF", 2, 2, degrees, hbar_exps, X,
+                               ydeg_cap)
+        ftilde = filtration_dims("Ftilde", 0, 2, degrees, hbar_exps, X,
+                                 ydeg_cap)
         akeys = [k for k in operator_keys_in_window(X, 0, ydeg_cap)]
         for d in degrees:
             a_dim = sum(1 for k in akeys if codec(X.m).degree(k) == d)
@@ -336,8 +334,7 @@ def test_filtration_g_level_counts_lower_order():
     X = corpus_locus(3)
     ydeg_cap = 2
     degrees = range(-X.m, X.m + 1)
-    table = filtration_dims(FiltrationLabel(FiltrationLabel.G, 1), 2,
-                            degrees, [1], X, ydeg_cap)
+    table = filtration_dims("G", 1, 2, degrees, [1], X, ydeg_cap)
     keys = operator_keys_in_window(X, 1, ydeg_cap)
     for d in degrees:
         assert table[(d, 1)] == sum(1 for k in keys
@@ -352,10 +349,10 @@ def test_filtration_gr_reindexing():
     degrees = range(-X.m, X.m + 1)
     p = 2
     for i in (0, 1, 2):
-        gi = filtration_dims(FiltrationLabel(FiltrationLabel.G, i), p,
-                             degrees, range(p - 1, p + 3), X, ydeg_cap)
-        gi1 = filtration_dims(FiltrationLabel(FiltrationLabel.G, i + 1), p,
-                              degrees, range(p - 1, p + 3), X, ydeg_cap)
+        gi = filtration_dims("G", i, p, degrees, range(p - 1, p + 3), X,
+                             ydeg_cap)
+        gi1 = filtration_dims("G", i + 1, p, degrees, range(p - 1, p + 3), X,
+                              ydeg_cap)
         for (d, e) in gi:
             j = e + 1
             if j < p:
@@ -438,14 +435,14 @@ def test_filtration_dims_match_definition(idx):
     degrees = range(-X.m, X.m + 1)
     hbar_exps = range(-1, 6)
     windows = {}
-    for kind in (FiltrationLabel.FTILDE, FiltrationLabel.G, FiltrationLabel.CONV):
+    for kind in ("Ftilde", "G", "GconvF"):
         for level in range(4):
-            label = FiltrationLabel(kind, level)
             for p, ydeg_cap in itertools.product(range(4), range(4)):
-                table = filtration_dims(label, p, degrees, hbar_exps, X, ydeg_cap)
+                table = filtration_dims(kind, level, p, degrees, hbar_exps, X,
+                                        ydeg_cap)
                 assert list(table) == [(d, e) for e in hbar_exps for d in degrees]
                 for e in hbar_exps:
-                    bound = _order_bound(label, p, e + 1)
+                    bound = _order_bound(kind, level, p, e + 1)
                     if bound is None:
                         assert all(table[(d, e)] == 0 for d in degrees)
                         continue
@@ -464,18 +461,18 @@ def test_filtration_dims_match_definition(idx):
 def test_eigen_examples():
     X = make_crit_locus(Element.y(1, 1) ** 2, 1)
     rep = nu_eigen_analysis(X, 1, 2)
-    assert rep.eigenvalues == [1]
-    assert rep.combined_scalar == -1
-    assert rep.invertible
+    assert rep["eigenvalues"] == [1]
+    assert rep["combined_scalar"] == -1
+    assert rep["invertible"]
     rep = nu_eigen_analysis(X, 3, 1)
-    assert rep.eigenvalues == [3]
-    assert rep.combined_scalar == 0
-    assert not rep.invertible
+    assert rep["eigenvalues"] == [3]
+    assert rep["combined_scalar"] == 0
+    assert not rep["invertible"]
     for k in (1, 2, 3):
         rep = nu_eigen_analysis(X, 0, k)
-        assert rep.eigenvalues == [0]
-        assert rep.combined_scalar == 1 - k
-        assert rep.invertible == (k != 1)
+        assert rep["eigenvalues"] == [0]
+        assert rep["combined_scalar"] == 1 - k
+        assert rep["invertible"] == (k != 1)
 
 
 @pytest.mark.parametrize("k, jordan", [(1, False), (2, True)],
@@ -518,8 +515,8 @@ def test_eigen_reports_match_the_windowed_oracle(m):
     window |a| <= cap, field for field: p 0..3, k 1..2 and caps 0..3."""
     X = _cubes(m)
     for p, k, cap in itertools.product(range(4), (1, 2), range(4)):
-        assert nu_eigen_analysis(X, p, k, cap).as_dict() == \
-            windowed_eigen_analysis(X, p, k, cap).as_dict(), (p, k, cap)
+        assert nu_eigen_analysis(X, p, k, cap) == \
+            windowed_eigen_analysis(X, p, k, cap), (p, k, cap)
 
 
 @pytest.mark.parametrize("spoil", [
@@ -552,7 +549,7 @@ def test_eigen_keeps_the_lower_filtration_step(monkeypatch):
     """Terms of arity < p are zero on gr_p: adding some to every image, at
     several hbar exponents, leaves the report as it is."""
     X = _cubes(2)
-    want = nu_eigen_analysis(X, 2, 2).as_dict()
+    want = nu_eigen_analysis(X, 2, 2)
     real = quantise._banded_images
     C = codec(X.m)
     lower = {0: 5, C.dy[1] + C.y[0]: -1, C.deta_bits[0] + 2 * C.hbar: 7}
@@ -561,7 +558,7 @@ def test_eigen_keeps_the_lower_filtration_step(monkeypatch):
         return [{**image, **lower} for image in real(m, keys, *args)]
 
     monkeypatch.setattr(quantise, "_banded_images", with_lower)
-    assert nu_eigen_analysis(X, 2, 2).as_dict() == want
+    assert nu_eigen_analysis(X, 2, 2) == want
 
 
 def test_eigen_refuses_a_left_factor_with_d_y(monkeypatch):
@@ -597,10 +594,10 @@ def test_eigen_cost_does_not_grow_with_the_cap(monkeypatch):
     assert len(block) == 144
     for cap in (0, 6, 40, 2 ** 15 - 1):
         calls.clear()
-        assert nu_eigen_analysis(X, 2, 2, cap).block_dim == \
+        assert nu_eigen_analysis(X, 2, 2, cap)["block_dim"] == \
             comb(cap + 3, 3) * 144
         assert calls == [block]
-    assert nu_eigen_analysis(X, 2, 2, 40).block_dim == 1777104
+    assert nu_eigen_analysis(X, 2, 2, 40)["block_dim"] == 1777104
     with pytest.raises(ExponentOverflow):
         nu_eigen_analysis(X, 2, 2, 2 ** 15)
 
@@ -632,8 +629,8 @@ def test_eigen_window_independence():
     X = make_crit_locus(Element.y(2, 1) ** 3 + Element.y(2, 2) ** 3, 2)
     small = nu_eigen_analysis(X, 2, 2, 1)
     big = nu_eigen_analysis(X, 2, 2, 3)
-    assert small.eigenvalues == big.eigenvalues == [2]
-    assert small.combined_scalar == big.combined_scalar == -1
+    assert small["eigenvalues"] == big["eigenvalues"] == [2]
+    assert small["combined_scalar"] == big["combined_scalar"] == -1
 
 
 def test_quantisation_validation():
@@ -673,27 +670,34 @@ def test_koszul_operator_squares_to_zero(corpus_case):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda X: FiltrationLabel("bogus"), "unknown filtration kind 'bogus'"),
-    (lambda X: FiltrationLabel(FiltrationLabel.G, -1),
+    (lambda X: filtration_dims("bogus", 0, 2, [0], [0], X, 2),
+     "unknown filtration kind 'bogus'"),
+    (lambda X: filtration_dims("G", -1, 2, [0], [0], X, 2),
      "filtration level must be >= 0"),
     (lambda X: nu_eigen_analysis(X, 2, 0), "need p >= 0 and k >= 1"),
-], ids=["label-kind", "label-level", "eigen-k0"])
+    *((lambda X, m=m, cap=cap: nu_eigen_analysis(_cubes(m), 2, 2, cap),
+       "need ydeg_cap >= 0") for cap in (-1, -3) for m in (1, 2, 3)),
+    *((lambda X, m=m, cap=cap: filtration_dims(
+        "Ftilde", 0, 2, range(-m, m + 1), range(-1, 5), _cubes(m), cap),
+       "need ydeg_cap >= 0") for cap in (-1, -3) for m in (1, 2, 3)),
+], ids=["label-kind", "label-level", "eigen-k0",
+        *(f"{call}-cap{cap}-m{m}" for call in ("eigen", "filtration")
+          for cap in (-1, -3) for m in (1, 2, 3))])
 def test_labels_and_eigen_refuse_bad_input(call, message):
-    """A filtration label refuses an unknown kind and a negative level, and
-    the eigen analysis refuses k = 0."""
+    """A filtration table refuses an unknown kind and a negative level, the
+    eigen analysis refuses k = 0, and both refuse a negative y-degree cap,
+    which would size an empty window (or make ``comb`` raise)."""
     X = make_crit_locus(Element.y(2, 1) ** 3 + Element.y(2, 2) ** 3, 2)
     with pytest.raises(ValueError) as err:
         call(X)
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("kind", [FiltrationLabel.FTILDE, FiltrationLabel.G,
-                                  FiltrationLabel.CONV])
+@pytest.mark.parametrize("kind", ["Ftilde", "G", "GconvF"])
 def test_filtration_below_hbar_minus_one_is_empty(kind):
     """Below hbar^-1 every filtration piece is empty: at hbar exponent -2,
     ``_order_bound`` has j = -1 < 0, and every dimension is 0."""
     X = make_crit_locus(Element.y(2, 1) ** 3 + Element.y(2, 2) ** 3, 2)
-    label = FiltrationLabel(kind, 0)
-    assert _order_bound(label, 0, -1) is None
-    table = filtration_dims(label, 0, range(-2, 3), [-2], X, 2)
+    assert _order_bound(kind, 0, 0, -1) is None
+    table = filtration_dims(kind, 0, 0, range(-2, 3), [-2], X, 2)
     assert table == {(d, -2): 0 for d in range(-2, 3)}
