@@ -26,7 +26,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .coefficients import codec, format_monomial
+from .coefficients import _setting, codec, format_monomial
 from .cohomology import (koszul_dims_at_hbar_zero, milnor_number,
                          twisted_derham_dims)
 from .derham import (SearchWindow, canonical_symplectic, check_compatibility)
@@ -284,10 +284,11 @@ def _residual_terms(op):
     return [[format_monomial(key), str(view[key])] for key in sorted(view)]
 
 
-def _read_flags(cmd, flags, limit):
+def _read_flags(cmd, flags):
     """The settings of ``cmd``, in table order: each flag if set (an explicit
     0 is kept), else its default.  Refused: an unset required flag, an
-    unknown kind, a fractional setting, and one outside 0..limit - 1."""
+    unknown kind, a fractional setting, and one out of ``_setting``'s
+    range, 0..2^15 - 1."""
     settings = {}
     for name, default in COMMAND_FLAGS[cmd].items():
         raw = default if flags.get(name) is None else flags[name]
@@ -305,12 +306,7 @@ def _read_flags(cmd, flags, limit):
             raise QShiftError(f"{name} must be an integer, not {raw}") from None
         if value.denominator != 1:
             raise QShiftError(f"{name} must be an integer, not {raw}")
-        if value < 0:
-            raise QShiftError(f"{name} must be >= 0, not {value}")
-        if value >= limit:
-            raise ExponentOverflow(
-                f"{name} must be below {limit}, not {value}")
-        settings[name] = int(value)
+        settings[name] = _setting(name, int(value))
     return settings
 
 
@@ -336,7 +332,7 @@ def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
                 f"{cmd} does not read the flag {unread[0]!r}; its flags are: "
                 f"{', '.join(COMMAND_FLAGS[cmd]) or 'none'}")
         X = problem.crit_locus()
-        settings = _read_flags(cmd, flags, codec(X.m).limit)
+        settings = _read_flags(cmd, flags)
         if cmd == "milnor":
             n = milnor_number(X)
             payload = {"milnor": int(n), **n.certificate}
@@ -367,13 +363,9 @@ def run_command(cmd: str, problem: ProblemFile, flags=None) -> Report:
             payload = nu_eigen_analysis(X, settings["p"], settings["k"],
                                         settings["max_degree"])
         elif cmd == "filtration":
-            kind, level, p = settings["kind"], settings["level"], settings["p"]
-            table = filtration_dims(
-                kind, level, p, range(-X.m, X.m + 1),
-                range(-1, settings["hbar_max"] + 1), X, settings["max_degree"])
-            payload = {"dims": [{"degree": d, "hbar_exp": e, "dim": n}
-                                for (d, e), n in sorted(table.items())],
-                       "kind": kind, "level": level, "p": p}
+            payload = filtration_dims(settings["kind"], settings["level"],
+                                      settings["p"], settings["hbar_max"], X,
+                                      settings["max_degree"])
         if cmd in _FAIL_REASONS and not verdict.ok():
             status = "fail"
             payload["reason"] = _FAIL_REASONS[cmd]

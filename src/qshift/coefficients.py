@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 
-from .errors import ExponentOverflow
+from .errors import ExponentOverflow, QShiftError
 
 
 def _canon(c):
@@ -79,6 +79,18 @@ def _accumulate(store, key, c):
 # ---------------------------------------------------------------------------
 
 FIELD_BITS = 16
+
+
+def _setting(name, value, packed=True):
+    """The setting ``value``, if in range: the one check of an integer
+    setting, flag or library argument.  Below 0 is refused with QShiftError,
+    and a ``packed`` one (an exponent or a cap on one) from 2^15 on."""
+    limit = 1 << FIELD_BITS - 1
+    if value < 0:
+        raise QShiftError(f"{name} must be >= 0, not {value}")
+    if packed and value >= limit:
+        raise ExponentOverflow(f"{name} must be below {limit}, not {value}")
+    return value
 
 
 class Codec:

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from math import lcm
 
-from .coefficients import (_accumulate, _canon, _content, _div, _Store,
-                           codec, solve_rational)
+from .coefficients import (_accumulate, _canon, _content, _div, _setting,
+                           _Store, codec, solve_rational)
 from .diffops import Operator, _banded_images, _product_into, op_commutator
 from .errors import NotCertified, NotMaurerCartan
 from .gca import CritLocus, Element
@@ -285,14 +285,15 @@ def check_chain_identity(w: DRWord, delta: Quantisation, X: CritLocus) -> Operat
 
 class SearchWindow:
     """Finite (order, y-degree, hbar) box for coboundary searches; the hbar
-    exponents run from 0 to hbar_max."""
+    exponents run from 0 to hbar_max, which, as hbar is not a packed field,
+    has no upper bound."""
 
     __slots__ = ("order_cap", "ydeg_cap", "hbar_max")
 
-    def __init__(self, order_cap=3, ydeg_cap=3, hbar_max=5):
-        self.order_cap = order_cap
-        self.ydeg_cap = ydeg_cap
-        self.hbar_max = hbar_max
+    def __init__(self, order_cap, ydeg_cap, hbar_max):
+        self.order_cap = _setting("order_cap", order_cap)
+        self.ydeg_cap = _setting("ydeg_cap", ydeg_cap)
+        self.hbar_max = _setting("hbar_max", hbar_max, packed=False)
 
     def as_dict(self):
         return {"order_cap": self.order_cap, "ydeg_cap": self.ydeg_cap,
@@ -353,7 +354,7 @@ def _source_lookup(total: Operator, candidates, n):
 
 
 def check_compatibility(omega: DRWord, delta: Quantisation, X: CritLocus,
-                        window: SearchWindow | None = None) -> Verdict:
+                        window: SearchWindow) -> Verdict:
     """Compare mu(omega, Delta) with the canonical tangent hbar^2 dDelta/dhbar;
     on strict inequality, search the window for a coboundary witness.  The
     Verdict is ExactCocycleEquality, CoboundaryWitness with the witness, or
@@ -372,16 +373,13 @@ def check_compatibility(omega: DRWord, delta: Quantisation, X: CritLocus,
     """
     if not mc_residual(X, delta).is_zero():
         raise NotMaurerCartan("compatibility needs a Maurer-Cartan Delta")
-    if window is None:
-        window = SearchWindow()
     r = mu(omega, delta, X) - sigma_tangent(delta).eps_as_series()
     if r.is_zero():
         return Verdict(Verdict.EXACT)
     candidates = [k for d in sorted({d - 1 for d in r.degrees()})
                   for k in operator_keys_in_window(
                       X, window.order_cap, window.ydeg_cap, degree=d)]
-    n = window.hbar_max + 1
-    shifts = [e << codec(X.m).hbar_shift for e in range(n)]
+    n, hs = window.hbar_max + 1, codec(X.m).hbar_shift
     total = koszul_operator(X) + delta
     sources = _source_lookup(total, candidates, n)
     # row k is {i n + e: q} for q at k - e hbar in image i, by column
@@ -395,22 +393,22 @@ def check_compatibility(omega: DRWord, delta: Quantisation, X: CritLocus,
             lambda u: op_commutator(total, u), total.terms)))
         todo = []
         for k, src in pending.items():
-            row = reached[k] = {i * n + e: images[i][k - shifts[e]] for i, e
-                                in sorted(src) if k - shifts[e] in images[i]}
+            row = reached[k] = {i * n + e: images[i][k - (e << hs)] for i, e
+                                in sorted(src) if k - (e << hs) in images[i]}
             for col in row.keys() - seen:
                 seen.add(col)
-                todo += [key + shifts[col % n] for key in images[col // n]]
+                todo += [key + (col % n << hs) for key in images[col // n]]
     # the residual's rows first, then the order in which the whole system
     # adds rows: by first column, then by position in that column's image
     order = dict.fromkeys(r.terms)
     for col in sorted(seen):
-        order.update((key + shifts[col % n], 0) for key in images[col // n])
+        order.update((key + (col % n << hs), 0) for key in images[col // n])
     sol = solve_rational([reached[k] for k in order],
                          dict(enumerate(r.terms.values())), len(candidates) * n)
     if sol is None:
         return Verdict(Verdict.FAILS, residual=r)
     witness = Operator._from_store(X.m, {
-        candidates[c // n] + shifts[c % n]: v for c, v in sorted(sol.items())})
+        candidates[c // n] + (c % n << hs): v for c, v in sorted(sol.items())})
     # [total, D u] = D r for D the lcm of u's denominators, so the product
     # kernel multiplies u's integer numerators
     den = lcm(*[v.denominator for v in sol.values()])

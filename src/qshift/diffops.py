@@ -258,48 +258,33 @@ def op_order(D: Operator) -> int:
 
 class Polyvector(_Store):
     """Homogeneous arity-p symbol: derivative symbols commute freely.  The
-    store and the constructor input are those of :class:`Operator`."""
+    store and the constructor input are those of :class:`Operator`; the
+    arity is read off the keys, 0 for a zero."""
 
-    __slots__ = ("arity",)
+    __slots__ = ()
     _arity = 4
 
     def __init__(self, m, arity, terms=None):
         super().__init__(m, terms)
-        self.arity = int(arity)
         C = codec(self.m)
         for key in self.terms:
-            if C.order(key) != self.arity:
+            if C.order(key) != arity:
                 raise ArityMismatch(
-                    f"monomial of arity {C.order(key)} in arity-{self.arity} polyvector")
+                    f"monomial of arity {C.order(key)} in arity-{arity} polyvector")
 
-    @classmethod
-    def _from_store(cls, m, arity, store):
-        """Wrap a canonical, zero-free store whose keys all have the arity."""
-        P = super()._from_store(m, store)
-        P.arity = arity
-        return P
-
-    def _like(self, store):
-        return self._from_store(self.m, self.arity, store)
+    @property
+    def arity(self):
+        return codec(self.m).order(next(iter(self.terms))) if self.terms else 0
 
     @staticmethod
-    def zero(m, arity=0):
-        return Polyvector(m, arity)
-
-    def _coerce(self, other):
-        """A rational is the arity-0 polyvector."""
-        if isinstance(other, (int, Fraction)):
-            return self._from_store(self.m, 0, super()._coerce(other).terms)
-        return super()._coerce(other)
+    def zero(m):
+        return Polyvector(m, 0)
 
     def __add__(self, other):
         other = self._coerce(other)
-        if self.arity != other.arity and self.terms and other.terms:
+        if self.terms and other.terms and self.arity != other.arity:
             raise ArityMismatch("cannot add polyvectors of different arity")
-        out = super().__add__(other)
-        if other.terms and not self.terms:
-            out.arity = other.arity
-        return out
+        return super().__add__(other)
 
     __radd__ = __add__
 
@@ -317,13 +302,13 @@ def symbol(D: Operator, k: int) -> Polyvector:
     """Degree-k part of the operator read as a polyvector."""
     if not D.is_zero() and op_order(D) > k:
         raise OrderTooLow(f"operator has order {op_order(D)} > {k}")
-    return Polyvector._from_store(D.m, k, D.order_part(k).terms)
+    return Polyvector._from_store(D.m, D.order_part(k).terms)
 
 
 def schouten(P1: Polyvector, P2: Polyvector) -> Polyvector:
     """Schouten--Nijenhuis bracket: the arity-(p + q - 1) part of the
     graded commutator of the lifts, whose top order p + q cancels, so it is
     the principal symbol of [P1, P2]."""
-    arity = P1.arity + P2.arity - 1
-    bracket = op_commutator(P1.lift(), P2.lift()).order_part(arity)
-    return Polyvector._from_store(P1.m, max(arity, 0), bracket.terms)
+    bracket = op_commutator(P1.lift(), P2.lift())
+    return Polyvector._from_store(
+        P1.m, bracket.order_part(P1.arity + P2.arity - 1).terms)

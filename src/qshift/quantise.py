@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import comb
 from operator import mul
 
-from .coefficients import codec
+from .coefficients import _setting, codec
 from .cohomology import eta_subsets, iter_y_exponents
 from .diffops import (Operator, _banded_images, _product_into,
                       op_commutator, op_order)
@@ -155,8 +155,8 @@ def operator_keys_in_window(X: CritLocus, order_cap: int, ydeg_cap: int,
     <= order_cap, |a| <= ydeg_cap and, if given, |T| - |S| = ``degree``: by
     T (``eta_subsets`` order), b (lex), S, a."""
     C = codec(X.m)
-    if max(order_cap, ydeg_cap) >= C.limit:
-        C.overflow()
+    _setting("order_cap", order_cap)
+    _setting("ydeg_cap", ydeg_cap)
     masks, alist = _odd_masks(X.m), _y_keys(X.m, ydeg_cap)
     return [tb + s + a for nt, _, t in masks if nt <= order_cap
             for b in _y_keys(X.m, order_cap - nt)
@@ -187,35 +187,35 @@ def _order_bound(kind, level, p, j):
     return bound if j >= 0 and bound >= 0 else None
 
 
-def filtration_dims(kind: str, level: int, p: int, degrees, hbar_exps,
-                    X: CritLocus, ydeg_cap: int):
-    """Q-dimensions of a filtration piece per (cohomological degree,
-    hbar-exponent) within the window |a| <= ydeg_cap, in closed form: the
+def filtration_dims(kind: str, level: int, p: int, hbar_max: int,
+                    X: CritLocus, ydeg_cap: int) -> dict:
+    """The ``filtration`` report payload: the Q-dimension of a filtration
+    piece at each cohomological degree -m..m and hbar exponent
+    -1..hbar_max, within the window |a| <= ydeg_cap, in closed form.  The
     derivative parts (b, T) with eta set S of degree |T| - |S| and order o
     number C(m, |T|) C(m, |S|) C(o - |T| + m - 1, m - 1), which sum over
     o <= bound to C(bound - |T| + m, m), each with C(ydeg_cap + m, m) y^a.
-    An hbar exponent is refused from 2^15 on, as a window cap is.  The
-    piece is the ``level``-th of the decreasing filtration ``kind``:
-    "Ftilde", "G" (hbar-adic) or their convolution "GconvF"."""
+    The piece is the ``level``-th of the decreasing filtration ``kind``:
+    "Ftilde", "G" (hbar-adic) or their convolution "GconvF"; each integer
+    setting is checked by ``_setting`` before any entry is computed."""
     if kind not in ("Ftilde", "G", "GconvF"):
         raise ValueError(f"unknown filtration kind {kind!r}")
-    if level < 0:
-        raise ValueError("filtration level must be >= 0")
-    if ydeg_cap < 0:
-        raise ValueError("need ydeg_cap >= 0")
-    m, C = X.m, codec(X.m)
-    if max(hbar_exps, default=0) >= C.limit:
-        C.overflow()
+    for name, value in (("level", level), ("p", p), ("hbar_max", hbar_max),
+                        ("ydeg_cap", ydeg_cap)):
+        _setting(name, value)
+    m = X.m
 
     def dim(d, bound):
-        return comb(ydeg_cap + m, m) * sum(
+        return 0 if bound is None else comb(ydeg_cap + m, m) * sum(
             comb(m, t) * comb(m, t - d) * comb(bound - t + m, m)
             for t in range(max(d, 0), min(m, bound) + 1))
 
-    return {(d, e): 0 if bound is None else dim(d, bound)
-            for e in hbar_exps
-            for bound in (_order_bound(kind, level, p, e + 1),)
-            for d in degrees}
+    bounds = [_order_bound(kind, level, p, e + 1)
+              for e in range(-1, hbar_max + 1)]
+    return {"dims": [{"degree": d, "hbar_exp": e, "dim": dim(d, bound)}
+                     for d in range(-m, m + 1)
+                     for e, bound in enumerate(bounds, -1)],
+            "kind": kind, "level": level, "p": p}
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +241,7 @@ def _nu_block(X: CritLocus, block):
                           lefts, rights)
 
 
-def nu_eigen_analysis(X: CritLocus, p: int, k: int,
-                      ydeg_cap: int = 2) -> dict:
+def nu_eigen_analysis(X: CritLocus, p: int, k: int, ydeg_cap: int) -> dict:
     """Spectrum of the derivation nu(omega, pi) on the arity-p symbol block,
     for the canonical pair, together with the shifted operator's
     invertibility on the block ("+ d/d(hbar^-1)" acts by the scalar 1-p-k).
@@ -254,13 +253,11 @@ def nu_eigen_analysis(X: CritLocus, p: int, k: int,
     refused with NotCertified.  ``ydeg_cap`` only sizes ``block_dim``.  The
     answer is the ``eigen`` report payload.
     """
-    if k < 1 or p < 0:
+    _setting("p", p)
+    _setting("ydeg_cap", ydeg_cap)
+    if k < 1:
         raise ValueError("need p >= 0 and k >= 1")
-    if ydeg_cap < 0:
-        raise ValueError("need ydeg_cap >= 0")
     C = codec(X.m)
-    if max(p, ydeg_cap) >= C.limit:
-        C.overflow()
     block = _order_keys(X.m, p)
     for c, (key, image) in enumerate(zip(block, _nu_block(X, block))):
         top = {t: v for t, v in image.items() if C.order(t) >= p}

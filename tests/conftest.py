@@ -9,7 +9,8 @@ from qshift.diffops import Operator, Polyvector, _product_into
 from qshift.duality import transpose
 from qshift.errors import NoConsistentProfile
 from qshift.gca import Element, koszul_operator, make_crit_locus
-from qshift.quantise import Quantisation, operator_keys_in_window
+from qshift.quantise import (Quantisation, filtration_dims,
+                             operator_keys_in_window)
 
 # The standard singularity corpus: (name, builder, m, milnor number).
 CORPUS = [
@@ -41,6 +42,14 @@ def arity_keys(X, arity, ydeg_cap, degree=None):
     C = codec(X.m)
     return [k for k in operator_keys_in_window(X, arity, ydeg_cap, degree)
             if C.order(k) == arity]
+
+
+def filtration_table(kind, level, p, hbar_max, X, ydeg_cap):
+    """The ``filtration_dims`` payload's dimensions as {(degree, hbar
+    exponent): dim}, in the payload's order."""
+    payload = filtration_dims(kind, level, p, hbar_max, X, ydeg_cap)
+    return {(row["degree"], row["hbar_exp"]): row["dim"]
+            for row in payload["dims"]}
 
 
 @pytest.fixture(params=range(len(CORPUS)), ids=CORPUS_IDS)

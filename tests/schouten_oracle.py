@@ -114,8 +114,7 @@ def schouten_by_words(P1: Polyvector, P2: Polyvector) -> Polyvector:
                 key, ks = _key_from_gens(word, C)
                 if key is not None:
                     _accumulate(out, key + h1 + h2, s * ks * c1 * c2)
-    arity = max(P1.arity + P2.arity - 1, 0)
-    return Polyvector._from_store(m, arity, out)
+    return Polyvector._from_store(m, out)
 
 
 def pv_mul_closed_form(P: Polyvector, Q: Polyvector) -> Polyvector:
@@ -136,4 +135,4 @@ def pv_mul_closed_form(P: Polyvector, Q: Polyvector) -> Polyvector:
             cross = parity(T) if U.bit_count() & 1 else 1
             _accumulate(out, C.check(e1 + e2) | S | U | T | V,
                         _shuffle(S, U) * _shuffle(T, V) * cross * c1 * c2)
-    return Polyvector._from_store(P.m, P.arity + Q.arity, out)
+    return Polyvector._from_store(P.m, out)

@@ -16,19 +16,19 @@ jsonschema = pytest.importorskip("jsonschema")
 from qshift.cli import parse_problem, run_command, Report
 from qshift.coefficients import HSeries, codec
 from qshift.cohomology import milnor_number, twisted_derham_dims
-from qshift.derham import (CompatVerdict, canonical_symplectic,
+from qshift.derham import (CompatVerdict, SearchWindow, canonical_symplectic,
                            check_chain_identity, check_compatibility, cup,
                            dr_d, dr_of)
 from qshift.diffops import Operator, op_compose, op_order, schouten, symbol
 from qshift.duality import is_self_dual, solve_sign_profile, transpose
 from qshift.gca import Element, make_crit_locus
-from qshift.quantise import (Quantisation, bv_quantisation, filtration_dims,
-                             mc_residual, nu_eigen_analysis)
+from qshift.quantise import (Quantisation, bv_quantisation, mc_residual,
+                             nu_eigen_analysis)
 
 from schouten_oracle import pv_mul_closed_form, schouten_by_words
 
-from conftest import (CORPUS, arity_keys, degree_part, levels, print_problem,
-                      random_element,
+from conftest import (CORPUS, arity_keys, degree_part, filtration_table,
+                      levels, print_problem, random_element,
                       random_polyvector, random_quantisation,
                       star_fixed_slot_dimension)
 
@@ -70,7 +70,8 @@ def test_acceptance_compatibility_exact():
     for name, X, _ in _corpus_loci():
         t0 = time.monotonic()
         verdict = check_compatibility(canonical_symplectic(X),
-                                      bv_quantisation(X), X)
+                                      bv_quantisation(X), X,
+                                      SearchWindow(3, 3, 5))
         elapsed = time.monotonic() - t0
         worst = max(worst, elapsed)
         assert verdict.kind == CompatVerdict.EXACT, name
@@ -297,26 +298,23 @@ def test_acceptance_filtration_shapes():
         name, builder, m, _ = CORPUS[midx]
         X = make_crit_locus(builder(), m)
         ydeg_cap = 2
-        degrees = range(-m, m + 1)
-        hbar_exps = range(-1, 5)
         ftilde = {}
         for p in (2, 3):
-            table = filtration_dims("Ftilde", 0, p, degrees, hbar_exps, X,
-                                    ydeg_cap)
+            table = filtration_table("Ftilde", 0, p, 4, X, ydeg_cap)
+            assert list(table) == [(d, e) for d in range(-m, m + 1)
+                                   for e in range(-1, 5)]
             ftilde[p] = table
             for (d, e), n in table.items():
                 j = e + 1
                 expected = _direct_count(m, 2, j if j >= p else None, d)
                 assert n == expected, (p, d, e)
         for i in (1, 2):
-            table = filtration_dims("G", i, 2, degrees, hbar_exps, X,
-                                    ydeg_cap)
+            table = filtration_table("G", i, 2, 4, X, ydeg_cap)
             for (d, e), n in table.items():
                 j = e + 1
                 bound = j - i if j >= 2 else None
                 assert n == _direct_count(m, 2, bound, d), (i, d, e)
-        conv = filtration_dims("GconvF", 2, 2, degrees, hbar_exps, X,
-                               ydeg_cap)
+        conv = filtration_table("GconvF", 2, 2, 4, X, ydeg_cap)
         for (d, e), n in conv.items():
             j = e + 1
             if j < 0:

@@ -186,7 +186,7 @@ def test_a_store_equal_to_a_rational_hashes_as_it():
     monomial is c, across the store types."""
     assert Element.zero(1) == 0 and len({0, Element.zero(1)}) == 1
     assert Operator.identity(1) == 1 and len({1, Operator.identity(1)}) == 1
-    assert hash(Polyvector.zero(1, 1)) == hash(0)
+    assert hash(Polyvector.zero(1)) == hash(0)
     assert hash(HSeries.const(3)) == hash(3)
     half = Fraction(1, 2)
     assert HSeries.const(half) == half and hash(HSeries.const(half)) == hash(half)

@@ -1,5 +1,6 @@
 import importlib
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -590,7 +591,7 @@ def test_eigen_images_carry_lower_arity_terms():
     C = codec(1)
     key = C.eta_bits[0] + C.deta_bits[0]
     assert _nu_block(X, [key]) == [{key + C.hbar: 1, C.hbar: -1}]
-    assert nu_eigen_analysis(X, 1, 2)["eigenvalues"] == [1]
+    assert nu_eigen_analysis(X, 1, 2, 2)["eigenvalues"] == [1]
 
 
 def test_chain_identity_unit_word_reduces_to_residual_definition():
@@ -757,14 +758,16 @@ def test_compatibility_exact_for_canonical_pair():
     for idx in (0, 4, 7):
         X = corpus_locus(idx)
         verdict = check_compatibility(canonical_symplectic(X),
-                                      bv_quantisation(X), X)
+                                      bv_quantisation(X), X,
+                                      SearchWindow(3, 3, 5))
         assert verdict.kind == CompatVerdict.EXACT
 
 
 def test_compatibility_zero_delta():
     X = corpus_locus(4)
     verdict = check_compatibility(canonical_symplectic(X),
-                                  Quantisation.zero(X.m), X)
+                                  Quantisation.zero(X.m), X,
+                                  SearchWindow(3, 3, 5))
     # both sides vanish identically, which the checker reports as the
     # strict equality verdict (a zero witness and exact equality coincide)
     assert verdict.ok()
@@ -794,6 +797,26 @@ def test_compatibility_fails_in_tiny_window():
     assert verdict.kind == CompatVerdict.FAILS
     assert verdict.residual == -sigma_tangent(bv).eps_as_series()
     assert verdict.witness is None and not verdict.ok()
+
+
+def test_compatibility_window_hbar_costs_nothing_per_shift():
+    """hbar is not a packed field, so a window's hbar_max has no upper
+    bound, and the search allocates nothing per hbar shift: hbar_max 10^6
+    on x^3+y^3 with omega = 0 answers Fails, as the tiny window does,
+    within a tracemalloc peak of 5 MB (a list of the 10^6 shifts alone
+    took 48 MB)."""
+    X = corpus_locus(4)
+    bv = bv_quantisation(X)
+    tracemalloc.start()
+    try:
+        verdict = check_compatibility(DRWord.zero(X.m, 2), bv, X,
+                                      SearchWindow(0, 0, 10 ** 6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.kind == CompatVerdict.FAILS
+    assert verdict.residual == -sigma_tangent(bv).eps_as_series()
+    assert peak < 5 * 2 ** 20, peak
 
 
 def _reference_search(omega, delta, X, window):
@@ -1231,7 +1254,8 @@ def test_compatibility_requires_maurer_cartan():
     spurious = Operator(1, {((0,), (1,), (2,), ()): HSeries.const(1)})
     delta = Quantisation(1, {2: levels(bv_quantisation(X))[2] + spurious})
     with pytest.raises(NotMaurerCartan):
-        check_compatibility(canonical_symplectic(X), delta, X)
+        check_compatibility(canonical_symplectic(X), delta, X,
+                            SearchWindow(3, 3, 5))
 
 
 _NON_INTEGRAL = st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(-3, 2),

@@ -183,7 +183,8 @@ def test_pv_mul_equals_top_order_of_composite_random():
 def test_polyvector_sum_with_zero_keeps_the_arity():
     m = 1
     P = Polyvector(m, 1, {((0,), (), (1,), ()): 1})
-    zero = Polyvector.zero(m, 3)
+    zero = Polyvector(m, 3)
+    assert zero.arity == 0
     for total in (P + zero, zero + P, P - zero):
         assert total == P
         assert total.arity == 1
@@ -205,21 +206,22 @@ def test_polyvector_rational_is_the_arity_zero_polyvector():
     Q = Polyvector(m, 0, {((1,), (), (0,), ()): 1})
     unit = Polyvector(m, 0, {((0,), (), (0,), ()): 1})
     assert Q + 1 == 1 + Q == Q + unit and (Q - 1).arity == (1 - Q).arity == 0
-    assert (Polyvector.zero(m, 2) + 1).arity == 0
+    assert (Polyvector(m, 2) + 1).arity == 0
 
 
 def test_polyvector_equality_goes_through_the_coercion():
     """As for every store, == reads a rational as the arity-0 polyvector:
-    a zero of any arity is 0 and the arity-0 unit is 1.  Zeros of
-    different arity are equal and hash alike, the terms fix the arity of a
-    nonzero one, and a polyvector never equals the operator of its terms."""
+    a zero built with any arity is 0 and the arity-0 unit is 1.  Zeros
+    built with different arities are equal and hash alike, the terms fix
+    the arity of a nonzero one, and a polyvector never equals the operator
+    of its terms."""
     m = 1
     unit = Polyvector(m, 0, {((0,), (), (0,), ()): 1})
     P = Polyvector(m, 1, {((0,), (), (1,), ()): 1})
-    assert Polyvector.zero(m, 1) == 0 and 0 == Polyvector.zero(m, 1)
+    assert Polyvector(m, 1) == 0 and 0 == Polyvector(m, 1)
     assert unit == 1 and unit == Fraction(1) and unit != 2 and P != 1
-    assert Polyvector.zero(m, 1) == Polyvector.zero(m, 3)
-    assert hash(Polyvector.zero(m, 1)) == hash(Polyvector.zero(m, 3))
+    assert Polyvector(m, 1) == Polyvector(m, 3) == Polyvector.zero(m)
+    assert hash(Polyvector(m, 1)) == hash(Polyvector(m, 3))
     assert P != P.lift() and P.lift() != P
     assert len({P, Polyvector(m, 1, {((0,), (), (1,), ()): 1}), unit}) == 2
 

@@ -10,7 +10,9 @@ from qshift import derham, quantise
 from qshift.coefficients import HSeries, _accumulate, codec
 from qshift.diffops import (Operator, op_commutator, op_compose, op_order,
                             symbol)
-from qshift.errors import ExponentOverflow, NotCertified, NotMaurerCartan
+from qshift.derham import SearchWindow
+from qshift.errors import (ExponentOverflow, NotCertified, NotMaurerCartan,
+                           QShiftError)
 from qshift.gca import Element, gmul, make_crit_locus
 from qshift.quantise import (Quantisation, _order_bound, _order_keys,
                              bv_quantisation, centre_differential,
@@ -19,8 +21,8 @@ from qshift.quantise import (Quantisation, _order_bound, _order_keys,
                              sigma_tangent)
 
 from conftest import (CORPUS, CORPUS_IDS, arity_keys, corpus_locus,
-                      decoded, hbar_component, levels, random_operator,
-                      random_quantisation)
+                      decoded, filtration_table, hbar_component, levels,
+                      random_operator, random_quantisation)
 from eigen_oracle import windowed_eigen_analysis
 from window_oracle import operator_keys_by_encode
 
@@ -302,12 +304,13 @@ def test_nondegenerate_failures():
 # ---------------------------------------------------------------------------
 
 def test_filtration_empty_window():
+    """The payload lists degrees -m..m and hbar exponents -1..hbar_max,
+    with its settings; below the starting level everything vanishes."""
     X = corpus_locus(0)
-    table = filtration_dims("Ftilde", 0, 2, [], [], X, 2)
-    assert table == {}
-    # below the starting level everything vanishes
-    table = filtration_dims("Ftilde", 0, 2, range(-1, 2), range(-1, 1), X, 2)
-    assert all(v == 0 for v in table.values())
+    payload = filtration_dims("Ftilde", 0, 2, 0, X, 2)
+    assert payload == {"dims": [{"degree": d, "hbar_exp": e, "dim": 0}
+                                for d in (-1, 0, 1) for e in (-1, 0)],
+                       "kind": "Ftilde", "level": 0, "p": 2}
 
 
 def test_filtration_conv_splits_as_functions_plus_ftilde():
@@ -317,10 +320,8 @@ def test_filtration_conv_splits_as_functions_plus_ftilde():
         degrees = range(-X.m, X.m + 1)
         hbar_exps = range(-1, 4)
         ydeg_cap = 2
-        conv = filtration_dims("GconvF", 2, 2, degrees, hbar_exps, X,
-                               ydeg_cap)
-        ftilde = filtration_dims("Ftilde", 0, 2, degrees, hbar_exps, X,
-                                 ydeg_cap)
+        conv = filtration_table("GconvF", 2, 2, 3, X, ydeg_cap)
+        ftilde = filtration_table("Ftilde", 0, 2, 3, X, ydeg_cap)
         akeys = [k for k in operator_keys_in_window(X, 0, ydeg_cap)]
         for d in degrees:
             a_dim = sum(1 for k in akeys if codec(X.m).degree(k) == d)
@@ -334,7 +335,7 @@ def test_filtration_g_level_counts_lower_order():
     X = corpus_locus(3)
     ydeg_cap = 2
     degrees = range(-X.m, X.m + 1)
-    table = filtration_dims("G", 1, 2, degrees, [1], X, ydeg_cap)
+    table = filtration_table("G", 1, 2, 1, X, ydeg_cap)
     keys = operator_keys_in_window(X, 1, ydeg_cap)
     for d in degrees:
         assert table[(d, 1)] == sum(1 for k in keys
@@ -349,10 +350,8 @@ def test_filtration_gr_reindexing():
     degrees = range(-X.m, X.m + 1)
     p = 2
     for i in (0, 1, 2):
-        gi = filtration_dims("G", i, p, degrees, range(p - 1, p + 3), X,
-                             ydeg_cap)
-        gi1 = filtration_dims("G", i + 1, p, degrees, range(p - 1, p + 3), X,
-                              ydeg_cap)
+        gi = filtration_table("G", i, p, p + 2, X, ydeg_cap)
+        gi1 = filtration_table("G", i + 1, p, p + 2, X, ydeg_cap)
         for (d, e) in gi:
             j = e + 1
             if j < p:
@@ -438,9 +437,8 @@ def test_filtration_dims_match_definition(idx):
     for kind in ("Ftilde", "G", "GconvF"):
         for level in range(4):
             for p, ydeg_cap in itertools.product(range(4), range(4)):
-                table = filtration_dims(kind, level, p, degrees, hbar_exps, X,
-                                        ydeg_cap)
-                assert list(table) == [(d, e) for e in hbar_exps for d in degrees]
+                table = filtration_table(kind, level, p, 5, X, ydeg_cap)
+                assert list(table) == [(d, e) for d in degrees for e in hbar_exps]
                 for e in hbar_exps:
                     bound = _order_bound(kind, level, p, e + 1)
                     if bound is None:
@@ -460,16 +458,16 @@ def test_filtration_dims_match_definition(idx):
 
 def test_eigen_examples():
     X = make_crit_locus(Element.y(1, 1) ** 2, 1)
-    rep = nu_eigen_analysis(X, 1, 2)
+    rep = nu_eigen_analysis(X, 1, 2, 2)
     assert rep["eigenvalues"] == [1]
     assert rep["combined_scalar"] == -1
     assert rep["invertible"]
-    rep = nu_eigen_analysis(X, 3, 1)
+    rep = nu_eigen_analysis(X, 3, 1, 2)
     assert rep["eigenvalues"] == [3]
     assert rep["combined_scalar"] == 0
     assert not rep["invertible"]
     for k in (1, 2, 3):
-        rep = nu_eigen_analysis(X, 0, k)
+        rep = nu_eigen_analysis(X, 0, k, 2)
         assert rep["eigenvalues"] == [0]
         assert rep["combined_scalar"] == 1 - k
         assert rep["invertible"] == (k != 1)
@@ -500,7 +498,7 @@ def test_eigen_non_scalar_block(monkeypatch, k, jordan):
     monkeypatch.setattr(quantise, "_nu_block", block_images)
     assert n > 2
     with pytest.raises(NotCertified):
-        nu_eigen_analysis(X, p, k)
+        nu_eigen_analysis(X, p, k, 2)
 
 
 def _cubes(m):
@@ -542,14 +540,14 @@ def test_eigen_refuses_every_term_it_does_not_certify(monkeypatch, spoil):
 
     monkeypatch.setattr(quantise, "_banded_images", spoiled)
     with pytest.raises(NotCertified, match="not a scalar"):
-        nu_eigen_analysis(X, 2, 2)
+        nu_eigen_analysis(X, 2, 2, 2)
 
 
 def test_eigen_keeps_the_lower_filtration_step(monkeypatch):
     """Terms of arity < p are zero on gr_p: adding some to every image, at
     several hbar exponents, leaves the report as it is."""
     X = _cubes(2)
-    want = nu_eigen_analysis(X, 2, 2)
+    want = nu_eigen_analysis(X, 2, 2, 2)
     real = quantise._banded_images
     C = codec(X.m)
     lower = {0: 5, C.dy[1] + C.y[0]: -1, C.deta_bits[0] + 2 * C.hbar: 7}
@@ -558,7 +556,7 @@ def test_eigen_keeps_the_lower_filtration_step(monkeypatch):
         return [{**image, **lower} for image in real(m, keys, *args)]
 
     monkeypatch.setattr(quantise, "_banded_images", with_lower)
-    assert nu_eigen_analysis(X, 2, 2) == want
+    assert nu_eigen_analysis(X, 2, 2, 2) == want
 
 
 def test_eigen_refuses_a_left_factor_with_d_y(monkeypatch):
@@ -575,7 +573,7 @@ def test_eigen_refuses_a_left_factor_with_d_y(monkeypatch):
 
     monkeypatch.setattr(derham, "_nu_slots", with_dy)
     with pytest.raises(NotCertified, match="carries d_y"):
-        nu_eigen_analysis(X, 2, 2)
+        nu_eigen_analysis(X, 2, 2, 2)
 
 
 def test_eigen_cost_does_not_grow_with_the_cap(monkeypatch):
@@ -621,7 +619,7 @@ def test_eigen_block_is_the_filtered_window(monkeypatch, m):
     for p in range(7):
         block = _order_keys(m, p)
         assert block == arity_keys(X, p, 0), p
-        nu_eigen_analysis(X, p, 1)
+        nu_eigen_analysis(X, p, 1, 2)
         assert blocks.pop() == block
 
 
@@ -669,35 +667,89 @@ def test_koszul_operator_squares_to_zero(corpus_case):
     assert op_order(dk) == 1
 
 
-@pytest.mark.parametrize("call, message", [
-    (lambda X: filtration_dims("bogus", 0, 2, [0], [0], X, 2),
+# each library call with integer settings: the settings it checks, and
+# the call, in-range defaults filled in for the settings not given
+_SETTING_CALLS = {
+    "window": (("order_cap", "ydeg_cap", "hbar_max"),
+               lambda X, order_cap=0, ydeg_cap=0, hbar_max=2:
+               SearchWindow(order_cap, ydeg_cap, hbar_max)),
+    "keys": (("order_cap", "ydeg_cap"),
+             lambda X, order_cap=1, ydeg_cap=1:
+             operator_keys_in_window(X, order_cap, ydeg_cap)),
+    "filtration": (("level", "p", "hbar_max", "ydeg_cap"),
+                   lambda X, level=0, p=2, hbar_max=4, ydeg_cap=2:
+                   filtration_dims("Ftilde", level, p, hbar_max, X, ydeg_cap)),
+    "eigen": (("p", "ydeg_cap"),
+              lambda X, p=2, ydeg_cap=2: nu_eigen_analysis(X, p, 2, ydeg_cap)),
+}
+# every setting at -1 and at 2^15, but the hbar_max of a search window,
+# which bounds no packed field
+_OUT_OF_RANGE = [(f"{fn}-{name}-{tag}", fn, name, value)
+                 for fn, (names, _) in _SETTING_CALLS.items()
+                 for name in names
+                 for tag, value in (("neg", -1), ("2^15", 2 ** 15))
+                 if (fn, name, value) != ("window", "hbar_max", 2 ** 15)]
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda X: filtration_dims("bogus", 0, 2, 4, X, 2), ValueError,
      "unknown filtration kind 'bogus'"),
-    (lambda X: filtration_dims("G", -1, 2, [0], [0], X, 2),
-     "filtration level must be >= 0"),
-    (lambda X: nu_eigen_analysis(X, 2, 0), "need p >= 0 and k >= 1"),
+    (lambda X: filtration_dims("G", -1, 2, 4, X, 2), QShiftError,
+     "level must be >= 0, not -1"),
+    (lambda X: nu_eigen_analysis(X, 2, 0, 2), ValueError,
+     "need p >= 0 and k >= 1"),
     *((lambda X, m=m, cap=cap: nu_eigen_analysis(_cubes(m), 2, 2, cap),
-       "need ydeg_cap >= 0") for cap in (-1, -3) for m in (1, 2, 3)),
-    *((lambda X, m=m, cap=cap: filtration_dims(
-        "Ftilde", 0, 2, range(-m, m + 1), range(-1, 5), _cubes(m), cap),
-       "need ydeg_cap >= 0") for cap in (-1, -3) for m in (1, 2, 3)),
+       QShiftError, f"ydeg_cap must be >= 0, not {cap}")
+      for cap in (-1, -3) for m in (1, 2, 3)),
+    *((lambda X, m=m, cap=cap: filtration_dims("Ftilde", 0, 2, 4, _cubes(m),
+                                               cap),
+       QShiftError, f"ydeg_cap must be >= 0, not {cap}")
+      for cap in (-1, -3) for m in (1, 2, 3)),
+    *((lambda X, fn=fn, name=name, value=value:
+       _SETTING_CALLS[fn][1](X, **{name: value}),
+       QShiftError if value < 0 else ExponentOverflow,
+       f"{name} must be >= 0, not {value}" if value < 0 else
+       f"{name} must be below 32768, not {value}")
+      for _, fn, name, value in _OUT_OF_RANGE),
 ], ids=["label-kind", "label-level", "eigen-k0",
         *(f"{call}-cap{cap}-m{m}" for call in ("eigen", "filtration")
-          for cap in (-1, -3) for m in (1, 2, 3))])
-def test_labels_and_eigen_refuse_bad_input(call, message):
-    """A filtration table refuses an unknown kind and a negative level, the
-    eigen analysis refuses k = 0, and both refuse a negative y-degree cap,
-    which would size an empty window (or make ``comb`` raise)."""
+          for cap in (-1, -3) for m in (1, 2, 3)),
+        *(case[0] for case in _OUT_OF_RANGE)])
+def test_labels_and_eigen_refuse_bad_input(call, exc, message):
+    """A filtration table refuses an unknown kind and the eigen analysis
+    k = 0.  Every integer setting of a search window, an operator window,
+    a filtration table and the eigen analysis is refused below 0 with
+    QShiftError (a negative y-degree cap would size an empty window, or
+    make ``comb`` raise), and from 2^15 on with ExponentOverflow, with the
+    message that the flag of the same name gets."""
     X = make_crit_locus(Element.y(2, 1) ** 3 + Element.y(2, 2) ** 3, 2)
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(exc) as err:
         call(X)
-    assert str(err.value) == message
+    assert type(err.value) is exc and str(err.value) == message
+
+
+def test_in_range_settings_are_taken():
+    """Each call of ``_SETTING_CALLS`` answers at 0 and at 2^15 - 1 for
+    each setting in turn (the search window, whose hbar_max bounds no
+    packed field, also at 2^15 and beyond), so the refusals above are
+    those of the values alone.  Left out at 2^15 - 1: the operator
+    window's caps, where its key list is long (its own test takes them at
+    m = 1), and the eigen p, whose block grows with p."""
+    X = make_crit_locus(Element.y(2, 1) ** 3 + Element.y(2, 2) ** 3, 2)
+    for fn, (names, call) in _SETTING_CALLS.items():
+        for name in names:
+            call(X, **{name: 0})
+            if fn != "keys" and (fn, name) != ("eigen", "p"):
+                call(X, **{name: 2 ** 15 - 1})
+    for hbar_max in (2 ** 15, 10 ** 9):
+        assert SearchWindow(0, 0, hbar_max).hbar_max == hbar_max
 
 
 @pytest.mark.parametrize("kind", ["Ftilde", "G", "GconvF"])
 def test_filtration_below_hbar_minus_one_is_empty(kind):
     """Below hbar^-1 every filtration piece is empty: at hbar exponent -2,
-    ``_order_bound`` has j = -1 < 0, and every dimension is 0."""
+    ``_order_bound`` has j = -1 < 0.  So the table starts at hbar^-1."""
     X = make_crit_locus(Element.y(2, 1) ** 3 + Element.y(2, 2) ** 3, 2)
     assert _order_bound(kind, 0, 0, -1) is None
-    table = filtration_dims(kind, 0, 0, range(-2, 3), [-2], X, 2)
-    assert table == {(d, -2): 0 for d in range(-2, 3)}
+    table = filtration_table(kind, 0, 0, 2, X, 2)
+    assert min(e for _, e in table) == -1
