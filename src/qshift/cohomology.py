@@ -21,9 +21,11 @@ number is an int that carries its ``certificate``.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .coefficients import (FIELD_BITS, _accumulate, _admit, _div, codec,
                            rank_rational, solve_rational)
@@ -172,9 +174,10 @@ def _tame(X):
     monomials of f, or y_i^2, which pins w_i = 1/2 where the monomials leave
     the weights free (x*y).  Then f is tame and
     mu(f) = mu(f_w) = Prod (1/w_i - 1) (Broughton 1988; Milnor-Orlik 1970),
-    both checked here against Groebner bases, and a tame f has twisted de
-    Rham cohomology in degree 0 only, of dimension mu(f).  Without a
-    certificate f is refused: NotCertified.
+    both checked here against Groebner bases (one alone when f_w is f, as
+    for x*y or x*y + z^2, whose weights only the squares pin), and a tame f
+    has twisted de Rham cohomology in degree 0 only, of dimension mu(f).
+    Without a certificate f is refused: NotCertified.
     """
     mu = milnor_number(X)
     exps = {k: codec(X.m).y_exponents(k) for k in X.f.terms}
@@ -187,10 +190,10 @@ def _tame(X):
         weight = {a: sum(w * e for w, e in zip(weights, a)) for a in monomials}
         if max(weight.values()) > 1:
             continue
-        top = Element._from_store(X.m, {k: c for k, c in X.f.terms.items()
-                                        if weight[exps[k]] == 1})
-        try:
-            mu_top = milnor_number(make_crit_locus(top, X.m, X.names))
+        top = {k: c for k, c in X.f.terms.items() if weight[exps[k]] == 1}
+        try:  # a top part that is all of f (as for x*y) has mu(f), above
+            mu_top = mu if len(top) == len(X.f.terms) else milnor_number(
+                make_crit_locus(Element._from_store(X.m, top), X.m, X.names))
         except NonIsolated:
             continue
         if mu_top == mu == math.prod(_div(1, w) - 1 for w in weights):
@@ -221,6 +224,7 @@ _TOP = (1 << FIELD_BITS - 1) - 1  # the field of exponent 0
 _FIELD = (1 << FIELD_BITS) - 1
 
 
+@lru_cache(maxsize=None)
 def _grevlex_layout(m):
     """(key of 1, guard bits) of the packed grevlex keys in m variables.
 
@@ -239,14 +243,19 @@ def _grevlex_layout(m):
 
 def _add_multiple(p, c, a, lead, g, guards, m):
     """p += c * y^(a - lead) * g for g led by ``lead``: one addition per
-    term.  Each term of the product is at most y^a, so no exponent exceeds
-    |a|; past 2^15 - 1 an exponent borrows into its field's guard bit, and
-    is refused as in the codec."""
+    term.  Returns the keys that the update adds to p.  Each term of the
+    product is at most y^a, so no exponent exceeds |a|; past 2^15 - 1 an
+    exponent borrows into its field's guard bit, and is refused as in the
+    codec."""
     shift = a - lead
     if a >> FIELD_BITS * m > _TOP and any((b + shift) & guards for b in g):
         codec(m).overflow()
+    new = []
     for b, v in g.items():
-        _accumulate(p, b + shift, c * v)
+        if (k := b + shift) not in p:
+            new.append(k)
+        _accumulate(p, k, c * v)
+    return new
 
 
 def _reduce(p, basis, guards, m):
@@ -255,36 +264,65 @@ def _reduce(p, basis, guards, m):
     g primitive with a positive leading coefficient.  A step cancels the
     leading term c y^a of p by u p - v y^(a - lead) g, for u / v the leading
     coefficient of g over c in lowest terms: fraction-free, and the
-    remainder is the one over Q up to a factor."""
-    p, rem = dict(p), {}
-    while p:
-        a = max(p)
-        for lead, test, g in basis:
-            if (test - a) & guards == guards:
-                d = math.gcd(g[lead], p[a])
-                u, v = g[lead] // d, p[a] // d
-                if u != 1:
-                    p = {k: c * u for k, c in p.items()}
-                    rem = {k: c * u for k, c in rem.items()}
-                _add_multiple(p, -v, a, lead, g, guards, m)
-                break
-        else:
-            rem[a] = p.pop(a)
+    remainder is the one over Q up to a factor.
+
+    A p that no lead divides is its own remainder, made primitive in one
+    pass, and so is an empty p.  Otherwise p is walked from the top through
+    a heap of its keys (heap-ordered division, Monagan and Pearce 2007): a
+    step pushes the keys that it adds, and a key that has cancelled is
+    skipped when it comes up, so no step scans p for its leading term.  A
+    step with u != 1 scales p alone: a remainder term c y^a records U_a,
+    the product of the factors u so far, and the remainder is scaled once,
+    at the end, to c U / U_a for U the product of them all."""
+    if not any((test - a) & guards == guards
+               for a in p for _, test, _ in basis):
+        rem = dict(p)
+    else:
+        p, rem, scale = dict(p), {}, 1
+        heap = [-a for a in p]
+        heapq.heapify(heap)
+        while heap:
+            a = -heapq.heappop(heap)
+            c = p.get(a)
+            if c is None:
+                continue
+            for lead, test, g in basis:
+                if (test - a) & guards == guards:
+                    d = math.gcd(g[lead], c)
+                    u, v = g[lead] // d, c // d
+                    if u != 1:
+                        p = {k: x * u for k, x in p.items()}
+                        scale *= u
+                    for k in _add_multiple(p, -v, a, lead, g, guards, m):
+                        heapq.heappush(heap, -k)
+                    break
+            else:
+                rem[a] = (p.pop(a), scale)
+        for a, (c, at) in rem.items():
+            rem[a] = c if at == scale else c * (scale // at)
     if rem:
         d = math.gcd(*rem.values()) * (1 if rem[max(rem)] > 0 else -1)
-        rem = {k: c // d for k, c in rem.items()}
+        if d != 1:
+            for a in rem:
+                rem[a] //= d
     return rem
 
 
 def _groebner(polys, m):
     """Minimal grevlex Groebner basis of the ideal of the {key: int}
     polynomials, as (leading key, primitive polynomial) pairs: Buchberger's
-    algorithm taking the pair with the smallest lcm first, and skipping a pair
-    only when the coprime-leading-monomial criterion or the chain criterion
-    proves that its S-polynomial reduces to 0 (Cox-Little-O'Shea, ch. 2)."""
+    algorithm with its pending pairs on a heap keyed (lcm of their leads,
+    creation order), so it takes the pair with the smallest lcm first, the
+    earliest made among equals.  A pair whose leads are coprime is dropped
+    when it is made and counts as done, as its S-polynomial reduces to 0;
+    a pair is skipped when the chain criterion proves that its S-polynomial
+    reduces to 0: a third lead divides its lcm, and neither of its pairs
+    with the two is pending (Gebauer and Moeller 1988; Cox-Little-O'Shea,
+    ch. 2)."""
     one, guards = _grevlex_layout(m)
     shifts = range(0, FIELD_BITS * m, FIELD_BITS)
-    basis, pending = [], {}  # {frozenset({i, j}): lcm of their leads}
+    basis, heap, serial = [], [], itertools.count()
+    pending = set()  # the heap's pairs (i, j), each in both orders
 
     def lcm(x, y):  # the smaller field holds the larger exponent
         low = [min(x >> s & _FIELD, y >> s & _FIELD) for s in shifts]
@@ -292,23 +330,25 @@ def _groebner(polys, m):
                 | sum(v << s for v, s in zip(low, shifts)))
 
     def add(p):
-        lead = max(p)
+        lead, j = max(p), len(basis)
         for i, (other, _, _) in enumerate(basis):
-            pending[frozenset((i, len(basis)))] = lcm(other, lead)
+            key = lcm(other, lead)
+            if key != other + lead - one:
+                heapq.heappush(heap, (key, next(serial), i, j))
+                pending.update(((i, j), (j, i)))
         basis.append((lead, lead | guards, p))
 
     for p in polys:
         if r := _reduce(p, basis, guards, m):
             add(r)
-    while pending:
-        pair = min(pending, key=pending.get)
-        key = pending.pop(pair)
-        (li, _, gi), (lj, _, gj) = (basis[k] for k in pair)
-        if key == li + lj - one or any(  # coprime leads, or a chain
-                k not in pair and (test - key) & guards == guards
-                and all(frozenset((i, k)) not in pending for i in pair)
-                for k, (_, test, _) in enumerate(basis)):
+    while heap:
+        key, _, i, j = heapq.heappop(heap)
+        pending.difference_update(((i, j), (j, i)))
+        if any(k != i and k != j and (test - key) & guards == guards
+               and (i, k) not in pending and (j, k) not in pending
+               for k, (_, test, _) in enumerate(basis)):
             continue
+        (li, _, gi), (lj, _, gj) = basis[i], basis[j]
         spoly, d = {}, math.gcd(gi[li], gj[lj])
         _add_multiple(spoly, gj[lj] // d, key, li, gi, guards, m)
         _add_multiple(spoly, -gi[li] // d, key, lj, gj, guards, m)

@@ -20,7 +20,7 @@ from .coefficients import _setting, codec
 from .cohomology import eta_subsets, iter_y_exponents
 from .diffops import (Operator, _banded_images, _product_into,
                       op_commutator, op_order)
-from .errors import NotCertified, NotMaurerCartan
+from .errors import ExponentOverflow, NotCertified, NotMaurerCartan
 from .gca import CritLocus, koszul_operator
 
 
@@ -222,20 +222,28 @@ def filtration_dims(kind: str, level: int, p: int, hbar_max: int,
 # Obstruction eigenvalue analysis
 # ---------------------------------------------------------------------------
 
-def _nu_block(X: CritLocus, block):
-    """The images of nu(omega, pi) for the canonical pair on the hbar-free
-    symbol monomials ``block``, one store per key, in one banded call.
+def _canonical_nu_slots(X: CritLocus):
+    """The slots of nu(omega, pi) for the canonical pair (``_nu_slots``).
 
     Refused with NotCertified if a slot's left factor L carries a d_y.
     Without one, y^a commutes with every L, so nu(y^a rho) = y^a nu(rho):
     the images of the y-degree-0 block fix those at every y-degree."""
-    from .derham import _nu_apply, _nu_slots, canonical_symplectic
+    from .derham import _nu_slots, canonical_symplectic
 
     slots, _ = _nu_slots(canonical_symplectic(X), bv_quantisation(X))
-    lefts = [k for _, left, _ in slots for k, _ in left]
-    if any(k & codec(X.m).dy_block for k in lefts):
+    if any(k & codec(X.m).dy_block for _, left, _ in slots for k, _ in left):
         raise NotCertified("a left factor of nu carries d_y, so the "
                            "y-degree-0 block does not fix the others")
+    return slots
+
+
+def _nu_block(X: CritLocus, block, slots):
+    """The images of nu(omega, pi) on the hbar-free symbol monomials
+    ``block``, one store per key, in one banded call, from the canonical
+    ``slots`` (``_canonical_nu_slots``)."""
+    from .derham import _nu_apply
+
+    lefts = [k for _, left, _ in slots for k, _ in left]
     rights = [k for _, _, right in slots for k, _ in right]
     return _banded_images(X.m, block, lambda rho: _nu_apply(slots, rho),
                           lefts, rights)
@@ -249,8 +257,10 @@ def nu_eigen_analysis(X: CritLocus, p: int, k: int, ydeg_cap: int) -> dict:
     The answer is certified only for a scalar block, at every y-degree at
     once: on each arity-p key rho of y-degree 0, the terms of nu(rho) of
     arity >= p must be exactly lam0 rho hbar (lower arity is zero on gr_p),
-    and ``_nu_block`` carries this to every y^a rho.  Any other block is
-    refused with NotCertified.  ``ydeg_cap`` only sizes ``block_dim``.  The
+    and ``_canonical_nu_slots`` carries this to every y^a rho.  Any other
+    block is refused with NotCertified.  ``ydeg_cap`` only sizes
+    ``block_dim``.  A p at which nu would push a d_y exponent of the block
+    to 2^15 is refused with ExponentOverflow before the block is built.  The
     answer is the ``eigen`` report payload.
     """
     _setting("p", p)
@@ -258,8 +268,18 @@ def nu_eigen_analysis(X: CritLocus, p: int, k: int, ydeg_cap: int) -> dict:
     if k < 1:
         raise ValueError("need p >= 0 and k >= 1")
     C = codec(X.m)
+    slots = _canonical_nu_slots(X)
+    # d_y_i^p is in the block, and its product with a right factor adds
+    # that factor's d_y_i exponent: refused here, before the block is built
+    reach = max((r >> o & C.field for _, _, right in slots for r, _ in right
+                 for o in C.dy_off), default=0)
+    if p + reach >= C.limit:
+        raise ExponentOverflow(
+            f"p must be below {C.limit - reach}, not {p}: nu's right "
+            f"factors raise a d_y exponent of the order-p block by {reach}, "
+            f"and packed keys hold exponents below {C.limit}")
     block = _order_keys(X.m, p)
-    for c, (key, image) in enumerate(zip(block, _nu_block(X, block))):
+    for c, (key, image) in enumerate(zip(block, _nu_block(X, block, slots))):
         top = {t: v for t, v in image.items() if C.order(t) >= p}
         if c == 0:
             lam0 = top.get(key + C.hbar, 0)

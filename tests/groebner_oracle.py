@@ -4,11 +4,17 @@ mu counted by walking the box Prod [0, e_i) of the pure powers y_i^e_i.
 The engine runs the same algorithm on packed integer keys with primitive
 integer polynomials and counts mu by the Hilbert recursion; the tests check
 that both give the same mu, the same leading monomials in the same order,
-and the same refusals."""
+and the same refusals.
+
+``packed_reduce`` is the engine's division on packed keys as it was before
+the heap walk: the leading term found by ``max`` at every step, and the
+whole remainder scaled at every step with u != 1.  The tests check that the
+heap walk gives the same remainder, term for term."""
 
 import itertools
+import math
 
-from qshift.coefficients import _accumulate, _div, codec
+from qshift.coefficients import FIELD_BITS, _accumulate, _div, codec
 from qshift.errors import NonIsolated
 
 
@@ -104,3 +110,35 @@ def milnor(f, m, names=None):
             raise NonIsolated(f"no leading monomial of (df) is a power of "
                               f"{name}: Q[y]/(df) is infinite-dimensional")
     return box_count(leads), [list(a) for a in leads]
+
+
+def packed_reduce(p, basis, guards, m):
+    """Primitive remainder of the packed {key: int} p, with a positive
+    leading coefficient, on full division by ``basis``, (lead, lead |
+    guards, g) triples with g primitive and led positive: the step u p -
+    v y^(a - lead) g cancels the leading term c y^a, for u / v = g's leading
+    coefficient over c in lowest terms, and scales p and the remainder."""
+    top = (1 << FIELD_BITS - 1) - 1
+    p, rem = dict(p), {}
+    while p:
+        a = max(p)
+        for lead, test, g in basis:
+            if (test - a) & guards == guards:
+                d = math.gcd(g[lead], p[a])
+                u, v = g[lead] // d, p[a] // d
+                if u != 1:
+                    p = {k: c * u for k, c in p.items()}
+                    rem = {k: c * u for k, c in rem.items()}
+                shift = a - lead
+                if a >> FIELD_BITS * m > top and any(
+                        (b + shift) & guards for b in g):
+                    codec(m).overflow()
+                for b, w in g.items():
+                    _accumulate(p, b + shift, -v * w)
+                break
+        else:
+            rem[a] = p.pop(a)
+    if rem:
+        d = math.gcd(*rem.values()) * (1 if rem[max(rem)] > 0 else -1)
+        rem = {k: c // d for k, c in rem.items()}
+    return rem

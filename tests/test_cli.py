@@ -506,7 +506,7 @@ def test_eigen_non_scalar_block_exits_2(monkeypatch, tmp_path, capsys):
     """A block of nu that is not a scalar (a stand-in whose first image
     has a term off the diagonal) is refused: exit 2, NotCertified, and a
     report that validates."""
-    def block_images(X, block):
+    def block_images(X, block, slots):
         hbar = codec(X.m).hbar
         return [{block[0] + hbar: 1, block[1] + hbar: 1},
                 *({key + hbar: 1} for key in block[1:])]

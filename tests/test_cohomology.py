@@ -4,13 +4,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qshift import cli
 from qshift.coefficients import HSeries
-from qshift.cohomology import (_groebner, _payload, _slice_rank,
-                               _standard_count, _tame, _weight_rescaling,
+from qshift.cohomology import (_groebner, _grevlex_layout, _payload,
+                               _reduce, _slice_rank, _standard_count, _tame,
+                               _weight_rescaling,
                                element_keys_in_window,
                                iter_y_exponents, koszul_dims_at_hbar_zero,
                                milnor_number, twisted_derham_dims)
@@ -19,7 +20,7 @@ from qshift.errors import (ExponentOverflow, NonIsolated, NotCertified,
 from qshift.gca import Element, make_crit_locus
 
 from conftest import CORPUS, CORPUS_IDS, decoded, f_weights, sparse_rows
-from groebner_oracle import box_count, milnor as oracle_milnor
+from groebner_oracle import box_count, milnor as oracle_milnor, packed_reduce
 from hbar_oracle import rank_exact_fraction_field, twisted_matrix
 
 
@@ -150,6 +151,33 @@ def test_not_certified_is_an_error_not_a_guess():
 
 def _y(m, a, c=1):
     return Element(m, {(tuple(a), ()): c})
+
+
+@pytest.mark.parametrize("entry, f, m, mu, weights", [
+    (twisted_derham_dims, _y(2, (1, 1)), 2, 1, ["1/2", "1/2"]),
+    (twisted_derham_dims, _y(3, (1, 1, 0)) + _y(3, (0, 0, 2)), 3, 1,
+     ["1/2", "1/2", "1/2"]),
+    (_tame, _y(2, (3, 0)) + _y(2, (0, 3)), 2, 4, ["1/3", "1/3"]),
+    (_tame, _y(2, (2, 1)) + _y(2, (0, 4)), 2, 5, ["3/8", "1/4"]),
+    (_tame, _y(3, (3, 0, 0)) + _y(3, (0, 3, 0)) + _y(3, (0, 0, 3)), 3, 8,
+     ["1/3", "1/3", "1/3"])], ids=["xy", "xy+z2", "x3y3", "D5", "x3y3z3"])
+def test_tame_reuses_mu_when_the_top_part_is_f(monkeypatch, entry, f, m, mu,
+                                               weights):
+    """Weights that put every monomial of f at weight 1 make the top part f
+    itself: _tame builds one Groebner basis, not a second one of the same
+    partials, and answers the same payload.  xy and xy + z^2 reach _tame
+    from twisted_derham_dims, as only the squares y_i^2 pin their weights;
+    a quasi-homogeneous f with unique weights is passed to _tame direct."""
+    from qshift import cohomology
+    calls = []
+    real = cohomology._groebner
+    monkeypatch.setattr(cohomology, "_groebner",
+                        lambda polys, m: calls.append(m) or real(polys, m))
+    assert entry(make_crit_locus(f, m)) == {
+        "dims": {"0": mu}, "field": "Q(hbar)", "stabilised": True,
+        "euler": mu, "total": mu, "certificate": "tame:semi-quasi-homogeneous",
+        "weights": weights, "cutoff": None}
+    assert calls == [m]
 
 
 _WEIGHT_MODE_PROBLEMS = [(builder(), m) for (_, builder, m, _) in CORPUS] + [
@@ -439,6 +467,73 @@ def test_exponent_overflow_is_refused():
         _groebner([g1, g2], 2)
     f = Element.y(2, 1, 2 ** 15 - 1) + Element.y(2, 2, 2 ** 15 - 1)
     assert milnor_number(make_crit_locus(f, 2)) == (2 ** 15 - 2) ** 2
+
+
+def _times(poly, s, c):
+    """c y^s times the {exponents: int} polynomial ``poly``, packed."""
+    return {_packed(tuple(x + y for x, y in zip(a, s))): c * d
+            for a, d in poly.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 3), data=st.data())
+def test_reduce_matches_the_reference_division(m, data):
+    """The heap walk's remainder is the reference division's, term for
+    term, on random packed p and bases.  The first basis element leads with
+    a coefficient above 1 and divides p's leading term, whose coefficient
+    is +-1, so the first step has u != 1; p also holds a multiple of a basis
+    element, so keys cancel during the walk.  The input p is not changed.
+    A remainder term stored before a step with u != 1 is pinned by
+    ``test_reduce_edge_cases``."""
+    _, guards = _grevlex_layout(m)
+    exps = st.tuples(*[st.integers(0, 4)] * m)
+    coeff = st.integers(-9, 9).filter(bool)
+    polys, basis = [], []
+    for _ in range(data.draw(st.integers(1, 3))):
+        poly = data.draw(st.dictionaries(exps, coeff, min_size=1, max_size=4))
+        poly[max(poly, key=_grevlex_key)] = data.draw(st.integers(2, 6))
+        d = math.gcd(*poly.values())
+        poly = {a: c // d for a, c in poly.items()}
+        g = _times(poly, (0,) * m, 1)
+        polys.append(poly)
+        basis.append((max(g), max(g) | guards, g))
+    lead, _, g = basis[0]
+    assume(g[lead] > 1)
+    p = _times(data.draw(st.dictionaries(exps, coeff, max_size=6)),
+               (0,) * m, 1)
+    for k, c in _times(data.draw(st.sampled_from(polys)),
+                       data.draw(st.tuples(*[st.integers(0, 2)] * m)),
+                       data.draw(coeff)).items():
+        p[k] = p.get(k, 0) + c
+    top = (6 * m + 1,) + (0,) * (m - 1)  # above every other term of p
+    p[_packed(tuple(x + y for x, y in zip(_unpacked(lead, m), top)))] = \
+        data.draw(st.sampled_from([1, -1]))
+    p = {k: c for k, c in p.items() if c}
+    given_p = dict(p)
+    assert _reduce(p, basis, guards, m) == packed_reduce(p, basis, guards, m)
+    assert p == given_p
+
+
+def test_reduce_edge_cases():
+    """An empty p has remainder {}; a p that no lead divides (or an empty
+    basis) is its own remainder, made primitive with a positive lead, as the
+    reference division gives it.  In y^3 + x^2 over 3x^2 + y the term y^3
+    goes to the remainder before the step with u = 3, so it is scaled by 3
+    at the end: the remainder is 3y^3 - y, not y^3 - y."""
+    _, guards = _grevlex_layout(2)
+    g = {_packed((2, 0)): 3, _packed((0, 1)): 1}
+    basis = [(max(g), max(g) | guards, g)]
+    assert _reduce({}, basis, guards, 2) == {} == \
+        packed_reduce({}, basis, guards, 2)
+    p = {_packed((1, 1)): -6, _packed((0, 2)): 4, _packed((0, 0)): 2}
+    want = {_packed((1, 1)): 3, _packed((0, 2)): -2, _packed((0, 0)): -1}
+    for b in (basis, []):
+        assert _reduce(p, b, guards, 2) == want == \
+            packed_reduce(p, b, guards, 2)
+    p = {_packed((0, 3)): 1, _packed((2, 0)): 1}
+    want = {_packed((0, 3)): 3, _packed((0, 1)): -1}
+    assert _reduce(p, basis, guards, 2) == want == \
+        packed_reduce(p, basis, guards, 2)
 
 
 def _floats(obj):

@@ -21,9 +21,9 @@ from qshift.diffops import (Operator, _banded_images, op_commutator,
 from qshift.errors import NotCertified, NotMaurerCartan
 from qshift.gca import Element, gmul, make_crit_locus
 from qshift.quantise import (Quantisation, bv_quantisation, centre_differential,
-                             _nu_block, koszul_operator, mc_residual,
-                             nu_eigen_analysis, operator_keys_in_window,
-                             sigma_tangent)
+                             _canonical_nu_slots, _nu_block, koszul_operator,
+                             mc_residual, nu_eigen_analysis,
+                             operator_keys_in_window, sigma_tangent)
 
 from generator_oracle import op_apply
 from solve_oracle import component, full_solve
@@ -559,8 +559,8 @@ def test_eigen_block_matches_reference_nu_columns(monkeypatch, p):
     C = codec(X.m)
     built = []
 
-    def recording(X, block):
-        images = _nu_block(X, block)
+    def recording(X, block, slots):
+        images = _nu_block(X, block, slots)
         built.append((block, images))
         return images
 
@@ -590,7 +590,8 @@ def test_eigen_images_carry_lower_arity_terms():
     X = corpus_locus(0)
     C = codec(1)
     key = C.eta_bits[0] + C.deta_bits[0]
-    assert _nu_block(X, [key]) == [{key + C.hbar: 1, C.hbar: -1}]
+    assert _nu_block(X, [key], _canonical_nu_slots(X)) == \
+        [{key + C.hbar: 1, C.hbar: -1}]
     assert nu_eigen_analysis(X, 1, 2, 2)["eigenvalues"] == [1]
 
 

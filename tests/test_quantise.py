@@ -490,7 +490,7 @@ def test_eigen_non_scalar_block(monkeypatch, k, jordan):
         mat[0][0] = 0
     hbar = codec(X.m).hbar
 
-    def block_images(X, keys):
+    def block_images(X, keys, slots):
         assert keys == block
         return [{block[r] + hbar: mat[r][col] for r in range(n) if mat[r][col]}
                 for col in range(n)]
@@ -601,6 +601,22 @@ def test_eigen_cost_does_not_grow_with_the_cap(monkeypatch):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
+def test_eigen_refuses_a_p_that_overflows_before_the_block(monkeypatch, m):
+    """nu's right factors carry d_y_i, so on the block's d_y_i^p they reach
+    d_y_i^(p + 1): p = 2^15 - 1 passes the range check of a setting but is
+    refused with ExponentOverflow naming p, and no block is enumerated."""
+    X = _cubes(m)
+
+    def no_block(m, p):
+        raise AssertionError("the order-p block was built")
+
+    monkeypatch.setattr(quantise, "_order_keys", no_block)
+    with pytest.raises(ExponentOverflow,
+                       match=r"^p must be below 32767, not 32767: "):
+        nu_eigen_analysis(X, 2 ** 15 - 1, 1, 2)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
 def test_eigen_block_is_the_filtered_window(monkeypatch, m):
     """The eigen block, enumerated at order p alone, is the window of order
     cap p at y-degree 0 filtered to order p, key for key, for p 0..6; it is
@@ -609,9 +625,9 @@ def test_eigen_block_is_the_filtered_window(monkeypatch, m):
     X = _cubes(m)
     blocks = []
 
-    def spy(X, keys):
+    def spy(X, keys, slots):
         blocks.append(keys)
-        return real(X, keys)
+        return real(X, keys, slots)
 
     real = quantise._nu_block
     monkeypatch.setattr(quantise, "_nu_block", spy)
