@@ -93,6 +93,16 @@ def _setting(name, value, packed=True):
     return value
 
 
+def _same_m(m, *values):
+    """The generator count ``m``, if each of ``values`` has it: the one
+    check that the values a function combines agree on m, refused with
+    ValueError otherwise."""
+    for value in values:
+        if value.m != m:
+            raise ValueError("signature mismatch")
+    return m
+
+
 class Codec:
     """The packed keys of the monomials y^a eta_S d_y^b d_eta_T hbar^e in m
     generator pairs: one ``int`` per monomial and hbar exponent (the
@@ -303,8 +313,7 @@ class _Store:
         if type(other).__mro__[-3:] != type(self).__mro__[-3:]:
             raise TypeError(f"cannot combine {type(self).__name__} with "
                             f"{type(other).__name__}")
-        if other.m != self.m:
-            raise ValueError("signature mismatch")
+        _same_m(self.m, other)
         return other
 
     def _select(self, keep):

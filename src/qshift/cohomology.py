@@ -27,8 +27,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .coefficients import (FIELD_BITS, _accumulate, _admit, _div, codec,
-                           rank_rational, solve_rational)
+from .coefficients import (FIELD_BITS, _accumulate, _admit, _div, _same_m,
+                           codec, rank_rational, solve_rational)
 from .diffops import _banded_images, _product_into
 from .errors import NonIsolated, NotCertified
 from .gca import CritLocus, Element, apply_koszul_delta, make_crit_locus
@@ -92,8 +92,7 @@ def bv_apply(X: CritLocus, a: Element) -> Element:
     """Apply Sum_i d_{y_i} d_{eta_i} (no hbar factor) as the brackets
     Sum_i [d_{y_i}, [d_{eta_i}, a]]: a first-order operator's bracket with
     an element is its image, so the kernel keeps no derivative."""
-    if a.m != X.m:
-        raise ValueError("signature mismatch")
+    _same_m(X.m, a)
     C, out = codec(X.m), {}
     for dy, deta in zip(C.dy, C.deta_bits):
         inner = {}

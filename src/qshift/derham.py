@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from math import lcm
 
-from .coefficients import (_accumulate, _canon, _content, _div, _setting,
-                           _Store, codec, solve_rational)
+from .coefficients import (_accumulate, _canon, _content, _div, _same_m,
+                           _setting, _Store, codec, solve_rational)
 from .diffops import Operator, _banded_images, _product_into, op_commutator
 from .errors import NotCertified, NotMaurerCartan
 from .gca import CritLocus, Element
@@ -98,8 +98,7 @@ def dr_d(a: Element) -> DRWord:
 def cup(w1: DRWord, w2: DRWord) -> DRWord:
     """Alexander-Whitney merge: the adjacent factors multiply in O_X, by
     the product kernel."""
-    if w1.m != w2.m:
-        raise ValueError("signature mismatch")
+    _same_m(w1.m, w2)
     C = codec(w1.m)
     out = {}
     for (e1, ws1), c1 in w1.terms.items():
@@ -116,9 +115,7 @@ def dr_total_d(X: CritLocus, w: DRWord) -> DRWord:
     -(-1)^(p + d) for p the degree left of a_i and d its own, cancels the
     next slot's e.e term, so each gap takes one unit, e.a_(i+1) at
     -(-1)^(p + d), as does the end; the unit before a_0 has sign +1."""
-    m = w.m
-    if m != X.m:
-        raise ValueError("signature mismatch")
+    m = _same_m(X.m, w)
     C = codec(m)
     out, images = {}, {}  # images: [K, a] for each distinct factor a with eta
     K = koszul_operator(X).terms.items()
@@ -220,8 +217,9 @@ def _words(w: DRWord):
 
 def mu(w: DRWord, delta: Quantisation, X: CritLocus) -> Operator:
     """a_0 (x) ... (x) a_r evaluates to a_0 Delta a_1 Delta ... Delta a_r."""
+    m = _same_m(X.m, w, delta)
     blocks = {0: list(delta.terms.items())}
-    return Operator._from_store(w.m, _horner(codec(w.m), _words(w), blocks))
+    return Operator._from_store(m, _horner(codec(m), _words(w), blocks))
 
 
 def _nu_slots(w: DRWord, delta: Quantisation, blocks=None):
@@ -256,6 +254,7 @@ def _nu_apply(slots, rho: Operator) -> Operator:
 def nu(w: DRWord, delta: Quantisation, rho: Operator, X: CritLocus) -> Operator:
     """The mu-derivation substituting rho for one Delta slot, with the
     Koszul sign (-1)^((deg rho - 1) * prefix degree) per slot."""
+    _same_m(X.m, w, delta, rho)
     if rho.is_zero():
         return Operator.zero(w.m)
     return _nu_apply(_nu_slots(w, delta)[0], rho)
@@ -268,7 +267,7 @@ def check_chain_identity(w: DRWord, delta: Quantisation, X: CritLocus) -> Operat
     evaluated once, and one block table serves it and mu(Dw).  The residual
     is one store: nu(w; -kappa), then [delta_Koszul, mu(w)], [Delta, mu(w)]
     and mu(Dw) with its words' scalars negated are added into it."""
-    C = codec(w.m)
+    C = codec(_same_m(X.m, w, delta))
     kappa = mc_residual(X, delta)
     blocks = {0: list(delta.terms.items())}
     if kappa.is_zero():
@@ -309,47 +308,27 @@ def _source_lookup(total: Operator, candidates, n):
     u o t, t a term of ``total``, is even(t) + even(u) less a Leibniz step
     Sum_i j_i (y_i + d_y_i), 0 <= j_i <= max(y_i(t), d_y_i(t)), plus u's
     odd bits off t's variables (``_product_into``); a negative field sets a
-    guard bit, which no candidate carries.
-
-    The candidates are indexed {even part: {odd part: i}}, and the probes
-    even(t) - step are grouped by the odd bits of t's variables, ``inside``.
-    From k, a probe names the bucket of even(k) - probe - e hbar, and in it
-    the odd parts equal to k's off ``inside``: one hit per submask of
-    ``inside``, so no candidate is looked at that k cannot name."""
+    guard bit, which no candidate carries.  So from k a probe even(t) - step
+    names the candidates of even part even(k) - probe - e hbar whose odd
+    bits agree with k's off t's variables, one mask test per candidate."""
     C = codec(total.m)
-    odd, shift, groups, index = C.odd, C.hbar_shift, {}, {}
+    odd, shift, probes, index = C.odd, C.hbar_shift, set(), {}
     for t in total.terms:
         steps = [0]
         for yo, do, unit in C.shared.values():
             top = max(t >> yo & C.field, t >> do & C.field)
             steps = [s + j * unit for s in steps for j in range(top + 1)]
-        inside = 3 * ((t | t >> 1) & C.eta)  # both odd bits of t's variables
-        groups.setdefault(inside, set()).update((t & ~odd) - s for s in steps)
-    probes = []
-    for inside, offsets in groups.items():
-        subs, s = [inside], inside
-        while s:
-            s = (s - 1) & inside
-            subs.append(s)
-        probes.append((odd ^ inside, subs, offsets))
+        outside = odd ^ 3 * ((t | t >> 1) & C.eta)  # off t's variables
+        probes.update(((t & ~odd) - s, outside) for s in steps)
     for i, u in enumerate(candidates):
-        index.setdefault(u & ~odd, {})[u & odd] = i
+        index.setdefault(u & ~odd, []).append(i)
 
     def sources(k):
-        even, out = k & ~odd, set()
-        for outside, subs, offsets in probes:
-            fixed = k & outside
-            for offset in offsets:
-                diff = even - offset
-                e = diff >> shift
-                if 0 <= e < n:
-                    bucket = index.get(diff - (e << shift))
-                    if bucket:
-                        for s in subs:
-                            i = bucket.get(fixed | s)
-                            if i is not None:
-                                out.add((i, e))
-        return out
+        even = k & ~odd
+        return {(i, e) for offset, outside in probes
+                if 0 <= (e := (even - offset) >> shift) < n
+                for i in index.get(even - offset - (e << shift), ())
+                if not (candidates[i] ^ k) & outside}
     return sources
 
 
@@ -363,14 +342,16 @@ def check_compatibility(omega: DRWord, delta: Quantisation, X: CritLocus,
     The unknowns are the window's monomials hbar^e u one degree below the
     residual's; hbar is central, so the column of hbar^e u is [delta +
     Delta, u] shifted by e.  Only b's component of the row-column graph is
-    assembled, in the whole system's order: elimination never mixes
-    components and one with b = 0 is solved by 0, so the verdict and the
-    witness are the whole system's.  Each distinct row of a wave names its
-    sources once (``_source_lookup``); the new ones' images come from one
-    banded call.  A witness u is reported only if [delta + Delta, D u] =
-    D r, for D the lcm of u's denominators: its image is the residual, in
+    assembled, wave by wave: each distinct row names its sources once
+    (``_source_lookup``), and the new ones' images come from one banded
+    call.  Elimination never mixes components, one with b = 0 is solved by
+    0, and the pivot columns depend only on the row space, so the rows go
+    to the solver as reached and the verdict and witness are the whole
+    system's.  A witness u is reported only if [delta + Delta, D u] = D r,
+    for D the lcm of u's denominators: its image is the residual, in
     integer products.
     """
+    _same_m(X.m, omega, delta)
     if not mc_residual(X, delta).is_zero():
         raise NotMaurerCartan("compatibility needs a Maurer-Cartan Delta")
     r = mu(omega, delta, X) - sigma_tangent(delta).eps_as_series()
@@ -382,7 +363,7 @@ def check_compatibility(omega: DRWord, delta: Quantisation, X: CritLocus,
     n, hs = window.hbar_max + 1, codec(X.m).hbar_shift
     total = koszul_operator(X) + delta
     sources = _source_lookup(total, candidates, n)
-    # row k is {i n + e: q} for q at k - e hbar in image i, by column
+    # row k is {i n + e: q} for q at k - e hbar in image i; r's rows first
     images, reached, todo, seen = {}, {}, list(r.terms), set()
     while todo:
         pending = {k: sources(k) for k in dict.fromkeys(todo)
@@ -393,24 +374,17 @@ def check_compatibility(omega: DRWord, delta: Quantisation, X: CritLocus,
             lambda u: op_commutator(total, u), total.terms)))
         todo = []
         for k, src in pending.items():
-            row = reached[k] = {i * n + e: images[i][k - (e << hs)] for i, e
-                                in sorted(src) if k - (e << hs) in images[i]}
+            row = reached[k] = {i * n + e: images[i][k - (e << hs)]
+                                for i, e in src if k - (e << hs) in images[i]}
             for col in row.keys() - seen:
                 seen.add(col)
                 todo += [key + (col % n << hs) for key in images[col // n]]
-    # the residual's rows first, then the order in which the whole system
-    # adds rows: by first column, then by position in that column's image
-    order = dict.fromkeys(r.terms)
-    for col in sorted(seen):
-        order.update((key + (col % n << hs), 0) for key in images[col // n])
-    sol = solve_rational([reached[k] for k in order],
+    sol = solve_rational(list(reached.values()),
                          dict(enumerate(r.terms.values())), len(candidates) * n)
     if sol is None:
         return Verdict(Verdict.FAILS, residual=r)
     witness = Operator._from_store(X.m, {
         candidates[c // n] + (c % n << hs): v for c, v in sorted(sol.items())})
-    # [total, D u] = D r for D the lcm of u's denominators, so the product
-    # kernel multiplies u's integer numerators
     den = lcm(*[v.denominator for v in sol.values()])
     scaled = Operator._from_store(X.m, {k: v.numerator * (den // v.denominator)
                                         for k, v in witness.terms.items()})

@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, perm
 
-from .coefficients import FIELD_BITS, _shuffle, _Store, codec
+from .coefficients import FIELD_BITS, _same_m, _shuffle, _Store, codec
 from .errors import ArityMismatch, OrderTooLow, ZeroOperator
 
 
@@ -201,8 +201,7 @@ def _product_into(acc, left, right, C, bracket=False):
 
 def op_compose(D1: Operator, D2: Operator) -> Operator:
     """Normal-ordered product D1 o D2, in one pass over pairs of terms."""
-    if D1.m != D2.m:
-        raise ValueError("signature mismatch")
+    _same_m(D1.m, D2)
     acc = {}
     _product_into(acc, D1.terms.items(), D2.terms.items(), codec(D1.m))
     return Operator._from_store(D1.m, acc)
@@ -218,8 +217,7 @@ def op_commutator(D1: Operator, D2: Operator) -> Operator:
     (``_pair_terms``), which keeps only the steps j >= 1 and the
     contractions of both directions; a pair with no d_y against a y and no
     d_eta against an eta, either way, has an empty entry and is skipped."""
-    if D1.m != D2.m:
-        raise ValueError("signature mismatch")
+    _same_m(D1.m, D2)
     acc = {}
     _product_into(acc, D1.terms.items(), D2.terms.items(), codec(D1.m),
                   bracket=True)

@@ -18,7 +18,7 @@ convention.
 
 from __future__ import annotations
 
-from .coefficients import _accumulate, codec
+from .coefficients import _accumulate, _same_m, codec
 from .diffops import Operator, _product_into, op_commutator
 from .errors import NotPolynomial, ZeroPolynomial
 
@@ -85,8 +85,7 @@ class Element(Operator):
 def gmul(a: Element, b: Element) -> Element:
     """Graded-commutative product with Koszul signs: the composite of the
     multiplication operators, by the one product kernel."""
-    if a.m != b.m:
-        raise ValueError("signature mismatch")
+    _same_m(a.m, b)
     out = {}
     _product_into(out, a.terms.items(), b.terms.items(), codec(a.m))
     return Element._from_store(a.m, out)
@@ -113,8 +112,7 @@ def make_crit_locus(f: Element, m: int, names=None) -> CritLocus:
     checked and differentiated."""
     if m < 1:
         raise ValueError("need at least one variable")
-    if f.m != m:
-        raise ValueError("signature mismatch")
+    _same_m(m, f)
     if f.is_zero():
         raise ZeroPolynomial("f = 0")
     if not f.is_polynomial():

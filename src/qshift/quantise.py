@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import comb
 from operator import mul
 
-from .coefficients import _setting, codec
+from .coefficients import _same_m, _setting, codec
 from .cohomology import eta_subsets, iter_y_exponents
 from .diffops import (Operator, _banded_images, _product_into,
                       op_commutator, op_order)
@@ -40,6 +40,7 @@ class Quantisation(Operator):
             j = int(j)
             if j < 2:
                 raise ValueError("quantisation coefficients start at j = 2")
+            _same_m(self.m, op)
             if op.is_zero():
                 continue
             if op_order(op) > j:
@@ -105,7 +106,7 @@ def mc_residual(X: CritLocus, delta: Quantisation) -> Operator:
     quantisation (square-zero for delta + Delta); (1/2)[Delta, Delta] is
     Delta_odd o Delta_odd, as pairs add (1 - (-1)^(|k1||k2|)) k1 o k2.
     Both products accumulate into one store."""
-    C = codec(delta.m)
+    C = codec(_same_m(X.m, delta))
     terms = delta.terms.items()
     odd = [(k, c) for k, c in terms if C.degree(k) & 1]
     acc = {}
@@ -126,6 +127,7 @@ def sigma_tangent(delta: Quantisation) -> TangentElement:
 def centre_differential(X: CritLocus, delta: Quantisation,
                         u: Operator) -> Operator:
     """[delta_Koszul + Delta, u], the differential of the centre."""
+    _same_m(X.m, delta, u)
     if not mc_residual(X, delta).is_zero():
         raise NotMaurerCartan("Delta does not satisfy the master equation")
     return op_commutator(koszul_operator(X) + delta, u)

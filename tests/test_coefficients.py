@@ -303,8 +303,8 @@ def _witness_systems(draw):
 @given(_witness_systems())
 def test_kernel_on_witness_shaped_systems(system):
     """Rank, solvability and the solution with every free variable 0 agree
-    with the dense reference, whatever the row order, and the caller's rows
-    are left as they were."""
+    with the dense reference, whatever the order of the rows or of the
+    entries within each row, and the caller's rows are left as they were."""
     rows, rhs, ncols, perm = system
     before = repr((rows, rhs))
     dense = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
@@ -325,6 +325,9 @@ def test_kernel_on_witness_shaped_systems(system):
     assert rank_rational(permuted) == len(pivots)
     assert solve_rational(permuted, {where[i]: b for i, b in rhs.items()},
                           ncols) == sol
+    reversed_rows = [dict(reversed(row.items())) for row in rows]
+    assert rank_rational(reversed_rows) == len(pivots)
+    assert solve_rational(reversed_rows, rhs, ncols) == sol
     assert repr((rows, rhs)) == before
 
 
