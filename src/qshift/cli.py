@@ -52,6 +52,7 @@ COMMAND_FLAGS = {
 MAX_NESTING = 100  # parentheses; the parser recurses four frames per level
 
 _KIND_MAP = {"g": "G", "ftilde": "Ftilde", "conv": "GconvF"}
+_INTEGER = re.compile(r"-?[0-9]+")  # an integer setting's text
 # the reports of the commands whose check answers a Verdict, when it fails
 _FAIL_REASONS = {
     "check-compat": "no coboundary witness in the window",
@@ -287,8 +288,8 @@ def _residual_terms(op):
 def _read_flags(cmd, flags):
     """The settings of ``cmd``, in table order: each flag if set (an explicit
     0 is kept), else its default.  Refused: an unset required flag, an
-    unknown kind, a fractional setting, and one out of ``_setting``'s
-    range, 0..2^15 - 1."""
+    unknown kind, an integer setting whose text is not an optional ``-`` and
+    ASCII digits, and one out of ``_setting``'s range, 0..2^15 - 1."""
     settings = {}
     for name, default in COMMAND_FLAGS[cmd].items():
         raw = default if flags.get(name) is None else flags[name]
@@ -300,13 +301,10 @@ def _read_flags(cmd, flags):
                                   f"{', '.join(_KIND_MAP)}, not {raw!r}")
             settings[name] = _KIND_MAP[raw]
             continue
-        try:
-            value = Fraction(raw)
-        except ValueError:
-            raise QShiftError(f"{name} must be an integer, not {raw}") from None
-        if value.denominator != 1:
+        text = str(raw)
+        if not _INTEGER.fullmatch(text):
             raise QShiftError(f"{name} must be an integer, not {raw}")
-        settings[name] = _setting(name, int(value))
+        settings[name] = _setting(name, int(text))
     return settings
 
 

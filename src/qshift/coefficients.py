@@ -23,6 +23,7 @@ product.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -82,10 +83,12 @@ FIELD_BITS = 16
 
 
 def _setting(name, value, packed=True):
-    """The setting ``value``, if in range: the one check of an integer
-    setting, flag or library argument.  Below 0 is refused with QShiftError,
-    and a ``packed`` one (an exponent or a cap on one) from 2^15 on."""
+    """The setting ``value``, if an ``int`` in range: the one check of an
+    integer setting, flag or library argument.  Any other type and a value
+    below 0 are refused with QShiftError, a ``packed`` one from 2^15 on."""
     limit = 1 << FIELD_BITS - 1
+    if type(value) is not int:
+        raise QShiftError(f"{name} must be an integer, not {value}")
     if value < 0:
         raise QShiftError(f"{name} must be >= 0, not {value}")
     if packed and value >= limit:
@@ -244,6 +247,29 @@ def format_monomial(key):
 def codec(m):
     """The one :class:`Codec` of m generator pairs."""
     return Codec(m)
+
+
+def packed_keys(units, steps, budget):
+    """The keys Sum_i a_i units[i] over the natural a with
+    Sum_i a_i steps[i] <= budget, in lexicographic order of a: every window
+    of this package, packed as it is enumerated.  The steps are positive
+    ints (1 for a degree cap); a budget below 0 gives no key."""
+    level = [(0, budget)] if budget >= 0 else []
+    for unit, step in zip(units, steps):
+        level = [(key + k * unit, rest - k * step) for key, rest in level
+                 for k in range(rest // step + 1)]
+    return [key for key, _ in level]
+
+
+@lru_cache(maxsize=None)
+def _odd_masks(m):
+    """(|S|, eta_S, d_eta_S) for the subsets S of 1..m, in the order of the
+    sorted index tuples (), (1,), (1, 2), ..., (m,)."""
+    C = codec(m)
+    subsets = sorted(S for k in range(m + 1)
+                     for S in itertools.combinations(range(m), k))
+    return tuple((len(S), sum(C.eta_bits[i] for i in S),
+                  sum(C.deta_bits[i] for i in S)) for S in subsets)
 
 
 @lru_cache(maxsize=None)

@@ -5,15 +5,16 @@ each answered with the proof that makes it exact.
 The eta-model complex is O_X = Q[y] (x) Lambda[eta] with differential
 delta + hbar * Sum_i d_{y_i} d_{eta_i}; both act on elements as brackets
 in the one product kernel.  Its cohomology over Q(hbar) is taken from one
-exact rank per degree slice, its images from one banded call, when f is
-quasi-homogeneous (weight rescaling), and from the tameness theorem when
-f is semi-quasi-homogeneous; anything else is refused.  The weights are
-solved here, not held by the CritLocus.  Every function takes a CritLocus,
-the top part f_w of a tameness certificate too, so only
-``gca.make_crit_locus`` checks and differentiates f.  The Jacobian ring
-Q[y]/(df) comes from one Groebner basis of its partials, built
-fraction-free on packed grevlex keys, and mu counts its standard monomials
-by the Hilbert recursion.
+exact rank per degree slice when f is quasi-homogeneous (weight
+rescaling), and from the tameness theorem when f is semi-quasi-homogeneous;
+anything else is refused.  A slice holds the keys of a weight window,
+packed by the one enumerator ``coefficients.packed_keys``, and its images
+come from one banded call.  The weights are solved here, not held by the
+CritLocus.  Every function takes a CritLocus, the top part f_w of a
+tameness certificate too, so only ``gca.make_crit_locus`` checks and
+differentiates f.  The Jacobian ring Q[y]/(df) comes from one Groebner
+basis of its partials, built fraction-free on packed grevlex keys, and mu
+counts its standard monomials by the Hilbert recursion.
 
 A dimension answer is its report payload, a dict (``_payload``); the Milnor
 number is an int that carries its ``certificate``.
@@ -27,8 +28,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .coefficients import (FIELD_BITS, _accumulate, _admit, _div, _same_m,
-                           codec, rank_rational, solve_rational)
+from .coefficients import (FIELD_BITS, _accumulate, _admit, _div,
+                           _odd_masks, _same_m, codec, packed_keys,
+                           rank_rational, solve_rational)
 from .diffops import _banded_images, _product_into
 from .errors import NonIsolated, NotCertified
 from .gca import CritLocus, Element, apply_koszul_delta, make_crit_locus
@@ -47,44 +49,23 @@ def _payload(dims, field, certificate):
 
 
 # ---------------------------------------------------------------------------
-# Monomial enumeration
+# The element window and the BV operator on it
 # ---------------------------------------------------------------------------
-
-def iter_y_exponents(m, cap, weights=None):
-    """Exponent vectors with total degree <= cap, or weight <= cap when
-    weights are given, in lexicographic order.  The weights are scaled to
-    integers by the lcm of their denominators, so the walk is int-only."""
-    if weights:
-        den = math.lcm(*(Fraction(w).denominator for w in weights))
-        steps = [int(Fraction(w) * den) for w in weights]
-    else:
-        den, steps = 1, [1] * m
-
-    def rec(i, budget, prefix):
-        if i == m:
-            yield prefix
-            return
-        for k in range(budget // steps[i] + 1):
-            yield from rec(i + 1, budget - k * steps[i], prefix + (k,))
-
-    yield from rec(0, math.floor(Fraction(cap) * den), ())
-
-
-def eta_subsets(m):
-    return sorted(S for k in range(m + 1)
-                  for S in itertools.combinations(range(1, m + 1), k))
-
 
 def element_keys_in_window(X, cutoff, weights):
     """All packed monomial keys y^a eta_S of weight <= cutoff, grouped by
-    degree; y_i weighs w_i and eta_i weighs 1 - w_i (f quasi-homogeneous)."""
-    C = codec(X.m)
-    by_degree = {}
-    for S in eta_subsets(X.m):
-        budget = Fraction(cutoff) - sum(1 - weights[i - 1] for i in S)
+    degree; y_i weighs w_i and eta_i weighs 1 - w_i (f quasi-homogeneous).
+    Times the lcm of their denominators, the weights and budgets are ints."""
+    den = math.lcm(*(Fraction(w).denominator for w in weights))
+    steps = [int(w * den) for w in weights]
+    top = math.floor(Fraction(cutoff) * den)
+    C, by_degree = codec(X.m), {}
+    for size, eta, _ in _odd_masks(X.m):
+        budget = top - sum(den - step for step, bit in zip(steps, C.eta_bits)
+                           if eta & bit)
         if budget >= 0:
-            by_degree.setdefault(-len(S), []).extend(
-                C.encode(a, S) for a in iter_y_exponents(X.m, budget, weights))
+            by_degree.setdefault(-size, []).extend(
+                eta + a for a in packed_keys(C.y, steps, budget))
     return by_degree
 
 

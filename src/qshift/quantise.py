@@ -14,10 +14,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from operator import mul
 
-from .coefficients import _same_m, _setting, codec
-from .cohomology import eta_subsets, iter_y_exponents
+from .coefficients import _odd_masks, _same_m, _setting, codec, packed_keys
 from .diffops import (Operator, _banded_images, _product_into,
                       op_commutator, op_order)
 from .errors import ExponentOverflow, NotCertified, NotMaurerCartan
@@ -137,25 +135,17 @@ def centre_differential(X: CritLocus, delta: Quantisation,
 # Operator windows and filtration dimension tables
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _odd_masks(m):
-    """(|S|, eta_S, d_eta_S) for the subsets S of ``eta_subsets(m)``."""
-    C = codec(m)
-    return tuple((len(S), sum(C.eta_bits[i - 1] for i in S),
-                  sum(C.deta_bits[i - 1] for i in S)) for S in eta_subsets(m))
-
-
 @lru_cache(maxsize=256)
 def _y_keys(m, cap):
     """The keys y^a of degree <= cap, lexicographic."""
-    return tuple(sum(map(mul, codec(m).y, a)) for a in iter_y_exponents(m, cap))
+    return tuple(packed_keys(codec(m).y, (1,) * m, cap))
 
 
 def operator_keys_in_window(X: CritLocus, order_cap: int, ydeg_cap: int,
                             degree=None):
     """Operator monomial keys y^a eta_S d_y^b d_eta_T with derivative degree
     <= order_cap, |a| <= ydeg_cap and, if given, |T| - |S| = ``degree``: by
-    T (``eta_subsets`` order), b (lex), S, a."""
+    T (``_odd_masks`` order), b (lex), S, a."""
     C = codec(X.m)
     _setting("order_cap", order_cap)
     _setting("ydeg_cap", ydeg_cap)
@@ -170,12 +160,13 @@ def operator_keys_in_window(X: CritLocus, order_cap: int, ydeg_cap: int,
 def _order_keys(m, p):
     """The keys d_y^b d_eta_T eta_S of order exactly p and y-degree 0, in
     the order of the window of order cap p and y-degree cap 0: by T, b of
-    |b| = p - |T| (lex, its last entry fixed by the rest), then S."""
-    C = codec(m)
-    masks = _odd_masks(m)
-    return [t + sum(map(mul, C.dy, (*b, p - nt - sum(b)))) + s
-            for nt, _, t in masks if nt <= p
-            for b in iter_y_exponents(m - 1, p - nt) for _, s, _ in masks]
+    |b| = p - |T| (lex, its last entry fixed by the rest: each unit moves a
+    d_y_m to a d_y_i), then S."""
+    C, masks = codec(m), _odd_masks(m)
+    moves = [dy - C.dy[-1] for dy in C.dy[:-1]]
+    return [t + (p - nt) * C.dy[-1] + b + s for nt, _, t in masks if nt <= p
+            for b in packed_keys(moves, (1,) * (m - 1), p - nt)
+            for _, s, _ in masks]
 
 
 def _order_bound(kind, level, p, j):

@@ -767,10 +767,15 @@ def test_vc_dims_certificates(text, certificate, dims):
     ("stab_window = 0;", ["vc-dims"], "ParseError"),
     ("stab_window = 1/2;", ["vc-dims"], "ParseError"),
     ("", ["check-compat", "--window", "3/2"], "QShiftError"),
-], ids=["stab_window-0", "stab_window-half", "window-3/2"])
+    *(("", ["check-compat", "--window", text], "QShiftError")
+      for text in ("1e3", "3_0", "3.0", "+3")),
+], ids=["stab_window-0", "stab_window-half", "window-3/2", "window-1e3",
+        "window-3_0", "window-3.0", "window-+3"])
 def test_bad_integer_settings_exit_2(tmp_path, capsys, options, argv,
                                      error_type):
-    """``--window 3/2`` is refused, not truncated; a problem file holds no
+    """``--window 3/2`` is refused, not truncated, and so is any text but
+    an optional ``-`` and ASCII digits, as in a problem file (``1e3`` once
+    ran a window of 1000, ``3_0`` one of 30); a problem file holds no
     settings, so a ``stab_window`` line after f is a parse error."""
     path = tmp_path / "p.qs"
     path.write_text(f"vars x y; f = x^5 + y^7; {options}\n")
@@ -779,6 +784,9 @@ def test_bad_integer_settings_exit_2(tmp_path, capsys, options, argv,
     assert code == 2
     assert out["status"] == "error"
     assert out["payload"]["error_type"] == error_type
+    if argv[1:2] == ["--window"]:
+        assert out["payload"]["reason"] == \
+            f"window must be an integer, not {argv[2]}"
     jsonschema.validate(out, SCHEMA)
 
 
@@ -857,12 +865,16 @@ def test_filtration_hbar_max_beyond_the_field_is_refused(value, code):
      "level must be an integer, not 3/2"),
     ("filtration", {"kind": "bogus"},
      "kind must be one of g, ftilde, conv, not 'bogus'"),
+    ("eigen", {"p": 3.0, "k": 2}, "p must be an integer, not 3.0"),
+    ("eigen", {"p": True, "k": 2}, "p must be an integer, not True"),
 ], ids=["eigen-p-3/2", "eigen-k-2.9", "eigen-no-p", "eigen-no-k",
-        "filtration-level-3/2", "filtration-kind-bogus"])
+        "filtration-level-3/2", "filtration-kind-bogus", "eigen-p-3.0",
+        "eigen-p-True"])
 def test_library_settings_are_refused_not_truncated(cmd, flags, reason):
     """run_command takes settings from library callers too: a non-integral
     p, k or level is refused rather than truncated (p = 3/2 once ran as
-    p = 1), and a missing p or k or an unknown kind is named."""
+    p = 1), and so are a float and a bool, integral or not (True once ran
+    as p = 1); a missing p or k or an unknown kind is named."""
     problem = parse_problem("vars x y; f = x^3 + y^3;")
     report = run_command(cmd, problem, flags)
     assert report.status == "error"

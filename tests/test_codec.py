@@ -2,15 +2,17 @@
 packed keys against the generator-by-generator reference, and overflow
 refusal at the field limit."""
 
+import itertools
 import json
-from math import comb, perm
+from fractions import Fraction
+from math import comb, floor, lcm, perm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qshift import cli
-from qshift.coefficients import FIELD_BITS, HSeries, codec
+from qshift.coefficients import FIELD_BITS, HSeries, codec, packed_keys
 from qshift.diffops import Operator, _leibniz_steps, op_commutator, op_compose
 from qshift.errors import ExponentOverflow
 from qshift.gca import Element, gmul
@@ -32,6 +34,30 @@ def _exps(m, top):
 
 def _monomial(m, top=LIMIT - 1):
     return st.tuples(_exps(m, top), _odd(m), _exps(m, top), _odd(m))
+
+
+_WEIGHT = st.builds(Fraction, st.integers(1, 4), st.integers(1, 4))
+_CAP = st.one_of(st.integers(-2, 4),
+                 st.builds(Fraction, st.integers(-4, 12), st.integers(2, 4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 3), cap=_CAP, data=st.data())
+def test_packed_keys_match_brute_force(m, cap, data):
+    """The one enumerator against a filtered itertools.product, which is
+    lexicographic: the same keys in the same order, under unit steps (a
+    degree cap) and under weights scaled to ints by the lcm of their
+    denominators (the element window's weight cap)."""
+    weights = data.draw(st.one_of(st.none(), st.tuples(*[_WEIGHT] * m)))
+    ws = weights or (Fraction(1),) * m
+    top = max(0, int(Fraction(cap) / min(ws)))
+    C = codec(m)
+    reference = [C.encode(a) for a in itertools.product(range(top + 1),
+                                                        repeat=m)
+                 if sum(w * k for w, k in zip(ws, a)) <= cap]
+    den = lcm(*(w.denominator for w in ws))
+    got = packed_keys(C.y, [int(w * den) for w in ws], floor(cap * den))
+    assert got == reference
 
 
 @settings(max_examples=300, deadline=None)

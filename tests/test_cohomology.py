@@ -13,8 +13,8 @@ from qshift.cohomology import (_groebner, _grevlex_layout, _payload,
                                _reduce, _slice_rank, _standard_count, _tame,
                                _weight_rescaling,
                                element_keys_in_window,
-                               iter_y_exponents, koszul_dims_at_hbar_zero,
-                               milnor_number, twisted_derham_dims)
+                               koszul_dims_at_hbar_zero, milnor_number,
+                               twisted_derham_dims)
 from qshift.errors import (ExponentOverflow, NonIsolated, NotCertified,
                            NotPolynomial, ZeroPolynomial)
 from qshift.gca import Element, make_crit_locus
@@ -209,27 +209,6 @@ def test_report_euler_characteristic():
     assert d["euler"] == 3 - 1
     assert d["total"] == 4
     assert d["dims"] == {"-1": 1, "0": 3}
-
-
-_WEIGHT = st.builds(Fraction, st.integers(1, 4), st.integers(1, 4))
-_CAP = st.one_of(st.integers(-2, 4),
-                 st.builds(Fraction, st.integers(-4, 12), st.integers(2, 4)))
-
-
-@settings(max_examples=150, deadline=None)
-@given(m=st.integers(1, 3), cap=_CAP, data=st.data())
-def test_iter_y_exponents_matches_brute_force(m, cap, data):
-    """Integer enumeration against a filtered itertools.product, which is
-    lexicographic: same vectors, same order, in both modes."""
-    weights = data.draw(st.one_of(st.none(),
-                                  st.tuples(*[_WEIGHT] * m)))
-    ws = weights or (Fraction(1),) * m
-    top = max(0, int(Fraction(cap) / min(ws)))
-    reference = [a for a in itertools.product(range(top + 1), repeat=m)
-                 if sum(w * k for w, k in zip(ws, a)) <= cap]
-    got = list(iter_y_exponents(m, cap, weights))
-    assert got == reference
-    assert got == sorted(set(got))
 
 
 # ---------------------------------------------------------------------------

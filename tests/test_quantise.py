@@ -416,8 +416,8 @@ def test_window_cap_overflow_is_refused_before_enumerating(monkeypatch):
     def enumerated(*args):
         raise AssertionError("the window was enumerated")
 
-    monkeypatch.setattr(quantise, "iter_y_exponents", enumerated)
-    monkeypatch.setattr(quantise, "eta_subsets", enumerated)
+    monkeypatch.setattr(quantise, "packed_keys", enumerated)
+    monkeypatch.setattr(quantise, "_odd_masks", enumerated)
     for idx in (0, 4, 7):
         X = corpus_locus(idx)
         for args in [(big, 0), (0, big), (big, big), (big, 3), (1, big)]:
@@ -727,17 +727,36 @@ _OUT_OF_RANGE = [(f"{fn}-{name}-{tag}", fn, name, value)
        f"{name} must be >= 0, not {value}" if value < 0 else
        f"{name} must be below 32768, not {value}")
       for _, fn, name, value in _OUT_OF_RANGE),
+    (lambda X: SearchWindow(1.5, 1, 3), QShiftError,
+     "order_cap must be an integer, not 1.5"),
+    (lambda X: operator_keys_in_window(X, 1.5, 1), QShiftError,
+     "order_cap must be an integer, not 1.5"),
+    (lambda X: derham.check_compatibility(
+        derham.canonical_symplectic(X), bv_quantisation(X), X,
+        SearchWindow(1.5, 1.0, 3.0)), QShiftError,
+     "order_cap must be an integer, not 1.5"),
+    (lambda X: filtration_dims("G", 1.5, 2, 2, X, 2), QShiftError,
+     "level must be an integer, not 1.5"),
+    (lambda X: nu_eigen_analysis(X, 2.0, 2, 2), QShiftError,
+     "p must be an integer, not 2.0"),
+    (lambda X: nu_eigen_analysis(X, True, 2, 2), QShiftError,
+     "p must be an integer, not True"),
 ], ids=["label-kind", "label-level", "eigen-k0",
         *(f"{call}-cap{cap}-m{m}" for call in ("eigen", "filtration")
           for cap in (-1, -3) for m in (1, 2, 3)),
-        *(case[0] for case in _OUT_OF_RANGE)])
+        *(case[0] for case in _OUT_OF_RANGE),
+        "window-not-int", "keys-not-int", "check-compat-not-int",
+        "filtration-level-not-int", "eigen-p-float", "eigen-p-bool"])
 def test_labels_and_eigen_refuse_bad_input(call, exc, message):
     """A filtration table refuses an unknown kind and the eigen analysis
     k = 0.  Every integer setting of a search window, an operator window,
     a filtration table and the eigen analysis is refused below 0 with
     QShiftError (a negative y-degree cap would size an empty window, or
     make ``comb`` raise), and from 2^15 on with ExponentOverflow, with the
-    message that the flag of the same name gets."""
+    message that the flag of the same name gets.  So is a setting that is
+    not an ``int``, integral float and bool too, with QShiftError: 1.5
+    once gave the cap-1 operator window, reported as the window's cap,
+    True once ran as p = 1, and the rest raised a bare TypeError."""
     X = make_crit_locus(Element.y(2, 1) ** 3 + Element.y(2, 2) ** 3, 2)
     with pytest.raises(exc) as err:
         call(X)
